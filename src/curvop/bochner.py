@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .action import curvature_term, hat_norm_sq
 from .operators import CurvatureOperator, Spectrum, complex_sectional
@@ -242,6 +241,10 @@ def normal_h_term(r: CurvatureOperator, h_matrix, tol=1e-10) -> float:
     scale = max(1.0, float(np.abs(h).max()) ** 2)
     if float(np.abs(h @ h.T - h.T @ h).max()) > tol * scale:
         raise ValueError("matrix is not normal")
+    # imported here: this is the only scipy user, and the import costs more
+    # than every other module of the package together
+    from scipy.linalg import schur
+
     tri, basis = schur(h.astype(complex), output="complex")
     eigs = np.diag(tri)
     total = 0.0

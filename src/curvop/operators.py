@@ -5,7 +5,8 @@ lexicographic basis {e_i^e_j, i < j}.  This module converts between the
 operator and (0,4)-tensor pictures, projects onto the Bianchi subspace by
 tensor alternation, contracts to Ricci and scalar parts, performs the
 orthogonal scalar / traceless-Ricci / Weyl decomposition, and diagonalizes
-with cyclic Jacobi rotations.
+by Jacobi rotations in round-robin (Brent-Luk) order, N/2 disjoint
+rotations per vectorized step.
 """
 
 from __future__ import annotations
@@ -193,71 +194,109 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
     return CurvDecomposition(scal=scal, ric0=ric0, weyl=weyl, schouten=schouten)
 
 
-def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
-    """Diagonalize a batch of symmetric matrices by cyclic Jacobi rotations.
+@lru_cache(maxsize=None)
+def _round_robin(size):
+    """Brent-Luk round-robin schedule for one Jacobi sweep over size indices.
 
-    Sweeps run until every matrix has max off-diagonal entry at most
-    tol_factor times its Frobenius norm.  Eigenvalues come back ascending with
-    ties kept in original column order; eigenvector columns are aligned.
+    The chess-tournament rotation keeps player 0 fixed and turns the rest one
+    seat per round; an odd size gets a dummy player whose pairs are dropped.
+    A round of k disjoint pairs (p, q), p < q, is stored as the index array
+    P ++ Q and the flat indices of the entries (p, q), (p, p) and (q, q) in
+    an N x N matrix.  The rounds together cover every p < q exactly once.
+    """
+    m = size + size % 2
+    seats = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [
+            (min(i, j), max(i, j))
+            for i, j in zip(seats[: m // 2], reversed(seats[m // 2 :]))
+            if max(i, j) < size
+        ]
+        p = np.array([i for i, _ in pairs])
+        q = np.array([j for _, j in pairs])
+        flat = np.concatenate((p * size + q, p * (size + 1), q * (size + 1)))
+        rounds.append((_freeze(np.concatenate((p, q))), _freeze(flat)))
+        seats = seats[:1] + seats[-1:] + seats[1:-1]
+    return tuple(rounds)
+
+
+def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
+    """Diagonalize a batch of symmetric matrices by round-robin Jacobi sweeps.
+
+    Each sweep follows the Brent-Luk round-robin ordering: every round
+    rotates up to N/2 disjoint pairs (p, q) at once, and the rounds of a
+    sweep annihilate every off-diagonal pair exactly once.  The rotation is
+    elementwise across the batch, so a batch row is bit-identical to the
+    single-matrix call.  Sweeps run until every matrix has max off-diagonal
+    entry at most tol_factor times its Frobenius norm.  Eigenvalues come back
+    ascending with ties kept in original column order; eigenvector columns
+    are aligned.
     """
     a = np.array(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected shape (batch, N, N), got {a.shape}")
     b, size, _ = a.shape
-    v = np.broadcast_to(np.eye(size), a.shape).copy()
     if size == 1:
-        return a[:, :, 0].copy(), v
+        return a[:, :, 0].copy(), np.ones_like(a)
     thresh = tol_factor * np.sqrt(np.sum(a * a, axis=(1, 2)))
+    # work with the batch index last, so every gathered row or column is a
+    # run of contiguous batch entries, and with the eigenvectors stacked
+    # below the matrix, so one column update turns both
+    av = np.concatenate((a, np.broadcast_to(np.eye(size), a.shape)), axis=1)
+    av = np.ascontiguousarray(av.transpose(1, 2, 0))
+    a, v = av[:size], av[size:]
+    flat = av.reshape(2 * size * size, b)
     diag = np.arange(size)
 
     def _active():
         offdiag = np.abs(a)
-        offdiag[:, diag, diag] = 0.0
-        return offdiag.max(axis=(1, 2)) > thresh
+        offdiag[diag, diag] = 0.0
+        return offdiag.max(axis=(0, 1)) > thresh
 
-    for _ in range(max_sweeps):
-        # converged matrices stop rotating, so each matrix sees exactly the
-        # sweeps it would see alone and batching is bit-identical to single
-        active = _active()
-        if not np.any(active):
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[:, p, q]
-                if not np.any(apq[active]):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_sweeps):
+            # converged matrices stop rotating, so each matrix sees exactly
+            # the sweeps it would see alone and batching is bit-identical
+            active = _active()
+            if not active.any():
+                break
+            for pq, entries in _round_robin(size):
+                k = pq.size // 2
+                p, q = pq[:k], pq[k:]
+                pivots = flat[entries]
+                apq, app, aqq = pivots[:k], pivots[k : 2 * k], pivots[2 * k :]
+                if not apq[:, active].any():
                     continue
-                diff = a[:, q, q] - a[:, p, p]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    theta = diff / (2.0 * apq)
-                    t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                        np.abs(theta) + np.sqrt(theta * theta + 1.0)
-                    )
+                theta = (aqq - app) / (2.0 * apq)
+                t = np.where(theta >= 0.0, 1.0, -1.0) / (
+                    np.abs(theta) + np.sqrt(theta * theta + 1.0)
+                )
                 t = np.where(active & (apq != 0.0), t, 0.0)
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                a[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                a[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                vp = v[:, :, p].copy()
-                vq = v[:, :, q].copy()
-                v[:, :, p] = c[:, None] * vp - s[:, None] * vq
-                v[:, :, q] = s[:, None] * vp + c[:, None] * vq
-    if np.any(_active()):
+                # the pairs are disjoint, so their rotations commute: turn
+                # all their rows at once, then all their columns
+                cr, sr = c[:, None, :], s[:, None, :]
+                rows = a[pq]
+                rp, rq = rows[:k], rows[k:]
+                a[p] = cr * rp - sr * rq
+                a[q] = sr * rp + cr * rq
+                cols = av[:, pq]
+                cp, cq = cols[:, :k], cols[:, k:]
+                av[:, p] = c * cp - s * cq
+                av[:, q] = s * cp + c * cq
+    if _active().any():
         raise RuntimeError("Jacobi iteration did not converge")
-    vals = a[:, diag, diag].copy()
+    vals = a[diag, diag].T
     order = np.argsort(vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2)
+    vecs = np.take_along_axis(v.transpose(2, 0, 1), order[:, None, :], axis=2)
     return vals, vecs
 
 
 def jacobi_eigh(mat, tol_factor=1e-13, max_sweeps=100):
-    """Single-matrix front end for the cyclic Jacobi solver."""
+    """Single-matrix front end for the round-robin Jacobi solver."""
     vals, vecs = jacobi_eigh_batch(
         np.asarray(mat, dtype=float)[None, :, :], tol_factor, max_sweeps
     )

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvop
 from curvop import CurvatureOperator, identity_operator
 from curvop.cli import main
 from curvop.opfile import dump_operator, dumps_operator, load_operator, loads_operator
@@ -296,3 +301,14 @@ class TestUsage:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run(capsys, "verify", "--nope")[0] == 2
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves only normal_h_term, so no command pays for its import
+        src = str(Path(curvop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, curvop.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

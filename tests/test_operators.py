@@ -29,7 +29,15 @@ from curvop import (
     tensor_from_op,
     wedge_count,
 )
-from curvop.verify import random_bianchi_operator, random_sym_operator
+from curvop.operators import _round_robin, wedge_coordinates
+from curvop.tensors import wedge_pairs
+from curvop.verify import random_bianchi_operator, random_orthogonal, random_sym_operator
+
+
+def wedge_isometry(q):
+    """Matrix of the isometry q of R^n on the lexicographic wedge basis."""
+    n = q.shape[0]
+    return np.column_stack([wedge_coordinates(q[:, i], q[:, j], n) for i, j in wedge_pairs(n)])
 
 
 class TestConversions:
@@ -213,6 +221,51 @@ class TestSpectrum:
             sv, sw = jacobi_eigh(m)
             assert np.array_equal(vals[i], sv)
             assert np.array_equal(vecs[i], sw)
+
+    def test_batch_matches_single_bitwise_with_mixed_convergence(self):
+        # rows that converge after different numbers of sweeps: the diagonal
+        # and zero matrices never rotate, the turned sphere product is
+        # degenerate with lowest sum exactly 0, the random ones need most
+        rng = np.random.default_rng(12)
+        w = wedge_isometry(random_orthogonal(rng, 8))
+        mats = [sphere_product_op(3, 8).mat, np.zeros((28, 28)), w @ sphere_product_op(5, 8).mat @ w.T]
+        for _ in range(3):
+            m = rng.normal(size=(28, 28))
+            mats.append((m + m.T) / 2)
+        vals, vecs = jacobi_eigh_batch(np.array(mats))
+        for i, m in enumerate(mats):
+            sv, sw = jacobi_eigh(m)
+            assert vals[i].tobytes() == sv.tobytes()
+            assert vecs[i].tobytes() == sw.tobytes()
+
+    def test_round_robin_rounds_are_disjoint_and_cover_each_pair_once(self):
+        for size in range(2, 30):
+            rounds = _round_robin(size)
+            assert len(rounds) == size - 1 + size % 2
+            seen = []
+            for pq, _ in rounds:
+                p, q = np.split(pq, 2)
+                assert p.size <= size // 2
+                assert np.all(p < q)
+                assert len(set(pq.tolist())) == pq.size
+                seen.extend(zip(p.tolist(), q.tolist()))
+            assert sorted(seen) == [(p, q) for p in range(size) for q in range(p + 1, size)]
+
+    def test_too_few_sweeps_raise(self):
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(28, 28))
+        with pytest.raises(RuntimeError):
+            jacobi_eigh((m + m.T) / 2, max_sweeps=1)
+
+    def test_smallest_sizes(self):
+        vals, vecs = jacobi_eigh(np.array([[2.5]]))
+        assert vals.tolist() == [2.5]
+        assert vecs.tolist() == [[1.0]]
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        vals, vecs = jacobi_eigh(m)
+        assert np.allclose(vals, [1.0, 3.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, m, rtol=0.0, atol=1e-15)
+        assert np.allclose(vecs.T @ vecs, np.eye(2), rtol=0.0, atol=1e-15)
 
     def test_zero_matrix(self):
         vals, vecs = jacobi_eigh(np.zeros((4, 4)))
