@@ -17,7 +17,6 @@ from .action import (
     ric_identity_closed_form,
     ric_of,
     so_act,
-    so_basis,
     wedge_element,
 )
 from .bochner import (
@@ -58,9 +57,6 @@ from .operators import (
     identity_operator,
     jacobi_eigh,
     jacobi_eigh_batch,
-    k_nonnegative,
-    k_positive,
-    lowest_sum,
     op_from_tensor,
     ricci_contract,
     spectrum,
@@ -69,7 +65,6 @@ from .operators import (
 from .tensors import (
     CurvTensor,
     PForm,
-    Space,
     Sym2,
     Tensor0k,
     contract,

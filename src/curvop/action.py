@@ -6,13 +6,21 @@ wedge basis orthonormal.  An element L acts on a (0,k)-tensor by
 
     (L T)(X_1, ..., X_k) = - sum_i T(X_1, ..., L X_i, ..., X_k)
 
-and on a curvature operator by the induced commutator.  The hat tensor
-collects the action of the whole wedge basis; curvature terms and the Ricci
-curvature of a tensor are bilinear expressions in those blocks.
+and on a curvature operator by the induced commutator.
+
+Every kind is a k-slot tensor over compact coordinates of Lambda^p: (0,k)-,
+symmetric and curvature tensors are k slots over Lambda^1, p-forms one slot
+over Lambda^p and curvature operators two slots over Lambda^2.  Each basis
+wedge acts on Lambda^p as a signed partial permutation of the coordinates,
+tabulated once per (n, p); a general L acts slot by slot through the matrix
+those permutations span.  The hat tensor collects the action of the whole
+wedge basis; curvature terms and the Ricci curvature of a tensor are
+bilinear expressions in those blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,11 +84,7 @@ class SoElement:
 
     def matrix(self) -> np.ndarray:
         """Skew matrix acting on column vectors."""
-        a = np.zeros((self.n, self.n))
-        for c, (i, j) in zip(self.comps, wedge_pairs(self.n)):
-            a[j, i] += c
-            a[i, j] -= c
-        return a
+        return _action_matrix(self, 1)
 
     def norm_sq(self) -> float:
         return float(self.comps @ self.comps)
@@ -101,99 +105,104 @@ def wedge_element(n, i, j) -> SoElement:
     return SoElement(n, comps)
 
 
-def so_basis(n):
-    """The lexicographic orthonormal wedge basis of so(n)."""
-    return tuple(wedge_element(n, i, j) for i, j in wedge_pairs(n))
+# -- the wedge table and the kinds as slots over it --------------------------
+
+@lru_cache(maxsize=None)
+def _wedge_table(n, p):
+    """The action of each basis wedge on compact p-form coordinates.
+
+    Returns (tgt, src, sgn), each shaped (pairs, m) with m = 2 C(n-2, p-1):
+    e_a^e_b (a < b) sends coordinate src to coordinate tgt with sign sgn and
+    kills the rest.  A target index set holds exactly one of a, b and its
+    source swaps that one for the other; the sign is (-1)^c, c the number of
+    members strictly between a and b, negated when the target holds a.
+    Entries run in increasing tgt, so p = 1 is the vector action, -T[b] at a
+    and +T[a] at b, and p = 2 the adjoint action on wedge coordinates.
+    """
+    index = _tuple_index_map(n, p)
+    tgt, src, sgn = [], [], []
+    for a, b in wedge_pairs(n):
+        for target in increasing_tuples(n, p):
+            if (a in target) == (b in target):
+                continue
+            gone, come = (a, b) if a in target else (b, a)
+            sign = (-1.0) ** sum(1 for x in target if a < x < b)
+            tgt.append(index[target])
+            src.append(index[tuple(sorted(set(target) - {gone} | {come}))])
+            sgn.append(-sign if gone == a else sign)
+    shape = (wedge_count(n), 2 * math.comb(n - 2, p - 1))
+    return (
+        _freeze(np.array(tgt, dtype=np.intp).reshape(shape)),
+        _freeze(np.array(src, dtype=np.intp).reshape(shape)),
+        _freeze(np.array(sgn).reshape(shape)),
+    )
 
 
-# -- raw array actions -------------------------------------------------------
+@lru_cache(maxsize=None)
+def _incidence(n, p):
+    """Signed incidence of coordinates and table entries, entries ordered
+    by their position within a pair, then by pair: the table read
+    backwards as a (dim, pairs * m) matrix."""
+    tgt, _, sgn = _wedge_table(n, p)
+    out = np.zeros((math.comb(n, p), tgt.size))
+    out[tgt.T.reshape(-1), np.arange(tgt.size)] = sgn.T.reshape(-1)
+    return _freeze(out)
 
-def _act_array_wedge(arr, a, b):
-    """Action of e_a^e_b (a < b) on a dense component array."""
-    out = np.zeros_like(arr)
-    for slot in range(arr.ndim):
-        pre = (slice(None),) * slot
-        out[pre + (a,)] -= arr[pre + (b,)]
-        out[pre + (b,)] += arr[pre + (a,)]
+
+def _action_matrix(lam, p):
+    """Matrix of lam on compact p-form coordinates, A[tgt, src] = lam sgn."""
+    tgt, src, sgn = _wedge_table(lam.n, p)
+    size = math.comb(lam.n, p)
+    out = np.zeros((size, size))
+    out[tgt, src] = lam.comps[:, None] * sgn
     return out
 
 
-def _act_array(arr, mat):
-    """Action of a skew matrix on a dense component array.
+def _layout(t):
+    """(coords, p, k): t's values as a k-slot tensor over Lambda^p."""
+    if isinstance(t, PForm):
+        return t.comps, t.p, 1
+    if isinstance(t, CurvatureOperator):
+        return t.mat, 2, 2
+    if isinstance(t, Sym2):
+        return t.mat, 1, 2
+    if isinstance(t, (Tensor0k, CurvTensor)):
+        return t.array, 1, t.array.ndim
+    raise TypeError(f"unsupported kind {type(t).__name__}")
 
-    Matrices with a single wedge-pair support take the sliced path; the
-    result is identical, it just skips the dense contraction.
-    """
-    rows, cols = np.nonzero(mat)
-    if len(rows) == 0:
-        return np.zeros_like(arr)
-    if len(rows) == 2:
-        a, b = sorted((int(rows[0]), int(cols[0])))
-        return mat[b, a] * _act_array_wedge(arr, a, b)
-    out = np.zeros_like(arr)
-    last = arr.ndim - 1
-    for slot in range(arr.ndim):
-        moved = arr if slot == last else np.moveaxis(arr, slot, -1)
+
+def _rebuild(t, values):
+    """A tensor of t's kind from values in the coordinates of _layout(t)."""
+    values = np.reshape(values, _layout(t)[0].shape)
+    if isinstance(t, PForm):
+        return PForm(t.n, t.p, values)
+    if isinstance(t, CurvatureOperator):
+        return CurvatureOperator(t.n, values, bianchi=t.bianchi_certified)
+    if isinstance(t, Sym2):
+        return Sym2((values + values.T) / 2.0)
+    return type(t)(values)
+
+
+# -- the action of a general element -----------------------------------------
+
+def _act(lam, t):
+    """lam acting on every slot of t through its coordinate matrix."""
+    if lam.n != t.n:
+        raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
+    coords, p, k = _layout(t)
+    mat = _action_matrix(lam, p)
+    out = np.zeros_like(coords)
+    last = k - 1
+    for slot in range(k):
+        moved = coords if slot == last else np.moveaxis(coords, slot, -1)
         prod = moved @ mat
         out -= prod if slot == last else np.moveaxis(prod, -1, slot)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pair_index_arrays(n):
-    pairs = wedge_pairs(n)
-    ia = np.array([a for a, _ in pairs])
-    ib = np.array([b for _, b in pairs])
-    ia.setflags(write=False)
-    ib.setflags(write=False)
-    return ia, ib
-
-
-@lru_cache(maxsize=None)
-def _pform_wedge_maps(n, p) -> np.ndarray:
-    """Per wedge pair, the matrix of the action on compact p-form components.
-
-    For L = e_a^e_b with a < b and an increasing index set I:
-      one of a, b in I is required, otherwise the form is killed;
-      swapping a -> b contributes +(-1)^c, swapping b -> a contributes
-      -(-1)^c, where c counts members of I strictly between a and b.
-    """
-    tuples = increasing_tuples(n, p)
-    index = _tuple_index_map(n, p)
-    pairs = wedge_pairs(n)
-    maps = np.zeros((len(pairs), len(tuples), len(tuples)))
-    for which, (a, b) in enumerate(pairs):
-        for col, idx in enumerate(tuples):
-            members = set(idx)
-            has_a = a in members
-            has_b = b in members
-            if has_a == has_b:
-                continue
-            between = sum(1 for x in idx if a < x < b)
-            if has_a:
-                target = tuple(sorted(members - {a} | {b}))
-                maps[which, index[target], col] = (-1.0) ** between
-            else:
-                target = tuple(sorted(members - {b} | {a}))
-                maps[which, index[target], col] = -((-1.0) ** between)
-    maps.setflags(write=False)
-    return maps
-
-
-@lru_cache(maxsize=None)
-def _ad_basis(n) -> np.ndarray:
-    """Adjoint action of each basis wedge on wedge coordinates.
-
-    Entry [alpha, :, :] is the matrix of ad(Xi_alpha); it agrees with the
-    2-form action matrices because skew matrices act the same way on vectors
-    and covectors.
-    """
-    return _pform_wedge_maps(n, 2).copy()
+    return _rebuild(t, out)
 
 
 def ad_matrix(lam: SoElement) -> np.ndarray:
     """Matrix of the action of lam on wedge coordinates."""
-    return np.tensordot(lam.comps, _ad_basis(lam.n), axes=1)
+    return _action_matrix(lam, 2)
 
 
 def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
@@ -203,122 +212,66 @@ def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
     induced wedge-coordinate matrix with the operator matrix.  The action
     preserves the Bianchi subspace, so the certificate carries over.
     """
-    if lam.n != r.n:
-        raise ValueError(f"dimension mismatch: {lam.n} vs {r.n}")
-    lhat = ad_matrix(lam)
-    return CurvatureOperator(r.n, lhat @ r.mat - r.mat @ lhat, bianchi=r.bianchi_certified)
+    return _act(lam, r)
 
 
 def so_act(lam: SoElement, t):
     """Derivation action of lam on a tensor, preserving its kind."""
-    if isinstance(t, CurvatureOperator):
-        return act_on_operator(lam, t)
-    if lam.n != t.n:
-        raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
-    if isinstance(t, Tensor0k):
-        return Tensor0k(_act_array(t.array, lam.matrix()))
-    if isinstance(t, Sym2):
-        return Sym2(_act_array(t.mat, lam.matrix()))
-    if isinstance(t, PForm):
-        maps = _pform_wedge_maps(t.n, t.p)
-        comps = lam.comps @ np.tensordot(maps, t.comps, axes=([2], [0]))
-        return PForm(t.n, t.p, comps)
-    if isinstance(t, CurvTensor):
-        out = CurvTensor(_act_array(t.array, lam.matrix()))
-        if t.bianchi and not out.bianchi:
-            raise AssertionError("action failed to preserve the Bianchi identity")
-        return out
-    raise TypeError(f"unsupported kind {type(t).__name__}")
+    out = _act(lam, t)
+    if isinstance(t, CurvTensor) and t.bianchi and not out.bianchi:
+        raise AssertionError("action failed to preserve the Bianchi identity")
+    return out
 
 
 # -- hat tensors -------------------------------------------------------------
 
-def _dense_array(t):
-    if isinstance(t, (Tensor0k, CurvTensor)):
-        return t.array
-    if isinstance(t, Sym2):
-        return t.mat
-    raise TypeError(f"unsupported kind {type(t).__name__}")
-
-
-def _slot_views(flat, n, k):
-    """Per slot, a view of flat's last axis (n**k entries) as
-    (n, before, after), the slot's index in front."""
+def _slot_views(flat, dim, k):
+    """Per slot, a view of flat's last axis (dim**k entries) as
+    (dim, before, after), the slot's index in front."""
     lead = flat.shape[:-1]
     for slot in range(k):
-        view = flat.reshape(lead + (n ** slot, n, n ** (k - slot - 1)))
+        view = flat.reshape(lead + (dim ** slot, dim, dim ** (k - slot - 1)))
         yield np.swapaxes(view, -3, -2)
 
 
-@lru_cache(maxsize=None)
-def _pair_incidence(n) -> np.ndarray:
-    """Signed incidence of slot indices and pairs: -1 at (a, c), +1 at
-    (b, count + c) for the c-th pair (a, b)."""
-    ia, ib = _pair_index_arrays(n)
-    count = ia.size
-    out = np.zeros((n, 2 * count))
-    out[ia, np.arange(count)] = -1.0
-    out[ib, count + np.arange(count)] = 1.0
-    out.setflags(write=False)
-    return out
-
-
 def _block_rows(t) -> np.ndarray:
-    """Stack of flattened wedge-basis action blocks, one row per pair."""
-    if isinstance(t, PForm):
-        maps = _pform_wedge_maps(t.n, t.p)
-        return np.tensordot(maps, t.comps, axes=([2], [0]))
-    if isinstance(t, CurvatureOperator):
-        ad = _ad_basis(t.n)
-        blocks = np.einsum("aij,jk->aik", ad, t.mat) - np.einsum(
-            "ij,ajk->aik", t.mat, ad
-        )
-        return blocks.reshape(blocks.shape[0], -1)
-    arr = _dense_array(t)
-    ia, ib = _pair_index_arrays(t.n)
-    rng_idx = np.arange(ia.size)
-    out = np.zeros((ia.size, arr.size))
-    views = zip(_slot_views(out, t.n, arr.ndim), _slot_views(arr.reshape(-1), t.n, arr.ndim))
-    for moved_out, moved_in in views:
-        moved_out[rng_idx, ia] -= moved_in[ib]
-        moved_out[rng_idx, ib] += moved_in[ia]
+    """Stack of flattened wedge-basis action blocks, one row per pair: per
+    slot, one gather through the table and one scatter into the rows."""
+    coords, p, k = _layout(t)
+    tgt, src, sgn = _wedge_table(t.n, p)
+    pair = np.arange(tgt.shape[0])[:, None]
+    out = np.zeros((tgt.shape[0], coords.size))
+    dim = coords.shape[0]
+    views = zip(_slot_views(out, dim, k), _slot_views(coords.reshape(-1), dim, k))
+    for slot, (moved_out, moved_in) in enumerate(views):
+        image = moved_in[src]
+        image *= sgn[:, :, None, None]
+        # a pair never sends two coordinates to one, so the first slot
+        # can be assigned instead of accumulated
+        if slot == 0:
+            moved_out[pair, tgt] = image
+        else:
+            moved_out[pair, tgt] += image
     return out
 
 
 def _sum_blocks(t, rows) -> np.ndarray:
     """sum_c Xi_c rows[c] in t's coordinates, for rows shaped like
-    _block_rows(t): the same slot slicing, read backwards.
+    _block_rows(t): the table read backwards.
 
-    Pairs sharing an index land on the same slot entry, so the dense scatter
-    is a product with the signed pair incidence matrix.
+    Entries of different pairs land on the same coordinate, so the scatter
+    is a product with the signed incidence of coordinates and entries.
     """
-    if isinstance(t, PForm):
-        maps = _pform_wedge_maps(t.n, t.p)
-        return np.tensordot(maps, rows, axes=([0, 2], [0, 1]))
-    arr = _dense_array(t)
-    ia, ib = _pair_index_arrays(t.n)
-    rng_idx = np.arange(ia.size)
-    incidence = _pair_incidence(t.n)
-    out = np.zeros(arr.size)
-    views = zip(_slot_views(out, t.n, arr.ndim), _slot_views(rows, t.n, arr.ndim))
-    for moved_out, moved_rows in views:
-        gathered = np.concatenate((moved_rows[rng_idx, ib], moved_rows[rng_idx, ia]))
-        moved_out += (incidence @ gathered.reshape(2 * ia.size, -1)).reshape(moved_out.shape)
-    return out.reshape(arr.shape)
-
-
-def _block_from_row(t, row):
-    if isinstance(t, PForm):
-        return PForm(t.n, t.p, row)
-    if isinstance(t, CurvatureOperator):
-        return CurvatureOperator(t.n, row.reshape(t.N, t.N), bianchi=t.bianchi_certified)
-    if isinstance(t, Tensor0k):
-        return Tensor0k(row.reshape(t.array.shape))
-    if isinstance(t, Sym2):
-        return Sym2(row.reshape(t.mat.shape))
-    if isinstance(t, CurvTensor):
-        return CurvTensor(row.reshape(t.array.shape))
-    raise TypeError(f"unsupported kind {type(t).__name__}")
+    coords, p, k = _layout(t)
+    _, src, _ = _wedge_table(t.n, p)
+    incidence = _incidence(t.n, p)
+    pair = np.arange(src.shape[0])[None, :]
+    out = np.zeros(coords.size)
+    dim = coords.shape[0]
+    for moved_out, moved_rows in zip(_slot_views(out, dim, k), _slot_views(rows, dim, k)):
+        gathered = moved_rows[pair, src.T].reshape(src.size, out.size // dim)
+        moved_out += (incidence @ gathered).reshape(moved_out.shape)
+    return out.reshape(coords.shape)
 
 
 @dataclass(frozen=True)
@@ -339,24 +292,14 @@ class HatTensor:
         """g(L, hat(T)( . )) as a tensor of the source kind."""
         if lam.n != self.n:
             raise ValueError(f"dimension mismatch: {lam.n} vs {self.n}")
-        template = self.blocks[0]
-        if isinstance(template, PForm):
-            comps = sum(c * b.comps for c, b in zip(lam.comps, self.blocks))
-            return PForm(template.n, template.p, comps)
-        if isinstance(template, Sym2):
-            return Sym2(sum(c * b.mat for c, b in zip(lam.comps, self.blocks)))
-        if isinstance(template, CurvatureOperator):
-            return CurvatureOperator(
-                template.n, sum(c * b.mat for c, b in zip(lam.comps, self.blocks))
-            )
-        arr = sum(c * b.array for c, b in zip(lam.comps, self.blocks))
-        return type(template)(arr)
+        values = sum(c * _layout(b)[0] for c, b in zip(lam.comps, self.blocks))
+        return _rebuild(self.blocks[0], values)
 
 
 def hat(t) -> HatTensor:
     """Materialize every wedge-basis action block of t."""
     rows = _block_rows(t)
-    return HatTensor(n=t.n, blocks=tuple(_block_from_row(t, row) for row in rows))
+    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in rows))
 
 
 def hat_norm_sq(t) -> float:
@@ -387,31 +330,21 @@ def curvature_term(r: CurvatureOperator, s, t) -> float:
 
 # -- Ricci curvature of a tensor ---------------------------------------------
 
-def _rewrap(t, values):
-    if isinstance(t, PForm):
-        return PForm(t.n, t.p, values)
-    if isinstance(t, Tensor0k):
-        return Tensor0k(values)
-    if isinstance(t, Sym2):
-        return Sym2((values + values.T) / 2.0)
-    return CurvTensor(values)
-
-
 def ric_of(r: CurvatureOperator, t):
     """Ricci curvature of a tensor under an operator.
 
     Definitional double sum -sum_c Xi_c (sum_a R_ac Xi_a T) over the wedge
     basis, with no algebraic shortcuts; it is the oracle the rest of the
     machinery is tested against.  All pairs are evaluated at once: the rows
-    Xi_a T are stacked by the slot slicing of the hat rows, mixed by one
-    product with R^T, and each mixed row Y_c is acted on by Xi_c through the
-    same slicing and summed.  P-forms stay in compact coordinates throughout,
-    acted on by the per-pair matrices of the so(n) action.
+    Xi_a T are the hat rows, gathered and scattered through the wedge table,
+    one product with R^T mixes them into rows Y_c, and Xi_c acts on each Y_c
+    through the same table read backwards, summed over c.  Every kind stays
+    in its compact coordinates throughout.
     """
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
     mixed = r.mat.T @ _block_rows(t)
-    return _rewrap(t, -_sum_blocks(t, mixed))
+    return _rebuild(t, -_sum_blocks(t, mixed))
 
 
 def ric_identity_closed_form(t: Tensor0k) -> Tensor0k:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -21,6 +20,8 @@ from .tensors import (
     CurvTensor,
     Sym2,
     _freeze,
+    _pair_index,
+    _perm_signs,
     _require_finite,
     check_dimension,
     identity_sym2,
@@ -91,20 +92,11 @@ def _wedge_patterns(n):
     return w
 
 
-@lru_cache(maxsize=None)
-def _pair_arrays(n):
-    pairs = wedge_pairs(n)
-    return (
-        np.array([i for i, _ in pairs]),
-        np.array([j for _, j in pairs]),
-    )
-
-
 def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
     """Wedge-basis matrix of a (0,4)-tensor with pair symmetries."""
     if not (rm.pair_skew and rm.pair_symmetric):
         raise ValueError("tensor lacks the pair symmetries of a curvature tensor")
-    i, j = _pair_arrays(rm.n)
+    i, j = _pair_index(rm.n)
     mat = rm.array[i[:, None], j[:, None], i[None, :], j[None, :]]
     flag = True if rm.bianchi else None
     return CurvatureOperator(rm.n, mat, bianchi=flag)
@@ -118,23 +110,10 @@ def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
     return CurvTensor(arr)
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations():
-    out = []
-    for perm in permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
-
-
 def alternation(arr: np.ndarray) -> np.ndarray:
     """Full signed average over the 24 slot permutations of a (0,4)-array."""
     out = np.zeros_like(arr)
-    for perm, sign in _signed_permutations():
+    for perm, sign in _perm_signs(4):
         out += sign * np.transpose(arr, perm)
     return out / 24.0
 
@@ -337,22 +316,9 @@ def spectrum(r: CurvatureOperator) -> Spectrum:
     return Spectrum(vals, vecs)
 
 
-def lowest_sum(s: Spectrum, k) -> float:
-    return s.lowest_sum(k)
-
-
-def k_positive(s: Spectrum, k) -> bool:
-    """Whether the sum of the k lowest eigenvalues is positive."""
-    return s.lowest_sum(k) > 0.0
-
-
-def k_nonnegative(s: Spectrum, k) -> bool:
-    return s.lowest_sum(k) >= 0.0
-
-
 def wedge_coordinates(vec_a, vec_b, n):
     """Wedge coordinates of a^b over the lexicographic pair basis."""
-    i, j = _pair_arrays(n)
+    i, j = _pair_index(n)
     return vec_a[i] * vec_b[j] - vec_a[j] * vec_b[i]
 
 

@@ -66,35 +66,20 @@ def wedge_index(n, i, j) -> int:
         raise ValueError(f"({i}, {j}) is not an increasing pair in 0..{n - 1}") from None
 
 
-class Space:
-    """An n-dimensional Euclidean space and its lexicographic wedge basis."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = check_dimension(n)
-
-    @property
-    def wedge_dim(self) -> int:
-        return wedge_count(self.n)
-
-    @property
-    def pairs(self):
-        return wedge_pairs(self.n)
-
-    def __repr__(self):
-        return f"Space(n={self.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, Space) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Space", self.n))
-
-
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n):
+    """Index arrays (i, j) of the lexicographic wedge pairs."""
+    pairs = wedge_pairs(n)
+    return (
+        _freeze(np.array([i for i, _ in pairs], dtype=np.intp)),
+        _freeze(np.array([j for _, j in pairs], dtype=np.intp)),
+    )
+
 
 def _require_finite(arr, what):
     if not np.all(np.isfinite(arr)):

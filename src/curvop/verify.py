@@ -184,15 +184,12 @@ def random_bianchi_operator(rng, n) -> CurvatureOperator:
     return bianchi_split(random_sym_operator(rng, n))[0]
 
 
-def random_einstein_tensor(rng, n) -> CurvTensor:
-    dec = decompose(random_bianchi_operator(rng, n))
+def _einstein_part(dec) -> CurvTensor:
+    """The Einstein part scal/(2(n-1)n) KN(g, g) + W of a decomposition."""
+    n = dec.weyl.n
     g = identity_sym2(n)
     scal_part = dec.scal / (2.0 * (n - 1) * n) * kulkarni_nomizu(g, g).array
     return CurvTensor(scal_part + dec.weyl.array)
-
-
-def random_weyl_tensor(rng, n) -> CurvTensor:
-    return decompose(random_bianchi_operator(rng, n)).weyl
 
 
 def random_orthogonal(rng, m) -> np.ndarray:
@@ -871,9 +868,7 @@ def suite_estimate_constants(seed, trials, tol):
             t,
         )
         dec = decompose(random_bianchi_operator(rng, n))
-        g = identity_sym2(n)
-        scal_part = dec.scal / (2.0 * (n - 1) * n) * kulkarni_nomizu(g, g).array
-        einstein = CurvTensor(scal_part + dec.weyl.array)
+        einstein = _einstein_part(dec)
         c = estimate_constant(TensorKind.curvature_einstein(), n)
         _at_most(
             failures,
@@ -923,7 +918,6 @@ def suite_lemma_2_1_soundness(seed, trials, tol):
             rng = _trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
             spec = Spectrum(vals[trial], vecs[trial])
             shared = decompose(random_bianchi_operator(rng, n))
-            g = identity_sym2(n)
             for kind_name in kinds:
                 if kind_name == "pform":
                     p = int(rng.integers(1, n))
@@ -934,8 +928,7 @@ def suite_lemma_2_1_soundness(seed, trials, tol):
                     tt = random_sym2(rng, n)
                 elif kind_name == "curvature_einstein":
                     kind = TensorKind.curvature_einstein()
-                    scal_part = shared.scal / (2.0 * (n - 1) * n) * kulkarni_nomizu(g, g).array
-                    tt = CurvTensor(scal_part + shared.weyl.array)
+                    tt = _einstein_part(shared)
                 else:
                     kind = TensorKind.weyl()
                     tt = shared.weyl

@@ -37,7 +37,7 @@ from curvop import (
     wedge_index,
     wedge_pairs,
 )
-from curvop.action import _ad_basis, _pform_wedge_maps
+from curvop.action import _wedge_table
 from curvop.tensors import increasing_tuples
 from curvop.verify import hat_wedge_closed_form, random_sym_operator
 
@@ -144,9 +144,27 @@ class TestAction:
                 compact.to_tensor().array, dense.array, atol=1e-12
             )
 
-    def test_ad_matrices_match_two_form_maps(self):
-        for n in (3, 4, 5, 6):
-            assert np.array_equal(_ad_basis(n), _pform_wedge_maps(n, 2))
+    def test_wedge_table_matches_dense_action(self):
+        # the table's image of each basis form against e_a^e_b acting on
+        # every slot of the dense alternating tensor, read on increasing
+        # indices; the dense side uses only the wedge's skew matrix
+        for n in range(2, 7):
+            for p in range(1, n + 1):
+                tgt, src, sgn = _wedge_table(n, p)
+                tuples = increasing_tuples(n, p)
+                for c, (a, b) in enumerate(wedge_pairs(n)):
+                    skew = np.zeros((n, n))
+                    skew[b, a], skew[a, b] = 1.0, -1.0
+                    for col, idx in enumerate(tuples):
+                        dense = wedge_basis_form(n, idx).to_tensor().array
+                        moved = sum(
+                            np.moveaxis(np.tensordot(skew, dense, axes=([1], [slot])), 0, slot)
+                            for slot in range(p)
+                        )
+                        want = np.array([moved[t] for t in tuples])
+                        got = np.zeros(len(tuples))
+                        got[tgt[c]] = sgn[c] * (src[c] == col)
+                        assert np.array_equal(got, want), (n, p, (a, b), idx)
 
     def test_operator_action_factor_four(self):
         rng = np.random.default_rng(6)
@@ -215,6 +233,16 @@ class TestHat:
         assert isinstance(so_act(lam, r), type(r))
         paired = ht.pair_with(lam)
         assert np.allclose(paired.mat, act_on_operator(lam, r).mat, atol=1e-12)
+
+    def test_operator_hat_blocks_match_dense_action(self):
+        rng = np.random.default_rng(22)
+        for n in range(3, 7):
+            r = random_sym_operator(rng, n)
+            dense = tensor_from_op(r)
+            for block, (i, j) in zip(hat(r).blocks, wedge_pairs(n)):
+                want = so_act(wedge_element(n, i, j), dense).array
+                got = tensor_from_op(block).array
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_curvature_term_on_operator_kind(self):
         rng = np.random.default_rng(21)

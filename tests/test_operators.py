@@ -16,10 +16,7 @@ from curvop import (
     identity_sym2,
     jacobi_eigh,
     jacobi_eigh_batch,
-    k_nonnegative,
-    k_positive,
     kulkarni_nomizu,
-    lowest_sum,
     negative_2form_term_op,
     op_from_tensor,
     ricci_contract,
@@ -284,15 +281,15 @@ class TestSpectrum:
 class TestKPositivity:
     def test_identity_sums(self):
         s = spectrum(identity_operator(4))
-        assert lowest_sum(s, 3) == pytest.approx(3.0)
-        assert k_positive(s, 3)
+        assert s.lowest_sum(3) == pytest.approx(3.0)
+        assert s.lowest_sum(3) > 0.0
 
     def test_cp2_boundary(self):
         s = spectrum(cp2_op())
-        assert lowest_sum(s, 3) == pytest.approx(2.0, abs=1e-12)
-        assert k_positive(s, 3)
-        assert not k_positive(s, 2)
-        assert k_nonnegative(s, 2)
+        assert s.lowest_sum(3) == pytest.approx(2.0, abs=1e-12)
+        assert s.lowest_sum(3) > 0.0
+        assert not s.lowest_sum(2) > 0.0
+        assert s.lowest_sum(2) >= 0.0
 
     def test_negative_term_operator_sums(self):
         op, _ = negative_2form_term_op(5, 1.0)
@@ -300,15 +297,15 @@ class TestKPositivity:
         # brute-force oracle: the constructed eigenvalue list
         want = sorted([-2.0, -2.0] + [2.0] * 7 + [10.0])
         assert np.allclose(s.eigenvalues, want, atol=1e-12)
-        assert lowest_sum(s, 9) == pytest.approx(sum(want[:9]), abs=1e-12)
-        assert lowest_sum(s, 4) == pytest.approx(0.0, abs=1e-12)
+        assert s.lowest_sum(9) == pytest.approx(sum(want[:9]), abs=1e-12)
+        assert s.lowest_sum(4) == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range(self):
         s = spectrum(identity_operator(3))
         with pytest.raises(ValueError):
-            lowest_sum(s, 0)
+            s.lowest_sum(0)
         with pytest.raises(ValueError):
-            lowest_sum(s, 4)
+            s.lowest_sum(4)
 
 
 class TestComplexSectional:

@@ -8,7 +8,6 @@ import pytest
 from curvop import (
     CurvTensor,
     PForm,
-    Space,
     Sym2,
     Tensor0k,
     contract,
@@ -22,6 +21,7 @@ from curvop import (
     wedge_index,
     wedge_pairs,
 )
+from curvop.tensors import check_dimension
 
 
 def independent_gg(n):
@@ -182,9 +182,9 @@ class TestSpaceAndGuards:
             wedge_index(4, 3, 1)
 
     def test_space_validation(self):
-        assert Space(4).wedge_dim == 6
+        assert check_dimension(4) == 4
         with pytest.raises(ValueError):
-            Space(1)
+            check_dimension(1)
 
     def test_dimension_cap(self, monkeypatch):
         assert max_dimension() == 8
