@@ -16,6 +16,10 @@ tabulated once per (n, p); a general L acts slot by slot through the matrix
 those permutations span.  The hat tensor collects the action of the whole
 wedge basis; curvature terms and the Ricci curvature of a tensor are
 bilinear expressions in those blocks.
+
+The kernels work on values stacked along leading axes (one tensor of a kind
+is the case without them), so a batch of tensors of one kind goes through
+the same code as a single one.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class SoElement:
 
     def matrix(self) -> np.ndarray:
         """Skew matrix acting on column vectors."""
-        return _action_matrix(self, 1)
+        return _action_matrices(self.comps, self.n, 1)
 
     def norm_sq(self) -> float:
         return float(self.comps @ self.comps)
@@ -149,60 +153,82 @@ def _incidence(n, p):
     return _freeze(out)
 
 
-def _action_matrix(lam, p):
-    """Matrix of lam on compact p-form coordinates, A[tgt, src] = lam sgn."""
-    tgt, src, sgn = _wedge_table(lam.n, p)
-    size = math.comb(lam.n, p)
-    out = np.zeros((size, size))
-    out[tgt, src] = lam.comps[:, None] * sgn
+def _action_matrices(comps, n, p):
+    """Matrices on compact p-form coordinates of so(n) elements with stacked
+    coordinates comps (..., pairs): A[..., tgt, src] = lam sgn."""
+    tgt, src, sgn = _wedge_table(n, p)
+    size = math.comb(n, p)
+    out = np.zeros(comps.shape[:-1] + (size, size))
+    out[..., tgt, src] = comps[..., :, None] * sgn
     return out
 
 
 def _layout(t):
-    """(coords, p, k): t's values as a k-slot tensor over Lambda^p."""
+    """(values, p, k): t's values, flattened, as a k-slot tensor over
+    Lambda^p."""
     if isinstance(t, PForm):
         return t.comps, t.p, 1
     if isinstance(t, CurvatureOperator):
-        return t.mat, 2, 2
+        return t.mat.reshape(-1), 2, 2
     if isinstance(t, Sym2):
-        return t.mat, 1, 2
+        return t.mat.reshape(-1), 1, 2
     if isinstance(t, (Tensor0k, CurvTensor)):
-        return t.array, 1, t.array.ndim
+        return t.array.reshape(-1), 1, t.array.ndim
     raise TypeError(f"unsupported kind {type(t).__name__}")
 
 
 def _rebuild(t, values):
-    """A tensor of t's kind from values in the coordinates of _layout(t)."""
-    values = np.reshape(values, _layout(t)[0].shape)
+    """A tensor of t's kind from flat values in the coordinates of _layout(t)."""
     if isinstance(t, PForm):
         return PForm(t.n, t.p, values)
     if isinstance(t, CurvatureOperator):
-        return CurvatureOperator(t.n, values, bianchi=t.bianchi_certified)
+        return CurvatureOperator(t.n, values.reshape(t.N, t.N), bianchi=t.bianchi_certified)
     if isinstance(t, Sym2):
+        values = values.reshape(t.n, t.n)
         return Sym2((values + values.T) / 2.0)
-    return type(t)(values)
+    return type(t)(values.reshape(t.array.shape))
 
 
 # -- the action of a general element -----------------------------------------
 
-def _act(lam, t):
-    """lam acting on every slot of t through its coordinate matrix."""
+def _act(comps, values, n, p, k):
+    """Elements with stacked coordinates comps (..., pairs) acting on every
+    slot of stacked k-slot values over Lambda^p, flattened to (..., dim**k).
+
+    Slot by slot through reshaped views, each slot one product per item:
+    the last slot is the trailing axis, the first leads, and a middle slot
+    is read through a swapped view.
+    """
+    mats = _action_matrices(comps, n, p)
+    dim = mats.shape[-1]
+    lead = values.shape[:-1]
+    out = np.zeros(values.shape)
+    for slot in range(k):
+        before, after = dim ** slot, dim ** (k - slot - 1)
+        if after == 1:
+            moved = out.reshape(lead + (before, dim))
+            moved -= values.reshape(lead + (before, dim)) @ mats
+        elif before == 1:
+            moved = out.reshape(lead + (dim, after))
+            moved -= mats.swapaxes(-1, -2) @ values.reshape(lead + (dim, after))
+        else:
+            shape = lead + (before, dim, after)
+            moved = out.reshape(shape).swapaxes(-1, -2)
+            moved -= values.reshape(shape).swapaxes(-1, -2) @ mats[..., None, :, :]
+    return out
+
+
+def _apply(lam, t):
+    """lam acting on every slot of t, as a tensor of t's kind."""
     if lam.n != t.n:
         raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
-    coords, p, k = _layout(t)
-    mat = _action_matrix(lam, p)
-    out = np.zeros_like(coords)
-    last = k - 1
-    for slot in range(k):
-        moved = coords if slot == last else np.moveaxis(coords, slot, -1)
-        prod = moved @ mat
-        out -= prod if slot == last else np.moveaxis(prod, -1, slot)
-    return _rebuild(t, out)
+    values, p, k = _layout(t)
+    return _rebuild(t, _act(lam.comps, values, t.n, p, k))
 
 
 def ad_matrix(lam: SoElement) -> np.ndarray:
     """Matrix of the action of lam on wedge coordinates."""
-    return _action_matrix(lam, 2)
+    return _action_matrices(lam.comps, lam.n, 2)
 
 
 def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
@@ -212,12 +238,12 @@ def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
     induced wedge-coordinate matrix with the operator matrix.  The action
     preserves the Bianchi subspace, so the certificate carries over.
     """
-    return _act(lam, r)
+    return _apply(lam, r)
 
 
 def so_act(lam: SoElement, t):
     """Derivation action of lam on a tensor, preserving its kind."""
-    out = _act(lam, t)
+    out = _apply(lam, t)
     if isinstance(t, CurvTensor) and t.bianchi and not out.bianchi:
         raise AssertionError("action failed to preserve the Bianchi identity")
     return out
@@ -227,51 +253,68 @@ def so_act(lam: SoElement, t):
 
 def _slot_views(flat, dim, k):
     """Per slot, a view of flat's last axis (dim**k entries) as
-    (dim, before, after), the slot's index in front."""
+    (..., dim, before, after), the slot's index in front of the rest."""
     lead = flat.shape[:-1]
     for slot in range(k):
         view = flat.reshape(lead + (dim ** slot, dim, dim ** (k - slot - 1)))
-        yield np.swapaxes(view, -3, -2)
+        yield view.swapaxes(-3, -2)
 
 
-def _block_rows(t) -> np.ndarray:
-    """Stack of flattened wedge-basis action blocks, one row per pair: per
-    slot, one gather through the table and one scatter into the rows."""
-    coords, p, k = _layout(t)
-    tgt, src, sgn = _wedge_table(t.n, p)
+def _block_rows(values, n, p, k) -> np.ndarray:
+    """Flattened wedge-basis action blocks of stacked k-slot values over
+    Lambda^p (..., dim**k), one row per pair (..., pairs, dim**k): per slot,
+    one gather through the table and one scatter into the rows."""
+    tgt, src, sgn = _wedge_table(n, p)
     pair = np.arange(tgt.shape[0])[:, None]
-    out = np.zeros((tgt.shape[0], coords.size))
-    dim = coords.shape[0]
-    views = zip(_slot_views(out, dim, k), _slot_views(coords.reshape(-1), dim, k))
+    out = np.zeros(values.shape[:-1] + (tgt.shape[0], values.shape[-1]))
+    dim = math.comb(n, p)
+    views = zip(_slot_views(out, dim, k), _slot_views(values, dim, k))
     for slot, (moved_out, moved_in) in enumerate(views):
-        image = moved_in[src]
+        image = moved_in[..., src, :, :]
         image *= sgn[:, :, None, None]
         # a pair never sends two coordinates to one, so the first slot
         # can be assigned instead of accumulated
         if slot == 0:
-            moved_out[pair, tgt] = image
+            moved_out[..., pair, tgt, :, :] = image
         else:
-            moved_out[pair, tgt] += image
+            moved_out[..., pair, tgt, :, :] += image
     return out
 
 
-def _sum_blocks(t, rows) -> np.ndarray:
-    """sum_c Xi_c rows[c] in t's coordinates, for rows shaped like
-    _block_rows(t): the table read backwards.
+def _sum_blocks(rows, n, p, k) -> np.ndarray:
+    """sum_c Xi_c rows[..., c, :] for rows shaped like _block_rows' output:
+    the table read backwards.
 
     Entries of different pairs land on the same coordinate, so the scatter
     is a product with the signed incidence of coordinates and entries.
     """
-    coords, p, k = _layout(t)
-    _, src, _ = _wedge_table(t.n, p)
-    incidence = _incidence(t.n, p)
+    _, src, _ = _wedge_table(n, p)
+    incidence = _incidence(n, p)
     pair = np.arange(src.shape[0])[None, :]
-    out = np.zeros(coords.size)
-    dim = coords.shape[0]
+    lead, size = rows.shape[:-2], rows.shape[-1]
+    out = np.zeros(lead + (size,))
+    dim = incidence.shape[0]
     for moved_out, moved_rows in zip(_slot_views(out, dim, k), _slot_views(rows, dim, k)):
-        gathered = moved_rows[pair, src.T].reshape(src.size, out.size // dim)
+        gathered = moved_rows[..., pair, src.T, :, :].reshape(lead + (src.size, size // dim))
         moved_out += (incidence @ gathered).reshape(moved_out.shape)
-    return out.reshape(coords.shape)
+    return out
+
+
+def _hat_rows(t) -> np.ndarray:
+    """_block_rows of a single tensor, one row per wedge pair."""
+    values, p, k = _layout(t)
+    return _block_rows(values, t.n, p, k)
+
+
+def _hat_norms(rows):
+    """Squared hat norms of stacked block rows, squaring rows in place."""
+    return np.sum(np.square(rows, out=rows), axis=(-2, -1))
+
+
+def _terms(mats, rows_s, rows_t):
+    """Curvature terms <R(hat S), hat T> of stacked operator matrices and
+    block rows."""
+    return np.sum(mats * (rows_s @ rows_t.swapaxes(-1, -2)), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -298,8 +341,7 @@ class HatTensor:
 
 def hat(t) -> HatTensor:
     """Materialize every wedge-basis action block of t."""
-    rows = _block_rows(t)
-    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in rows))
+    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in _hat_rows(t)))
 
 
 def hat_norm_sq(t) -> float:
@@ -308,8 +350,7 @@ def hat_norm_sq(t) -> float:
     Block norms follow the source's convention, so p-forms sum over
     increasing indices only.
     """
-    rows = _block_rows(t)
-    return float(np.sum(rows * rows))
+    return float(_hat_norms(_hat_rows(t)))
 
 
 def curvature_term(r: CurvatureOperator, s, t) -> float:
@@ -322,10 +363,9 @@ def curvature_term(r: CurvatureOperator, s, t) -> float:
         raise TypeError(f"kind mismatch: {type(s).__name__} vs {type(t).__name__}")
     if r.n != s.n or s.n != t.n:
         raise ValueError("dimension mismatch")
-    rows_s = _block_rows(s)
-    rows_t = rows_s if s is t else _block_rows(t)
-    gram = rows_s @ rows_t.T
-    return float(np.sum(r.mat * gram))
+    rows_s = _hat_rows(s)
+    rows_t = rows_s if s is t else _hat_rows(t)
+    return float(_terms(r.mat, rows_s, rows_t))
 
 
 # -- Ricci curvature of a tensor ---------------------------------------------
@@ -343,8 +383,9 @@ def ric_of(r: CurvatureOperator, t):
     """
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
-    mixed = r.mat.T @ _block_rows(t)
-    return _rebuild(t, -_sum_blocks(t, mixed))
+    values, p, k = _layout(t)
+    mixed = r.mat.T @ _block_rows(values, t.n, p, k)
+    return _rebuild(t, -_sum_blocks(mixed, t.n, p, k))
 
 
 def ric_identity_closed_form(t: Tensor0k) -> Tensor0k:

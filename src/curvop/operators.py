@@ -3,10 +3,13 @@
 A curvature operator is a symmetric endomorphism of wedge space in the
 lexicographic basis {e_i^e_j, i < j}.  This module converts between the
 operator and (0,4)-tensor pictures, projects onto the Bianchi subspace by
-tensor alternation, contracts to Ricci and scalar parts, performs the
-orthogonal scalar / traceless-Ricci / Weyl decomposition, and diagonalizes
-by Jacobi rotations in round-robin (Brent-Luk) order, N/2 disjoint
-rotations per vectorized step.
+one cached gather over the index sets i < j < k < l in operator
+coordinates, certifies the Bianchi identity by the residual of the
+(0,4)-tensor, contracts to Ricci and scalar parts, performs the orthogonal
+scalar / traceless-Ricci / Weyl decomposition, and diagonalizes by Jacobi
+rotations in round-robin (Brent-Luk) order, N/2 disjoint rotations per
+vectorized step.  The conversions, the projection, the certificate and the
+decomposition also take operator matrices stacked along leading axes.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ import numpy as np
 from .tensors import (
     CurvTensor,
     Sym2,
+    _bianchi_residual,
     _freeze,
+    _kn,
     _pair_index,
     _perm_signs,
     _require_finite,
+    _symmetrized,
+    _traceless,
+    _wedge_index_map,
     check_dimension,
-    identity_sym2,
-    kulkarni_nomizu,
+    increasing_tuples,
     wedge_count,
     wedge_pairs,
 )
@@ -49,17 +56,16 @@ class CurvatureOperator:
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > tol * scale:
             raise ValueError("operator matrix is not symmetric")
-        m = (m + m.T) / 2.0
+        m = _symmetrized(m)
         self.n = n
         self.N = want
         self.mat = _freeze(m)
         self.bianchi_certified = bianchi
 
     def certify_bianchi(self, tol=1e-12) -> bool:
-        """Check the Bianchi flag by tensor alternation and cache the result."""
-        rm = tensor_from_op(self)
-        scale = max(1.0, float(np.abs(rm.array).max()))
-        ok = rm.bianchi_residual() <= tol * scale
+        """Check the Bianchi flag by the cyclic residual of the (0,4)-tensor
+        and cache the result."""
+        ok = bool(_bianchi_certified(self.mat, self.n, tol))
         self.bianchi_certified = ok
         return ok
 
@@ -68,8 +74,7 @@ class CurvatureOperator:
         return float(np.sum(self.mat * self.mat))
 
     def traceless(self) -> "CurvatureOperator":
-        off = (float(np.trace(self.mat)) / self.N) * np.eye(self.N)
-        return CurvatureOperator(self.n, self.mat - off)
+        return CurvatureOperator(self.n, _traceless(self.mat))
 
     def __repr__(self):
         return f"CurvatureOperator(n={self.n}, bianchi={self.bianchi_certified})"
@@ -104,10 +109,21 @@ def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
 
 def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
     """(0,4)-tensor with Rm(x,y,z,w) = <R(x^y), z^w>."""
-    n = r.n
-    w = _wedge_patterns(n).reshape(r.N, n * n)
-    arr = (w.T @ (r.mat @ w)).reshape(n, n, n, n)
-    return CurvTensor(arr)
+    return CurvTensor(_tensors_from_ops(r.mat, r.n))
+
+
+def _tensors_from_ops(mats, n):
+    """(0,4)-arrays (..., n, n, n, n) of stacked operator matrices."""
+    w = _wedge_patterns(n).reshape(-1, n * n)
+    return (w.T @ (mats @ w)).reshape(mats.shape[:-2] + (n,) * 4)
+
+
+def _bianchi_certified(mats, n, tol=1e-12):
+    """Bianchi certificates of stacked operator matrices: the cyclic
+    residual of each (0,4)-tensor within tol of its largest entry."""
+    rm = _tensors_from_ops(mats, n)
+    scale = np.maximum(1.0, np.abs(rm).max(axis=(-4, -3, -2, -1)))
+    return _bianchi_residual(rm) <= tol * scale
 
 
 def alternation(arr: np.ndarray) -> np.ndarray:
@@ -118,6 +134,46 @@ def alternation(arr: np.ndarray) -> np.ndarray:
     return out / 24.0
 
 
+@lru_cache(maxsize=None)
+def _quad_pairings(n):
+    """Flat positions in an N x N operator matrix of the pairings (ij, kl),
+    (ik, jl), (il, jk) of every index set i < j < k < l, shaped
+    (3, C(n, 4)), and the positions of their transposes."""
+    index = _wedge_index_map(n)
+    size = wedge_count(n)
+    quads = increasing_tuples(n, 4)
+    pos = np.array(
+        [
+            [index[(i, j)] * size + index[(k, l)] for i, j, k, l in quads],
+            [index[(i, k)] * size + index[(j, l)] for i, j, k, l in quads],
+            [index[(i, l)] * size + index[(j, k)] for i, j, k, l in quads],
+        ],
+        dtype=np.intp,
+    )
+    return _freeze(pos), _freeze(pos % size * size + pos // size)
+
+
+_PAIRING_SIGNS = _freeze(np.array([[1.0], [-1.0], [1.0]]))
+
+
+def _alternating_parts(mats, n):
+    """Fully alternating parts of stacked symmetric operator matrices.
+
+    On a tensor with the pair symmetries, alternation over the 24 slot
+    permutations leaves b = (R_ij,kl - R_ik,jl + R_il,jk) / 3 on each index
+    set i < j < k < l, entered with signs +, -, + at its three pairings and
+    their transposes; every entry whose pairs share an index vanishes.
+    """
+    pos, swapped = _quad_pairings(n)
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    quad = (flat[..., pos[0]] - flat[..., pos[1]] + flat[..., pos[2]]) / 3.0
+    signed = quad[..., None, :] * _PAIRING_SIGNS
+    out = np.zeros_like(flat)
+    out[..., pos] = signed
+    out[..., swapped] = signed
+    return out.reshape(mats.shape)
+
+
 def bianchi_split(r: CurvatureOperator):
     """Split into the Bianchi part and the fully alternating part.
 
@@ -125,12 +181,10 @@ def bianchi_split(r: CurvatureOperator):
     alternating (0,4)-tensor; as tensors, input = r_b + lam4 and the two are
     orthogonal.
     """
-    rm = tensor_from_op(r)
-    lam4 = alternation(rm.array)
-    r_b = op_from_tensor(CurvTensor(rm.array - lam4))
-    if r_b.bianchi_certified is not True:
-        r_b.certify_bianchi()
-    return r_b, CurvTensor(lam4)
+    alt = _alternating_parts(r.mat, r.n)
+    r_b = CurvatureOperator(r.n, r.mat - alt)
+    r_b.certify_bianchi()
+    return r_b, CurvTensor(_tensors_from_ops(alt, r.n))
 
 
 def ricci_contract(r: CurvatureOperator):
@@ -160,17 +214,25 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
         r.certify_bianchi()
     if not r.bianchi_certified:
         raise ValueError("operator does not satisfy the first Bianchi identity")
-    rm = tensor_from_op(r)
-    ric, scal = ricci_contract(r)
-    g = identity_sym2(n)
-    ric0 = ric.traceless()
-    scal_part = (scal / (2.0 * (n - 1) * n)) * kulkarni_nomizu(g, g).array
-    ric_part = kulkarni_nomizu(g, ric0).array / (n - 2.0)
-    weyl = CurvTensor(rm.array - scal_part - ric_part)
-    schouten = Sym2(
-        -scal / (2.0 * (n - 1) * (n - 2)) * g.mat + ric.mat / (n - 2.0)
+    scal, ric, ric0, weyl = _decompose(r.mat, n)
+    schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
+    return CurvDecomposition(
+        scal=float(scal), ric0=Sym2(ric0), weyl=CurvTensor(weyl), schouten=schouten
     )
-    return CurvDecomposition(scal=scal, ric0=ric0, weyl=weyl, schouten=schouten)
+
+
+def _decompose(mats, n):
+    """(scal, ric, ric0, weyl) arrays of stacked Bianchi operator matrices,
+    n >= 3: the scalar curvature, the Ricci and traceless Ricci tensors and
+    the Weyl tensor rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2)."""
+    rm = _tensors_from_ops(mats, n)
+    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
+    scal = np.trace(ric, axis1=-2, axis2=-1)
+    ric0 = _traceless(ric)
+    g = np.eye(n)
+    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _kn(g, g)
+    weyl = rm - scal_part - _kn(g, ric0) / (n - 2.0)
+    return scal, ric, ric0, weyl
 
 
 @lru_cache(maxsize=None)

@@ -145,7 +145,7 @@ class Sym2:
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > tol * scale:
             raise ValueError("matrix is not symmetric")
-        m = (m + m.T) / 2.0  # exact: float addition commutes entrywise
+        m = _symmetrized(m)  # exact: float addition commutes entrywise
         self.n = m.shape[0]
         self.mat = _freeze(m)
 
@@ -154,7 +154,7 @@ class Sym2:
 
     def traceless(self) -> "Sym2":
         """Trace-free part h - (tr h / n) g."""
-        return Sym2(self.mat - (self.trace() / self.n) * np.eye(self.n))
+        return Sym2(_traceless(self.mat))
 
     def norm_sq(self) -> float:
         return float(np.sum(self.mat * self.mat))
@@ -164,6 +164,18 @@ class Sym2:
 
     def __repr__(self):
         return f"Sym2(n={self.n})"
+
+
+def _symmetrized(mats):
+    """(m + m^T) / 2 of stacked square matrices (..., n, n)."""
+    return (mats + mats.swapaxes(-1, -2)) / 2.0
+
+
+def _traceless(mats):
+    """Trace-free parts m - (tr m / n) I of stacked square matrices."""
+    size = mats.shape[-1]
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    return mats - (trace / size)[..., None, None] * np.eye(size)
 
 
 def identity_sym2(n) -> Sym2:
@@ -377,8 +389,7 @@ class CurvTensor:
         return float(np.sum(self.array * self.array))
 
     def bianchi_residual(self) -> float:
-        cyc = self.array + self.array.transpose(1, 2, 0, 3) + self.array.transpose(2, 0, 1, 3)
-        return float(np.abs(cyc).max())
+        return float(_bianchi_residual(self.array))
 
     def to_tensor(self) -> Tensor0k:
         return Tensor0k(self.array)
@@ -388,6 +399,15 @@ class CurvTensor:
             f"CurvTensor(n={self.n}, pair_skew={self.pair_skew}, "
             f"pair_symmetric={self.pair_symmetric}, bianchi={self.bianchi})"
         )
+
+
+def _bianchi_residual(arr):
+    """max |R(x,y,z,w) + R(y,z,x,w) + R(z,x,y,w)| over the last four axes of
+    stacked (0,4)-arrays."""
+    lead = tuple(range(arr.ndim - 4))
+    x, y, z, w = range(len(lead), arr.ndim)
+    cyc = arr + arr.transpose(lead + (y, z, x, w)) + arr.transpose(lead + (z, x, y, w))
+    return np.abs(cyc).max(axis=(x, y, z, w))
 
 
 def norm_sq(t) -> float:
@@ -453,11 +473,14 @@ def kulkarni_nomizu(s: Sym2, t: Sym2) -> CurvTensor:
     The result carries all curvature-type symmetries including Bianchi.
     """
     same_dimension(s, t)
-    a, b = s.mat, t.mat
-    arr = (
-        np.einsum("ik,jl->ijkl", a, b)
-        - np.einsum("il,jk->ijkl", a, b)
-        + np.einsum("jl,ik->ijkl", a, b)
-        - np.einsum("jk,il->ijkl", a, b)
+    return CurvTensor(_kn(s.mat, t.mat))
+
+
+def _kn(a, b):
+    """Kulkarni-Nomizu product of stacked symmetric matrices (..., n, n)."""
+    return (
+        np.einsum("...ik,...jl->...ijkl", a, b)
+        - np.einsum("...il,...jk->...ijkl", a, b)
+        + np.einsum("...jl,...ik->...ijkl", a, b)
+        - np.einsum("...jk,...il->...ijkl", a, b)
     )
-    return CurvTensor(arr)

@@ -4,8 +4,14 @@ Every suite draws its randomness through one counter-based scheme: the
 per-trial generator is seeded by (seed, suite index, trial index), so runs
 are reproducible, order-independent, and identical whether trials run
 serially or in parallel.  A suite returns the list of failures; a failure
-records a digest of the offending inputs together with both sides of the
-violated comparison and the tolerance used.
+records a digest of its check tag (the check's name with the dimension and
+the trial or case that failed, not the inputs themselves) together with
+both sides of the violated comparison and the tolerance used.
+
+The lemma-2.2 and lemma-2.1-soundness suites draw every trial on its own,
+then check chunks of consecutive trials grouped by what they evaluate, one
+batch per group through the stacked kernels; their failures come back in
+trial order, as if each trial had been checked alone.
 """
 
 from __future__ import annotations
@@ -27,15 +33,19 @@ from .action import (
     ric_identity_closed_form,
     ric_of,
     so_act,
+    _act,
     _block_rows,
+    _hat_norms,
+    _hat_rows,
+    _terms,
 )
 from .bochner import (
     TensorKind,
+    _direct_check,
+    _lemma21,
     betti_verdict,
-    direct_term_check,
     estimate_constant,
     fourdim_einstein_term,
-    lemma21_verdict,
     normal_h_term,
     normal_h_tensor,
     tachibana_verdict,
@@ -54,7 +64,6 @@ from .catalog import (
 from .opfile import dumps_operator, loads_operator
 from .operators import (
     CurvatureOperator,
-    Spectrum,
     bianchi_split,
     complex_sectional,
     decompose,
@@ -64,6 +73,10 @@ from .operators import (
     ricci_contract,
     spectrum,
     tensor_from_op,
+    _alternating_parts,
+    _bianchi_certified,
+    _decompose,
+    _tensors_from_ops,
 )
 from .tensors import (
     CurvTensor,
@@ -78,6 +91,9 @@ from .tensors import (
     wedge_count,
     wedge_index,
     wedge_pairs,
+    _kn,
+    _symmetrized,
+    _traceless,
 )
 from .warped import (
     dwp_eigenvalue_list,
@@ -156,11 +172,80 @@ def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
         failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
 
 
+# -- checks over batches of trials ---------------------------------------------
+
+# Bytes of the largest array a batched check may build.  The suites that
+# batch across trials size their chunks of trials by it, which keeps their
+# memory flat in the trial count.  A check holds a few such arrays at once,
+# 1-2 MB in all; larger chunks raise the peak resident memory and gain little
+# speed.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunks(count, item_bytes):
+    """Slices of range(count), each as many trials as fit in _CHUNK_BYTES at
+    item_bytes per trial."""
+    size = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _close_fails(lhs, rhs, tol):
+    """Where _close would record a failure, elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return ~(np.abs(lhs - rhs) <= tol * scale)
+
+
+def _at_most_fails(lhs, rhs, tol):
+    """Where _at_most would record a failure, elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return ~(lhs <= rhs + tol * scale)
+
+
+def _flag(found, failing, lhs, rhs, tol, where):
+    """Record a failure for each flagged item of a batched check; where(i)
+    gives the item's (sort key, tag)."""
+    for i in np.flatnonzero(failing):
+        key, tag = where(i)
+        found.append((key, Failure(_digest(*tag), float(lhs[i]), float(rhs[i]), tol)))
+
+
+def _in_order(found):
+    """The failures of (sort key, failure) pairs, by key."""
+    return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
+
+
+def _norms(values):
+    """Squared norms of values stacked along the first axis, summed as the
+    norm_sq of a dense kind sums them."""
+    return np.sum(values * values, axis=tuple(range(1, values.ndim)))
+
+
+def _dots(values):
+    """Squared norms of stacked vectors as the dot products v @ v that
+    SoElement.norm_sq and PForm.norm_sq take."""
+    return (values[:, None, :] @ values[:, :, None])[:, 0, 0]
+
+
+def _bianchi_decompose(raw, n):
+    """Bianchi parts of stacked symmetric draws, as random_bianchi_operator
+    makes them, and their _decompose; raises like decompose when one fails
+    its certificate."""
+    rb = raw - _alternating_parts(raw, n)
+    if not np.all(_bianchi_certified(rb, n)):
+        raise ValueError("operator does not satisfy the first Bianchi identity")
+    return rb, _decompose(rb, n)
+
+
 # -- random draws -------------------------------------------------------------
 
+def _sym_draw(rng, m):
+    """Symmetric m x m matrix (a + a^T) / 2 of a standard normal a."""
+    a = rng.normal(size=(m, m))
+    return (a + a.T) / 2.0
+
+
 def random_sym2(rng, n) -> Sym2:
-    a = rng.normal(size=(n, n))
-    return Sym2((a + a.T) / 2.0)
+    return Sym2(_sym_draw(rng, n))
 
 
 def random_tensor(rng, n, k) -> Tensor0k:
@@ -176,20 +261,20 @@ def random_so(rng, n) -> SoElement:
 
 
 def random_sym_operator(rng, n) -> CurvatureOperator:
-    m = rng.normal(size=(wedge_count(n),) * 2)
-    return CurvatureOperator(n, (m + m.T) / 2.0)
+    return CurvatureOperator(n, _sym_draw(rng, wedge_count(n)))
 
 
 def random_bianchi_operator(rng, n) -> CurvatureOperator:
     return bianchi_split(random_sym_operator(rng, n))[0]
 
 
-def _einstein_part(dec) -> CurvTensor:
-    """The Einstein part scal/(2(n-1)n) KN(g, g) + W of a decomposition."""
-    n = dec.weyl.n
-    g = identity_sym2(n)
-    scal_part = dec.scal / (2.0 * (n - 1) * n) * kulkarni_nomizu(g, g).array
-    return CurvTensor(scal_part + dec.weyl.array)
+def _einstein_part(scal, weyl):
+    """The Einstein part scal/(2(n-1)n) KN(g, g) + W, for stacked scalar
+    curvatures and Weyl arrays."""
+    n = weyl.shape[-1]
+    g = np.eye(n)
+    scale = np.asarray(scal)[..., None, None, None, None] / (2.0 * (n - 1) * n)
+    return scale * _kn(g, g) + weyl
 
 
 def random_orthogonal(rng, m) -> np.ndarray:
@@ -554,7 +639,7 @@ def suite_hat_closed_form(seed, trials, tol):
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
-        got = _block_rows(wedge_basis_form(n, idx))
+        got = _hat_rows(wedge_basis_form(n, idx))
         want = hat_wedge_closed_form(n, idx)
         _close(failures, ("hat-expansion", trial, n, idx), float(np.abs(got - want).max()), 0.0, t)
     return failures
@@ -712,82 +797,91 @@ def suite_spectrum(seed, trials, tol):
 
 def suite_lemma_2_2(seed, trials, tol):
     """Action-norm inequalities for every tensor kind, including both KN
-    corollary forms."""
-    failures = []
+    corollary forms.  Trials are grouped by case and by order or degree and
+    checked in batches."""
     t = tol if tol is not None else 1e-10
     sid = _SUITE_IDS["lemma-2.2"]
+    found = []
     count = 0
     for n in (3, 4, 5, 6):
-        g = identity_sym2(n)
-        for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            lam = random_so(rng, n)
-            lam_sq = lam.norm_sq()
-            case = count % 5
-            if case == 0:
-                k = int(rng.integers(1, 5))
-                tt = random_tensor(rng, n, k)
-                _at_most(
-                    failures,
-                    ("generic", n, count),
-                    so_act(lam, tt).norm_sq(),
-                    k * k * tt.norm_sq() * lam_sq,
-                    t,
-                )
-            elif case == 1:
-                h = random_sym2(rng, n)
-                _at_most(
-                    failures,
-                    ("sym2", n, count),
-                    so_act(lam, h).norm_sq(),
-                    4.0 * h.traceless().norm_sq() * lam_sq,
-                    t,
-                )
-            elif case == 2:
-                p = int(rng.integers(1, n))
-                w = random_pform(rng, n, p)
-                _at_most(
-                    failures,
-                    ("pform", n, count),
-                    so_act(lam, w).norm_sq(),
-                    min(p, n - p) * w.norm_sq() * lam_sq,
-                    t,
-                )
-            elif case == 3:
-                r = random_sym_operator(rng, n)
-                lr = act_on_operator(lam, r).norm_sq()
-                _at_most(
-                    failures,
-                    ("operator", n, count),
-                    lr,
-                    8.0 * r.traceless().norm_sq() * lam_sq,
-                    t,
-                )
-                rm = tensor_from_op(r)
-                lrm = so_act(lam, rm).norm_sq()
-                _close(failures, ("tensor-factor", n, count), lrm, 4.0 * lr, t)
-                rm0 = tensor_from_op(r.traceless())
-                _at_most(failures, ("tensor", n, count), lrm, 8.0 * rm0.norm_sq() * lam_sq, t)
-            else:
-                h = random_sym2(rng, n)
-                lhs = so_act(lam, kulkarni_nomizu(g, h)).norm_sq()
-                _at_most(
-                    failures,
-                    ("kn", n, count),
-                    lhs,
-                    4.0 * kulkarni_nomizu(g, h.traceless()).norm_sq() * lam_sq,
-                    t,
-                )
-                rb = random_bianchi_operator(rng, n)
-                dec = decompose(rb)
-                rm = tensor_from_op(rb)
-                bound = (
-                    4.0 * kulkarni_nomizu(g, dec.ric0).norm_sq() / (n - 2.0) ** 2
-                    + 8.0 * dec.weyl.norm_sq()
-                ) * lam_sq
-                _at_most(failures, ("kn-curv", n, count), so_act(lam, rm).norm_sq(), bound, t)
-    return failures
+        size = wedge_count(n)
+        # no draw or intermediate of a trial is larger than a (0,4)-tensor
+        for chunk in _chunks(trials, 8 * n ** 4):
+            groups = {}
+            for _ in range(trials)[chunk]:
+                rng = _trial_rng(seed, sid, count)
+                count += 1
+                lam = rng.normal(size=size)
+                case = count % 5
+                if case == 0:
+                    k = int(rng.integers(1, 5))
+                    key, draw = (0, k), rng.normal(size=(n,) * k)
+                elif case == 1:
+                    key, draw = (1, 0), _sym_draw(rng, n)
+                elif case == 2:
+                    p = int(rng.integers(1, n))
+                    key, draw = (2, p), rng.normal(size=math.comb(n, p))
+                elif case == 3:
+                    key, draw = (3, 0), _sym_draw(rng, size)
+                else:
+                    key, draw = (4, 0), (_sym_draw(rng, n), _sym_draw(rng, size))
+                groups.setdefault(key, []).append((count, lam, draw))
+            for (case, degree), group in groups.items():
+                _lemma_2_2_batch(found, n, case, degree, group, t)
+    return _in_order(found)
+
+
+def _lemma_2_2_batch(found, n, case, degree, group, t):
+    """The checks of one lemma-2.2 case on a batch of (count, lam, draw)."""
+    counts = [count for count, _, _ in group]
+    lam = np.array([lam for _, lam, _ in group])
+    lam_sq = _dots(lam)
+    g = np.eye(n)
+
+    def check(name, position, failing, lhs, rhs):
+        _flag(found, failing, lhs, rhs, t,
+              lambda i: ((counts[i], position), (name, n, counts[i])))
+
+    def acted(values, p, k):
+        return _act(lam, values.reshape(len(group), -1), n, p, k).reshape(values.shape)
+
+    if case == 4:
+        h = np.array([draw[0] for _, _, draw in group])
+        raw = np.array([draw[1] for _, _, draw in group])
+    else:
+        draws = np.array([draw for _, _, draw in group])
+    if case == 0:
+        lhs = _norms(acted(draws, 1, degree))
+        rhs = degree * degree * _norms(draws) * lam_sq
+        check("generic", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+    elif case == 1:
+        lhs = _norms(_symmetrized(acted(draws, 1, 2)))
+        rhs = 4.0 * _norms(_traceless(draws)) * lam_sq
+        check("sym2", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+    elif case == 2:
+        lhs = _dots(acted(draws, degree, 1))
+        rhs = min(degree, n - degree) * _dots(draws) * lam_sq
+        check("pform", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+    elif case == 3:
+        lr = _norms(_symmetrized(acted(draws, 2, 2)))
+        r0 = _traceless(draws)
+        rhs = 8.0 * _norms(r0) * lam_sq
+        check("operator", 0, _at_most_fails(lr, rhs, t), lr, rhs)
+        lrm = _norms(acted(_tensors_from_ops(draws, n), 1, 4))
+        check("tensor-factor", 1, _close_fails(lrm, 4.0 * lr, t), lrm, 4.0 * lr)
+        rhs = 8.0 * _norms(_tensors_from_ops(r0, n)) * lam_sq
+        check("tensor", 2, _at_most_fails(lrm, rhs, t), lrm, rhs)
+    else:
+        lhs = _norms(acted(_kn(g, h), 1, 4))
+        rhs = 4.0 * _norms(_kn(g, _traceless(h))) * lam_sq
+        check("kn", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+        rb, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
+        bound = (
+            4.0 * _norms(_kn(g, ric0)) / (n - 2.0) ** 2
+            + 8.0 * _norms(weyl)
+        ) * lam_sq
+        lhs = _norms(acted(_tensors_from_ops(rb, n), 1, 4))
+        check("kn-curv", 1, _at_most_fails(lhs, bound, t), lhs, bound)
 
 
 def suite_lemma_2_2_sharpness(seed, trials, tol):
@@ -868,7 +962,7 @@ def suite_estimate_constants(seed, trials, tol):
             t,
         )
         dec = decompose(random_bianchi_operator(rng, n))
-        einstein = _einstein_part(dec)
+        einstein = CurvTensor(_einstein_part(dec.scal, dec.weyl.array))
         c = estimate_constant(TensorKind.curvature_einstein(), n)
         _at_most(
             failures,
@@ -903,57 +997,88 @@ def suite_estimate_constants(seed, trials, tol):
 def suite_lemma_2_1_soundness(seed, trials, tol):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
-    positive case."""
-    failures = []
+    positive case.  Trials are checked in batches, one kind (and degree) at
+    a time."""
     t = tol if tol is not None else 1e-9
     sid = _SUITE_IDS["lemma-2.1-soundness"]
     kinds = ("pform", "sym2", "curvature_einstein", "weyl")
+    found = []
     for n_index, n in enumerate((3, 4, 5, 6)):
-        ops = []
-        for trial in range(trials):
-            rng = _trial_rng(seed, sid, n_index * trials + trial)
-            ops.append(random_bianchi_operator(rng, n))
-        vals, vecs = jacobi_eigh_batch(np.array([op.mat for op in ops]))
-        for trial, op in enumerate(ops):
-            rng = _trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
-            spec = Spectrum(vals[trial], vecs[trial])
-            shared = decompose(random_bianchi_operator(rng, n))
-            for kind_name in kinds:
-                if kind_name == "pform":
-                    p = int(rng.integers(1, n))
-                    kind = TensorKind.pform(p)
-                    tt = random_pform(rng, n, p)
-                elif kind_name == "sym2":
-                    kind = TensorKind.sym2()
-                    tt = random_sym2(rng, n)
-                elif kind_name == "curvature_einstein":
-                    kind = TensorKind.curvature_einstein()
-                    tt = _einstein_part(shared)
-                else:
-                    kind = TensorKind.weyl()
-                    tt = shared.weyl
+        size = wedge_count(n)
+        # the eigensolver's largest array holds each matrix and its vectors
+        for chunk in _chunks(trials, 16 * size * size):
+            window = range(trials)[chunk]
+            ops, shared, degrees, forms, syms, margins = [], [], [], [], [], []
+            for trial in window:
+                rng = _trial_rng(seed, sid, n_index * trials + trial)
+                ops.append(_sym_draw(rng, size))
+                # the kinds draw in turn: a form and its margin, a symmetric
+                # tensor and its margin, then the margins of the two
+                # curvature kinds, which share one decomposed operator
+                rng = _trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
+                shared.append(_sym_draw(rng, size))
+                degrees.append(int(rng.integers(1, n)))
+                forms.append(rng.normal(size=math.comb(n, degrees[-1])))
+                margin = [_margin(rng)]
+                syms.append(_sym_draw(rng, n))
+                margins.append(margin + [_margin(rng), _margin(rng), _margin(rng)])
+            ops = np.array(ops)
+            ops -= _alternating_parts(ops, n)
+            vals = jacobi_eigh_batch(ops)[0]
+            margins = np.array(margins)
+
+            def check(kind_index, kind, picked, values, p, k):
+                # the four checks of one kind on the trials picked from the
+                # window, their tensors stacked k-slot values over Lambda^p
                 c = estimate_constant(kind, n)
-                margin = abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
-                average = spec.lowest_sum(math.floor(c)) / math.floor(c)
-                kappa = min(0.0, average) - margin
-                verdict = lemma21_verdict(spec, c, kappa)
-                _require(failures, ("holds", n, trial, kind_name), verdict.holds)
-                lhs, rhs, ok = direct_term_check(op, tt, kappa)
-                _require(failures, ("direct", n, trial, kind_name), ok, lhs, rhs, t)
+                floor_c = math.floor(c)
+                average = np.sum(vals[picked, :floor_c], axis=-1) / floor_c
+                kappa = np.minimum(0.0, average) - margins[picked, kind_index]
+                low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
+                rows = _block_rows(values, n, p, k)
+                lhs = _terms(ops[picked], rows, rows)
+                hat_sq = _hat_norms(rows)
+                rhs, ok = _direct_check(lhs, hat_sq, kappa)
                 # the tightest certified coefficient also works
-                lhs2, rhs2, ok2 = direct_term_check(op, tt, min(0.0, verdict.bound))
-                _require(failures, ("direct-tight", n, trial, kind_name), ok2, lhs2, rhs2, t)
-                if verdict.vanishing:
-                    hat_sq = hat_norm_sq(tt)
-                    floor_bound = verdict.lowest_sum / verdict.C_used * hat_sq
-                    _at_most(
-                        failures,
-                        ("positive", n, trial, kind_name),
-                        floor_bound,
-                        lhs,
-                        t,
-                    )
-    return failures
+                rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound))
+                floor_bound = low / c * hat_sq
+                where = [(window[i], kinds[kind_index]) for i in picked]
+
+                def flag(name, position, failing, lhs, rhs, tol):
+                    _flag(found, failing, lhs, rhs, tol, lambda i: (
+                        (n_index, where[i][0], kind_index, position),
+                        (name, n) + where[i],
+                    ))
+
+                zeros = np.zeros(len(picked))
+                flag("holds", 0, ~holds, zeros, zeros, 0.0)
+                flag("direct", 1, ~ok, lhs, rhs, t)
+                flag("direct-tight", 2, ~ok2, lhs, rhs2, t)
+                failing = vanishing & _at_most_fails(floor_bound, lhs, t)
+                flag("positive", 3, failing, floor_bound, lhs, t)
+
+            for p in sorted(set(degrees)):
+                picked = np.flatnonzero(np.array(degrees) == p)
+                values = np.array([forms[i] for i in picked])
+                for part in _chunks(len(picked), 8 * size * values.shape[1]):
+                    check(0, TensorKind.pform(p), picked[part], values[part], p, 1)
+            picked = np.arange(len(window))
+            syms = np.array(syms).reshape(len(window), -1)
+            for part in _chunks(len(window), 8 * size * n * n):
+                check(1, TensorKind.sym2(), picked[part], syms[part], 1, 2)
+            shared = np.array(shared)
+            for part in _chunks(len(window), 8 * size * n ** 4):
+                _, (scal, _, _, weyl) = _bianchi_decompose(shared[part], n)
+                einstein = _einstein_part(scal, weyl)
+                check(2, TensorKind.curvature_einstein(), picked[part],
+                      einstein.reshape(len(weyl), -1), 1, 4)
+                check(3, TensorKind.weyl(), picked[part], weyl.reshape(len(weyl), -1), 1, 4)
+    return _in_order(found)
+
+
+def _margin(rng):
+    """The slack below the certified average: |normal| half of the time."""
+    return abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
 
 
 def suite_boundary_cases(seed, trials, tol):

@@ -389,3 +389,54 @@ class TestRic:
             for j in range(6):
                 total += rp[i, j] * inner(blocks[i], blocks[j])
         assert total == pytest.approx(base, rel=1e-9)
+
+
+class TestStackedKernels:
+    """A stack through _block_rows, _act and _sum_blocks is the per-item
+    calls the single-object functions make, bit for bit."""
+
+    @staticmethod
+    def layouts(n):
+        # (p, k) of every kind: Tensor0k k = 1..4 (Sym2 and curvature
+        # tensors share k = 2 and k = 4), p-forms, operators
+        return [(1, k) for k in (1, 2, 3, 4)] + [(p, 1) for p in range(1, n + 1)] + [(2, 2)]
+
+    def test_stack_matches_per_item_calls(self):
+        from curvop.action import _act, _block_rows, _sum_blocks
+
+        rng = np.random.default_rng(19)
+        for n in range(3, 7):
+            for p, k in self.layouts(n):
+                size = math.comb(n, p) ** k
+                values = rng.normal(size=(5, size))
+                comps = rng.normal(size=(5, wedge_count(n)))
+                rows = _block_rows(values, n, p, k)
+                acted = _act(comps, values, n, p, k)
+                summed = _sum_blocks(rows, n, p, k)
+                for i in range(5):
+                    single_rows = _block_rows(values[i], n, p, k)
+                    assert rows[i].tobytes() == single_rows.tobytes(), (n, p, k)
+                    assert acted[i].tobytes() == _act(comps[i], values[i], n, p, k).tobytes()
+                    assert summed[i].tobytes() == _sum_blocks(single_rows, n, p, k).tobytes()
+
+    def test_stack_matches_public_calls(self):
+        from curvop.action import _act, _block_rows, _hat_norms, _terms
+
+        rng = np.random.default_rng(20)
+        for n in range(3, 7):
+            r = random_sym_operator(rng, n)
+            lam = rand_so(rng, n)
+            tensors = [Tensor0k(rng.normal(size=(n,) * k)) for k in (1, 2, 3, 4)]
+            tensors += [PForm(n, p, rng.normal(size=math.comb(n, p))) for p in range(1, n + 1)]
+            tensors.append(tensor_from_op(random_sym_operator(rng, n)))
+            for t in tensors:
+                values, p, k = (t.comps, t.p, 1) if isinstance(t, PForm) else (t.array, 1, t.array.ndim)
+                stack = np.stack([values.reshape(-1)] * 3)
+                acted = _act(np.stack([lam.comps] * 3), stack, n, p, k)
+                want = so_act(lam, t)
+                want = want.comps if isinstance(want, PForm) else want.array
+                assert acted[1].tobytes() == want.reshape(-1).tobytes()
+                rows = _block_rows(stack, n, p, k)
+                term = _terms(np.stack([r.mat] * 3), rows, rows)
+                assert term[2] == curvature_term(r, t, t)
+                assert _hat_norms(rows)[0] == hat_norm_sq(t)

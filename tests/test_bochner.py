@@ -108,6 +108,24 @@ class TestDirectTermCheck:
         assert lhs == pytest.approx(-8.0, rel=1e-12)
         assert not ok
 
+    def test_matches_public_term_and_hat_norm_bitwise(self):
+        # one set of hat rows feeds both sides
+        from curvop import PForm, Sym2, Tensor0k
+
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 5, 6):
+            r = random_sym_operator(rng, n)
+            a = rng.normal(size=(n, n))
+            kinds = [Tensor0k(rng.normal(size=(n,) * 3)), Sym2((a + a.T) / 2)]
+            kinds += [PForm(n, 2, rng.normal(size=math.comb(n, 2))), tensor_from_op(r)]
+            for t in kinds:
+                kappa = -abs(float(rng.normal()))
+                lhs, rhs, _ = direct_term_check(r, t, kappa)
+                assert np.float64(lhs).tobytes() == np.float64(curvature_term(r, t, t)).tobytes()
+                assert np.float64(rhs).tobytes() == np.float64(kappa * hat_norm_sq(t)).tobytes()
+        with pytest.raises(ValueError):
+            direct_term_check(identity_operator(4), Tensor0k(np.zeros((3, 3))), 0.0)
+
 
 class TestBettiVerdict:
     def test_identity_vanishes(self):
