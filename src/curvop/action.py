@@ -36,8 +36,10 @@ from .tensors import (
     PForm,
     Sym2,
     Tensor0k,
+    _bianchi_holds,
     _freeze,
     _require_finite,
+    _symmetric_part,
     _tuple_index_map,
     check_dimension,
     increasing_tuples,
@@ -163,30 +165,84 @@ def _action_matrices(comps, n, p):
     return out
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """How the tensors of one kind sit as k slots over Lambda^p.
+
+    values names the attribute holding their coordinates; a p or k of None
+    is the tensor's own degree, a form's p or a (0,k)-tensor's k.  A
+    symmetric kind is stored as an exactly symmetric matrix, so the results
+    of the action are checked and symmetrized as its constructor does; the
+    action keeps the first Bianchi identity of a bianchi kind; a compact
+    kind's squared norm is the dot product of its coordinates, a dense
+    kind's the sum of its squared entries.
+    """
+
+    values: str
+    p: int | None
+    k: int | None
+    symmetric: bool = False
+    bianchi: bool = False
+    compact: bool = False
+
+    def slots(self, degree=None):
+        """(p, k) of a tensor of this kind and degree."""
+        return self.p or degree, self.k or degree
+
+    def norm_sqs(self, stack):
+        """Squared norms of coordinates stacked along the first axis, as
+        the kind's norm_sq takes them."""
+        if self.compact:
+            return (stack[:, None, :] @ stack[:, :, None])[:, 0, 0]
+        return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
+
+    def acted(self, comps, values, n, p, k):
+        """_act on stacked flat values of this kind, as the kind stores the
+        results, checked as its constructor and so_act check one result:
+        raises ValueError where a result is not finite or, for a symmetric
+        kind, not symmetric, and AssertionError where a bianchi kind's value
+        keeps the Bianchi identity and its result does not."""
+        out = _act(comps, values, n, p, k)
+        _require_finite(out, "action results")
+        if self.symmetric or self.bianchi:
+            shape = values.shape[:-1] + (math.comb(n, p),) * k
+            out = out.reshape(shape)
+            if self.symmetric:
+                out = _symmetric_part(out, "action result")
+            lost = self.bianchi and _bianchi_holds(values.reshape(shape)) & ~_bianchi_holds(out)
+            if np.any(lost):
+                raise AssertionError("action failed to preserve the Bianchi identity")
+            out = out.reshape(values.shape)
+        return out
+
+
+_KINDS = {
+    PForm: _Kind("comps", None, 1, compact=True),
+    Sym2: _Kind("mat", 1, 2, symmetric=True),
+    Tensor0k: _Kind("array", 1, None),
+    CurvTensor: _Kind("array", 1, 4, bianchi=True),
+    CurvatureOperator: _Kind("mat", 2, 2, symmetric=True),
+}
+
+
 def _layout(t):
-    """(values, p, k): t's values, flattened, as a k-slot tensor over
-    Lambda^p."""
-    if isinstance(t, PForm):
-        return t.comps, t.p, 1
-    if isinstance(t, CurvatureOperator):
-        return t.mat.reshape(-1), 2, 2
-    if isinstance(t, Sym2):
-        return t.mat.reshape(-1), 1, 2
-    if isinstance(t, (Tensor0k, CurvTensor)):
-        return t.array.reshape(-1), 1, t.array.ndim
-    raise TypeError(f"unsupported kind {type(t).__name__}")
+    """(kind, values, p, k): t's kind and values, flattened, as a k-slot
+    tensor over Lambda^p."""
+    kind = _KINDS.get(type(t))
+    if kind is None:
+        raise TypeError(f"unsupported kind {type(t).__name__}")
+    p, k = kind.p or t.p, kind.k or t.k
+    return kind, getattr(t, kind.values).reshape(-1), p, k
 
 
 def _rebuild(t, values):
     """A tensor of t's kind from flat values in the coordinates of _layout(t)."""
+    values = values.reshape(getattr(t, _KINDS[type(t)].values).shape)
     if isinstance(t, PForm):
         return PForm(t.n, t.p, values)
     if isinstance(t, CurvatureOperator):
-        return CurvatureOperator(t.n, values.reshape(t.N, t.N), bianchi=t.bianchi_certified)
-    if isinstance(t, Sym2):
-        values = values.reshape(t.n, t.n)
-        return Sym2((values + values.T) / 2.0)
-    return type(t)(values.reshape(t.array.shape))
+        return CurvatureOperator(t.n, values, bianchi=t.bianchi_certified)
+    return type(t)(values)
 
 
 # -- the action of a general element -----------------------------------------
@@ -222,7 +278,7 @@ def _apply(lam, t):
     """lam acting on every slot of t, as a tensor of t's kind."""
     if lam.n != t.n:
         raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
-    values, p, k = _layout(t)
+    _, values, p, k = _layout(t)
     return _rebuild(t, _act(lam.comps, values, t.n, p, k))
 
 
@@ -302,12 +358,14 @@ def _sum_blocks(rows, n, p, k) -> np.ndarray:
 
 def _hat_rows(t) -> np.ndarray:
     """_block_rows of a single tensor, one row per wedge pair."""
-    values, p, k = _layout(t)
+    _, values, p, k = _layout(t)
     return _block_rows(values, t.n, p, k)
 
 
-def _hat_norms(rows):
-    """Squared hat norms of stacked block rows, squaring rows in place."""
+def _hat_norms_consuming(rows):
+    """Squared hat norms of stacked block rows, squaring rows in place, so
+    no caller may read rows after it.  The copy rows * rows would raise the
+    peak resident memory of the inequality benchmark by 0.5 MB."""
     return np.sum(np.square(rows, out=rows), axis=(-2, -1))
 
 
@@ -335,7 +393,7 @@ class HatTensor:
         """g(L, hat(T)( . )) as a tensor of the source kind."""
         if lam.n != self.n:
             raise ValueError(f"dimension mismatch: {lam.n} vs {self.n}")
-        values = sum(c * _layout(b)[0] for c, b in zip(lam.comps, self.blocks))
+        values = sum(c * _layout(b)[1] for c, b in zip(lam.comps, self.blocks))
         return _rebuild(self.blocks[0], values)
 
 
@@ -350,7 +408,7 @@ def hat_norm_sq(t) -> float:
     Block norms follow the source's convention, so p-forms sum over
     increasing indices only.
     """
-    return float(_hat_norms(_hat_rows(t)))
+    return float(_hat_norms_consuming(_hat_rows(t)))
 
 
 def curvature_term(r: CurvatureOperator, s, t) -> float:
@@ -383,7 +441,7 @@ def ric_of(r: CurvatureOperator, t):
     """
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
-    values, p, k = _layout(t)
+    _, values, p, k = _layout(t)
     mixed = r.mat.T @ _block_rows(values, t.n, p, k)
     return _rebuild(t, -_sum_blocks(mixed, t.n, p, k))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _hat_norms, _hat_rows, _terms
+from .action import _hat_norms_consuming, _hat_rows, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
 from .tensors import Tensor0k
 
@@ -157,7 +157,7 @@ def direct_term_check(r: CurvatureOperator, t, kappa):
         raise ValueError("dimension mismatch")
     rows = _hat_rows(t)
     lhs = _terms(r.mat, rows, rows)
-    rhs, ok = _direct_check(lhs, _hat_norms(rows), kappa)
+    rhs, ok = _direct_check(lhs, _hat_norms_consuming(rows), kappa)
     return float(lhs), float(rhs), bool(ok)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .tensors import (
     CurvTensor,
     Sym2,
-    _bianchi_residual,
+    _bianchi_holds,
     _freeze,
     _kn,
     _pair_index,
@@ -121,9 +121,7 @@ def _tensors_from_ops(mats, n):
 def _bianchi_certified(mats, n, tol=1e-12):
     """Bianchi certificates of stacked operator matrices: the cyclic
     residual of each (0,4)-tensor within tol of its largest entry."""
-    rm = _tensors_from_ops(mats, n)
-    scale = np.maximum(1.0, np.abs(rm).max(axis=(-4, -3, -2, -1)))
-    return _bianchi_residual(rm) <= tol * scale
+    return _bianchi_holds(_tensors_from_ops(mats, n), tol)
 
 
 def alternation(arr: np.ndarray) -> np.ndarray:
@@ -189,10 +187,14 @@ def bianchi_split(r: CurvatureOperator):
 
 def ricci_contract(r: CurvatureOperator):
     """Ricci tensor ric(X,Y) = sum_a Rm(X, e_a, Y, e_a) and its trace."""
-    rm = tensor_from_op(r)
-    ric = np.einsum("iaja->ij", rm.array)
-    sym = Sym2(ric)
-    return sym, sym.trace()
+    ric, scal = _riccis(_tensors_from_ops(r.mat, r.n))
+    return Sym2(ric), float(scal)
+
+
+def _riccis(rm):
+    """Ricci tensors and scalar curvatures of stacked (0,4)-arrays."""
+    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
+    return ric, np.trace(ric, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -226,8 +228,7 @@ def _decompose(mats, n):
     n >= 3: the scalar curvature, the Ricci and traceless Ricci tensors and
     the Weyl tensor rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2)."""
     rm = _tensors_from_ops(mats, n)
-    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
-    scal = np.trace(ric, axis1=-2, axis2=-1)
+    ric, scal = _riccis(rm)
     ric0 = _traceless(ric)
     g = np.eye(n)
     scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _kn(g, g)

@@ -33,9 +33,9 @@ from .action import (
     ric_identity_closed_form,
     ric_of,
     so_act,
-    _act,
+    _KINDS,
     _block_rows,
-    _hat_norms,
+    _hat_norms_consuming,
     _hat_rows,
     _terms,
 )
@@ -92,7 +92,6 @@ from .tensors import (
     wedge_index,
     wedge_pairs,
     _kn,
-    _symmetrized,
     _traceless,
 )
 from .warped import (
@@ -155,15 +154,26 @@ def _digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:12]
 
 
+def _close_fails(lhs, rhs, tol):
+    """Where |lhs - rhs| exceeds tol times max(1, |lhs|, |rhs|), elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return ~(np.abs(lhs - rhs) <= tol * scale)
+
+
+def _at_most_fails(lhs, rhs, tol):
+    """Where lhs exceeds rhs by more than tol times max(1, |lhs|, |rhs|),
+    elementwise."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return ~(lhs <= rhs + tol * scale)
+
+
 def _close(failures, tag, lhs, rhs, tol):
-    scale = max(1.0, abs(lhs), abs(rhs))
-    if not abs(lhs - rhs) <= tol * scale:
+    if _close_fails(lhs, rhs, tol):
         failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
 
 
 def _at_most(failures, tag, lhs, rhs, tol):
-    scale = max(1.0, abs(lhs), abs(rhs))
-    if not lhs <= rhs + tol * scale:
+    if _at_most_fails(lhs, rhs, tol):
         failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
 
 
@@ -189,18 +199,6 @@ def _chunks(count, item_bytes):
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def _close_fails(lhs, rhs, tol):
-    """Where _close would record a failure, elementwise."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return ~(np.abs(lhs - rhs) <= tol * scale)
-
-
-def _at_most_fails(lhs, rhs, tol):
-    """Where _at_most would record a failure, elementwise."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return ~(lhs <= rhs + tol * scale)
-
-
 def _flag(found, failing, lhs, rhs, tol, where):
     """Record a failure for each flagged item of a batched check; where(i)
     gives the item's (sort key, tag)."""
@@ -212,18 +210,6 @@ def _flag(found, failing, lhs, rhs, tol, where):
 def _in_order(found):
     """The failures of (sort key, failure) pairs, by key."""
     return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
-
-
-def _norms(values):
-    """Squared norms of values stacked along the first axis, summed as the
-    norm_sq of a dense kind sums them."""
-    return np.sum(values * values, axis=tuple(range(1, values.ndim)))
-
-
-def _dots(values):
-    """Squared norms of stacked vectors as the dot products v @ v that
-    SoElement.norm_sq and PForm.norm_sq take."""
-    return (values[:, None, :] @ values[:, :, None])[:, 0, 0]
 
 
 def _bianchi_decompose(raw, n):
@@ -835,15 +821,22 @@ def _lemma_2_2_batch(found, n, case, degree, group, t):
     """The checks of one lemma-2.2 case on a batch of (count, lam, draw)."""
     counts = [count for count, _, _ in group]
     lam = np.array([lam for _, lam, _ in group])
-    lam_sq = _dots(lam)
+    # so(n) is wedge space, so an element's norm is its 2-form's
+    lam_sq = _KINDS[PForm].norm_sqs(lam)
     g = np.eye(n)
 
     def check(name, position, failing, lhs, rhs):
         _flag(found, failing, lhs, rhs, t,
               lambda i: ((counts[i], position), (name, n, counts[i])))
 
-    def acted(values, p, k):
-        return _act(lam, values.reshape(len(group), -1), n, p, k).reshape(values.shape)
+    def norms(cls, values):
+        return _KINDS[cls].norm_sqs(values)
+
+    def acted_norms(cls, values, degree=None):
+        # so_act on each of the stacked values, with its checks
+        kind = _KINDS[cls]
+        out = kind.acted(lam, values.reshape(len(group), -1), n, *kind.slots(degree))
+        return kind.norm_sqs(out.reshape(values.shape))
 
     if case == 4:
         h = np.array([draw[0] for _, _, draw in group])
@@ -851,36 +844,36 @@ def _lemma_2_2_batch(found, n, case, degree, group, t):
     else:
         draws = np.array([draw for _, _, draw in group])
     if case == 0:
-        lhs = _norms(acted(draws, 1, degree))
-        rhs = degree * degree * _norms(draws) * lam_sq
+        lhs = acted_norms(Tensor0k, draws, degree)
+        rhs = degree * degree * norms(Tensor0k, draws) * lam_sq
         check("generic", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
     elif case == 1:
-        lhs = _norms(_symmetrized(acted(draws, 1, 2)))
-        rhs = 4.0 * _norms(_traceless(draws)) * lam_sq
+        lhs = acted_norms(Sym2, draws)
+        rhs = 4.0 * norms(Sym2, _traceless(draws)) * lam_sq
         check("sym2", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
     elif case == 2:
-        lhs = _dots(acted(draws, degree, 1))
-        rhs = min(degree, n - degree) * _dots(draws) * lam_sq
+        lhs = acted_norms(PForm, draws, degree)
+        rhs = min(degree, n - degree) * norms(PForm, draws) * lam_sq
         check("pform", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
     elif case == 3:
-        lr = _norms(_symmetrized(acted(draws, 2, 2)))
+        lr = acted_norms(CurvatureOperator, draws)
         r0 = _traceless(draws)
-        rhs = 8.0 * _norms(r0) * lam_sq
+        rhs = 8.0 * norms(CurvatureOperator, r0) * lam_sq
         check("operator", 0, _at_most_fails(lr, rhs, t), lr, rhs)
-        lrm = _norms(acted(_tensors_from_ops(draws, n), 1, 4))
+        lrm = acted_norms(CurvTensor, _tensors_from_ops(draws, n))
         check("tensor-factor", 1, _close_fails(lrm, 4.0 * lr, t), lrm, 4.0 * lr)
-        rhs = 8.0 * _norms(_tensors_from_ops(r0, n)) * lam_sq
+        rhs = 8.0 * norms(CurvTensor, _tensors_from_ops(r0, n)) * lam_sq
         check("tensor", 2, _at_most_fails(lrm, rhs, t), lrm, rhs)
     else:
-        lhs = _norms(acted(_kn(g, h), 1, 4))
-        rhs = 4.0 * _norms(_kn(g, _traceless(h))) * lam_sq
+        lhs = acted_norms(CurvTensor, _kn(g, h))
+        rhs = 4.0 * norms(CurvTensor, _kn(g, _traceless(h))) * lam_sq
         check("kn", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
         rb, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
         bound = (
-            4.0 * _norms(_kn(g, ric0)) / (n - 2.0) ** 2
-            + 8.0 * _norms(weyl)
+            4.0 * norms(CurvTensor, _kn(g, ric0)) / (n - 2.0) ** 2
+            + 8.0 * norms(CurvTensor, weyl)
         ) * lam_sq
-        lhs = _norms(acted(_tensors_from_ops(rb, n), 1, 4))
+        lhs = acted_norms(CurvTensor, _tensors_from_ops(rb, n))
         check("kn-curv", 1, _at_most_fails(lhs, bound, t), lhs, bound)
 
 
@@ -1027,17 +1020,17 @@ def suite_lemma_2_1_soundness(seed, trials, tol):
             vals = jacobi_eigh_batch(ops)[0]
             margins = np.array(margins)
 
-            def check(kind_index, kind, picked, values, p, k):
+            def check(kind_index, kind, picked, values, cls, degree=None):
                 # the four checks of one kind on the trials picked from the
-                # window, their tensors stacked k-slot values over Lambda^p
+                # window, their tensors stacked flat values of class cls
                 c = estimate_constant(kind, n)
                 floor_c = math.floor(c)
                 average = np.sum(vals[picked, :floor_c], axis=-1) / floor_c
                 kappa = np.minimum(0.0, average) - margins[picked, kind_index]
                 low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
-                rows = _block_rows(values, n, p, k)
+                rows = _block_rows(values, n, *_KINDS[cls].slots(degree))
                 lhs = _terms(ops[picked], rows, rows)
-                hat_sq = _hat_norms(rows)
+                hat_sq = _hat_norms_consuming(rows)
                 rhs, ok = _direct_check(lhs, hat_sq, kappa)
                 # the tightest certified coefficient also works
                 rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound))
@@ -1061,18 +1054,18 @@ def suite_lemma_2_1_soundness(seed, trials, tol):
                 picked = np.flatnonzero(np.array(degrees) == p)
                 values = np.array([forms[i] for i in picked])
                 for part in _chunks(len(picked), 8 * size * values.shape[1]):
-                    check(0, TensorKind.pform(p), picked[part], values[part], p, 1)
+                    check(0, TensorKind.pform(p), picked[part], values[part], PForm, p)
             picked = np.arange(len(window))
             syms = np.array(syms).reshape(len(window), -1)
             for part in _chunks(len(window), 8 * size * n * n):
-                check(1, TensorKind.sym2(), picked[part], syms[part], 1, 2)
+                check(1, TensorKind.sym2(), picked[part], syms[part], Sym2)
             shared = np.array(shared)
             for part in _chunks(len(window), 8 * size * n ** 4):
                 _, (scal, _, _, weyl) = _bianchi_decompose(shared[part], n)
                 einstein = _einstein_part(scal, weyl)
                 check(2, TensorKind.curvature_einstein(), picked[part],
-                      einstein.reshape(len(weyl), -1), 1, 4)
-                check(3, TensorKind.weyl(), picked[part], weyl.reshape(len(weyl), -1), 1, 4)
+                      einstein.reshape(len(weyl), -1), CurvTensor)
+                check(3, TensorKind.weyl(), picked[part], weyl.reshape(len(weyl), -1), CurvTensor)
     return _in_order(found)
 
 

@@ -39,7 +39,7 @@ from curvop import (
 )
 from curvop.action import _wedge_table
 from curvop.tensors import increasing_tuples
-from curvop.verify import hat_wedge_closed_form, random_sym_operator
+from curvop.verify import hat_wedge_closed_form, random_bianchi_operator, random_sym_operator
 
 
 def rand_so(rng, n):
@@ -304,8 +304,6 @@ class TestRic:
     def test_identity_on_curvature(self):
         rng = np.random.default_rng(13)
         n = 4
-        from curvop.verify import random_bianchi_operator
-
         rb = random_bianchi_operator(rng, n)
         rm = tensor_from_op(rb)
         ric, _ = ricci_contract(rb)
@@ -420,7 +418,7 @@ class TestStackedKernels:
                     assert summed[i].tobytes() == _sum_blocks(single_rows, n, p, k).tobytes()
 
     def test_stack_matches_public_calls(self):
-        from curvop.action import _act, _block_rows, _hat_norms, _terms
+        from curvop.action import _block_rows, _hat_norms_consuming, _layout, _terms
 
         rng = np.random.default_rng(20)
         for n in range(3, 7):
@@ -428,15 +426,93 @@ class TestStackedKernels:
             lam = rand_so(rng, n)
             tensors = [Tensor0k(rng.normal(size=(n,) * k)) for k in (1, 2, 3, 4)]
             tensors += [PForm(n, p, rng.normal(size=math.comb(n, p))) for p in range(1, n + 1)]
+            tensors += [rand_sym2(rng, n), random_sym_operator(rng, n)]
             tensors.append(tensor_from_op(random_sym_operator(rng, n)))
             for t in tensors:
-                values, p, k = (t.comps, t.p, 1) if isinstance(t, PForm) else (t.array, 1, t.array.ndim)
-                stack = np.stack([values.reshape(-1)] * 3)
-                acted = _act(np.stack([lam.comps] * 3), stack, n, p, k)
-                want = so_act(lam, t)
-                want = want.comps if isinstance(want, PForm) else want.array
-                assert acted[1].tobytes() == want.reshape(-1).tobytes()
+                kind, values, p, k = _layout(t)
+                stack = np.stack([values] * 3)
+                acted = kind.acted(np.stack([lam.comps] * 3), stack, n, p, k)
+                assert acted[1].tobytes() == _layout(so_act(lam, t))[1].tobytes()
+                assert kind.norm_sqs(acted)[0] == so_act(lam, t).norm_sq()
+                assert kind.norm_sqs(stack)[2] == t.norm_sq()
                 rows = _block_rows(stack, n, p, k)
                 term = _terms(np.stack([r.mat] * 3), rows, rows)
                 assert term[2] == curvature_term(r, t, t)
-                assert _hat_norms(rows)[0] == hat_norm_sq(t)
+                assert _hat_norms_consuming(rows)[0] == hat_norm_sq(t)
+
+
+def corrupted_act(monkeypatch, delta, when=lambda p, k: True):
+    """Make _act add delta to the second flat coordinate of its results with
+    slots (p, k) for which when holds: the (0, 1) entry of a matrix, the
+    (0, 0, 0, 1) entry of a (0,4)-tensor."""
+    from curvop import action
+
+    real = action._act
+
+    def act(comps, values, n, p, k):
+        out = real(comps, values, n, p, k)
+        if when(p, k):
+            out[..., 1] += delta
+        return out
+
+    monkeypatch.setattr(action, "_act", act)
+
+
+class TestActionGuards:
+    """The action checks its results as the kinds' constructors and so_act
+    do, for one tensor and for a stack alike."""
+
+    def test_asymmetric_results_raise(self, monkeypatch):
+        from curvop.action import _layout
+
+        rng = np.random.default_rng(21)
+        corrupted_act(monkeypatch, 1e-3)
+        lam = rand_so(rng, 4)
+        for t in (rand_sym2(rng, 4), random_sym_operator(rng, 4)):
+            kind, values, p, k = _layout(t)
+            with pytest.raises(ValueError, match="not symmetric"):
+                so_act(lam, t)
+            with pytest.raises(ValueError, match="not symmetric"):
+                kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+
+    def test_lost_bianchi_identity_raises(self, monkeypatch):
+        from curvop.action import _layout
+
+        rng = np.random.default_rng(22)
+        corrupted_act(monkeypatch, 1e-3)
+        lam = rand_so(rng, 4)
+        rm = tensor_from_op(random_bianchi_operator(rng, 4))
+        kind, values, p, k = _layout(rm)
+        with pytest.raises(AssertionError, match="Bianchi"):
+            so_act(lam, rm)
+        with pytest.raises(AssertionError, match="Bianchi"):
+            kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+        # a tensor without the identity has none to lose
+        generic = tensor_from_op(random_sym_operator(rng, 4))
+        assert not generic.bianchi
+        so_act(lam, generic)
+
+    def test_non_finite_results_raise(self, monkeypatch):
+        from curvop.action import _layout
+
+        rng = np.random.default_rng(23)
+        corrupted_act(monkeypatch, np.nan)
+        lam = rand_so(rng, 4)
+        for t in (Tensor0k(rng.normal(size=(4, 4, 4))), PForm(4, 2, rng.normal(size=6))):
+            kind, values, p, k = _layout(t)
+            with pytest.raises(ValueError, match="finite"):
+                so_act(lam, t)
+            with pytest.raises(ValueError, match="finite"):
+                kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+
+    def test_batched_lemma_2_2_raises(self, monkeypatch):
+        from curvop.verify import run_suite
+
+        # five trials per dimension reach every case
+        corrupted_act(monkeypatch, 1e-3, lambda p, k: (p, k) == (2, 2))
+        with pytest.raises(ValueError, match="not symmetric"):
+            run_suite("lemma-2.2", trials=5, seed=1)
+        monkeypatch.undo()
+        corrupted_act(monkeypatch, 1e-3, lambda p, k: k == 4)
+        with pytest.raises(AssertionError, match="Bianchi"):
+            run_suite("lemma-2.2", trials=5, seed=1)

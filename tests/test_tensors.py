@@ -21,7 +21,8 @@ from curvop import (
     wedge_index,
     wedge_pairs,
 )
-from curvop.tensors import check_dimension
+from curvop.operators import CurvatureOperator
+from curvop.tensors import _symmetric_part, _symmetrized, check_dimension
 
 
 def independent_gg(n):
@@ -202,6 +203,28 @@ class TestSpaceAndGuards:
         m = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
         h = Sym2(m)
         assert np.array_equal(h.mat, h.mat.T)
+
+    def test_stacked_symmetry_check_matches_constructors(self):
+        # the batched action checks its results with _symmetric_part, the
+        # constructors one matrix at a time: both take the same decisions
+        rng = np.random.default_rng(24)
+        for scale in (0.5, 1.0, 1e3):
+            for gap in (0.9e-9, 1.1e-9):
+                a = scale * rng.normal(size=(3, 3))
+                m = (a + a.T) / 2
+                m[0, 1] += gap * max(1.0, float(np.abs(m).max()))
+                mats = np.stack([(m + m.T) / 2, m])
+                for build, what in ((Sym2, "matrix"), (lambda m: CurvatureOperator(3, m), "operator")):
+                    try:
+                        want = build(m).mat
+                    except ValueError:
+                        with pytest.raises(ValueError, match="not symmetric"):
+                            _symmetric_part(mats, what)
+                        assert gap > 1e-9
+                    else:
+                        assert gap < 1e-9
+                        got = _symmetric_part(mats, what)
+                        assert got[1].tobytes() == want.tobytes() == _symmetrized(m).tobytes()
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
