@@ -196,24 +196,25 @@ class _Kind:
             return (stack[:, None, :] @ stack[:, :, None])[:, 0, 0]
         return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
 
-    def acted(self, comps, values, n, p, k):
-        """_act on stacked flat values of this kind, as the kind stores the
-        results, checked as its constructor and so_act check one result:
-        raises ValueError where a result is not finite or, for a symmetric
-        kind, not symmetric, and AssertionError where a bianchi kind's value
-        keeps the Bianchi identity and its result does not."""
-        out = _act(comps, values, n, p, k)
-        _require_finite(out, "action results")
-        if self.symmetric or self.bianchi:
-            shape = values.shape[:-1] + (math.comb(n, p),) * k
-            out = out.reshape(shape)
-            if self.symmetric:
-                out = _symmetric_part(out, "action result")
-            lost = self.bianchi and _bianchi_holds(values.reshape(shape)) & ~_bianchi_holds(out)
-            if np.any(lost):
-                raise AssertionError("action failed to preserve the Bianchi identity")
-            out = out.reshape(values.shape)
+    def acted(self, comps, values, n, degree=None):
+        """so_act of elements with stacked coordinates comps on values of
+        this kind stacked along the first axis, shaped and stored as the
+        values and checked as the kind's constructor and so_act check one
+        result: raises ValueError where a result is not finite or, for a
+        symmetric kind, not symmetric, and AssertionError where a bianchi
+        kind's value keeps the Bianchi identity and its result does not."""
+        flat = _act(comps, values.reshape(len(values), -1), n, *self.slots(degree))
+        out = self.stored(flat.reshape(values.shape), "action result")
+        if self.bianchi and np.any(_bianchi_holds(values) & ~_bianchi_holds(out)):
+            raise AssertionError("action failed to preserve the Bianchi identity")
         return out
+
+    def stored(self, out, what):
+        """Stacked results of this kind as its constructor stores them:
+        ValueError where one is not finite or, for a symmetric kind, not
+        symmetric; symmetrized otherwise."""
+        _require_finite(out, f"{what}s")
+        return _symmetric_part(out, what) if self.symmetric else out
 
 
 _KINDS = {
@@ -274,14 +275,6 @@ def _act(comps, values, n, p, k):
     return out
 
 
-def _apply(lam, t):
-    """lam acting on every slot of t, as a tensor of t's kind."""
-    if lam.n != t.n:
-        raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
-    _, values, p, k = _layout(t)
-    return _rebuild(t, _act(lam.comps, values, t.n, p, k))
-
-
 def ad_matrix(lam: SoElement) -> np.ndarray:
     """Matrix of the action of lam on wedge coordinates."""
     return _action_matrices(lam.comps, lam.n, 2)
@@ -294,12 +287,15 @@ def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
     induced wedge-coordinate matrix with the operator matrix.  The action
     preserves the Bianchi subspace, so the certificate carries over.
     """
-    return _apply(lam, r)
+    return so_act(lam, r)
 
 
 def so_act(lam: SoElement, t):
     """Derivation action of lam on a tensor, preserving its kind."""
-    out = _apply(lam, t)
+    if lam.n != t.n:
+        raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
+    _, values, p, k = _layout(t)
+    out = _rebuild(t, _act(lam.comps, values, t.n, p, k))
     if isinstance(t, CurvTensor) and t.bianchi and not out.bianchi:
         raise AssertionError("action failed to preserve the Bianchi identity")
     return out
@@ -442,8 +438,16 @@ def ric_of(r: CurvatureOperator, t):
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
     _, values, p, k = _layout(t)
-    mixed = r.mat.T @ _block_rows(values, t.n, p, k)
-    return _rebuild(t, -_sum_blocks(mixed, t.n, p, k))
+    return _rebuild(t, _rics(r.mat, _block_rows(values, t.n, p, k), t.n, p, k))
+
+
+def _rics(mats, rows, n, p, k):
+    """Ricci curvatures, flattened, of stacked k-slot values over Lambda^p
+    from their block rows, under stacked operator matrices; mats None is
+    the identity operator, which leaves the rows as they are."""
+    if mats is not None:
+        rows = mats.swapaxes(-1, -2) @ rows
+    return -_sum_blocks(rows, n, p, k)
 
 
 def ric_identity_closed_form(t: Tensor0k) -> Tensor0k:

@@ -35,6 +35,10 @@ def _print_json(doc):
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, got {args.tol}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -147,7 +151,10 @@ def cmd_catalog(args) -> int:
     if args.name == "extremal-pform":
         # form-only entry: no operator file, write the pair document directly
         _need(args, "p")
-        w1, w2, lam = cat.extremal_pform(args.p)
+        try:
+            w1, w2, lam = cat.extremal_pform(args.p)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         doc = {
             "entry": args.name,
             "p": args.p,
@@ -163,7 +170,10 @@ def cmd_catalog(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    op, meta, companions = _build_catalog_entry(args)
+    try:
+        op, meta, companions = _build_catalog_entry(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.out:
         dump_operator(args.out, op, metadata=meta, companions=companions)
     else:

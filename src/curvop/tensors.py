@@ -25,7 +25,10 @@ def max_dimension() -> int:
     raw = os.environ.get(MAX_N_ENV)
     if raw is None:
         return _DEFAULT_MAX_N
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
     if value < 2:
         raise ValueError(f"{MAX_N_ENV} must be at least 2, got {raw!r}")
     return value

@@ -8,14 +8,19 @@ records a digest of its check tag (the check's name with the dimension and
 the trial or case that failed, not the inputs themselves) together with
 both sides of the violated comparison and the tolerance used.
 
-The lemma-2.2 and lemma-2.1-soundness suites draw every trial on its own,
-then check chunks of consecutive trials grouped by what they evaluate, one
-batch per group through the stacked kernels; their failures come back in
-trial order, as if each trial had been checked alone.
+Seven suites batch across trials through one driver, _batched: prop-1.2,
+prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and lemma-2.1-soundness.
+Each is a draw function, which draws one trial from its generator and names
+the group it belongs to, and a check function, which runs the suite's
+comparisons on a stacked group through the stacked kernels.  Groups are
+sized by _CHUNK_BYTES, so memory stays flat in the trial count, and the
+failures come back ordered by trial index, then by the position of the
+check within the trial: as if each trial had been checked alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -34,9 +39,11 @@ from .action import (
     ric_of,
     so_act,
     _KINDS,
+    _action_matrices,
     _block_rows,
     _hat_norms_consuming,
     _hat_rows,
+    _rics,
     _terms,
 )
 from .bochner import (
@@ -70,7 +77,6 @@ from .operators import (
     identity_operator,
     jacobi_eigh,
     jacobi_eigh_batch,
-    ricci_contract,
     spectrum,
     tensor_from_op,
     _alternating_parts,
@@ -86,7 +92,6 @@ from .tensors import (
     identity_sym2,
     inner,
     kulkarni_nomizu,
-    permute,
     wedge_basis_form,
     wedge_count,
     wedge_index,
@@ -168,13 +173,11 @@ def _at_most_fails(lhs, rhs, tol):
 
 
 def _close(failures, tag, lhs, rhs, tol):
-    if _close_fails(lhs, rhs, tol):
-        failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
+    _require(failures, tag, not _close_fails(lhs, rhs, tol), lhs, rhs, tol)
 
 
 def _at_most(failures, tag, lhs, rhs, tol):
-    if _at_most_fails(lhs, rhs, tol):
-        failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
+    _require(failures, tag, not _at_most_fails(lhs, rhs, tol), lhs, rhs, tol)
 
 
 def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
@@ -182,34 +185,83 @@ def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
         failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
 
 
-# -- checks over batches of trials ---------------------------------------------
+# -- suites batched across trials ---------------------------------------------
 
-# Bytes of the largest array a batched check may build.  The suites that
-# batch across trials size their chunks of trials by it, which keeps their
-# memory flat in the trial count.  A check holds a few such arrays at once,
-# 1-2 MB in all; larger chunks raise the peak resident memory and gain little
-# speed.
+# Bytes of the largest array a batched check may build.  The batched suites
+# size their groups of trials by it, which keeps their memory flat in the
+# trial count.  A check holds a few such arrays at once, 1-2 MB in all;
+# larger groups raise the peak resident memory and gain little speed.
 _CHUNK_BYTES = 1 << 19
 
 
-def _chunks(count, item_bytes):
-    """Slices of range(count), each as many trials as fit in _CHUNK_BYTES at
-    item_bytes per trial."""
-    size = max(1, _CHUNK_BYTES // item_bytes)
-    return [slice(start, start + size) for start in range(0, count, size)]
+def _batched(seed, suite, trials, t, dims, draw, check,
+             tag=lambda name, n, trial, index: (name, n, index + 1)):
+    """The failures of a suite whose trials are checked in batches.
 
+    Trial i at the j-th n of dims has the index j * trials + i that every
+    count-based suite hands _trial_rng; draw(its generator, n, i, index)
+    returns its (key, item_bytes, arrays).  The trials of a key gather in a
+    group while one more fits in _CHUNK_BYTES at item_bytes each, and until
+    n changes; check(t, n, key, *arrays stacked over the group) returns the
+    group's comparisons in check order, as (name, failing, lhs, rhs, tol).
+    Failures, tagged tag(name, n, i, index), come back by trial index, then
+    by check position, as if each trial had been checked alone.
+    """
+    sid = _SUITE_IDS[suite]
+    found = []
 
-def _flag(found, failing, lhs, rhs, tol, where):
-    """Record a failure for each flagged item of a batched check; where(i)
-    gives the item's (sort key, tag)."""
-    for i in np.flatnonzero(failing):
-        key, tag = where(i)
-        found.append((key, Failure(_digest(*tag), float(lhs[i]), float(rhs[i]), tol)))
+    def run(n, key, group):
+        where, items = zip(*group)
+        stacks = map(np.array, zip(*items))
+        for position, (name, failing, lhs, rhs, tol) in enumerate(check(t, n, key, *stacks)):
+            lhs, rhs = np.broadcast_arrays(lhs, rhs)
+            for i in np.flatnonzero(failing):
+                trial, index = where[i]
+                failure = Failure(_digest(*tag(name, n, trial, index)), float(lhs[i]), float(rhs[i]), tol)
+                found.append(((index, position), failure))
 
-
-def _in_order(found):
-    """The failures of (sort key, failure) pairs, by key."""
+    for n_index, n in enumerate(dims):
+        groups = {}
+        for trial in range(trials):
+            index = n_index * trials + trial
+            key, item_bytes, item = draw(_trial_rng(seed, sid, index), n, trial, index)
+            group = groups.setdefault(key, [])
+            group.append(((trial, index), item))
+            if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
+                run(n, key, groups.pop(key))
+        for key, group in groups.items():
+            run(n, key, group)
     return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
+
+
+def _closes(name, lhs, rhs, tol):
+    """A batched _close, as a check of _batched returns it."""
+    return name, _close_fails(lhs, rhs, tol), lhs, rhs, tol
+
+
+def _at_mosts(name, lhs, rhs, tol):
+    """A batched _at_most, as a check of _batched returns it."""
+    return name, _at_most_fails(lhs, rhs, tol), lhs, rhs, tol
+
+
+# squared norms of stacked dense values, and of stacked p-forms or so(n) elements
+_dense_norms = _KINDS[Tensor0k].norm_sqs
+_compact_norms = _KINDS[PForm].norm_sqs
+
+
+def _max_abs(values):
+    """Largest absolute entry of each of stacked arrays."""
+    return np.abs(values).max(axis=tuple(range(1, values.ndim)))
+
+
+def _ric_rows(cls, mats, values, n, degree=None):
+    """ric_of stacked operator matrices (None for the identity) on stacked
+    values of kind cls, stored as the kind stores them and shaped as values,
+    and the block rows it came from."""
+    kind = _KINDS[cls]
+    p, k = kind.slots(degree)
+    rows = _block_rows(values.reshape(len(values), -1), n, p, k)
+    return kind.stored(_rics(mats, rows, n, p, k).reshape(values.shape), "Ricci curvature"), rows
 
 
 def _bianchi_decompose(raw, n):
@@ -406,50 +458,49 @@ def suite_tensor_core(seed, trials, tol):
 
 def suite_prop_1_2(seed, trials, tol):
     """The action commutes with slot permutations; Leibniz rule for KN."""
-    failures = []
     t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["prop-1.2"]
-    count = 0
-    for n in range(3, 8):
-        for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            k = int(rng.integers(2, 5))
-            lam = random_so(rng, n)
-            tt = random_tensor(rng, n, k)
-            sigma = tuple(rng.permutation(k))
-            left = so_act(lam, permute(tt, sigma))
-            right = permute(so_act(lam, tt), sigma)
-            _close(failures, ("permute", n, count), float(np.abs(left.array - right.array).max()), 0.0, t)
-            s, u = random_sym2(rng, n), random_sym2(rng, n)
-            lhs = so_act(lam, kulkarni_nomizu(s, u))
-            rhs = kulkarni_nomizu(so_act(lam, s), u).array + kulkarni_nomizu(s, so_act(lam, u)).array
-            _close(failures, ("leibniz", n, count), float(np.abs(lhs.array - rhs).max()), 0.0, t)
-    return failures
+    return _batched(seed, "prop-1.2", trials, t, range(3, 8), _draw_prop_1_2, _check_prop_1_2)
+
+
+def _draw_prop_1_2(rng, n, trial, index):
+    k = int(rng.integers(2, 5))
+    lam = rng.normal(size=wedge_count(n))
+    tt = rng.normal(size=(n,) * k)
+    sigma = tuple(rng.permutation(k).tolist())
+    return sigma, 8 * n ** 4, (lam, tt, _sym_draw(rng, n), _sym_draw(rng, n))
+
+
+def _check_prop_1_2(t, n, sigma, lam, tt, s, u):
+    # permute by sigma transposes by its inverse, behind the stacking axis
+    axes = (0,) + tuple(1 + np.argsort(sigma))
+    left = _KINDS[Tensor0k].acted(lam, tt.transpose(axes), n, len(sigma))
+    right = _KINDS[Tensor0k].acted(lam, tt, n, len(sigma)).transpose(axes)
+    lhs = _KINDS[CurvTensor].acted(lam, _kn(s, u), n)
+    rhs = _kn(_KINDS[Sym2].acted(lam, s, n), u) + _kn(s, _KINDS[Sym2].acted(lam, u, n))
+    return [
+        _closes("permute", _max_abs(left - right), 0.0, t),
+        _closes("leibniz", _max_abs(lhs - rhs), 0.0, t),
+    ]
 
 
 def suite_prop_1_3(seed, trials, tol):
     """The action of so(n) on symmetric tensors is trace free; the metric is
     killed outright."""
-    failures = []
     t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["prop-1.3"]
-    count = 0
-    for n in range(3, 8):
-        for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            lam = random_so(rng, n)
-            h = random_sym2(rng, n)
-            _close(failures, ("trace", n, count), so_act(lam, h).trace(), 0.0, t)
-            _close(
-                failures,
-                ("metric", n, count),
-                so_act(lam, identity_sym2(n)).norm_sq(),
-                0.0,
-                t,
-            )
-    return failures
+    return _batched(seed, "prop-1.3", trials, t, range(3, 8), _draw_prop_1_3, _check_prop_1_3)
+
+
+def _draw_prop_1_3(rng, n, trial, index):
+    lam = rng.normal(size=wedge_count(n))
+    return None, 8 * n * n, (lam, _sym_draw(rng, n))
+
+
+def _check_prop_1_3(t, n, key, lam, h):
+    metric = np.broadcast_to(np.eye(n), h.shape)
+    return [
+        _closes("trace", np.trace(_KINDS[Sym2].acted(lam, h, n), axis1=1, axis2=2), 0.0, t),
+        _closes("metric", _dense_norms(_KINDS[Sym2].acted(lam, metric, n)), 0.0, t),
+    ]
 
 
 def suite_prop_1_6(seed, trials, tol):
@@ -473,123 +524,100 @@ def suite_prop_1_6(seed, trials, tol):
 def suite_prop_1_7(seed, trials, tol):
     """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
     and the hat norm identity."""
-    failures = []
     t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["prop-1.7"]
-    for n_index, n in enumerate(range(3, 8)):
-        draws = []
-        for trial in range(trials):
-            rng = _trial_rng(seed, sid, n_index * trials + trial)
-            draws.append((random_sym2(rng, n), random_so(rng, n)))
-        vals_all, vecs_all = jacobi_eigh_batch(np.array([h.mat for h, _ in draws]))
-        for trial, (h, lam) in enumerate(draws):
-            lhs = so_act(lam, h).norm_sq()
-            vals, vecs = vals_all[trial], vecs_all[trial]
-            gram = vecs.T @ lam.matrix() @ vecs
-            rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
-            _close(failures, ("eigen-norm", n, trial), lhs, rhs, t)
-            spread = float(vals[-1] - vals[0])
-            _at_most(failures, ("spread-bound", n, trial), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
-            hat_sq = hat_norm_sq(h)
-            _close(
-                failures,
-                ("hat-norm", n, trial),
-                hat_sq,
-                2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2,
-                t,
-            )
-            _close(
-                failures,
-                ("hat-traceless", n, trial),
-                hat_sq,
-                2.0 * n * h.traceless().norm_sq(),
-                t,
-            )
-    return failures
+    return _batched(seed, "prop-1.7", trials, t, range(3, 8), _draw_prop_1_7, _check_prop_1_7,
+                    lambda name, n, trial, index: (name, n, trial))
+
+
+def _draw_prop_1_7(rng, n, trial, index):
+    h = _sym_draw(rng, n)
+    return None, 8 * wedge_count(n) * n * n, (h, rng.normal(size=wedge_count(n)))
+
+
+def _check_prop_1_7(t, n, key, h, lam):
+    vals, vecs = jacobi_eigh_batch(h)
+    lhs = _dense_norms(_KINDS[Sym2].acted(lam, h, n))
+    gram = vecs.swapaxes(1, 2) @ _action_matrices(lam, n, 1) @ vecs
+    rhs = np.sum((vals[:, :, None] - vals[:, None, :]) ** 2 * gram * gram, axis=(1, 2))
+    spread = vals[:, -1] - vals[:, 0]
+    hat_sq = _hat_norms_consuming(_block_rows(h.reshape(len(h), -1), n, 1, 2))
+    trace = np.trace(h, axis1=1, axis2=2)
+    return [
+        _closes("eigen-norm", lhs, rhs, t),
+        _at_mosts("spread-bound", lhs, 2.0 * spread ** 2 * _compact_norms(lam), t),
+        _closes("hat-norm", hat_sq, 2.0 * n * _dense_norms(h) - 2.0 * trace ** 2, t),
+        _closes("hat-traceless", hat_sq, 2.0 * n * _dense_norms(_traceless(h)), t),
+    ]
 
 
 def suite_prop_1_9(seed, trials, tol):
     """Self-adjointness: the Ricci pairing equals the curvature term for
     every supported tensor kind."""
-    failures = []
     t = tol if tol is not None else 1e-10
-    sid = _SUITE_IDS["prop-1.9"]
-    count = 0
-    for n in range(3, 8):
-        for trial in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            r = random_sym_operator(rng, n)
-            which = trial % 4
-            if which == 0:
-                k = int(rng.integers(1, 4))
-                s, u = random_tensor(rng, n, k), random_tensor(rng, n, k)
-            elif which == 1:
-                s, u = random_sym2(rng, n), random_sym2(rng, n)
-            elif which == 2:
-                p = int(rng.integers(1, n))
-                s, u = random_pform(rng, n, p), random_pform(rng, n, p)
-            else:
-                s = tensor_from_op(random_sym_operator(rng, n))
-                u = tensor_from_op(random_sym_operator(rng, n))
-            lhs = inner(ric_of(r, s), u)
-            rhs = curvature_term(r, s, u)
-            _close(failures, ("adjoint", n, count, which), lhs, rhs, t)
-    return failures
+    return _batched(seed, "prop-1.9", trials, t, range(3, 8), _draw_prop_1_9, _check_prop_1_9,
+                    lambda name, n, trial, index: (name, n, index + 1, trial % 4))
+
+
+def _draw_prop_1_9(rng, n, trial, index):
+    # trials take the kinds in turn: (0,k)-tensors, symmetric tensors,
+    # p-forms and the curvature tensors of operator matrices
+    size = wedge_count(n)
+    r = _sym_draw(rng, size)
+    which = trial % 4
+    if which in (0, 2):
+        degree = int(rng.integers(1, 4 if which == 0 else n))
+        shape = (n,) * degree if which == 0 else math.comb(n, degree)
+        s, u = rng.normal(size=shape), rng.normal(size=shape)
+    else:
+        degree, m = 0, n if which == 1 else size
+        s, u = _sym_draw(rng, m), _sym_draw(rng, m)
+        if which == 3:
+            s, u = _tensors_from_ops(s, n), _tensors_from_ops(u, n)
+    return (which, degree), 8 * size * s.size, (r, s, u)
+
+
+def _check_prop_1_9(t, n, key, r, s, u):
+    which, degree = key
+    cls = (Tensor0k, Sym2, PForm, CurvTensor)[which]
+    ric, rows_s = _ric_rows(cls, r, s, n, degree)
+    rows_u = _block_rows(u.reshape(len(u), -1), n, *_KINDS[cls].slots(degree))
+    lhs = np.sum(ric * u, axis=tuple(range(1, u.ndim)))
+    return [_closes("adjoint", lhs, _terms(r, rows_s, rows_u), t)]
 
 
 def suite_prop_2_8(seed, trials, tol):
     """Identity-operator Ricci curvature on symmetric tensors, forms, and
     curvature tensors, with the hat-norm consequences."""
-    failures = []
     t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["prop-2.8"]
-    count = 0
-    for n in range(3, 8):
-        ident = identity_operator(n)
-        g = identity_sym2(n)
-        for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            h = random_sym2(rng, n)
-            got = ric_of(ident, h)
-            want = 2.0 * n * h.traceless().mat
-            _close(failures, ("sym2", n, count), float(np.abs(got.mat - want).max()), 0.0, t)
-            p = int(rng.integers(1, n))
-            w = random_pform(rng, n, p)
-            got_w = ric_of(ident, w)
-            _close(
-                failures,
-                ("pform", n, count),
-                float(np.abs(got_w.comps - p * (n - p) * w.comps).max()),
-                0.0,
-                t,
-            )
-            _close(failures, ("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
-            rb = random_bianchi_operator(rng, n)
-            rm = tensor_from_op(rb)
-            ric, scal = ricci_contract(rb)
-            got_rm = ric_of(ident, rm)
-            want_rm = 4.0 * (n - 1) * rm.array - 2.0 * kulkarni_nomizu(g, ric).array
-            _close(failures, ("curv", n, count), float(np.abs(got_rm.array - want_rm).max()), 0.0, t)
-            ric0 = ric.traceless()
-            rm0_sq = rm.norm_sq() - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
-            _close(
-                failures,
-                ("hat-rm", n, count),
-                hat_norm_sq(rm),
-                4.0 * (n - 1) * rm0_sq - 8.0 * ric0.norm_sq(),
-                t,
-            )
-            r0_sq = rb.traceless().norm_sq()
-            _close(
-                failures,
-                ("hat-op", n, count),
-                hat_norm_sq(rb),
-                4.0 * (n - 1) * r0_sq - 2.0 * ric0.norm_sq(),
-                t,
-            )
-    return failures
+    return _batched(seed, "prop-2.8", trials, t, range(3, 8), _draw_prop_2_8, _check_prop_2_8)
+
+
+def _draw_prop_2_8(rng, n, trial, index):
+    h = _sym_draw(rng, n)
+    p = int(rng.integers(1, n))
+    w = rng.normal(size=math.comb(n, p))
+    # a curvature tensor's block rows are the largest array
+    return p, 8 * wedge_count(n) * n ** 4, (h, w, _sym_draw(rng, wedge_count(n)))
+
+
+def _check_prop_2_8(t, n, p, h, w, raw):
+    ric_h, _ = _ric_rows(Sym2, None, h, n)
+    ric_w, rows_w = _ric_rows(PForm, None, w, n, p)
+    rb, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
+    rm = _tensors_from_ops(rb, n)
+    ric_rm, rows_rm = _ric_rows(CurvTensor, None, rm, n)
+    want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
+    rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
+    ric0_sq = _dense_norms(ric0)
+    hat_op = _hat_norms_consuming(_block_rows(rb.reshape(len(rb), -1), n, 2, 2))
+    return [
+        _closes("sym2", _max_abs(ric_h - 2.0 * n * _traceless(h)), 0.0, t),
+        _closes("pform", _max_abs(ric_w - p * (n - p) * w), 0.0, t),
+        _closes("pform-hat", _hat_norms_consuming(rows_w), p * (n - p) * _compact_norms(w), t),
+        _closes("curv", _max_abs(ric_rm - want_rm), 0.0, t),
+        _closes("hat-rm", _hat_norms_consuming(rows_rm), 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
+        _closes("hat-op", hat_op, 4.0 * (n - 1) * _dense_norms(_traceless(rb)) - 2.0 * ric0_sq, t),
+    ]
 
 
 def suite_ric_closed_form(seed, trials, tol):
@@ -783,98 +811,61 @@ def suite_spectrum(seed, trials, tol):
 
 def suite_lemma_2_2(seed, trials, tol):
     """Action-norm inequalities for every tensor kind, including both KN
-    corollary forms.  Trials are grouped by case and by order or degree and
-    checked in batches."""
+    corollary forms.  Trials are grouped by case and by order or degree."""
     t = tol if tol is not None else 1e-10
-    sid = _SUITE_IDS["lemma-2.2"]
-    found = []
-    count = 0
-    for n in (3, 4, 5, 6):
-        size = wedge_count(n)
-        # no draw or intermediate of a trial is larger than a (0,4)-tensor
-        for chunk in _chunks(trials, 8 * n ** 4):
-            groups = {}
-            for _ in range(trials)[chunk]:
-                rng = _trial_rng(seed, sid, count)
-                count += 1
-                lam = rng.normal(size=size)
-                case = count % 5
-                if case == 0:
-                    k = int(rng.integers(1, 5))
-                    key, draw = (0, k), rng.normal(size=(n,) * k)
-                elif case == 1:
-                    key, draw = (1, 0), _sym_draw(rng, n)
-                elif case == 2:
-                    p = int(rng.integers(1, n))
-                    key, draw = (2, p), rng.normal(size=math.comb(n, p))
-                elif case == 3:
-                    key, draw = (3, 0), _sym_draw(rng, size)
-                else:
-                    key, draw = (4, 0), (_sym_draw(rng, n), _sym_draw(rng, size))
-                groups.setdefault(key, []).append((count, lam, draw))
-            for (case, degree), group in groups.items():
-                _lemma_2_2_batch(found, n, case, degree, group, t)
-    return _in_order(found)
+    return _batched(seed, "lemma-2.2", trials, t, (3, 4, 5, 6), _draw_lemma_2_2, _check_lemma_2_2)
 
 
-def _lemma_2_2_batch(found, n, case, degree, group, t):
-    """The checks of one lemma-2.2 case on a batch of (count, lam, draw)."""
-    counts = [count for count, _, _ in group]
-    lam = np.array([lam for _, lam, _ in group])
-    # so(n) is wedge space, so an element's norm is its 2-form's
-    lam_sq = _KINDS[PForm].norm_sqs(lam)
-    g = np.eye(n)
-
-    def check(name, position, failing, lhs, rhs):
-        _flag(found, failing, lhs, rhs, t,
-              lambda i: ((counts[i], position), (name, n, counts[i])))
-
-    def norms(cls, values):
-        return _KINDS[cls].norm_sqs(values)
-
-    def acted_norms(cls, values, degree=None):
-        # so_act on each of the stacked values, with its checks
-        kind = _KINDS[cls]
-        out = kind.acted(lam, values.reshape(len(group), -1), n, *kind.slots(degree))
-        return kind.norm_sqs(out.reshape(values.shape))
-
-    if case == 4:
-        h = np.array([draw[0] for _, _, draw in group])
-        raw = np.array([draw[1] for _, _, draw in group])
-    else:
-        draws = np.array([draw for _, _, draw in group])
+def _draw_lemma_2_2(rng, n, trial, index):
+    size = wedge_count(n)
+    lam = rng.normal(size=size)
+    case = (index + 1) % 5
     if case == 0:
-        lhs = acted_norms(Tensor0k, draws, degree)
-        rhs = degree * degree * norms(Tensor0k, draws) * lam_sq
-        check("generic", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+        k = int(rng.integers(1, 5))
+        key, draw = (0, k), (rng.normal(size=(n,) * k),)
     elif case == 1:
-        lhs = acted_norms(Sym2, draws)
-        rhs = 4.0 * norms(Sym2, _traceless(draws)) * lam_sq
-        check("sym2", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+        key, draw = (1, 0), (_sym_draw(rng, n),)
     elif case == 2:
-        lhs = acted_norms(PForm, draws, degree)
-        rhs = min(degree, n - degree) * norms(PForm, draws) * lam_sq
-        check("pform", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
+        p = int(rng.integers(1, n))
+        key, draw = (2, p), (rng.normal(size=math.comb(n, p)),)
     elif case == 3:
-        lr = acted_norms(CurvatureOperator, draws)
-        r0 = _traceless(draws)
-        rhs = 8.0 * norms(CurvatureOperator, r0) * lam_sq
-        check("operator", 0, _at_most_fails(lr, rhs, t), lr, rhs)
-        lrm = acted_norms(CurvTensor, _tensors_from_ops(draws, n))
-        check("tensor-factor", 1, _close_fails(lrm, 4.0 * lr, t), lrm, 4.0 * lr)
-        rhs = 8.0 * norms(CurvTensor, _tensors_from_ops(r0, n)) * lam_sq
-        check("tensor", 2, _at_most_fails(lrm, rhs, t), lrm, rhs)
+        key, draw = (3, 0), (_sym_draw(rng, size),)
     else:
-        lhs = acted_norms(CurvTensor, _kn(g, h))
-        rhs = 4.0 * norms(CurvTensor, _kn(g, _traceless(h))) * lam_sq
-        check("kn", 0, _at_most_fails(lhs, rhs, t), lhs, rhs)
-        rb, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
-        bound = (
-            4.0 * norms(CurvTensor, _kn(g, ric0)) / (n - 2.0) ** 2
-            + 8.0 * norms(CurvTensor, weyl)
-        ) * lam_sq
-        lhs = acted_norms(CurvTensor, _tensors_from_ops(rb, n))
-        check("kn-curv", 1, _at_most_fails(lhs, bound, t), lhs, bound)
+        key, draw = (4, 0), (_sym_draw(rng, n), _sym_draw(rng, size))
+    # no array of a trial is larger than a (0,4)-tensor, and the check holds
+    # about four at once: the action's values and results and the Bianchi
+    # residuals of both
+    return key, 4 * 8 * n ** 4, (lam,) + draw
+
+
+def _check_lemma_2_2(t, n, key, lam, values, raw=None):
+    case, degree = key
+    lam_sq = _compact_norms(lam)
+    g = np.eye(n)
+    if case == 0:
+        lhs = _dense_norms(_KINDS[Tensor0k].acted(lam, values, n, degree))
+        return [_at_mosts("generic", lhs, degree * degree * _dense_norms(values) * lam_sq, t)]
+    if case == 1:
+        lhs = _dense_norms(_KINDS[Sym2].acted(lam, values, n))
+        return [_at_mosts("sym2", lhs, 4.0 * _dense_norms(_traceless(values)) * lam_sq, t)]
+    if case == 2:
+        lhs = _compact_norms(_KINDS[PForm].acted(lam, values, n, degree))
+        return [_at_mosts("pform", lhs, min(degree, n - degree) * _compact_norms(values) * lam_sq, t)]
+    if case == 3:
+        lr = _dense_norms(_KINDS[CurvatureOperator].acted(lam, values, n))
+        lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, _tensors_from_ops(values, n), n))
+        r0 = _traceless(values)
+        return [
+            _at_mosts("operator", lr, 8.0 * _dense_norms(r0) * lam_sq, t),
+            _closes("tensor-factor", lrm, 4.0 * lr, t),
+            _at_mosts("tensor", lrm, 8.0 * _dense_norms(_tensors_from_ops(r0, n)) * lam_sq, t),
+        ]
+    lhs = _dense_norms(_KINDS[CurvTensor].acted(lam, _kn(g, values), n))
+    rhs = 4.0 * _dense_norms(_kn(g, _traceless(values))) * lam_sq
+    rb, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
+    bound = (4.0 * _dense_norms(_kn(g, ric0)) / (n - 2.0) ** 2 + 8.0 * _dense_norms(weyl)) * lam_sq
+    lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, _tensors_from_ops(rb, n), n))
+    return [_at_mosts("kn", lhs, rhs, t), _at_mosts("kn-curv", lrm, bound, t)]
 
 
 def suite_lemma_2_2_sharpness(seed, trials, tol):
@@ -990,83 +981,85 @@ def suite_estimate_constants(seed, trials, tol):
 def suite_lemma_2_1_soundness(seed, trials, tol):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
-    positive case.  Trials are checked in batches, one kind (and degree) at
-    a time."""
+    positive case."""
     t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["lemma-2.1-soundness"]
-    kinds = ("pform", "sym2", "curvature_einstein", "weyl")
-    found = []
-    for n_index, n in enumerate((3, 4, 5, 6)):
-        size = wedge_count(n)
-        # the eigensolver's largest array holds each matrix and its vectors
-        for chunk in _chunks(trials, 16 * size * size):
-            window = range(trials)[chunk]
-            ops, shared, degrees, forms, syms, margins = [], [], [], [], [], []
-            for trial in window:
-                rng = _trial_rng(seed, sid, n_index * trials + trial)
-                ops.append(_sym_draw(rng, size))
-                # the kinds draw in turn: a form and its margin, a symmetric
-                # tensor and its margin, then the margins of the two
-                # curvature kinds, which share one decomposed operator
-                rng = _trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
-                shared.append(_sym_draw(rng, size))
-                degrees.append(int(rng.integers(1, n)))
-                forms.append(rng.normal(size=math.comb(n, degrees[-1])))
-                margin = [_margin(rng)]
-                syms.append(_sym_draw(rng, n))
-                margins.append(margin + [_margin(rng), _margin(rng), _margin(rng)])
-            ops = np.array(ops)
-            ops -= _alternating_parts(ops, n)
-            vals = jacobi_eigh_batch(ops)[0]
-            margins = np.array(margins)
+    rng_at = functools.partial(_trial_rng, seed, _SUITE_IDS["lemma-2.1-soundness"])
+    return _batched(seed, "lemma-2.1-soundness", trials, t, (3, 4, 5, 6),
+                    functools.partial(_draw_lemma_2_1, rng_at), _check_lemma_2_1,
+                    lambda name, n, trial, index: (name[0], n, trial, name[1]))
 
-            def check(kind_index, kind, picked, values, cls, degree=None):
-                # the four checks of one kind on the trials picked from the
-                # window, their tensors stacked flat values of class cls
-                c = estimate_constant(kind, n)
-                floor_c = math.floor(c)
-                average = np.sum(vals[picked, :floor_c], axis=-1) / floor_c
-                kappa = np.minimum(0.0, average) - margins[picked, kind_index]
-                low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
-                rows = _block_rows(values, n, *_KINDS[cls].slots(degree))
-                lhs = _terms(ops[picked], rows, rows)
-                hat_sq = _hat_norms_consuming(rows)
-                rhs, ok = _direct_check(lhs, hat_sq, kappa)
-                # the tightest certified coefficient also works
-                rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound))
-                floor_bound = low / c * hat_sq
-                where = [(window[i], kinds[kind_index]) for i in picked]
 
-                def flag(name, position, failing, lhs, rhs, tol):
-                    _flag(found, failing, lhs, rhs, tol, lambda i: (
-                        (n_index, where[i][0], kind_index, position),
-                        (name, n) + where[i],
-                    ))
+def _draw_lemma_2_1(rng_at, rng, n, trial, index):
+    size = wedge_count(n)
+    op = _sym_draw(rng, size)
+    # the kinds draw in turn from a second stream: a form and its margin, a
+    # symmetric tensor and its margin, then the margins of the two
+    # curvature kinds, which share one decomposed operator; the form sits
+    # zero-padded in a row long enough for every degree
+    rng = rng_at(10_000_000 + index)
+    shared = _sym_draw(rng, size)
+    p = int(rng.integers(1, n))
+    form = np.zeros(math.comb(n, n // 2))
+    form[:math.comb(n, p)] = rng.normal(size=math.comb(n, p))
+    margins = [_margin(rng)]
+    sym = _sym_draw(rng, n)
+    margins += [_margin(rng), _margin(rng), _margin(rng)]
+    # a symmetric tensor's block rows outgrow the eigensolver's matrix and
+    # vectors, and every other array but the curvature kinds' rows
+    return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
 
-                zeros = np.zeros(len(picked))
-                flag("holds", 0, ~holds, zeros, zeros, 0.0)
-                flag("direct", 1, ~ok, lhs, rhs, t)
-                flag("direct-tight", 2, ~ok2, lhs, rhs2, t)
-                failing = vanishing & _at_most_fails(floor_bound, lhs, t)
-                flag("positive", 3, failing, floor_bound, lhs, t)
 
-            for p in sorted(set(degrees)):
-                picked = np.flatnonzero(np.array(degrees) == p)
-                values = np.array([forms[i] for i in picked])
-                for part in _chunks(len(picked), 8 * size * values.shape[1]):
-                    check(0, TensorKind.pform(p), picked[part], values[part], PForm, p)
-            picked = np.arange(len(window))
-            syms = np.array(syms).reshape(len(window), -1)
-            for part in _chunks(len(window), 8 * size * n * n):
-                check(1, TensorKind.sym2(), picked[part], syms[part], Sym2)
-            shared = np.array(shared)
-            for part in _chunks(len(window), 8 * size * n ** 4):
-                _, (scal, _, _, weyl) = _bianchi_decompose(shared[part], n)
-                einstein = _einstein_part(scal, weyl)
-                check(2, TensorKind.curvature_einstein(), picked[part],
-                      einstein.reshape(len(weyl), -1), CurvTensor)
-                check(3, TensorKind.weyl(), picked[part], weyl.reshape(len(weyl), -1), CurvTensor)
-    return _in_order(found)
+def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
+    ops = raw - _alternating_parts(raw, n)
+    vals = jacobi_eigh_batch(ops)[0]
+    every = slice(None)
+    kinds = [(TensorKind.pform(p), np.flatnonzero(degrees == p)) for p in np.unique(degrees).tolist()]
+    terms = [_direct_terms(ops[i], forms[i, :math.comb(n, kind.p)], n, kind.p, 1) for kind, i in kinds]
+    kinds += [(TensorKind.sym2(), every), (TensorKind.curvature_einstein(), every), (TensorKind.weyl(), every)]
+    terms += [_direct_terms(ops, syms.reshape(len(ops), -1), n, 1, 2), *_curvature_terms(ops, shared, n)]
+    checks = []
+    for (kind, picked), (lhs, hat_sq) in zip(kinds, terms):
+        c = estimate_constant(kind, n)
+        floor_c = math.floor(c)
+        margin = margins[picked, ("pform", "sym2", "curvature_einstein", "weyl").index(kind.name)]
+        kappa = np.minimum(0.0, np.sum(vals[picked, :floor_c], axis=-1) / floor_c) - margin
+        low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
+        rhs, ok = _direct_check(lhs, hat_sq, kappa)
+        # the tightest certified coefficient also works
+        rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound))
+        floor_bound = low / c * hat_sq
+        zeros = np.zeros(len(lhs))
+        for name, failing, left, right, tol in (
+            ("holds", ~holds, zeros, zeros, 0.0),
+            ("direct", ~ok, lhs, rhs, t),
+            ("direct-tight", ~ok2, lhs, rhs2, t),
+            ("positive", vanishing & _at_most_fails(floor_bound, lhs, t), floor_bound, lhs, t),
+        ):
+            # a check of the picked trials, spread over the group
+            spread = np.zeros((3, len(ops)))
+            spread[:, picked] = failing, left, right
+            checks.append(((name, kind.name), spread[0] != 0.0, spread[1], spread[2], tol))
+    return checks
+
+
+def _direct_terms(mats, values, n, p, k):
+    """Curvature terms <R(hat T), hat T> under stacked operator matrices and
+    squared hat norms of stacked flat k-slot values over Lambda^p."""
+    rows = _block_rows(values, n, p, k)
+    return _terms(mats, rows, rows), _hat_norms_consuming(rows)
+
+
+def _curvature_terms(ops, shared, n):
+    """_direct_terms of the Einstein parts and of the Weyl tensors of the
+    Bianchi parts of stacked shared draws.  A (0,4)-tensor's block rows are
+    too large to build for a whole group, so they come a budget at a time."""
+    size = max(1, _CHUNK_BYTES // (8 * wedge_count(n) * n ** 4))
+    parts = []
+    for start in range(0, len(ops), size):
+        _, (scal, _, _, weyl) = _bianchi_decompose(shared[start:start + size], n)
+        for values in (_einstein_part(scal, weyl), weyl):
+            parts.append(_direct_terms(ops[start:start + size], values.reshape(len(weyl), -1), n, 1, 4))
+    return [[np.concatenate(side) for side in zip(*parts[kind::2])] for kind in (0, 1)]
 
 
 def _margin(rng):

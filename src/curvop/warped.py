@@ -242,6 +242,13 @@ class ShootResult:
     status: str
 
 
+def _check_step(step, t_max):
+    """Raise ValueError unless the step and the time span are positive and
+    finite, so that t_max / step is a finite step count."""
+    if not (0.0 < step < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError(f"step and t_max must be positive and finite, got {step} and {t_max}")
+
+
 def integrate_warp_ode(n, x0, y0, step, t_max):
     """Fixed-step classical Runge-Kutta integration of the profile ODE.
 
@@ -250,8 +257,7 @@ def integrate_warp_ode(n, x0, y0, step, t_max):
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
-    if step <= 0 or t_max <= 0:
-        raise ValueError("step and t_max must be positive")
+    _check_step(step, t_max)
     if x0 <= 0:
         raise ValueError(f"x must start positive, got {x0}")
     states = [OdeState(0.0, float(x0), float(y0))]
@@ -297,6 +303,7 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     limit = 0.5 * (n - 2)
     if x0 * x0 > limit * (1.0 + 1e-12):
         raise ValueError(f"x0^2 must be at most (n-2)/2 = {limit}, got {x0 * x0}")
+    _check_step(step, t_max)
     states = [OdeState(0.0, float(x0), 0.0)]
     x, y = float(x0), 0.0
     steps = int(round(t_max / step))

@@ -431,7 +431,8 @@ class TestStackedKernels:
             for t in tensors:
                 kind, values, p, k = _layout(t)
                 stack = np.stack([values] * 3)
-                acted = kind.acted(np.stack([lam.comps] * 3), stack, n, p, k)
+                shaped = np.stack([getattr(t, kind.values)] * 3)
+                acted = kind.acted(np.stack([lam.comps] * 3), shaped, n, degree(t))
                 assert acted[1].tobytes() == _layout(so_act(lam, t))[1].tobytes()
                 assert kind.norm_sqs(acted)[0] == so_act(lam, t).norm_sq()
                 assert kind.norm_sqs(stack)[2] == t.norm_sq()
@@ -439,6 +440,11 @@ class TestStackedKernels:
                 term = _terms(np.stack([r.mat] * 3), rows, rows)
                 assert term[2] == curvature_term(r, t, t)
                 assert _hat_norms_consuming(rows)[0] == hat_norm_sq(t)
+
+
+def degree(t):
+    """A form's p or a (0,k)-tensor's k; None for the kinds of fixed degree."""
+    return getattr(t, "p", getattr(t, "k", None))
 
 
 def corrupted_act(monkeypatch, delta, when=lambda p, k: True):
@@ -463,47 +469,46 @@ class TestActionGuards:
     do, for one tensor and for a stack alike."""
 
     def test_asymmetric_results_raise(self, monkeypatch):
-        from curvop.action import _layout
+        from curvop.action import _KINDS
 
         rng = np.random.default_rng(21)
         corrupted_act(monkeypatch, 1e-3)
         lam = rand_so(rng, 4)
         for t in (rand_sym2(rng, 4), random_sym_operator(rng, 4)):
-            kind, values, p, k = _layout(t)
+            kind = _KINDS[type(t)]
             with pytest.raises(ValueError, match="not symmetric"):
                 so_act(lam, t)
             with pytest.raises(ValueError, match="not symmetric"):
-                kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+                kind.acted(np.stack([lam.comps] * 2), np.stack([getattr(t, kind.values)] * 2), 4)
 
     def test_lost_bianchi_identity_raises(self, monkeypatch):
-        from curvop.action import _layout
+        from curvop.action import _KINDS
 
         rng = np.random.default_rng(22)
         corrupted_act(monkeypatch, 1e-3)
         lam = rand_so(rng, 4)
         rm = tensor_from_op(random_bianchi_operator(rng, 4))
-        kind, values, p, k = _layout(rm)
         with pytest.raises(AssertionError, match="Bianchi"):
             so_act(lam, rm)
         with pytest.raises(AssertionError, match="Bianchi"):
-            kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+            _KINDS[CurvTensor].acted(np.stack([lam.comps] * 2), np.stack([rm.array] * 2), 4)
         # a tensor without the identity has none to lose
         generic = tensor_from_op(random_sym_operator(rng, 4))
         assert not generic.bianchi
         so_act(lam, generic)
 
     def test_non_finite_results_raise(self, monkeypatch):
-        from curvop.action import _layout
+        from curvop.action import _KINDS
 
         rng = np.random.default_rng(23)
         corrupted_act(monkeypatch, np.nan)
         lam = rand_so(rng, 4)
         for t in (Tensor0k(rng.normal(size=(4, 4, 4))), PForm(4, 2, rng.normal(size=6))):
-            kind, values, p, k = _layout(t)
+            kind = _KINDS[type(t)]
             with pytest.raises(ValueError, match="finite"):
                 so_act(lam, t)
             with pytest.raises(ValueError, match="finite"):
-                kind.acted(np.stack([lam.comps] * 2), np.stack([values] * 2), 4, p, k)
+                kind.acted(np.stack([lam.comps] * 2), np.stack([getattr(t, kind.values)] * 2), 4, degree(t))
 
     def test_batched_lemma_2_2_raises(self, monkeypatch):
         from curvop.verify import run_suite

@@ -302,6 +302,31 @@ class TestUsage:
     def test_unknown_flag_exits_two(self, capsys):
         assert run(capsys, "verify", "--nope")[0] == 2
 
+    @pytest.mark.parametrize(
+        "env, argv, code, message",
+        [
+            ({}, ("verify", "--suite", "prop-1.1", "--trials", "-3"), 2, "--trials must be at least 1"),
+            ({}, ("verify", "--suite", "prop-1.1", "--trials", "0"), 2, "--trials must be at least 1"),
+            ({}, ("verify", "--suite", "prop-1.1", "--tol", "nan"), 2, "--tol must be finite"),
+            ({}, ("verify", "--suite", "prop-1.1", "--tol", "inf"), 2, "--tol must be finite"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "0"), 2, "positive and finite"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "inf"), 2, "positive and finite"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--tmax", "nan"), 2, "positive and finite"),
+            ({"CURVOP_MAX_N": "abc"}, ("verify", "--suite", "exact-values"), 1,
+             "CURVOP_MAX_N must be an integer, got 'abc'"),
+            ({}, ("catalog", "--name", "sphere-product", "--p", "9", "--n", "4"), 2, "sphere dimension"),
+            ({}, ("catalog", "--name", "extremal-pform", "--p", "9"), 2, "usage error"),
+        ],
+    )
+    def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, env, argv, code, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        got, _, err = run(capsys, *argv)
+        assert got == code, err
+        assert message in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1, err
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy serves only normal_h_term, so no command pays for its import
         src = str(Path(curvop.__file__).resolve().parents[1])

@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from curvop import verify
-from curvop.action import act_on_operator, hat_norm_sq, so_act
+from curvop.action import act_on_operator, curvature_term, hat_norm_sq, ric_of, so_act
 from curvop.bochner import TensorKind, direct_term_check, estimate_constant, lemma21_verdict
-from curvop.operators import Spectrum, decompose, jacobi_eigh_batch, tensor_from_op
-from curvop.tensors import CurvTensor, identity_sym2, kulkarni_nomizu
+from curvop.operators import (
+    Spectrum,
+    decompose,
+    identity_operator,
+    jacobi_eigh_batch,
+    ricci_contract,
+    tensor_from_op,
+)
+from curvop.tensors import CurvTensor, identity_sym2, inner, kulkarni_nomizu, permute
 from curvop.verify import (
     SUITES,
     Report,
@@ -215,6 +222,155 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
     return failures
 
 
+def reference_prop_1_2(seed, trials, tol):
+    """prop-1.2 one trial at a time through the single-object calls."""
+    failures = []
+    t = tol if tol is not None else 1e-12
+    sid = _SUITE_IDS["prop-1.2"]
+    count = 0
+    for n in range(3, 8):
+        for _ in range(trials):
+            rng = _trial_rng(seed, sid, count)
+            count += 1
+            k = int(rng.integers(2, 5))
+            lam = random_so(rng, n)
+            tt = random_tensor(rng, n, k)
+            sigma = tuple(rng.permutation(k))
+            left = so_act(lam, permute(tt, sigma))
+            right = permute(so_act(lam, tt), sigma)
+            _close(failures, ("permute", n, count), float(np.abs(left.array - right.array).max()), 0.0, t)
+            s, u = random_sym2(rng, n), random_sym2(rng, n)
+            lhs = so_act(lam, kulkarni_nomizu(s, u))
+            rhs = kulkarni_nomizu(so_act(lam, s), u).array + kulkarni_nomizu(s, so_act(lam, u)).array
+            _close(failures, ("leibniz", n, count), float(np.abs(lhs.array - rhs).max()), 0.0, t)
+    return failures
+
+
+def reference_prop_1_3(seed, trials, tol):
+    """prop-1.3 one trial at a time through the single-object calls."""
+    failures = []
+    t = tol if tol is not None else 1e-12
+    sid = _SUITE_IDS["prop-1.3"]
+    count = 0
+    for n in range(3, 8):
+        for _ in range(trials):
+            rng = _trial_rng(seed, sid, count)
+            count += 1
+            lam = random_so(rng, n)
+            h = random_sym2(rng, n)
+            _close(failures, ("trace", n, count), so_act(lam, h).trace(), 0.0, t)
+            _close(failures, ("metric", n, count), so_act(lam, identity_sym2(n)).norm_sq(), 0.0, t)
+    return failures
+
+
+def reference_prop_1_7(seed, trials, tol):
+    """prop-1.7 one trial at a time through the single-object calls (the
+    eigensolves batched, bit-identical to single ones)."""
+    failures = []
+    t = tol if tol is not None else 1e-9
+    sid = _SUITE_IDS["prop-1.7"]
+    for n_index, n in enumerate(range(3, 8)):
+        draws = []
+        for trial in range(trials):
+            rng = _trial_rng(seed, sid, n_index * trials + trial)
+            draws.append((random_sym2(rng, n), random_so(rng, n)))
+        vals_all, vecs_all = jacobi_eigh_batch(np.array([h.mat for h, _ in draws]))
+        for trial, (h, lam) in enumerate(draws):
+            lhs = so_act(lam, h).norm_sq()
+            vals, vecs = vals_all[trial], vecs_all[trial]
+            gram = vecs.T @ lam.matrix() @ vecs
+            rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
+            _close(failures, ("eigen-norm", n, trial), lhs, rhs, t)
+            spread = float(vals[-1] - vals[0])
+            _at_most(failures, ("spread-bound", n, trial), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
+            hat_sq = hat_norm_sq(h)
+            _close(failures, ("hat-norm", n, trial), hat_sq, 2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2, t)
+            _close(failures, ("hat-traceless", n, trial), hat_sq, 2.0 * n * h.traceless().norm_sq(), t)
+    return failures
+
+
+def reference_prop_1_9(seed, trials, tol):
+    """prop-1.9 one trial at a time through the single-object calls."""
+    failures = []
+    t = tol if tol is not None else 1e-10
+    sid = _SUITE_IDS["prop-1.9"]
+    count = 0
+    for n in range(3, 8):
+        for trial in range(trials):
+            rng = _trial_rng(seed, sid, count)
+            count += 1
+            r = random_sym_operator(rng, n)
+            which = trial % 4
+            if which == 0:
+                k = int(rng.integers(1, 4))
+                s, u = random_tensor(rng, n, k), random_tensor(rng, n, k)
+            elif which == 1:
+                s, u = random_sym2(rng, n), random_sym2(rng, n)
+            elif which == 2:
+                p = int(rng.integers(1, n))
+                s, u = random_pform(rng, n, p), random_pform(rng, n, p)
+            else:
+                s = tensor_from_op(random_sym_operator(rng, n))
+                u = tensor_from_op(random_sym_operator(rng, n))
+            lhs = inner(ric_of(r, s), u)
+            rhs = curvature_term(r, s, u)
+            _close(failures, ("adjoint", n, count, which), lhs, rhs, t)
+    return failures
+
+
+def reference_prop_2_8(seed, trials, tol):
+    """prop-2.8 one trial at a time through the single-object calls."""
+    failures = []
+    t = tol if tol is not None else 1e-9
+    sid = _SUITE_IDS["prop-2.8"]
+    count = 0
+    for n in range(3, 8):
+        ident = identity_operator(n)
+        g = identity_sym2(n)
+        for _ in range(trials):
+            rng = _trial_rng(seed, sid, count)
+            count += 1
+            h = random_sym2(rng, n)
+            got = ric_of(ident, h)
+            want = 2.0 * n * h.traceless().mat
+            _close(failures, ("sym2", n, count), float(np.abs(got.mat - want).max()), 0.0, t)
+            p = int(rng.integers(1, n))
+            w = random_pform(rng, n, p)
+            got_w = ric_of(ident, w)
+            _close(
+                failures,
+                ("pform", n, count),
+                float(np.abs(got_w.comps - p * (n - p) * w.comps).max()),
+                0.0,
+                t,
+            )
+            _close(failures, ("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
+            rb = random_bianchi_operator(rng, n)
+            rm = tensor_from_op(rb)
+            ric, scal = ricci_contract(rb)
+            got_rm = ric_of(ident, rm)
+            want_rm = 4.0 * (n - 1) * rm.array - 2.0 * kulkarni_nomizu(g, ric).array
+            _close(failures, ("curv", n, count), float(np.abs(got_rm.array - want_rm).max()), 0.0, t)
+            ric0 = ric.traceless()
+            rm0_sq = rm.norm_sq() - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
+            _close(
+                failures,
+                ("hat-rm", n, count),
+                hat_norm_sq(rm),
+                4.0 * (n - 1) * rm0_sq - 8.0 * ric0.norm_sq(),
+                t,
+            )
+            r0_sq = rb.traceless().norm_sq()
+            _close(
+                failures,
+                ("hat-op", n, count),
+                hat_norm_sq(rb),
+                4.0 * (n - 1) * r0_sq - 2.0 * ric0.norm_sq(),
+                t,
+            )
+    return failures
+
+
 def assert_same_failures(got, want):
     assert [f.digest for f in got] == [f.digest for f in want]
     for a, b in zip(got, want):
@@ -226,6 +382,11 @@ def assert_same_failures(got, want):
 REFERENCES = {
     "lemma-2.2": (reference_lemma_2_2, 25),
     "lemma-2.1-soundness": (reference_lemma_2_1_soundness, 20),
+    "prop-1.2": (reference_prop_1_2, 12),
+    "prop-1.3": (reference_prop_1_3, 12),
+    "prop-1.7": (reference_prop_1_7, 12),
+    "prop-1.9": (reference_prop_1_9, 16),
+    "prop-2.8": (reference_prop_2_8, 8),
 }
 
 
@@ -245,7 +406,10 @@ def test_batched_suite_matches_per_trial_reference(name, tol, seed, monkeypatch)
         assert want
 
 
-@pytest.mark.parametrize("name, trials", [("lemma-2.2", 50), ("lemma-2.1-soundness", 20)])
+@pytest.mark.parametrize(
+    "name, trials",
+    [("lemma-2.2", 50), ("lemma-2.1-soundness", 20), ("prop-2.8", 8), ("prop-1.9", 40)],
+)
 def test_suite_memory_flat_in_trials(name, trials, monkeypatch):
     # an eighth of the budget fills every chunk already at the smaller
     # count, so ten times the trials must not raise the traced peak
