@@ -15,26 +15,41 @@ import sys
 
 import numpy as np
 
-from . import catalog as cat
-from .action import curvature_term, hat_norm_sq
-from .bochner import TensorKind, betti_bound, betti_verdict, estimate_constant, lemma21_verdict
-from .opfile import _emit, dump_operator, load_operator
-from .operators import spectrum
-from .verify import SUITES, run_suite
-from .warped import dwp_eigenvalue_list, dwp_eigenvalues, ode_shoot, perturbed_profile, trajectory_scal
+from .opfile import _emit
+
+# Each command imports the modules it uses when it runs, so that a cold
+# start compiles and loads only those (no bytecode cache is assumed).
 
 
 class UsageError(Exception):
     """Bad names or parameter combinations; maps to exit code 2."""
 
 
+class WriteError(Exception):
+    """An output file that cannot be written; maps to exit code 1."""
+
+
 def _print_json(doc):
     sys.stdout.write(_emit(doc) + "\n")
+
+
+def _output(path, text):
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteError(path) from exc
 
 
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite
+
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.tol is not None and not math.isfinite(args.tol):
@@ -76,6 +91,10 @@ def _sym2_document(h) -> dict:
 
 
 def _build_catalog_entry(args):
+    from . import catalog as cat
+    from .action import curvature_term, hat_norm_sq
+    from .operators import spectrum
+
     name = args.name
     if name == "sphere-product":
         _need(args, "p", "n")
@@ -148,6 +167,9 @@ def _build_catalog_entry(args):
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat
+    from .opfile import dumps_operator
+
     if args.name == "extremal-pform":
         # form-only entry: no operator file, write the pair document directly
         _need(args, "p")
@@ -163,29 +185,22 @@ def cmd_catalog(args) -> int:
             "omega2": _form_document(w2),
             "rotation": {"comps": list(lam.comps)},
         }
-        text = _emit(doc) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _output(args.out, _emit(doc) + "\n")
         return 0
     try:
         op, meta, companions = _build_catalog_entry(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.out:
-        dump_operator(args.out, op, metadata=meta, companions=companions)
-    else:
-        from .opfile import dumps_operator
-
-        sys.stdout.write(dumps_operator(op, metadata=meta, companions=companions))
+    _output(args.out, dumps_operator(op, metadata=meta, companions=companions))
     return 0
 
 
 # -- spectrum / bochner -------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    from .operators import spectrum
+    from .opfile import load_operator
+
     op, _ = load_operator(args.file)
     s = spectrum(op)
     _print_json(
@@ -200,6 +215,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bochner(args) -> int:
+    from .bochner import TensorKind, betti_bound, betti_verdict, estimate_constant, lemma21_verdict
+    from .operators import spectrum
+    from .opfile import load_operator
+
     op, _ = load_operator(args.file)
     n = op.n
     s = spectrum(op)
@@ -252,18 +271,14 @@ def cmd_bochner(args) -> int:
 # -- warped / ode -------------------------------------------------------------
 
 def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # one %-template per line; "%.17g" formats each value as format(v, ".17g")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    _output(path, ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows))
 
 
 def cmd_warped(args) -> int:
+    from .warped import dwp_eigenvalue_list, dwp_eigenvalues, perturbed_profile
+
     try:
         profile = perturbed_profile(args.p, args.q, args.amp, args.center, args.width)
     except ValueError as exc:
@@ -286,6 +301,8 @@ def cmd_warped(args) -> int:
 
 
 def cmd_ode(args) -> int:
+    from .warped import ode_shoot, trajectory_scal
+
     try:
         result = ode_shoot(args.n, args.x0, step=args.step, t_max=args.tmax)
     except ValueError as exc:
@@ -295,9 +312,7 @@ def cmd_ode(args) -> int:
         return 1
     scal = trajectory_scal(args.n, result.states)
     header = ["t", "x", "y", "scal"]
-    rows = [
-        [state.t, state.x, state.y, scal[i]] for i, state in enumerate(result.states)
-    ]
+    rows = [[state.t, state.x, state.y, v] for state, v in zip(result.states, scal.tolist())]
     _write_rows(args.out, header, rows)
     t_cross, x1 = result.crossing
     print(f"crossing at t = {t_cross:.6f}, x = {x1:.12g}", file=sys.stderr)
@@ -378,6 +393,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except WriteError as exc:
+        print(f"cannot write {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 1

@@ -329,8 +329,7 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
 def trajectory_scal(n, result_states) -> np.ndarray:
     """Scalar curvature along a trajectory, with the curvature of the profile
     taken from the field itself."""
-    out = np.empty(len(result_states))
-    for i, state in enumerate(result_states):
-        _, dy = ode_rhs(n, state.x, state.y)
-        out[i] = scal_single_warped(n, state.x, state.y, dy)
-    return out
+    return np.array(
+        [scal_single_warped(n, s.x, s.y, ode_rhs(n, s.x, s.y)[1]) for s in result_states],
+        dtype=float,
+    )

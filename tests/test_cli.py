@@ -12,9 +12,17 @@ import pytest
 
 import curvop
 from curvop import CurvatureOperator, identity_operator
-from curvop.cli import main
+from curvop.cli import _write_rows, main
 from curvop.opfile import dump_operator, dumps_operator, load_operator, loads_operator
 from curvop.verify import random_sym_operator
+
+
+def reference_write_rows(header, rows):
+    """CSV text as the per-value join/format writer built it."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def run(capsys, *argv):
@@ -295,6 +303,30 @@ class TestOdeCommand:
         assert out.startswith("t,x,y,scal")
 
 
+class TestCsvRows:
+    def test_template_matches_reference_bytes(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        special = [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+            float("nan"), float("inf"), float("-inf"), 1, -7, 0, 2**53 + 1, 10**20,
+            np.float64(0.1), np.float64(-0.0), np.float64(5e-324), np.float64(-np.inf),
+            np.int64(3),
+        ]
+        spread = rng.standard_normal(400) * 10.0 ** rng.integers(-320, 300, 400)
+        values = special + spread.tolist() + list(spread[:80])
+        order = rng.permutation(len(values))
+        header = ["a", "b", "c", "d", "e"]
+        rows = [[values[i] for i in order[k:k + 5]] for k in range(0, len(values), 5)]
+        want = reference_write_rows(header, rows)
+        _write_rows(None, header, rows)
+        assert capsys.readouterr().out == want
+        path = tmp_path / "rows.csv"
+        _write_rows(str(path), header, rows)
+        assert path.read_bytes() == want.encode("utf-8")
+        _write_rows(None, header, [])
+        assert capsys.readouterr().out == reference_write_rows(header, [])
+
+
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         assert run(capsys, )[0] == 2
@@ -316,6 +348,14 @@ class TestUsage:
              "CURVOP_MAX_N must be an integer, got 'abc'"),
             ({}, ("catalog", "--name", "sphere-product", "--p", "9", "--n", "4"), 2, "sphere dimension"),
             ({}, ("catalog", "--name", "extremal-pform", "--p", "9"), 2, "usage error"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--samples", "3", "--out", "/nonexistent/o.csv"), 1,
+             "cannot write /nonexistent/o.csv"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-2", "--out", "/nonexistent/o.csv"), 1,
+             "cannot write /nonexistent/o.csv"),
+            ({}, ("catalog", "--name", "cp2", "--out", "/nonexistent/o.json"), 1,
+             "cannot write /nonexistent/o.json"),
+            ({}, ("catalog", "--name", "extremal-pform", "--p", "2", "--out", "/nonexistent/o.json"), 1,
+             "cannot write /nonexistent/o.json"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, env, argv, code, message):
@@ -327,13 +367,38 @@ class TestUsage:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1, err
 
-    def test_import_leaves_scipy_unloaded(self):
-        # scipy serves only normal_h_term, so no command pays for its import
-        src = str(Path(curvop.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, curvop.cli; print('scipy' in sys.modules)"
+    @pytest.mark.parametrize(
+        "statement, unloaded",
+        [
+            ("import curvop", "every submodule"),
+            ("import curvop.cli", ("action", "bochner", "catalog", "verify", "warped")),
+            ("from curvop.cli import main; assert main(['spectrum', {op!r}]) == 0",
+             ("action", "bochner", "catalog", "verify", "warped")),
+            ("from curvop.cli import main; "
+             "assert main(['ode', '--n', '4', '--x0', '0.5', '--step', '1e-2', '--out', {csv!r}]) == 0",
+             ("catalog", "verify")),
+        ],
+        ids=["import-curvop", "import-cli", "spectrum", "ode"],
+    )
+    def test_import_footprint(self, tmp_path, statement, unloaded):
+        # a cold start compiles every module it imports, so each command
+        # loads only its own; scipy serves only normal_h_term, so none of
+        # these pays for its import
+        package = Path(curvop.__file__).resolve().parent
+        if unloaded == "every submodule":
+            unloaded = [p.stem for p in package.glob("*.py") if not p.stem.startswith("__")]
+        op_path = tmp_path / "id.json"
+        dump_operator(op_path, identity_operator(4))
+        statement = statement.format(op=str(op_path), csv=str(tmp_path / "o.csv"))
+        code = (
+            f"{statement}\nimport json, sys\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('curvop.'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        loaded = set(json.loads(done.stdout.splitlines()[-1]))
+        assert "scipy" not in loaded
+        assert not loaded & {f"curvop.{name}" for name in unloaded}, sorted(loaded)

@@ -20,6 +20,15 @@ from curvop import (
 )
 
 
+def reference_trajectory_scal(n, states):
+    """The per-element loop trajectory_scal replaced."""
+    out = np.empty(len(states))
+    for i, state in enumerate(states):
+        _, dy = ode_rhs(n, state.x, state.y)
+        out[i] = scal_single_warped(n, state.x, state.y, dy)
+    return out
+
+
 class TestDwpEigenvalues:
     def test_round_gives_all_ones(self):
         for p in (2, 3, 4):
@@ -180,6 +189,15 @@ class TestOde:
         res = ode_shoot(5, 0.8, step=1e-3, t_max=20.0)
         scal = trajectory_scal(5, res.states)
         assert np.abs(scal - 8.0).max() <= 1e-6
+
+    def test_scal_matches_per_state_reference(self):
+        # one scalar call per state, so every value is bit-identical
+        for n, x0 in ((3, 0.3), (5, 0.8), (8, 0.5)):
+            states = ode_shoot(n, x0, step=1e-3, t_max=20.0).states
+            want = reference_trajectory_scal(n, states)
+            got = trajectory_scal(n, states)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert trajectory_scal(4, []).shape == (0,)
 
     def test_center_start_reports_no_crossing(self):
         n = 5
