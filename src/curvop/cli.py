@@ -48,10 +48,14 @@ def _output(path, text):
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .verify import SUITES, run_suite
+    from .verify import SUITES, _TRIAL_LIMIT, run_suite
 
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials is not None and args.trials > _TRIAL_LIMIT:
+        raise UsageError(f"--trials must be at most 2**32, the number of trial indices, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
     if args.tol is not None and not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, got {args.tol}")
     names = list(SUITES) if args.suite == "all" else [args.suite]

@@ -3,10 +3,14 @@
 Every suite draws its randomness through one counter-based scheme: the
 per-trial generator is seeded by (seed, suite index, trial index), so runs
 are reproducible, order-independent, and identical whether trials run
-serially or in parallel.  A suite returns the list of failures; a failure
-records a digest of its check tag (the check's name with the dimension and
-the trial or case that failed, not the inputs themselves) together with
-both sides of the violated comparison and the tolerance used.
+serially or in parallel.  The stream is that of numpy's
+default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
+index))); _trial_rng computes the same seed words for a block of
+consecutive trial indices at once and caches the blocks.  A suite returns
+the list of failures; a failure records a digest of its check tag (the
+check's name with the dimension and the trial or case that failed, not the
+inputs themselves) together with both sides of the violated comparison and
+the tolerance used.
 
 Seven suites batch across trials through one driver, _batched: prop-1.2,
 prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and lemma-2.1-soundness.
@@ -149,10 +153,122 @@ class Report:
         }
 
 
+# -- per-trial generators ------------------------------------------------------
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix and mix
+# over the uint32 entropy words fill a pool of four words, and hashing the
+# pool out gives the generator's seed words.  _hashmix and _mix take Python
+# ints or np.uint32 arrays alike.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_BLOCK = 256  # trial indices per cached block of seed words
+_TRIAL_LIMIT = 1 << 32  # a trial index is one entropy word
+
+
+def _words(value, what):
+    """The little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits its entropy and spawn keys."""
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value}")
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _hash_steps(const, mult, count):
+    """The (xor, multiplier) constants of count hash steps from const on."""
+    steps = []
+    for _ in range(count):
+        steps.append((const, const * mult & _M32))
+        const = steps[-1][1]
+    return steps
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return value ^ value >> 16
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+@functools.lru_cache(maxsize=64)
+def _suite_pool(seed, suite_id):
+    """SeedSequence(entropy=seed, spawn_key=(suite_id, trial))'s pool with
+    every entropy word but the trial mixed in, and the hash steps that mix
+    the trial word into each pool word."""
+    entropy = _words(seed, "seed")
+    entropy += [0] * (_POOL - len(entropy)) + _words(suite_id, "suite index")
+    # one hash step per pool word for each entropy word, the trial's included
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (len(entropy) + 1))
+    last = steps[-_POOL:]
+    steps = iter(steps)
+    pool = [_hashmix(word, *next(steps)) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    return tuple(pool), tuple(last)
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_words(seed, suite_id, block):
+    """The PCG64 seed words, generate_state(4, np.uint64), of the trials
+    block * _BLOCK ... (block + 1) * _BLOCK - 1, one row per trial."""
+    pool, last = _suite_pool(seed, suite_id)
+    trials = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
+    mixed = [_mix(word, _hashmix(trials, *step)) for word, step in zip(pool, last)]
+    state = np.stack([_hashmix(mixed[i % _POOL], *step) for i, step in enumerate(_STATE_STEPS)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _generator_from_words():
+    """A function from precomputed PCG64 seed words to a Generator; built on
+    first use, so that numpy.random loads only with the first draw."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 its seed words in place of a SeedSequence."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for generate_state(4, np.uint64) and nothing else
+            if (n_words, dtype) != (_POOL, np.uint64):
+                raise ValueError("holds the four uint64 seed words of PCG64 only")
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
 def _trial_rng(seed, suite_id, trial):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(suite_id), int(trial)))
-    )
+    """The generator of default_rng(SeedSequence(entropy=seed,
+    spawn_key=(suite_id, trial))), drawing the same stream."""
+    seed, suite_id, trial = int(seed), int(suite_id), int(trial)
+    if not 0 <= trial < _TRIAL_LIMIT:
+        raise ValueError(f"trial index {trial} is outside 0 <= index < 2**32")
+    return _generator_from_words()(_seed_words(seed, suite_id, trial // _BLOCK)[trial % _BLOCK])
 
 
 def _digest(*parts) -> str:

@@ -356,6 +356,10 @@ class TestUsage:
              "cannot write /nonexistent/o.json"),
             ({}, ("catalog", "--name", "extremal-pform", "--p", "2", "--out", "/nonexistent/o.json"), 1,
              "cannot write /nonexistent/o.json"),
+            ({}, ("verify", "--suite", "prop-1.1", "--seed", "-1"), 2,
+             "usage error: --seed must be a non-negative integer"),
+            ({}, ("verify", "--suite", "prop-1.1", "--trials", str(2 ** 32 + 1)), 2,
+             "--trials must be at most 2**32"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, env, argv, code, message):

@@ -87,6 +87,68 @@ def test_closed_form_hat_zero_for_volume_form():
     assert np.abs(rows).max() == 0.0
 
 
+# -- the per-trial generator against numpy's SeedSequence ----------------------
+
+def reference_trial_rng(seed, suite_id, trial):
+    """The per-trial generator as numpy defines it, the oracle of _trial_rng."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(suite_id), int(trial)))
+    )
+
+
+def assert_same_stream(seed, suite_id, trial):
+    words = np.random.SeedSequence(entropy=seed, spawn_key=(suite_id, trial)).generate_state(4, np.uint64)
+    got = verify._seed_words(seed, suite_id, trial // verify._BLOCK)[trial % verify._BLOCK]
+    assert np.array_equal(got, words), (seed, suite_id, trial)
+    a, b = _trial_rng(seed, suite_id, trial), reference_trial_rng(seed, suite_id, trial)
+    assert np.array_equal(a.integers(0, 2 ** 63, size=3), b.integers(0, 2 ** 63, size=3))
+    assert np.array_equal(a.normal(size=3), b.normal(size=3))
+
+
+# block edges, the last index, and both sides of lemma-2.1-soundness's second stream
+PINNED_TRIALS = (0, 1, 255, 256, 257, 9_999_999, 10_000_000, 10_000_256, 2 ** 32 - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 5, 2 ** 64 + 3])
+def test_trial_rng_matches_seed_sequence(seed):
+    # every suite index, the entropy of one word and of several
+    for suite_id in sorted(_SUITE_IDS.values()):
+        for trial in PINNED_TRIALS:
+            assert_same_stream(seed, suite_id, trial)
+
+
+def test_trial_rng_out_of_order_and_after_eviction():
+    verify._seed_words.cache_clear()
+    sid = _SUITE_IDS["lemma-2.1-soundness"]
+    order = np.random.default_rng(0).permutation(2 * verify._BLOCK + 3).tolist()
+    for trial in order:
+        assert_same_stream(7, sid, trial)
+        assert_same_stream(7, sid, 10_000_000 + trial)
+    # more blocks than the cache holds, then back to the first ones
+    blocks = verify._seed_words.cache_info().maxsize + 2
+    for trial in [b * verify._BLOCK + 5 for b in range(blocks)] + [3, 300]:
+        assert_same_stream(7, sid, trial)
+    assert verify._seed_words.cache_info().currsize <= verify._seed_words.cache_info().maxsize
+
+
+def test_trial_rng_rejects_bad_seeds_and_indices():
+    for trial in (-1, 2 ** 32, 2 ** 40):
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            _trial_rng(42, 0, trial)
+    with pytest.raises(ValueError, match="non-negative"):
+        _trial_rng(-1, 0, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suite("prop-1.1", trials=2, seed=-1)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_draws_match_numpy_streams(name, monkeypatch):
+    # a negative tolerance records both sides of every comparison it governs
+    got = run_suite(name, trials=3, seed=42, tol=-1.0).failures
+    monkeypatch.setattr(verify, "_trial_rng", reference_trial_rng)
+    assert got == run_suite(name, trials=3, seed=42, tol=-1.0).failures
+
+
 # -- the batched suites against per-trial references ---------------------------
 
 def reference_lemma_2_2(seed, trials, tol):
@@ -98,7 +160,7 @@ def reference_lemma_2_2(seed, trials, tol):
     for n in (3, 4, 5, 6):
         g = identity_sym2(n)
         for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
+            rng = reference_trial_rng(seed, sid, count)
             count += 1
             lam = random_so(rng, n)
             lam_sq = lam.norm_sq()
@@ -178,11 +240,11 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
     for n_index, n in enumerate((3, 4, 5, 6)):
         ops = []
         for trial in range(trials):
-            rng = _trial_rng(seed, sid, n_index * trials + trial)
+            rng = reference_trial_rng(seed, sid, n_index * trials + trial)
             ops.append(random_bianchi_operator(rng, n))
         vals, vecs = jacobi_eigh_batch(np.array([op.mat for op in ops]))
         for trial, op in enumerate(ops):
-            rng = _trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
+            rng = reference_trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
             spec = Spectrum(vals[trial], vecs[trial])
             shared = decompose(random_bianchi_operator(rng, n))
             for kind_name in kinds:
@@ -230,7 +292,7 @@ def reference_prop_1_2(seed, trials, tol):
     count = 0
     for n in range(3, 8):
         for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
+            rng = reference_trial_rng(seed, sid, count)
             count += 1
             k = int(rng.integers(2, 5))
             lam = random_so(rng, n)
@@ -254,7 +316,7 @@ def reference_prop_1_3(seed, trials, tol):
     count = 0
     for n in range(3, 8):
         for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
+            rng = reference_trial_rng(seed, sid, count)
             count += 1
             lam = random_so(rng, n)
             h = random_sym2(rng, n)
@@ -272,7 +334,7 @@ def reference_prop_1_7(seed, trials, tol):
     for n_index, n in enumerate(range(3, 8)):
         draws = []
         for trial in range(trials):
-            rng = _trial_rng(seed, sid, n_index * trials + trial)
+            rng = reference_trial_rng(seed, sid, n_index * trials + trial)
             draws.append((random_sym2(rng, n), random_so(rng, n)))
         vals_all, vecs_all = jacobi_eigh_batch(np.array([h.mat for h, _ in draws]))
         for trial, (h, lam) in enumerate(draws):
@@ -297,7 +359,7 @@ def reference_prop_1_9(seed, trials, tol):
     count = 0
     for n in range(3, 8):
         for trial in range(trials):
-            rng = _trial_rng(seed, sid, count)
+            rng = reference_trial_rng(seed, sid, count)
             count += 1
             r = random_sym_operator(rng, n)
             which = trial % 4
@@ -328,7 +390,7 @@ def reference_prop_2_8(seed, trials, tol):
         ident = identity_operator(n)
         g = identity_sym2(n)
         for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
+            rng = reference_trial_rng(seed, sid, count)
             count += 1
             h = random_sym2(rng, n)
             got = ric_of(ident, h)
