@@ -36,6 +36,7 @@ from .tensors import (
     PForm,
     Sym2,
     Tensor0k,
+    _SYMMETRY_TOL,
     _bianchi_holds,
     _freeze,
     _require_finite,
@@ -66,12 +67,12 @@ class SoElement:
         self.comps = _freeze(comps)
 
     @classmethod
-    def from_matrix(cls, mat, tol=1e-9):
+    def from_matrix(cls, mat):
         m = np.asarray(mat, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m + m.T).max()) > tol * scale:
+        if float(np.abs(m + m.T).max()) > _SYMMETRY_TOL * scale:
             raise ValueError("matrix is not skew-symmetric")
         n = m.shape[0]
         comps = [(m[j, i] - m[i, j]) / 2.0 for i, j in wedge_pairs(n)]

@@ -150,22 +150,29 @@ def _lemma21(vals, C, kappa):
 def direct_term_check(r: CurvatureOperator, t, kappa):
     """Evaluate the curvature term against kappa |hat T|^2 directly.
 
-    Returns (lhs, rhs, ok) with ok allowing 1e-10 of relative slack.  The
-    term and the hat norm come from one set of hat rows.
+    Returns (lhs, rhs, ok) with ok allowing _DIRECT_SLACK of relative
+    slack.  The term and the hat norm come from one set of hat rows.
     """
     if r.n != t.n:
         raise ValueError("dimension mismatch")
     rows = _hat_rows(t)
     lhs = _terms(r.mat, rows, rows)
-    rhs, ok = _direct_check(lhs, _hat_norms_consuming(rows), kappa)
+    rhs, ok = _direct_check(lhs, _hat_norms_consuming(rows), kappa, _DIRECT_SLACK)
     return float(lhs), float(rhs), bool(ok)
 
 
-def _direct_check(lhs, hat_sq, kappa):
-    """(rhs, ok) of direct_term_check for stacked terms and hat norms."""
+# relative slack of direct_term_check, and of the normality check of
+# normal_h_term against max(1, the matrix's largest entry squared)
+_DIRECT_SLACK = 1e-10
+_NORMAL_TOL = 1e-10
+
+
+def _direct_check(lhs, hat_sq, kappa, slack):
+    """(rhs, ok) of direct_term_check for stacked terms and hat norms, with
+    lhs allowed slack times max(1, |lhs|, |rhs|) below rhs."""
     rhs = kappa * hat_sq
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return rhs, lhs >= rhs - 1e-10 * scale
+    return rhs, lhs >= rhs - slack * scale
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ def fourdim_einstein_term(lams) -> float:
     )
 
 
-def normal_h_term(r: CurvatureOperator, h_matrix, tol=1e-10) -> float:
+def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
     """Curvature term on the (0,2)-tensor of a normal endomorphism, computed
     through its complex eigenbasis.
 
@@ -257,7 +264,7 @@ def normal_h_term(r: CurvatureOperator, h_matrix, tol=1e-10) -> float:
     if h.shape != (r.n, r.n):
         raise ValueError(f"expected a {r.n}x{r.n} matrix, got {h.shape}")
     scale = max(1.0, float(np.abs(h).max()) ** 2)
-    if float(np.abs(h @ h.T - h.T @ h).max()) > tol * scale:
+    if float(np.abs(h @ h.T - h.T @ h).max()) > _NORMAL_TOL * scale:
         raise ValueError("matrix is not normal")
     # imported here: this is the only scipy user, and the import costs more
     # than every other module of the package together

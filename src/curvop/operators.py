@@ -22,6 +22,7 @@ import numpy as np
 from .tensors import (
     CurvTensor,
     Sym2,
+    _SYMMETRY_TOL,
     _bianchi_holds,
     _freeze,
     _kn,
@@ -46,7 +47,7 @@ class CurvatureOperator:
 
     __slots__ = ("n", "N", "mat", "bianchi_certified")
 
-    def __init__(self, n, mat, bianchi=None, tol=1e-9):
+    def __init__(self, n, mat, bianchi=None):
         n = check_dimension(n)
         m = np.array(mat, dtype=float)
         want = wedge_count(n)
@@ -54,7 +55,7 @@ class CurvatureOperator:
             raise ValueError(f"expected a {want}x{want} matrix for n={n}, got {m.shape}")
         _require_finite(m, "operator entries")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > tol * scale:
+        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
             raise ValueError("operator matrix is not symmetric")
         m = _symmetrized(m)
         self.n = n
@@ -62,10 +63,10 @@ class CurvatureOperator:
         self.mat = _freeze(m)
         self.bianchi_certified = bianchi
 
-    def certify_bianchi(self, tol=1e-12) -> bool:
+    def certify_bianchi(self) -> bool:
         """Check the Bianchi flag by the cyclic residual of the (0,4)-tensor
         and cache the result."""
-        ok = bool(_bianchi_certified(self.mat, self.n, tol))
+        ok = bool(_bianchi_certified(self.mat, self.n))
         self.bianchi_certified = ok
         return ok
 
@@ -118,10 +119,10 @@ def _tensors_from_ops(mats, n):
     return (w.T @ (mats @ w)).reshape(mats.shape[:-2] + (n,) * 4)
 
 
-def _bianchi_certified(mats, n, tol=1e-12):
-    """Bianchi certificates of stacked operator matrices: the cyclic
-    residual of each (0,4)-tensor within tol of its largest entry."""
-    return _bianchi_holds(_tensors_from_ops(mats, n), tol)
+def _bianchi_certified(mats, n):
+    """Bianchi certificates of stacked operator matrices: _bianchi_holds of
+    their (0,4)-tensors."""
+    return _bianchi_holds(_tensors_from_ops(mats, n))
 
 
 def alternation(arr: np.ndarray) -> np.ndarray:
@@ -236,6 +237,12 @@ def _decompose(mats, n):
     return scal, ric, ric0, weyl
 
 
+# Jacobi stops once every off-diagonal entry is at most _JACOBI_TOL times the
+# matrix's Frobenius norm, and gives up after _JACOBI_SWEEPS sweeps.
+_JACOBI_TOL = 1e-13
+_JACOBI_SWEEPS = 100
+
+
 @lru_cache(maxsize=None)
 def _round_robin(size):
     """Brent-Luk round-robin schedule for one Jacobi sweep over size indices.
@@ -263,7 +270,7 @@ def _round_robin(size):
     return tuple(rounds)
 
 
-def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
+def jacobi_eigh_batch(mats):
     """Diagonalize a batch of symmetric matrices by round-robin Jacobi sweeps.
 
     Each sweep follows the Brent-Luk round-robin ordering: every round
@@ -271,7 +278,7 @@ def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
     sweep annihilate every off-diagonal pair exactly once.  The rotation is
     elementwise across the batch, so a batch row is bit-identical to the
     single-matrix call.  Sweeps run until every matrix has max off-diagonal
-    entry at most tol_factor times its Frobenius norm.  Eigenvalues come back
+    entry at most _JACOBI_TOL times its Frobenius norm.  Eigenvalues come back
     ascending with ties kept in original column order; eigenvector columns
     are aligned.
     """
@@ -281,7 +288,7 @@ def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
     b, size, _ = a.shape
     if size == 1:
         return a[:, :, 0].copy(), np.ones_like(a)
-    thresh = tol_factor * np.sqrt(np.sum(a * a, axis=(1, 2)))
+    thresh = _JACOBI_TOL * np.sqrt(np.sum(a * a, axis=(1, 2)))
     # work with the batch index last, so every gathered row or column is a
     # run of contiguous batch entries, and with the eigenvectors stacked
     # below the matrix, so one column update turns both
@@ -297,7 +304,7 @@ def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
         return offdiag.max(axis=(0, 1)) > thresh
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(_JACOBI_SWEEPS):
             # converged matrices stop rotating, so each matrix sees exactly
             # the sweeps it would see alone and batching is bit-identical
             active = _active()
@@ -337,11 +344,9 @@ def jacobi_eigh_batch(mats, tol_factor=1e-13, max_sweeps=100):
     return vals, vecs
 
 
-def jacobi_eigh(mat, tol_factor=1e-13, max_sweeps=100):
+def jacobi_eigh(mat):
     """Single-matrix front end for the round-robin Jacobi solver."""
-    vals, vecs = jacobi_eigh_batch(
-        np.asarray(mat, dtype=float)[None, :, :], tol_factor, max_sweeps
-    )
+    vals, vecs = jacobi_eigh_batch(np.asarray(mat, dtype=float)[None, :, :])
     return vals[0], vecs[0]
 
 

@@ -91,7 +91,7 @@ def loads_operator(text: str):
         raise ValueError(
             f"matrix shape {mat.shape} does not match the wedge dimension {want} for n={n}"
         )
-    op = CurvatureOperator(n, mat, tol=1e-9)
+    op = CurvatureOperator(n, mat)
     return op, doc
 
 

@@ -19,6 +19,13 @@ import numpy as np
 MAX_N_ENV = "CURVOP_MAX_N"
 _DEFAULT_MAX_N = 8
 
+# Relative slack, against max(1, largest entry), of the symmetry and
+# skewness checks on matrices handed to a constructor, and of the exact
+# identities detected on tensors: the pair symmetries, the first Bianchi
+# identity and alternation.
+_SYMMETRY_TOL = 1e-9
+_IDENTITY_TOL = 1e-12
+
 
 def max_dimension() -> int:
     """Current dimension cap; override with the CURVOP_MAX_N variable."""
@@ -112,21 +119,6 @@ class Tensor0k:
         self.k = arr.ndim
         self.array = _freeze(arr)
 
-    @classmethod
-    def from_flat(cls, n, k, comps):
-        """Build from the flat length-n^k lexicographic component list."""
-        comps = np.asarray(comps, dtype=float)
-        if comps.size != n ** k:
-            raise ValueError(f"expected {n ** k} components, got {comps.size}")
-        return cls(comps.reshape((n,) * k))
-
-    @classmethod
-    def zeros(cls, n, k):
-        return cls(np.zeros((n,) * k))
-
-    def flat(self):
-        return self.array.reshape(-1)
-
     def norm_sq(self) -> float:
         return float(np.sum(self.array * self.array))
 
@@ -139,14 +131,14 @@ class Sym2:
 
     __slots__ = ("n", "mat")
 
-    def __init__(self, mat, tol=1e-9):
+    def __init__(self, mat):
         m = np.array(mat, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         check_dimension(m.shape[0])
         _require_finite(m, "matrix entries")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > tol * scale:
+        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric")
         m = _symmetrized(m)  # exact: float addition commutes entrywise
         self.n = m.shape[0]
@@ -174,9 +166,9 @@ def _symmetrized(mats):
     return (mats + mats.swapaxes(-1, -2)) / 2.0
 
 
-def _symmetric_part(mats, what, tol=1e-9):
+def _symmetric_part(mats, what):
     """_symmetrized of stacked square matrices, each of which must be
-    symmetric to tol relative to max(1, its largest entry); raises
+    symmetric to _SYMMETRY_TOL relative to max(1, its largest entry); raises
     ValueError naming what otherwise.
 
     The Sym2 and CurvatureOperator constructors make the same check on one
@@ -184,7 +176,7 @@ def _symmetric_part(mats, what, tol=1e-9):
     these stacked ones.
     """
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol * scale):
+    if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
         raise ValueError(f"{what} is not symmetric")
     return _symmetrized(mats)
 
@@ -244,19 +236,6 @@ def _dense_scatter(n, p):
     flat.setflags(write=False)
     signs.setflags(write=False)
     return flat, signs
-
-
-@lru_cache(maxsize=None)
-def _increasing_ravel(n, p):
-    tuples = increasing_tuples(n, p)
-    out = np.empty(len(tuples), dtype=np.intp)
-    for c, idx in enumerate(tuples):
-        pos = 0
-        for d in range(p):
-            pos = pos * n + idx[d]
-        out[c] = pos
-    out.setflags(write=False)
-    return out
 
 
 def sort_with_sign(indices):
@@ -325,12 +304,15 @@ class PForm:
         return Tensor0k(arr.reshape((self.n,) * self.p))
 
     @classmethod
-    def from_tensor(cls, t: Tensor0k, tol=1e-12):
+    def from_tensor(cls, t: Tensor0k):
         """Read a dense alternating tensor back into compact storage."""
-        comps = t.array.reshape(-1)[_increasing_ravel(t.n, t.k)]
+        if t.k > t.n:  # before _dense_scatter, which has k! rows
+            raise ValueError(f"form degree must be in 1..{t.n}, got {t.k}")
+        # the identity permutation is the first row of the scatter
+        comps = t.array.reshape(-1)[_dense_scatter(t.n, t.k)[0][0]]
         form = cls(t.n, t.k, comps)
         scale = max(1.0, float(np.abs(t.array).max()))
-        if float(np.abs(form.to_tensor().array - t.array).max()) > tol * scale:
+        if float(np.abs(form.to_tensor().array - t.array).max()) > _IDENTITY_TOL * scale:
             raise ValueError("tensor is not alternating")
         return form
 
@@ -359,9 +341,9 @@ class CurvTensor:
     assumed.
     """
 
-    __slots__ = ("n", "array", "_tol", "_pair_skew", "_pair_symmetric", "_bianchi")
+    __slots__ = ("n", "array", "_pair_skew", "_pair_symmetric", "_bianchi")
 
-    def __init__(self, array, tol=1e-12):
+    def __init__(self, array):
         arr = np.array(array, dtype=float)
         if arr.ndim != 4 or any(s != arr.shape[0] for s in arr.shape):
             raise ValueError(f"expected shape (n, n, n, n), got {arr.shape}")
@@ -369,7 +351,6 @@ class CurvTensor:
         _require_finite(arr, "tensor components")
         self.n = arr.shape[0]
         self.array = _freeze(arr)
-        self._tol = tol
         self._pair_skew = None
         self._pair_symmetric = None
         self._bianchi = None
@@ -378,7 +359,7 @@ class CurvTensor:
     def pair_skew(self) -> bool:
         if self._pair_skew is None:
             arr = self.array
-            bound = self._tol * max(1.0, float(np.abs(arr).max()))
+            bound = _IDENTITY_TOL * max(1.0, float(np.abs(arr).max()))
             self._pair_skew = bool(
                 float(np.abs(arr + arr.transpose(1, 0, 2, 3)).max()) <= bound
                 and float(np.abs(arr + arr.transpose(0, 1, 3, 2)).max()) <= bound
@@ -389,7 +370,7 @@ class CurvTensor:
     def pair_symmetric(self) -> bool:
         if self._pair_symmetric is None:
             arr = self.array
-            bound = self._tol * max(1.0, float(np.abs(arr).max()))
+            bound = _IDENTITY_TOL * max(1.0, float(np.abs(arr).max()))
             self._pair_symmetric = bool(
                 float(np.abs(arr - arr.transpose(2, 3, 0, 1)).max()) <= bound
             )
@@ -398,14 +379,11 @@ class CurvTensor:
     @property
     def bianchi(self) -> bool:
         if self._bianchi is None:
-            self._bianchi = bool(_bianchi_holds(self.array, self._tol))
+            self._bianchi = bool(_bianchi_holds(self.array))
         return self._bianchi
 
     def norm_sq(self) -> float:
         return float(np.sum(self.array * self.array))
-
-    def bianchi_residual(self) -> float:
-        return float(_bianchi_residual(self.array))
 
     def to_tensor(self) -> Tensor0k:
         return Tensor0k(self.array)
@@ -426,11 +404,11 @@ def _bianchi_residual(arr):
     return np.abs(cyc).max(axis=(x, y, z, w))
 
 
-def _bianchi_holds(arr, tol=1e-12):
+def _bianchi_holds(arr):
     """Whether the Bianchi residual of each of stacked (0,4)-arrays is at
-    most tol times max(1, its largest entry)."""
+    most _IDENTITY_TOL times max(1, its largest entry)."""
     scale = np.maximum(1.0, np.abs(arr).max(axis=(-4, -3, -2, -1)))
-    return _bianchi_residual(arr) <= tol * scale
+    return _bianchi_residual(arr) <= _IDENTITY_TOL * scale
 
 
 def norm_sq(t) -> float:

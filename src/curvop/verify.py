@@ -6,11 +6,19 @@ are reproducible, order-independent, and identical whether trials run
 serially or in parallel.  The stream is that of numpy's
 default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
 index))); _trial_rng computes the same seed words for a block of
-consecutive trial indices at once and caches the blocks.  A suite returns
-the list of failures; a failure records a digest of its check tag (the
-check's name with the dimension and the trial or case that failed, not the
-inputs themselves) together with both sides of the violated comparison and
-the tolerance used.
+consecutive trial indices at once and caches the blocks, and _trials walks
+a suite's trials in order with their generators.  A suite returns the list
+of failures; a failure records a digest of its check tag (the check's name
+with the dimension and the trial or case that failed, not the inputs
+themselves) together with both sides of the violated comparison and the
+tolerance used.
+
+Each row of _SUITE_TABLE holds a suite's default trial count and default
+tolerance t; run_suite replaces tol=None by that default, and an explicit
+tol governs every comparison the suite makes at t.  Comparisons with a
+fixed slack of their own keep it, and the direct checks of
+lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the slack of
+bochner.direct_term_check.
 
 Seven suites batch across trials through one driver, _batched: prop-1.2,
 prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and lemma-2.1-soundness.
@@ -52,6 +60,7 @@ from .action import (
 )
 from .bochner import (
     TensorKind,
+    _DIRECT_SLACK,
     _direct_check,
     _lemma21,
     betti_verdict,
@@ -83,6 +92,7 @@ from .operators import (
     jacobi_eigh_batch,
     spectrum,
     tensor_from_op,
+    wedge_coordinates,
     _alternating_parts,
     _bianchi_certified,
     _decompose,
@@ -102,6 +112,7 @@ from .tensors import (
     wedge_pairs,
     _kn,
     _traceless,
+    _tuple_index_map,
 )
 from .warped import (
     dwp_eigenvalue_list,
@@ -288,6 +299,10 @@ def _at_most_fails(lhs, rhs, tol):
     return ~(lhs <= rhs + tol * scale)
 
 
+def _failure(tag, lhs, rhs, tol):
+    return Failure(_digest(*tag), float(lhs), float(rhs), tol)
+
+
 def _close(failures, tag, lhs, rhs, tol):
     _require(failures, tag, not _close_fails(lhs, rhs, tol), lhs, rhs, tol)
 
@@ -298,7 +313,14 @@ def _at_most(failures, tag, lhs, rhs, tol):
 
 def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
     if not condition:
-        failures.append(Failure(_digest(*tag), float(lhs), float(rhs), tol))
+        failures.append(_failure(tag, lhs, rhs, tol))
+
+
+def _trials(seed, suite, trials):
+    """(trial index, its generator) for each of a suite's trials in order."""
+    sid = _SUITE_IDS[suite]
+    for trial in range(trials):
+        yield trial, _trial_rng(seed, sid, trial)
 
 
 # -- suites batched across trials ---------------------------------------------
@@ -314,16 +336,15 @@ def _batched(seed, suite, trials, t, dims, draw, check,
              tag=lambda name, n, trial, index: (name, n, index + 1)):
     """The failures of a suite whose trials are checked in batches.
 
-    Trial i at the j-th n of dims has the index j * trials + i that every
-    count-based suite hands _trial_rng; draw(its generator, n, i, index)
-    returns its (key, item_bytes, arrays).  The trials of a key gather in a
-    group while one more fits in _CHUNK_BYTES at item_bytes each, and until
-    n changes; check(t, n, key, *arrays stacked over the group) returns the
-    group's comparisons in check order, as (name, failing, lhs, rhs, tol).
-    Failures, tagged tag(name, n, i, index), come back by trial index, then
-    by check position, as if each trial had been checked alone.
+    Trial i at the j-th n of dims is the suite's trial index j * trials + i;
+    draw(its generator, n, i, index) returns its (key, item_bytes, arrays).
+    The trials of a key gather in a group while one more fits in
+    _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n, key,
+    *arrays stacked over the group) returns the group's comparisons in check
+    order, as (name, failing, lhs, rhs, tol).  Failures, tagged tag(name, n,
+    i, index), come back by trial index, then by check position, as if each
+    trial had been checked alone.
     """
-    sid = _SUITE_IDS[suite]
     found = []
 
     def run(n, key, group):
@@ -333,20 +354,21 @@ def _batched(seed, suite, trials, t, dims, draw, check,
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
             for i in np.flatnonzero(failing):
                 trial, index = where[i]
-                failure = Failure(_digest(*tag(name, n, trial, index)), float(lhs[i]), float(rhs[i]), tol)
-                found.append(((index, position), failure))
+                found.append(((index, position), _failure(tag(name, n, trial, index), lhs[i], rhs[i], tol)))
 
-    for n_index, n in enumerate(dims):
-        groups = {}
-        for trial in range(trials):
-            index = n_index * trials + trial
-            key, item_bytes, item = draw(_trial_rng(seed, sid, index), n, trial, index)
-            group = groups.setdefault(key, [])
-            group.append(((trial, index), item))
-            if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
-                run(n, key, groups.pop(key))
-        for key, group in groups.items():
-            run(n, key, group)
+    groups = {}
+    for index, rng in _trials(seed, suite, len(dims) * trials):
+        n_index, trial = divmod(index, trials)
+        n = dims[n_index]
+        key, item_bytes, item = draw(rng, n, trial, index)
+        group = groups.setdefault(key, [])
+        group.append(((trial, index), item))
+        if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
+            run(n, key, groups.pop(key))
+        if trial == trials - 1:
+            for key, group in groups.items():
+                run(n, key, group)
+            groups = {}
     return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
 
 
@@ -464,8 +486,6 @@ def hat_wedge_closed_form(n, idx) -> np.ndarray:
     """
     idx = tuple(idx)
     p = len(idx)
-    from .tensors import _tuple_index_map
-
     index_map = _tuple_index_map(n, p)
     rows = np.zeros((wedge_count(n), math.comb(n, p)))
     members = set(idx)
@@ -483,11 +503,10 @@ def hat_wedge_closed_form(n, idx) -> np.ndarray:
 
 # -- suites -------------------------------------------------------------------
 
-def suite_exact_values(seed, trials, tol):
+def suite_exact_values(seed, trials, t):
     """Exact catalog norms: metric KN square, sphere products, 2-sphere
     products, and the overlap case.  Deterministic; trials are ignored."""
     failures = []
-    t = tol if tol is not None else 1e-12
     for n in range(3, 9):
         g = identity_sym2(n)
         _close(failures, ("gg", n), kulkarni_nomizu(g, g).norm_sq(), 8.0 * (n - 1) * n, t)
@@ -514,31 +533,22 @@ def suite_exact_values(seed, trials, tol):
     return failures
 
 
-def suite_prop_1_1(seed, trials, tol):
+def suite_prop_1_1(seed, trials, t):
     """Kulkarni-Nomizu norm identity on random symmetric tensors."""
     failures = []
-    t = tol if tol is not None else 1e-10
-    sid = _SUITE_IDS["prop-1.1"]
-    count = 0
-    for n in range(3, 9):
-        g = identity_sym2(n)
-        for _ in range(trials):
-            rng = _trial_rng(seed, sid, count)
-            count += 1
-            h = random_sym2(rng, n)
-            lhs = kulkarni_nomizu(g, h).norm_sq()
-            rhs = 4.0 * (n - 2) * h.norm_sq() + 4.0 * h.trace() ** 2
-            _close(failures, ("kn-norm", n, count), lhs, rhs, t)
+    for index, rng in _trials(seed, "prop-1.1", 6 * trials):
+        n = 3 + index // trials
+        h = random_sym2(rng, n)
+        lhs = kulkarni_nomizu(identity_sym2(n), h).norm_sq()
+        rhs = 4.0 * (n - 2) * h.norm_sq() + 4.0 * h.trace() ** 2
+        _close(failures, ("kn-norm", n, index + 1), lhs, rhs, t)
     return failures
 
 
-def suite_tensor_core(seed, trials, tol):
+def suite_tensor_core(seed, trials, t):
     """Trace-free parts, compact/dense form round trips, KN bilinearity."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["tensor-core"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "tensor-core", trials):
         n = int(rng.integers(2, 9))
         h = random_sym2(rng, n)
         h0 = h.traceless()
@@ -572,9 +582,8 @@ def suite_tensor_core(seed, trials, tol):
     return failures
 
 
-def suite_prop_1_2(seed, trials, tol):
+def suite_prop_1_2(seed, trials, t):
     """The action commutes with slot permutations; Leibniz rule for KN."""
-    t = tol if tol is not None else 1e-12
     return _batched(seed, "prop-1.2", trials, t, range(3, 8), _draw_prop_1_2, _check_prop_1_2)
 
 
@@ -599,10 +608,9 @@ def _check_prop_1_2(t, n, sigma, lam, tt, s, u):
     ]
 
 
-def suite_prop_1_3(seed, trials, tol):
+def suite_prop_1_3(seed, trials, t):
     """The action of so(n) on symmetric tensors is trace free; the metric is
     killed outright."""
-    t = tol if tol is not None else 1e-12
     return _batched(seed, "prop-1.3", trials, t, range(3, 8), _draw_prop_1_3, _check_prop_1_3)
 
 
@@ -619,13 +627,10 @@ def _check_prop_1_3(t, n, key, lam, h):
     ]
 
 
-def suite_prop_1_6(seed, trials, tol):
+def suite_prop_1_6(seed, trials, t):
     """Norm of the action on a symmetric wedge operator through its spectrum."""
     failures = []
-    t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["prop-1.6"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "prop-1.6", trials):
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
         lam = random_so(rng, n)
@@ -637,10 +642,9 @@ def suite_prop_1_6(seed, trials, tol):
     return failures
 
 
-def suite_prop_1_7(seed, trials, tol):
+def suite_prop_1_7(seed, trials, t):
     """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
     and the hat norm identity."""
-    t = tol if tol is not None else 1e-9
     return _batched(seed, "prop-1.7", trials, t, range(3, 8), _draw_prop_1_7, _check_prop_1_7,
                     lambda name, n, trial, index: (name, n, trial))
 
@@ -666,10 +670,9 @@ def _check_prop_1_7(t, n, key, h, lam):
     ]
 
 
-def suite_prop_1_9(seed, trials, tol):
+def suite_prop_1_9(seed, trials, t):
     """Self-adjointness: the Ricci pairing equals the curvature term for
     every supported tensor kind."""
-    t = tol if tol is not None else 1e-10
     return _batched(seed, "prop-1.9", trials, t, range(3, 8), _draw_prop_1_9, _check_prop_1_9,
                     lambda name, n, trial, index: (name, n, index + 1, trial % 4))
 
@@ -701,10 +704,9 @@ def _check_prop_1_9(t, n, key, r, s, u):
     return [_closes("adjoint", lhs, _terms(r, rows_s, rows_u), t)]
 
 
-def suite_prop_2_8(seed, trials, tol):
+def suite_prop_2_8(seed, trials, t):
     """Identity-operator Ricci curvature on symmetric tensors, forms, and
     curvature tensors, with the hat-norm consequences."""
-    t = tol if tol is not None else 1e-9
     return _batched(seed, "prop-2.8", trials, t, range(3, 8), _draw_prop_2_8, _check_prop_2_8)
 
 
@@ -736,14 +738,11 @@ def _check_prop_2_8(t, n, p, h, w, raw):
     ]
 
 
-def suite_ric_closed_form(seed, trials, tol):
+def suite_ric_closed_form(seed, trials, t):
     """The combinatorial closed form of the identity-operator Ricci curvature
     against the definitional double sum."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["ric-closed-form"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "ric-closed-form", trials):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, 5))
         tt = random_tensor(rng, n, k)
@@ -759,13 +758,10 @@ def suite_ric_closed_form(seed, trials, tol):
     return failures
 
 
-def suite_hat_closed_form(seed, trials, tol):
+def suite_hat_closed_form(seed, trials, t):
     """Hats of wedge basis forms against the combinatorial expansion, exactly."""
     failures = []
-    t = tol if tol is not None else 0.0
-    sid = _SUITE_IDS["hat-closed-form"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "hat-closed-form", trials):
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
@@ -775,14 +771,11 @@ def suite_hat_closed_form(seed, trials, tol):
     return failures
 
 
-def suite_hat_structure(seed, trials, tol):
+def suite_hat_structure(seed, trials, t):
     """Hat blocks agree with direct actions and pairing against any element
     reproduces that element's action."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["hat-structure"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "hat-structure", trials):
         n = int(rng.integers(2, 6))
         which = trial % 3
         if which == 0:
@@ -811,14 +804,11 @@ def suite_hat_structure(seed, trials, tol):
     return failures
 
 
-def suite_basis_independence(seed, trials, tol):
+def suite_basis_independence(seed, trials, t):
     """The curvature term is unchanged under a random orthogonal re-basis of
     wedge space."""
     failures = []
-    t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["basis-independence"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "basis-independence", trials):
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
         s = random_sym2(rng, n)
@@ -837,14 +827,11 @@ def suite_basis_independence(seed, trials, tol):
     return failures
 
 
-def suite_bianchi_split(seed, trials, tol):
+def suite_bianchi_split(seed, trials, t):
     """The alternation split is an orthogonal projection onto the Bianchi
     subspace."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["bianchi-split"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "bianchi-split", trials):
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         rb, lam4 = bianchi_split(r)
@@ -860,14 +847,11 @@ def suite_bianchi_split(seed, trials, tol):
     return failures
 
 
-def suite_decompose(seed, trials, tol):
+def suite_decompose(seed, trials, t):
     """Reassembly, orthogonality, total trace-freeness, the Schouten relation,
     and the hat-norm consequence of the decomposition."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["decompose"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "decompose", trials):
         n = int(rng.integers(3, 8))
         rb = random_bianchi_operator(rng, n)
         rm = tensor_from_op(rb)
@@ -890,14 +874,11 @@ def suite_decompose(seed, trials, tol):
     return failures
 
 
-def suite_spectrum(seed, trials, tol):
+def suite_spectrum(seed, trials, t):
     """Jacobi spectra: residuals, orthogonality, invariance under orthogonal
     conjugation, and batch/single agreement."""
     failures = []
-    t = tol if tol is not None else 1e-10
-    sid = _SUITE_IDS["spectrum"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "spectrum", trials):
         n = int(rng.integers(3, 8))
         r = random_sym_operator(rng, n)
         s = spectrum(r)
@@ -925,10 +906,9 @@ def suite_spectrum(seed, trials, tol):
     return failures
 
 
-def suite_lemma_2_2(seed, trials, tol):
+def suite_lemma_2_2(seed, trials, t):
     """Action-norm inequalities for every tensor kind, including both KN
     corollary forms.  Trials are grouped by case and by order or degree."""
-    t = tol if tol is not None else 1e-10
     return _batched(seed, "lemma-2.2", trials, t, (3, 4, 5, 6), _draw_lemma_2_2, _check_lemma_2_2)
 
 
@@ -984,10 +964,9 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
     return [_at_mosts("kn", lhs, rhs, t), _at_mosts("kn-curv", lrm, bound, t)]
 
 
-def suite_lemma_2_2_sharpness(seed, trials, tol):
+def suite_lemma_2_2_sharpness(seed, trials, t):
     """The catalog extremals achieve equality in their estimates."""
     failures = []
-    t = tol if tol is not None else 1e-12
     sym_pair, form_pair = small_extremals()
     h, lam = sym_pair.tensor, sym_pair.element
     _close(
@@ -1002,15 +981,8 @@ def suite_lemma_2_2_sharpness(seed, trials, tol):
     lw = so_act(lam2, w)
     _close(failures, ("form-norm",), lw.norm_sq(), 8.0, t)
     _close(failures, ("form-equality",), lw.norm_sq(), 2.0 * w.norm_sq() * lam2.norm_sq(), t)
-    for scale_trial in (3.0,):
-        scaled = PForm(w.n, w.p, scale_trial * w.comps)
-        _close(
-            failures,
-            ("form-rescale",),
-            so_act(lam2, scaled).norm_sq(),
-            scale_trial ** 2 * lw.norm_sq(),
-            t,
-        )
+    scaled = PForm(w.n, w.p, 3.0 * w.comps)
+    _close(failures, ("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
     for p in (1, 2, 3, 4):
         w1, w2, lamp = extremal_pform(p)
         n = 2 * p
@@ -1031,74 +1003,40 @@ def suite_lemma_2_2_sharpness(seed, trials, tol):
     return failures
 
 
-def suite_estimate_constants(seed, trials, tol):
+def suite_estimate_constants(seed, trials, t):
     """The defining property of each kind's constant: the action norm is at
     most the hat norm times the rotation norm over C."""
     failures = []
-    t = tol if tol is not None else 1e-10
-    sid = _SUITE_IDS["estimate-constants"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "estimate-constants", trials):
         n = int(rng.integers(3, 7))
         lam = random_so(rng, n)
-        lam_sq = lam.norm_sq()
         p = int(rng.integers(1, n))
         w = random_pform(rng, n, p)
-        c = estimate_constant(TensorKind.pform(p), n)
-        _at_most(
-            failures,
-            ("pform", trial),
-            so_act(lam, w).norm_sq(),
-            hat_norm_sq(w) * lam_sq / c,
-            t,
-        )
         h = random_sym2(rng, n)
-        c = estimate_constant(TensorKind.sym2(), n)
-        _at_most(
-            failures,
-            ("sym2", trial),
-            so_act(lam, h).norm_sq(),
-            hat_norm_sq(h) * lam_sq / c,
-            t,
-        )
         dec = decompose(random_bianchi_operator(rng, n))
-        einstein = CurvTensor(_einstein_part(dec.scal, dec.weyl.array))
-        c = estimate_constant(TensorKind.curvature_einstein(), n)
-        _at_most(
-            failures,
-            ("einstein", trial),
-            so_act(lam, einstein).norm_sq(),
-            hat_norm_sq(einstein) * lam_sq / c,
-            t,
-        )
-        c = estimate_constant(TensorKind.weyl(), n)
-        _at_most(
-            failures,
-            ("weyl", trial),
-            so_act(lam, dec.weyl).norm_sq(),
-            hat_norm_sq(dec.weyl) * lam_sq / c,
-            t,
-        )
         k = int(rng.integers(1, 4))
         tt = random_tensor(rng, n, k)
-        hat_sq = hat_norm_sq(tt)
-        if hat_sq > 1e-9:
-            c = estimate_constant(TensorKind.generic(k), n, hat_ratio=hat_sq / tt.norm_sq())
-            _at_most(
-                failures,
-                ("generic", trial),
-                so_act(lam, tt).norm_sq(),
-                hat_sq * lam_sq / c,
-                t,
-            )
+        einstein = CurvTensor(_einstein_part(dec.scal, dec.weyl.array))
+        cases = [
+            ("pform", w, TensorKind.pform(p), None),
+            ("sym2", h, TensorKind.sym2(), None),
+            ("einstein", einstein, TensorKind.curvature_einstein(), None),
+            ("weyl", dec.weyl, TensorKind.weyl(), None),
+        ]
+        hat_tt = hat_norm_sq(tt)
+        if hat_tt > 1e-9:
+            cases.append(("generic", tt, TensorKind.generic(k), hat_tt / tt.norm_sq()))
+        for name, tensor, kind, hat_ratio in cases:
+            c = estimate_constant(kind, n, hat_ratio=hat_ratio)
+            hat_sq = hat_norm_sq(tensor)
+            _at_most(failures, (name, trial), so_act(lam, tensor).norm_sq(), hat_sq * lam.norm_sq() / c, t)
     return failures
 
 
-def suite_lemma_2_1_soundness(seed, trials, tol):
+def suite_lemma_2_1_soundness(seed, trials, t):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
     positive case."""
-    t = tol if tol is not None else 1e-9
     rng_at = functools.partial(_trial_rng, seed, _SUITE_IDS["lemma-2.1-soundness"])
     return _batched(seed, "lemma-2.1-soundness", trials, t, (3, 4, 5, 6),
                     functools.partial(_draw_lemma_2_1, rng_at), _check_lemma_2_1,
@@ -1133,6 +1071,8 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
     terms = [_direct_terms(ops[i], forms[i, :math.comb(n, kind.p)], n, kind.p, 1) for kind, i in kinds]
     kinds += [(TensorKind.sym2(), every), (TensorKind.curvature_einstein(), every), (TensorKind.weyl(), every)]
     terms += [_direct_terms(ops, syms.reshape(len(ops), -1), n, 1, 2), *_curvature_terms(ops, shared, n)]
+    # the direct checks take the library's slack, or t when that is tighter
+    slack = min(t, _DIRECT_SLACK)
     checks = []
     for (kind, picked), (lhs, hat_sq) in zip(kinds, terms):
         c = estimate_constant(kind, n)
@@ -1140,15 +1080,15 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
         margin = margins[picked, ("pform", "sym2", "curvature_einstein", "weyl").index(kind.name)]
         kappa = np.minimum(0.0, np.sum(vals[picked, :floor_c], axis=-1) / floor_c) - margin
         low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
-        rhs, ok = _direct_check(lhs, hat_sq, kappa)
+        rhs, ok = _direct_check(lhs, hat_sq, kappa, slack)
         # the tightest certified coefficient also works
-        rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound))
+        rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound), slack)
         floor_bound = low / c * hat_sq
         zeros = np.zeros(len(lhs))
         for name, failing, left, right, tol in (
             ("holds", ~holds, zeros, zeros, 0.0),
-            ("direct", ~ok, lhs, rhs, t),
-            ("direct-tight", ~ok2, lhs, rhs2, t),
+            ("direct", ~ok, lhs, rhs, slack),
+            ("direct-tight", ~ok2, lhs, rhs2, slack),
             ("positive", vanishing & _at_most_fails(floor_bound, lhs, t), floor_bound, lhs, t),
         ):
             # a check of the picked trials, spread over the group
@@ -1183,11 +1123,10 @@ def _margin(rng):
     return abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
 
 
-def suite_boundary_cases(seed, trials, tol):
+def suite_boundary_cases(seed, trials, t):
     """The deterministic boundary examples: the flat-term form, the negative
     2-form term family, and the indefinite Einstein operator."""
     failures = []
-    t = tol if tol is not None else 1e-12
     cp2 = cp2_op()
     kaehler = PForm(4, 2, np.zeros(6))
     comps = np.array(kaehler.comps)
@@ -1226,12 +1165,10 @@ def suite_boundary_cases(seed, trials, tol):
     return failures
 
 
-def suite_singer_thorpe(seed, trials, tol):
+def suite_singer_thorpe(seed, trials, t):
     """Multiplication table of the split basis, the Bianchi criterion over
     random eigenvalue sextuples, and the basis-diagonal norm formula."""
     failures = []
-    t = tol if tol is not None else 1e-15
-    sid = _SUITE_IDS["singer-thorpe"]
     basis = singer_thorpe_basis()
     root2 = math.sqrt(2.0)
     for i in range(6):
@@ -1267,10 +1204,7 @@ def suite_singer_thorpe(seed, trials, tol):
     for i in range(6):
         want = basis[i].comps if i < 3 else -basis[i].comps
         _close(failures, ("duality", i), float(np.abs(star @ basis[i].comps - want).max()), 0.0, t)
-    sid_count = 0
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, sid_count)
-        sid_count += 1
+    for trial, rng in _trials(seed, "singer-thorpe", trials):
         lams = rng.normal(size=6)
         if trial % 2 == 0:
             lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
@@ -1299,17 +1233,14 @@ def suite_singer_thorpe(seed, trials, tol):
     return failures
 
 
-def suite_fourdim_einstein(seed, trials, tol):
+def suite_fourdim_einstein(seed, trials, t):
     """The six-eigenvalue expansion of the curvature term on the operator's
     own curvature tensor."""
     failures = []
-    t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["fourdim-einstein"]
     _close(failures, ("equal",), fourdim_einstein_term((3.0,) * 6), 0.0, 0.0)
     _close(failures, ("remark",), fourdim_einstein_term((-1, -1, 8, 2, 2, 2)), -2592.0, 0.0)
     _close(failures, ("cp2",), fourdim_einstein_term((0, 0, 6, 2, 2, 2)), 0.0, 0.0)
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "fourdim-einstein", trials):
         lams = rng.normal(size=6)
         lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
         op, _ = singer_thorpe_op(lams)
@@ -1324,19 +1255,16 @@ def suite_fourdim_einstein(seed, trials, tol):
     return failures
 
 
-def suite_normal_h(seed, trials, tol):
+def suite_normal_h(seed, trials, t):
     """The complex-eigenbasis expansion of the curvature term on normal
     endomorphisms against the real computation."""
     failures = []
-    t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["normal-h"]
     op4, _ = negative_sym2_term_op(4, 1.0, -1.0)
     _close(failures, ("flat",), normal_h_term(op4, np.diag([-1.0, 0.0, 0.0, 1.0])), 0.0, t)
     op6, h6 = negative_sym2_term_op(6, 1.0, -3.0)
     _close(failures, ("negative",), normal_h_term(op6, np.diag([-1.0, 0, 0, 0, 0, 1.0])), -8.0, t)
     _close(failures, ("metric",), normal_h_term(op6, np.eye(6)), 0.0, t)
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "normal-h", trials):
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         hmat = random_normal_matrix(rng, n)
@@ -1347,11 +1275,10 @@ def suite_normal_h(seed, trials, tol):
     return failures
 
 
-def suite_extremal_pform(seed, trials, tol):
+def suite_extremal_pform(seed, trials, t):
     """Rotation-pair identities, support sizes, and the group tally of the
     sharp p-form family."""
     failures = []
-    t = tol if tol is not None else 0.0
     for p in (1, 2, 3, 4):
         w1, w2, lam = extremal_pform(p)
         lw1 = so_act(lam, w1)
@@ -1375,18 +1302,15 @@ def suite_extremal_pform(seed, trials, tol):
     return failures
 
 
-def suite_complex_sectional(seed, trials, tol):
+def suite_complex_sectional(seed, trials, t):
     """Complex sectional curvatures: real pairs, the eigen-expansion, and
     the isotropic plane value of the symmetric example operator."""
     failures = []
-    t = tol if tol is not None else 1e-9
-    sid = _SUITE_IDS["complex-sectional"]
     cp2 = cp2_op()
     z = np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2.0)
     w = np.array([0.0, 0.0, 1.0, 1.0j]) / math.sqrt(2.0)
     _close(failures, ("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, 1e-12)
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "complex-sectional", trials):
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -1403,8 +1327,6 @@ def suite_complex_sectional(seed, trials, tol):
         wc = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = complex_sectional(r, zc, wc)
         vals, vecs = jacobi_eigh(r.mat)
-        from .operators import wedge_coordinates
-
         zeta = wedge_coordinates(zc, wc, n)
         coeffs = vecs.T @ zeta
         want = float(np.sum(vals * np.abs(coeffs) ** 2))
@@ -1418,12 +1340,10 @@ def suite_complex_sectional(seed, trials, tol):
     return failures
 
 
-def suite_warped_round(seed, trials, tol):
+def suite_warped_round(seed, trials, t):
     """Round jets give the all-ones spectrum with the right multiplicities,
     and assembled operators are Bianchi."""
     failures = []
-    t = tol if tol is not None else 1e-12
-    sid = _SUITE_IDS["warped-round"]
     for p in (2, 3, 4):
         for q in (2, 3, 4):
             for ridx, r in enumerate((0.3, 0.7, 1.1, 1.4)):
@@ -1444,8 +1364,7 @@ def suite_warped_round(seed, trials, tol):
                     0.0,
                     t,
                 )
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "warped-round", trials):
         prof = perturbed_profile(2, 2, float(rng.uniform(0.2, 1.5)), 0.8, 0.1)
         r = float(rng.uniform(0.2, 1.3))
         op = dwp_operator(2, 2, prof(r))
@@ -1453,11 +1372,10 @@ def suite_warped_round(seed, trials, tol):
     return failures
 
 
-def suite_warped_perturbed(seed, trials, tol):
+def suite_warped_perturbed(seed, trials, t):
     """The bump profile: exact round limit, the deep radial dip with the
     other families pinned near one, and the positivity transition."""
     failures = []
-    t = tol if tol is not None else 1e-12
     prof0 = perturbed_profile(2, 2, 0.0, 0.8, 0.2)
     for r in (0.3, 0.8, 1.2):
         jet = prof0(r)
@@ -1495,11 +1413,10 @@ def suite_warped_perturbed(seed, trials, tol):
     return failures
 
 
-def suite_ode(seed, trials, tol):
+def suite_ode(seed, trials, t):
     """Fixed point, axis crossings with the radius growth, exact scalar
     curvature along trajectories, time reversal, and the convergence order."""
     failures = []
-    t = tol if tol is not None else 1e-6
     for n in (4, 5, 6, 7, 8):
         center = math.sqrt((n - 2) / 2.0)
         states, status = integrate_warp_ode(n, center, 0.0, 1e-3, 3.0)
@@ -1553,12 +1470,10 @@ def suite_ode(seed, trials, tol):
     return failures
 
 
-def suite_serialization(seed, trials, tol):
+def suite_serialization(seed, trials, t):
     """Operator files: write/read reproduces every matrix entry bit-exactly."""
     failures = []
-    sid = _SUITE_IDS["serialization"]
-    for trial in range(trials):
-        rng = _trial_rng(seed, sid, trial)
+    for trial, rng in _trials(seed, "serialization", trials):
         n = int(rng.integers(2, 7))
         op = random_sym_operator(rng, n)
         text = dumps_operator(op, metadata={"label": "round-trip", "value": float(rng.normal())})
@@ -1581,51 +1496,54 @@ def suite_serialization(seed, trials, tol):
     return failures
 
 
+# name, suite, default trial count, default tolerance (None where no
+# comparison takes one); a suite's index here seeds its trial streams
 _SUITE_TABLE = (
-    ("exact-values", suite_exact_values, 1),
-    ("prop-1.1", suite_prop_1_1, 1000),
-    ("tensor-core", suite_tensor_core, 300),
-    ("prop-1.2", suite_prop_1_2, 400),
-    ("prop-1.3", suite_prop_1_3, 400),
-    ("prop-1.6", suite_prop_1_6, 200),
-    ("prop-1.7", suite_prop_1_7, 1000),
-    ("prop-1.9", suite_prop_1_9, 1000),
-    ("prop-2.8", suite_prop_2_8, 1000),
-    ("ric-closed-form", suite_ric_closed_form, 200),
-    ("hat-closed-form", suite_hat_closed_form, 150),
-    ("hat-structure", suite_hat_structure, 60),
-    ("basis-independence", suite_basis_independence, 60),
-    ("bianchi-split", suite_bianchi_split, 200),
-    ("decompose", suite_decompose, 200),
-    ("spectrum", suite_spectrum, 80),
-    ("lemma-2.2", suite_lemma_2_2, 10000),
-    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1),
-    ("estimate-constants", suite_estimate_constants, 400),
-    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500),
-    ("boundary-cases", suite_boundary_cases, 1),
-    ("singer-thorpe", suite_singer_thorpe, 1000),
-    ("fourdim-einstein", suite_fourdim_einstein, 1000),
-    ("normal-h", suite_normal_h, 150),
-    ("extremal-pform", suite_extremal_pform, 1),
-    ("complex-sectional", suite_complex_sectional, 150),
-    ("warped-round", suite_warped_round, 20),
-    ("warped-perturbed", suite_warped_perturbed, 1),
-    ("ode", suite_ode, 1),
-    ("serialization", suite_serialization, 100),
+    ("exact-values", suite_exact_values, 1, 1e-12),
+    ("prop-1.1", suite_prop_1_1, 1000, 1e-10),
+    ("tensor-core", suite_tensor_core, 300, 1e-12),
+    ("prop-1.2", suite_prop_1_2, 400, 1e-12),
+    ("prop-1.3", suite_prop_1_3, 400, 1e-12),
+    ("prop-1.6", suite_prop_1_6, 200, 1e-9),
+    ("prop-1.7", suite_prop_1_7, 1000, 1e-9),
+    ("prop-1.9", suite_prop_1_9, 1000, 1e-10),
+    ("prop-2.8", suite_prop_2_8, 1000, 1e-9),
+    ("ric-closed-form", suite_ric_closed_form, 200, 1e-12),
+    ("hat-closed-form", suite_hat_closed_form, 150, 0.0),
+    ("hat-structure", suite_hat_structure, 60, 1e-12),
+    ("basis-independence", suite_basis_independence, 60, 1e-9),
+    ("bianchi-split", suite_bianchi_split, 200, 1e-12),
+    ("decompose", suite_decompose, 200, 1e-12),
+    ("spectrum", suite_spectrum, 80, 1e-10),
+    ("lemma-2.2", suite_lemma_2_2, 10000, 1e-10),
+    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12),
+    ("estimate-constants", suite_estimate_constants, 400, 1e-10),
+    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9),
+    ("boundary-cases", suite_boundary_cases, 1, 1e-12),
+    ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15),
+    ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9),
+    ("normal-h", suite_normal_h, 150, 1e-9),
+    ("extremal-pform", suite_extremal_pform, 1, 0.0),
+    ("complex-sectional", suite_complex_sectional, 150, 1e-9),
+    ("warped-round", suite_warped_round, 20, 1e-12),
+    ("warped-perturbed", suite_warped_perturbed, 1, 1e-12),
+    ("ode", suite_ode, 1, 1e-6),
+    ("serialization", suite_serialization, 100, None),
 )
 
-SUITES = {name: (fn, default) for name, fn, default in _SUITE_TABLE}
-_SUITE_IDS = {name: idx for idx, (name, _, _) in enumerate(_SUITE_TABLE)}
+SUITES = {name: (fn, trials, tol) for name, fn, trials, tol in _SUITE_TABLE}
+_SUITE_IDS = {name: idx for idx, (name, *_) in enumerate(_SUITE_TABLE)}
 
 
 def run_suite(name, trials=None, seed=42, tol=None) -> Report:
-    """Run one suite and wrap the outcome in a report."""
+    """Run one suite and wrap the outcome in a report; trials and tol
+    default to the suite's own values in _SUITE_TABLE."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    fn, default = SUITES[name]
-    used = default if trials is None else int(trials)
+    fn, default_trials, default_tol = SUITES[name]
+    used = default_trials if trials is None else int(trials)
     start = time.perf_counter()
-    failures = fn(seed, used, tol)
+    failures = fn(seed, used, default_tol if tol is None else tol)
     elapsed = time.perf_counter() - start
     return Report(suite=name, trials=used, failures=failures, seed=seed, wall_time=elapsed)
 

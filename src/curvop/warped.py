@@ -271,13 +271,19 @@ def integrate_warp_ode(n, x0, y0, step, t_max):
     return states, "ok"
 
 
-def _refine_crossing(n, state: OdeState, h, tol=1e-10, max_iter=200):
+# _refine_crossing bisects until |y| is at most _CROSSING_TOL, for at most
+# _CROSSING_ITERS halvings.
+_CROSSING_TOL = 1e-10
+_CROSSING_ITERS = 200
+
+
+def _refine_crossing(n, state: OdeState, h):
     """Bisect the step size until the probe lands on the axis."""
     lo, hi = 0.0, h
     tau = h
     x1, y1 = _rk4_step(n, state.x, state.y, tau)
-    for _ in range(max_iter):
-        if abs(y1) <= tol:
+    for _ in range(_CROSSING_ITERS):
+        if abs(y1) <= _CROSSING_TOL:
             break
         tau = 0.5 * (lo + hi)
         x1, y1 = _rk4_step(n, state.x, state.y, tau)

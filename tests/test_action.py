@@ -79,6 +79,17 @@ class TestSoElement:
         want = 0.5 * np.trace(a.matrix().T @ b.matrix())
         assert float(a.comps @ b.comps) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_from_matrix_skew_threshold(self, factor, accepted):
+        # skew to 1e-9 times max(1, largest entry), here 2, is skew enough
+        m = np.array([[0.0, -2.0], [2.0, 0.0]])
+        m[0, 1] += factor * 1e-9 * 2.0
+        if accepted:
+            assert SoElement.from_matrix(m).comps.tolist() == pytest.approx([2.0], abs=1e-8)
+        else:
+            with pytest.raises(ValueError, match="not skew-symmetric"):
+                SoElement.from_matrix(m)
+
     def test_from_vectors(self):
         x = np.array([1.0, 0, 0, 0])
         y = np.array([0, 1.0, 0, 0])

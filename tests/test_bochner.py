@@ -264,6 +264,17 @@ class TestNormalHTerm:
                 curvature_term(r, tensor, tensor), rel=1e-9, abs=1e-9
             )
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_normality_threshold(self, factor, accepted):
+        # [[1, e], [0, 2]] has commutator entries e and e^2; normal to 1e-10
+        # times max(1, largest entry squared), here 4, is normal enough
+        h = np.array([[1.0, factor * 1e-10 * 4.0], [0.0, 2.0]])
+        if accepted:
+            assert normal_h_term(identity_operator(2), h) == pytest.approx(2.0, rel=1e-9)
+        else:
+            with pytest.raises(ValueError, match="not normal"):
+                normal_h_term(identity_operator(2), h)
+
     def test_rejects_non_normal(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from curvop import (
     tensor_from_op,
     wedge_count,
 )
+from curvop import operators
 from curvop.operators import _round_robin, wedge_coordinates
 from curvop.tensors import wedge_pairs
 from curvop.verify import random_bianchi_operator, random_orthogonal, random_sym_operator
@@ -301,11 +302,27 @@ class TestSpectrum:
                 seen.extend(zip(p.tolist(), q.tolist()))
             assert sorted(seen) == [(p, q) for p in range(size) for q in range(p + 1, size)]
 
-    def test_too_few_sweeps_raise(self):
+    def test_too_few_sweeps_raise(self, monkeypatch):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(28, 28))
-        with pytest.raises(RuntimeError):
-            jacobi_eigh((m + m.T) / 2, max_sweeps=1)
+        monkeypatch.setattr(operators, "_JACOBI_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            jacobi_eigh((m + m.T) / 2)
+
+    @pytest.mark.parametrize("factor, converged", [(0.5, True), (2.0, False)])
+    def test_convergence_threshold(self, factor, converged, monkeypatch):
+        # with no sweeps allowed, a matrix is accepted as it stands exactly
+        # when no off-diagonal entry exceeds 1e-13 times its Frobenius norm
+        m = np.diag([1.0, 2.0, 3.0])
+        m[0, 1] = m[1, 0] = factor * 1e-13 * np.sqrt(14.0)
+        monkeypatch.setattr(operators, "_JACOBI_SWEEPS", 0)
+        if converged:
+            vals, vecs = jacobi_eigh(m)
+            assert vals.tolist() == [1.0, 2.0, 3.0]
+            assert np.array_equal(vecs, np.eye(3))
+        else:
+            with pytest.raises(RuntimeError, match="did not converge"):
+                jacobi_eigh(m)
 
     def test_smallest_sizes(self):
         vals, vecs = jacobi_eigh(np.array([[2.5]]))

@@ -158,6 +158,21 @@ class TestPForm:
         with pytest.raises(ValueError):
             PForm.from_tensor(Tensor0k(np.ones((3, 3))))
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_from_tensor_alternation_threshold(self, factor, accepted):
+        # alternating to 1e-12 times max(1, largest entry) is alternating
+        dense = np.array(wedge_basis_form(3, (0, 1)).to_tensor().array)
+        dense[1, 0] += factor * 1e-12
+        if accepted:
+            assert PForm.from_tensor(Tensor0k(dense)).comps.tolist() == [1.0, 0.0, 0.0]
+        else:
+            with pytest.raises(ValueError, match="not alternating"):
+                PForm.from_tensor(Tensor0k(dense))
+
+    def test_from_tensor_rejects_order_above_dimension(self):
+        with pytest.raises(ValueError, match=r"form degree must be in 1\.\.2, got 9"):
+            PForm.from_tensor(Tensor0k(np.zeros((2,) * 9)))
+
     def test_wedge_basis_count_and_orthogonality(self):
         forms = [wedge_basis_form(4, idx) for idx in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
         assert len(forms) == 6

@@ -1,6 +1,7 @@
 """The verification layer itself: determinism and registry hygiene, and the
 batched suites against their one-trial-at-a-time definitions."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -267,10 +268,15 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
                 kappa = min(0.0, average) - margin
                 verdict = lemma21_verdict(spec, c, kappa)
                 _require(failures, ("holds", n, trial, kind_name), verdict.holds)
-                lhs, rhs, ok = direct_term_check(op, tt, kappa)
-                _require(failures, ("direct", n, trial, kind_name), ok, lhs, rhs, t)
-                lhs2, rhs2, ok2 = direct_term_check(op, tt, min(0.0, verdict.bound))
-                _require(failures, ("direct-tight", n, trial, kind_name), ok2, lhs2, rhs2, t)
+                # the direct checks allow direct_term_check's 1e-10, or t
+                # when that is tighter
+                slack = min(t, 1e-10)
+                lhs, rhs, _ = direct_term_check(op, tt, kappa)
+                ok = lhs >= rhs - slack * max(1.0, abs(lhs), abs(rhs))
+                _require(failures, ("direct", n, trial, kind_name), ok, lhs, rhs, slack)
+                lhs2, rhs2, _ = direct_term_check(op, tt, min(0.0, verdict.bound))
+                ok2 = lhs2 >= rhs2 - slack * max(1.0, abs(lhs2), abs(rhs2))
+                _require(failures, ("direct-tight", n, trial, kind_name), ok2, lhs2, rhs2, slack)
                 if verdict.vanishing:
                     hat_sq = hat_norm_sq(tt)
                     floor_bound = verdict.lowest_sum / verdict.C_used * hat_sq
@@ -486,3 +492,68 @@ def test_suite_memory_flat_in_trials(name, trials, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0] + 2 ** 20, peaks
+
+
+def test_direct_checks_follow_the_tolerance():
+    # the direct checks compare at min(tol, 1e-10), so a negative tolerance
+    # fails them like every other comparison
+    report = run_suite("lemma-2.1-soundness", trials=3, seed=42, tol=-1.0)
+    tags = {
+        verify._digest(name, n, trial, kind): name
+        for name in ("direct", "direct-tight")
+        for n in (3, 4, 5, 6)
+        for trial in range(3)
+        for kind in ("pform", "sym2", "curvature_einstein", "weyl")
+    }
+    failed = {tags[f.digest] for f in report.failures if f.digest in tags}
+    assert failed == {"direct", "direct-tight"}
+    assert {f.tolerance for f in report.failures} == {-1.0}
+    assert run_suite("lemma-2.1-soundness", trials=3, seed=42).passed
+
+
+# the tolerance each suite runs at when none is given
+DEFAULT_TOLERANCES = {
+    "exact-values": 1e-12, "prop-1.1": 1e-10, "tensor-core": 1e-12, "prop-1.2": 1e-12,
+    "prop-1.3": 1e-12, "prop-1.6": 1e-9, "prop-1.7": 1e-9, "prop-1.9": 1e-10, "prop-2.8": 1e-9,
+    "ric-closed-form": 1e-12, "hat-closed-form": 0.0, "hat-structure": 1e-12,
+    "basis-independence": 1e-9, "bianchi-split": 1e-12, "decompose": 1e-12, "spectrum": 1e-10,
+    "lemma-2.2": 1e-10, "lemma-2.2-sharpness": 1e-12, "estimate-constants": 1e-10,
+    "lemma-2.1-soundness": 1e-9, "boundary-cases": 1e-12, "singer-thorpe": 1e-15,
+    "fourdim-einstein": 1e-9, "normal-h": 1e-9, "extremal-pform": 0.0,
+    "complex-sectional": 1e-9, "warped-round": 1e-12, "warped-perturbed": 1e-12, "ode": 1e-6,
+    "serialization": None,
+}
+
+
+def test_suite_default_tolerances():
+    assert {name: tol for name, (_, _, tol) in SUITES.items()} == DEFAULT_TOLERANCES
+
+
+@pytest.mark.parametrize("name", ["prop-1.1", "lemma-2.2", "serialization"])
+def test_run_suite_hands_the_default_or_the_given_tolerance(name, monkeypatch):
+    fn, trials, default = SUITES[name]
+    seen = []
+    monkeypatch.setitem(SUITES, name, (lambda seed, count, t: seen.append(t) or [], trials, default))
+    run_suite(name, trials=1)
+    run_suite(name, trials=1, tol=-1.0)
+    run_suite(name, trials=1, tol=0.0)
+    assert seen == [DEFAULT_TOLERANCES[name], -1.0, 0.0]
+
+
+def reports_hash(reports):
+    """A hash of each report's suite, trial count and failure digests and
+    tolerances, in order; lhs and rhs are left out, so ulps do not move it."""
+    rows = [(r.suite, r.trials, [(f.digest, f.tolerance) for f in r.failures]) for r in reports]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
+DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
+FAILING_HASH = "db9526b059b9150ace8a8f10dfe4c86938f38d9f1eb08eeb9ea11a61958e6549"
+
+
+def test_reports_are_pinned():
+    # any change to a draw, a tag, a check's order, a tolerance or a trial
+    # count of any suite moves one of these
+    assert reports_hash(run_all(trials=3, seed=42)) == DEFAULT_HASH
+    assert reports_hash(run_all(trials=3, seed=42, tol=-1.0)) == FAILING_HASH
