@@ -161,10 +161,17 @@ def direct_term_check(r: CurvatureOperator, t, kappa):
     return float(lhs), float(rhs), bool(ok)
 
 
-# relative slack of direct_term_check, and of the normality check of
-# normal_h_term against max(1, the matrix's largest entry squared)
+# relative slack of direct_term_check, and of the normality and eigenbasis
+# residual checks of normal_h_term against max(1, the matrix's largest entry
+# squared)
 _DIRECT_SLACK = 1e-10
 _NORMAL_TOL = 1e-10
+
+# Weight of the skew part in the Hermitian matrix normal_h_term diagonalizes.
+# H's eigenvalue s + ia becomes s + gamma a there; an irrational gamma keeps
+# distinct eigenvalues of H distinct for rational s and a, and the residual
+# check catches any pair it merges.
+_NORMAL_GAMMA = math.sqrt(2.0) - 1.0
 
 
 def _direct_check(lhs, hat_sq, kappa, slack):
@@ -257,21 +264,28 @@ def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
 
     With H normal, an orthonormal complex eigenbasis exists and the term is
     2 sum_{i<j} |h_i - conj(h_j)|^2 K_ij over the complex sectional
-    curvatures of the eigenplanes.  Matches curvature_term on the dense
-    (0,2)-tensor of H.
+    curvatures of the eigenplanes.  The basis is the eigenbasis of the
+    Hermitian matrix S - i gamma A, S and A the symmetric and skew parts of
+    H, which commute because H is normal; the h_i are the Rayleigh quotients
+    of H on it.  Matches curvature_term on the dense (0,2)-tensor of H.
+    Raises ValueError when H is not finite or not normal, or when that basis
+    leaves a residual |HV - V diag(h)| above the normality tolerance.
     """
     h = np.asarray(h_matrix, dtype=float)
     if h.shape != (r.n, r.n):
         raise ValueError(f"expected a {r.n}x{r.n} matrix, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(h).max()) ** 2)
     if float(np.abs(h @ h.T - h.T @ h).max()) > _NORMAL_TOL * scale:
         raise ValueError("matrix is not normal")
-    # imported here: this is the only scipy user, and the import costs more
-    # than every other module of the package together
-    from scipy.linalg import schur
-
-    tri, basis = schur(h.astype(complex), output="complex")
-    eigs = np.diag(tri)
+    sym = 0.5 * (h + h.T)
+    skew = 0.5 * (h - h.T)
+    _, basis = np.linalg.eigh(sym - (1j * _NORMAL_GAMMA) * skew)
+    h_basis = h @ basis
+    eigs = np.sum(basis.conj() * h_basis, axis=0)
+    if float(np.abs(h_basis - basis * eigs).max()) > _NORMAL_TOL * scale:
+        raise ValueError("no orthonormal eigenbasis of the matrix within the normality tolerance")
     total = 0.0
     for i in range(r.n):
         for j in range(i + 1, r.n):

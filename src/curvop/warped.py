@@ -218,28 +218,70 @@ class OdeState:
     y: float
 
 
-def _rk4_step(n, x, y, h):
-    k1x, k1y = ode_rhs(n, x, y)
-    k2x, k2y = ode_rhs(n, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = ode_rhs(n, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-    k4x, k4y = ode_rhs(n, x + h * k3x, y + h * k3y)
-    return (
-        x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
-        y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0,
-    )
+def _rk4_columns(n, x, y, h, steps, armed=math.inf):
+    """Up to `steps` classical Runge-Kutta steps of size h from (x, y).
+
+    ode_rhs is inlined with its floating-point expressions in their order,
+    so every step equals one taken through it bit for bit.  Returns
+    (xs, ys, status, last): xs and ys hold the start and each accepted step;
+    status is "ok", "blow-down" once x leaves the positive half plane or a
+    value is not finite, or "crossed" at the first step taking y from above
+    armed to at most 0; last is the (x, y) of the final step taken, accepted
+    or not.
+    """
+    inf = math.inf
+    c = 0.5 * (n - 2)
+    half = 0.5 * h
+    xs = [x]
+    ys = [y]
+    nx, ny = x, y
+    status = "ok"
+    for _ in range(steps):
+        k1 = -(x * x + c * (y * y - 1.0)) / x
+        x2 = x + half * y
+        y2 = y + half * k1
+        k2 = -(x2 * x2 + c * (y2 * y2 - 1.0)) / x2
+        x3 = x + half * y2
+        y3 = y + half * k2
+        k3 = -(x3 * x3 + c * (y3 * y3 - 1.0)) / x3
+        x4 = x + h * y3
+        y4 = y + h * k3
+        k4 = -(x4 * x4 + c * (y4 * y4 - 1.0)) / x4
+        nx = x + h * (y + 2.0 * y2 + 2.0 * y3 + y4) / 6.0
+        ny = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        # NaN fails every comparison, so this is also the finiteness check
+        if not (0.0 < nx < inf and -inf < ny < inf):
+            status = "blow-down"
+            break
+        if y > armed and ny <= 0.0:
+            status = "crossed"
+            break
+        x = nx
+        y = ny
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, status, (nx, ny)
 
 
 @dataclass(frozen=True)
 class ShootResult:
     """Trajectory plus the first return to the axis, when one is found.
 
-    status is "crossed", "no-crossing", or "blow-down"; crossing holds
-    (time, x) at the refined axis return.
+    t, x and y are the trajectory as columns, ending at the refined axis
+    return when there is one; status is "crossed", "no-crossing", or
+    "blow-down"; crossing holds (time, x) at the refined axis return.
     """
 
-    states: tuple
+    t: tuple
+    x: tuple
+    y: tuple
     crossing: tuple | None
     status: str
+
+    @property
+    def states(self) -> tuple:
+        """The trajectory as OdeStates, built on each access."""
+        return tuple(map(OdeState, self.t, self.x, self.y))
 
 
 def _check_step(step, t_max):
@@ -260,15 +302,8 @@ def integrate_warp_ode(n, x0, y0, step, t_max):
     _check_step(step, t_max)
     if x0 <= 0:
         raise ValueError(f"x must start positive, got {x0}")
-    states = [OdeState(0.0, float(x0), float(y0))]
-    steps = int(round(t_max / step))
-    x, y = float(x0), float(y0)
-    for i in range(1, steps + 1):
-        x, y = _rk4_step(n, x, y, step)
-        if not (x > 0.0) or not math.isfinite(x) or not math.isfinite(y):
-            return states, "blow-down"
-        states.append(OdeState(i * step, x, y))
-    return states, "ok"
+    xs, ys, status, _ = _rk4_columns(n, float(x0), float(y0), step, int(round(t_max / step)))
+    return [OdeState(i * step, x, y) for i, (x, y) in enumerate(zip(xs, ys))], status
 
 
 # _refine_crossing bisects until |y| is at most _CROSSING_TOL, for at most
@@ -277,21 +312,22 @@ _CROSSING_TOL = 1e-10
 _CROSSING_ITERS = 200
 
 
-def _refine_crossing(n, state: OdeState, h):
-    """Bisect the step size until the probe lands on the axis."""
+def _refine_crossing(n, t, x, y, h):
+    """Bisect the step size from the state (t, x, y) until the probe lands
+    on the axis."""
     lo, hi = 0.0, h
     tau = h
-    x1, y1 = _rk4_step(n, state.x, state.y, tau)
+    *_, (x1, y1) = _rk4_columns(n, x, y, tau, 1)
     for _ in range(_CROSSING_ITERS):
         if abs(y1) <= _CROSSING_TOL:
             break
         tau = 0.5 * (lo + hi)
-        x1, y1 = _rk4_step(n, state.x, state.y, tau)
+        *_, (x1, y1) = _rk4_columns(n, x, y, tau, 1)
         if y1 > 0.0:
             lo = tau
         else:
             hi = tau
-    return state.t + tau, x1, y1
+    return t + tau, x1, y1
 
 
 def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
@@ -310,32 +346,44 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     if x0 * x0 > limit * (1.0 + 1e-12):
         raise ValueError(f"x0^2 must be at most (n-2)/2 = {limit}, got {x0 * x0}")
     _check_step(step, t_max)
-    states = [OdeState(0.0, float(x0), 0.0)]
-    x, y = float(x0), 0.0
-    steps = int(round(t_max / step))
     # roundoff-level y (a start at the center) must not arm the detector
-    armed = 1e-8
-    for i in range(1, steps + 1):
-        nx, ny = _rk4_step(n, x, y, step)
-        if not (nx > 0.0) or not math.isfinite(nx) or not math.isfinite(ny):
-            return ShootResult(tuple(states), None, "blow-down")
-        if y > armed and ny <= 0.0:
-            t_cross, x1, y1 = _refine_crossing(n, states[-1], step)
-            states.append(OdeState(t_cross, x1, y1))
-            if x1 * x1 <= limit:
-                raise AssertionError(
-                    f"axis return at x = {x1} did not leave the disk x^2 <= {limit}"
-                )
-            return ShootResult(tuple(states), (t_cross, x1), "crossed")
-        x, y = nx, ny
-        states.append(OdeState(i * step, x, y))
-    return ShootResult(tuple(states), None, "no-crossing")
+    xs, ys, status, _ = _rk4_columns(
+        n, float(x0), 0.0, step, int(round(t_max / step)), armed=1e-8
+    )
+    ts = [i * step for i in range(len(xs))]
+    if status != "crossed":
+        status = "no-crossing" if status == "ok" else status
+        return ShootResult(tuple(ts), tuple(xs), tuple(ys), None, status)
+    t_cross, x1, y1 = _refine_crossing(n, ts[-1], xs[-1], ys[-1], step)
+    if x1 * x1 <= limit:
+        raise AssertionError(f"axis return at x = {x1} did not leave the disk x^2 <= {limit}")
+    ts.append(t_cross)
+    xs.append(x1)
+    ys.append(y1)
+    return ShootResult(tuple(ts), tuple(xs), tuple(ys), (t_cross, x1), "crossed")
+
+
+def _scal_columns(n, xs, ys) -> list:
+    """scal_single_warped along columns of x and y, with the curvature of the
+    profile taken from the field: the expressions of both, in their order."""
+    n = int(n)
+    if n < 3:
+        raise ValueError(f"dimension must be at least 3, got {n}")
+    if xs and min(xs) <= 0.0:
+        raise ValueError("the warping function must be positive along the trajectory")
+    c = 0.5 * (n - 2)
+    a = -2.0 * (n - 1)
+    b = (n - 2.0) * (n - 1)
+    # y ** 2 and x ** 2 go through pow, as in scal_single_warped; y * y
+    # rounds differently on about one value in a thousand
+    return [
+        a * (-(x * x + c * (y * y - 1.0)) / x) / x + b * (1.0 - y ** 2) / x ** 2
+        for x, y in zip(xs, ys)
+    ]
 
 
 def trajectory_scal(n, result_states) -> np.ndarray:
     """Scalar curvature along a trajectory, with the curvature of the profile
     taken from the field itself."""
-    return np.array(
-        [scal_single_warped(n, s.x, s.y, ode_rhs(n, s.x, s.y)[1]) for s in result_states],
-        dtype=float,
-    )
+    states = tuple(result_states)
+    return np.array(_scal_columns(n, [s.x for s in states], [s.y for s in states]), dtype=float)

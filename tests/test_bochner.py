@@ -27,7 +27,7 @@ from curvop import (
     tensor_from_op,
 )
 from curvop.bochner import normal_h_tensor
-from curvop.verify import random_normal_matrix, random_sym_operator
+from curvop.verify import random_normal_matrix, random_orthogonal, random_sym_operator
 
 
 class TestEstimateConstant:
@@ -263,6 +263,49 @@ class TestNormalHTerm:
             assert normal_h_term(r, h) == pytest.approx(
                 curvature_term(r, tensor, tensor), rel=1e-9, abs=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(0.7, 1.3), (0.7, 1.3)],
+            [(0.7, 1.3), (0.7, 1.3), (-0.4, 0.9)],
+            [(0.5,), (0.5,), (-1.1, 2.0)],
+            [(0.0, 1.5), (0.0, 1.5), (0.0,)],
+        ],
+        ids=["equal-blocks-r4", "equal-blocks-r6", "real-pair-and-complex-pair", "skew"],
+    )
+    def test_repeated_eigenvalues_match_real_side(self, blocks):
+        # inside a repeated eigenvalue the weight |h_i - conj(h_j)|^2 is not
+        # zero, so the term needs the basis orthonormal within the cluster
+        n = sum(len(b) for b in blocks)
+        canon = np.zeros((n, n))
+        i = 0
+        for block in blocks:
+            canon[i, i] = block[0]
+            if len(block) == 2:
+                canon[i + 1, i + 1] = block[0]
+                canon[i + 1, i] = block[1]
+                canon[i, i + 1] = -block[1]
+            i += len(block)
+        rng = np.random.default_rng(n)
+        q = random_orthogonal(rng, n)
+        h = q @ canon @ q.T
+        r = random_sym_operator(rng, n)
+        tensor = normal_h_tensor(h)
+        assert normal_h_term(r, h) == pytest.approx(curvature_term(r, tensor, tensor), rel=1e-12)
+
+    def test_uncertified_eigenbasis_raises(self):
+        # [[1, e], [0, 1]] passes the normality check, its commutator being
+        # e^2, but has a single eigenvector, so no unitary basis fits it
+        h = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="eigenbasis"):
+            normal_h_term(identity_operator(2), h)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite(self, entry):
+        h = np.array([[1.0, 0.0], [0.0, entry]])
+        with pytest.raises(ValueError, match="finite"):
+            normal_h_term(identity_operator(2), h)
 
     @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
     def test_normality_threshold(self, factor, accepted):

@@ -1,5 +1,6 @@
 """Command line: serialization, catalog emission, verdicts, CSV scans."""
 
+import hashlib
 import json
 import math
 import os
@@ -303,6 +304,34 @@ class TestOdeCommand:
         assert out.startswith("t,x,y,scal")
 
 
+class TestPinnedBytes:
+    # sha256 of CLI output whose every value is plain IEEE arithmetic on
+    # diagonal or scalar inputs: a faster path must write the same bytes
+    ODE_SHA256 = "366e503f5eee7a4befb767f7a420200ec3d493d2281a6b21d1743d2e0977ce9e"
+    REMARK_SHA256 = "56aa8c0fcff6847c5f6e0e80eb71e35b0a92b3dc866f4800d2f1d95604150de9"
+
+    def test_ode_csv(self, capsys, tmp_path):
+        path = tmp_path / "orbit.csv"
+        code, _, _ = run(capsys, "ode", "--n", "4", "--x0", "0.6", "--step", "1e-4", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.ODE_SHA256
+
+    def test_remark_catalog_files(self, capsys, tmp_path):
+        # every file in order, n = 3..8 by K by K1n, hashed as one stream
+        digest = hashlib.sha256()
+        path = tmp_path / "remark.json"
+        for n in range(3, 9):
+            for K in (0.5, 1.0, 2.0):
+                for K1n in (-0.5, -1.0, -2.0):
+                    code, _, _ = run(
+                        capsys, "catalog", "--name", "remark-3.6", "--n", str(n),
+                        "--K", repr(K), "--K1n", repr(K1n), "--out", str(path),
+                    )
+                    assert code == 0
+                    digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.REMARK_SHA256
+
+
 class TestCsvRows:
     def test_template_matches_reference_bytes(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -381,19 +410,24 @@ class TestUsage:
             ("from curvop.cli import main; "
              "assert main(['ode', '--n', '4', '--x0', '0.5', '--step', '1e-2', '--out', {csv!r}]) == 0",
              ("catalog", "verify")),
+            ("from curvop.cli import main; "
+             "assert main(['catalog', '--name', 'remark-3.6', '--n', '4', '--K', '1', '--K1n', '-1', "
+             "'--out', {json!r}]) == 0",
+             ("verify", "warped")),
         ],
-        ids=["import-curvop", "import-cli", "spectrum", "ode"],
+        ids=["import-curvop", "import-cli", "spectrum", "ode", "remark-3.6"],
     )
     def test_import_footprint(self, tmp_path, statement, unloaded):
         # a cold start compiles every module it imports, so each command
-        # loads only its own; scipy serves only normal_h_term, so none of
-        # these pays for its import
+        # loads only its own; the package needs no scipy at all
         package = Path(curvop.__file__).resolve().parent
         if unloaded == "every submodule":
             unloaded = [p.stem for p in package.glob("*.py") if not p.stem.startswith("__")]
         op_path = tmp_path / "id.json"
         dump_operator(op_path, identity_operator(4))
-        statement = statement.format(op=str(op_path), csv=str(tmp_path / "o.csv"))
+        statement = statement.format(
+            op=str(op_path), csv=str(tmp_path / "o.csv"), json=str(tmp_path / "r.json")
+        )
         code = (
             f"{statement}\nimport json, sys\n"
             "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('curvop.'))))"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvop import (
+    OdeState,
     WarpJet,
     dwp_eigenvalue_list,
     dwp_eigenvalues,
@@ -27,6 +28,60 @@ def reference_trajectory_scal(n, states):
         _, dy = ode_rhs(n, state.x, state.y)
         out[i] = scal_single_warped(n, state.x, state.y, dy)
     return out
+
+
+def _rk4_step(n, x, y, h):
+    """One classical Runge-Kutta step through ode_rhs."""
+    k1x, k1y = ode_rhs(n, x, y)
+    k2x, k2y = ode_rhs(n, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+    k3x, k3y = ode_rhs(n, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+    k4x, k4y = ode_rhs(n, x + h * k3x, y + h * k3y)
+    return (
+        x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
+        y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0,
+    )
+
+
+def reference_integrate_warp_ode(n, x0, y0, step, t_max):
+    """The one-OdeState-per-step loop integrate_warp_ode replaced."""
+    states = [OdeState(0.0, float(x0), float(y0))]
+    x, y = float(x0), float(y0)
+    for i in range(1, int(round(t_max / step)) + 1):
+        x, y = _rk4_step(n, x, y, step)
+        if not (x > 0.0) or not math.isfinite(x) or not math.isfinite(y):
+            return states, "blow-down"
+        states.append(OdeState(i * step, x, y))
+    return states, "ok"
+
+
+def reference_ode_shoot(n, x0, step, t_max):
+    """The one-OdeState-per-step loop and crossing bisection ode_shoot
+    replaced, as (states, crossing, status)."""
+    states = [OdeState(0.0, float(x0), 0.0)]
+    x, y = float(x0), 0.0
+    for i in range(1, int(round(t_max / step)) + 1):
+        nx, ny = _rk4_step(n, x, y, step)
+        if not (nx > 0.0) or not math.isfinite(nx) or not math.isfinite(ny):
+            return states, None, "blow-down"
+        if y > 1e-8 and ny <= 0.0:
+            state = states[-1]
+            lo, hi = 0.0, step
+            tau = step
+            x1, y1 = _rk4_step(n, state.x, state.y, tau)
+            for _ in range(200):
+                if abs(y1) <= 1e-10:
+                    break
+                tau = 0.5 * (lo + hi)
+                x1, y1 = _rk4_step(n, state.x, state.y, tau)
+                if y1 > 0.0:
+                    lo = tau
+                else:
+                    hi = tau
+            states.append(OdeState(state.t + tau, x1, y1))
+            return states, (state.t + tau, x1), "crossed"
+        x, y = nx, ny
+        states.append(OdeState(i * step, x, y))
+    return states, None, "no-crossing"
 
 
 class TestDwpEigenvalues:
@@ -198,6 +253,43 @@ class TestOde:
             got = trajectory_scal(n, states)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert trajectory_scal(4, []).shape == (0,)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_shoot_matches_reference_loop(self, n, step):
+        limit = math.sqrt(0.5 * (n - 2))
+        for x0 in (0.3 * limit, 0.6 * limit, 0.9 * limit):
+            states, crossing, status = reference_ode_shoot(n, x0, step, 20.0)
+            res = ode_shoot(n, x0, step=step, t_max=20.0)
+            assert res.status == status == "crossed"
+            assert res.crossing == crossing
+            assert res.states == tuple(states)
+
+    @pytest.mark.parametrize(
+        "n, x0, step, t_max, status",
+        [
+            (8, 0.01, 1e-2, 20.0, "blow-down"),
+            (5, math.sqrt(1.5), 1e-3, 3.0, "no-crossing"),
+            (4, 0.6, 1e-3, 0.5, "no-crossing"),
+        ],
+        ids=["blow-down", "center", "short-t-max"],
+    )
+    def test_shoot_without_crossing_matches_reference_loop(self, n, x0, step, t_max, status):
+        states, crossing, want = reference_ode_shoot(n, x0, step, t_max)
+        res = ode_shoot(n, x0, step=step, t_max=t_max)
+        assert res.status == want == status
+        assert res.crossing is crossing is None
+        assert res.states == tuple(states)
+
+    @pytest.mark.parametrize(
+        "n, x0, y0, status",
+        [(4, 0.6, 0.0, "ok"), (7, 1.2, 0.3, "ok"), (4, 0.5, -10.0, "blow-down")],
+    )
+    def test_integrate_matches_reference_loop(self, n, x0, y0, status):
+        for step in (1e-3, 1e-4):
+            want = reference_integrate_warp_ode(n, x0, y0, step, 2.0)
+            assert integrate_warp_ode(n, x0, y0, step, 2.0) == want
+            assert want[1] == status
 
     def test_center_start_reports_no_crossing(self):
         n = 5
