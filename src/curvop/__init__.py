@@ -24,9 +24,9 @@ _PUBLIC = {
         "lemma21_verdict", "normal_h_term", "tachibana_verdict",
     ),
     "catalog": (
-        "ExtremalPair", "SingerThorpeBasis", "cp2_op", "extremal_pform", "negative_2form_term_op",
-        "negative_sym2_term_op", "product_of_spheres_op", "singer_thorpe_basis",
-        "singer_thorpe_op", "small_extremals", "sphere_product_op",
+        "ExtremalPair", "cp2_op", "extremal_pform", "negative_2form_term_op", "negative_sym2_term_op",
+        "product_of_spheres_op", "singer_thorpe_basis", "singer_thorpe_op", "small_extremals",
+        "sphere_product_op",
     ),
     "operators": (
         "CurvatureOperator", "CurvDecomposition", "Spectrum", "alternation", "bianchi_split",
@@ -35,13 +35,13 @@ _PUBLIC = {
     ),
     "tensors": (
         "CurvTensor", "PForm", "Sym2", "Tensor0k", "contract", "identity_sym2", "inner",
-        "kulkarni_nomizu", "max_dimension", "norm_sq", "permute", "wedge_basis_form",
-        "wedge_count", "wedge_index", "wedge_pairs",
+        "kulkarni_nomizu", "max_dimension", "permute", "wedge_basis_form", "wedge_count",
+        "wedge_index", "wedge_pairs",
     ),
     "warped": (
-        "OdeState", "PerturbedProfile", "ShootResult", "WarpJet", "dwp_eigenvalue_list",
-        "dwp_eigenvalues", "dwp_operator", "integrate_warp_ode", "ode_rhs", "ode_shoot",
-        "perturbed_profile", "round_jet", "scal_single_warped", "trajectory_scal",
+        "PerturbedProfile", "ShootResult", "WarpJet", "dwp_eigenvalue_list", "dwp_eigenvalues",
+        "dwp_operator", "integrate_warp_ode", "ode_rhs", "ode_shoot", "perturbed_profile",
+        "round_jet", "scal_single_warped", "trajectory_scal",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

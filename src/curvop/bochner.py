@@ -18,7 +18,6 @@ import numpy as np
 
 from .action import _hat_norms_consuming, _hat_rows, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
-from .tensors import Tensor0k
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,8 @@ def estimate_constant(kind: TensorKind, n, hat_ratio=None) -> float:
     if kind.name == "generic":
         if hat_ratio is None:
             raise ValueError("generic tensors need the caller's |hat T|^2 / |T|^2 ratio")
-        if hat_ratio <= 0:
-            raise ValueError("the hat ratio must be positive")
+        if not 0.0 < hat_ratio < math.inf:
+            raise ValueError("the hat ratio must be positive and finite")
         return float(hat_ratio) / (kind.k ** 2)
     if kind.name == "curvature":
         raise ValueError(
@@ -115,15 +114,14 @@ class BochnerVerdict:
 def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
     """Test whether the lowest floor(C) eigenvalues average at least kappa.
 
-    Requires C >= 1 and kappa <= 0; the estimate is only stated for
-    nonpositive lower bounds, so positive kappa is rejected rather than
-    extrapolated.
+    Requires a finite C >= 1 and a finite kappa <= 0; the estimate is only
+    stated for nonpositive lower bounds, so positive kappa is rejected rather
+    than extrapolated.
     """
     C = float(C)
-    if C < 1.0:
-        raise ValueError(f"C must be at least 1, got {C}")
-    if kappa > 0.0:
-        raise ValueError(f"kappa must be nonpositive, got {kappa}")
+    if not 1.0 <= C < math.inf:
+        raise ValueError(f"C must be finite and at least 1, got {C}")
+    _check_kappa(kappa)
     floor_c = math.floor(C)
     if floor_c > s.size:
         raise ValueError(f"floor(C) = {floor_c} exceeds the spectrum size {s.size}")
@@ -136,6 +134,12 @@ def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
         holds=bool(holds),
         vanishing=bool(vanishing),
     )
+
+
+def _check_kappa(kappa):
+    """Raise ValueError unless kappa is finite and nonpositive."""
+    if not -math.inf < kappa <= 0.0:
+        raise ValueError(f"kappa must be finite and nonpositive, got {kappa}")
 
 
 def _lemma21(vals, C, kappa):
@@ -205,21 +209,28 @@ def betti_verdict(s: Spectrum, n, p) -> BettiVerdict:
 def betti_bound(n, p, kappa, diameter, c_const) -> float:
     """Betti number bound binom(n,p) exp(c sqrt(-kappa D^2 p (n-p))).
 
-    The constant c is the caller's; nothing here estimates it.
+    The constant c is the caller's; nothing here estimates it.  Raises
+    ValueError when an input is not finite or the bound exceeds the float
+    range.
     """
     n = int(n)
     p = int(p)
     if not 1 <= p <= n - 1:
         raise ValueError(f"p must be in 1..{n - 1}, got {p}")
-    if kappa > 0.0:
-        raise ValueError(f"kappa must be nonpositive, got {kappa}")
-    if diameter <= 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    if c_const <= 0.0:
-        raise ValueError(f"the constant must be positive, got {c_const}")
-    return math.comb(n, p) * math.exp(
-        c_const * math.sqrt(-kappa * diameter * diameter * p * (n - p))
-    )
+    _check_kappa(kappa)
+    if not 0.0 < diameter < math.inf:
+        raise ValueError(f"diameter must be positive and finite, got {diameter}")
+    if not 0.0 < c_const < math.inf:
+        raise ValueError(f"the constant must be positive and finite, got {c_const}")
+    try:
+        bound = math.comb(n, p) * math.exp(
+            c_const * math.sqrt(-kappa * diameter * diameter * p * (n - p))
+        )
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError("the bound exceeds the float range")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -294,8 +305,3 @@ def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
                 continue
             total += 2.0 * weight * complex_sectional(r, basis[:, i], basis[:, j])
     return total
-
-
-def normal_h_tensor(h_matrix) -> Tensor0k:
-    """The dense (0,2)-tensor of an endomorphism, for the real-side check."""
-    return Tensor0k(np.asarray(h_matrix, dtype=float))

@@ -7,6 +7,7 @@ suites; nothing is hard-coded as a return value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,21 +25,10 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
-class SingerThorpeBasis:
-    """Orthonormal basis of wedge space over R^4 split into a self-dual and
-    an anti-self-dual triple built from 1/sqrt(2) combinations."""
-
-    elements: tuple
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-
-def singer_thorpe_basis() -> SingerThorpeBasis:
+def singer_thorpe_basis() -> tuple:
+    """Orthonormal basis of wedge space over R^4 as six SoElements: a
+    self-dual triple, then an anti-self-dual one, built from 1/sqrt(2)
+    combinations."""
     n = 4
     s = 1.0 / np.sqrt(2.0)
     e12 = wedge_index(n, 0, 1)
@@ -61,7 +51,7 @@ def singer_thorpe_basis() -> SingerThorpeBasis:
         for idx, sign in recipe:
             comps[idx] = sign * s
         elements.append(SoElement(n, comps))
-    return SingerThorpeBasis(elements=tuple(elements))
+    return tuple(elements)
 
 
 def singer_thorpe_op(lams):
@@ -75,6 +65,8 @@ def singer_thorpe_op(lams):
     lams = [float(x) for x in lams]
     if len(lams) != 6:
         raise ValueError(f"expected six eigenvalues, got {len(lams)}")
+    if not all(map(math.isfinite, lams)):
+        raise ValueError(f"eigenvalues must be finite, got {lams}")
     basis = singer_thorpe_basis()
     mat = np.zeros((6, 6))
     for lam, xi in zip(lams, basis):
@@ -138,12 +130,12 @@ def negative_2form_term_op(n, lam):
     lam = float(lam)
     if n < 4:
         raise ValueError(f"dimension must be at least 4, got {n}")
-    if lam <= 0:
-        raise ValueError(f"the scale must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"the scale must be positive and finite, got {lam}")
     count = wedge_count(n)
     basis4 = singer_thorpe_basis()
     embedded = []
-    for xi in basis4.elements[:3]:
+    for xi in basis4[:3]:
         comps = np.zeros(count)
         for c, (i, j) in zip(xi.comps, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
             comps[wedge_index(n, i, j)] = c
@@ -248,10 +240,10 @@ def negative_sym2_term_op(n, K, K1n):
     K1n = float(K1n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    if K1n >= 0:
-        raise ValueError(f"K1n must be negative, got {K1n}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    if not -math.inf < K1n < 0.0:
+        raise ValueError(f"K1n must be negative and finite, got {K1n}")
     diag = np.full(wedge_count(n), K)
     diag[wedge_index(n, 0, n - 1)] = K1n
     op = CurvatureOperator(n, np.diag(diag))

@@ -305,7 +305,7 @@ def cmd_warped(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    from .warped import _scal_columns, ode_shoot
+    from .warped import ode_shoot, trajectory_scal
 
     try:
         result = ode_shoot(args.n, args.x0, step=args.step, t_max=args.tmax)
@@ -314,7 +314,7 @@ def cmd_ode(args) -> int:
     if result.status != "crossed":
         print(f"integration ended without a crossing: {result.status}", file=sys.stderr)
         return 1
-    scal = _scal_columns(args.n, result.x, result.y)
+    scal = trajectory_scal(args.n, result.x, result.y)
     _write_rows(args.out, ["t", "x", "y", "scal"], zip(result.t, result.x, result.y, scal))
     t_cross, x1 = result.crossing
     print(f"crossing at t = {t_cross:.6f}, x = {x1:.12g}", file=sys.stderr)

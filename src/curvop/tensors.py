@@ -411,11 +411,6 @@ def _bianchi_holds(arr):
     return _bianchi_residual(arr) <= _IDENTITY_TOL * scale
 
 
-def norm_sq(t) -> float:
-    """Squared norm in the convention of the tensor's kind."""
-    return t.norm_sq()
-
-
 def inner(a, b) -> float:
     """Inner product of two tensors of the same kind and dimension."""
     if type(a) is not type(b):

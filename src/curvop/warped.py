@@ -7,7 +7,8 @@ of them to one, which pins the formulas.  A compactly supported bump added to
 phi'' drives the radial family negative while leaving the others near one.
 The single-warped constant-scalar-curvature profile reduces to a planar ODE
 integrated here with fixed-step classical Runge-Kutta and a bisected crossing
-event.
+event.  Both integrators return the trajectory as t, x and y columns in a
+ShootResult, and trajectory_scal takes the x and y columns.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ class WarpJet:
     d2psi: float
 
     def __post_init__(self):
-        if self.phi <= 0 or self.psi <= 0:
-            raise ValueError("warping functions must be positive")
+        if not all(map(math.isfinite, (self.r, self.dphi, self.d2phi, self.dpsi, self.d2psi))):
+            raise ValueError("jet values must be finite")
+        if not (0.0 < self.phi < math.inf and 0.0 < self.psi < math.inf):
+            raise ValueError("warping functions must be positive and finite")
 
 
 def round_jet(r) -> WarpJet:
@@ -51,6 +54,16 @@ def round_jet(r) -> WarpJet:
     )
 
 
+def _check_factors(p, q):
+    """(p, q) as ints; ValueError unless both sphere factors have dimension
+    at least 2."""
+    p = int(p)
+    q = int(q)
+    if p < 2 or q < 2:
+        raise ValueError(f"both sphere factors need dimension >= 2, got {p}, {q}")
+    return p, q
+
+
 def dwp_eigenvalues(p, q, jet: WarpJet):
     """Eigenvalue families of the doubly warped curvature operator.
 
@@ -58,10 +71,7 @@ def dwp_eigenvalues(p, q, jet: WarpJet):
     sphere factor, plane wedges inside each factor, and mixed wedges.  The
     multiplicities total the wedge dimension of the (1+p+q)-space.
     """
-    p = int(p)
-    q = int(q)
-    if p < 2 or q < 2:
-        raise ValueError(f"both sphere factors need dimension >= 2, got {p}, {q}")
+    p, q = _check_factors(p, q)
     return [
         (-jet.d2phi / jet.phi, p, "radial-p"),
         (-jet.d2psi / jet.psi, q, "radial-q"),
@@ -180,20 +190,23 @@ class PerturbedProfile:
 def perturbed_profile(p, q, amp, center, width) -> PerturbedProfile:
     """Profile family for the doubly warped sphere with a phi'' bump.
 
-    The bump support [center - width, center + width] must stay inside the
-    open interval (0, pi/2).
+    Both sphere factors need dimension at least 2, the amplitude must be
+    finite, and the bump support [center - width, center + width] must stay
+    inside the open interval (0, pi/2).
     """
+    p, q = _check_factors(p, q)
     amp = float(amp)
     center = float(center)
     width = float(width)
-    if width <= 0:
+    if not math.isfinite(amp):
+        raise ValueError(f"amp must be finite, got {amp}")
+    # NaN fails every comparison, so these also reject a NaN center or width
+    if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
-    if center - width <= 0.0 or center + width >= math.pi / 2.0:
+    if not (center - width > 0.0 and center + width < math.pi / 2.0):
         raise ValueError("bump support must stay inside the open interval (0, pi/2)")
     bound = abs(amp) * width * (width + math.pi / 2.0)
-    return PerturbedProfile(
-        p=int(p), q=int(q), amp=amp, center=center, width=width, c1_bound=bound
-    )
+    return PerturbedProfile(p=p, q=q, amp=amp, center=center, width=width, c1_bound=bound)
 
 
 def scal_single_warped(n, rho, drho, d2rho) -> float:
@@ -201,7 +214,7 @@ def scal_single_warped(n, rho, drho, d2rho) -> float:
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"the warping function must be positive, got {rho}")
     return -2.0 * (n - 1) * d2rho / rho + (n - 2.0) * (n - 1) * (1.0 - drho ** 2) / rho ** 2
 
@@ -209,13 +222,6 @@ def scal_single_warped(n, rho, drho, d2rho) -> float:
 def ode_rhs(n, x, y):
     """Phase-plane field of the constant-scalar-curvature profile equation."""
     return y, -(x * x + 0.5 * (n - 2) * (y * y - 1.0)) / x
-
-
-@dataclass(frozen=True)
-class OdeState:
-    t: float
-    x: float
-    y: float
 
 
 def _rk4_columns(n, x, y, h, steps, armed=math.inf):
@@ -265,11 +271,13 @@ def _rk4_columns(n, x, y, h, steps, armed=math.inf):
 
 @dataclass(frozen=True)
 class ShootResult:
-    """Trajectory plus the first return to the axis, when one is found.
+    """A trajectory as columns, plus the first return to the axis when one
+    is found.
 
-    t, x and y are the trajectory as columns, ending at the refined axis
-    return when there is one; status is "crossed", "no-crossing", or
-    "blow-down"; crossing holds (time, x) at the refined axis return.
+    t, x and y are the trajectory, ending at the refined axis return when
+    there is one; status is "ok" (integrate_warp_ode ran to t_max),
+    "crossed", "no-crossing", or "blow-down"; crossing holds (time, x) at
+    the refined axis return.
     """
 
     t: tuple
@@ -277,11 +285,6 @@ class ShootResult:
     y: tuple
     crossing: tuple | None
     status: str
-
-    @property
-    def states(self) -> tuple:
-        """The trajectory as OdeStates, built on each access."""
-        return tuple(map(OdeState, self.t, self.x, self.y))
 
 
 def _check_step(step, t_max):
@@ -291,19 +294,21 @@ def _check_step(step, t_max):
         raise ValueError(f"step and t_max must be positive and finite, got {step} and {t_max}")
 
 
-def integrate_warp_ode(n, x0, y0, step, t_max):
+def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
     """Fixed-step classical Runge-Kutta integration of the profile ODE.
 
-    Stops early with status "blow-down" if x leaves the positive half plane.
+    Status "ok" when it reaches t_max, or "blow-down" when it stops early
+    because x left the positive half plane; crossing is always None.
     """
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
     _check_step(step, t_max)
-    if x0 <= 0:
-        raise ValueError(f"x must start positive, got {x0}")
+    if not (0.0 < x0 < math.inf and math.isfinite(y0)):
+        raise ValueError(f"x must start positive and y finite, got {x0} and {y0}")
     xs, ys, status, _ = _rk4_columns(n, float(x0), float(y0), step, int(round(t_max / step)))
-    return [OdeState(i * step, x, y) for i, (x, y) in enumerate(zip(xs, ys))], status
+    ts = tuple(i * step for i in range(len(xs)))
+    return ShootResult(ts, tuple(xs), tuple(ys), None, status)
 
 
 # _refine_crossing bisects until |y| is at most _CROSSING_TOL, for at most
@@ -340,7 +345,7 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
-    if x0 <= 0:
+    if not x0 > 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     limit = 0.5 * (n - 2)
     if x0 * x0 > limit * (1.0 + 1e-12):
@@ -363,9 +368,12 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     return ShootResult(tuple(ts), tuple(xs), tuple(ys), (t_cross, x1), "crossed")
 
 
-def _scal_columns(n, xs, ys) -> list:
-    """scal_single_warped along columns of x and y, with the curvature of the
-    profile taken from the field: the expressions of both, in their order."""
+def trajectory_scal(n, xs, ys) -> list:
+    """Scalar curvature along a trajectory's x and y columns, as floats.
+
+    scal_single_warped at each point, with the curvature of the profile
+    taken from the field: the expressions of both, in their order.
+    """
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
@@ -380,10 +388,3 @@ def _scal_columns(n, xs, ys) -> list:
         a * (-(x * x + c * (y * y - 1.0)) / x) / x + b * (1.0 - y ** 2) / x ** 2
         for x, y in zip(xs, ys)
     ]
-
-
-def trajectory_scal(n, result_states) -> np.ndarray:
-    """Scalar curvature along a trajectory, with the curvature of the profile
-    taken from the field itself."""
-    states = tuple(result_states)
-    return np.array(_scal_columns(n, [s.x for s in states], [s.y for s in states]), dtype=float)

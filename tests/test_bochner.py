@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvop import (
+    Tensor0k,
     TensorKind,
     betti_bound,
     betti_verdict,
@@ -26,7 +27,6 @@ from curvop import (
     tachibana_verdict,
     tensor_from_op,
 )
-from curvop.bochner import normal_h_tensor
 from curvop.verify import random_normal_matrix, random_orthogonal, random_sym_operator
 
 
@@ -48,6 +48,9 @@ class TestEstimateConstant:
         assert estimate_constant(TensorKind.generic(2), 4, hat_ratio=8.0) == 2.0
         with pytest.raises(ValueError):
             estimate_constant(TensorKind.generic(2), 4)
+        for ratio in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                estimate_constant(TensorKind.generic(2), 4, hat_ratio=ratio)
 
     def test_plain_curvature_rejected(self):
         with pytest.raises(ValueError):
@@ -89,6 +92,9 @@ class TestLemma21Verdict:
             lemma21_verdict(s, 2.0, 0.5)
         with pytest.raises(ValueError):
             lemma21_verdict(s, 4.0, 0.0)
+        for c, kappa in ((math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, -math.inf)):
+            with pytest.raises(ValueError):
+                lemma21_verdict(s, c, kappa)
 
 
 class TestDirectTermCheck:
@@ -110,7 +116,7 @@ class TestDirectTermCheck:
 
     def test_matches_public_term_and_hat_norm_bitwise(self):
         # one set of hat rows feeds both sides
-        from curvop import PForm, Sym2, Tensor0k
+        from curvop import PForm, Sym2
 
         rng = np.random.default_rng(7)
         for n in (3, 4, 5, 6):
@@ -182,6 +188,13 @@ class TestBettiBound:
             betti_bound(5, 2, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             betti_bound(5, 2, -1.0, 0.0, 1.0)
+        for kappa, diameter, c in (
+            (math.nan, 1.0, 1.0), (-math.inf, 1.0, 1.0), (-1.0, math.nan, 1.0),
+            (-1.0, math.inf, 1.0), (-1.0, 1.0, math.nan), (-1.0, 1.0, math.inf),
+            (-1.0, 1.0, 1e300), (-1.0, 1.0, 289.25),
+        ):
+            with pytest.raises(ValueError):
+                betti_bound(5, 2, kappa, diameter, c)
 
 
 class TestTachibana:
@@ -248,7 +261,7 @@ class TestNormalHTerm:
         h[1, 0] = 1.0
         h[0, 1] = -1.0
         ident = identity_operator(3)
-        tensor = normal_h_tensor(h)
+        tensor = Tensor0k(h)
         assert normal_h_term(ident, h) == pytest.approx(
             curvature_term(ident, tensor, tensor), rel=1e-12
         )
@@ -259,7 +272,7 @@ class TestNormalHTerm:
         for n in (3, 4, 5, 6):
             r = random_sym_operator(rng, n)
             h = random_normal_matrix(rng, n)
-            tensor = normal_h_tensor(h)
+            tensor = Tensor0k(h)
             assert normal_h_term(r, h) == pytest.approx(
                 curvature_term(r, tensor, tensor), rel=1e-9, abs=1e-9
             )
@@ -291,7 +304,7 @@ class TestNormalHTerm:
         q = random_orthogonal(rng, n)
         h = q @ canon @ q.T
         r = random_sym_operator(rng, n)
-        tensor = normal_h_tensor(h)
+        tensor = Tensor0k(h)
         assert normal_h_term(r, h) == pytest.approx(curvature_term(r, tensor, tensor), rel=1e-12)
 
     def test_uncertified_eigenbasis_raises(self):

@@ -174,8 +174,9 @@ class TestNegativeTwoFormTerm:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             negative_2form_term_op(3, 1.0)
-        with pytest.raises(ValueError):
-            negative_2form_term_op(5, 0.0)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                negative_2form_term_op(5, lam)
 
 
 class TestExtremalPForms:
@@ -262,3 +263,6 @@ class TestNegativeSym2Term:
             negative_sym2_term_op(4, -1.0, -1.0)
         with pytest.raises(ValueError):
             negative_sym2_term_op(4, 1.0, 1.0)
+        for bad in ((math.nan, -1.0), (math.inf, -1.0), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(ValueError):
+                negative_sym2_term_op(4, *bad)

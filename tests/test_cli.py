@@ -389,9 +389,33 @@ class TestUsage:
              "usage error: --seed must be a non-negative integer"),
             ({}, ("verify", "--suite", "prop-1.1", "--trials", str(2 ** 32 + 1)), 2,
              "--trials must be at most 2**32"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--amp", "nan"), 2, "amp must be finite"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--amp", "inf"), 2, "amp must be finite"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--center", "nan"), 2, "bump support"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--width", "nan"), 2, "width must be positive"),
+            ({}, ("warped", "--p", "1", "--q", "2"), 2, "usage error: both sphere factors"),
+            ({}, ("ode", "--n", "4", "--x0", "nan"), 2, "x0 must be positive"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa", "nan"), 2,
+             "kappa must be finite and nonpositive"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-inf"), 2,
+             "kappa must be finite and nonpositive"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--diameter", "nan",
+                  "--c-const", "1"), 2, "diameter must be positive and finite"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--diameter", "1",
+                  "--c-const", "nan"), 2, "the constant must be positive and finite"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--diameter", "inf",
+                  "--c-const", "1"), 2, "diameter must be positive and finite"),
+            ({}, ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--diameter", "1",
+                  "--c-const", "1e300"), 2, "the bound exceeds the float range"),
+            ({}, ("catalog", "--name", "example-4.7", "--n", "4", "--lambda", "inf"), 2,
+             "the scale must be positive and finite"),
+            ({}, ("catalog", "--name", "singer-thorpe", "--lambdas", "1,2,3,4,5,inf"), 2,
+             "eigenvalues must be finite"),
         ],
     )
-    def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, env, argv, code, message):
+    def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):
+        dump_operator(tmp_path / "cp2.json", curvop.cp2_op())
+        monkeypatch.chdir(tmp_path)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         got, _, err = run(capsys, *argv)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from curvop import (
-    OdeState,
     WarpJet,
     dwp_eigenvalue_list,
     dwp_eigenvalues,
@@ -21,13 +20,9 @@ from curvop import (
 )
 
 
-def reference_trajectory_scal(n, states):
-    """The per-element loop trajectory_scal replaced."""
-    out = np.empty(len(states))
-    for i, state in enumerate(states):
-        _, dy = ode_rhs(n, state.x, state.y)
-        out[i] = scal_single_warped(n, state.x, state.y, dy)
-    return out
+def reference_trajectory_scal(n, xs, ys):
+    """scal_single_warped at each point, with the curvature from ode_rhs."""
+    return [scal_single_warped(n, x, y, ode_rhs(n, x, y)[1]) for x, y in zip(xs, ys)]
 
 
 def _rk4_step(n, x, y, h):
@@ -43,45 +38,51 @@ def _rk4_step(n, x, y, h):
 
 
 def reference_integrate_warp_ode(n, x0, y0, step, t_max):
-    """The one-OdeState-per-step loop integrate_warp_ode replaced."""
-    states = [OdeState(0.0, float(x0), float(y0))]
+    """One ode_rhs step at a time, as ((t, x, y) columns, status)."""
+    ts, xs, ys = [0.0], [float(x0)], [float(y0)]
     x, y = float(x0), float(y0)
     for i in range(1, int(round(t_max / step)) + 1):
         x, y = _rk4_step(n, x, y, step)
         if not (x > 0.0) or not math.isfinite(x) or not math.isfinite(y):
-            return states, "blow-down"
-        states.append(OdeState(i * step, x, y))
-    return states, "ok"
+            return (tuple(ts), tuple(xs), tuple(ys)), "blow-down"
+        ts.append(i * step)
+        xs.append(x)
+        ys.append(y)
+    return (tuple(ts), tuple(xs), tuple(ys)), "ok"
 
 
 def reference_ode_shoot(n, x0, step, t_max):
-    """The one-OdeState-per-step loop and crossing bisection ode_shoot
-    replaced, as (states, crossing, status)."""
-    states = [OdeState(0.0, float(x0), 0.0)]
+    """One ode_rhs step at a time and the crossing bisection, as
+    ((t, x, y) columns, crossing, status)."""
+    ts, xs, ys = [0.0], [float(x0)], [0.0]
     x, y = float(x0), 0.0
     for i in range(1, int(round(t_max / step)) + 1):
         nx, ny = _rk4_step(n, x, y, step)
         if not (nx > 0.0) or not math.isfinite(nx) or not math.isfinite(ny):
-            return states, None, "blow-down"
+            return (tuple(ts), tuple(xs), tuple(ys)), None, "blow-down"
         if y > 1e-8 and ny <= 0.0:
-            state = states[-1]
             lo, hi = 0.0, step
             tau = step
-            x1, y1 = _rk4_step(n, state.x, state.y, tau)
+            x1, y1 = _rk4_step(n, x, y, tau)
             for _ in range(200):
                 if abs(y1) <= 1e-10:
                     break
                 tau = 0.5 * (lo + hi)
-                x1, y1 = _rk4_step(n, state.x, state.y, tau)
+                x1, y1 = _rk4_step(n, x, y, tau)
                 if y1 > 0.0:
                     lo = tau
                 else:
                     hi = tau
-            states.append(OdeState(state.t + tau, x1, y1))
-            return states, (state.t + tau, x1), "crossed"
+            t_cross = ts[-1] + tau
+            ts.append(t_cross)
+            xs.append(x1)
+            ys.append(y1)
+            return (tuple(ts), tuple(xs), tuple(ys)), (t_cross, x1), "crossed"
         x, y = nx, ny
-        states.append(OdeState(i * step, x, y))
-    return states, None, "no-crossing"
+        ts.append(i * step)
+        xs.append(x)
+        ys.append(y)
+    return (tuple(ts), tuple(xs), tuple(ys)), None, "no-crossing"
 
 
 class TestDwpEigenvalues:
@@ -115,6 +116,14 @@ class TestDwpEigenvalues:
     def test_jet_positivity_enforced(self):
         with pytest.raises(ValueError):
             WarpJet(r=0.0, phi=0.0, dphi=1.0, d2phi=0.0, psi=1.0, dpsi=0.0, d2psi=-1.0)
+
+    @pytest.mark.parametrize("field", ["phi", "psi", "dphi", "d2psi", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_jet_rejects_non_finite(self, field, value):
+        fields = dict(r=0.8, phi=0.7, dphi=0.6, d2phi=-0.7, psi=0.7, dpsi=-0.6, d2psi=-0.7)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            WarpJet(**fields)
 
     def test_small_factors_rejected(self):
         with pytest.raises(ValueError):
@@ -176,6 +185,22 @@ class TestPerturbedProfile:
         with pytest.raises(ValueError):
             perturbed_profile(2, 2, 1.0, 1.5, 0.2)
 
+    @pytest.mark.parametrize(
+        "p, q, amp, center, width",
+        [
+            (2, 2, math.nan, 0.8, 0.1),
+            (2, 2, math.inf, 0.8, 0.1),
+            (2, 2, 1.0, math.nan, 0.1),
+            (2, 2, 1.0, 0.8, math.nan),
+            (2, 2, 1.0, 0.8, math.inf),
+            (1, 2, 1.0, 0.8, 0.1),
+            (2, 1, 1.0, 0.8, 0.1),
+        ],
+    )
+    def test_rejects_non_finite_and_small_factors(self, p, q, amp, center, width):
+        with pytest.raises(ValueError):
+            perturbed_profile(p, q, amp, center, width)
+
     def test_bump_integrals_match_quadrature(self):
         # independent oracle: trapezoid quadrature of the window
         from curvop.warped import _bump, _bump_i1, _bump_i2
@@ -216,15 +241,17 @@ class TestScalSingleWarped:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             scal_single_warped(4, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            scal_single_warped(4, math.nan, 1.0, 0.0)
 
 
 class TestOde:
     def test_fixed_point_stays(self):
         for n in (4, 6):
             center = math.sqrt((n - 2) / 2.0)
-            states, status = integrate_warp_ode(n, center, 0.0, 1e-3, 2.0)
-            assert status == "ok"
-            drift = max(max(abs(s.x - center), abs(s.y)) for s in states)
+            res = integrate_warp_ode(n, center, 0.0, 1e-3, 2.0)
+            assert res.status == "ok"
+            drift = max(max(abs(x - center), abs(y)) for x, y in zip(res.x, res.y))
             assert drift <= 1e-8
 
     def test_crossing_radius_grows(self):
@@ -238,32 +265,36 @@ class TestOde:
         res = ode_shoot(4, 0.5, step=1e-3, t_max=20.0)
         assert res.status == "crossed"
         assert res.crossing[1] > 1.0
-        assert abs(res.states[-1].y) <= 1e-10
+        assert abs(res.y[-1]) <= 1e-10
 
     def test_scal_constant_along_trajectory(self):
         res = ode_shoot(5, 0.8, step=1e-3, t_max=20.0)
-        scal = trajectory_scal(5, res.states)
-        assert np.abs(scal - 8.0).max() <= 1e-6
+        scal = trajectory_scal(5, res.x, res.y)
+        assert max(abs(s - 8.0) for s in scal) <= 1e-6
 
     def test_scal_matches_per_state_reference(self):
-        # one scalar call per state, so every value is bit-identical
+        # the same expressions in the same order, so every value is bit-identical
         for n, x0 in ((3, 0.3), (5, 0.8), (8, 0.5)):
-            states = ode_shoot(n, x0, step=1e-3, t_max=20.0).states
-            want = reference_trajectory_scal(n, states)
-            got = trajectory_scal(n, states)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert trajectory_scal(4, []).shape == (0,)
+            res = ode_shoot(n, x0, step=1e-3, t_max=20.0)
+            got = trajectory_scal(n, res.x, res.y)
+            assert all(type(v) is float for v in got)
+            assert got == reference_trajectory_scal(n, res.x, res.y)
+        assert trajectory_scal(4, (), ()) == []
+
+    def test_scal_rejects_nonpositive_column(self):
+        with pytest.raises(ValueError):
+            trajectory_scal(4, (0.5, 0.0), (0.0, 0.0))
 
     @pytest.mark.parametrize("step", [1e-3, 1e-4])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_shoot_matches_reference_loop(self, n, step):
         limit = math.sqrt(0.5 * (n - 2))
         for x0 in (0.3 * limit, 0.6 * limit, 0.9 * limit):
-            states, crossing, status = reference_ode_shoot(n, x0, step, 20.0)
+            columns, crossing, status = reference_ode_shoot(n, x0, step, 20.0)
             res = ode_shoot(n, x0, step=step, t_max=20.0)
             assert res.status == status == "crossed"
             assert res.crossing == crossing
-            assert res.states == tuple(states)
+            assert (res.t, res.x, res.y) == columns
 
     @pytest.mark.parametrize(
         "n, x0, step, t_max, status",
@@ -275,11 +306,11 @@ class TestOde:
         ids=["blow-down", "center", "short-t-max"],
     )
     def test_shoot_without_crossing_matches_reference_loop(self, n, x0, step, t_max, status):
-        states, crossing, want = reference_ode_shoot(n, x0, step, t_max)
+        columns, crossing, want = reference_ode_shoot(n, x0, step, t_max)
         res = ode_shoot(n, x0, step=step, t_max=t_max)
         assert res.status == want == status
         assert res.crossing is crossing is None
-        assert res.states == tuple(states)
+        assert (res.t, res.x, res.y) == columns
 
     @pytest.mark.parametrize(
         "n, x0, y0, status",
@@ -287,9 +318,11 @@ class TestOde:
     )
     def test_integrate_matches_reference_loop(self, n, x0, y0, status):
         for step in (1e-3, 1e-4):
-            want = reference_integrate_warp_ode(n, x0, y0, step, 2.0)
-            assert integrate_warp_ode(n, x0, y0, step, 2.0) == want
-            assert want[1] == status
+            columns, want = reference_integrate_warp_ode(n, x0, y0, step, 2.0)
+            res = integrate_warp_ode(n, x0, y0, step, 2.0)
+            assert (res.t, res.x, res.y) == columns
+            assert res.status == want == status
+            assert res.crossing is None
 
     def test_center_start_reports_no_crossing(self):
         n = 5
@@ -298,17 +331,16 @@ class TestOde:
         assert res.crossing is None
 
     def test_time_reversal(self):
-        fwd, _ = integrate_warp_ode(4, 0.6, 0.0, 1e-3, 2.0)
-        last = fwd[-1]
-        back, _ = integrate_warp_ode(4, last.x, -last.y, 1e-3, 2.0)
+        fwd = integrate_warp_ode(4, 0.6, 0.0, 1e-3, 2.0)
+        back = integrate_warp_ode(4, fwd.x[-1], -fwd.y[-1], 1e-3, 2.0)
         worst = max(
-            max(abs(a.x - b.x), abs(a.y + b.y)) for a, b in zip(back, reversed(fwd))
+            max(abs(bx - fx), abs(by + fy))
+            for bx, by, fx, fy in zip(back.x, back.y, reversed(fwd.x), reversed(fwd.y))
         )
         assert worst <= 1e-6
 
     def test_blow_down_detected(self):
-        states, status = integrate_warp_ode(4, 0.5, -10.0, 1e-3, 2.0)
-        assert status == "blow-down"
+        assert integrate_warp_ode(4, 0.5, -10.0, 1e-3, 2.0).status == "blow-down"
 
     def test_fourth_order_convergence(self):
         def radius(h):
@@ -323,6 +355,12 @@ class TestOde:
             ode_shoot(4, 1.5)
         with pytest.raises(ValueError):
             ode_shoot(4, -0.1)
+        with pytest.raises(ValueError):
+            ode_shoot(4, math.nan)
+        with pytest.raises(ValueError):
+            integrate_warp_ode(4, math.nan, 0.0, 1e-3, 1.0)
+        with pytest.raises(ValueError):
+            integrate_warp_ode(4, 0.5, math.inf, 1e-3, 1.0)
 
     def test_rhs_matches_scal_target(self):
         # the field is exactly the constant-scalar-curvature condition
