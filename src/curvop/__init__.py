@@ -35,7 +35,7 @@ _PUBLIC = {
     ),
     "tensors": (
         "CurvTensor", "PForm", "Sym2", "Tensor0k", "contract", "identity_sym2", "inner",
-        "kulkarni_nomizu", "max_dimension", "permute", "wedge_basis_form", "wedge_count",
+        "kulkarni_nomizu", "permute", "wedge_basis_form", "wedge_count",
         "wedge_index", "wedge_pairs",
     ),
     "warped": (

@@ -17,9 +17,10 @@ those permutations span.  The hat tensor collects the action of the whole
 wedge basis; curvature terms and the Ricci curvature of a tensor are
 bilinear expressions in those blocks.
 
-The kernels work on values stacked along leading axes (one tensor of a kind
-is the case without them), so a batch of tensors of one kind goes through
-the same code as a single one.
+The kind table _KINDS owns the action, the hat rows and the Ricci
+curvature, on values of one kind stacked along a first axis; the calls on
+a single tensor are a batch of one, so a batch goes through the same code
+as a single tensor.
 """
 
 from __future__ import annotations
@@ -200,15 +201,36 @@ class _Kind:
     def acted(self, comps, values, n, degree=None):
         """so_act of elements with stacked coordinates comps on values of
         this kind stacked along the first axis, shaped and stored as the
-        values and checked as the kind's constructor and so_act check one
-        result: raises ValueError where a result is not finite or, for a
-        symmetric kind, not symmetric, and AssertionError where a bianchi
-        kind's value keeps the Bianchi identity and its result does not."""
+        values and checked as the kind's constructor checks one: raises
+        ValueError where a result is not finite or, for a symmetric kind,
+        not symmetric, and AssertionError where a bianchi kind's value keeps
+        the Bianchi identity and its result does not."""
         flat = _act(comps, values.reshape(len(values), -1), n, *self.slots(degree))
         out = self.stored(flat.reshape(values.shape), "action result")
         if self.bianchi and np.any(_bianchi_holds(values) & ~_bianchi_holds(out)):
             raise AssertionError("action failed to preserve the Bianchi identity")
         return out
+
+    def rows(self, values, n, degree=None):
+        """Hat rows of values of this kind stacked along the first axis: per
+        value, one row per wedge pair, the pair's action block flattened."""
+        return _block_rows(values.reshape(len(values), -1), n, *self.slots(degree))
+
+    def rics(self, mats, values, n, degree=None):
+        """Ricci curvatures of values of this kind stacked along the first
+        axis under stacked operator matrices (None for the identity), shaped
+        and stored as the values, and the hat rows they came from.
+
+        Definitional double sum -sum_c Xi_c (sum_a R_ac Xi_a T) over the
+        wedge basis, with no algebraic shortcuts: one product with R^T
+        mixes the hat rows Xi_a T into rows Y_c, and Xi_c acts on each Y_c
+        through the wedge table read backwards, summed over c.  The
+        identity operator leaves the rows as they are.
+        """
+        rows = self.rows(values, n, degree)
+        mixed = rows if mats is None else mats.swapaxes(-1, -2) @ rows
+        ric = -_sum_blocks(mixed, n, *self.slots(degree))
+        return self.stored(ric.reshape(values.shape), "Ricci curvature"), rows
 
     def stored(self, out, what):
         """Stacked results of this kind as its constructor stores them:
@@ -228,17 +250,18 @@ _KINDS = {
 
 
 def _layout(t):
-    """(kind, values, p, k): t's kind and values, flattened, as a k-slot
-    tensor over Lambda^p."""
+    """(kind, values, degree): t's kind, its stored values and its degree,
+    a form's p or a (0,k)-tensor's k, None for the kinds of fixed degree."""
     kind = _KINDS.get(type(t))
     if kind is None:
         raise TypeError(f"unsupported kind {type(t).__name__}")
-    p, k = kind.p or t.p, kind.k or t.k
-    return kind, getattr(t, kind.values).reshape(-1), p, k
+    degree = t.p if kind.p is None else t.k if kind.k is None else None
+    return kind, getattr(t, kind.values), degree
 
 
 def _rebuild(t, values):
-    """A tensor of t's kind from flat values in the coordinates of _layout(t)."""
+    """A tensor of t's kind from values in the coordinates of _layout(t),
+    flattened or not."""
     values = values.reshape(getattr(t, _KINDS[type(t)].values).shape)
     if isinstance(t, PForm):
         return PForm(t.n, t.p, values)
@@ -295,11 +318,8 @@ def so_act(lam: SoElement, t):
     """Derivation action of lam on a tensor, preserving its kind."""
     if lam.n != t.n:
         raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
-    _, values, p, k = _layout(t)
-    out = _rebuild(t, _act(lam.comps, values, t.n, p, k))
-    if isinstance(t, CurvTensor) and t.bianchi and not out.bianchi:
-        raise AssertionError("action failed to preserve the Bianchi identity")
-    return out
+    kind, values, degree = _layout(t)
+    return _rebuild(t, kind.acted(lam.comps[None], values[None], t.n, degree)[0])
 
 
 # -- hat tensors -------------------------------------------------------------
@@ -354,9 +374,9 @@ def _sum_blocks(rows, n, p, k) -> np.ndarray:
 
 
 def _hat_rows(t) -> np.ndarray:
-    """_block_rows of a single tensor, one row per wedge pair."""
-    _, values, p, k = _layout(t)
-    return _block_rows(values, t.n, p, k)
+    """The hat rows of a single tensor, one row per wedge pair."""
+    kind, values, degree = _layout(t)
+    return kind.rows(values[None], t.n, degree)[0]
 
 
 def _hat_norms_consuming(rows):
@@ -426,29 +446,14 @@ def curvature_term(r: CurvatureOperator, s, t) -> float:
 # -- Ricci curvature of a tensor ---------------------------------------------
 
 def ric_of(r: CurvatureOperator, t):
-    """Ricci curvature of a tensor under an operator.
-
-    Definitional double sum -sum_c Xi_c (sum_a R_ac Xi_a T) over the wedge
-    basis, with no algebraic shortcuts; it is the oracle the rest of the
-    machinery is tested against.  All pairs are evaluated at once: the rows
-    Xi_a T are the hat rows, gathered and scattered through the wedge table,
-    one product with R^T mixes them into rows Y_c, and Xi_c acts on each Y_c
-    through the same table read backwards, summed over c.  Every kind stays
-    in its compact coordinates throughout.
-    """
+    """Ricci curvature of a tensor under an operator: the definitional
+    double sum of _Kind.rics, the oracle the rest of the machinery is
+    tested against.  Every kind stays in its compact coordinates
+    throughout."""
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
-    _, values, p, k = _layout(t)
-    return _rebuild(t, _rics(r.mat, _block_rows(values, t.n, p, k), t.n, p, k))
-
-
-def _rics(mats, rows, n, p, k):
-    """Ricci curvatures, flattened, of stacked k-slot values over Lambda^p
-    from their block rows, under stacked operator matrices; mats None is
-    the identity operator, which leaves the rows as they are."""
-    if mats is not None:
-        rows = mats.swapaxes(-1, -2) @ rows
-    return -_sum_blocks(rows, n, p, k)
+    kind, values, degree = _layout(t)
+    return _rebuild(t, kind.rics(r.mat[None], values[None], t.n, degree)[0][0])
 
 
 def ric_identity_closed_form(t: Tensor0k) -> Tensor0k:

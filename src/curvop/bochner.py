@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _hat_norms_consuming, _hat_rows, _terms
+from .action import _hat_norms_consuming, _layout, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
 
 
@@ -155,14 +155,22 @@ def direct_term_check(r: CurvatureOperator, t, kappa):
     """Evaluate the curvature term against kappa |hat T|^2 directly.
 
     Returns (lhs, rhs, ok) with ok allowing _DIRECT_SLACK of relative
-    slack.  The term and the hat norm come from one set of hat rows.
+    slack: _direct_terms and _direct_check on a batch of one.
     """
     if r.n != t.n:
         raise ValueError("dimension mismatch")
-    rows = _hat_rows(t)
-    lhs = _terms(r.mat, rows, rows)
-    rhs, ok = _direct_check(lhs, _hat_norms_consuming(rows), kappa, _DIRECT_SLACK)
-    return float(lhs), float(rhs), bool(ok)
+    kind, values, degree = _layout(t)
+    lhs, hat_sq = _direct_terms(r.mat[None], values[None], t.n, kind, degree)
+    rhs, ok = _direct_check(lhs, hat_sq, kappa, _DIRECT_SLACK)
+    return float(lhs[0]), float(rhs[0]), bool(ok[0])
+
+
+def _direct_terms(mats, values, n, kind, degree=None):
+    """Curvature terms <R(hat T), hat T> under stacked operator matrices and
+    squared hat norms of values of a kind of action._KINDS stacked along the
+    first axis, both from one set of hat rows."""
+    rows = kind.rows(values, n, degree)
+    return _terms(mats, rows, rows), _hat_norms_consuming(rows)
 
 
 # relative slack of direct_term_check, and of the normality and eigenbasis

@@ -294,12 +294,15 @@ def cmd_warped(args) -> int:
         f"low{k}" for k in range(1, 6)
     ]
     rows = []
-    for r in rs:
-        jet = profile(float(r))
-        fams = dwp_eigenvalues(args.p, args.q, jet)
-        evs = dwp_eigenvalue_list(args.p, args.q, jet)
-        sums = np.cumsum(evs)[:5]
-        rows.append([r] + [v for v, _, _ in fams] + list(sums))
+    try:
+        for r in rs:
+            jet = profile(float(r))
+            fams = dwp_eigenvalues(args.p, args.q, jet)
+            evs = dwp_eigenvalue_list(args.p, args.q, jet)
+            sums = np.cumsum(evs)[:5]
+            rows.append([r] + [v for v, _, _ in fams] + list(sums))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_rows(args.out, header, rows)
     return 0
 

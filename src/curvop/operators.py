@@ -22,16 +22,16 @@ import numpy as np
 from .tensors import (
     CurvTensor,
     Sym2,
-    _SYMMETRY_TOL,
     _bianchi_holds,
     _freeze,
     _kn,
     _pair_index,
     _perm_signs,
     _require_finite,
+    _symmetric_part,
     _symmetrized,
     _traceless,
-    _wedge_index_map,
+    _tuple_index_map,
     check_dimension,
     increasing_tuples,
     wedge_count,
@@ -54,10 +54,7 @@ class CurvatureOperator:
         if m.shape != (want, want):
             raise ValueError(f"expected a {want}x{want} matrix for n={n}, got {m.shape}")
         _require_finite(m, "operator entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
-            raise ValueError("operator matrix is not symmetric")
-        m = _symmetrized(m)
+        m = _symmetric_part(m, "operator matrix")
         self.n = n
         self.N = want
         self.mat = _freeze(m)
@@ -138,7 +135,7 @@ def _quad_pairings(n):
     """Flat positions in an N x N operator matrix of the pairings (ij, kl),
     (ik, jl), (il, jk) of every index set i < j < k < l, shaped
     (3, C(n, 4)), and the positions of their transposes."""
-    index = _wedge_index_map(n)
+    index = _tuple_index_map(n, 2)
     size = wedge_count(n)
     quads = increasing_tuples(n, 4)
     pos = np.array(
@@ -280,7 +277,8 @@ def jacobi_eigh_batch(mats):
     single-matrix call.  Sweeps run until every matrix has max off-diagonal
     entry at most _JACOBI_TOL times its Frobenius norm.  Eigenvalues come back
     ascending with ties kept in original column order; eigenvector columns
-    are aligned.
+    are aligned.  Raises ValueError when an entry is not finite or a rotation
+    leaves the float range.
     """
     a = np.array(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -288,7 +286,14 @@ def jacobi_eigh_batch(mats):
     b, size, _ = a.shape
     if size == 1:
         return a[:, :, 0].copy(), np.ones_like(a)
-    thresh = _JACOBI_TOL * np.sqrt(np.sum(a * a, axis=(1, 2)))
+    # the Frobenius norm through a / unit, unit the power of two with the
+    # largest entry in [unit, 2 unit): no square overflows, and for ordinary
+    # entries every product is the unscaled one moved by an exact power of
+    # two, so thresh has the bits of _JACOBI_TOL * sqrt(sum(a * a)) and
+    # scales exactly with the matrix
+    unit = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(1, 2)))[1] - 1)
+    scaled = a / unit[:, None, None]
+    thresh = unit * (_JACOBI_TOL * np.sqrt(np.sum(scaled * scaled, axis=(1, 2))))
     # work with the batch index last, so every gathered row or column is a
     # run of contiguous batch entries, and with the eigenvectors stacked
     # below the matrix, so one column update turns both
@@ -303,7 +308,7 @@ def jacobi_eigh_batch(mats):
         offdiag[diag, diag] = 0.0
         return offdiag.max(axis=(0, 1)) > thresh
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
             # converged matrices stop rotating, so each matrix sees exactly
             # the sweeps it would see alone and batching is bit-identical
@@ -335,6 +340,10 @@ def jacobi_eigh_batch(mats):
                 cp, cq = cols[:, :k], cols[:, k:]
                 av[:, p] = c * cp - s * cq
                 av[:, q] = s * cp + c * cq
+    # a non-finite entry stops every rotation of its matrix and is caught
+    # here too
+    if not np.isfinite(av).all():
+        raise ValueError("matrix entries or their Jacobi rotations left the float range")
     if _active().any():
         raise RuntimeError("Jacobi iteration did not converge")
     vals = a[diag, diag].T

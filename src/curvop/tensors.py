@@ -10,14 +10,13 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-MAX_N_ENV = "CURVOP_MAX_N"
-_DEFAULT_MAX_N = 8
+# The library's scope: R^n for 2 <= n <= _MAX_N.
+_MAX_N = 8
 
 # Relative slack, against max(1, largest entry), of the symmetry and
 # skewness checks on matrices handed to a constructor, and of the exact
@@ -27,41 +26,29 @@ _SYMMETRY_TOL = 1e-9
 _IDENTITY_TOL = 1e-12
 
 
-def max_dimension() -> int:
-    """Current dimension cap; override with the CURVOP_MAX_N variable."""
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return _DEFAULT_MAX_N
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
-    if value < 2:
-        raise ValueError(f"{MAX_N_ENV} must be at least 2, got {raw!r}")
-    return value
-
-
 def check_dimension(n) -> int:
     n = int(n)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    cap = max_dimension()
-    if n > cap:
-        raise ValueError(
-            f"dimension {n} exceeds the cap {cap} (set {MAX_N_ENV} to raise it)"
-        )
+    if n > _MAX_N:
+        raise ValueError(f"dimension {n} exceeds the cap {_MAX_N}")
     return n
 
 
 @lru_cache(maxsize=None)
-def wedge_pairs(n):
-    """Index pairs (i, j) with i < j in lexicographic order."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+def increasing_tuples(n, p):
+    """Strictly increasing p-tuples in 0..n-1, lexicographic order."""
+    return tuple(combinations(range(n), p))
 
 
 @lru_cache(maxsize=None)
-def _wedge_index_map(n):
-    return {pair: a for a, pair in enumerate(wedge_pairs(n))}
+def _tuple_index_map(n, p):
+    return {t: i for i, t in enumerate(increasing_tuples(n, p))}
+
+
+def wedge_pairs(n):
+    """Index pairs (i, j) with i < j in lexicographic order."""
+    return increasing_tuples(n, 2)
 
 
 def wedge_count(n) -> int:
@@ -71,7 +58,7 @@ def wedge_count(n) -> int:
 def wedge_index(n, i, j) -> int:
     """Position of e_i^e_j (i < j, 0-based) in the lexicographic wedge basis."""
     try:
-        return _wedge_index_map(n)[(i, j)]
+        return _tuple_index_map(n, 2)[(i, j)]
     except KeyError:
         raise ValueError(f"({i}, {j}) is not an increasing pair in 0..{n - 1}") from None
 
@@ -137,10 +124,7 @@ class Sym2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         check_dimension(m.shape[0])
         _require_finite(m, "matrix entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric")
-        m = _symmetrized(m)  # exact: float addition commutes entrywise
+        m = _symmetric_part(m, "matrix")  # exact: float addition commutes entrywise
         self.n = m.shape[0]
         self.mat = _freeze(m)
 
@@ -169,11 +153,8 @@ def _symmetrized(mats):
 def _symmetric_part(mats, what):
     """_symmetrized of stacked square matrices, each of which must be
     symmetric to _SYMMETRY_TOL relative to max(1, its largest entry); raises
-    ValueError naming what otherwise.
-
-    The Sym2 and CurvatureOperator constructors make the same check on one
-    matrix with scalar reductions, which cost 3-4 us less per matrix than
-    these stacked ones.
+    ValueError naming what otherwise.  The Sym2 and CurvatureOperator
+    constructors check their one matrix through it too.
     """
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
     if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
@@ -191,17 +172,6 @@ def _traceless(mats):
 def identity_sym2(n) -> Sym2:
     """The metric tensor g of R^n."""
     return Sym2(np.eye(check_dimension(n)))
-
-
-@lru_cache(maxsize=None)
-def increasing_tuples(n, p):
-    """Strictly increasing p-tuples in 0..n-1, lexicographic order."""
-    return tuple(combinations(range(n), p))
-
-
-@lru_cache(maxsize=None)
-def _tuple_index_map(n, p):
-    return {t: i for i, t in enumerate(increasing_tuples(n, p))}
 
 
 @lru_cache(maxsize=None)

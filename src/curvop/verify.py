@@ -20,14 +20,15 @@ fixed slack of their own keep it, and the direct checks of
 lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the slack of
 bochner.direct_term_check.
 
-Seven suites batch across trials through one driver, _batched: prop-1.2,
-prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and lemma-2.1-soundness.
-Each is a draw function, which draws one trial from its generator and names
-the group it belongs to, and a check function, which runs the suite's
-comparisons on a stacked group through the stacked kernels.  Groups are
-sized by _CHUNK_BYTES, so memory stays flat in the trial count, and the
-failures come back ordered by trial index, then by the position of the
-check within the trial: as if each trial had been checked alone.
+Eight suites batch across trials through one driver, _batched: prop-1.1,
+prop-1.2, prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and
+lemma-2.1-soundness.  Each is a draw function, which draws one trial from
+its generator and names the group it belongs to, and a check function,
+which runs the suite's comparisons on a stacked group through the stacked
+kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
+so memory stays flat in the trial count, and the failures come back ordered
+by trial index, then by the position of the check within the trial: as if
+each trial had been checked alone.
 """
 
 from __future__ import annotations
@@ -52,16 +53,15 @@ from .action import (
     so_act,
     _KINDS,
     _action_matrices,
-    _block_rows,
     _hat_norms_consuming,
     _hat_rows,
-    _rics,
     _terms,
 )
 from .bochner import (
     TensorKind,
     _DIRECT_SLACK,
     _direct_check,
+    _direct_terms,
     _lemma21,
     betti_verdict,
     estimate_constant,
@@ -391,16 +391,6 @@ def _max_abs(values):
     return np.abs(values).max(axis=tuple(range(1, values.ndim)))
 
 
-def _ric_rows(cls, mats, values, n, degree=None):
-    """ric_of stacked operator matrices (None for the identity) on stacked
-    values of kind cls, stored as the kind stores them and shaped as values,
-    and the block rows it came from."""
-    kind = _KINDS[cls]
-    p, k = kind.slots(degree)
-    rows = _block_rows(values.reshape(len(values), -1), n, p, k)
-    return kind.stored(_rics(mats, rows, n, p, k).reshape(values.shape), "Ricci curvature"), rows
-
-
 def _bianchi_decompose(raw, n):
     """Bianchi parts of stacked symmetric draws, as random_bianchi_operator
     makes them, and their _decompose; raises like decompose when one fails
@@ -534,14 +524,18 @@ def suite_exact_values(seed, trials, t):
 
 def suite_prop_1_1(seed, trials, t):
     """Kulkarni-Nomizu norm identity on random symmetric tensors."""
-    failures = []
-    for index, rng in _trials(seed, "prop-1.1", 6 * trials):
-        n = 3 + index // trials
-        h = random_sym2(rng, n)
-        lhs = kulkarni_nomizu(identity_sym2(n), h).norm_sq()
-        rhs = 4.0 * (n - 2) * h.norm_sq() + 4.0 * h.trace() ** 2
-        _close(failures, ("kn-norm", n, index + 1), lhs, rhs, t)
-    return failures
+    return _batched(seed, "prop-1.1", trials, t, range(3, 9), _draw_prop_1_1, _check_prop_1_1)
+
+
+def _draw_prop_1_1(rng, n, trial, index):
+    # the product with the metric is the largest array
+    return None, 8 * n ** 4, (_sym_draw(rng, n),)
+
+
+def _check_prop_1_1(t, n, key, h):
+    lhs = _dense_norms(_kn(np.eye(n), h))
+    trace = np.trace(h, axis1=1, axis2=2)
+    return [_closes("kn-norm", lhs, 4.0 * (n - 2) * _dense_norms(h) + 4.0 * trace ** 2, t)]
 
 
 def suite_tensor_core(seed, trials, t):
@@ -659,7 +653,7 @@ def _check_prop_1_7(t, n, key, h, lam):
     gram = vecs.swapaxes(1, 2) @ _action_matrices(lam, n, 1) @ vecs
     rhs = np.sum((vals[:, :, None] - vals[:, None, :]) ** 2 * gram * gram, axis=(1, 2))
     spread = vals[:, -1] - vals[:, 0]
-    hat_sq = _hat_norms_consuming(_block_rows(h.reshape(len(h), -1), n, 1, 2))
+    hat_sq = _hat_norms_consuming(_KINDS[Sym2].rows(h, n))
     trace = np.trace(h, axis1=1, axis2=2)
     return [
         _closes("eigen-norm", lhs, rhs, t),
@@ -696,9 +690,9 @@ def _draw_prop_1_9(rng, n, trial, index):
 
 def _check_prop_1_9(t, n, key, r, s, u):
     which, degree = key
-    cls = (Tensor0k, Sym2, PForm, CurvTensor)[which]
-    ric, rows_s = _ric_rows(cls, r, s, n, degree)
-    rows_u = _block_rows(u.reshape(len(u), -1), n, *_KINDS[cls].slots(degree))
+    kind = _KINDS[(Tensor0k, Sym2, PForm, CurvTensor)[which]]
+    ric, rows_s = kind.rics(r, s, n, degree)
+    rows_u = kind.rows(u, n, degree)
     lhs = np.sum(ric * u, axis=tuple(range(1, u.ndim)))
     return [_closes("adjoint", lhs, _terms(r, rows_s, rows_u), t)]
 
@@ -718,15 +712,15 @@ def _draw_prop_2_8(rng, n, trial, index):
 
 
 def _check_prop_2_8(t, n, p, h, w, raw):
-    ric_h, _ = _ric_rows(Sym2, None, h, n)
-    ric_w, rows_w = _ric_rows(PForm, None, w, n, p)
+    ric_h, _ = _KINDS[Sym2].rics(None, h, n)
+    ric_w, rows_w = _KINDS[PForm].rics(None, w, n, p)
     rb, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
     rm = _tensors_from_ops(rb, n)
-    ric_rm, rows_rm = _ric_rows(CurvTensor, None, rm, n)
+    ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
     want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
     rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
     ric0_sq = _dense_norms(ric0)
-    hat_op = _hat_norms_consuming(_block_rows(rb.reshape(len(rb), -1), n, 2, 2))
+    hat_op = _hat_norms_consuming(_KINDS[CurvatureOperator].rows(rb, n))
     return [
         _closes("sym2", _max_abs(ric_h - 2.0 * n * _traceless(h)), 0.0, t),
         _closes("pform", _max_abs(ric_w - p * (n - p) * w), 0.0, t),
@@ -1067,9 +1061,12 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
     vals = jacobi_eigh_batch(ops)[0]
     every = slice(None)
     kinds = [(TensorKind.pform(p), np.flatnonzero(degrees == p)) for p in np.unique(degrees).tolist()]
-    terms = [_direct_terms(ops[i], forms[i, :math.comb(n, kind.p)], n, kind.p, 1) for kind, i in kinds]
+    terms = [
+        _direct_terms(ops[i], forms[i, :math.comb(n, kind.p)], n, _KINDS[PForm], kind.p)
+        for kind, i in kinds
+    ]
     kinds += [(TensorKind.sym2(), every), (TensorKind.curvature_einstein(), every), (TensorKind.weyl(), every)]
-    terms += [_direct_terms(ops, syms.reshape(len(ops), -1), n, 1, 2), *_curvature_terms(ops, shared, n)]
+    terms += [_direct_terms(ops, syms, n, _KINDS[Sym2]), *_curvature_terms(ops, shared, n)]
     # the direct checks take the library's slack, or t when that is tighter
     slack = min(t, _DIRECT_SLACK)
     checks = []
@@ -1097,13 +1094,6 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
     return checks
 
 
-def _direct_terms(mats, values, n, p, k):
-    """Curvature terms <R(hat T), hat T> under stacked operator matrices and
-    squared hat norms of stacked flat k-slot values over Lambda^p."""
-    rows = _block_rows(values, n, p, k)
-    return _terms(mats, rows, rows), _hat_norms_consuming(rows)
-
-
 def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
     Bianchi parts of stacked shared draws.  A (0,4)-tensor's block rows are
@@ -1113,7 +1103,7 @@ def _curvature_terms(ops, shared, n):
     for start in range(0, len(ops), size):
         _, (scal, _, _, weyl) = _bianchi_decompose(shared[start:start + size], n)
         for values in (_einstein_part(scal, weyl), weyl):
-            parts.append(_direct_terms(ops[start:start + size], values.reshape(len(weyl), -1), n, 1, 4))
+            parts.append(_direct_terms(ops[start:start + size], values, n, _KINDS[CurvTensor]))
     return [[np.concatenate(side) for side in zip(*parts[kind::2])] for kind in (0, 1)]
 
 

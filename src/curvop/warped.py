@@ -69,16 +69,23 @@ def dwp_eigenvalues(p, q, jet: WarpJet):
 
     Returns (value, multiplicity, label) tuples: radial wedges against each
     sphere factor, plane wedges inside each factor, and mixed wedges.  The
-    multiplicities total the wedge dimension of the (1+p+q)-space.
+    multiplicities total the wedge dimension of the (1+p+q)-space.  Raises
+    ValueError when a value does not fit in a float.
     """
     p, q = _check_factors(p, q)
-    return [
-        (-jet.d2phi / jet.phi, p, "radial-p"),
-        (-jet.d2psi / jet.psi, q, "radial-q"),
-        ((1.0 - jet.dphi ** 2) / jet.phi ** 2, p * (p - 1) // 2, "plane-p"),
-        ((1.0 - jet.dpsi ** 2) / jet.psi ** 2, q * (q - 1) // 2, "plane-q"),
-        (-(jet.dphi * jet.dpsi) / (jet.phi * jet.psi), p * q, "mixed"),
-    ]
+    try:
+        families = [
+            (-jet.d2phi / jet.phi, p, "radial-p"),
+            (-jet.d2psi / jet.psi, q, "radial-q"),
+            ((1.0 - jet.dphi ** 2) / jet.phi ** 2, p * (p - 1) // 2, "plane-p"),
+            ((1.0 - jet.dpsi ** 2) / jet.psi ** 2, q * (q - 1) // 2, "plane-q"),
+            (-(jet.dphi * jet.dpsi) / (jet.phi * jet.psi), p * q, "mixed"),
+        ]
+        if all(math.isfinite(value) for value, _, _ in families):
+            return families
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError("the doubly warped eigenvalues exceed the float range")
 
 
 def dwp_eigenvalue_list(p, q, jet: WarpJet) -> np.ndarray:
@@ -287,11 +294,14 @@ class ShootResult:
     status: str
 
 
-def _check_step(step, t_max):
-    """Raise ValueError unless the step and the time span are positive and
-    finite, so that t_max / step is a finite step count."""
+def _step_count(step, t_max):
+    """round(t_max / step); raises ValueError unless the step and the time
+    span are positive and finite and their ratio is finite."""
     if not (0.0 < step < math.inf and 0.0 < t_max < math.inf):
         raise ValueError(f"step and t_max must be positive and finite, got {step} and {t_max}")
+    if t_max / step == math.inf:
+        raise ValueError(f"t_max / step must be finite, got {t_max} / {step}")
+    return int(round(t_max / step))
 
 
 def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
@@ -303,10 +313,10 @@ def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
-    _check_step(step, t_max)
+    steps = _step_count(step, t_max)
     if not (0.0 < x0 < math.inf and math.isfinite(y0)):
         raise ValueError(f"x must start positive and y finite, got {x0} and {y0}")
-    xs, ys, status, _ = _rk4_columns(n, float(x0), float(y0), step, int(round(t_max / step)))
+    xs, ys, status, _ = _rk4_columns(n, float(x0), float(y0), step, steps)
     ts = tuple(i * step for i in range(len(xs)))
     return ShootResult(ts, tuple(xs), tuple(ys), None, status)
 
@@ -350,11 +360,9 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     limit = 0.5 * (n - 2)
     if x0 * x0 > limit * (1.0 + 1e-12):
         raise ValueError(f"x0^2 must be at most (n-2)/2 = {limit}, got {x0 * x0}")
-    _check_step(step, t_max)
+    steps = _step_count(step, t_max)
     # roundoff-level y (a start at the center) must not arm the detector
-    xs, ys, status, _ = _rk4_columns(
-        n, float(x0), 0.0, step, int(round(t_max / step)), armed=1e-8
-    )
+    xs, ys, status, _ = _rk4_columns(n, float(x0), 0.0, step, steps, armed=1e-8)
     ts = [i * step for i in range(len(xs))]
     if status != "crossed":
         status = "no-crossing" if status == "ok" else status

@@ -402,7 +402,8 @@ class TestRic:
 
 class TestStackedKernels:
     """A stack through _block_rows, _act and _sum_blocks is the per-item
-    calls the single-object functions make, bit for bit."""
+    calls, bit for bit, and a row of a kind's stacked kernels is what the
+    single-object functions return."""
 
     @staticmethod
     def layouts(n):
@@ -429,7 +430,7 @@ class TestStackedKernels:
                     assert summed[i].tobytes() == _sum_blocks(single_rows, n, p, k).tobytes()
 
     def test_stack_matches_public_calls(self):
-        from curvop.action import _block_rows, _hat_norms_consuming, _layout, _terms
+        from curvop.action import _hat_norms_consuming, _layout, _terms
 
         rng = np.random.default_rng(20)
         for n in range(3, 7):
@@ -440,14 +441,14 @@ class TestStackedKernels:
             tensors += [rand_sym2(rng, n), random_sym_operator(rng, n)]
             tensors.append(tensor_from_op(random_sym_operator(rng, n)))
             for t in tensors:
-                kind, values, p, k = _layout(t)
+                kind, values, deg = _layout(t)
                 stack = np.stack([values] * 3)
-                shaped = np.stack([getattr(t, kind.values)] * 3)
-                acted = kind.acted(np.stack([lam.comps] * 3), shaped, n, degree(t))
+                acted = kind.acted(np.stack([lam.comps] * 3), stack, n, deg)
                 assert acted[1].tobytes() == _layout(so_act(lam, t))[1].tobytes()
                 assert kind.norm_sqs(acted)[0] == so_act(lam, t).norm_sq()
                 assert kind.norm_sqs(stack)[2] == t.norm_sq()
-                rows = _block_rows(stack, n, p, k)
+                ric, rows = kind.rics(np.stack([r.mat] * 3), stack, n, deg)
+                assert ric[1].tobytes() == _layout(ric_of(r, t))[1].tobytes()
                 term = _terms(np.stack([r.mat] * 3), rows, rows)
                 assert term[2] == curvature_term(r, t, t)
                 assert _hat_norms_consuming(rows)[0] == hat_norm_sq(t)

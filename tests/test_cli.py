@@ -231,6 +231,20 @@ class TestBochnerCommand:
         assert code == 0
         assert json.loads(out)["bound"] == pytest.approx(6.0 * math.exp(2.0), rel=1e-12)
 
+    def test_power_of_two_scaling_keeps_verdicts(self, capsys, tmp_path):
+        # a positive scale cannot change a verdict, even where squares of
+        # the entries overflow
+        docs = []
+        for scale in (1.0, 2.0 ** 540):
+            path = tmp_path / "cp2.json"
+            dump_operator(path, CurvatureOperator(4, scale * curvop.cp2_op().mat))
+            code, out, _ = run(capsys, "bochner", str(path), "--kind", "pform", "--p", "2", "--kappa", "0")
+            assert code == 0
+            docs.append(json.loads(out))
+        for key in ("vanishing", "parallel_only", "holds", "term_vanishing"):
+            assert docs[1][key] is docs[0][key], key
+        assert docs[1]["vanishing"] is False
+
     def test_bad_kind_exits_two(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         dump_operator(path, identity_operator(4))
@@ -373,8 +387,7 @@ class TestUsage:
             ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "0"), 2, "positive and finite"),
             ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "inf"), 2, "positive and finite"),
             ({}, ("ode", "--n", "4", "--x0", "0.5", "--tmax", "nan"), 2, "positive and finite"),
-            ({"CURVOP_MAX_N": "abc"}, ("verify", "--suite", "exact-values"), 1,
-             "CURVOP_MAX_N must be an integer, got 'abc'"),
+            ({}, ("catalog", "--name", "sphere-product", "--p", "2", "--n", "9"), 2, "exceeds the cap 8"),
             ({}, ("catalog", "--name", "sphere-product", "--p", "9", "--n", "4"), 2, "sphere dimension"),
             ({}, ("catalog", "--name", "extremal-pform", "--p", "9"), 2, "usage error"),
             ({}, ("warped", "--p", "2", "--q", "2", "--samples", "3", "--out", "/nonexistent/o.csv"), 1,
@@ -411,6 +424,10 @@ class TestUsage:
              "the scale must be positive and finite"),
             ({}, ("catalog", "--name", "singer-thorpe", "--lambdas", "1,2,3,4,5,inf"), 2,
              "eigenvalues must be finite"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--amp", "1e200", "--samples", "3"), 2,
+             "exceed the float range"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-300", "--tmax", "1e300"), 2,
+             "t_max / step must be finite"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

@@ -289,6 +289,30 @@ class TestSpectrum:
             assert vals[i].tobytes() == sv.tobytes()
             assert vecs[i].tobytes() == sw.tobytes()
 
+    def test_power_of_two_scaling_is_exact(self):
+        # squares of entries near 2**540 overflow and those of entries near
+        # 2**-540 underflow; the spectrum must still scale with the matrix
+        # bit for bit
+        rng = np.random.default_rng(14)
+        mats = [random_sym_operator(rng, n).mat for n in (4, 4, 4)]
+        mats += [cp2_op().mat, singer_thorpe_op((-1.0, -1.0, 8.0, 2.0, 2.0, 2.0))[0].mat]
+        mats = np.array(mats)
+        vals, vecs = jacobi_eigh_batch(mats)
+        for scale in (2.0 ** 540, 2.0 ** -540):
+            scaled_vals, scaled_vecs = jacobi_eigh_batch(scale * mats)
+            assert scaled_vals.tobytes() == (scale * vals).tobytes()
+            assert scaled_vecs.tobytes() == vecs.tobytes()
+
+    def test_entries_out_of_range_raise(self):
+        rng = np.random.default_rng(15)
+        m = random_sym_operator(rng, 4).mat
+        m = m * (1.7e308 / np.abs(m).max())
+        with pytest.raises(ValueError, match="float range"):
+            jacobi_eigh(m)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="float range"):
+                jacobi_eigh(np.diag([1.0, bad]))
+
     def test_round_robin_rounds_are_disjoint_and_cover_each_pair_once(self):
         for size in range(2, 30):
             rounds = _round_robin(size)

@@ -20,7 +20,7 @@ PUBLIC = [
     "dwp_eigenvalue_list", "dwp_eigenvalues", "dwp_operator", "estimate_constant",
     "extremal_pform", "fourdim_einstein_term", "hat", "hat_norm_sq", "identity_operator",
     "identity_sym2", "inner", "integrate_warp_ode", "jacobi_eigh", "jacobi_eigh_batch",
-    "kulkarni_nomizu", "lemma21_verdict", "max_dimension", "negative_2form_term_op",
+    "kulkarni_nomizu", "lemma21_verdict", "negative_2form_term_op",
     "negative_sym2_term_op", "normal_h_term", "ode_rhs", "ode_shoot",
     "op_from_tensor", "operators", "permute", "perturbed_profile", "product_of_spheres_op",
     "ric_identity_closed_form", "ric_of", "ricci_contract", "round_jet", "scal_single_warped",

@@ -290,6 +290,21 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
     return failures
 
 
+def reference_prop_1_1(seed, trials, tol):
+    """prop-1.1 one trial at a time through the single-object calls."""
+    failures = []
+    t = tol if tol is not None else 1e-10
+    sid = _SUITE_IDS["prop-1.1"]
+    for index in range(6 * trials):
+        rng = reference_trial_rng(seed, sid, index)
+        n = 3 + index // trials
+        h = random_sym2(rng, n)
+        lhs = kulkarni_nomizu(identity_sym2(n), h).norm_sq()
+        rhs = 4.0 * (n - 2) * h.norm_sq() + 4.0 * h.trace() ** 2
+        _close(failures, ("kn-norm", n, index + 1), lhs, rhs, t)
+    return failures
+
+
 def reference_prop_1_2(seed, trials, tol):
     """prop-1.2 one trial at a time through the single-object calls."""
     failures = []
@@ -448,6 +463,7 @@ def assert_same_failures(got, want):
 
 
 REFERENCES = {
+    "prop-1.1": (reference_prop_1_1, 20),
     "lemma-2.2": (reference_lemma_2_2, 25),
     "lemma-2.1-soundness": (reference_lemma_2_1_soundness, 20),
     "prop-1.2": (reference_prop_1_2, 12),
