@@ -266,7 +266,7 @@ def _rebuild(t, values):
     if isinstance(t, PForm):
         return PForm(t.n, t.p, values)
     if isinstance(t, CurvatureOperator):
-        return CurvatureOperator(t.n, values, bianchi=t.bianchi_certified)
+        return CurvatureOperator(t.n, values)
     return type(t)(values)
 
 
@@ -309,7 +309,9 @@ def act_on_operator(lam: SoElement, r: CurvatureOperator) -> CurvatureOperator:
 
     (L R)(A, B) = -R(L A, B) - R(A, L B), which is the commutator of the
     induced wedge-coordinate matrix with the operator matrix.  The action
-    preserves the Bianchi subspace, so the certificate carries over.
+    preserves the Bianchi subspace, but the result's certificate is detected
+    from its own matrix: at n = 4 the action also kills the alternating part,
+    so a non-Bianchi operator can act to a Bianchi one.
     """
     return so_act(lam, r)
 

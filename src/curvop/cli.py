@@ -132,7 +132,7 @@ def _build_catalog_entry(args):
         meta = {
             "entry": name,
             "lambdas": lams,
-            "bianchi": bool(op.bianchi_certified),
+            "bianchi": op.bianchi_certified,
             "eigenvalues": list(spectrum(op).eigenvalues),
         }
         companions = {

@@ -42,12 +42,13 @@ from .tensors import (
 class CurvatureOperator:
     """Symmetric operator on wedge space, stored exactly symmetric.
 
-    bianchi_certified is tri-state: True / False once checked, None before.
+    bianchi_certified says whether the first Bianchi identity holds; it is
+    detected from the stored matrix on first read and cached, never assumed.
     """
 
-    __slots__ = ("n", "N", "mat", "bianchi_certified")
+    __slots__ = ("n", "N", "mat", "_bianchi")
 
-    def __init__(self, n, mat, bianchi=None):
+    def __init__(self, n, mat):
         n = check_dimension(n)
         m = np.array(mat, dtype=float)
         want = wedge_count(n)
@@ -58,14 +59,14 @@ class CurvatureOperator:
         self.n = n
         self.N = want
         self.mat = _freeze(m)
-        self.bianchi_certified = bianchi
+        self._bianchi = None
 
-    def certify_bianchi(self) -> bool:
-        """Check the Bianchi flag by the cyclic residual of the (0,4)-tensor
-        and cache the result."""
-        ok = bool(_bianchi_certified(self.mat, self.n))
-        self.bianchi_certified = ok
-        return ok
+    @property
+    def bianchi_certified(self) -> bool:
+        """Whether the cyclic residual of the (0,4)-tensor vanishes."""
+        if self._bianchi is None:
+            self._bianchi = bool(_bianchi_certified(self.mat, self.n))
+        return self._bianchi
 
     def norm_sq(self) -> float:
         """Squared norm as an element of the symmetric square of wedge space."""
@@ -80,7 +81,7 @@ class CurvatureOperator:
 
 def identity_operator(n) -> CurvatureOperator:
     """The unit-sphere curvature operator (half the metric KN square)."""
-    return CurvatureOperator(n, np.eye(wedge_count(n)), bianchi=True)
+    return CurvatureOperator(n, np.eye(wedge_count(n)))
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +101,7 @@ def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
     if not (rm.pair_skew and rm.pair_symmetric):
         raise ValueError("tensor lacks the pair symmetries of a curvature tensor")
     i, j = _pair_index(rm.n)
-    mat = rm.array[i[:, None], j[:, None], i[None, :], j[None, :]]
-    flag = True if rm.bianchi else None
-    return CurvatureOperator(rm.n, mat, bianchi=flag)
+    return CurvatureOperator(rm.n, rm.array[i[:, None], j[:, None], i[None, :], j[None, :]])
 
 
 def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
@@ -125,7 +124,7 @@ def _bianchi_certified(mats, n):
 def alternation(arr: np.ndarray) -> np.ndarray:
     """Full signed average over the 24 slot permutations of a (0,4)-array."""
     out = np.zeros_like(arr)
-    for perm, sign in _perm_signs(4):
+    for perm, sign in zip(*_perm_signs(4)):
         out += sign * np.transpose(arr, perm)
     return out / 24.0
 
@@ -173,14 +172,12 @@ def _alternating_parts(mats, n):
 def bianchi_split(r: CurvatureOperator):
     """Split into the Bianchi part and the fully alternating part.
 
-    Returns (r_b, lam4) with r_b a certified CurvatureOperator and lam4 the
+    Returns (r_b, lam4) with r_b a Bianchi CurvatureOperator and lam4 the
     alternating (0,4)-tensor; as tensors, input = r_b + lam4 and the two are
     orthogonal.
     """
     alt = _alternating_parts(r.mat, r.n)
-    r_b = CurvatureOperator(r.n, r.mat - alt)
-    r_b.certify_bianchi()
-    return r_b, CurvTensor(_tensors_from_ops(alt, r.n))
+    return CurvatureOperator(r.n, r.mat - alt), CurvTensor(_tensors_from_ops(alt, r.n))
 
 
 def ricci_contract(r: CurvatureOperator):
@@ -210,8 +207,6 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
     n = r.n
     if n < 3:
         raise ValueError("the curvature decomposition needs dimension at least 3")
-    if r.bianchi_certified is None:
-        r.certify_bianchi()
     if not r.bianchi_certified:
         raise ValueError("operator does not satisfy the first Bianchi identity")
     scal, ric, ric0, weyl = _decompose(r.mat, n)

@@ -73,8 +73,8 @@ def dump_operator(path, op: CurvatureOperator, metadata=None, companions=None):
 def loads_operator(text: str):
     """Parse an operator file; returns (operator, full document).
 
-    The matrix must be square of the wedge dimension and symmetric to 1e-9;
-    it is symmetrized on load.
+    n must be a JSON integer; the matrix must be square of the wedge
+    dimension and symmetric to 1e-9, and it is symmetrized on load.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -84,7 +84,9 @@ def loads_operator(text: str):
             raise ValueError(f"operator file is missing the {key!r} field")
     if doc["basis"] != BASIS_LITERAL:
         raise ValueError(f"unsupported basis {doc['basis']!r}; expected {BASIS_LITERAL!r}")
-    n = int(doc["n"])
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"the 'n' field must be a JSON integer, got {json.dumps(n)}")
     mat = np.array(doc["matrix"], dtype=float)
     want = wedge_count(n)
     if mat.shape != (want, want):

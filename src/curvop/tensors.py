@@ -174,57 +174,32 @@ def identity_sym2(n) -> Sym2:
     return Sym2(np.eye(check_dimension(n)))
 
 
+def _inversion_signs(rows):
+    """+-1.0 by the parity of the inversions of each row of an integer array
+    (..., p), the positions i < j with rows[..., i] > rows[..., j]."""
+    i, j = np.triu_indices(rows.shape[-1], 1)
+    return 1.0 - 2.0 * (np.count_nonzero(rows[..., i] > rows[..., j], axis=-1) % 2)
+
+
 @lru_cache(maxsize=None)
 def _perm_signs(p):
-    out = []
-    for perm in permutations(range(p)):
-        sign = 1
-        for i in range(p):
-            for j in range(i + 1, p):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
+    """The permutations of range(p) in lexicographic order, identity first,
+    as the rows of a (p!, p) index array, and their signs +-1.0, the parity
+    of their inversions."""
+    perms = np.array(list(permutations(range(p))), dtype=np.intp)
+    return _freeze(perms), _freeze(_inversion_signs(perms))
 
 
 @lru_cache(maxsize=None)
 def _dense_scatter(n, p):
     """Flat positions and signs for spreading compact form components over a
-    dense array: one row per slot permutation, one column per increasing
-    tuple.  Positions never collide."""
-    tuples = increasing_tuples(n, p)
-    perms = _perm_signs(p)
-    flat = np.empty((len(perms), len(tuples)), dtype=np.intp)
-    signs = np.empty(len(perms))
-    for s, (perm, sign) in enumerate(perms):
-        signs[s] = sign
-        for c, idx in enumerate(tuples):
-            pos = 0
-            for d in range(p):
-                pos = pos * n + idx[perm[d]]
-            flat[s, c] = pos
-    flat.setflags(write=False)
-    signs.setflags(write=False)
-    return flat, signs
-
-
-def sort_with_sign(indices):
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
-
-    Sign is 0 when an index repeats.
-    """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    dense array: one row per slot permutation of _perm_signs(p), one column
+    per increasing tuple, position sum_d idx[perm[d]] n^(p-1-d).  Positions
+    never collide."""
+    perms, signs = _perm_signs(p)
+    tuples = np.array(increasing_tuples(n, p), dtype=np.intp)
+    weights = n ** np.arange(p - 1, -1, -1, dtype=np.intp)
+    return _freeze(weights @ tuples.T[perms]), signs
 
 
 class PForm:
@@ -255,13 +230,18 @@ class PForm:
         return cls(n, p, np.zeros(math.comb(n, p)))
 
     def value(self, indices) -> float:
-        """Evaluate at an arbitrary index tuple, with the permutation sign."""
-        if len(indices) != self.p:
-            raise ValueError(f"expected {self.p} indices, got {len(indices)}")
-        key, sign = sort_with_sign(indices)
-        if sign == 0:
+        """Evaluate at an arbitrary index tuple, with the sign of the
+        permutation that sorts it, the parity of its inversions; zero when
+        an index repeats."""
+        idx = tuple(indices)
+        if len(idx) != self.p:
+            raise ValueError(f"expected {self.p} indices, got {len(idx)}")
+        if not all(i in range(self.n) for i in idx):
+            raise ValueError(f"indices must be integers in 0..{self.n - 1}, got {idx}")
+        if len(set(idx)) < self.p:
             return 0.0
-        return sign * float(self.comps[_tuple_index_map(self.n, self.p)[key]])
+        key = _tuple_index_map(self.n, self.p)[tuple(sorted(idx))]
+        return float(_inversion_signs(np.array(idx)) * self.comps[key])
 
     def norm_sq(self) -> float:
         return float(self.comps @ self.comps)
@@ -275,14 +255,29 @@ class PForm:
 
     @classmethod
     def from_tensor(cls, t: Tensor0k):
-        """Read a dense alternating tensor back into compact storage."""
+        """Read a dense alternating tensor back into compact storage.
+
+        The tensor is alternating when |to_tensor() - t| stays within
+        _IDENTITY_TOL times max(1, its largest entry), read off without a
+        second dense array: at the scatter positions from the gathered
+        entries, off them from the largest and smallest entry of t there.
+        """
         if t.k > t.n:  # before _dense_scatter, which has k! rows
             raise ValueError(f"form degree must be in 1..{t.n}, got {t.k}")
+        entries = t.array.reshape(-1)
+        flat, signs = _dense_scatter(t.n, t.k)
+        gathered = entries[flat]
         # the identity permutation is the first row of the scatter
-        comps = t.array.reshape(-1)[_dense_scatter(t.n, t.k)[0][0]]
-        form = cls(t.n, t.k, comps)
-        scale = max(1.0, float(np.abs(t.array).max()))
-        if float(np.abs(form.to_tensor().array - t.array).max()) > _IDENTITY_TOL * scale:
+        form = cls(t.n, t.k, gathered[0])
+        off = np.ones(entries.size, dtype=bool)
+        off[flat.reshape(-1)] = False
+        deviation = max(
+            float(np.abs(signs[:, None] * gathered[0] - gathered).max()),
+            float(np.max(entries, where=off, initial=0.0)),
+            -float(np.min(entries, where=off, initial=0.0)),
+        )
+        scale = max(1.0, float(entries.max()), -float(entries.min()))
+        if deviation > _IDENTITY_TOL * scale:
             raise ValueError("tensor is not alternating")
         return form
 

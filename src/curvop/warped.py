@@ -114,9 +114,7 @@ def dwp_operator(p, q, jet: WarpJet) -> CurvatureOperator:
             diag[which] = plane_p[0] if j_block == 1 else mixed[0]
         else:
             diag[which] = plane_q[0]
-    op = CurvatureOperator(n, np.diag(diag))
-    op.certify_bianchi()
-    return op
+    return CurvatureOperator(n, np.diag(diag))
 
 
 def _smoothstep5(t):
@@ -294,13 +292,18 @@ class ShootResult:
     status: str
 
 
+# The most RK4 steps one integration may take; 10**6 steps take about a
+# second and 120 MB of trajectory.
+_MAX_STEPS = 10 ** 6
+
+
 def _step_count(step, t_max):
     """round(t_max / step); raises ValueError unless the step and the time
-    span are positive and finite and their ratio is finite."""
+    span are positive and finite and their ratio is at most _MAX_STEPS."""
     if not (0.0 < step < math.inf and 0.0 < t_max < math.inf):
         raise ValueError(f"step and t_max must be positive and finite, got {step} and {t_max}")
-    if t_max / step == math.inf:
-        raise ValueError(f"t_max / step must be finite, got {t_max} / {step}")
+    if t_max / step > _MAX_STEPS:
+        raise ValueError(f"t_max / step must be finite and at most {_MAX_STEPS}, got {t_max} / {step}")
     return int(round(t_max / step))
 
 

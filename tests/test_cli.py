@@ -193,6 +193,16 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "/nonexistent/file.json")
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["2.5", '"2"', "true"], ids=["float", "string", "bool"])
+    def test_non_integer_dimension_exits_one(self, capsys, tmp_path, n):
+        path = tmp_path / "op.json"
+        path.write_text(f'{{"n": {n}, "basis": "lex-wedge", "matrix": [[1.0]]}}\n', encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"the 'n' field must be a JSON integer, got {n}" in err
+        assert len(err.strip().splitlines()) == 1, err
+
 
 class TestBochnerCommand:
     def test_cp2_middle_degree(self, capsys, tmp_path):
@@ -428,6 +438,8 @@ class TestUsage:
              "exceed the float range"),
             ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-300", "--tmax", "1e300"), 2,
              "t_max / step must be finite"),
+            ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-12", "--tmax", "20"), 2,
+             "t_max / step must be finite and at most 1000000"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

@@ -6,7 +6,9 @@ import pytest
 from curvop import (
     CurvatureOperator,
     CurvTensor,
+    SoElement,
     Sym2,
+    act_on_operator,
     alternation,
     bianchi_split,
     complex_sectional,
@@ -45,6 +47,12 @@ class TestConversions:
         op = op_from_tensor(half)
         assert np.array_equal(op.mat, np.eye(6))
         assert op.bianchi_certified is True
+
+    def test_certificate_of_pair_symmetric_non_bianchi_tensor_is_false(self):
+        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        rm = tensor_from_op(op)
+        assert rm.pair_skew and rm.pair_symmetric and not rm.bianchi
+        assert op_from_tensor(rm).bianchi_certified is False
 
     def test_norm_factor_four(self):
         g = identity_sym2(3)
@@ -130,7 +138,16 @@ class TestBianchiSplit:
                 assert (mats[i] - parts[i]).tobytes() == rb.mat.tobytes()
                 assert tensor_from_op(CurvatureOperator(n, parts[i])).array.tobytes() == lam4.array.tobytes()
                 assert bool(certified[i]) is rb.bianchi_certified is True
-                assert bool(raw[i]) is op.certify_bianchi()
+                assert bool(raw[i]) is op.bianchi_certified
+
+    def test_action_certificate_is_read_from_the_result(self):
+        # so(4) kills the volume form, the whole alternating part at n = 4,
+        # so every L.R is Bianchi even when R is not
+        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        out = act_on_operator(SoElement(4, np.arange(1.0, 7.0)), op)
+        assert op.bianchi_certified is False
+        assert out.bianchi_certified is True
+        assert decompose(out).weyl.n == 4
 
     def test_dimension_three_is_automatically_bianchi(self):
         # no alternating 4-tensors exist on three coordinates, so every
@@ -138,7 +155,7 @@ class TestBianchiSplit:
         rng = np.random.default_rng(8)
         for _ in range(20):
             r = random_sym_operator(rng, 3)
-            assert r.certify_bianchi() is True
+            assert r.bianchi_certified is True
 
 
 class TestRicciContract:

@@ -1,6 +1,8 @@
 """Tensor layer: norms, permutations, contractions, KN products, forms."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from curvop import (
     wedge_pairs,
 )
 from curvop.operators import CurvatureOperator
-from curvop.tensors import _symmetric_part, _symmetrized, check_dimension
+from curvop.tensors import _dense_scatter, _symmetric_part, _symmetrized, check_dimension
 
 
 def independent_gg(n):
@@ -30,6 +32,28 @@ def independent_gg(n):
     return 2.0 * (
         np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     )
+
+
+def reference_dense_scatter(n, p):
+    """_dense_scatter as the per-permutation loop built it, with the signs
+    counted inversion by inversion."""
+    tuples = list(itertools.combinations(range(n), p))
+    perms = list(itertools.permutations(range(p)))
+    flat = np.empty((len(perms), len(tuples)), dtype=np.intp)
+    signs = np.empty(len(perms))
+    for s, perm in enumerate(perms):
+        sign = 1
+        for i in range(p):
+            for j in range(i + 1, p):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        signs[s] = sign
+        for c, idx in enumerate(tuples):
+            pos = 0
+            for d in range(p):
+                pos = pos * n + idx[perm[d]]
+            flat[s, c] = pos
+    return flat, signs
 
 
 class TestNorms:
@@ -143,6 +167,43 @@ class TestPForm:
         assert w.value((0, 2)) == 1.0
         assert w.value((2, 0)) == -1.0
         assert w.value((1, 1)) == 0.0
+
+    def test_value_matches_dense_entries(self):
+        rng = np.random.default_rng(5)
+        for p in range(1, 5):
+            w = PForm(4, p, rng.normal(size=math.comb(4, p)))
+            dense = w.to_tensor().array
+            for idx in itertools.product(range(4), repeat=p):
+                assert w.value(idx) == dense[idx]
+
+    @pytest.mark.parametrize("idx", [(0, 9), (-1, 0), (4, 1)])
+    def test_value_rejects_indices_out_of_range(self, idx):
+        with pytest.raises(ValueError, match=r"indices must be integers in 0\.\.3"):
+            wedge_basis_form(4, (0, 2)).value(idx)
+
+    def test_dense_scatter_matches_per_permutation_loop(self):
+        for n in range(1, 7):
+            for p in range(1, n + 1):
+                flat, signs = _dense_scatter(n, p)
+                want_flat, want_signs = reference_dense_scatter(n, p)
+                assert flat.dtype == want_flat.dtype and flat.shape == want_flat.shape
+                assert flat.tobytes() == want_flat.tobytes()
+                assert signs.tobytes() == want_signs.tobytes()
+
+    def test_from_tensor_allocates_no_second_dense_array(self):
+        # the alternation check reads the gathered entries and a boolean
+        # mask off the scatter, never a rebuilt dense form
+        dense = PForm(7, 7, [3.0]).to_tensor()
+        PForm.from_tensor(dense)  # fill the scatter cache outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = PForm.from_tensor(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.comps.tolist() == [3.0]
+        assert peak - base <= 0.25 * dense.array.nbytes
 
     def test_dense_roundtrip_scales_by_factorial(self):
         rng = np.random.default_rng(2)
