@@ -274,6 +274,10 @@ def cmd_bochner(args) -> int:
 
 # -- warped / ode -------------------------------------------------------------
 
+# The most radii one `warped` run may sample; 10**5 samples take about 12 s.
+_MAX_SAMPLES = 10 ** 5
+
+
 def _write_rows(path, header, rows):
     # one %-template per line; "%.17g" formats each value as format(v, ".17g")
     line = ",".join(["%.17g"] * len(header)) + "\n"
@@ -287,8 +291,8 @@ def cmd_warped(args) -> int:
         profile = perturbed_profile(args.p, args.q, args.amp, args.center, args.width)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.samples < 1:
-        raise UsageError("samples must be positive")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise UsageError(f"samples must be between 1 and {_MAX_SAMPLES}, got {args.samples}")
     rs = np.linspace(0.0, math.pi / 2.0, args.samples + 2)[1:-1]
     header = ["r", "radial_p", "radial_q", "plane_p", "plane_q", "mixed"] + [
         f"low{k}" for k in range(1, 6)

@@ -438,10 +438,14 @@ def kulkarni_nomizu(s: Sym2, t: Sym2) -> CurvTensor:
 
 
 def _kn(a, b):
-    """Kulkarni-Nomizu product of stacked symmetric matrices (..., n, n)."""
-    return (
-        np.einsum("...ik,...jl->...ijkl", a, b)
-        - np.einsum("...il,...jk->...ijkl", a, b)
-        + np.einsum("...jl,...ik->...ijkl", a, b)
-        - np.einsum("...jk,...il->...ijkl", a, b)
-    )
+    """Kulkarni-Nomizu product of stacked symmetric matrices (..., n, n).
+
+    One outer product P_ijkl = a_ik b_jl holds every term; the other three
+    are its transposed views P_ijlk, P_jilk and P_jikl.
+    """
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    # einsum adds each product to a zeroed output, which turns a -0.0
+    # product into +0.0; doing the same keeps the result byte-identical
+    p += 0.0
+    q = p.swapaxes(-4, -3)
+    return p - p.swapaxes(-2, -1) + q.swapaxes(-2, -1) - q

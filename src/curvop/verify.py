@@ -29,6 +29,12 @@ kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
 so memory stays flat in the trial count, and the failures come back ordered
 by trial index, then by the position of the check within the trial: as if
 each trial had been checked alone.
+
+Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
+since it tests that solver.  The suites whose identities only consume an
+eigenbasis (prop-1.6, prop-1.7, complex-sectional and lemma-2.1-soundness)
+take it from LAPACK through np.linalg.eigh, or np.linalg.eigvalsh where
+only the eigenvalues are read.
 """
 
 from __future__ import annotations
@@ -87,7 +93,6 @@ from .operators import (
     complex_sectional,
     decompose,
     identity_operator,
-    jacobi_eigh,
     jacobi_eigh_batch,
     spectrum,
     tensor_from_op,
@@ -628,7 +633,7 @@ def suite_prop_1_6(seed, trials, t):
         r = random_sym_operator(rng, n)
         lam = random_so(rng, n)
         lhs = act_on_operator(lam, r).norm_sq()
-        vals, vecs = jacobi_eigh(r.mat)
+        vals, vecs = np.linalg.eigh(r.mat)
         gram = vecs.T @ ad_matrix(lam) @ vecs
         rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
         _close(failures, ("eigen-norm", trial), lhs, rhs, t)
@@ -648,7 +653,7 @@ def _draw_prop_1_7(rng, n, trial, index):
 
 
 def _check_prop_1_7(t, n, key, h, lam):
-    vals, vecs = jacobi_eigh_batch(h)
+    vals, vecs = np.linalg.eigh(h)
     lhs = _dense_norms(_KINDS[Sym2].acted(lam, h, n))
     gram = vecs.swapaxes(1, 2) @ _action_matrices(lam, n, 1) @ vecs
     rhs = np.sum((vals[:, :, None] - vals[:, None, :]) ** 2 * gram * gram, axis=(1, 2))
@@ -868,8 +873,9 @@ def suite_decompose(seed, trials, t):
 
 
 def suite_spectrum(seed, trials, t):
-    """Jacobi spectra: residuals, orthogonality, invariance under orthogonal
-    conjugation, and batch/single agreement."""
+    """The Jacobi solver behind spectrum, the one suite that runs it:
+    residuals, orthogonality, invariance under orthogonal conjugation, and
+    batch/single agreement."""
     failures = []
     for trial, rng in _trials(seed, "spectrum", trials):
         n = int(rng.integers(3, 8))
@@ -1051,14 +1057,14 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     margins = [_margin(rng)]
     sym = _sym_draw(rng, n)
     margins += [_margin(rng), _margin(rng), _margin(rng)]
-    # a symmetric tensor's block rows outgrow the eigensolver's matrix and
-    # vectors, and every other array but the curvature kinds' rows
+    # a symmetric tensor's block rows outgrow the operator matrix and its
+    # eigenvalues, and every other array but the curvature kinds' rows
     return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
 
 
 def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
     ops = raw - _alternating_parts(raw, n)
-    vals = jacobi_eigh_batch(ops)[0]
+    vals = np.linalg.eigvalsh(ops)
     every = slice(None)
     kinds = [(TensorKind.pform(p), np.flatnonzero(degrees == p)) for p in np.unique(degrees).tolist()]
     terms = [
@@ -1315,7 +1321,7 @@ def suite_complex_sectional(seed, trials, t):
         zc = rng.normal(size=n) + 1j * rng.normal(size=n)
         wc = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = complex_sectional(r, zc, wc)
-        vals, vecs = jacobi_eigh(r.mat)
+        vals, vecs = np.linalg.eigh(r.mat)
         zeta = wedge_coordinates(zc, wc, n)
         coeffs = vecs.T @ zeta
         want = float(np.sum(vals * np.abs(coeffs) ** 2))

@@ -440,6 +440,8 @@ class TestUsage:
              "t_max / step must be finite"),
             ({}, ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-12", "--tmax", "20"), 2,
              "t_max / step must be finite and at most 1000000"),
+            ({}, ("warped", "--p", "2", "--q", "2", "--samples", "10000000"), 2,
+             "samples must be between 1 and 100000"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

@@ -23,7 +23,7 @@ from curvop import (
     wedge_pairs,
 )
 from curvop.operators import CurvatureOperator
-from curvop.tensors import _dense_scatter, _symmetric_part, _symmetrized, check_dimension
+from curvop.tensors import _dense_scatter, _kn, _symmetric_part, _symmetrized, check_dimension
 
 
 def independent_gg(n):
@@ -159,6 +159,27 @@ class TestKulkarniNomizu:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kulkarni_nomizu(identity_sym2(3), identity_sym2(4))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("batch", [(), (1,), (8,)])
+    def test_outer_product_matches_einsum_definition(self, n, batch):
+        # the definition term by term; the identity factor makes -0.0
+        # products, whose sign the four einsums turn to +0.0
+        def four_einsums(a, b):
+            return (
+                np.einsum("...ik,...jl->...ijkl", a, b)
+                - np.einsum("...il,...jk->...ijkl", a, b)
+                + np.einsum("...jl,...ik->...ijkl", a, b)
+                - np.einsum("...jk,...il->...ijkl", a, b)
+            )
+
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(2, *batch, n, n))
+        a, b = a + a.swapaxes(-1, -2), b + b.swapaxes(-1, -2)
+        for x, y in ((a, b), (np.eye(n), b), (a, np.eye(n)), (np.eye(n), np.eye(n))):
+            got, want = _kn(x, y), four_einsums(x, y)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPForm:

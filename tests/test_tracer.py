@@ -23,11 +23,17 @@ def test_tracer_installs_and_traces_a_suite():
         # install raises SystemExit naming any required name that is gone or
         # no longer a plain function
         tracer.install()
-        report = verify.run_suite("prop-1.7", trials=2, seed=42, tol=1e-9)
+        reports = [verify.run_suite(name, trials=2, seed=42, tol=1e-9) for name in ("prop-1.7", "spectrum")]
     finally:
         tracer.uninstall()
-    assert report.passed, report.failures[:3]
+    for report in reports:
+        assert report.passed, report.failures[:3]
     assert tracer.calls["verify.suite.prop-1.7"] == 1
-    # one eigensolve per dimension, through the wrapper in verify's namespace
-    assert tracer.calls["operators.jacobi_eigh_batch"] == 5
+    assert tracer.calls["verify.suite.spectrum"] == 1
+    # per spectrum trial: two spectrum calls, each a jacobi_eigh over a batch
+    # of one, and one batch of two through the wrapper in verify's namespace;
+    # prop-1.7 takes its eigenbasis from LAPACK
+    assert tracer.calls["operators.spectrum"] == 4
+    assert tracer.calls["operators.jacobi_eigh"] == 4
+    assert tracer.calls["operators.jacobi_eigh_batch"] == 6
     assert verify.run_suite is original
