@@ -191,12 +191,17 @@ class _Kind:
         """(p, k) of a tensor of this kind and degree."""
         return self.p or degree, self.k or degree
 
+    def inners(self, a, b):
+        """Inner products of coordinates stacked along the first axis, as
+        tensors.inner takes them."""
+        if self.compact:
+            return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+        return np.sum(a * b, axis=tuple(range(1, a.ndim)))
+
     def norm_sqs(self, stack):
         """Squared norms of coordinates stacked along the first axis, as
         the kind's norm_sq takes them."""
-        if self.compact:
-            return (stack[:, None, :] @ stack[:, :, None])[:, 0, 0]
-        return np.sum(stack * stack, axis=tuple(range(1, stack.ndim)))
+        return self.inners(stack, stack)
 
     def acted(self, comps, values, n, degree=None):
         """so_act of elements with stacked coordinates comps on values of
@@ -335,18 +340,28 @@ def _slot_views(flat, dim, k):
         yield view.swapaxes(-3, -2)
 
 
+@lru_cache(maxsize=None)
+def _signed_source(n, p):
+    """The table's sources into the coordinates followed by their negatives:
+    src, shifted by dim = C(n, p) where the sign is -1."""
+    _, src, sgn = _wedge_table(n, p)
+    return _freeze(src + math.comb(n, p) * (sgn < 0))
+
+
 def _block_rows(values, n, p, k) -> np.ndarray:
     """Flattened wedge-basis action blocks of stacked k-slot values over
     Lambda^p (..., dim**k), one row per pair (..., pairs, dim**k): per slot,
-    one gather through the table and one scatter into the rows."""
-    tgt, src, sgn = _wedge_table(n, p)
+    one signed gather through the table and one scatter into the rows."""
+    tgt = _wedge_table(n, p)[0]
+    signed = _signed_source(n, p)
     pair = np.arange(tgt.shape[0])[:, None]
     out = np.zeros(values.shape[:-1] + (tgt.shape[0], values.shape[-1]))
     dim = math.comb(n, p)
     views = zip(_slot_views(out, dim, k), _slot_views(values, dim, k))
     for slot, (moved_out, moved_in) in enumerate(views):
-        image = moved_in[..., src, :, :]
-        image *= sgn[:, :, None, None]
+        # the signs are +-1, so gathering from the coordinates and their
+        # negatives gives the products with the signs exactly
+        image = np.concatenate((moved_in, -moved_in), axis=-3)[..., signed, :, :]
         # a pair never sends two coordinates to one, so the first slot
         # can be assigned instead of accumulated
         if slot == 0:

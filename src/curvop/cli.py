@@ -48,12 +48,13 @@ def _output(path, text):
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .verify import SUITES, _TRIAL_LIMIT, run_suite
+    from .verify import SUITES, _trial_count, run_suite
 
-    if args.trials is not None and args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    if args.trials is not None and args.trials > _TRIAL_LIMIT:
-        raise UsageError(f"--trials must be at most 2**32, the number of trial indices, got {args.trials}")
+    if args.trials is not None:
+        try:
+            _trial_count(args.trials)
+        except ValueError as exc:
+            raise UsageError(f"--{exc}") from None
     if args.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
     if args.tol is not None and not math.isfinite(args.tol):

@@ -23,7 +23,7 @@ bochner.direct_term_check.
 Eight suites batch across trials through one driver, _batched: prop-1.1,
 prop-1.2, prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and
 lemma-2.1-soundness.  Each is a draw function, which draws one trial from
-its generator and names the group it belongs to, and a check function,
+its generator and names the shapes of its arrays, and a check function,
 which runs the suite's comparisons on a stacked group through the stacked
 kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
 so memory stays flat in the trial count, and the failures come back ordered
@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -332,7 +333,11 @@ def _trials(seed, suite, trials):
 # Bytes of the largest array a batched check may build.  The batched suites
 # size their groups of trials by it, which keeps their memory flat in the
 # trial count.  A check holds a few such arrays at once, 1-2 MB in all;
-# larger groups raise the peak resident memory and gain little speed.
+# larger groups raise the peak resident memory and gain little speed.  At
+# 2 MB, a process running the five identity suites (prop-1.7, prop-2.8,
+# prop-1.9, prop-1.2, prop-1.3) at 20 trials per n peaked at 45.4 MB
+# resident against 41.5 MB at this budget, for a pass 2-17 % faster (one
+# CPU of a 2-core x86-64 host).
 _CHUNK_BYTES = 1 << 19
 
 
@@ -342,11 +347,14 @@ def _batched(seed, suite, trials, t, dims, draw, check,
 
     Trial i at the j-th n of dims is the suite's trial index j * trials + i;
     draw(its generator, n, i, index) returns its (key, item_bytes, arrays).
-    The trials of a key gather in a group while one more fits in
-    _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n, key,
-    *arrays stacked over the group) returns the group's comparisons in check
-    order, as (name, failing, lhs, rhs, tol).  Failures, tagged tag(name, n,
-    i, index), come back by trial index, then by check position, as if each
+    The key names the shapes of the arrays, and nothing else: what varies
+    from trial to trial but keeps the shapes, a permutation or a form's
+    degree in zero-padded coordinates, travels as one more array.  The
+    trials of a key gather in a group while one more fits in _CHUNK_BYTES
+    at item_bytes each, and until n changes; check(t, n, key, *arrays
+    stacked over the group) returns the group's comparisons in check order,
+    as (name, failing, lhs, rhs, tol).  Failures, tagged tag(name, n, i,
+    index), come back by trial index, then by check position, as if each
     trial had been checked alone.
     """
     found = []
@@ -355,6 +363,8 @@ def _batched(seed, suite, trials, t, dims, draw, check,
         where, items = zip(*group)
         stacks = map(np.array, zip(*items))
         for position, (name, failing, lhs, rhs, tol) in enumerate(check(t, n, key, *stacks)):
+            if not failing.any():
+                continue
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
             for i in np.flatnonzero(failing):
                 trial, index = where[i]
@@ -394,6 +404,25 @@ _compact_norms = _KINDS[PForm].norm_sqs
 def _max_abs(values):
     """Largest absolute entry of each of stacked arrays."""
     return np.abs(values).max(axis=tuple(range(1, values.ndim)))
+
+
+def _padded(comps, n):
+    """A p-form's coordinates zero-padded to C(n, n // 2), the most any
+    degree has, so that forms of every degree stack together."""
+    out = np.zeros(math.comb(n, n // 2))
+    out[:len(comps)] = comps
+    return out
+
+
+def _by_degree(n, degrees, *forms):
+    """For each degree p among stacked zero-padded forms: p, the positions
+    of the forms of degree p, and each of forms at those positions cut to
+    their C(n, p) coordinates."""
+    # not np.unique, whose first call imports numpy.ma: 1.7 MB of resident
+    # memory for a handful of small integers
+    for p in sorted(set(degrees.tolist())):
+        picked = np.flatnonzero(degrees == p)
+        yield p, picked, [values[picked, :math.comb(n, p)] for values in forms]
 
 
 def _bianchi_decompose(raw, n):
@@ -589,15 +618,19 @@ def _draw_prop_1_2(rng, n, trial, index):
     k = int(rng.integers(2, 5))
     lam = rng.normal(size=wedge_count(n))
     tt = rng.normal(size=(n,) * k)
-    sigma = tuple(rng.permutation(k).tolist())
-    return sigma, 8 * n ** 4, (lam, tt, _sym_draw(rng, n), _sym_draw(rng, n))
+    # permuting the slots by sigma transposes by its inverse
+    inverse = np.argsort(rng.permutation(k))
+    return k, 8 * n ** 4, (lam, tt, inverse, _sym_draw(rng, n), _sym_draw(rng, n))
 
 
-def _check_prop_1_2(t, n, sigma, lam, tt, s, u):
-    # permute by sigma transposes by its inverse, behind the stacking axis
-    axes = (0,) + tuple(1 + np.argsort(sigma))
-    left = _KINDS[Tensor0k].acted(lam, tt.transpose(axes), n, len(sigma))
-    right = _KINDS[Tensor0k].acted(lam, tt, n, len(sigma)).transpose(axes)
+def _transposed(values, axes):
+    """Each of stacked arrays transposed by its own row of axes."""
+    return np.stack([value.transpose(order) for value, order in zip(values, axes)])
+
+
+def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
+    left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
+    right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
     lhs = _KINDS[CurvTensor].acted(lam, _kn(s, u), n)
     rhs = _kn(_KINDS[Sym2].acted(lam, s, n), u) + _kn(s, _KINDS[Sym2].acted(lam, u, n))
     return [
@@ -690,16 +723,27 @@ def _draw_prop_1_9(rng, n, trial, index):
         s, u = _sym_draw(rng, m), _sym_draw(rng, m)
         if which == 3:
             s, u = _tensors_from_ops(s, n), _tensors_from_ops(u, n)
+    if which == 2:
+        # forms of every degree share a group, their degrees alongside
+        s, u = _padded(s, n), _padded(u, n)
+        return (which, 0), 8 * size * s.size, (r, s, u, degree)
     return (which, degree), 8 * size * s.size, (r, s, u)
 
 
-def _check_prop_1_9(t, n, key, r, s, u):
-    which, degree = key
+def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
+    which, k = key
     kind = _KINDS[(Tensor0k, Sym2, PForm, CurvTensor)[which]]
-    ric, rows_s = kind.rics(r, s, n, degree)
-    rows_u = kind.rows(u, n, degree)
-    lhs = np.sum(ric * u, axis=tuple(range(1, u.ndim)))
-    return [_closes("adjoint", lhs, _terms(r, rows_s, rows_u), t)]
+    parts = _by_degree(n, degrees, s, u) if which == 2 else [(k, slice(None), (s, u))]
+    lhs, rhs = np.empty((2, len(r)))
+    for degree, picked, (values_s, values_u) in parts:
+        mats = r[picked]
+        ric, rows_s = kind.rics(mats, values_s, n, degree)
+        rows_u = kind.rows(values_u, n, degree)
+        # as inner and curvature_term take them, so a row is what a single
+        # trial gives
+        lhs[picked] = kind.inners(ric, values_u)
+        rhs[picked] = _terms(mats, rows_s, rows_u)
+    return [_closes("adjoint", lhs, rhs, t)]
 
 
 def suite_prop_2_8(seed, trials, t):
@@ -711,14 +755,19 @@ def suite_prop_2_8(seed, trials, t):
 def _draw_prop_2_8(rng, n, trial, index):
     h = _sym_draw(rng, n)
     p = int(rng.integers(1, n))
-    w = rng.normal(size=math.comb(n, p))
+    w = _padded(rng.normal(size=math.comb(n, p)), n)
     # a curvature tensor's block rows are the largest array
-    return p, 8 * wedge_count(n) * n ** 4, (h, w, _sym_draw(rng, wedge_count(n)))
+    return None, 8 * wedge_count(n) * n ** 4, (h, p, w, _sym_draw(rng, wedge_count(n)))
 
 
-def _check_prop_2_8(t, n, p, h, w, raw):
+def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
-    ric_w, rows_w = _KINDS[PForm].rics(None, w, n, p)
+    form_gap, form_hat, form_want = np.empty((3, len(h)))
+    for p, picked, (w,) in _by_degree(n, degrees, forms):
+        ric_w, rows_w = _KINDS[PForm].rics(None, w, n, p)
+        form_gap[picked] = _max_abs(ric_w - p * (n - p) * w)
+        form_hat[picked] = _hat_norms_consuming(rows_w)
+        form_want[picked] = p * (n - p) * _compact_norms(w)
     rb, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
     rm = _tensors_from_ops(rb, n)
     ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
@@ -728,8 +777,8 @@ def _check_prop_2_8(t, n, p, h, w, raw):
     hat_op = _hat_norms_consuming(_KINDS[CurvatureOperator].rows(rb, n))
     return [
         _closes("sym2", _max_abs(ric_h - 2.0 * n * _traceless(h)), 0.0, t),
-        _closes("pform", _max_abs(ric_w - p * (n - p) * w), 0.0, t),
-        _closes("pform-hat", _hat_norms_consuming(rows_w), p * (n - p) * _compact_norms(w), t),
+        _closes("pform", form_gap, 0.0, t),
+        _closes("pform-hat", form_hat, form_want, t),
         _closes("curv", _max_abs(ric_rm - want_rm), 0.0, t),
         _closes("hat-rm", _hat_norms_consuming(rows_rm), 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
         _closes("hat-op", hat_op, 4.0 * (n - 1) * _dense_norms(_traceless(rb)) - 2.0 * ric0_sq, t),
@@ -1047,13 +1096,11 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     op = _sym_draw(rng, size)
     # the kinds draw in turn from a second stream: a form and its margin, a
     # symmetric tensor and its margin, then the margins of the two
-    # curvature kinds, which share one decomposed operator; the form sits
-    # zero-padded in a row long enough for every degree
+    # curvature kinds, which share one decomposed operator
     rng = rng_at(10_000_000 + index)
     shared = _sym_draw(rng, size)
     p = int(rng.integers(1, n))
-    form = np.zeros(math.comb(n, n // 2))
-    form[:math.comb(n, p)] = rng.normal(size=math.comb(n, p))
+    form = _padded(rng.normal(size=math.comb(n, p)), n)
     margins = [_margin(rng)]
     sym = _sym_draw(rng, n)
     margins += [_margin(rng), _margin(rng), _margin(rng)]
@@ -1066,11 +1113,10 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
     ops = raw - _alternating_parts(raw, n)
     vals = np.linalg.eigvalsh(ops)
     every = slice(None)
-    kinds = [(TensorKind.pform(p), np.flatnonzero(degrees == p)) for p in np.unique(degrees).tolist()]
-    terms = [
-        _direct_terms(ops[i], forms[i, :math.comb(n, kind.p)], n, _KINDS[PForm], kind.p)
-        for kind, i in kinds
-    ]
+    kinds, terms = [], []
+    for p, picked, (form,) in _by_degree(n, degrees, forms):
+        kinds.append((TensorKind.pform(p), picked))
+        terms.append(_direct_terms(ops[picked], form, n, _KINDS[PForm], p))
     kinds += [(TensorKind.sym2(), every), (TensorKind.curvature_einstein(), every), (TensorKind.weyl(), every)]
     terms += [_direct_terms(ops, syms, n, _KINDS[Sym2]), *_curvature_terms(ops, shared, n)]
     # the direct checks take the library's slack, or t when that is tighter
@@ -1529,13 +1575,27 @@ SUITES = {name: (fn, trials, tol) for name, fn, trials, tol in _SUITE_TABLE}
 _SUITE_IDS = {name: idx for idx, (name, *_) in enumerate(_SUITE_TABLE)}
 
 
+def _trial_count(trials):
+    """trials as an int; ValueError unless it is an integer from 1 to
+    2**32, the limits of the command line's --trials."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if count < 1:
+        raise ValueError(f"trials must be at least 1, got {count}")
+    if count > _TRIAL_LIMIT:
+        raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {count}")
+    return count
+
+
 def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     """Run one suite and wrap the outcome in a report; trials and tol
     default to the suite's own values in _SUITE_TABLE."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn, default_trials, default_tol = SUITES[name]
-    used = default_trials if trials is None else int(trials)
+    used = default_trials if trials is None else _trial_count(trials)
     start = time.perf_counter()
     failures = fn(seed, used, default_tol if tol is None else tol)
     elapsed = time.perf_counter() - start

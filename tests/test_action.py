@@ -400,6 +400,26 @@ class TestRic:
         assert total == pytest.approx(base, rel=1e-9)
 
 
+def reference_block_rows(values, n, p, k):
+    """_block_rows as a gather through the table's sources followed by a
+    product with its signs, the oracle of the signed gather."""
+    from curvop.action import _slot_views
+
+    tgt, src, sgn = _wedge_table(n, p)
+    pair = np.arange(tgt.shape[0])[:, None]
+    out = np.zeros(values.shape[:-1] + (tgt.shape[0], values.shape[-1]))
+    dim = math.comb(n, p)
+    views = zip(_slot_views(out, dim, k), _slot_views(values, dim, k))
+    for slot, (moved_out, moved_in) in enumerate(views):
+        image = moved_in[..., src, :, :]
+        image *= sgn[:, :, None, None]
+        if slot == 0:
+            moved_out[..., pair, tgt, :, :] = image
+        else:
+            moved_out[..., pair, tgt, :, :] += image
+    return out
+
+
 class TestStackedKernels:
     """A stack through _block_rows, _act and _sum_blocks is the per-item
     calls, bit for bit, and a row of a kind's stacked kernels is what the
@@ -428,6 +448,20 @@ class TestStackedKernels:
                     assert rows[i].tobytes() == single_rows.tobytes(), (n, p, k)
                     assert acted[i].tobytes() == _act(comps[i], values[i], n, p, k).tobytes()
                     assert summed[i].tobytes() == _sum_blocks(single_rows, n, p, k).tobytes()
+
+    def test_block_rows_match_reference_bytes(self):
+        from curvop.action import _block_rows
+
+        rng = np.random.default_rng(21)
+        for n in range(3, 9):
+            for p, k in self.layouts(n):
+                size = math.comb(n, p) ** k
+                for shape in ((size,), (3, size)):
+                    # exact zeros too, whose sign the products with -1 flip
+                    values = rng.normal(size=shape)
+                    values[..., ::5] = 0.0
+                    got = _block_rows(values, n, p, k)
+                    assert got.tobytes() == reference_block_rows(values, n, p, k).tobytes(), (n, p, k, shape)
 
     def test_stack_matches_public_calls(self):
         from curvop.action import _hat_norms_consuming, _layout, _terms

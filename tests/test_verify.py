@@ -68,6 +68,22 @@ def test_unknown_suite_raises():
         run_suite("nosuch")
 
 
+@pytest.mark.parametrize(
+    "trials, message",
+    [(-3, "at least 1"), (0, "at least 1"), (2 ** 32 + 1, r"at most 2\*\*32"),
+     (2.5, "an integer"), (3.0, "an integer"), ("3", "an integer")],
+)
+def test_run_suite_rejects_bad_trial_counts(trials, message):
+    # the limits of --trials, and no silent rounding of a fractional count
+    with pytest.raises(ValueError, match=message):
+        run_suite("prop-1.2", trials=trials)
+
+
+def test_run_suite_takes_integer_trial_counts():
+    assert run_suite("prop-1.2", trials=np.int64(2)).trials == 2
+    assert run_suite("prop-1.2", trials=1).trials == 1
+
+
 def test_random_bianchi_operator_is_bianchi():
     rng = np.random.default_rng(5)
     for n in (3, 5):
@@ -467,25 +483,38 @@ REFERENCES = {
 }
 
 
+# a tolerance at which some comparisons of each suite fail and others pass:
+# at 0 an equality passes only where its sides agree exactly; every
+# comparison of lemma-2.1-soundness is an inequality that holds at 0, and
+# at -1e-3 those with a margin under 1e-3 of their scale fail
+MIXED_TOLERANCES = dict.fromkeys(REFERENCES, 0.0) | {"lemma-2.1-soundness": -1e-3}
+
+
 @pytest.mark.parametrize("seed", [3, 42, 77])
-@pytest.mark.parametrize("tol", [None, -1.0])
+@pytest.mark.parametrize("tol", [None, -1.0, "mixed"])
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_batched_suite_matches_per_trial_reference(name, tol, seed, monkeypatch):
     # a negative tolerance fails every comparison it governs, so the
     # failure lists are long and their order is checked; the small budget
-    # splits every group into several chunks
+    # splits every group into several chunks; a mixed tolerance leaves
+    # groups in which some checks fail and others pass
     reference, trials = REFERENCES[name]
+    mixed = tol == "mixed"
+    if mixed:
+        tol = MIXED_TOLERANCES[name]
     want = reference(seed, trials, tol)
     assert_same_failures(run_suite(name, trials=trials, seed=seed, tol=tol).failures, want)
     monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 13)
     assert_same_failures(run_suite(name, trials=trials, seed=seed, tol=tol).failures, want)
     if tol is not None:
         assert want
+    if mixed:
+        assert len(want) < len(reference(seed, trials, -1.0))
 
 
 @pytest.mark.parametrize(
     "name, trials",
-    [("lemma-2.2", 50), ("lemma-2.1-soundness", 20), ("prop-2.8", 8), ("prop-1.9", 40)],
+    [("lemma-2.2", 50), ("lemma-2.1-soundness", 20), ("prop-2.8", 8), ("prop-1.9", 40), ("prop-1.2", 40)],
 )
 def test_suite_memory_flat_in_trials(name, trials, monkeypatch):
     # an eighth of the budget fills every chunk already at the smaller
@@ -501,6 +530,32 @@ def test_suite_memory_flat_in_trials(name, trials, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0] + 2 ** 20, peaks
+
+
+def counted_checks(monkeypatch, name):
+    """(n, key, group size) of every call of verify's check function name."""
+    check, calls = getattr(verify, name), []
+
+    def counted(t, n, key, *arrays):
+        calls.append((n, key, len(arrays[0])))
+        return check(t, n, key, *arrays)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_groups_are_keyed_by_shape(monkeypatch):
+    # at 20 trials per n everything of one shape fits the default budget:
+    # prop-1.2 checks each (n, k) in one group, whatever the permutations,
+    # and prop-2.8 the forms of every degree together at n = 3 and 4
+    calls = counted_checks(monkeypatch, "_check_prop_1_2")
+    assert run_suite("prop-1.2", trials=20, seed=42).passed
+    assert len({(n, k) for n, k, _ in calls}) == len(calls)
+    assert sum(size for *_, size in calls) == 5 * 20
+    calls = counted_checks(monkeypatch, "_check_prop_2_8")
+    assert run_suite("prop-2.8", trials=20, seed=42).passed
+    assert [size for n, _, size in calls if n in (3, 4)] == [20, 20]
+    assert sum(size for *_, size in calls) == 5 * 20
 
 
 def test_direct_checks_follow_the_tolerance():
