@@ -175,9 +175,9 @@ class _Kind:
     is the tensor's own degree, a form's p or a (0,k)-tensor's k.  A
     symmetric kind is stored as an exactly symmetric matrix, so the results
     of the action are checked and symmetrized as its constructor does; the
-    action keeps the first Bianchi identity of a bianchi kind; a compact
-    kind's squared norm is the dot product of its coordinates, a dense
-    kind's the sum of its squared entries.
+    action keeps the first Bianchi identity of a bianchi kind; a dot
+    kind's inner products are dot products of its flattened coordinates,
+    another kind's the sums of its entrywise products.
     """
 
     values: str
@@ -185,7 +185,7 @@ class _Kind:
     k: int | None
     symmetric: bool = False
     bianchi: bool = False
-    compact: bool = False
+    dot: bool = False
 
     def slots(self, degree=None):
         """(p, k) of a tensor of this kind and degree."""
@@ -194,8 +194,8 @@ class _Kind:
     def inners(self, a, b):
         """Inner products of coordinates stacked along the first axis, as
         tensors.inner takes them."""
-        if self.compact:
-            return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+        if self.dot:
+            return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
         return np.sum(a * b, axis=tuple(range(1, a.ndim)))
 
     def norm_sqs(self, stack):
@@ -246,9 +246,9 @@ class _Kind:
 
 
 _KINDS = {
-    PForm: _Kind("comps", None, 1, compact=True),
+    PForm: _Kind("comps", None, 1, dot=True),
     Sym2: _Kind("mat", 1, 2, symmetric=True),
-    Tensor0k: _Kind("array", 1, None),
+    Tensor0k: _Kind("array", 1, None, dot=True),
     CurvTensor: _Kind("array", 1, 4, bianchi=True),
     CurvatureOperator: _Kind("mat", 2, 2, symmetric=True),
 }

@@ -8,8 +8,9 @@ coordinates, certifies the Bianchi identity by the residual of the
 (0,4)-tensor, contracts to Ricci and scalar parts, performs the orthogonal
 scalar / traceless-Ricci / Weyl decomposition, and diagonalizes by Jacobi
 rotations in round-robin (Brent-Luk) order, N/2 disjoint rotations per
-vectorized step.  The conversions, the projection, the certificate and the
-decomposition also take operator matrices stacked along leading axes.
+vectorized step.  The conversions, the projection and the certificate
+also take operator matrices stacked along leading axes, and the
+decomposition their (0,4)-tensors stacked the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .tensors import (
     _bianchi_holds,
     _freeze,
     _kn,
+    _metric_kn,
     _pair_index,
     _perm_signs,
     _require_finite,
@@ -209,23 +211,22 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
         raise ValueError("the curvature decomposition needs dimension at least 3")
     if not r.bianchi_certified:
         raise ValueError("operator does not satisfy the first Bianchi identity")
-    scal, ric, ric0, weyl = _decompose(r.mat, n)
+    scal, ric, ric0, weyl = _decompose(_tensors_from_ops(r.mat, n), n)
     schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
     return CurvDecomposition(
         scal=float(scal), ric0=Sym2(ric0), weyl=CurvTensor(weyl), schouten=schouten
     )
 
 
-def _decompose(mats, n):
-    """(scal, ric, ric0, weyl) arrays of stacked Bianchi operator matrices,
-    n >= 3: the scalar curvature, the Ricci and traceless Ricci tensors and
-    the Weyl tensor rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2)."""
-    rm = _tensors_from_ops(mats, n)
+def _decompose(rm, n):
+    """(scal, ric, ric0, weyl) arrays of the stacked (0,4)-arrays rm of
+    Bianchi operators, n >= 3: the scalar curvature, the Ricci and traceless
+    Ricci tensors and the Weyl tensor
+    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2)."""
     ric, scal = _riccis(rm)
     ric0 = _traceless(ric)
-    g = np.eye(n)
-    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _kn(g, g)
-    weyl = rm - scal_part - _kn(g, ric0) / (n - 2.0)
+    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _metric_kn(n)
+    weyl = rm - scal_part - _kn(np.eye(n), ric0) / (n - 2.0)
     return scal, ric, ric0, weyl
 
 

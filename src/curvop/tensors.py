@@ -94,7 +94,17 @@ class Tensor0k:
     __slots__ = ("n", "k", "array")
 
     def __init__(self, array):
-        arr = np.array(array, dtype=float)
+        self._adopt(np.array(array, dtype=float))
+
+    @classmethod
+    def _owning(cls, arr):
+        """A tensor over arr itself, a fresh float array no one else holds:
+        the constructor without its copy, which at n = p = 8 is 128 MiB."""
+        t = cls.__new__(cls)
+        t._adopt(arr)
+        return t
+
+    def _adopt(self, arr):
         if arr.ndim < 1:
             raise ValueError("tensor order must be at least 1")
         n = arr.shape[0]
@@ -107,7 +117,9 @@ class Tensor0k:
         self.array = _freeze(arr)
 
     def norm_sq(self) -> float:
-        return float(np.sum(self.array * self.array))
+        # a dot product of the flat view, with no squared temporary
+        flat = self.array.reshape(-1)
+        return float(flat @ flat)
 
     def __repr__(self):
         return f"Tensor0k(n={self.n}, k={self.k})"
@@ -251,7 +263,7 @@ class PForm:
         arr = np.zeros(self.n ** self.p)
         flat, signs = _dense_scatter(self.n, self.p)
         arr[flat.reshape(-1)] = np.outer(signs, self.comps).reshape(-1)
-        return Tensor0k(arr.reshape((self.n,) * self.p))
+        return Tensor0k._owning(arr.reshape((self.n,) * self.p))
 
     @classmethod
     def from_tensor(cls, t: Tensor0k):
@@ -384,7 +396,7 @@ def inner(a, b) -> float:
     if isinstance(a, Tensor0k):
         if a.k != b.k:
             raise ValueError(f"order mismatch: {a.k} vs {b.k}")
-        return float(np.sum(a.array * b.array))
+        return float(a.array.reshape(-1) @ b.array.reshape(-1))
     if isinstance(a, Sym2):
         return float(np.sum(a.mat * b.mat))
     if isinstance(a, PForm):
@@ -435,6 +447,13 @@ def kulkarni_nomizu(s: Sym2, t: Sym2) -> CurvTensor:
     """
     same_dimension(s, t)
     return CurvTensor(_kn(s.mat, t.mat))
+
+
+@lru_cache(maxsize=None)
+def _metric_kn(n):
+    """KN(g, g) of the metric g of R^n, computed once per n."""
+    g = np.eye(n)
+    return _freeze(_kn(g, g))
 
 
 def _kn(a, b):

@@ -26,9 +26,12 @@ lemma-2.1-soundness.  Each is a draw function, which draws one trial from
 its generator and names the shapes of its arrays, and a check function,
 which runs the suite's comparisons on a stacked group through the stacked
 kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
-so memory stays flat in the trial count, and the failures come back ordered
-by trial index, then by the position of the check within the trial: as if
-each trial had been checked alone.
+so memory stays flat in the trial count: a draw names as its item_bytes the
+largest array its check builds for the whole group, and a check builds the
+larger arrays of a trial, a (0,4)-tensor's block rows, a slice of the group
+at a time through _in_budget.  The failures come back ordered by trial
+index, then by the position of the check within the trial: as if each trial
+had been checked alone.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -99,7 +102,6 @@ from .operators import (
     tensor_from_op,
     wedge_coordinates,
     _alternating_parts,
-    _bianchi_certified,
     _decompose,
     _tensors_from_ops,
 )
@@ -115,7 +117,9 @@ from .tensors import (
     wedge_count,
     wedge_index,
     wedge_pairs,
+    _bianchi_holds,
     _kn,
+    _metric_kn,
     _traceless,
     _tuple_index_map,
 )
@@ -332,7 +336,11 @@ def _trials(seed, suite, trials):
 
 # Bytes of the largest array a batched check may build.  The batched suites
 # size their groups of trials by it, which keeps their memory flat in the
-# trial count.  A check holds a few such arrays at once, 1-2 MB in all;
+# trial count.  A draw's item_bytes is the largest array its check builds for
+# the whole group; a larger array of one trial, such as a (0,4)-tensor's
+# block rows (403 kB at n = 7), is built through _in_budget a slice of the
+# group at a time, each slice within the budget, so that it does not shrink
+# the group.  A check holds a few such arrays at once, 1-2 MB in all;
 # larger groups raise the peak resident memory and gain little speed.  At
 # 2 MB, a process running the five identity suites (prop-1.7, prop-2.8,
 # prop-1.9, prop-1.2, prop-1.3) at 20 trials per n peaked at 45.4 MB
@@ -349,13 +357,15 @@ def _batched(seed, suite, trials, t, dims, draw, check,
     draw(its generator, n, i, index) returns its (key, item_bytes, arrays).
     The key names the shapes of the arrays, and nothing else: what varies
     from trial to trial but keeps the shapes, a permutation or a form's
-    degree in zero-padded coordinates, travels as one more array.  The
-    trials of a key gather in a group while one more fits in _CHUNK_BYTES
-    at item_bytes each, and until n changes; check(t, n, key, *arrays
-    stacked over the group) returns the group's comparisons in check order,
-    as (name, failing, lhs, rhs, tol).  Failures, tagged tag(name, n, i,
-    index), come back by trial index, then by check position, as if each
-    trial had been checked alone.
+    degree in zero-padded coordinates, travels as one more array.
+    item_bytes is the size per trial of the largest array the check builds
+    for the whole group, and the check builds a larger one through
+    _in_budget.  The trials of a key gather in a group while one more fits
+    in _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n,
+    key, *arrays stacked over the group) returns the group's comparisons in
+    check order, as (name, failing, lhs, rhs, tol).  Failures, tagged
+    tag(name, n, i, index), come back by trial index, then by check
+    position, as if each trial had been checked alone.
     """
     found = []
 
@@ -386,6 +396,21 @@ def _batched(seed, suite, trials, t, dims, draw, check,
     return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
 
 
+def _in_budget(item_bytes, fn, *stacks):
+    """fn over consecutive slices of stacks along their first axis, as many
+    items a slice as fit in _CHUNK_BYTES at item_bytes each (one at least),
+    and each of its results concatenated over the slices.  A check builds
+    through it the arrays that are too large to build for its whole group."""
+    size = max(1, _CHUNK_BYTES // item_bytes)
+    parts = [fn(*(stack[start:start + size] for stack in stacks)) for start in range(0, len(stacks[0]), size)]
+    return [np.concatenate(side) for side in zip(*parts)]
+
+
+def _curvature_row_bytes(n):
+    """Bytes of the block rows of one (0,4)-tensor: 403 kB at n = 7."""
+    return 8 * wedge_count(n) * n ** 4
+
+
 def _closes(name, lhs, rhs, tol):
     """A batched _close, as a check of _batched returns it."""
     return name, _close_fails(lhs, rhs, tol), lhs, rhs, tol
@@ -396,8 +421,11 @@ def _at_mosts(name, lhs, rhs, tol):
     return name, _at_most_fails(lhs, rhs, tol), lhs, rhs, tol
 
 
-# squared norms of stacked dense values, and of stacked p-forms or so(n) elements
-_dense_norms = _KINDS[Tensor0k].norm_sqs
+# squared norms of stacked arrays summed entrywise, as Sym2, CurvTensor and
+# CurvatureOperator sum theirs; of stacked (0,k)-tensors, a dot product as
+# Tensor0k takes it; and of stacked p-forms or so(n) elements
+_dense_norms = _KINDS[CurvTensor].norm_sqs
+_tensor_norms = _KINDS[Tensor0k].norm_sqs
 _compact_norms = _KINDS[PForm].norm_sqs
 
 
@@ -427,12 +455,14 @@ def _by_degree(n, degrees, *forms):
 
 def _bianchi_decompose(raw, n):
     """Bianchi parts of stacked symmetric draws, as random_bianchi_operator
-    makes them, and their _decompose; raises like decompose when one fails
-    its certificate."""
+    makes them, their (0,4)-tensors and their _decompose; raises like
+    decompose when one fails its certificate.  The tensors are built once,
+    for the certificate, the decomposition and the caller."""
     rb = raw - _alternating_parts(raw, n)
-    if not np.all(_bianchi_certified(rb, n)):
+    rm = _tensors_from_ops(rb, n)
+    if not np.all(_bianchi_holds(rm)):
         raise ValueError("operator does not satisfy the first Bianchi identity")
-    return rb, _decompose(rb, n)
+    return rb, rm, _decompose(rm, n)
 
 
 # -- random draws -------------------------------------------------------------
@@ -471,9 +501,8 @@ def _einstein_part(scal, weyl):
     """The Einstein part scal/(2(n-1)n) KN(g, g) + W, for stacked scalar
     curvatures and Weyl arrays."""
     n = weyl.shape[-1]
-    g = np.eye(n)
     scale = np.asarray(scal)[..., None, None, None, None] / (2.0 * (n - 1) * n)
-    return scale * _kn(g, g) + weyl
+    return scale * _metric_kn(n) + weyl
 
 
 def random_orthogonal(rng, m) -> np.ndarray:
@@ -756,11 +785,22 @@ def _draw_prop_2_8(rng, n, trial, index):
     h = _sym_draw(rng, n)
     p = int(rng.integers(1, n))
     w = _padded(rng.normal(size=math.comb(n, p)), n)
-    # a curvature tensor's block rows are the largest array
-    return None, 8 * wedge_count(n) * n ** 4, (h, p, w, _sym_draw(rng, wedge_count(n)))
+    # the largest array built for the whole group is the operator's block
+    # rows, N^3 entries for N = wedge_count(n), or at n = 3 and 4 the
+    # curvature tensor, n^4; the tensor's block rows, N n^4, come a budget
+    # at a time
+    size = wedge_count(n)
+    return None, 8 * max(size ** 3, n ** 4), (h, p, w, _sym_draw(rng, size))
 
 
 def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
+    def curvature(rm, ric):
+        # the gap of ric_of(identity, Rm) from 4(n-1) Rm - 2 KN(g, ric), and
+        # the squared hat norm of Rm
+        ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
+        want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
+        return _max_abs(ric_rm - want_rm), _hat_norms_consuming(rows_rm)
+
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
     form_gap, form_hat, form_want = np.empty((3, len(h)))
     for p, picked, (w,) in _by_degree(n, degrees, forms):
@@ -768,10 +808,8 @@ def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
         form_gap[picked] = _max_abs(ric_w - p * (n - p) * w)
         form_hat[picked] = _hat_norms_consuming(rows_w)
         form_want[picked] = p * (n - p) * _compact_norms(w)
-    rb, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
-    rm = _tensors_from_ops(rb, n)
-    ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
-    want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
+    rb, rm, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
+    curv_gap, hat_rm = _in_budget(_curvature_row_bytes(n), curvature, rm, ric)
     rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
     ric0_sq = _dense_norms(ric0)
     hat_op = _hat_norms_consuming(_KINDS[CurvatureOperator].rows(rb, n))
@@ -779,8 +817,8 @@ def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
         _closes("sym2", _max_abs(ric_h - 2.0 * n * _traceless(h)), 0.0, t),
         _closes("pform", form_gap, 0.0, t),
         _closes("pform-hat", form_hat, form_want, t),
-        _closes("curv", _max_abs(ric_rm - want_rm), 0.0, t),
-        _closes("hat-rm", _hat_norms_consuming(rows_rm), 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
+        _closes("curv", curv_gap, 0.0, t),
+        _closes("hat-rm", hat_rm, 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
         _closes("hat-op", hat_op, 4.0 * (n - 1) * _dense_norms(_traceless(rb)) - 2.0 * ric0_sq, t),
     ]
 
@@ -987,8 +1025,8 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
     lam_sq = _compact_norms(lam)
     g = np.eye(n)
     if case == 0:
-        lhs = _dense_norms(_KINDS[Tensor0k].acted(lam, values, n, degree))
-        return [_at_mosts("generic", lhs, degree * degree * _dense_norms(values) * lam_sq, t)]
+        lhs = _tensor_norms(_KINDS[Tensor0k].acted(lam, values, n, degree))
+        return [_at_mosts("generic", lhs, degree * degree * _tensor_norms(values) * lam_sq, t)]
     if case == 1:
         lhs = _dense_norms(_KINDS[Sym2].acted(lam, values, n))
         return [_at_mosts("sym2", lhs, 4.0 * _dense_norms(_traceless(values)) * lam_sq, t)]
@@ -1006,9 +1044,9 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
         ]
     lhs = _dense_norms(_KINDS[CurvTensor].acted(lam, _kn(g, values), n))
     rhs = 4.0 * _dense_norms(_kn(g, _traceless(values))) * lam_sq
-    rb, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
+    _, rm, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
     bound = (4.0 * _dense_norms(_kn(g, ric0)) / (n - 2.0) ** 2 + 8.0 * _dense_norms(weyl)) * lam_sq
-    lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, _tensors_from_ops(rb, n), n))
+    lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, rm, n))
     return [_at_mosts("kn", lhs, rhs, t), _at_mosts("kn-curv", lrm, bound, t)]
 
 
@@ -1150,13 +1188,13 @@ def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
     Bianchi parts of stacked shared draws.  A (0,4)-tensor's block rows are
     too large to build for a whole group, so they come a budget at a time."""
-    size = max(1, _CHUNK_BYTES // (8 * wedge_count(n) * n ** 4))
-    parts = []
-    for start in range(0, len(ops), size):
-        _, (scal, _, _, weyl) = _bianchi_decompose(shared[start:start + size], n)
-        for values in (_einstein_part(scal, weyl), weyl):
-            parts.append(_direct_terms(ops[start:start + size], values, n, _KINDS[CurvTensor]))
-    return [[np.concatenate(side) for side in zip(*parts[kind::2])] for kind in (0, 1)]
+    def terms(ops, shared):
+        _, _, (scal, _, _, weyl) = _bianchi_decompose(shared, n)
+        return [side for values in (_einstein_part(scal, weyl), weyl)
+                for side in _direct_terms(ops, values, n, _KINDS[CurvTensor])]
+
+    lhs_e, hat_e, lhs_w, hat_w = _in_budget(_curvature_row_bytes(n), terms, ops, shared)
+    return [(lhs_e, hat_e), (lhs_w, hat_w)]
 
 
 def _margin(rng):

@@ -23,7 +23,14 @@ from curvop import (
     wedge_pairs,
 )
 from curvop.operators import CurvatureOperator
-from curvop.tensors import _dense_scatter, _kn, _symmetric_part, _symmetrized, check_dimension
+from curvop.tensors import (
+    _dense_scatter,
+    _kn,
+    _metric_kn,
+    _symmetric_part,
+    _symmetrized,
+    check_dimension,
+)
 
 
 def independent_gg(n):
@@ -181,6 +188,13 @@ class TestKulkarniNomizu:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_metric_square_is_one_frozen_constant(self, n):
+        gg = _metric_kn(n)
+        assert gg is _metric_kn(n)
+        assert not gg.flags.writeable
+        assert gg.tobytes() == _kn(np.eye(n), np.eye(n)).tobytes()
+
 
 class TestPForm:
     def test_value_with_sign(self):
@@ -225,6 +239,32 @@ class TestPForm:
             tracemalloc.stop()
         assert back.comps.tolist() == [3.0]
         assert peak - base <= 0.25 * dense.array.nbytes
+
+    def test_dense_round_trip_stays_near_the_dense_array(self):
+        # to_tensor hands its fresh array to Tensor0k uncopied, and norm_sq
+        # and the alternation check build nothing as large again
+        w = PForm(7, 7, [3.0])
+        PForm.from_tensor(w.to_tensor())  # fill the scatter cache outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dense = w.to_tensor()
+            norm = dense.norm_sq()
+            back = PForm.from_tensor(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == math.factorial(7) * 9.0
+        assert back.comps.tolist() == [3.0]
+        assert not dense.array.flags.writeable
+        assert peak - base <= 1.3 * dense.array.nbytes
+
+    def test_constructor_copies_what_it_is_given(self):
+        values = np.zeros((3, 3))
+        t = Tensor0k(values)
+        values[0, 0] = 1.0
+        assert values.flags.writeable and t.array[0, 0] == 0.0
+        assert not t.array.flags.writeable
 
     def test_dense_roundtrip_scales_by_factorial(self):
         rng = np.random.default_rng(2)

@@ -556,6 +556,30 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     assert run_suite("prop-2.8", trials=20, seed=42).passed
     assert [size for n, _, size in calls if n in (3, 4)] == [20, 20]
     assert sum(size for *_, size in calls) == 5 * 20
+    # prop-2.8's groups are sized by the operator's block rows, so its
+    # n = 6 and n = 7 trials share groups too
+    sizes = {n: [size for m, _, size in calls if m == n] for n in (6, 7)}
+    assert max(sizes[6]) > 1 and len(sizes[6]) <= 2, sizes
+    assert max(sizes[7]) > 1 and len(sizes[7]) <= 4, sizes
+
+
+@pytest.mark.parametrize("name", ["prop-2.8", "lemma-2.1-soundness"])
+def test_block_rows_stay_within_the_budget(name, monkeypatch):
+    # a (0,4)-tensor's block rows, 403 kB at n = 7, come a budget at a
+    # time however many trials share a group
+    from curvop import action
+
+    block_rows, built = action._block_rows, []
+
+    def recorded(values, n, p, k):
+        rows = block_rows(values, n, p, k)
+        built.append((n, p, k, rows.nbytes))
+        return rows
+
+    monkeypatch.setattr(action, "_block_rows", recorded)
+    assert run_suite(name, trials=20, seed=42).passed
+    assert {(n, p, k) for n, p, k, _ in built} >= {(6, 1, 4)}
+    assert max(size for *_, size in built) <= verify._CHUNK_BYTES, max(built, key=lambda row: row[-1])
 
 
 def test_direct_checks_follow_the_tolerance():
