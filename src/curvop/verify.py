@@ -28,10 +28,12 @@ which runs the suite's comparisons on a stacked group through the stacked
 kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
 so memory stays flat in the trial count: a draw names as its item_bytes the
 largest array its check builds for the whole group, and a check builds the
-larger arrays of a trial, a (0,4)-tensor's block rows, a slice of the group
-at a time through _in_budget.  The failures come back ordered by trial
-index, then by the position of the check within the trial: as if each trial
-had been checked alone.
+larger arrays of a trial a slice of the group at a time through _in_budget:
+prop-2.8 its (0,4)-tensors' block rows, the only such rows built through
+it, and lemma-2.1-soundness the (0,4)-tensors of its decompositions, whose
+direct terms it takes on operator coordinates.  The failures come back
+ordered by trial index, then by the position of the check within the trial:
+as if each trial had been checked alone.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -65,6 +67,8 @@ from .action import (
     _action_matrices,
     _hat_norms_consuming,
     _hat_rows,
+    _layout,
+    _rebuild,
     _terms,
 )
 from .bochner import (
@@ -120,6 +124,7 @@ from .tensors import (
     _bianchi_holds,
     _kn,
     _metric_kn,
+    _pair_index,
     _traceless,
     _tuple_index_map,
 )
@@ -337,15 +342,17 @@ def _trials(seed, suite, trials):
 # Bytes of the largest array a batched check may build.  The batched suites
 # size their groups of trials by it, which keeps their memory flat in the
 # trial count.  A draw's item_bytes is the largest array its check builds for
-# the whole group; a larger array of one trial, such as a (0,4)-tensor's
-# block rows (403 kB at n = 7), is built through _in_budget a slice of the
-# group at a time, each slice within the budget, so that it does not shrink
-# the group.  A check holds a few such arrays at once, 1-2 MB in all;
-# larger groups raise the peak resident memory and gain little speed.  At
-# 2 MB, a process running the five identity suites (prop-1.7, prop-2.8,
-# prop-1.9, prop-1.2, prop-1.3) at 20 trials per n peaked at 45.4 MB
-# resident against 41.5 MB at this budget, for a pass 2-17 % faster (one
-# CPU of a 2-core x86-64 host).
+# the whole group; a larger array of one trial, such as the block rows of
+# prop-2.8's (0,4)-tensors (403 kB at n = 7), is built through _in_budget a
+# slice of the group at a time, each slice within the budget, so that it
+# does not shrink the group.  prop-2.8 is the only suite that builds (0,4)
+# block rows this way; prop-1.9 sizes its curvature-tensor groups by them.
+# A check holds a few such arrays at once, 1-2 MB in all; larger groups
+# raise the peak resident memory and gain little speed.  At 2 MB, a process
+# running the five identity suites (prop-1.7, prop-2.8, prop-1.9, prop-1.2,
+# prop-1.3) at 20 trials per n peaked at 45.4 MB resident against 41.5 MB
+# at this budget, for a pass 2-17 % faster (one CPU of a 2-core x86-64
+# host).
 _CHUNK_BYTES = 1 << 19
 
 
@@ -400,7 +407,9 @@ def _in_budget(item_bytes, fn, *stacks):
     """fn over consecutive slices of stacks along their first axis, as many
     items a slice as fit in _CHUNK_BYTES at item_bytes each (one at least),
     and each of its results concatenated over the slices.  A check builds
-    through it the arrays that are too large to build for its whole group."""
+    through it the arrays that are too large to build for its whole group:
+    prop-2.8 the block rows of its (0,4)-tensors, and lemma-2.1-soundness
+    the (0,4)-tensors of its decompositions."""
     size = max(1, _CHUNK_BYTES // item_bytes)
     parts = [fn(*(stack[start:start + size] for stack in stacks)) for start in range(0, len(stacks[0]), size)]
     return [np.concatenate(side) for side in zip(*parts)]
@@ -873,20 +882,19 @@ def suite_hat_structure(seed, trials, t):
         pairs = wedge_pairs(n)
         for a in range(len(pairs)):
             lam = SoElement(n, np.eye(len(pairs))[a])
-            block = so_act(lam, tt)
-            gap_sq = (
-                inner(ht.blocks[a], ht.blocks[a])
-                - 2.0 * inner(ht.blocks[a], block)
-                + inner(block, block)
-            )
-            _close(failures, ("block", trial, a), abs(gap_sq), 0.0, t)
+            _close(failures, ("block", trial, a), _gap_sq(ht.blocks[a], so_act(lam, tt)), 0.0, t)
         lam = random_so(rng, n)
-        paired = ht.pair_with(lam)
-        direct = so_act(lam, tt)
-        gap = inner(paired, paired) - 2.0 * inner(paired, direct) + inner(direct, direct)
-        _close(failures, ("pairing", trial), abs(gap), 0.0, t)
+        _close(failures, ("pairing", trial), _gap_sq(ht.pair_with(lam), so_act(lam, tt)), 0.0, t)
         _close(failures, ("norm", trial), ht.norm_sq(), hat_norm_sq(tt), t)
     return failures
+
+
+def _gap_sq(a, b):
+    """|a - b|^2 of two tensors of one kind, from their difference: the
+    expansion |a|^2 - 2<a, b> + |b|^2 leaves cancellation residues of 1e-12
+    when a = b."""
+    d = _rebuild(a, _layout(a)[1] - _layout(b)[1])
+    return inner(d, d)
 
 
 def suite_basis_independence(seed, trials, t):
@@ -1143,7 +1151,9 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     sym = _sym_draw(rng, n)
     margins += [_margin(rng), _margin(rng), _margin(rng)]
     # a symmetric tensor's block rows outgrow the operator matrix and its
-    # eigenvalues, and every other array but the curvature kinds' rows
+    # eigenvalues, and every other array built for the whole group; the
+    # curvature kinds' (0,4)-tensors and their block rows on operator
+    # coordinates come through _in_budget in _curvature_terms
     return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
 
 
@@ -1186,14 +1196,29 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
 
 def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
-    Bianchi parts of stacked shared draws.  A (0,4)-tensor's block rows are
-    too large to build for a whole group, so they come a budget at a time."""
+    Bianchi parts of stacked shared draws, taken on operator coordinates.
+
+    For pair-skew (0,4)-tensors A and B, <A, B> = 4 <A_op, B_op>, where A_op
+    is A gathered at the wedge pairs as op_from_tensor does, and the action
+    of so(n) commutes with A -> A_op; so the terms and the squared hat norms
+    are 4 times those of the gathered tensors, whose block rows have N^2
+    entries a pair instead of n^4.  The gather loses nothing: E and W are
+    built from operator matrices and Kulkarni-Nomizu products, so their pair
+    symmetries hold exactly, and the entries the gather drops are copies or
+    negatives of those it keeps.  The decomposition holds about four
+    (0,4)-tensors of a trial at once, which also outgrow the block rows,
+    N^3 entries, at n <= 6, so the group is taken a budget at a time at that
+    size: taking it whole raised the peak resident memory of the inequality
+    suites by about 4 MB."""
+    i, j = _pair_index(n)
+
     def terms(ops, shared):
         _, _, (scal, _, _, weyl) = _bianchi_decompose(shared, n)
-        return [side for values in (_einstein_part(scal, weyl), weyl)
-                for side in _direct_terms(ops, values, n, _KINDS[CurvTensor])]
+        return [4.0 * side for values in (_einstein_part(scal, weyl), weyl)
+                for side in _direct_terms(ops, values[:, i[:, None], j[:, None], i, j], n,
+                                          _KINDS[CurvatureOperator])]
 
-    lhs_e, hat_e, lhs_w, hat_w = _in_budget(_curvature_row_bytes(n), terms, ops, shared)
+    lhs_e, hat_e, lhs_w, hat_w = _in_budget(4 * 8 * n ** 4, terms, ops, shared)
     return [(lhs_e, hat_e), (lhs_w, hat_w)]
 
 
