@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import CurvatureOperator
+from .operators import CurvatureOperator, wedge_coordinates
 from .tensors import (
     CurvTensor,
     PForm,
@@ -86,9 +86,7 @@ class SoElement:
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != y.size:
             raise ValueError("vectors must have equal length")
-        n = x.size
-        comps = [x[i] * y[j] - x[j] * y[i] for i, j in wedge_pairs(n)]
-        return cls(n, comps)
+        return cls(x.size, wedge_coordinates(x, y, x.size))
 
     def matrix(self) -> np.ndarray:
         """Skew matrix acting on column vectors."""

@@ -76,15 +76,25 @@ def cmd_verify(args) -> int:
 
 # -- catalog ------------------------------------------------------------------
 
-_FLAG_OF = {"lam": "lambda"}
+# Each catalog entry and the flags it needs, by argument name; extremal-pform
+# writes a pair of forms, every other entry an operator file.
+_CATALOG = {
+    "sphere-product": ("p", "n"),
+    "s2-products": ("k", "n"),
+    "cp2": (),
+    "singer-thorpe": ("lambdas",),
+    "example-4.7": ("n", "lam"),
+    "remark-3.6": ("n", "K", "K1n"),
+    "extremal-pform": ("p",),
+}
+# How a usage message names a flag whose argument name differs.
+_FLAG_OF = {"lam": "lambda", "lambdas": "lambdas l1,..,l6"}
 
 
-def _need(args, *names):
+def _need(what, args, names):
     missing = [_FLAG_OF.get(name, name) for name in names if getattr(args, name) is None]
     if missing:
-        raise UsageError(
-            f"catalog entry {args.name!r} needs --" + ", --".join(missing)
-        )
+        raise UsageError(f"{what} needs --" + ", --".join(missing))
 
 
 def _form_document(form) -> dict:
@@ -96,88 +106,51 @@ def _sym2_document(h) -> dict:
 
 
 def _build_catalog_entry(args):
+    """The operator of a catalog entry, the metadata fields of its own and
+    its companion documents."""
     from . import catalog as cat
     from .action import curvature_term, hat_norm_sq
-    from .operators import spectrum
 
     name = args.name
     if name == "sphere-product":
-        _need(args, "p", "n")
         op = cat.sphere_product_op(args.p, args.n)
-        meta = {
-            "entry": name,
-            "p": args.p,
-            "hat_norm_sq": hat_norm_sq(op),
-            "eigenvalues": list(spectrum(op).eigenvalues),
-        }
-        return op, meta, None
+        return op, {"p": args.p, "hat_norm_sq": hat_norm_sq(op)}, None
     if name == "s2-products":
-        _need(args, "k", "n")
         op = cat.product_of_spheres_op(args.k, args.n)
-        meta = {
-            "entry": name,
-            "k": args.k,
-            "hat_norm_sq": hat_norm_sq(op),
-            "eigenvalues": list(spectrum(op).eigenvalues),
-        }
-        return op, meta, None
+        return op, {"k": args.k, "hat_norm_sq": hat_norm_sq(op)}, None
     if name == "cp2":
-        op = cat.cp2_op()
-        meta = {"entry": name, "eigenvalues": list(spectrum(op).eigenvalues)}
-        return op, meta, None
+        return cat.cp2_op(), {}, None
     if name == "singer-thorpe":
-        if args.lambdas is None:
-            raise UsageError("catalog entry 'singer-thorpe' needs --lambdas l1,..,l6")
         lams = [float(x) for x in args.lambdas.split(",")]
         op, basis = cat.singer_thorpe_op(lams)
-        meta = {
-            "entry": name,
-            "lambdas": lams,
-            "bianchi": op.bianchi_certified,
-            "eigenvalues": list(spectrum(op).eigenvalues),
-        }
-        companions = {
-            "basis": [{"comps": list(xi.comps)} for xi in basis]
-        }
-        return op, meta, companions
+        fields = {"lambdas": lams, "bianchi": op.bianchi_certified}
+        return op, fields, {"basis": [{"comps": list(xi.comps)} for xi in basis]}
     if name == "example-4.7":
-        _need(args, "n", "lam")
         op, form = cat.negative_2form_term_op(args.n, args.lam)
-        meta = {
-            "entry": name,
+        fields = {
             "lambda": args.lam,
             "curvature_term": curvature_term(op, form, form),
             "form_norm_sq": form.norm_sq(),
-            "eigenvalues": list(spectrum(op).eigenvalues),
         }
-        return op, meta, {"two_form": _form_document(form)}
-    if name == "remark-3.6":
-        _need(args, "n", "K", "K1n")
-        op, h = cat.negative_sym2_term_op(args.n, args.K, args.K1n)
-        from .bochner import normal_h_term
+        return op, fields, {"two_form": _form_document(form)}
+    # remark-3.6, the entry left
+    from .bochner import normal_h_term
 
-        meta = {
-            "entry": name,
-            "K": args.K,
-            "K1n": args.K1n,
-            "curvature_term": normal_h_term(op, h.mat),
-            "eigenvalues": list(spectrum(op).eigenvalues),
-        }
-        return op, meta, {"sym2": _sym2_document(h)}
-    raise UsageError(
-        "unknown catalog entry "
-        f"{name!r}; known: sphere-product, s2-products, cp2, singer-thorpe, "
-        "example-4.7, remark-3.6, extremal-pform"
-    )
+    op, h = cat.negative_sym2_term_op(args.n, args.K, args.K1n)
+    fields = {"K": args.K, "K1n": args.K1n, "curvature_term": normal_h_term(op, h.mat)}
+    return op, fields, {"sym2": _sym2_document(h)}
 
 
 def cmd_catalog(args) -> int:
     from . import catalog as cat
+    from .operators import spectrum
     from .opfile import dumps_operator
 
+    if args.name not in _CATALOG:
+        raise UsageError(f"unknown catalog entry {args.name!r}; known: {', '.join(_CATALOG)}")
+    _need(f"catalog entry {args.name!r}", args, _CATALOG[args.name])
     if args.name == "extremal-pform":
         # form-only entry: no operator file, write the pair document directly
-        _need(args, "p")
         try:
             w1, w2, lam = cat.extremal_pform(args.p)
         except ValueError as exc:
@@ -193,7 +166,8 @@ def cmd_catalog(args) -> int:
         _output(args.out, _emit(doc) + "\n")
         return 0
     try:
-        op, meta, companions = _build_catalog_entry(args)
+        op, fields, companions = _build_catalog_entry(args)
+        meta = {"entry": args.name, **fields, "eigenvalues": list(spectrum(op).eigenvalues)}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _output(args.out, dumps_operator(op, metadata=meta, companions=companions))
@@ -219,6 +193,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# Each bochner --kind and the flags its TensorKind constructor takes; the
+# constructor is the kind's name with "_" for "-".
+_BOCHNER_KINDS = {"pform": ("p",), "sym2": (), "curvature-einstein": (), "weyl": ()}
+
+
 def cmd_bochner(args) -> int:
     from .bochner import TensorKind, betti_bound, betti_verdict, estimate_constant, lemma21_verdict
     from .operators import spectrum
@@ -227,22 +206,13 @@ def cmd_bochner(args) -> int:
     op, _ = load_operator(args.file)
     n = op.n
     s = spectrum(op)
+    if args.kind not in _BOCHNER_KINDS:
+        raise UsageError(f"unknown kind {args.kind!r}; known: {', '.join(_BOCHNER_KINDS)}")
+    flags = _BOCHNER_KINDS[args.kind]
+    _need(f"kind {args.kind!r}", args, flags)
     try:
-        if args.kind == "pform":
-            if args.p is None:
-                raise ValueError("kind 'pform' needs --p")
-            kind = TensorKind.pform(args.p)
-        elif args.kind == "sym2":
-            kind = TensorKind.sym2()
-        elif args.kind == "curvature-einstein":
-            kind = TensorKind.curvature_einstein()
-        elif args.kind == "weyl":
-            kind = TensorKind.weyl()
-        else:
-            raise ValueError(
-                f"unknown kind {args.kind!r}; known: pform, sym2, "
-                "curvature-einstein, weyl"
-            )
+        make = getattr(TensorKind, args.kind.replace("-", "_"))
+        kind = make(*(getattr(args, flag) for flag in flags))
         constant = estimate_constant(kind, n)
         doc = {
             "file": args.file,

@@ -6,11 +6,11 @@ operator and (0,4)-tensor pictures, projects onto the Bianchi subspace by
 one cached gather over the index sets i < j < k < l in operator
 coordinates, certifies the Bianchi identity by the residual of the
 (0,4)-tensor, contracts to Ricci and scalar parts, performs the orthogonal
-scalar / traceless-Ricci / Weyl decomposition, and diagonalizes by Jacobi
-rotations in round-robin (Brent-Luk) order, N/2 disjoint rotations per
-vectorized step.  The conversions, the projection and the certificate
-also take operator matrices stacked along leading axes, and the
-decomposition their (0,4)-tensors stacked the same way.
+scalar / traceless-Ricci / Weyl decomposition (after certifying its input),
+and diagonalizes by Jacobi rotations in round-robin (Brent-Luk) order, N/2
+disjoint rotations per vectorized step.  The conversions, the projection
+and the certificate also take operator matrices stacked along leading axes,
+and the decomposition their (0,4)-tensors stacked the same way.
 """
 
 from __future__ import annotations
@@ -209,8 +209,6 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
     n = r.n
     if n < 3:
         raise ValueError("the curvature decomposition needs dimension at least 3")
-    if not r.bianchi_certified:
-        raise ValueError("operator does not satisfy the first Bianchi identity")
     scal, ric, ric0, weyl = _decompose(_tensors_from_ops(r.mat, n), n)
     schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
     return CurvDecomposition(
@@ -222,7 +220,10 @@ def _decompose(rm, n):
     """(scal, ric, ric0, weyl) arrays of the stacked (0,4)-arrays rm of
     Bianchi operators, n >= 3: the scalar curvature, the Ricci and traceless
     Ricci tensors and the Weyl tensor
-    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2)."""
+    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2).  Certifies rm first:
+    raises ValueError unless each passes _bianchi_holds."""
+    if not np.all(_bianchi_holds(rm)):
+        raise ValueError("operator does not satisfy the first Bianchi identity")
     ric, scal = _riccis(rm)
     ric0 = _traceless(ric)
     scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _metric_kn(n)

@@ -362,9 +362,6 @@ class CurvTensor:
     def norm_sq(self) -> float:
         return float(np.sum(self.array * self.array))
 
-    def to_tensor(self) -> Tensor0k:
-        return Tensor0k(self.array)
-
     def __repr__(self):
         return (
             f"CurvTensor(n={self.n}, pair_skew={self.pair_skew}, "

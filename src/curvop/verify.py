@@ -5,13 +5,14 @@ per-trial generator is seeded by (seed, suite index, trial index), so runs
 are reproducible, order-independent, and identical whether trials run
 serially or in parallel.  The stream is that of numpy's
 default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
-index))); _trial_rng computes the same seed words for a block of
-consecutive trial indices at once and caches the blocks, and _trials walks
-a suite's trials in order with their generators.  A suite returns the list
-of failures; a failure records a digest of its check tag (the check's name
-with the dimension and the trial or case that failed, not the inputs
-themselves) together with both sides of the violated comparison and the
-tolerance used.
+index))); _trial_rng takes the pool of numpy's own SeedSequence(entropy=seed,
+spawn_key=(suite index,)), mixes the indices of a block of consecutive
+trials into it at once with numpy's hash and caches the blocks of seed
+words, and _trials walks a suite's trials in order with their generators.
+A suite returns the list of failures; a failure records a digest of its
+check tag (the check's name with the dimension and the trial or case that
+failed, not the inputs themselves) together with both sides of the
+violated comparison and the tolerance used.
 
 Each row of _SUITE_TABLE holds a suite's default trial count and default
 tolerance t; run_suite replaces tol=None by that default, and an explicit
@@ -121,7 +122,6 @@ from .tensors import (
     wedge_count,
     wedge_index,
     wedge_pairs,
-    _bianchi_holds,
     _kn,
     _metric_kn,
     _pair_index,
@@ -180,10 +180,10 @@ class Report:
 
 # -- per-trial generators ------------------------------------------------------
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): hashmix and mix
-# over the uint32 entropy words fill a pool of four words, and hashing the
-# pool out gives the generator's seed words.  _hashmix and _mix take Python
-# ints or np.uint32 arrays alike.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): each entropy
+# word, a trial index included, is hashed and mixed into a pool of four
+# words, and hashing the pool out gives the generator's seed words.  _hashmix
+# and _mix take Python ints or np.uint32 arrays alike.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -191,19 +191,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _BLOCK = 256  # trial indices per cached block of seed words
 _TRIAL_LIMIT = 1 << 32  # a trial index is one entropy word
-
-
-def _words(value, what):
-    """The little-endian 32-bit words of a non-negative int, as SeedSequence
-    splits its entropy and spawn keys."""
-    if value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value}")
-    words = [value & _M32]
-    value >>= 32
-    while value:
-        words.append(value & _M32)
-        value >>= 32
-    return words
 
 
 def _hash_steps(const, mult, count):
@@ -230,24 +217,19 @@ _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
 
 @functools.lru_cache(maxsize=64)
 def _suite_pool(seed, suite_id):
-    """SeedSequence(entropy=seed, spawn_key=(suite_id, trial))'s pool with
-    every entropy word but the trial mixed in, and the hash steps that mix
-    the trial word into each pool word."""
-    entropy = _words(seed, "seed")
-    entropy += [0] * (_POOL - len(entropy)) + _words(suite_id, "suite index")
-    # one hash step per pool word for each entropy word, the trial's included
-    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (len(entropy) + 1))
-    last = steps[-_POOL:]
-    steps = iter(steps)
-    pool = [_hashmix(word, *next(steps)) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
-    return tuple(pool), tuple(last)
+    """The pool of numpy's SeedSequence(entropy=seed, spawn_key=(suite_id,)),
+    which has mixed in every entropy word of a trial's SeedSequence but the
+    trial index, and the hash steps that mix the trial word into each pool
+    word.  numpy rejects a negative seed."""
+    from numpy.random import SeedSequence
+
+    pool = SeedSequence(entropy=seed, spawn_key=(suite_id,)).pool
+    # one hash step per pool word for each 32-bit entropy word: the seed's
+    # words zero-padded to the pool size, then the suite index's, then the
+    # trial's
+    seed_count, suite_count = (max(1, -(-value.bit_length() // 32)) for value in (seed, suite_id))
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL * (max(_POOL, seed_count) + suite_count + 1))
+    return tuple(pool.tolist()), tuple(steps[-_POOL:])
 
 
 @functools.lru_cache(maxsize=4)
@@ -464,13 +446,11 @@ def _by_degree(n, degrees, *forms):
 
 def _bianchi_decompose(raw, n):
     """Bianchi parts of stacked symmetric draws, as random_bianchi_operator
-    makes them, their (0,4)-tensors and their _decompose; raises like
-    decompose when one fails its certificate.  The tensors are built once,
-    for the certificate, the decomposition and the caller."""
+    makes them, their (0,4)-tensors and their _decompose, which certifies
+    them.  The tensors are built once, for the decomposition and the
+    caller."""
     rb = raw - _alternating_parts(raw, n)
     rm = _tensors_from_ops(rb, n)
-    if not np.all(_bianchi_holds(rm)):
-        raise ValueError("operator does not satisfy the first Bianchi identity")
     return rb, rm, _decompose(rm, n)
 
 
@@ -1127,12 +1107,20 @@ def suite_estimate_constants(seed, trials, t):
     return failures
 
 
+# lemma-2.1-soundness's trial index i also draws from index _SECOND_STREAM + i
+_SECOND_STREAM = 10_000_000
+
+
 def suite_lemma_2_1_soundness(seed, trials, t):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
     positive case."""
+    dims = (3, 4, 5, 6)
+    if len(dims) * trials > _SECOND_STREAM:
+        raise ValueError(f"lemma-2.1-soundness takes at most {_SECOND_STREAM // len(dims)} trials, "
+                         f"past which its two streams of trial indices overlap; got {trials}")
     rng_at = functools.partial(_trial_rng, seed, _SUITE_IDS["lemma-2.1-soundness"])
-    return _batched(seed, "lemma-2.1-soundness", trials, t, (3, 4, 5, 6),
+    return _batched(seed, "lemma-2.1-soundness", trials, t, dims,
                     functools.partial(_draw_lemma_2_1, rng_at), _check_lemma_2_1,
                     lambda name, n, trial, index: (name[0], n, trial, name[1]))
 
@@ -1143,7 +1131,7 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     # the kinds draw in turn from a second stream: a form and its margin, a
     # symmetric tensor and its margin, then the margins of the two
     # curvature kinds, which share one decomposed operator
-    rng = rng_at(10_000_000 + index)
+    rng = rng_at(_SECOND_STREAM + index)
     shared = _sym_draw(rng, size)
     p = int(rng.integers(1, n))
     form = _padded(rng.normal(size=math.comb(n, p)), n)

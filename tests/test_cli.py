@@ -97,6 +97,26 @@ class TestVerifyCommand:
                 entry.pop("wall-time")
         assert doc1 == doc2
 
+    def test_failures_exit_one(self, capsys):
+        # a negative tolerance fails every comparison it governs
+        code, out, err = run(capsys, "verify", "--suite", "prop-1.1", "--trials", "2", "--tol", "-1")
+        assert code == 1
+        failures = json.loads(out)[0]["failures"]
+        assert failures
+        assert err == f"{len(failures)} failure(s) across 1 suite(s)\n"
+        for failure in failures:
+            assert set(failure) == {"inputs-digest", "lhs", "rhs", "tolerance"}
+            assert failure["tolerance"] == -1.0
+
+    def test_trial_count_past_the_second_stream_exits_one(self, capsys, monkeypatch):
+        # rejected before the first draw: no generator is ever made
+        monkeypatch.setattr("curvop.verify._trial_rng", None)
+        code, out, err = run(capsys, "verify", "--suite", "lemma-2.1-soundness", "--trials", "2500001")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "at most 2500000" in err
+        assert len(err.strip().splitlines()) == 1, err
+
 
 class TestCatalogCommand:
     def test_cp2_file(self, capsys, tmp_path):
@@ -261,6 +281,15 @@ class TestBochnerCommand:
         code, _, _ = run(capsys, "bochner", str(path), "--kind", "nosuch")
         assert code == 2
 
+    def test_constants_of_the_other_kinds(self, capsys, tmp_path):
+        path = tmp_path / "cp2.json"
+        run(capsys, "catalog", "--name", "cp2", "--out", str(path))
+        for kind, constant in (("sym2", 2.0), ("curvature-einstein", 1.5), ("weyl", 1.5)):
+            code, out, _ = run(capsys, "bochner", str(path), "--kind", kind)
+            assert code == 0, kind
+            doc = json.loads(out)
+            assert (doc["kind"], doc["C"], doc["floor_C"]) == (kind, constant, math.floor(constant))
+
 
 class TestWarpedCommand:
     def test_round_scan_all_ones(self, capsys, tmp_path):
@@ -355,6 +384,75 @@ class TestPinnedBytes:
                     digest.update(path.read_bytes())
         assert digest.hexdigest() == self.REMARK_SHA256
 
+    # the other six catalog entries on inputs whose hat norms and curvature
+    # terms pair integer hat rows, so BLAS products are exact, and whose
+    # spectra come from the elementwise Jacobi rotations, not from LAPACK
+    CATALOG_ARGS = (
+        [("--name", "sphere-product", "--p", str(p), "--n", str(n)) for n in (3, 5, 8) for p in (2, n)]
+        + [("--name", "s2-products", "--k", str(k), "--n", str(n)) for k, n in ((1, 2), (2, 4), (2, 5), (4, 8))]
+        + [("--name", "cp2")]
+        + [("--name", "singer-thorpe", "--lambdas", lams) for lams in ("0,0,6,2,2,2", "1,2,3,3,2,1", "1,2,3,4,5,6")]
+        + [("--name", "example-4.7", "--n", str(n), "--lambda", lam) for n in (4, 6, 8) for lam in ("0.5", "1")]
+        + [("--name", "extremal-pform", "--p", str(p)) for p in (1, 2, 3, 4)]
+    )
+    CATALOG_SHA256 = "dcb5546379ac026e114be851009d3d7b2e478223757e4d0c18325cfbd448ed85"
+    SPECTRUM_SHA256 = "a9b7b865ee7355ee942e7f92aacd4770d16247dea37466b42dc39e19f5762616"
+    # every kind on four operator files, with and without --p and --kappa
+    BOCHNER_FILES = (
+        ("--name", "cp2"),
+        ("--name", "sphere-product", "--p", "3", "--n", "5"),
+        ("--name", "example-4.7", "--n", "6", "--lambda", "0.5"),
+        ("--name", "singer-thorpe", "--lambdas", "1,2,3,3,2,1"),
+    )
+    BOCHNER_ARGS = (
+        ("--kind", "pform", "--p", "2", "--kappa", "0"),
+        ("--kind", "sym2", "--kappa", "-1"),
+        ("--kind", "curvature-einstein", "--p", "1"),
+        ("--kind", "weyl"),
+    )
+    BOCHNER_SHA256 = "211c0027c06f93b8d217d515071b68f6d90e6237375201d645f8bfd92d0987a6"
+    # the round profile: sines and cosines, no bump
+    WARPED_SHA256 = "c9ba7ce4899783e1ec15abd95b0cfd5e9801da228dfe172e65d4e9032c6ba083"
+
+    def test_other_catalog_files(self, capsys, tmp_path):
+        digest = hashlib.sha256()
+        path = tmp_path / "entry.json"
+        for args in self.CATALOG_ARGS:
+            code, _, _ = run(capsys, "catalog", *args, "--out", str(path))
+            assert code == 0, args
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.CATALOG_SHA256
+
+    def test_spectrum_of_catalog_files(self, capsys, monkeypatch, tmp_path):
+        # the report names its file, so the file sits in the working directory
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for args in self.CATALOG_ARGS:
+            if "extremal-pform" in args:
+                continue
+            assert run(capsys, "catalog", *args, "--out", "op.json")[0] == 0, args
+            code, out, _ = run(capsys, "spectrum", "op.json")
+            assert code == 0, args
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.SPECTRUM_SHA256
+
+    def test_bochner_every_kind(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for entry in self.BOCHNER_FILES:
+            assert run(capsys, "catalog", *entry, "--out", "op.json")[0] == 0, entry
+            for args in self.BOCHNER_ARGS:
+                code, out, _ = run(capsys, "bochner", "op.json", *args)
+                assert code == 0, (entry, args)
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.BOCHNER_SHA256
+
+    def test_warped_csv(self, capsys, tmp_path):
+        path = tmp_path / "round.csv"
+        code, _, _ = run(capsys, "warped", "--p", "2", "--q", "3", "--samples", "40", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.WARPED_SHA256
+
 
 class TestCsvRows:
     def test_template_matches_reference_bytes(self, capsys, tmp_path):
@@ -442,6 +540,10 @@ class TestUsage:
              "t_max / step must be finite and at most 1000000"),
             ({}, ("warped", "--p", "2", "--q", "2", "--samples", "10000000"), 2,
              "samples must be between 1 and 100000"),
+            ({}, ("catalog", "--name", "singer-thorpe"), 2,
+             "usage error: catalog entry 'singer-thorpe' needs --lambdas l1,..,l6"),
+            ({}, ("bochner", "cp2.json", "--kind", "sym2", "--kappa=-1", "--diameter", "1", "--c-const", "1"), 2,
+             "usage error: the bound needs --p"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

@@ -125,9 +125,10 @@ def assert_same_stream(seed, suite_id, trial):
 PINNED_TRIALS = (0, 1, 255, 256, 257, 9_999_999, 10_000_000, 10_000_256, 2 ** 32 - 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 5, 2 ** 64 + 3])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 160 + 7])
 def test_trial_rng_matches_seed_sequence(seed):
-    # every suite index, the entropy of one word and of several
+    # every suite index, the entropy of one word, of several, and of more
+    # words than the pool holds
     for suite_id in sorted(_SUITE_IDS.values()):
         for trial in PINNED_TRIALS:
             assert_same_stream(seed, suite_id, trial)
@@ -155,6 +156,14 @@ def test_trial_rng_rejects_bad_seeds_and_indices():
         _trial_rng(-1, 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
         run_suite("prop-1.1", trials=2, seed=-1)
+
+
+def test_lemma_2_1_rejects_trials_past_its_second_stream(monkeypatch):
+    # above 2,500,000 trials the first stream's indices would reach the
+    # second stream's; the count is rejected before the first draw
+    monkeypatch.setattr(verify, "_trial_rng", None)
+    with pytest.raises(ValueError, match="at most 2500000 trials"):
+        run_suite("lemma-2.1-soundness", trials=2_500_001)
 
 
 @pytest.mark.parametrize("name", list(SUITES))
