@@ -8,7 +8,9 @@ coordinates, certifies the Bianchi identity by the residual of the
 (0,4)-tensor, contracts to Ricci and scalar parts, performs the orthogonal
 scalar / traceless-Ricci / Weyl decomposition (after certifying its input),
 and diagonalizes by Jacobi rotations in round-robin (Brent-Luk) order, N/2
-disjoint rotations per vectorized step.  The conversions, the projection
+disjoint rotations per vectorized step, under the threshold rule: a pair
+rotates only while an entry of it is above the stopping threshold.  The
+conversions, the projection
 and the certificate also take operator matrices stacked along leading axes,
 and the decomposition their (0,4)-tensors stacked the same way.
 """
@@ -244,8 +246,9 @@ def _round_robin(size):
     The chess-tournament rotation keeps player 0 fixed and turns the rest one
     seat per round; an odd size gets a dummy player whose pairs are dropped.
     A round of k disjoint pairs (p, q), p < q, is stored as the index array
-    P ++ Q and the flat indices of the entries (p, q), (p, p) and (q, q) in
-    an N x N matrix.  The rounds together cover every p < q exactly once.
+    P ++ Q and the flat indices of the entries (p, q), (q, p), (p, p) and
+    (q, q) in an N x N matrix.  The rounds together cover every p < q
+    exactly once.
     """
     m = size + size % 2
     seats = list(range(m))
@@ -258,7 +261,7 @@ def _round_robin(size):
         ]
         p = np.array([i for i, _ in pairs])
         q = np.array([j for _, j in pairs])
-        flat = np.concatenate((p * size + q, p * (size + 1), q * (size + 1)))
+        flat = np.concatenate((p * size + q, q * size + p, p * (size + 1), q * (size + 1)))
         rounds.append((_freeze(np.concatenate((p, q))), _freeze(flat)))
         seats = seats[:1] + seats[-1:] + seats[1:-1]
     return tuple(rounds)
@@ -269,10 +272,16 @@ def jacobi_eigh_batch(mats):
 
     Each sweep follows the Brent-Luk round-robin ordering: every round
     rotates up to N/2 disjoint pairs (p, q) at once, and the rounds of a
-    sweep annihilate every off-diagonal pair exactly once.  The rotation is
-    elementwise across the batch, so a batch row is bit-identical to the
-    single-matrix call.  Sweeps run until every matrix has max off-diagonal
-    entry at most _JACOBI_TOL times its Frobenius norm.  Eigenvalues come back
+    sweep visit every off-diagonal pair exactly once.  Sweeps run until
+    every matrix has max off-diagonal entry at most thresh, _JACOBI_TOL
+    times its Frobenius norm.  Under the threshold rule (Rutishauser 1966)
+    a visit rotates the pair only while max(|a_pq|, |a_qp|) exceeds thresh:
+    inside an eigenvalue cluster a_pp - a_qq and a_pq are rounding noise,
+    and rotating such a pair by its arbitrary angle spreads annihilated
+    entries back in, which made degenerate spectra converge only linearly.
+    The stopping test is unchanged.  The rotation is elementwise across the
+    batch, so a batch row is bit-identical to the single-matrix call.
+    Eigenvalues come back
     ascending with ties kept in original column order; eigenvector columns
     are aligned.  Raises ValueError when an entry is not finite or a rotation
     leaves the float range.
@@ -307,23 +316,26 @@ def jacobi_eigh_batch(mats):
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_JACOBI_SWEEPS):
-            # converged matrices stop rotating, so each matrix sees exactly
-            # the sweeps it would see alone and batching is bit-identical
-            active = _active()
-            if not active.any():
+            if not _active().any():
                 break
             for pq, entries in _round_robin(size):
                 k = pq.size // 2
                 p, q = pq[:k], pq[k:]
                 pivots = flat[entries]
-                apq, app, aqq = pivots[:k], pivots[k : 2 * k], pivots[2 * k :]
-                if not apq[:, active].any():
+                apq, aqp = pivots[:k], pivots[k : 2 * k]
+                app, aqq = pivots[2 * k : 3 * k], pivots[3 * k :]
+                # read both mirror entries: the row and column updates
+                # leave them a few ulps apart, and one may sit above thresh
+                # while the other does not.  A converged matrix has no pair
+                # above thresh and rotates no more, as it would alone
+                rotate = np.maximum(np.abs(apq), np.abs(aqp)) > thresh
+                if not rotate.any():
                     continue
                 theta = (aqq - app) / (2.0 * apq)
                 t = np.where(theta >= 0.0, 1.0, -1.0) / (
                     np.abs(theta) + np.sqrt(theta * theta + 1.0)
                 )
-                t = np.where(active & (apq != 0.0), t, 0.0)
+                t = np.where(rotate & (apq != 0.0), t, 0.0)
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
                 # the pairs are disjoint, so their rotations commute: turn

@@ -164,11 +164,16 @@ def _symmetrized(mats):
 
 def _symmetric_part(mats, what):
     """_symmetrized of stacked square matrices, each of which must be
-    symmetric to _SYMMETRY_TOL relative to max(1, its largest entry); raises
-    ValueError naming what otherwise.  The Sym2 and CurvatureOperator
-    constructors check their one matrix through it too.
+    symmetric to _SYMMETRY_TOL relative to max(1, its largest entry) and
+    have its entries below 2**1023 in magnitude; raises ValueError naming
+    what otherwise.  The Sym2 and CurvatureOperator constructors check
+    their one matrix through it too.
     """
     scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    # two entries below 2**1023 in magnitude sum, and differ, to at most the
+    # largest float, so neither m + m^T nor the symmetry test can overflow
+    if np.any(scale >= 2.0 ** 1023):
+        raise ValueError(f"{what} entries must be below 2**1023 in magnitude, or their symmetric part overflows")
     if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
         raise ValueError(f"{what} is not symmetric")
     return _symmetrized(mats)

@@ -337,6 +337,13 @@ def _trials(seed, suite, trials):
 # host).
 _CHUNK_BYTES = 1 << 19
 
+# The dimensions the batched suites run their trials at.  _batched gives
+# trial i at the j-th of k dimensions the trial index j * trials + i, so such
+# a suite takes at most 2**32 // k trials; its row of _SUITE_TABLE says so.
+_DIMS_3_TO_8 = range(3, 9)
+_DIMS_3_TO_7 = range(3, 8)
+_DIMS_3_TO_6 = (3, 4, 5, 6)
+
 
 def _batched(seed, suite, trials, t, dims, draw, check,
              tag=lambda name, n, trial, index: (name, n, index + 1)):
@@ -576,7 +583,7 @@ def suite_exact_values(seed, trials, t):
 
 def suite_prop_1_1(seed, trials, t):
     """Kulkarni-Nomizu norm identity on random symmetric tensors."""
-    return _batched(seed, "prop-1.1", trials, t, range(3, 9), _draw_prop_1_1, _check_prop_1_1)
+    return _batched(seed, "prop-1.1", trials, t, _DIMS_3_TO_8, _draw_prop_1_1, _check_prop_1_1)
 
 
 def _draw_prop_1_1(rng, n, trial, index):
@@ -629,7 +636,7 @@ def suite_tensor_core(seed, trials, t):
 
 def suite_prop_1_2(seed, trials, t):
     """The action commutes with slot permutations; Leibniz rule for KN."""
-    return _batched(seed, "prop-1.2", trials, t, range(3, 8), _draw_prop_1_2, _check_prop_1_2)
+    return _batched(seed, "prop-1.2", trials, t, _DIMS_3_TO_7, _draw_prop_1_2, _check_prop_1_2)
 
 
 def _draw_prop_1_2(rng, n, trial, index):
@@ -660,7 +667,7 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
 def suite_prop_1_3(seed, trials, t):
     """The action of so(n) on symmetric tensors is trace free; the metric is
     killed outright."""
-    return _batched(seed, "prop-1.3", trials, t, range(3, 8), _draw_prop_1_3, _check_prop_1_3)
+    return _batched(seed, "prop-1.3", trials, t, _DIMS_3_TO_7, _draw_prop_1_3, _check_prop_1_3)
 
 
 def _draw_prop_1_3(rng, n, trial, index):
@@ -694,7 +701,7 @@ def suite_prop_1_6(seed, trials, t):
 def suite_prop_1_7(seed, trials, t):
     """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
     and the hat norm identity."""
-    return _batched(seed, "prop-1.7", trials, t, range(3, 8), _draw_prop_1_7, _check_prop_1_7,
+    return _batched(seed, "prop-1.7", trials, t, _DIMS_3_TO_7, _draw_prop_1_7, _check_prop_1_7,
                     lambda name, n, trial, index: (name, n, trial))
 
 
@@ -722,7 +729,7 @@ def _check_prop_1_7(t, n, key, h, lam):
 def suite_prop_1_9(seed, trials, t):
     """Self-adjointness: the Ricci pairing equals the curvature term for
     every supported tensor kind."""
-    return _batched(seed, "prop-1.9", trials, t, range(3, 8), _draw_prop_1_9, _check_prop_1_9,
+    return _batched(seed, "prop-1.9", trials, t, _DIMS_3_TO_7, _draw_prop_1_9, _check_prop_1_9,
                     lambda name, n, trial, index: (name, n, index + 1, trial % 4))
 
 
@@ -767,7 +774,7 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
 def suite_prop_2_8(seed, trials, t):
     """Identity-operator Ricci curvature on symmetric tensors, forms, and
     curvature tensors, with the hat-norm consequences."""
-    return _batched(seed, "prop-2.8", trials, t, range(3, 8), _draw_prop_2_8, _check_prop_2_8)
+    return _batched(seed, "prop-2.8", trials, t, _DIMS_3_TO_7, _draw_prop_2_8, _check_prop_2_8)
 
 
 def _draw_prop_2_8(rng, n, trial, index):
@@ -983,7 +990,7 @@ def suite_spectrum(seed, trials, t):
 def suite_lemma_2_2(seed, trials, t):
     """Action-norm inequalities for every tensor kind, including both KN
     corollary forms.  Trials are grouped by case and by order or degree."""
-    return _batched(seed, "lemma-2.2", trials, t, (3, 4, 5, 6), _draw_lemma_2_2, _check_lemma_2_2)
+    return _batched(seed, "lemma-2.2", trials, t, _DIMS_3_TO_6, _draw_lemma_2_2, _check_lemma_2_2)
 
 
 def _draw_lemma_2_2(rng, n, trial, index):
@@ -1107,7 +1114,8 @@ def suite_estimate_constants(seed, trials, t):
     return failures
 
 
-# lemma-2.1-soundness's trial index i also draws from index _SECOND_STREAM + i
+# lemma-2.1-soundness's trial index i also draws from index _SECOND_STREAM + i,
+# so its trial limit keeps its first stream of trial indices below that
 _SECOND_STREAM = 10_000_000
 
 
@@ -1115,12 +1123,8 @@ def suite_lemma_2_1_soundness(seed, trials, t):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
     positive case."""
-    dims = (3, 4, 5, 6)
-    if len(dims) * trials > _SECOND_STREAM:
-        raise ValueError(f"lemma-2.1-soundness takes at most {_SECOND_STREAM // len(dims)} trials, "
-                         f"past which its two streams of trial indices overlap; got {trials}")
     rng_at = functools.partial(_trial_rng, seed, _SUITE_IDS["lemma-2.1-soundness"])
-    return _batched(seed, "lemma-2.1-soundness", trials, t, dims,
+    return _batched(seed, "lemma-2.1-soundness", trials, t, _DIMS_3_TO_6,
                     functools.partial(_draw_lemma_2_1, rng_at), _check_lemma_2_1,
                     lambda name, n, trial, index: (name[0], n, trial, name[1]))
 
@@ -1588,47 +1592,50 @@ def suite_serialization(seed, trials, t):
 
 
 # name, suite, default trial count, default tolerance (None where no
-# comparison takes one); a suite's index here seeds its trial streams
+# comparison takes one), and the most trials its trial indices hold: 2**32
+# where trial i takes index i; a suite's index here seeds its trial streams
 _SUITE_TABLE = (
-    ("exact-values", suite_exact_values, 1, 1e-12),
-    ("prop-1.1", suite_prop_1_1, 1000, 1e-10),
-    ("tensor-core", suite_tensor_core, 300, 1e-12),
-    ("prop-1.2", suite_prop_1_2, 400, 1e-12),
-    ("prop-1.3", suite_prop_1_3, 400, 1e-12),
-    ("prop-1.6", suite_prop_1_6, 200, 1e-9),
-    ("prop-1.7", suite_prop_1_7, 1000, 1e-9),
-    ("prop-1.9", suite_prop_1_9, 1000, 1e-10),
-    ("prop-2.8", suite_prop_2_8, 1000, 1e-9),
-    ("ric-closed-form", suite_ric_closed_form, 200, 1e-12),
-    ("hat-closed-form", suite_hat_closed_form, 150, 0.0),
-    ("hat-structure", suite_hat_structure, 60, 1e-12),
-    ("basis-independence", suite_basis_independence, 60, 1e-9),
-    ("bianchi-split", suite_bianchi_split, 200, 1e-12),
-    ("decompose", suite_decompose, 200, 1e-12),
-    ("spectrum", suite_spectrum, 80, 1e-10),
-    ("lemma-2.2", suite_lemma_2_2, 10000, 1e-10),
-    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12),
-    ("estimate-constants", suite_estimate_constants, 400, 1e-10),
-    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9),
-    ("boundary-cases", suite_boundary_cases, 1, 1e-12),
-    ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15),
-    ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9),
-    ("normal-h", suite_normal_h, 150, 1e-9),
-    ("extremal-pform", suite_extremal_pform, 1, 0.0),
-    ("complex-sectional", suite_complex_sectional, 150, 1e-9),
-    ("warped-round", suite_warped_round, 20, 1e-12),
-    ("warped-perturbed", suite_warped_perturbed, 1, 1e-12),
-    ("ode", suite_ode, 1, 1e-6),
-    ("serialization", suite_serialization, 100, None),
+    ("exact-values", suite_exact_values, 1, 1e-12, _TRIAL_LIMIT),
+    ("prop-1.1", suite_prop_1_1, 1000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_8)),
+    ("tensor-core", suite_tensor_core, 300, 1e-12, _TRIAL_LIMIT),
+    ("prop-1.2", suite_prop_1_2, 400, 1e-12, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
+    ("prop-1.3", suite_prop_1_3, 400, 1e-12, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
+    ("prop-1.6", suite_prop_1_6, 200, 1e-9, _TRIAL_LIMIT),
+    ("prop-1.7", suite_prop_1_7, 1000, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
+    ("prop-1.9", suite_prop_1_9, 1000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
+    ("prop-2.8", suite_prop_2_8, 1000, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
+    ("ric-closed-form", suite_ric_closed_form, 200, 1e-12, _TRIAL_LIMIT),
+    ("hat-closed-form", suite_hat_closed_form, 150, 0.0, _TRIAL_LIMIT),
+    ("hat-structure", suite_hat_structure, 60, 1e-12, _TRIAL_LIMIT),
+    ("basis-independence", suite_basis_independence, 60, 1e-9, _TRIAL_LIMIT),
+    ("bianchi-split", suite_bianchi_split, 200, 1e-12, _TRIAL_LIMIT),
+    ("decompose", suite_decompose, 200, 1e-12, _TRIAL_LIMIT),
+    ("spectrum", suite_spectrum, 80, 1e-10, _TRIAL_LIMIT),
+    ("lemma-2.2", suite_lemma_2_2, 10000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_6)),
+    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12, _TRIAL_LIMIT),
+    ("estimate-constants", suite_estimate_constants, 400, 1e-10, _TRIAL_LIMIT),
+    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9, _SECOND_STREAM // len(_DIMS_3_TO_6)),
+    ("boundary-cases", suite_boundary_cases, 1, 1e-12, _TRIAL_LIMIT),
+    ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15, _TRIAL_LIMIT),
+    ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9, _TRIAL_LIMIT),
+    ("normal-h", suite_normal_h, 150, 1e-9, _TRIAL_LIMIT),
+    ("extremal-pform", suite_extremal_pform, 1, 0.0, _TRIAL_LIMIT),
+    ("complex-sectional", suite_complex_sectional, 150, 1e-9, _TRIAL_LIMIT),
+    ("warped-round", suite_warped_round, 20, 1e-12, _TRIAL_LIMIT),
+    ("warped-perturbed", suite_warped_perturbed, 1, 1e-12, _TRIAL_LIMIT),
+    ("ode", suite_ode, 1, 1e-6, _TRIAL_LIMIT),
+    ("serialization", suite_serialization, 100, None, _TRIAL_LIMIT),
 )
 
-SUITES = {name: (fn, trials, tol) for name, fn, trials, tol in _SUITE_TABLE}
+SUITES = {name: (fn, trials, tol) for name, fn, trials, tol, _ in _SUITE_TABLE}
 _SUITE_IDS = {name: idx for idx, (name, *_) in enumerate(_SUITE_TABLE)}
+_TRIAL_LIMITS = {name: limit for name, *_, limit in _SUITE_TABLE}
 
 
-def _trial_count(trials):
+def _trial_count(trials, name):
     """trials as an int; ValueError unless it is an integer from 1 to
-    2**32, the limits of the command line's --trials."""
+    2**32, the limits of the command line's --trials, and at most the trial
+    limit of the suite name."""
     try:
         count = operator.index(trials)
     except TypeError:
@@ -1637,6 +1644,9 @@ def _trial_count(trials):
         raise ValueError(f"trials must be at least 1, got {count}")
     if count > _TRIAL_LIMIT:
         raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {count}")
+    if count > _TRIAL_LIMITS[name]:
+        raise ValueError(f"trials: {name} takes at most {_TRIAL_LIMITS[name]} trials, "
+                         f"the most its trial indices hold; got {count}")
     return count
 
 
@@ -1646,7 +1656,7 @@ def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn, default_trials, default_tol = SUITES[name]
-    used = default_trials if trials is None else _trial_count(trials)
+    used = default_trials if trials is None else _trial_count(trials, name)
     start = time.perf_counter()
     failures = fn(seed, used, default_tol if tol is None else tol)
     elapsed = time.perf_counter() - start
@@ -1654,5 +1664,9 @@ def run_suite(name, trials=None, seed=42, tol=None) -> Report:
 
 
 def run_all(trials=None, seed=42, tol=None):
-    """Run every suite in registry order."""
+    """Run every suite in registry order; trials past any suite's trial
+    limit raise ValueError before the first suite runs."""
+    if trials is not None:
+        for name in SUITES:
+            _trial_count(trials, name)
     return [run_suite(name, trials=trials, seed=seed, tol=tol) for name in SUITES]

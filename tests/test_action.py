@@ -556,6 +556,18 @@ class TestActionGuards:
             with pytest.raises(ValueError, match="finite"):
                 kind.acted(np.stack([lam.comps] * 2), np.stack([getattr(t, kind.values)] * 2), 4, degree(t))
 
+    def test_results_too_large_to_symmetrize_raise(self):
+        from curvop.action import _KINDS
+
+        # the action of e_0^e_1 on diag(a, -a, 0) is finite, 2a off the
+        # diagonal, but its symmetric part overflowed to inf
+        h = Sym2(np.diag([8e307, -8e307, 0.0]))
+        lam = SoElement(3, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="action result entries must be below 2\\*\\*1023"):
+            so_act(lam, h)
+        with pytest.raises(ValueError, match="action result entries must be below 2\\*\\*1023"):
+            _KINDS[Sym2].acted(np.stack([lam.comps] * 2), np.stack([h.mat] * 2), 3)
+
     def test_batched_lemma_2_2_raises(self, monkeypatch):
         from curvop.verify import run_suite
 

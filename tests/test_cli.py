@@ -108,14 +108,25 @@ class TestVerifyCommand:
             assert set(failure) == {"inputs-digest", "lhs", "rhs", "tolerance"}
             assert failure["tolerance"] == -1.0
 
-    def test_trial_count_past_the_second_stream_exits_one(self, capsys, monkeypatch):
-        # rejected before the first draw: no generator is ever made
-        monkeypatch.setattr("curvop.verify._trial_rng", None)
-        code, out, err = run(capsys, "verify", "--suite", "lemma-2.1-soundness", "--trials", "2500001")
-        assert code == 1
+    @pytest.mark.parametrize(
+        "suite, trials, named, limit",
+        [
+            ("lemma-2.1-soundness", 2_500_001, "lemma-2.1-soundness", 2_500_000),
+            ("all", 2_500_001, "lemma-2.1-soundness", 2_500_000),
+            ("all", 2 ** 32 // 6 + 1, "prop-1.1", 2 ** 32 // 6),
+            ("prop-1.2", 2 ** 32 // 5 + 1, "prop-1.2", 2 ** 32 // 5),
+            ("lemma-2.2", 2 ** 32 // 4 + 1, "lemma-2.2", 2 ** 32 // 4),
+        ],
+        ids=["second-stream", "all-second-stream", "all-six-dimensions", "five-dimensions", "four-dimensions"],
+    )
+    def test_trial_count_past_a_suite_limit_exits_two(self, capsys, monkeypatch, suite, trials, named, limit):
+        # every selected suite's limit is checked before the first one runs
+        monkeypatch.setattr("curvop.verify.run_suite", None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", str(trials))
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "at most 2500000" in err
-        assert len(err.strip().splitlines()) == 1, err
+        assert err == (f"usage error: --trials: {named} takes at most {limit} trials, "
+                       f"the most its trial indices hold; got {trials}\n")
 
 
 class TestCatalogCommand:
@@ -222,6 +233,20 @@ class TestSpectrumCommand:
         assert out == ""
         assert f"the 'n' field must be a JSON integer, got {n}" in err
         assert len(err.strip().splitlines()) == 1, err
+
+    @pytest.mark.parametrize("command", [("spectrum",), ("bochner", "--kind", "weyl")])
+    def test_entries_too_large_to_symmetrize_exit_one(self, capsys, tmp_path, command):
+        # finite entries whose symmetric part overflowed were stored as inf
+        # and then failed in Jacobi under a numpy warning
+        huge = np.diag([1.7e308] * 6)
+        huge[0, 1] = huge[1, 0] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 4, "basis": "lex-wedge", "matrix": huge.tolist()}), encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: operator matrix entries must be below 2**1023 in magnitude, "
+                       "or their symmetric part overflows\n")
 
 
 class TestBochnerCommand:

@@ -306,6 +306,41 @@ class TestSpectrum:
             assert vals[i].tobytes() == sv.tobytes()
             assert vecs[i].tobytes() == sw.tobytes()
 
+    def test_clustered_spectra_converge_in_few_sweeps(self, monkeypatch):
+        # inside an eigenvalue cluster the rotation angles are rounding
+        # noise; rotating such pairs spreads annihilated entries back in and
+        # turned sphere products then needed up to 22 sweeps
+        rng = np.random.default_rng(16)
+        mats, exact = [], []
+        for p in range(2, 7):
+            w = wedge_isometry(random_orthogonal(rng, 8))
+            op = sphere_product_op(p, 8).mat
+            mats.append(w @ op @ w.T)
+            exact.append(np.sort(np.diag(op)))
+        q = random_orthogonal(rng, 28)
+        three = np.repeat([-1.5, 0.5, 2.0], [9, 10, 9])
+        mats.append((q * three) @ q.T)
+        exact.append(three)
+        monkeypatch.setattr(operators, "_JACOBI_SWEEPS", 11)
+        vals, vecs = jacobi_eigh_batch(np.array(mats))
+        for i, m in enumerate(mats):
+            assert np.abs(vals[i] - exact[i]).max() <= 1e-12 * max(1.0, np.abs(exact[i]).max())
+            sv, sw = jacobi_eigh(m)
+            assert vals[i].tobytes() == sv.tobytes()
+            assert vecs[i].tobytes() == sw.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_threshold_rule_reads_both_mirror_entries(self, transpose):
+        # the row and column updates leave a matrix a few ulps asymmetric,
+        # so a pair can sit at the threshold on one side of the diagonal and
+        # just above it on the other; that pair must still rotate
+        m = np.diag([1.0, 2.0, 3.0, 4.0])
+        thresh = 1e-13 * np.sqrt(30.0)
+        m[0, 1], m[1, 0] = thresh, thresh * (1.0 + 1e-4)
+        vals, vecs = jacobi_eigh(m.T if transpose else m)
+        assert np.abs(vals - [1.0, 2.0, 3.0, 4.0]).max() <= 1e-15
+        assert np.abs(vecs.T @ vecs - np.eye(4)).max() <= 1e-15
+
     def test_power_of_two_scaling_is_exact(self):
         # squares of entries near 2**540 overflow and those of entries near
         # 2**-540 underflow; the spectrum must still scale with the matrix

@@ -360,6 +360,20 @@ class TestSpaceAndGuards:
                         got = _symmetric_part(mats, what)
                         assert got[1].tobytes() == want.tobytes() == _symmetrized(m).tobytes()
 
+    def test_symmetric_part_rejects_entries_it_would_overflow(self):
+        # m + m^T overflowed to inf on finite entries near the float maximum
+        huge = np.diag([1.7e308] * 6)
+        huge[0, 1] = huge[1, 0] = 1e308
+        for build in (Sym2, lambda m: CurvatureOperator(4, m)):
+            for m in (huge, -huge):
+                with pytest.raises(ValueError, match="below 2\\*\\*1023"):
+                    build(m)
+        # the largest entries still allowed sum to the largest float
+        top = np.nextafter(2.0 ** 1023, 0.0)
+        m = np.array([[top, -top, 0.0], [-top, 1.0, 2.0], [0.0, 2.0, -top]])
+        for build in (Sym2, lambda m: CurvatureOperator(3, m)):
+            assert build(m).mat.tobytes() == m.tobytes()
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Tensor0k(np.array([np.nan, 0.0]))

@@ -166,6 +166,18 @@ def test_lemma_2_1_rejects_trials_past_its_second_stream(monkeypatch):
         run_suite("lemma-2.1-soundness", trials=2_500_001)
 
 
+def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
+    # a batched suite at k dimensions gives each trial k trial indices;
+    # run_all checks every suite before the first one runs
+    monkeypatch.setattr(verify, "_trial_rng", None)
+    monkeypatch.setattr(verify, "run_suite", None)
+    for name, k in (("prop-1.1", 6), ("prop-2.8", 5), ("lemma-2.2", 4)):
+        with pytest.raises(ValueError, match=f"{name} takes at most {2 ** 32 // k} trials"):
+            run_suite(name, trials=2 ** 32 // k + 1)
+    with pytest.raises(ValueError, match="prop-1.1 takes at most"):
+        run_all(trials=2 ** 32 // 6 + 1)
+
+
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suite_draws_match_numpy_streams(name, monkeypatch):
     # a negative tolerance records both sides of every comparison it governs
