@@ -73,10 +73,15 @@ class SoElement:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m + m.T).max()) > _SYMMETRY_TOL * scale:
+        # halved entries: halving is exact above the subnormal range, so the
+        # test and the coordinates keep the bits of (m + m^T) / 2 and
+        # (m_ji - m_ij) / 2, and no sum or difference of finite entries
+        # overflows
+        half = m / 2.0
+        if float(np.abs(half + half.T).max()) > _SYMMETRY_TOL * scale / 2.0:
             raise ValueError("matrix is not skew-symmetric")
         n = m.shape[0]
-        comps = [(m[j, i] - m[i, j]) / 2.0 for i, j in wedge_pairs(n)]
+        comps = [half[j, i] - half[i, j] for i, j in wedge_pairs(n)]
         return cls(n, comps)
 
     @classmethod
@@ -207,11 +212,15 @@ class _Kind:
         values and checked as the kind's constructor checks one: raises
         ValueError where a result is not finite or, for a symmetric kind,
         not symmetric, and AssertionError where a bianchi kind's value keeps
-        the Bianchi identity and its result does not."""
+        the Bianchi identity and its result does not.  A result's Bianchi
+        residual is taken only where its value keeps the identity, since
+        elsewhere it cannot decide."""
         flat = _act(comps, values.reshape(len(values), -1), n, *self.slots(degree))
         out = self.stored(flat.reshape(values.shape), "action result")
-        if self.bianchi and np.any(_bianchi_holds(values) & ~_bianchi_holds(out)):
-            raise AssertionError("action failed to preserve the Bianchi identity")
+        if self.bianchi:
+            held = _bianchi_holds(values)
+            if held.any() and not np.all(_bianchi_holds(out if held.all() else out[held])):
+                raise AssertionError("action failed to preserve the Bianchi identity")
         return out
 
     def rows(self, values, n, degree=None):

@@ -211,7 +211,7 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
     n = r.n
     if n < 3:
         raise ValueError("the curvature decomposition needs dimension at least 3")
-    scal, ric, ric0, weyl = _decompose(_tensors_from_ops(r.mat, n), n)
+    scal, ric, ric0, weyl, _ = _decompose(_tensors_from_ops(r.mat, n), n)
     schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
     return CurvDecomposition(
         scal=float(scal), ric0=Sym2(ric0), weyl=CurvTensor(weyl), schouten=schouten
@@ -219,18 +219,20 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
 
 
 def _decompose(rm, n):
-    """(scal, ric, ric0, weyl) arrays of the stacked (0,4)-arrays rm of
-    Bianchi operators, n >= 3: the scalar curvature, the Ricci and traceless
-    Ricci tensors and the Weyl tensor
-    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2).  Certifies rm first:
-    raises ValueError unless each passes _bianchi_holds."""
+    """(scal, ric, ric0, weyl, kn_ric0) arrays of the stacked (0,4)-arrays rm
+    of Bianchi operators, n >= 3: the scalar curvature, the Ricci and
+    traceless Ricci tensors, the Weyl tensor
+    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) and the KN(g, ric0) it
+    is built from.  Certifies rm first: raises ValueError unless each passes
+    _bianchi_holds."""
     if not np.all(_bianchi_holds(rm)):
         raise ValueError("operator does not satisfy the first Bianchi identity")
     ric, scal = _riccis(rm)
     ric0 = _traceless(ric)
     scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _metric_kn(n)
-    weyl = rm - scal_part - _kn(np.eye(n), ric0) / (n - 2.0)
-    return scal, ric, ric0, weyl
+    kn_ric0 = _kn(np.eye(n), ric0)
+    weyl = rm - scal_part - kn_ric0 / (n - 2.0)
+    return scal, ric, ric0, weyl, kn_ric0
 
 
 # Jacobi stops once every off-diagonal entry is at most _JACOBI_TOL times the
@@ -283,8 +285,8 @@ def jacobi_eigh_batch(mats):
     batch, so a batch row is bit-identical to the single-matrix call.
     Eigenvalues come back
     ascending with ties kept in original column order; eigenvector columns
-    are aligned.  Raises ValueError when an entry is not finite or a rotation
-    leaves the float range.
+    are aligned.  Raises ValueError when a matrix is not symmetric to
+    thresh, an entry is not finite or a rotation leaves the float range.
     """
     a = np.array(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -299,7 +301,18 @@ def jacobi_eigh_batch(mats):
     # scales exactly with the matrix
     unit = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(1, 2)))[1] - 1)
     scaled = a / unit[:, None, None]
-    thresh = unit * (_JACOBI_TOL * np.sqrt(np.sum(scaled * scaled, axis=(1, 2))))
+    scaled_thresh = _JACOBI_TOL * np.sqrt(np.sum(scaled * scaled, axis=(1, 2)))
+    thresh = unit * scaled_thresh
+    # rotations cannot remove a skew part, so a matrix with some
+    # |a_pq - a_qp| above thresh would only run out of sweeps.  Compared
+    # a / unit against thresh / unit: the scaled entries, below 2 in
+    # magnitude, cannot overflow their difference.  A non-finite entry
+    # makes the threshold non-finite, passes this test and is caught by
+    # the check after the sweeps
+    with np.errstate(invalid="ignore"):
+        skew = np.abs(scaled - scaled.swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(skew > scaled_thresh):
+        raise ValueError("matrix is not symmetric: some |a_pq - a_qp| exceeds the Jacobi stopping threshold")
     # work with the batch index last, so every gathered row or column is a
     # run of contiguous batch entries, and with the eigenvectors stacked
     # below the matrix, so one column update turns both

@@ -24,17 +24,19 @@ bochner.direct_term_check.
 Eight suites batch across trials through one driver, _batched: prop-1.1,
 prop-1.2, prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and
 lemma-2.1-soundness.  Each is a draw function, which draws one trial from
-its generator and names the shapes of its arrays, and a check function,
-which runs the suite's comparisons on a stacked group through the stacked
-kernels of the kind table action._KINDS.  Groups are sized by _CHUNK_BYTES,
-so memory stays flat in the trial count: a draw names as its item_bytes the
-largest array its check builds for the whole group, and a check builds the
-larger arrays of a trial a slice of the group at a time through _in_budget:
-prop-2.8 its (0,4)-tensors' block rows, the only such rows built through
-it, and lemma-2.1-soundness the (0,4)-tensors of its decompositions, whose
-direct terms it takes on operator coordinates.  The failures come back
-ordered by trial index, then by the position of the check within the trial:
-as if each trial had been checked alone.
+its generator, keeps only what the generator produced and names the shapes
+of its arrays, and a check function, which symmetrizes the stacked draws
+that stand for symmetric matrices and runs the suite's comparisons on the
+group through the stacked kernels of the kind table action._KINDS.  Groups
+are sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
+names as its item_bytes the largest array its check builds for the whole
+group, and a check builds the larger arrays of a trial a slice of the group
+at a time through _in_budget: prop-2.8 its (0,4)-tensors' block rows, the
+only such rows built through it, and lemma-2.1-soundness the (0,4)-tensors
+of its decompositions, whose direct terms it takes on operator coordinates,
+as lemma-2.2 takes its kn-curv action norm.  The failures come back ordered
+by trial index, then by the position of the check within the trial: as if
+each trial had been checked alone.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -125,6 +127,7 @@ from .tensors import (
     _kn,
     _metric_kn,
     _pair_index,
+    _symmetrized,
     _traceless,
     _tuple_index_map,
 )
@@ -351,9 +354,13 @@ def _batched(seed, suite, trials, t, dims, draw, check,
 
     Trial i at the j-th n of dims is the suite's trial index j * trials + i;
     draw(its generator, n, i, index) returns its (key, item_bytes, arrays).
-    The key names the shapes of the arrays, and nothing else: what varies
-    from trial to trial but keeps the shapes, a permutation or a form's
-    degree in zero-padded coordinates, travels as one more array.
+    The arrays hold what the generator produced, a normal matrix as
+    rng.normal gave it: the check takes the symmetric parts of a stack
+    with _symmetrized once, which has the bits of each trial's
+    (a + a^T) / 2.  The key names the shapes of the arrays, and nothing
+    else: what varies from trial to trial but keeps the shapes, a
+    permutation or a form's degree in zero-padded coordinates, travels as
+    one more array.
     item_bytes is the size per trial of the largest array the check builds
     for the whole group, and the check builds a larger one through
     _in_budget.  The trials of a key gather in a group while one more fits
@@ -452,11 +459,12 @@ def _by_degree(n, degrees, *forms):
 
 
 def _bianchi_decompose(raw, n):
-    """Bianchi parts of stacked symmetric draws, as random_bianchi_operator
-    makes them, their (0,4)-tensors and their _decompose, which certifies
-    them.  The tensors are built once, for the decomposition and the
-    caller."""
-    rb = raw - _alternating_parts(raw, n)
+    """Bianchi parts of the symmetric parts of stacked raw draws, as
+    random_bianchi_operator makes them, their (0,4)-tensors and their
+    _decompose, which certifies them.  The tensors are built once, for the
+    decomposition and the caller."""
+    sym = _symmetrized(raw)
+    rb = sym - _alternating_parts(sym, n)
     rm = _tensors_from_ops(rb, n)
     return rb, rm, _decompose(rm, n)
 
@@ -464,7 +472,9 @@ def _bianchi_decompose(raw, n):
 # -- random draws -------------------------------------------------------------
 
 def _sym_draw(rng, m):
-    """Symmetric m x m matrix (a + a^T) / 2 of a standard normal a."""
+    """Symmetric m x m matrix (a + a^T) / 2 of a standard normal a, for the
+    suites checked one trial at a time; a batched suite draws a and
+    symmetrizes its whole group at once."""
     a = rng.normal(size=(m, m))
     return (a + a.T) / 2.0
 
@@ -588,10 +598,11 @@ def suite_prop_1_1(seed, trials, t):
 
 def _draw_prop_1_1(rng, n, trial, index):
     # the product with the metric is the largest array
-    return None, 8 * n ** 4, (_sym_draw(rng, n),)
+    return None, 8 * n ** 4, (rng.normal(size=(n, n)),)
 
 
-def _check_prop_1_1(t, n, key, h):
+def _check_prop_1_1(t, n, key, raw):
+    h = _symmetrized(raw)
     lhs = _dense_norms(_kn(np.eye(n), h))
     trace = np.trace(h, axis1=1, axis2=2)
     return [_closes("kn-norm", lhs, 4.0 * (n - 2) * _dense_norms(h) + 4.0 * trace ** 2, t)]
@@ -645,7 +656,7 @@ def _draw_prop_1_2(rng, n, trial, index):
     tt = rng.normal(size=(n,) * k)
     # permuting the slots by sigma transposes by its inverse
     inverse = np.argsort(rng.permutation(k))
-    return k, 8 * n ** 4, (lam, tt, inverse, _sym_draw(rng, n), _sym_draw(rng, n))
+    return k, 8 * n ** 4, (lam, tt, inverse, rng.normal(size=(n, n)), rng.normal(size=(n, n)))
 
 
 def _transposed(values, axes):
@@ -654,6 +665,7 @@ def _transposed(values, axes):
 
 
 def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
+    s, u = _symmetrized(s), _symmetrized(u)
     left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
     right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
     lhs = _KINDS[CurvTensor].acted(lam, _kn(s, u), n)
@@ -672,10 +684,11 @@ def suite_prop_1_3(seed, trials, t):
 
 def _draw_prop_1_3(rng, n, trial, index):
     lam = rng.normal(size=wedge_count(n))
-    return None, 8 * n * n, (lam, _sym_draw(rng, n))
+    return None, 8 * n * n, (lam, rng.normal(size=(n, n)))
 
 
-def _check_prop_1_3(t, n, key, lam, h):
+def _check_prop_1_3(t, n, key, lam, raw):
+    h = _symmetrized(raw)
     metric = np.broadcast_to(np.eye(n), h.shape)
     return [
         _closes("trace", np.trace(_KINDS[Sym2].acted(lam, h, n), axis1=1, axis2=2), 0.0, t),
@@ -706,11 +719,12 @@ def suite_prop_1_7(seed, trials, t):
 
 
 def _draw_prop_1_7(rng, n, trial, index):
-    h = _sym_draw(rng, n)
+    h = rng.normal(size=(n, n))
     return None, 8 * wedge_count(n) * n * n, (h, rng.normal(size=wedge_count(n)))
 
 
-def _check_prop_1_7(t, n, key, h, lam):
+def _check_prop_1_7(t, n, key, raw, lam):
+    h = _symmetrized(raw)
     vals, vecs = np.linalg.eigh(h)
     lhs = _dense_norms(_KINDS[Sym2].acted(lam, h, n))
     gram = vecs.swapaxes(1, 2) @ _action_matrices(lam, n, 1) @ vecs
@@ -735,28 +749,36 @@ def suite_prop_1_9(seed, trials, t):
 
 def _draw_prop_1_9(rng, n, trial, index):
     # trials take the kinds in turn: (0,k)-tensors, symmetric tensors,
-    # p-forms and the curvature tensors of operator matrices
+    # p-forms and the curvature tensors of operator matrices; the operator
+    # r, the symmetric tensors and the operators of the curvature tensors
+    # are drawn as raw matrices, which the check symmetrizes
     size = wedge_count(n)
-    r = _sym_draw(rng, size)
+    r = rng.normal(size=(size, size))
     which = trial % 4
     if which in (0, 2):
         degree = int(rng.integers(1, 4 if which == 0 else n))
         shape = (n,) * degree if which == 0 else math.comb(n, degree)
-        s, u = rng.normal(size=shape), rng.normal(size=shape)
     else:
-        degree, m = 0, n if which == 1 else size
-        s, u = _sym_draw(rng, m), _sym_draw(rng, m)
-        if which == 3:
-            s, u = _tensors_from_ops(s, n), _tensors_from_ops(u, n)
+        degree = 0
+        shape = (n if which == 1 else size,) * 2
+    s, u = rng.normal(size=shape), rng.normal(size=shape)
+    # the largest array is the block rows of s, those of a (0,4)-tensor for
+    # the curvature kind
+    item_bytes = 8 * size * (n ** 4 if which == 3 else s.size)
     if which == 2:
         # forms of every degree share a group, their degrees alongside
         s, u = _padded(s, n), _padded(u, n)
-        return (which, 0), 8 * size * s.size, (r, s, u, degree)
-    return (which, degree), 8 * size * s.size, (r, s, u)
+        return (which, 0), item_bytes, (r, s, u, degree)
+    return (which, degree), item_bytes, (r, s, u)
 
 
 def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
     which, k = key
+    r = _symmetrized(r)
+    if which in (1, 3):
+        s, u = _symmetrized(s), _symmetrized(u)
+    if which == 3:
+        s, u = _tensors_from_ops(s, n), _tensors_from_ops(u, n)
     kind = _KINDS[(Tensor0k, Sym2, PForm, CurvTensor)[which]]
     parts = _by_degree(n, degrees, s, u) if which == 2 else [(k, slice(None), (s, u))]
     lhs, rhs = np.empty((2, len(r)))
@@ -778,7 +800,7 @@ def suite_prop_2_8(seed, trials, t):
 
 
 def _draw_prop_2_8(rng, n, trial, index):
-    h = _sym_draw(rng, n)
+    h = rng.normal(size=(n, n))
     p = int(rng.integers(1, n))
     w = _padded(rng.normal(size=math.comb(n, p)), n)
     # the largest array built for the whole group is the operator's block
@@ -786,10 +808,10 @@ def _draw_prop_2_8(rng, n, trial, index):
     # curvature tensor, n^4; the tensor's block rows, N n^4, come a budget
     # at a time
     size = wedge_count(n)
-    return None, 8 * max(size ** 3, n ** 4), (h, p, w, _sym_draw(rng, size))
+    return None, 8 * max(size ** 3, n ** 4), (h, p, w, rng.normal(size=(size, size)))
 
 
-def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
+def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
     def curvature(rm, ric):
         # the gap of ric_of(identity, Rm) from 4(n-1) Rm - 2 KN(g, ric), and
         # the squared hat norm of Rm
@@ -797,6 +819,7 @@ def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
         want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
         return _max_abs(ric_rm - want_rm), _hat_norms_consuming(rows_rm)
 
+    h = _symmetrized(raw_h)
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
     form_gap, form_hat, form_want = np.empty((3, len(h)))
     for p, picked, (w,) in _by_degree(n, degrees, forms):
@@ -804,7 +827,7 @@ def _check_prop_2_8(t, n, key, h, degrees, forms, raw):
         form_gap[picked] = _max_abs(ric_w - p * (n - p) * w)
         form_hat[picked] = _hat_norms_consuming(rows_w)
         form_want[picked] = p * (n - p) * _compact_norms(w)
-    rb, rm, (scal, ric, ric0, _) = _bianchi_decompose(raw, n)
+    rb, rm, (scal, ric, ric0, *_) = _bianchi_decompose(raw, n)
     curv_gap, hat_rm = _in_budget(_curvature_row_bytes(n), curvature, rm, ric)
     rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
     ric0_sq = _dense_norms(ric0)
@@ -1001,17 +1024,18 @@ def _draw_lemma_2_2(rng, n, trial, index):
         k = int(rng.integers(1, 5))
         key, draw = (0, k), (rng.normal(size=(n,) * k),)
     elif case == 1:
-        key, draw = (1, 0), (_sym_draw(rng, n),)
+        key, draw = (1, 0), (rng.normal(size=(n, n)),)
     elif case == 2:
         p = int(rng.integers(1, n))
         key, draw = (2, p), (rng.normal(size=math.comb(n, p)),)
     elif case == 3:
-        key, draw = (3, 0), (_sym_draw(rng, size),)
+        key, draw = (3, 0), (rng.normal(size=(size, size)),)
     else:
-        key, draw = (4, 0), (_sym_draw(rng, n), _sym_draw(rng, size))
-    # no array of a trial is larger than a (0,4)-tensor, and the check holds
+        key, draw = (4, 0), (rng.normal(size=(n, n)), rng.normal(size=(size, size)))
+    # the draws hold raw generator output, which the check symmetrizes.  No
+    # array of a trial is larger than a (0,4)-tensor, and the check holds
     # about four at once: the action's values and results and the Bianchi
-    # residuals of both
+    # residual of its values, or the decomposition's tensors
     return key, 4 * 8 * n ** 4, (lam,) + draw
 
 
@@ -1019,6 +1043,8 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
     case, degree = key
     lam_sq = _compact_norms(lam)
     g = np.eye(n)
+    if case in (1, 3, 4):
+        values = _symmetrized(values)
     if case == 0:
         lhs = _tensor_norms(_KINDS[Tensor0k].acted(lam, values, n, degree))
         return [_at_mosts("generic", lhs, degree * degree * _tensor_norms(values) * lam_sq, t)]
@@ -1039,9 +1065,10 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
         ]
     lhs = _dense_norms(_KINDS[CurvTensor].acted(lam, _kn(g, values), n))
     rhs = 4.0 * _dense_norms(_kn(g, _traceless(values))) * lam_sq
-    _, rm, (_, _, ric0, weyl) = _bianchi_decompose(raw, n)
-    bound = (4.0 * _dense_norms(_kn(g, ric0)) / (n - 2.0) ** 2 + 8.0 * _dense_norms(weyl)) * lam_sq
-    lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, rm, n))
+    rb, _, (_, _, _, weyl, kn_ric0) = _bianchi_decompose(raw, n)
+    bound = (4.0 * _dense_norms(kn_ric0) / (n - 2.0) ** 2 + 8.0 * _dense_norms(weyl)) * lam_sq
+    # |L Rm|^2 = 4 |L R|^2 on operator coordinates, as in _curvature_terms
+    lrm = 4.0 * _dense_norms(_KINDS[CurvatureOperator].acted(lam, rb, n))
     return [_at_mosts("kn", lhs, rhs, t), _at_mosts("kn-curv", lrm, bound, t)]
 
 
@@ -1131,16 +1158,16 @@ def suite_lemma_2_1_soundness(seed, trials, t):
 
 def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     size = wedge_count(n)
-    op = _sym_draw(rng, size)
+    op = rng.normal(size=(size, size))
     # the kinds draw in turn from a second stream: a form and its margin, a
     # symmetric tensor and its margin, then the margins of the two
     # curvature kinds, which share one decomposed operator
     rng = rng_at(_SECOND_STREAM + index)
-    shared = _sym_draw(rng, size)
+    shared = rng.normal(size=(size, size))
     p = int(rng.integers(1, n))
     form = _padded(rng.normal(size=math.comb(n, p)), n)
     margins = [_margin(rng)]
-    sym = _sym_draw(rng, n)
+    sym = rng.normal(size=(n, n))
     margins += [_margin(rng), _margin(rng), _margin(rng)]
     # a symmetric tensor's block rows outgrow the operator matrix and its
     # eigenvalues, and every other array built for the whole group; the
@@ -1149,8 +1176,9 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
 
 
-def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
-    ops = raw - _alternating_parts(raw, n)
+def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, raw_syms, margins):
+    sym_ops, syms = _symmetrized(raw), _symmetrized(raw_syms)
+    ops = sym_ops - _alternating_parts(sym_ops, n)
     vals = np.linalg.eigvalsh(ops)
     every = slice(None)
     kinds, terms = [], []
@@ -1188,7 +1216,8 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, syms, margins):
 
 def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
-    Bianchi parts of stacked shared draws, taken on operator coordinates.
+    Bianchi parts of stacked raw shared draws, taken on operator
+    coordinates.
 
     For pair-skew (0,4)-tensors A and B, <A, B> = 4 <A_op, B_op>, where A_op
     is A gathered at the wedge pairs as op_from_tensor does, and the action
@@ -1205,7 +1234,7 @@ def _curvature_terms(ops, shared, n):
     i, j = _pair_index(n)
 
     def terms(ops, shared):
-        _, _, (scal, _, _, weyl) = _bianchi_decompose(shared, n)
+        _, _, (scal, _, _, weyl, _) = _bianchi_decompose(shared, n)
         return [4.0 * side for values in (_einstein_part(scal, weyl), weyl)
                 for side in _direct_terms(ops, values[:, i[:, None], j[:, None], i, j], n,
                                           _KINDS[CurvatureOperator])]

@@ -90,6 +90,26 @@ class TestSoElement:
             with pytest.raises(ValueError, match="not skew-symmetric"):
                 SoElement.from_matrix(m)
 
+    @pytest.mark.filterwarnings("error")
+    def test_from_matrix_near_the_float_maximum(self):
+        # entries of magnitude near the largest float are skew without
+        # overflowing the skewness test or the coordinates
+        m = np.zeros((3, 3))
+        m[1, 0], m[0, 1] = 1.7e308, -1.7e308
+        assert SoElement.from_matrix(m).comps.tolist() == [1.7e308, 0.0, 0.0]
+        m[0, 1] = 1.7e308
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            SoElement.from_matrix(m)
+
+    def test_from_matrix_keeps_the_bits_of_ordinary_inputs(self):
+        # halving is exact, so (m_ji - m_ij) / 2 is unchanged bit for bit
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 8):
+            a = rng.normal(size=(n, n))
+            m = a - a.T
+            want = [(m[j, i] - m[i, j]) / 2.0 for i, j in wedge_pairs(n)]
+            assert SoElement.from_matrix(m).comps.tobytes() == np.array(want).tobytes()
+
     def test_from_vectors(self):
         x = np.array([1.0, 0, 0, 0])
         y = np.array([0, 1.0, 0, 0])
@@ -542,6 +562,27 @@ class TestActionGuards:
         generic = tensor_from_op(random_sym_operator(rng, 4))
         assert not generic.bianchi
         so_act(lam, generic)
+
+    def test_bianchi_check_reads_the_values_that_keep_the_identity(self, monkeypatch):
+        # the check takes a result's residual only where its value keeps
+        # the identity: one such value in a stack is enough to raise, and a
+        # stack without one has no identity to lose and no result residual
+        # to take
+        from curvop import action
+
+        rng = np.random.default_rng(24)
+        corrupted_act(monkeypatch, 1e-3)
+        lam = rand_so(rng, 4)
+        rm = tensor_from_op(random_bianchi_operator(rng, 4)).array
+        generic = [tensor_from_op(random_sym_operator(rng, 4)).array for _ in range(2)]
+        comps = np.stack([lam.comps] * 3)
+        for mixed in ([rm] + generic, generic[:1] + [rm] + generic[1:], generic + [rm]):
+            with pytest.raises(AssertionError, match="Bianchi"):
+                action._KINDS[CurvTensor].acted(comps, np.stack(mixed), 4)
+        holds, checked = action._bianchi_holds, []
+        monkeypatch.setattr(action, "_bianchi_holds", lambda arr: checked.append(len(arr)) or holds(arr))
+        action._KINDS[CurvTensor].acted(comps[:2], np.stack(generic), 4)
+        assert checked == [2]
 
     def test_non_finite_results_raise(self, monkeypatch):
         from curvop.action import _KINDS

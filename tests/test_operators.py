@@ -30,7 +30,7 @@ from curvop import (
 )
 from curvop import operators
 from curvop.operators import _round_robin, wedge_coordinates
-from curvop.tensors import wedge_pairs
+from curvop.tensors import _kn, wedge_pairs
 from curvop.verify import random_bianchi_operator, random_orthogonal, random_sym_operator
 
 
@@ -219,7 +219,7 @@ class TestDecompose:
         # the decomposition reads the (0,4)-tensor once; its pieces are the
         # ones the Ricci contraction and Kulkarni-Nomizu products give
         rng = np.random.default_rng(23)
-        for n in range(3, 8):
+        for n in range(3, 9):
             rb = random_bianchi_operator(rng, n)
             dec = decompose(rb)
             ric, scal = ricci_contract(rb)
@@ -235,6 +235,16 @@ class TestDecompose:
             assert dec.ric0.mat.tobytes() == ric0.mat.tobytes()
             assert dec.weyl.array.tobytes() == weyl.tobytes()
             assert dec.schouten.mat.tobytes() == Sym2(schouten).mat.tobytes()
+
+    def test_returns_the_kn_its_weyl_tensor_subtracts(self):
+        # callers bound the traceless Ricci part by the KN(g, ric0) the
+        # Weyl step built, which must be the product itself, bit for bit
+        rng = np.random.default_rng(24)
+        for n in range(3, 9):
+            mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(3)])
+            scal, _, ric0, weyl, kn_ric0 = operators._decompose(operators._tensors_from_ops(mats, n), n)
+            assert kn_ric0.tobytes() == _kn(np.eye(n), ric0).tobytes()
+            assert kn_ric0.tobytes() == np.array([kulkarni_nomizu(identity_sym2(n), Sym2(m)).array for m in ric0]).tobytes()
 
     def test_rejects_small_dimension_and_non_bianchi(self):
         with pytest.raises(ValueError):
@@ -364,6 +374,30 @@ class TestSpectrum:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="float range"):
                 jacobi_eigh(np.diag([1.0, bad]))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_non_symmetric_input_raises_before_sweeping(self, transpose, monkeypatch):
+        # rotations cannot remove a skew part: a pair whose mirror entries
+        # differ by more than the stopping threshold is rejected up front,
+        # not after every sweep has run
+        m = np.diag([1.0, 2.0, 3.0, 4.0])
+        thresh = 1e-13 * np.sqrt(30.0)
+        m[0, 1], m[1, 0] = 0.5 * thresh, 2.0 * thresh
+        m = m.T if transpose else m
+
+        def sweep(size):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(operators, "_round_robin", sweep)
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh(m)
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh_batch(np.array([np.diag([1.0, 2.0, 3.0, 4.0]), m]))
+        monkeypatch.undo()
+        # a difference below the threshold is rounding and still converges
+        m[0, 1], m[1, 0] = 0.5 * thresh, 0.9 * thresh
+        vals, _ = jacobi_eigh(m)
+        assert np.abs(vals - [1.0, 2.0, 3.0, 4.0]).max() <= 1e-15
 
     def test_round_robin_rounds_are_disjoint_and_cover_each_pair_once(self):
         for size in range(2, 30):

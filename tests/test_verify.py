@@ -609,6 +609,42 @@ def test_block_rows_stay_within_the_budget(name, monkeypatch):
     assert max(size for *_, size in built) <= verify._CHUNK_BYTES, max(built, key=lambda row: row[-1])
 
 
+def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
+    # kn-curv takes |L Rm|^2 as 4 |L R|^2 on operator coordinates, so the
+    # only actions on curvature tensors left are the kn check's on KN(g, h)
+    # and case 3's on the tensors of its operators for tensor-factor; case
+    # 0 acts on generic (0,k)-tensors
+    from curvop import action
+
+    act, acted = action._act, []
+
+    def recorded(comps, values, n, p, k):
+        acted.append((p, k))
+        return act(comps, values, n, p, k)
+
+    check, groups = verify._check_lemma_2_2, []
+
+    def counted(t, n, key, *arrays):
+        start = len(acted)
+        checks = check(t, n, key, *arrays)
+        groups.append((key, acted[start:]))
+        return checks
+
+    monkeypatch.setattr(action, "_act", recorded)
+    monkeypatch.setattr(verify, "_check_lemma_2_2", counted)
+    assert run_suite("lemma-2.2", trials=20, seed=42).passed
+    want = {
+        0: lambda k: [(1, k)],
+        1: lambda _: [(1, 2)],
+        2: lambda p: [(p, 1)],
+        3: lambda _: [(2, 2), (1, 4)],
+        4: lambda _: [(1, 4), (2, 2)],
+    }
+    assert {case for (case, _), _ in groups} == set(want)
+    for (case, degree), calls in groups:
+        assert calls == want[case](degree), (case, degree, calls)
+
+
 def test_hat_structure_gaps_carry_no_cancellation_residue():
     # trial 737 at seed 2 pairs a hat with its own action; the expanded
     # squared gap |a|^2 - 2<a, b> + |b|^2 left 1.4e-12 there, above 1e-12
