@@ -31,10 +31,10 @@ _PUBLIC = {
     "operators": (
         "CurvatureOperator", "CurvDecomposition", "Spectrum", "alternation", "bianchi_split",
         "complex_sectional", "decompose", "identity_operator", "jacobi_eigh", "jacobi_eigh_batch",
-        "op_from_tensor", "ricci_contract", "spectrum", "tensor_from_op",
+        "op_from_tensor", "spectrum", "tensor_from_op",
     ),
     "tensors": (
-        "CurvTensor", "PForm", "Sym2", "Tensor0k", "contract", "identity_sym2", "inner",
+        "CurvTensor", "PForm", "Sym2", "Tensor0k", "identity_sym2", "inner",
         "kulkarni_nomizu", "permute", "wedge_basis_form", "wedge_count",
         "wedge_index", "wedge_pairs",
     ),

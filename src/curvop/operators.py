@@ -1,18 +1,20 @@
 """Algebraic curvature operators on the second exterior power.
 
 A curvature operator is a symmetric endomorphism of wedge space in the
-lexicographic basis {e_i^e_j, i < j}.  This module converts between the
-operator and (0,4)-tensor pictures, projects onto the Bianchi subspace by
-one cached gather over the index sets i < j < k < l in operator
-coordinates, certifies the Bianchi identity by the residual of the
-(0,4)-tensor, contracts to Ricci and scalar parts, performs the orthogonal
-scalar / traceless-Ricci / Weyl decomposition (after certifying its input),
-and diagonalizes by Jacobi rotations in round-robin (Brent-Luk) order, N/2
+lexicographic basis {e_i^e_j, i < j}.  This module owns the layout change
+between the operator and (0,4)-tensor pictures: _ops_from_tensors gathers a
+tensor at the wedge pairs, and _tensors_from_ops spreads an operator back.
+It projects onto the Bianchi subspace by one cached gather over the index
+sets i < j < k < l in operator coordinates, certifies the Bianchi identity
+by the residual of the (0,4)-tensor, performs the orthogonal scalar /
+traceless-Ricci / Weyl decomposition (after certifying its input), and
+diagonalizes by Jacobi rotations in round-robin (Brent-Luk) order, N/2
 disjoint rotations per vectorized step, under the threshold rule: a pair
 rotates only while an entry of it is above the stopping threshold.  The
-conversions, the projection
-and the certificate also take operator matrices stacked along leading axes,
-and the decomposition their (0,4)-tensors stacked the same way.
+conversions, the projection and the certificate also take operator
+matrices stacked along leading axes, and the decomposition their
+(0,4)-tensors stacked the same way; it returns its Weyl tensors as operator
+matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .tensors import (
     _bianchi_holds,
     _freeze,
     _kn,
-    _metric_kn,
     _pair_index,
     _perm_signs,
     _require_finite,
@@ -104,8 +105,7 @@ def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
     """Wedge-basis matrix of a (0,4)-tensor with pair symmetries."""
     if not (rm.pair_skew and rm.pair_symmetric):
         raise ValueError("tensor lacks the pair symmetries of a curvature tensor")
-    i, j = _pair_index(rm.n)
-    return CurvatureOperator(rm.n, rm.array[i[:, None], j[:, None], i[None, :], j[None, :]])
+    return CurvatureOperator(rm.n, _ops_from_tensors(rm.array, rm.n))
 
 
 def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
@@ -117,6 +117,15 @@ def _tensors_from_ops(mats, n):
     """(0,4)-arrays (..., n, n, n, n) of stacked operator matrices."""
     w = _wedge_patterns(n).reshape(-1, n * n)
     return (w.T @ (mats @ w)).reshape(mats.shape[:-2] + (n,) * 4)
+
+
+def _ops_from_tensors(arr, n):
+    """Operator matrices (..., N, N) of stacked (0,4)-arrays with the pair
+    symmetries: their entries at the wedge pairs, the exact inverse of
+    _tensors_from_ops.  For pair-skew A and B, <A, B> = 4 <A_op, B_op>, and
+    the action of so(n) commutes with A -> A_op."""
+    i, j = _pair_index(n)
+    return arr[..., i[:, None], j[:, None], i, j]
 
 
 def _bianchi_certified(mats, n):
@@ -184,18 +193,6 @@ def bianchi_split(r: CurvatureOperator):
     return CurvatureOperator(r.n, r.mat - alt), CurvTensor(_tensors_from_ops(alt, r.n))
 
 
-def ricci_contract(r: CurvatureOperator):
-    """Ricci tensor ric(X,Y) = sum_a Rm(X, e_a, Y, e_a) and its trace."""
-    ric, scal = _riccis(_tensors_from_ops(r.mat, r.n))
-    return Sym2(ric), float(scal)
-
-
-def _riccis(rm):
-    """Ricci tensors and scalar curvatures of stacked (0,4)-arrays."""
-    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
-    return ric, np.trace(ric, axis1=-2, axis2=-1)
-
-
 @dataclass(frozen=True)
 class CurvDecomposition:
     """Scalar / traceless-Ricci / Weyl pieces plus the Schouten tensor."""
@@ -213,25 +210,25 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
         raise ValueError("the curvature decomposition needs dimension at least 3")
     scal, ric, ric0, weyl, _ = _decompose(_tensors_from_ops(r.mat, n), n)
     schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
-    return CurvDecomposition(
-        scal=float(scal), ric0=Sym2(ric0), weyl=CurvTensor(weyl), schouten=schouten
-    )
+    weyl = CurvTensor(_tensors_from_ops(weyl, n))
+    return CurvDecomposition(scal=float(scal), ric0=Sym2(ric0), weyl=weyl, schouten=schouten)
 
 
 def _decompose(rm, n):
     """(scal, ric, ric0, weyl, kn_ric0) arrays of the stacked (0,4)-arrays rm
     of Bianchi operators, n >= 3: the scalar curvature, the Ricci and
-    traceless Ricci tensors, the Weyl tensor
+    traceless Ricci tensors, and on operator coordinates the Weyl tensor
     rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) and the KN(g, ric0) it
-    is built from.  Certifies rm first: raises ValueError unless each passes
-    _bianchi_holds."""
+    is built from.  KN(g, g) is exactly 2I there.  Certifies rm first:
+    raises ValueError unless each passes _bianchi_holds."""
     if not np.all(_bianchi_holds(rm)):
         raise ValueError("operator does not satisfy the first Bianchi identity")
-    ric, scal = _riccis(rm)
+    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
+    scal = np.trace(ric, axis1=-2, axis2=-1)
     ric0 = _traceless(ric)
-    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None, None, None] * _metric_kn(n)
-    kn_ric0 = _kn(np.eye(n), ric0)
-    weyl = rm - scal_part - kn_ric0 / (n - 2.0)
+    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None] * (2.0 * np.eye(wedge_count(n)))
+    kn_ric0 = _ops_from_tensors(_kn(np.eye(n), ric0), n)
+    weyl = _ops_from_tensors(rm, n) - scal_part - kn_ric0 / (n - 2.0)
     return scal, ric, ric0, weyl, kn_ric0
 
 

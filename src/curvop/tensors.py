@@ -424,21 +424,6 @@ def permute(t: Tensor0k, sigma) -> Tensor0k:
     return Tensor0k(np.transpose(t.array, inverse))
 
 
-def contract(t: Tensor0k, i, j):
-    """Metric contraction over slots i < j (0-based).
-
-    Returns a float when the order drops to zero, otherwise a Tensor0k.
-    """
-    if t.k < 2:
-        raise ValueError("contraction needs order at least 2")
-    if not (0 <= i < j < t.k):
-        raise ValueError(f"slots must satisfy 0 <= i < j < {t.k}, got ({i}, {j})")
-    traced = np.trace(t.array, axis1=i, axis2=j)
-    if t.k == 2:
-        return float(traced)
-    return Tensor0k(traced)
-
-
 def kulkarni_nomizu(s: Sym2, t: Sym2) -> CurvTensor:
     """Kulkarni-Nomizu product of two symmetric tensors.
 

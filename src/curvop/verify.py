@@ -33,10 +33,17 @@ names as its item_bytes the largest array its check builds for the whole
 group, and a check builds the larger arrays of a trial a slice of the group
 at a time through _in_budget: prop-2.8 its (0,4)-tensors' block rows, the
 only such rows built through it, and lemma-2.1-soundness the (0,4)-tensors
-of its decompositions, whose direct terms it takes on operator coordinates,
-as lemma-2.2 takes its kn-curv action norm.  The failures come back ordered
-by trial index, then by the position of the check within the trial: as if
-each trial had been checked alone.
+its decompositions read.  The failures come back ordered by trial index,
+then by the position of the check within the trial: as if each trial had
+been checked alone.
+
+Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
+curvature tensors, and their suites check them on operator coordinates:
+for pair-skew (0,4)-tensors <A, B> = 4 <A_op, B_op>, and the so(n) action
+commutes with A -> A_op (operators._ops_from_tensors).  _decompose returns
+its Weyl tensors and KN(g, ric0) as operator matrices.  lemma-2.2 acts on
+dense (0,4)-arrays and takes their norms only in its case 3, whose
+tensor-factor and tensor checks are claims about them.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -110,6 +117,7 @@ from .operators import (
     wedge_coordinates,
     _alternating_parts,
     _decompose,
+    _ops_from_tensors,
     _tensors_from_ops,
 )
 from .tensors import (
@@ -117,6 +125,7 @@ from .tensors import (
     PForm,
     Sym2,
     Tensor0k,
+    check_dimension,
     identity_sym2,
     inner,
     kulkarni_nomizu,
@@ -125,8 +134,6 @@ from .tensors import (
     wedge_index,
     wedge_pairs,
     _kn,
-    _metric_kn,
-    _pair_index,
     _symmetrized,
     _traceless,
     _tuple_index_map,
@@ -328,10 +335,13 @@ def _trials(seed, suite, trials):
 # size their groups of trials by it, which keeps their memory flat in the
 # trial count.  A draw's item_bytes is the largest array its check builds for
 # the whole group; a larger array of one trial, such as the block rows of
-# prop-2.8's (0,4)-tensors (403 kB at n = 7), is built through _in_budget a
+# prop-2.8's (0,4)-tensors (403 kB at n = 7) or the (0,4)-tensors that
+# lemma-2.1-soundness's decompositions read, is built through _in_budget a
 # slice of the group at a time, each slice within the budget, so that it
 # does not shrink the group.  prop-2.8 is the only suite that builds (0,4)
-# block rows this way; prop-1.9 sizes its curvature-tensor groups by them.
+# block rows this way; prop-1.9 sizes its curvature-tensor groups by them,
+# and the inequality suites take theirs on operator coordinates, N^2
+# entries a block row.
 # A check holds a few such arrays at once, 1-2 MB in all; larger groups
 # raise the peak resident memory and gain little speed.  At 2 MB, a process
 # running the five identity suites (prop-1.7, prop-2.8, prop-1.9, prop-1.2,
@@ -368,8 +378,12 @@ def _batched(seed, suite, trials, t, dims, draw, check,
     key, *arrays stacked over the group) returns the group's comparisons in
     check order, as (name, failing, lhs, rhs, tol).  Failures, tagged
     tag(name, n, i, index), come back by trial index, then by check
-    position, as if each trial had been checked alone.
+    position, as if each trial had been checked alone.  Raises ValueError
+    before the first draw when an n of dims is outside check_dimension's
+    range.
     """
+    for n in dims:
+        check_dimension(n)
     found = []
 
     def run(n, key, group):
@@ -503,12 +517,12 @@ def random_bianchi_operator(rng, n) -> CurvatureOperator:
     return bianchi_split(random_sym_operator(rng, n))[0]
 
 
-def _einstein_part(scal, weyl):
-    """The Einstein part scal/(2(n-1)n) KN(g, g) + W, for stacked scalar
-    curvatures and Weyl arrays."""
-    n = weyl.shape[-1]
-    scale = np.asarray(scal)[..., None, None, None, None] / (2.0 * (n - 1) * n)
-    return scale * _metric_kn(n) + weyl
+def _einstein_part(scal, weyl, n):
+    """The Einstein parts scal/(2(n-1)n) KN(g, g) + W on operator
+    coordinates, where KN(g, g) is 2I, for stacked scalar curvatures and
+    Weyl matrices as _decompose returns them."""
+    scale = scal[..., None, None] / (2.0 * (n - 1) * n)
+    return scale * (2.0 * np.eye(wedge_count(n))) + weyl
 
 
 def random_orthogonal(rng, m) -> np.ndarray:
@@ -1034,8 +1048,9 @@ def _draw_lemma_2_2(rng, n, trial, index):
         key, draw = (4, 0), (rng.normal(size=(n, n)), rng.normal(size=(size, size)))
     # the draws hold raw generator output, which the check symmetrizes.  No
     # array of a trial is larger than a (0,4)-tensor, and the check holds
-    # about four at once: the action's values and results and the Bianchi
-    # residual of its values, or the decomposition's tensors
+    # about four at once: case 3's action's values and results and the
+    # Bianchi residual of its values, or case 4's Kulkarni-Nomizu products
+    # and the decomposition's tensors
     return key, 4 * 8 * n ** 4, (lam,) + draw
 
 
@@ -1063,13 +1078,16 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
             _closes("tensor-factor", lrm, 4.0 * lr, t),
             _at_mosts("tensor", lrm, 8.0 * _dense_norms(_tensors_from_ops(r0, n)) * lam_sq, t),
         ]
-    lhs = _dense_norms(_KINDS[CurvTensor].acted(lam, _kn(g, values), n))
-    rhs = 4.0 * _dense_norms(_kn(g, _traceless(values))) * lam_sq
+    # the curvature tensors act and take their norms on operator
+    # coordinates: |L A|^2 = 4 |L A_op|^2 and |A|^2 = 4 |A_op|^2
+    kn, kn0 = (_ops_from_tensors(_kn(g, h), n) for h in (values, _traceless(values)))
     rb, _, (_, _, _, weyl, kn_ric0) = _bianchi_decompose(raw, n)
-    bound = (4.0 * _dense_norms(kn_ric0) / (n - 2.0) ** 2 + 8.0 * _dense_norms(weyl)) * lam_sq
-    # |L Rm|^2 = 4 |L R|^2 on operator coordinates, as in _curvature_terms
-    lrm = 4.0 * _dense_norms(_KINDS[CurvatureOperator].acted(lam, rb, n))
-    return [_at_mosts("kn", lhs, rhs, t), _at_mosts("kn-curv", lrm, bound, t)]
+    lhs, lrm = (4.0 * _dense_norms(_KINDS[CurvatureOperator].acted(lam, r, n)) for r in (kn, rb))
+    bound = (16.0 * _dense_norms(kn_ric0) / (n - 2.0) ** 2 + 32.0 * _dense_norms(weyl)) * lam_sq
+    return [
+        _at_mosts("kn", lhs, 16.0 * _dense_norms(kn0) * lam_sq, t),
+        _at_mosts("kn-curv", lrm, bound, t),
+    ]
 
 
 def suite_lemma_2_2_sharpness(seed, trials, t):
@@ -1124,7 +1142,8 @@ def suite_estimate_constants(seed, trials, t):
         dec = decompose(random_bianchi_operator(rng, n))
         k = int(rng.integers(1, 4))
         tt = random_tensor(rng, n, k)
-        einstein = CurvTensor(_einstein_part(dec.scal, dec.weyl.array))
+        g = np.eye(n)
+        einstein = CurvTensor(dec.scal / (2.0 * (n - 1) * n) * _kn(g, g) + dec.weyl.array)
         cases = [
             ("pform", w, TensorKind.pform(p), None),
             ("sym2", h, TensorKind.sym2(), None),
@@ -1216,28 +1235,18 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, raw_syms, margins):
 
 def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
-    Bianchi parts of stacked raw shared draws, taken on operator
-    coordinates.
-
-    For pair-skew (0,4)-tensors A and B, <A, B> = 4 <A_op, B_op>, where A_op
-    is A gathered at the wedge pairs as op_from_tensor does, and the action
-    of so(n) commutes with A -> A_op; so the terms and the squared hat norms
-    are 4 times those of the gathered tensors, whose block rows have N^2
-    entries a pair instead of n^4.  The gather loses nothing: E and W are
-    built from operator matrices and Kulkarni-Nomizu products, so their pair
-    symmetries hold exactly, and the entries the gather drops are copies or
-    negatives of those it keeps.  The decomposition holds about four
-    (0,4)-tensors of a trial at once, which also outgrow the block rows,
-    N^3 entries, at n <= 6, so the group is taken a budget at a time at that
-    size: taking it whole raised the peak resident memory of the inequality
-    suites by about 4 MB."""
-    i, j = _pair_index(n)
+    Bianchi parts of stacked raw shared draws, 4 times those of their
+    operator matrices from _decompose (see _ops_from_tensors), whose block
+    rows have N^2 entries a pair instead of n^4.  The decomposition holds
+    about four (0,4)-tensors of a trial at once, which also outgrow the
+    block rows, N^3 entries, at n <= 6, so the group is taken a budget at a
+    time at that size: taking it whole raised the peak resident memory of
+    the inequality suites by about 4 MB."""
 
     def terms(ops, shared):
         _, _, (scal, _, _, weyl, _) = _bianchi_decompose(shared, n)
-        return [4.0 * side for values in (_einstein_part(scal, weyl), weyl)
-                for side in _direct_terms(ops, values[:, i[:, None], j[:, None], i, j], n,
-                                          _KINDS[CurvatureOperator])]
+        return [4.0 * side for values in (_einstein_part(scal, weyl, n), weyl)
+                for side in _direct_terms(ops, values, n, _KINDS[CurvatureOperator])]
 
     lhs_e, hat_e, lhs_w, hat_w = _in_budget(4 * 8 * n ** 4, terms, ops, shared)
     return [(lhs_e, hat_e), (lhs_w, hat_w)]

@@ -21,7 +21,6 @@ from curvop import (
     kulkarni_nomizu,
     negative_2form_term_op,
     op_from_tensor,
-    ricci_contract,
     singer_thorpe_op,
     spectrum,
     sphere_product_op,
@@ -30,8 +29,14 @@ from curvop import (
 )
 from curvop import operators
 from curvop.operators import _round_robin, wedge_coordinates
-from curvop.tensors import _kn, wedge_pairs
+from curvop.tensors import _kn, _metric_kn, wedge_pairs
 from curvop.verify import random_bianchi_operator, random_orthogonal, random_sym_operator
+
+
+def ricci(op):
+    """Ricci tensor and scalar curvature of an operator's (0,4)-tensor."""
+    ric = Sym2(np.einsum("iaja->ij", tensor_from_op(op).array))
+    return ric, float(np.trace(ric.mat))
 
 
 def wedge_isometry(q):
@@ -70,6 +75,16 @@ class TestConversions:
         op, _ = singer_thorpe_op((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         again = op_from_tensor(tensor_from_op(op))
         assert np.allclose(again.mat, op.mat, atol=1e-13)
+
+    def test_gather_inverts_the_spread_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        for n in range(3, 9):
+            size = wedge_count(n)
+            raw = rng.normal(size=(2, 3, size, size))
+            mats = (raw + raw.swapaxes(-1, -2)) / 2.0
+            back = operators._ops_from_tensors(operators._tensors_from_ops(mats, n), n)
+            assert back.shape == mats.shape
+            assert back.tobytes() == mats.tobytes()
 
     def test_rejects_missing_symmetries(self):
         with pytest.raises(ValueError):
@@ -163,13 +178,13 @@ class TestRicciContract:
         for n in (3, 5):
             g = identity_sym2(n)
             op = op_from_tensor(CurvTensor(kulkarni_nomizu(g, g).array / 2.0))
-            ric, scal = ricci_contract(op)
+            ric, scal = ricci(op)
             assert np.allclose(ric.mat, (n - 1) * np.eye(n), atol=1e-13)
             assert scal == pytest.approx(n * (n - 1))
 
     def test_sphere_product_blocks(self):
         op = sphere_product_op(2, 5)
-        ric, scal = ricci_contract(op)
+        ric, scal = ricci(op)
         assert np.allclose(ric.mat, np.diag([1.0, 1.0, 0, 0, 0]), atol=1e-13)
         assert scal == pytest.approx(2.0)
 
@@ -222,7 +237,7 @@ class TestDecompose:
         for n in range(3, 9):
             rb = random_bianchi_operator(rng, n)
             dec = decompose(rb)
-            ric, scal = ricci_contract(rb)
+            ric, scal = ricci(rb)
             g = identity_sym2(n)
             ric0 = ric.traceless()
             weyl = (
@@ -238,13 +253,29 @@ class TestDecompose:
 
     def test_returns_the_kn_its_weyl_tensor_subtracts(self):
         # callers bound the traceless Ricci part by the KN(g, ric0) the
-        # Weyl step built, which must be the product itself, bit for bit
+        # Weyl step built, which must be the product's operator matrix, bit
+        # for bit
         rng = np.random.default_rng(24)
         for n in range(3, 9):
             mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(3)])
-            scal, _, ric0, weyl, kn_ric0 = operators._decompose(operators._tensors_from_ops(mats, n), n)
-            assert kn_ric0.tobytes() == _kn(np.eye(n), ric0).tobytes()
-            assert kn_ric0.tobytes() == np.array([kulkarni_nomizu(identity_sym2(n), Sym2(m)).array for m in ric0]).tobytes()
+            _, _, ric0, _, kn_ric0 = operators._decompose(operators._tensors_from_ops(mats, n), n)
+            assert kn_ric0.shape == mats.shape
+            assert kn_ric0.tobytes() == operators._ops_from_tensors(_kn(np.eye(n), ric0), n).tobytes()
+            public = [op_from_tensor(kulkarni_nomizu(identity_sym2(n), Sym2(m))).mat for m in ric0]
+            assert kn_ric0.tobytes() == np.array(public).tobytes()
+
+    def test_weyl_operator_is_the_gathered_dense_weyl_tensor(self):
+        # the Weyl step on operator coordinates has the bits of the dense
+        # rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) at the wedge pairs
+        rng = np.random.default_rng(25)
+        for n in range(3, 9):
+            mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(3)])
+            rm = operators._tensors_from_ops(mats, n)
+            scal, _, ric0, weyl, _ = operators._decompose(rm, n)
+            scale = (scal / (2.0 * (n - 1) * n))[:, None, None, None, None]
+            dense = rm - scale * _metric_kn(n) - _kn(np.eye(n), ric0) / (n - 2.0)
+            assert weyl.shape == mats.shape
+            assert weyl.tobytes() == operators._ops_from_tensors(dense, n).tobytes()
 
     def test_rejects_small_dimension_and_non_bianchi(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from curvop import (
     PForm,
     Sym2,
     Tensor0k,
-    contract,
     identity_sym2,
     inner,
     kulkarni_nomizu,
@@ -120,36 +119,12 @@ class TestPermute:
             permute(t, (0, 1, 2))
 
 
-class TestContract:
-    def test_trace_of_sym2(self):
-        h = Sym2(np.diag([2.0, 3.0, 4.0]))
-        assert contract(h.to_tensor(), 0, 1) == pytest.approx(9.0)
-
-    def test_two_form_contracts_to_zero(self):
-        w = wedge_basis_form(4, (1, 3)).to_tensor()
-        assert contract(w, 0, 1) == 0.0
-
-    def test_gg_contraction(self):
-        # slots 0 and 2 of the metric KN square give 2(n-1) g
-        for n in (3, 4, 5):
-            gg = Tensor0k(independent_gg(n))
-            got = contract(gg, 0, 2)
-            assert np.allclose(got.array, 2 * (n - 1) * np.eye(n), atol=1e-14)
-
+class TestKulkarniNomizu:
     def test_matches_kn_route(self):
         g = identity_sym2(4)
         via_kn = kulkarni_nomizu(g, g).array
         assert np.array_equal(via_kn, independent_gg(4))
 
-    def test_rejects_bad_slots(self):
-        t = Tensor0k(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            contract(t, 1, 1)
-        with pytest.raises(ValueError):
-            contract(t, 0, 3)
-
-
-class TestKulkarniNomizu:
     def test_entry_value(self):
         for n in (3, 5):
             g = identity_sym2(n)

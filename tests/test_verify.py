@@ -15,17 +15,15 @@ from curvop.operators import (
     Spectrum,
     decompose,
     identity_operator,
-    ricci_contract,
     tensor_from_op,
 )
-from curvop.tensors import CurvTensor, identity_sym2, inner, kulkarni_nomizu, permute
+from curvop.tensors import CurvTensor, Sym2, identity_sym2, inner, kulkarni_nomizu, permute
 from curvop.verify import (
     SUITES,
     Report,
     _SUITE_IDS,
     _at_most,
     _close,
-    _einstein_part,
     _require,
     _trial_rng,
     hat_wedge_closed_form,
@@ -178,6 +176,38 @@ def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
         run_all(trials=2 ** 32 // 6 + 1)
 
 
+def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
+    # a batched suite at k dimensions takes at most 2**32 // k trials, and
+    # lemma-2.1-soundness at most its second stream's offset // k, whatever
+    # dims its suite function hands _batched
+    dims = {}
+
+    def recorded(seed, suite, trials, t, suite_dims, *rest, **kwargs):
+        dims[suite] = tuple(suite_dims)
+        return []
+
+    monkeypatch.setattr(verify, "_batched", recorded)
+    for name in SUITES:
+        run_suite(name, trials=1)
+    assert len(dims) == 8, sorted(dims)
+    for name, suite_dims in dims.items():
+        indices = verify._SECOND_STREAM if name == "lemma-2.1-soundness" else 2 ** 32
+        assert verify._TRIAL_LIMITS[name] == indices // len(suite_dims), name
+
+
+def test_batched_suites_reject_dims_past_the_cap(monkeypatch, capsys):
+    # the dims are checked before the first draw, and the command line
+    # prints the reason on one error line
+    from curvop.cli import main
+
+    monkeypatch.setattr(verify, "_trial_rng", None)
+    monkeypatch.setattr(verify, "_DIMS_3_TO_6", (9,))
+    with pytest.raises(ValueError, match="dimension 9 exceeds the cap 8"):
+        run_suite("lemma-2.2", trials=5)
+    assert main(["verify", "--suite", "lemma-2.2", "--trials", "5"]) == 1
+    assert capsys.readouterr().err == "error: dimension 9 exceeds the cap 8\n"
+
+
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suite_draws_match_numpy_streams(name, monkeypatch):
     # a negative tolerance records both sides of every comparison it governs
@@ -291,7 +321,8 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
                     tt = random_sym2(rng, n)
                 elif kind_name == "curvature_einstein":
                     kind = TensorKind.curvature_einstein()
-                    tt = CurvTensor(_einstein_part(shared.scal, shared.weyl.array))
+                    gg = kulkarni_nomizu(identity_sym2(n), identity_sym2(n)).array
+                    tt = CurvTensor(shared.scal / (2.0 * (n - 1) * n) * gg + shared.weyl.array)
                 else:
                     kind = TensorKind.weyl()
                     tt = shared.weyl
@@ -460,7 +491,8 @@ def reference_prop_2_8(seed, trials, tol):
             _close(failures, ("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
             rb = random_bianchi_operator(rng, n)
             rm = tensor_from_op(rb)
-            ric, scal = ricci_contract(rb)
+            ric = Sym2(np.einsum("iaja->ij", rm.array))
+            scal = float(np.trace(ric.mat))
             got_rm = ric_of(ident, rm)
             want_rm = 4.0 * (n - 1) * rm.array - 2.0 * kulkarni_nomizu(g, ric).array
             _close(failures, ("curv", n, count), float(np.abs(got_rm.array - want_rm).max()), 0.0, t)
@@ -610,10 +642,10 @@ def test_block_rows_stay_within_the_budget(name, monkeypatch):
 
 
 def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
-    # kn-curv takes |L Rm|^2 as 4 |L R|^2 on operator coordinates, so the
-    # only actions on curvature tensors left are the kn check's on KN(g, h)
-    # and case 3's on the tensors of its operators for tensor-factor; case
-    # 0 acts on generic (0,k)-tensors
+    # kn and kn-curv take |L A|^2 as 4 |L A_op|^2 on operator coordinates,
+    # so the only action on curvature tensors left is case 3's on the
+    # tensors of its operators for tensor-factor; case 0 acts on generic
+    # (0,k)-tensors
     from curvop import action
 
     act, acted = action._act, []
@@ -638,7 +670,7 @@ def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
         1: lambda _: [(1, 2)],
         2: lambda p: [(p, 1)],
         3: lambda _: [(2, 2), (1, 4)],
-        4: lambda _: [(1, 4), (2, 2)],
+        4: lambda _: [(2, 2), (2, 2)],
     }
     assert {case for (case, _), _ in groups} == set(want)
     for (case, degree), calls in groups:
