@@ -1,20 +1,19 @@
 """Algebraic curvature operators on the second exterior power.
 
 A curvature operator is a symmetric endomorphism of wedge space in the
-lexicographic basis {e_i^e_j, i < j}.  This module owns the layout change
-between the operator and (0,4)-tensor pictures: _ops_from_tensors gathers a
-tensor at the wedge pairs, and _tensors_from_ops spreads an operator back.
-It projects onto the Bianchi subspace by one cached gather over the index
-sets i < j < k < l in operator coordinates, certifies the Bianchi identity
-by the residual of the (0,4)-tensor, performs the orthogonal scalar /
-traceless-Ricci / Weyl decomposition (after certifying its input), and
-diagonalizes by Jacobi rotations in round-robin (Brent-Luk) order, N/2
-disjoint rotations per vectorized step, under the threshold rule: a pair
-rotates only while an entry of it is above the stopping threshold.  The
-conversions, the projection and the certificate also take operator
-matrices stacked along leading axes, and the decomposition their
-(0,4)-tensors stacked the same way; it returns its Weyl tensors as operator
-matrices.
+lexicographic basis {e_i^e_j, i < j}; tensors.py spreads it to its
+(0,4)-tensor.  This module works on operator matrices, stacked along
+leading axes where a suite batches them.  For every index set
+i < j < k < l it reads the Bianchi sum R_ij,kl - R_ik,jl + R_il,jk by one
+cached gather: a third of it, entered at the three pairings, is the fully
+alternating part, which the projection onto the Bianchi subspace removes,
+and the largest of them certifies the Bianchi identity.  On a certified
+operator it performs the orthogonal scalar / traceless-Ricci / Weyl
+decomposition, with the Ricci tensor a signed gather-and-sum of
+R_(ia),(ja).  It also diagonalizes by Jacobi rotations in round-robin
+(Brent-Luk) order, N/2 disjoint rotations per vectorized step, under the
+threshold rule: a pair rotates only while an entry of it is above the
+stopping threshold.
 """
 
 from __future__ import annotations
@@ -27,20 +26,21 @@ import numpy as np
 from .tensors import (
     CurvTensor,
     Sym2,
-    _bianchi_holds,
+    _IDENTITY_TOL,
     _freeze,
     _kn,
+    _ops_from_tensors,
     _pair_index,
     _perm_signs,
     _require_finite,
     _symmetric_part,
     _symmetrized,
+    _tensors_from_ops,
     _traceless,
     _tuple_index_map,
     check_dimension,
     increasing_tuples,
     wedge_count,
-    wedge_pairs,
 )
 
 
@@ -68,7 +68,7 @@ class CurvatureOperator:
 
     @property
     def bianchi_certified(self) -> bool:
-        """Whether the cyclic residual of the (0,4)-tensor vanishes."""
+        """Whether the Bianchi sums of the matrix vanish."""
         if self._bianchi is None:
             self._bianchi = bool(_bianchi_certified(self.mat, self.n))
         return self._bianchi
@@ -89,18 +89,6 @@ def identity_operator(n) -> CurvatureOperator:
     return CurvatureOperator(n, np.eye(wedge_count(n)))
 
 
-@lru_cache(maxsize=None)
-def _wedge_patterns(n):
-    """Stack of skew coordinate patterns, one per wedge basis pair."""
-    pairs = wedge_pairs(n)
-    w = np.zeros((len(pairs), n, n))
-    for a, (i, j) in enumerate(pairs):
-        w[a, i, j] = 1.0
-        w[a, j, i] = -1.0
-    w.setflags(write=False)
-    return w
-
-
 def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
     """Wedge-basis matrix of a (0,4)-tensor with pair symmetries."""
     if not (rm.pair_skew and rm.pair_symmetric):
@@ -111,27 +99,6 @@ def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:
 def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
     """(0,4)-tensor with Rm(x,y,z,w) = <R(x^y), z^w>."""
     return CurvTensor(_tensors_from_ops(r.mat, r.n))
-
-
-def _tensors_from_ops(mats, n):
-    """(0,4)-arrays (..., n, n, n, n) of stacked operator matrices."""
-    w = _wedge_patterns(n).reshape(-1, n * n)
-    return (w.T @ (mats @ w)).reshape(mats.shape[:-2] + (n,) * 4)
-
-
-def _ops_from_tensors(arr, n):
-    """Operator matrices (..., N, N) of stacked (0,4)-arrays with the pair
-    symmetries: their entries at the wedge pairs, the exact inverse of
-    _tensors_from_ops.  For pair-skew A and B, <A, B> = 4 <A_op, B_op>, and
-    the action of so(n) commutes with A -> A_op."""
-    i, j = _pair_index(n)
-    return arr[..., i[:, None], j[:, None], i, j]
-
-
-def _bianchi_certified(mats, n):
-    """Bianchi certificates of stacked operator matrices: _bianchi_holds of
-    their (0,4)-tensors."""
-    return _bianchi_holds(_tensors_from_ops(mats, n))
 
 
 def alternation(arr: np.ndarray) -> np.ndarray:
@@ -164,19 +131,38 @@ def _quad_pairings(n):
 _PAIRING_SIGNS = _freeze(np.array([[1.0], [-1.0], [1.0]]))
 
 
+def _bianchi_sums(mats, n):
+    """R_ij,kl - R_ik,jl + R_il,jk of stacked symmetric operator matrices on
+    each index set i < j < k < l, shaped (..., C(n, 4)).  On the
+    (0,4)-tensor every cyclic sum of the first Bianchi identity over four
+    distinct indices is one of these up to sign and the order of its three
+    terms, and the sums over repeated indices vanish exactly."""
+    pos, _ = _quad_pairings(n)
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    return flat[..., pos[0]] - flat[..., pos[1]] + flat[..., pos[2]]
+
+
+def _bianchi_certified(mats, n):
+    """Bianchi certificates of stacked symmetric operator matrices: whether
+    each largest |_bianchi_sums| is at most _IDENTITY_TOL times max(1, the
+    matrix's largest entry), the bound tensors._bianchi_holds puts on the
+    (0,4)-tensor's residual."""
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    return np.abs(_bianchi_sums(mats, n)).max(axis=-1, initial=0.0) <= _IDENTITY_TOL * scale
+
+
 def _alternating_parts(mats, n):
     """Fully alternating parts of stacked symmetric operator matrices.
 
     On a tensor with the pair symmetries, alternation over the 24 slot
-    permutations leaves b = (R_ij,kl - R_ik,jl + R_il,jk) / 3 on each index
-    set i < j < k < l, entered with signs +, -, + at its three pairings and
+    permutations leaves b = _bianchi_sums / 3 on each index set
+    i < j < k < l, entered with signs +, -, + at its three pairings and
     their transposes; every entry whose pairs share an index vanishes.
     """
     pos, swapped = _quad_pairings(n)
-    flat = mats.reshape(mats.shape[:-2] + (-1,))
-    quad = (flat[..., pos[0]] - flat[..., pos[1]] + flat[..., pos[2]]) / 3.0
+    quad = _bianchi_sums(mats, n) / 3.0
     signed = quad[..., None, :] * _PAIRING_SIGNS
-    out = np.zeros_like(flat)
+    out = np.zeros(mats.shape[:-2] + (mats.shape[-1] ** 2,))
     out[..., pos] = signed
     out[..., swapped] = signed
     return out.reshape(mats.shape)
@@ -208,27 +194,57 @@ def decompose(r: CurvatureOperator) -> CurvDecomposition:
     n = r.n
     if n < 3:
         raise ValueError("the curvature decomposition needs dimension at least 3")
-    scal, ric, ric0, weyl, _ = _decompose(_tensors_from_ops(r.mat, n), n)
+    scal, ric, ric0, weyl, _ = _decompose(r.mat, n)
     schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
     weyl = CurvTensor(_tensors_from_ops(weyl, n))
     return CurvDecomposition(scal=float(scal), ric0=Sym2(ric0), weyl=weyl, schouten=schouten)
 
 
-def _decompose(rm, n):
-    """(scal, ric, ric0, weyl, kn_ric0) arrays of the stacked (0,4)-arrays rm
-    of Bianchi operators, n >= 3: the scalar curvature, the Ricci and
-    traceless Ricci tensors, and on operator coordinates the Weyl tensor
-    rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) and the KN(g, ric0) it
-    is built from.  KN(g, g) is exactly 2I there.  Certifies rm first:
-    raises ValueError unless each passes _bianchi_holds."""
-    if not np.all(_bianchi_holds(rm)):
+@lru_cache(maxsize=None)
+def _ricci_gather(n):
+    """Flat positions in an N x N operator matrix of R_(ia),(ja), shaped
+    (n, n, n) as [a, i, j], and the signs that orient the pairs ia and ja;
+    sign 0 where a is i or j, whose terms vanish."""
+    index = _tuple_index_map(n, 2)
+    size = wedge_count(n)
+    pos = np.zeros((n, n, n), dtype=np.intp)
+    sign = np.zeros((n, n, n))
+    for a in range(n):
+        for i in range(n):
+            for j in range(n):
+                if a not in (i, j):
+                    pos[a, i, j] = index[min(i, a), max(i, a)] * size + index[min(j, a), max(j, a)]
+                    sign[a, i, j] = (1.0 if i < a else -1.0) * (1.0 if j < a else -1.0)
+    return _freeze(pos), _freeze(sign)
+
+
+def _ricci(mats, n):
+    """Ricci contractions sum_a R(e_i, e_a, e_j, e_a) of stacked operator
+    matrices, added in the order a = 0, 1, ..., n - 1 onto zero, which is
+    the order einsum("...iaja->...ij") adds the (0,4)-tensor's entries in."""
+    pos, sign = _ricci_gather(n)
+    terms = mats.reshape(mats.shape[:-2] + (-1,))[..., pos] * sign
+    ric = np.zeros(mats.shape[:-2] + (n, n))
+    for a in range(n):
+        ric += terms[..., a, :, :]
+    return ric
+
+
+def _decompose(mats, n):
+    """(scal, ric, ric0, weyl, kn_ric0) of stacked operator matrices of
+    Bianchi operators, n >= 3: the scalar curvature, the Ricci and traceless
+    Ricci tensors, and on operator coordinates the Weyl tensor
+    R - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) and the KN(g, ric0) it
+    is built from.  KN(g, g) is exactly 2I there.  Certifies the matrices
+    first: raises ValueError unless each passes _bianchi_certified."""
+    if not np.all(_bianchi_certified(mats, n)):
         raise ValueError("operator does not satisfy the first Bianchi identity")
-    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
+    ric = _symmetrized(_ricci(mats, n))
     scal = np.trace(ric, axis1=-2, axis2=-1)
     ric0 = _traceless(ric)
     scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None] * (2.0 * np.eye(wedge_count(n)))
-    kn_ric0 = _ops_from_tensors(_kn(np.eye(n), ric0), n)
-    weyl = _ops_from_tensors(rm, n) - scal_part - kn_ric0 / (n - 2.0)
+    kn_ric0 = _kn(np.eye(n), ric0)
+    weyl = mats - scal_part - kn_ric0 / (n - 2.0)
     return scal, ric, ric0, weyl, kn_ric0
 
 

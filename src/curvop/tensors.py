@@ -5,6 +5,12 @@ metric is the identity matrix and index placement never matters.  Components
 are stored as full numpy arrays in C (lexicographic) order; alternating forms
 keep a compact layout over strictly increasing multi-indices.  All values are
 immutable after construction and every operation is a pure function.
+
+A (0,4)-tensor with the pair symmetries is also an N x N matrix over the
+wedge pairs i < j, its operator coordinates.  The layout change between the
+two pictures lives here: _ops_from_tensors gathers a tensor at the wedge
+pairs and _tensors_from_ops spreads a matrix back.  The Kulkarni-Nomizu
+product _kn returns operator coordinates, and kulkarni_nomizu spreads them.
 """
 
 from __future__ import annotations
@@ -76,6 +82,33 @@ def _pair_index(n):
         _freeze(np.array([i for i, _ in pairs], dtype=np.intp)),
         _freeze(np.array([j for _, j in pairs], dtype=np.intp)),
     )
+
+
+@lru_cache(maxsize=None)
+def _wedge_patterns(n):
+    """Stack of skew coordinate patterns, one per wedge basis pair."""
+    pairs = wedge_pairs(n)
+    w = np.zeros((len(pairs), n, n))
+    for a, (i, j) in enumerate(pairs):
+        w[a, i, j] = 1.0
+        w[a, j, i] = -1.0
+    return _freeze(w)
+
+
+def _tensors_from_ops(mats, n):
+    """(0,4)-arrays (..., n, n, n, n) of stacked operator matrices: each
+    entry is an operator entry, exactly, or its negative, or zero."""
+    w = _wedge_patterns(n).reshape(-1, n * n)
+    return (w.T @ (mats @ w)).reshape(mats.shape[:-2] + (n,) * 4)
+
+
+def _ops_from_tensors(arr, n):
+    """Operator matrices (..., N, N) of stacked (0,4)-arrays with the pair
+    symmetries: their entries at the wedge pairs, the exact inverse of
+    _tensors_from_ops.  For pair-skew A and B, <A, B> = 4 <A_op, B_op>, and
+    the action of so(n) commutes with A -> A_op."""
+    i, j = _pair_index(n)
+    return arr[..., i[:, None], j[:, None], i, j]
 
 
 def _require_finite(arr, what):
@@ -433,25 +466,30 @@ def kulkarni_nomizu(s: Sym2, t: Sym2) -> CurvTensor:
     The result carries all curvature-type symmetries including Bianchi.
     """
     same_dimension(s, t)
-    return CurvTensor(_kn(s.mat, t.mat))
+    return CurvTensor(_tensors_from_ops(_kn(s.mat, t.mat), s.n))
 
 
 @lru_cache(maxsize=None)
-def _metric_kn(n):
-    """KN(g, g) of the metric g of R^n, computed once per n."""
-    g = np.eye(n)
-    return _freeze(_kn(g, g))
+def _kn_positions(n):
+    """Flat positions in an n x n matrix of the factors of the four terms of
+    the Kulkarni-Nomizu product at the wedge pairs alpha = (i, j) and
+    beta = (k, l), shaped (4, N, N): the first factors at ik, il, jl, jk and
+    the second at jl, jk, ik, il."""
+    i, j = _pair_index(n)
+    ik, il, jl, jk = (x[:, None] * n + y for x, y in ((i, i), (i, j), (j, j), (j, i)))
+    return _freeze(np.stack((ik, il, jl, jk))), _freeze(np.stack((jl, jk, ik, il)))
 
 
 def _kn(a, b):
-    """Kulkarni-Nomizu product of stacked symmetric matrices (..., n, n).
-
-    One outer product P_ijkl = a_ik b_jl holds every term; the other three
-    are its transposed views P_ijlk, P_jilk and P_jikl.
+    """Kulkarni-Nomizu products of stacked symmetric matrices (..., n, n) on
+    operator coordinates (..., N, N): a_ik b_jl - a_il b_jk + a_jl b_ik -
+    a_jk b_il at the wedge pairs (i, j) and (k, l), summed in that order.
+    KN(g, g) is exactly 2I.  _tensors_from_ops spreads them to (0,4)-arrays.
     """
-    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    first, second = _kn_positions(a.shape[-1])
+    p = a.reshape(a.shape[:-2] + (-1,))[..., first] * b.reshape(b.shape[:-2] + (-1,))[..., second]
     # einsum adds each product to a zeroed output, which turns a -0.0
-    # product into +0.0; doing the same keeps the result byte-identical
+    # product into +0.0; doing the same keeps the products of the
+    # four-einsum definition byte for byte
     p += 0.0
-    q = p.swapaxes(-4, -3)
-    return p - p.swapaxes(-2, -1) + q.swapaxes(-2, -1) - q
+    return p[..., 0, :, :] - p[..., 1, :, :] + p[..., 2, :, :] - p[..., 3, :, :]

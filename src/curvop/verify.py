@@ -31,19 +31,23 @@ group through the stacked kernels of the kind table action._KINDS.  Groups
 are sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
 names as its item_bytes the largest array its check builds for the whole
 group, and a check builds the larger arrays of a trial a slice of the group
-at a time through _in_budget: prop-2.8 its (0,4)-tensors' block rows, the
-only such rows built through it, and lemma-2.1-soundness the (0,4)-tensors
-its decompositions read.  The failures come back ordered by trial index,
+at a time through _in_budget: prop-2.8 its (0,4)-tensors' block rows, and
+lemma-2.1-soundness the block rows of its curvature kinds' operator
+matrices, N^3 entries a trial.  The failures come back ordered by trial index,
 then by the position of the check within the trial: as if each trial had
 been checked alone.
 
 Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
 curvature tensors, and their suites check them on operator coordinates:
 for pair-skew (0,4)-tensors <A, B> = 4 <A_op, B_op>, and the so(n) action
-commutes with A -> A_op (operators._ops_from_tensors).  _decompose returns
-its Weyl tensors and KN(g, ric0) as operator matrices.  lemma-2.2 acts on
-dense (0,4)-arrays and takes their norms only in its case 3, whose
-tensor-factor and tensor checks are claims about them.
+commutes with A -> A_op (tensors._ops_from_tensors).  _decompose certifies,
+contracts and splits operator matrices, and the Kulkarni-Nomizu product
+_kn returns operator coordinates, so neither suite builds a (0,4)-array
+but lemma-2.2 in its case 3, whose tensor-factor and tensor checks are
+claims about them.  The suites whose claims are about (0,4)-tensors
+themselves spread operator matrices with _tensors_from_ops: prop-1.1,
+prop-1.2, prop-1.9, prop-2.8, tensor-core, decompose and
+estimate-constants.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -117,8 +121,6 @@ from .operators import (
     wedge_coordinates,
     _alternating_parts,
     _decompose,
-    _ops_from_tensors,
-    _tensors_from_ops,
 )
 from .tensors import (
     CurvTensor,
@@ -135,6 +137,7 @@ from .tensors import (
     wedge_pairs,
     _kn,
     _symmetrized,
+    _tensors_from_ops,
     _traceless,
     _tuple_index_map,
 )
@@ -335,13 +338,13 @@ def _trials(seed, suite, trials):
 # size their groups of trials by it, which keeps their memory flat in the
 # trial count.  A draw's item_bytes is the largest array its check builds for
 # the whole group; a larger array of one trial, such as the block rows of
-# prop-2.8's (0,4)-tensors (403 kB at n = 7) or the (0,4)-tensors that
-# lemma-2.1-soundness's decompositions read, is built through _in_budget a
-# slice of the group at a time, each slice within the budget, so that it
-# does not shrink the group.  prop-2.8 is the only suite that builds (0,4)
-# block rows this way; prop-1.9 sizes its curvature-tensor groups by them,
-# and the inequality suites take theirs on operator coordinates, N^2
-# entries a block row.
+# prop-2.8's (0,4)-tensors (403 kB at n = 7) or those of
+# lemma-2.1-soundness's curvature operators (27 kB at n = 6), is built
+# through _in_budget a slice of the group at a time, each slice within the
+# budget, so that it does not shrink the group.  prop-2.8 is the only suite
+# that builds (0,4) block rows this way; prop-1.9 sizes its curvature-tensor
+# groups by them, and the inequality suites take theirs on operator
+# coordinates, N^2 entries a block row.
 # A check holds a few such arrays at once, 1-2 MB in all; larger groups
 # raise the peak resident memory and gain little speed.  At 2 MB, a process
 # running the five identity suites (prop-1.7, prop-2.8, prop-1.9, prop-1.2,
@@ -419,7 +422,7 @@ def _in_budget(item_bytes, fn, *stacks):
     and each of its results concatenated over the slices.  A check builds
     through it the arrays that are too large to build for its whole group:
     prop-2.8 the block rows of its (0,4)-tensors, and lemma-2.1-soundness
-    the (0,4)-tensors of its decompositions."""
+    the block rows of its curvature operators."""
     size = max(1, _CHUNK_BYTES // item_bytes)
     parts = [fn(*(stack[start:start + size] for stack in stacks)) for start in range(0, len(stacks[0]), size)]
     return [np.concatenate(side) for side in zip(*parts)]
@@ -474,13 +477,11 @@ def _by_degree(n, degrees, *forms):
 
 def _bianchi_decompose(raw, n):
     """Bianchi parts of the symmetric parts of stacked raw draws, as
-    random_bianchi_operator makes them, their (0,4)-tensors and their
-    _decompose, which certifies them.  The tensors are built once, for the
-    decomposition and the caller."""
+    random_bianchi_operator makes them, and their _decompose, which
+    certifies them."""
     sym = _symmetrized(raw)
     rb = sym - _alternating_parts(sym, n)
-    rm = _tensors_from_ops(rb, n)
-    return rb, rm, _decompose(rm, n)
+    return rb, _decompose(rb, n)
 
 
 # -- random draws -------------------------------------------------------------
@@ -617,7 +618,7 @@ def _draw_prop_1_1(rng, n, trial, index):
 
 def _check_prop_1_1(t, n, key, raw):
     h = _symmetrized(raw)
-    lhs = _dense_norms(_kn(np.eye(n), h))
+    lhs = _dense_norms(_tensors_from_ops(_kn(np.eye(n), h), n))
     trace = np.trace(h, axis1=1, axis2=2)
     return [_closes("kn-norm", lhs, 4.0 * (n - 2) * _dense_norms(h) + 4.0 * trace ** 2, t)]
 
@@ -682,8 +683,9 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
     s, u = _symmetrized(s), _symmetrized(u)
     left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
     right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
-    lhs = _KINDS[CurvTensor].acted(lam, _kn(s, u), n)
-    rhs = _kn(_KINDS[Sym2].acted(lam, s, n), u) + _kn(s, _KINDS[Sym2].acted(lam, u, n))
+    lhs = _KINDS[CurvTensor].acted(lam, _tensors_from_ops(_kn(s, u), n), n)
+    acted_s, acted_u = _KINDS[Sym2].acted(lam, s, n), _KINDS[Sym2].acted(lam, u, n)
+    rhs = _tensors_from_ops(_kn(acted_s, u) + _kn(s, acted_u), n)
     return [
         _closes("permute", _max_abs(left - right), 0.0, t),
         _closes("leibniz", _max_abs(lhs - rhs), 0.0, t),
@@ -830,7 +832,7 @@ def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
         # the gap of ric_of(identity, Rm) from 4(n-1) Rm - 2 KN(g, ric), and
         # the squared hat norm of Rm
         ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
-        want_rm = 4.0 * (n - 1) * rm - 2.0 * _kn(np.eye(n), ric)
+        want_rm = 4.0 * (n - 1) * rm - 2.0 * _tensors_from_ops(_kn(np.eye(n), ric), n)
         return _max_abs(ric_rm - want_rm), _hat_norms_consuming(rows_rm)
 
     h = _symmetrized(raw_h)
@@ -841,7 +843,8 @@ def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
         form_gap[picked] = _max_abs(ric_w - p * (n - p) * w)
         form_hat[picked] = _hat_norms_consuming(rows_w)
         form_want[picked] = p * (n - p) * _compact_norms(w)
-    rb, rm, (scal, ric, ric0, *_) = _bianchi_decompose(raw, n)
+    rb, (scal, ric, ric0, *_) = _bianchi_decompose(raw, n)
+    rm = _tensors_from_ops(rb, n)
     curv_gap, hat_rm = _in_budget(_curvature_row_bytes(n), curvature, rm, ric)
     rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
     ric0_sq = _dense_norms(ric0)
@@ -1049,8 +1052,8 @@ def _draw_lemma_2_2(rng, n, trial, index):
     # the draws hold raw generator output, which the check symmetrizes.  No
     # array of a trial is larger than a (0,4)-tensor, and the check holds
     # about four at once: case 3's action's values and results and the
-    # Bianchi residual of its values, or case 4's Kulkarni-Nomizu products
-    # and the decomposition's tensors
+    # Bianchi residual of its values.  Case 4 holds only operator matrices,
+    # about a dozen N x N arrays a trial, which fit in the same size
     return key, 4 * 8 * n ** 4, (lam,) + draw
 
 
@@ -1080,8 +1083,8 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
         ]
     # the curvature tensors act and take their norms on operator
     # coordinates: |L A|^2 = 4 |L A_op|^2 and |A|^2 = 4 |A_op|^2
-    kn, kn0 = (_ops_from_tensors(_kn(g, h), n) for h in (values, _traceless(values)))
-    rb, _, (_, _, _, weyl, kn_ric0) = _bianchi_decompose(raw, n)
+    kn, kn0 = _kn(g, values), _kn(g, _traceless(values))
+    rb, (_, _, _, weyl, kn_ric0) = _bianchi_decompose(raw, n)
     lhs, lrm = (4.0 * _dense_norms(_KINDS[CurvatureOperator].acted(lam, r, n)) for r in (kn, rb))
     bound = (16.0 * _dense_norms(kn_ric0) / (n - 2.0) ** 2 + 32.0 * _dense_norms(weyl)) * lam_sq
     return [
@@ -1143,7 +1146,8 @@ def suite_estimate_constants(seed, trials, t):
         k = int(rng.integers(1, 4))
         tt = random_tensor(rng, n, k)
         g = np.eye(n)
-        einstein = CurvTensor(dec.scal / (2.0 * (n - 1) * n) * _kn(g, g) + dec.weyl.array)
+        gg = _tensors_from_ops(_kn(g, g), n)
+        einstein = CurvTensor(dec.scal / (2.0 * (n - 1) * n) * gg + dec.weyl.array)
         cases = [
             ("pform", w, TensorKind.pform(p), None),
             ("sym2", h, TensorKind.sym2(), None),
@@ -1190,8 +1194,8 @@ def _draw_lemma_2_1(rng_at, rng, n, trial, index):
     margins += [_margin(rng), _margin(rng), _margin(rng)]
     # a symmetric tensor's block rows outgrow the operator matrix and its
     # eigenvalues, and every other array built for the whole group; the
-    # curvature kinds' (0,4)-tensors and their block rows on operator
-    # coordinates come through _in_budget in _curvature_terms
+    # curvature kinds' block rows on operator coordinates come through
+    # _in_budget in _curvature_terms
     return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
 
 
@@ -1237,18 +1241,17 @@ def _curvature_terms(ops, shared, n):
     """_direct_terms of the Einstein parts and of the Weyl tensors of the
     Bianchi parts of stacked raw shared draws, 4 times those of their
     operator matrices from _decompose (see _ops_from_tensors), whose block
-    rows have N^2 entries a pair instead of n^4.  The decomposition holds
-    about four (0,4)-tensors of a trial at once, which also outgrow the
-    block rows, N^3 entries, at n <= 6, so the group is taken a budget at a
-    time at that size: taking it whole raised the peak resident memory of
-    the inequality suites by about 4 MB."""
+    rows have N^2 entries a pair instead of n^4.  The decomposition holds a
+    handful of N x N matrices a trial; the block rows, N^3 entries, are the
+    largest array, and they outgrow the group's item at n >= 4, so the
+    group is taken a budget of block rows at a time."""
 
     def terms(ops, shared):
-        _, _, (scal, _, _, weyl, _) = _bianchi_decompose(shared, n)
+        _, (scal, _, _, weyl, _) = _bianchi_decompose(shared, n)
         return [4.0 * side for values in (_einstein_part(scal, weyl, n), weyl)
                 for side in _direct_terms(ops, values, n, _KINDS[CurvatureOperator])]
 
-    lhs_e, hat_e, lhs_w, hat_w = _in_budget(4 * 8 * n ** 4, terms, ops, shared)
+    lhs_e, hat_e, lhs_w, hat_w = _in_budget(8 * wedge_count(n) ** 3, terms, ops, shared)
     return [(lhs_e, hat_e), (lhs_w, hat_w)]
 
 

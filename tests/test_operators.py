@@ -29,7 +29,7 @@ from curvop import (
 )
 from curvop import operators
 from curvop.operators import _round_robin, wedge_coordinates
-from curvop.tensors import _kn, _metric_kn, wedge_pairs
+from curvop.tensors import _IDENTITY_TOL, _bianchi_holds, _kn, _symmetrized, _traceless, wedge_pairs
 from curvop.verify import random_bianchi_operator, random_orthogonal, random_sym_operator
 
 
@@ -37,6 +37,45 @@ def ricci(op):
     """Ricci tensor and scalar curvature of an operator's (0,4)-tensor."""
     ric = Sym2(np.einsum("iaja->ij", tensor_from_op(op).array))
     return ric, float(np.trace(ric.mat))
+
+
+def dense_kn(a, b):
+    """Kulkarni-Nomizu products of stacked symmetric matrices as (0,4)-arrays,
+    one outer product and three transposed views of it, with the -0.0
+    products turned to +0.0 as einsum turns them."""
+    p = a[..., :, None, :, None] * b[..., None, :, None, :]
+    p += 0.0
+    q = p.swapaxes(-4, -3)
+    return p - p.swapaxes(-2, -1) + q.swapaxes(-2, -1) - q
+
+
+def dense_metric_square(n):
+    """KN(g, g) = 2 (d_ik d_jl - d_il d_jk) as a (0,4)-array."""
+    eye = np.eye(n)
+    return 2.0 * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+
+
+def reference_decompose(rm, n):
+    """The decomposition on stacked (0,4)-arrays rm: the dense twin of
+    operators._decompose, certified by the tensors' Bianchi residual, with
+    the Ricci tensor contracted by einsum and KN(g, ric0) gathered from the
+    dense product."""
+    if not np.all(_bianchi_holds(rm)):
+        raise ValueError("operator does not satisfy the first Bianchi identity")
+    ric = _symmetrized(np.einsum("...iaja->...ij", rm))
+    scal = np.trace(ric, axis1=-2, axis2=-1)
+    ric0 = _traceless(ric)
+    scal_part = (scal / (2.0 * (n - 1) * n))[..., None, None] * (2.0 * np.eye(wedge_count(n)))
+    kn_ric0 = operators._ops_from_tensors(dense_kn(np.eye(n), ric0), n)
+    weyl = operators._ops_from_tensors(rm, n) - scal_part - kn_ric0 / (n - 2.0)
+    return scal, ric, ric0, weyl, kn_ric0
+
+
+def bianchi_stack(rng, n, batch):
+    """Operator matrices of random Bianchi operators stacked to batch."""
+    count = int(np.prod(batch, dtype=int))
+    mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(count)])
+    return mats.reshape(tuple(batch) + mats.shape[1:])
 
 
 def wedge_isometry(q):
@@ -155,6 +194,33 @@ class TestBianchiSplit:
                 assert bool(certified[i]) is rb.bianchi_certified is True
                 assert bool(raw[i]) is op.bianchi_certified
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_certificate_matches_the_tensor_residual_at_the_threshold(self, n):
+        # a Bianchi operator plus an alternating part scaled so that its
+        # largest Bianchi sum is factor times the certificate's bound: the
+        # sums on operator coordinates and the (0,4)-tensor's cyclic
+        # residual decide alike on either side of the threshold
+        from curvop.operators import _alternating_parts, _bianchi_certified, _bianchi_sums
+
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            rb = random_bianchi_operator(rng, n).mat
+            alt = _alternating_parts(random_sym_operator(rng, n).mat, n)
+            bound = _IDENTITY_TOL * max(1.0, float(np.abs(rb).max()))
+            unit = alt / float(np.abs(_bianchi_sums(alt, n)).max())
+            for factor in (0.5, 0.999, 1.001, 2.0):
+                mat = rb + factor * bound * unit
+                holds = bool(_bianchi_certified(mat, n))
+                assert holds is bool(_bianchi_holds(operators._tensors_from_ops(mat, n)))
+                assert holds is (factor < 1.0)
+                assert CurvatureOperator(n, mat).bianchi_certified is holds
+                stack = np.array([rb, mat])
+                if holds:
+                    operators._decompose(stack, n)
+                else:
+                    with pytest.raises(ValueError, match="Bianchi"):
+                        operators._decompose(stack, n)
+
     def test_action_certificate_is_read_from_the_result(self):
         # so(4) kills the volume form, the whole alternating part at n = 4,
         # so every L.R is Bianchi even when R is not
@@ -257,10 +323,11 @@ class TestDecompose:
         # for bit
         rng = np.random.default_rng(24)
         for n in range(3, 9):
-            mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(3)])
-            _, _, ric0, _, kn_ric0 = operators._decompose(operators._tensors_from_ops(mats, n), n)
+            mats = bianchi_stack(rng, n, (3,))
+            _, _, ric0, _, kn_ric0 = operators._decompose(mats, n)
             assert kn_ric0.shape == mats.shape
-            assert kn_ric0.tobytes() == operators._ops_from_tensors(_kn(np.eye(n), ric0), n).tobytes()
+            assert kn_ric0.tobytes() == _kn(np.eye(n), ric0).tobytes()
+            assert kn_ric0.tobytes() == operators._ops_from_tensors(dense_kn(np.eye(n), ric0), n).tobytes()
             public = [op_from_tensor(kulkarni_nomizu(identity_sym2(n), Sym2(m))).mat for m in ric0]
             assert kn_ric0.tobytes() == np.array(public).tobytes()
 
@@ -269,13 +336,28 @@ class TestDecompose:
         # rm - scal/(2(n-1)n) KN(g, g) - KN(g, ric0)/(n-2) at the wedge pairs
         rng = np.random.default_rng(25)
         for n in range(3, 9):
-            mats = np.array([random_bianchi_operator(rng, n).mat for _ in range(3)])
+            mats = bianchi_stack(rng, n, (3,))
             rm = operators._tensors_from_ops(mats, n)
-            scal, _, ric0, weyl, _ = operators._decompose(rm, n)
+            scal, _, ric0, weyl, _ = operators._decompose(mats, n)
             scale = (scal / (2.0 * (n - 1) * n))[:, None, None, None, None]
-            dense = rm - scale * _metric_kn(n) - _kn(np.eye(n), ric0) / (n - 2.0)
+            dense = rm - scale * dense_metric_square(n) - dense_kn(np.eye(n), ric0) / (n - 2.0)
             assert weyl.shape == mats.shape
             assert weyl.tobytes() == operators._ops_from_tensors(dense, n).tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_the_dense_reference_bit_for_bit(self, n):
+        # scal, ric, ric0, weyl and kn_ric0 on operator coordinates have the
+        # bits of the dense decomposition: the Ricci sum adds its terms in
+        # einsum's order, and the operator-coordinate KN(g, ric0) is the
+        # dense product at the wedge pairs
+        rng = np.random.default_rng(26 + n)
+        for batch in ((), (5,), (2, 3)):
+            mats = bianchi_stack(rng, n, batch)
+            got = operators._decompose(mats, n)
+            want = reference_decompose(operators._tensors_from_ops(mats, n), n)
+            for mine, theirs in zip(got, want):
+                assert np.shape(mine) == np.shape(theirs)
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()
 
     def test_rejects_small_dimension_and_non_bianchi(self):
         with pytest.raises(ValueError):

@@ -25,9 +25,10 @@ from curvop.operators import CurvatureOperator
 from curvop.tensors import (
     _dense_scatter,
     _kn,
-    _metric_kn,
+    _ops_from_tensors,
     _symmetric_part,
     _symmetrized,
+    _tensors_from_ops,
     check_dimension,
 )
 
@@ -145,8 +146,12 @@ class TestKulkarniNomizu:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("batch", [(), (1,), (8,)])
     def test_outer_product_matches_einsum_definition(self, n, batch):
-        # the definition term by term; the identity factor makes -0.0
-        # products, whose sign the four einsums turn to +0.0
+        # the definition term by term, gathered at the wedge pairs, has the
+        # bits of the product on operator coordinates; the identity factor
+        # makes -0.0 products, whose sign the four einsums turn to +0.0.
+        # Spread back, the product is exactly pair-skew, where the four
+        # einsums leave mirrored entries a few ulps from each other's
+        # negatives
         def four_einsums(a, b):
             return (
                 np.einsum("...ik,...jl->...ijkl", a, b)
@@ -160,15 +165,22 @@ class TestKulkarniNomizu:
         a, b = a + a.swapaxes(-1, -2), b + b.swapaxes(-1, -2)
         for x, y in ((a, b), (np.eye(n), b), (a, np.eye(n)), (np.eye(n), np.eye(n))):
             got, want = _kn(x, y), four_einsums(x, y)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape[:-4] + (wedge_count(n),) * 2
+            assert got.tobytes() == _ops_from_tensors(want, n).tobytes()
+            dense = _tensors_from_ops(got, n)
+            assert dense.shape == want.shape
+            assert np.array_equal(dense, -dense.swapaxes(-4, -3))
+            assert np.array_equal(dense, -dense.swapaxes(-2, -1))
+            ulps = 8 * np.finfo(float).eps * float(np.abs(x).max() * np.abs(y).max())
+            assert np.abs(dense - want).max() <= ulps
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_metric_square_is_one_frozen_constant(self, n):
-        gg = _metric_kn(n)
-        assert gg is _metric_kn(n)
-        assert not gg.flags.writeable
-        assert gg.tobytes() == _kn(np.eye(n), np.eye(n)).tobytes()
+        # KN(g, g) on operator coordinates is one constant, exactly 2I with
+        # every zero +0.0, at every n: _decompose's scalar step subtracts
+        # 2I in its place
+        gg = _kn(np.eye(n), np.eye(n))
+        assert gg.tobytes() == (2.0 * np.eye(wedge_count(n))).tobytes()
 
 
 class TestPForm:

@@ -3,6 +3,7 @@ batched suites against their one-trial-at-a-time definitions."""
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -675,6 +676,43 @@ def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
     assert {case for (case, _), _ in groups} == set(want)
     for (case, degree), calls in groups:
         assert calls == want[case](degree), (case, degree, calls)
+
+
+def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
+    # lemma-2.1-soundness and lemma-2.2's case 4 decompose, multiply and act
+    # on operator coordinates: with every binding of the spread to
+    # (0,4)-arrays refusing, both still run.  Case 3's tensor checks are
+    # claims about (0,4)-tensors and keep the spread
+    from curvop import tensors
+
+    spread, refusing = tensors._tensors_from_ops, [False]
+
+    def guarded(mats, n):
+        if refusing[0]:
+            raise AssertionError("an operator matrix was spread to a (0,4)-array")
+        return spread(mats, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("curvop") and hasattr(module, "_tensors_from_ops"):
+            monkeypatch.setattr(module, "_tensors_from_ops", guarded)
+    check, cases = verify._check_lemma_2_2, []
+
+    def refused_in_case_4(t, n, key, *arrays):
+        cases.append(key[0])
+        refusing[0] = key[0] == 4
+        try:
+            return check(t, n, key, *arrays)
+        finally:
+            refusing[0] = False
+
+    monkeypatch.setattr(verify, "_check_lemma_2_2", refused_in_case_4)
+    assert run_suite("lemma-2.2", trials=20, seed=42).passed
+    assert 3 in cases and 4 in cases
+    refusing[0] = True
+    assert run_suite("lemma-2.1-soundness", trials=5).passed
+    # the guard is live: prop-2.8's curvature checks spread their operators
+    with pytest.raises(AssertionError, match="spread"):
+        run_suite("prop-2.8", trials=1)
 
 
 def test_hat_structure_gaps_carry_no_cancellation_residue():
