@@ -44,9 +44,10 @@ commutes with A -> A_op (tensors._ops_from_tensors).  _decompose certifies,
 contracts and splits operator matrices, and the Kulkarni-Nomizu product
 _kn returns operator coordinates, so neither suite builds a (0,4)-array
 but lemma-2.2 in its case 3, whose tensor-factor and tensor checks are
-claims about them.  The suites whose claims are about (0,4)-tensors
-themselves spread operator matrices with _tensors_from_ops: prop-1.1,
-prop-1.2, prop-1.9, prop-2.8, tensor-core, decompose and
+claims about them.  prop-1.2 checks the Leibniz rule for Kulkarni-Nomizu
+products on operator coordinates too.  The suites whose claims are about
+(0,4)-tensors themselves spread operator matrices with _tensors_from_ops:
+prop-1.1, prop-1.9, prop-2.8, tensor-core, decompose and
 estimate-constants.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
@@ -683,9 +684,12 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
     s, u = _symmetrized(s), _symmetrized(u)
     left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
     right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
-    lhs = _KINDS[CurvTensor].acted(lam, _tensors_from_ops(_kn(s, u), n), n)
+    # the products on operator coordinates, where the action commutes with
+    # A -> A_op; symmetrized as the CurvatureOperator constructor stores
+    # them, so the suite rounds as the public calls do
+    lhs = _KINDS[CurvatureOperator].acted(lam, _symmetrized(_kn(s, u)), n)
     acted_s, acted_u = _KINDS[Sym2].acted(lam, s, n), _KINDS[Sym2].acted(lam, u, n)
-    rhs = _tensors_from_ops(_kn(acted_s, u) + _kn(s, acted_u), n)
+    rhs = _symmetrized(_kn(acted_s, u)) + _symmetrized(_kn(s, acted_u))
     return [
         _closes("permute", _max_abs(left - right), 0.0, t),
         _closes("leibniz", _max_abs(lhs - rhs), 0.0, t),

@@ -208,6 +208,23 @@ class TestAction:
                 tensor_from_op(lr).array, lrm.array, atol=1e-12 * max(1, lrm.norm_sq())
             )
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_leibniz_rule_for_kn_on_both_coordinates(self, n):
+        # Prop. 1.2: the action is a derivation of the Kulkarni-Nomizu
+        # product, on the dense (0,4)-tensor and on operator coordinates,
+        # and the two routes agree
+        rng = np.random.default_rng(100 + n)
+        lam, s, u = rand_so(rng, n), rand_sym2(rng, n), rand_sym2(rng, n)
+        ls, lu = so_act(lam, s), so_act(lam, u)
+        dense = so_act(lam, kulkarni_nomizu(s, u))
+        want = kulkarni_nomizu(ls, u).array + kulkarni_nomizu(s, lu).array
+        scale = max(1.0, np.abs(dense.array).max(), np.abs(want).max())
+        assert np.abs(dense.array - want).max() <= 1e-12 * scale
+        op = so_act(lam, op_from_tensor(kulkarni_nomizu(s, u)))
+        gathered = op_from_tensor(dense).mat
+        scale = max(1.0, np.abs(gathered).max(), np.abs(op.mat).max())
+        assert np.abs(gathered - op.mat).max() <= 1e-12 * scale
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             so_act(wedge_element(3, 0, 1), identity_sym2(4))

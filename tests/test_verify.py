@@ -16,6 +16,7 @@ from curvop.operators import (
     Spectrum,
     decompose,
     identity_operator,
+    op_from_tensor,
     tensor_from_op,
 )
 from curvop.tensors import CurvTensor, Sym2, identity_sym2, inner, kulkarni_nomizu, permute
@@ -388,9 +389,12 @@ def reference_prop_1_2(seed, trials, tol):
             right = permute(so_act(lam, tt), sigma)
             _close(failures, ("permute", n, count), float(np.abs(left.array - right.array).max()), 0.0, t)
             s, u = random_sym2(rng, n), random_sym2(rng, n)
-            lhs = so_act(lam, kulkarni_nomizu(s, u))
-            rhs = kulkarni_nomizu(so_act(lam, s), u).array + kulkarni_nomizu(s, so_act(lam, u)).array
-            _close(failures, ("leibniz", n, count), float(np.abs(lhs.array - rhs).max()), 0.0, t)
+            lhs = so_act(lam, op_from_tensor(kulkarni_nomizu(s, u)))
+            rhs = (
+                op_from_tensor(kulkarni_nomizu(so_act(lam, s), u)).mat
+                + op_from_tensor(kulkarni_nomizu(s, so_act(lam, u))).mat
+            )
+            _close(failures, ("leibniz", n, count), float(np.abs(lhs.mat - rhs).max()), 0.0, t)
     return failures
 
 
@@ -713,6 +717,16 @@ def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
     # the guard is live: prop-2.8's curvature checks spread their operators
     with pytest.raises(AssertionError, match="spread"):
         run_suite("prop-2.8", trials=1)
+
+
+def test_prop_1_2_checks_leibniz_on_operator_coordinates(monkeypatch):
+    # the Leibniz half acts on Kulkarni-Nomizu products as operator
+    # matrices, so prop-1.2 runs with the spread to (0,4)-arrays refusing
+    def refused(mats, n):
+        raise AssertionError("an operator matrix was spread to a (0,4)-array")
+
+    monkeypatch.setattr(verify, "_tensors_from_ops", refused)
+    assert run_suite("prop-1.2", trials=5).passed
 
 
 def test_hat_structure_gaps_carry_no_cancellation_residue():
