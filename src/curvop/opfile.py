@@ -70,11 +70,25 @@ def dump_operator(path, op: CurvatureOperator, metadata=None, companions=None):
         fh.write(dumps_operator(op, metadata, companions))
 
 
+def _entries(value):
+    """The matrix field's nested lists with each entry as a float;
+    ValueError unless every entry is a JSON number that a float holds."""
+    if isinstance(value, list):
+        return [_entries(item) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"the 'matrix' field must hold JSON numbers, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("the 'matrix' field holds an integer too large for a float") from None
+
+
 def loads_operator(text: str):
     """Parse an operator file; returns (operator, full document).
 
-    n must be a JSON integer; the matrix must be square of the wedge
-    dimension and symmetric to 1e-9, and it is symmetrized on load.
+    n must be a JSON integer and every matrix entry a JSON number; the
+    matrix must be square of the wedge dimension and symmetric to 1e-9, and
+    it is symmetrized on load.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -87,7 +101,7 @@ def loads_operator(text: str):
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"the 'n' field must be a JSON integer, got {json.dumps(n)}")
-    mat = np.array(doc["matrix"], dtype=float)
+    mat = np.array(_entries(doc["matrix"]), dtype=float)
     want = wedge_count(n)
     if mat.shape != (want, want):
         raise ValueError(

@@ -45,10 +45,10 @@ contracts and splits operator matrices, and the Kulkarni-Nomizu product
 _kn returns operator coordinates, so neither suite builds a (0,4)-array
 but lemma-2.2 in its case 3, whose tensor-factor and tensor checks are
 claims about them.  prop-1.2 checks the Leibniz rule for Kulkarni-Nomizu
-products on operator coordinates too.  The suites whose claims are about
-(0,4)-tensors themselves spread operator matrices with _tensors_from_ops:
-prop-1.1, prop-1.9, prop-2.8, tensor-core, decompose and
-estimate-constants.
+products on operator coordinates too, and estimate-constants its curvature
+kinds.  The suites whose claims are about (0,4)-tensors themselves spread
+operator matrices with _tensors_from_ops: prop-1.1, prop-1.9, prop-2.8,
+tensor-core and decompose.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -362,8 +362,7 @@ _DIMS_3_TO_7 = range(3, 8)
 _DIMS_3_TO_6 = (3, 4, 5, 6)
 
 
-def _batched(seed, suite, trials, t, dims, draw, check,
-             tag=lambda name, n, trial, index: (name, n, index + 1)):
+def _batched(seed, suite, trials, t, dims, draw, check):
     """The failures of a suite whose trials are checked in batches.
 
     Trial i at the j-th n of dims is the suite's trial index j * trials + i;
@@ -381,8 +380,9 @@ def _batched(seed, suite, trials, t, dims, draw, check,
     in _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n,
     key, *arrays stacked over the group) returns the group's comparisons in
     check order, as (name, failing, lhs, rhs, tol).  Failures, tagged
-    tag(name, n, i, index), come back by trial index, then by check
-    position, as if each trial had been checked alone.  Raises ValueError
+    (name, n, index + 1), come back by trial index, then by check
+    position, as if each trial had been checked alone: each one names the
+    suite's trial index whose generator alone drew it.  Raises ValueError
     before the first draw when an n of dims is outside check_dimension's
     range.
     """
@@ -391,15 +391,15 @@ def _batched(seed, suite, trials, t, dims, draw, check,
     found = []
 
     def run(n, key, group):
-        where, items = zip(*group)
+        indices, items = zip(*group)
         stacks = map(np.array, zip(*items))
         for position, (name, failing, lhs, rhs, tol) in enumerate(check(t, n, key, *stacks)):
             if not failing.any():
                 continue
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
             for i in np.flatnonzero(failing):
-                trial, index = where[i]
-                found.append(((index, position), _failure(tag(name, n, trial, index), lhs[i], rhs[i], tol)))
+                index = indices[i]
+                found.append(((index, position), _failure((name, n, index + 1), lhs[i], rhs[i], tol)))
 
     groups = {}
     for index, rng in _trials(seed, suite, len(dims) * trials):
@@ -407,7 +407,7 @@ def _batched(seed, suite, trials, t, dims, draw, check,
         n = dims[n_index]
         key, item_bytes, item = draw(rng, n, trial, index)
         group = groups.setdefault(key, [])
-        group.append(((trial, index), item))
+        group.append((index, item))
         if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
             run(n, key, groups.pop(key))
         if trial == trials - 1:
@@ -734,8 +734,7 @@ def suite_prop_1_6(seed, trials, t):
 def suite_prop_1_7(seed, trials, t):
     """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
     and the hat norm identity."""
-    return _batched(seed, "prop-1.7", trials, t, _DIMS_3_TO_7, _draw_prop_1_7, _check_prop_1_7,
-                    lambda name, n, trial, index: (name, n, trial))
+    return _batched(seed, "prop-1.7", trials, t, _DIMS_3_TO_7, _draw_prop_1_7, _check_prop_1_7)
 
 
 def _draw_prop_1_7(rng, n, trial, index):
@@ -763,8 +762,7 @@ def _check_prop_1_7(t, n, key, raw, lam):
 def suite_prop_1_9(seed, trials, t):
     """Self-adjointness: the Ricci pairing equals the curvature term for
     every supported tensor kind."""
-    return _batched(seed, "prop-1.9", trials, t, _DIMS_3_TO_7, _draw_prop_1_9, _check_prop_1_9,
-                    lambda name, n, trial, index: (name, n, index + 1, trial % 4))
+    return _batched(seed, "prop-1.9", trials, t, _DIMS_3_TO_7, _draw_prop_1_9, _check_prop_1_9)
 
 
 def _draw_prop_1_9(rng, n, trial, index):
@@ -1146,50 +1144,41 @@ def suite_estimate_constants(seed, trials, t):
         p = int(rng.integers(1, n))
         w = random_pform(rng, n, p)
         h = random_sym2(rng, n)
-        dec = decompose(random_bianchi_operator(rng, n))
+        scal, _, _, weyl, _ = _decompose(random_bianchi_operator(rng, n).mat, n)
         k = int(rng.integers(1, 4))
         tt = random_tensor(rng, n, k)
-        g = np.eye(n)
-        gg = _tensors_from_ops(_kn(g, g), n)
-        einstein = CurvTensor(dec.scal / (2.0 * (n - 1) * n) * gg + dec.weyl.array)
+        # the curvature kinds on operator coordinates, whose action and hat
+        # norms are a quarter of their (0,4)-tensors' (see _ops_from_tensors)
+        einstein = CurvatureOperator(n, _einstein_part(scal, weyl, n))
         cases = [
-            ("pform", w, TensorKind.pform(p), None),
-            ("sym2", h, TensorKind.sym2(), None),
-            ("einstein", einstein, TensorKind.curvature_einstein(), None),
-            ("weyl", dec.weyl, TensorKind.weyl(), None),
+            ("pform", w, TensorKind.pform(p), None, 1.0),
+            ("sym2", h, TensorKind.sym2(), None, 1.0),
+            ("einstein", einstein, TensorKind.curvature_einstein(), None, 4.0),
+            ("weyl", CurvatureOperator(n, weyl), TensorKind.weyl(), None, 4.0),
         ]
         hat_tt = hat_norm_sq(tt)
         if hat_tt > 1e-9:
-            cases.append(("generic", tt, TensorKind.generic(k), hat_tt / tt.norm_sq()))
-        for name, tensor, kind, hat_ratio in cases:
+            cases.append(("generic", tt, TensorKind.generic(k), hat_tt / tt.norm_sq(), 1.0))
+        for name, tensor, kind, hat_ratio, scale in cases:
             c = estimate_constant(kind, n, hat_ratio=hat_ratio)
-            hat_sq = hat_norm_sq(tensor)
-            _at_most(failures, (name, trial), so_act(lam, tensor).norm_sq(), hat_sq * lam.norm_sq() / c, t)
+            lhs, hat_sq = scale * so_act(lam, tensor).norm_sq(), scale * hat_norm_sq(tensor)
+            _at_most(failures, (name, trial), lhs, hat_sq * lam.norm_sq() / c, t)
     return failures
-
-
-# lemma-2.1-soundness's trial index i also draws from index _SECOND_STREAM + i,
-# so its trial limit keeps its first stream of trial indices below that
-_SECOND_STREAM = 10_000_000
 
 
 def suite_lemma_2_1_soundness(seed, trials, t):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
     positive case."""
-    rng_at = functools.partial(_trial_rng, seed, _SUITE_IDS["lemma-2.1-soundness"])
-    return _batched(seed, "lemma-2.1-soundness", trials, t, _DIMS_3_TO_6,
-                    functools.partial(_draw_lemma_2_1, rng_at), _check_lemma_2_1,
-                    lambda name, n, trial, index: (name[0], n, trial, name[1]))
+    return _batched(seed, "lemma-2.1-soundness", trials, t, _DIMS_3_TO_6, _draw_lemma_2_1, _check_lemma_2_1)
 
 
-def _draw_lemma_2_1(rng_at, rng, n, trial, index):
+def _draw_lemma_2_1(rng, n, trial, index):
     size = wedge_count(n)
     op = rng.normal(size=(size, size))
-    # the kinds draw in turn from a second stream: a form and its margin, a
-    # symmetric tensor and its margin, then the margins of the two
-    # curvature kinds, which share one decomposed operator
-    rng = rng_at(_SECOND_STREAM + index)
+    # then the operator the two curvature kinds share, decomposed, and the
+    # kinds in turn: a form and its margin, a symmetric tensor and its
+    # margin, then the margins of the two curvature kinds
     shared = rng.normal(size=(size, size))
     p = int(rng.integers(1, n))
     form = _padded(rng.normal(size=math.comb(n, p)), n)
@@ -1659,7 +1648,7 @@ _SUITE_TABLE = (
     ("lemma-2.2", suite_lemma_2_2, 10000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_6)),
     ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12, _TRIAL_LIMIT),
     ("estimate-constants", suite_estimate_constants, 400, 1e-10, _TRIAL_LIMIT),
-    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9, _SECOND_STREAM // len(_DIMS_3_TO_6)),
+    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_6)),
     ("boundary-cases", suite_boundary_cases, 1, 1e-12, _TRIAL_LIMIT),
     ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15, _TRIAL_LIMIT),
     ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9, _TRIAL_LIMIT),

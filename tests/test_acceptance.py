@@ -7,8 +7,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import json
 import time
 
-import pytest
-
 from curvop.cli import main
 from curvop.verify import run_suite
 

@@ -12,7 +12,6 @@ from curvop import (
     Sym2,
     Tensor0k,
     act_on_operator,
-    ad_matrix,
     curvature_term,
     hat,
     hat_norm_sq,
@@ -28,7 +27,6 @@ from curvop import (
     ric_of,
     so_act,
     sphere_product_op,
-    spectrum,
     tensor_from_op,
     wedge_basis_form,
     wedge_count,

@@ -26,7 +26,6 @@ from curvop import (
     spectrum,
     sphere_product_op,
     tensor_from_op,
-    wedge_count,
     wedge_index,
     wedge_pairs,
 )

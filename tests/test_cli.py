@@ -71,6 +71,16 @@ class TestOperatorFiles:
         with pytest.raises(ValueError):
             loads_operator(json.dumps(doc3))
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [('"1.5"', 'got "1.5"'), ("true", "got true"), ("1" + "0" * 400, "an integer too large for a float")],
+        ids=["string", "bool", "huge-integer"],
+    )
+    def test_rejects_entries_that_are_not_json_numbers(self, entry, message):
+        text = f'{{"n": 2, "basis": "lex-wedge", "matrix": [[{entry}]]}}'
+        with pytest.raises(ValueError, match=f"the 'matrix' field .*{message}"):
+            loads_operator(text)
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -111,13 +121,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite, trials, named, limit",
         [
-            ("lemma-2.1-soundness", 2_500_001, "lemma-2.1-soundness", 2_500_000),
-            ("all", 2_500_001, "lemma-2.1-soundness", 2_500_000),
+            ("lemma-2.1-soundness", 2 ** 32 // 4 + 1, "lemma-2.1-soundness", 2 ** 32 // 4),
+            ("all", 2 ** 32 // 4 + 1, "prop-1.1", 2 ** 32 // 6),
             ("all", 2 ** 32 // 6 + 1, "prop-1.1", 2 ** 32 // 6),
             ("prop-1.2", 2 ** 32 // 5 + 1, "prop-1.2", 2 ** 32 // 5),
             ("lemma-2.2", 2 ** 32 // 4 + 1, "lemma-2.2", 2 ** 32 // 4),
         ],
-        ids=["second-stream", "all-second-stream", "all-six-dimensions", "five-dimensions", "four-dimensions"],
+        ids=["lemma-2.1-four-dimensions", "all-past-four-dimensions", "all-six-dimensions", "five-dimensions",
+             "four-dimensions"],
     )
     def test_trial_count_past_a_suite_limit_exits_two(self, capsys, monkeypatch, suite, trials, named, limit):
         # every selected suite's limit is checked before the first one runs
@@ -233,6 +244,21 @@ class TestSpectrumCommand:
         assert out == ""
         assert f"the 'n' field must be a JSON integer, got {n}" in err
         assert len(err.strip().splitlines()) == 1, err
+
+    @pytest.mark.parametrize("command", [("spectrum",), ("bochner", "--kind", "weyl")])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [('"1.5"', 'must hold JSON numbers, got "1.5"'), ("true", "must hold JSON numbers, got true"),
+         ("1" + "0" * 400, "holds an integer too large for a float")],
+        ids=["string", "bool", "huge-integer"],
+    )
+    def test_entries_that_are_not_json_numbers_exit_one(self, capsys, tmp_path, command, entry, message):
+        path = tmp_path / "op.json"
+        path.write_text(f'{{"n": 2, "basis": "lex-wedge", "matrix": [[{entry}]]}}\n', encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: the 'matrix' field {message}\n"
 
     @pytest.mark.parametrize("command", [("spectrum",), ("bochner", "--kind", "weyl")])
     def test_entries_too_large_to_symmetrize_exit_one(self, capsys, tmp_path, command):

@@ -22,7 +22,6 @@ from curvop.operators import (
 from curvop.tensors import CurvTensor, Sym2, identity_sym2, inner, kulkarni_nomizu, permute
 from curvop.verify import (
     SUITES,
-    Report,
     _SUITE_IDS,
     _at_most,
     _close,
@@ -121,7 +120,7 @@ def assert_same_stream(seed, suite_id, trial):
     assert np.array_equal(a.normal(size=3), b.normal(size=3))
 
 
-# block edges, the last index, and both sides of lemma-2.1-soundness's second stream
+# block edges, both sides of index ten million, and the last index
 PINNED_TRIALS = (0, 1, 255, 256, 257, 9_999_999, 10_000_000, 10_000_256, 2 ** 32 - 1)
 
 
@@ -158,20 +157,12 @@ def test_trial_rng_rejects_bad_seeds_and_indices():
         run_suite("prop-1.1", trials=2, seed=-1)
 
 
-def test_lemma_2_1_rejects_trials_past_its_second_stream(monkeypatch):
-    # above 2,500,000 trials the first stream's indices would reach the
-    # second stream's; the count is rejected before the first draw
-    monkeypatch.setattr(verify, "_trial_rng", None)
-    with pytest.raises(ValueError, match="at most 2500000 trials"):
-        run_suite("lemma-2.1-soundness", trials=2_500_001)
-
-
 def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
     # a batched suite at k dimensions gives each trial k trial indices;
     # run_all checks every suite before the first one runs
     monkeypatch.setattr(verify, "_trial_rng", None)
     monkeypatch.setattr(verify, "run_suite", None)
-    for name, k in (("prop-1.1", 6), ("prop-2.8", 5), ("lemma-2.2", 4)):
+    for name, k in (("prop-1.1", 6), ("prop-2.8", 5), ("lemma-2.2", 4), ("lemma-2.1-soundness", 4)):
         with pytest.raises(ValueError, match=f"{name} takes at most {2 ** 32 // k} trials"):
             run_suite(name, trials=2 ** 32 // k + 1)
     with pytest.raises(ValueError, match="prop-1.1 takes at most"):
@@ -179,9 +170,8 @@ def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
 
 
 def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
-    # a batched suite at k dimensions takes at most 2**32 // k trials, and
-    # lemma-2.1-soundness at most its second stream's offset // k, whatever
-    # dims its suite function hands _batched
+    # a batched suite at k dimensions takes at most 2**32 // k trials,
+    # whatever dims its suite function hands _batched
     dims = {}
 
     def recorded(seed, suite, trials, t, suite_dims, *rest, **kwargs):
@@ -193,8 +183,31 @@ def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
         run_suite(name, trials=1)
     assert len(dims) == 8, sorted(dims)
     for name, suite_dims in dims.items():
-        indices = verify._SECOND_STREAM if name == "lemma-2.1-soundness" else 2 ** 32
-        assert verify._TRIAL_LIMITS[name] == indices // len(suite_dims), name
+        assert verify._TRIAL_LIMITS[name] == 2 ** 32 // len(suite_dims), name
+
+
+def test_each_batched_trial_draws_from_one_generator(monkeypatch):
+    # trial index i of a batched suite draws from its own generator alone,
+    # so each failure can be drawn again from the suite and its index
+    batched, trial_rng = verify._batched, verify._trial_rng
+    dims, asked = {}, []
+
+    def recorded_batched(seed, suite, trials, t, suite_dims, *rest):
+        dims[suite] = len(suite_dims)
+        return batched(seed, suite, trials, t, suite_dims, *rest)
+
+    def recorded_rng(seed, suite_id, trial):
+        asked.append(trial)
+        return trial_rng(seed, suite_id, trial)
+
+    monkeypatch.setattr(verify, "_batched", recorded_batched)
+    monkeypatch.setattr(verify, "_trial_rng", recorded_rng)
+    for name in SUITES:
+        asked.clear()
+        run_suite(name, trials=3, seed=42)
+        if name in dims:
+            assert asked == list(range(dims[name] * 3)), name
+    assert len(dims) == 8, sorted(dims)
 
 
 def test_batched_suites_reject_dims_past_the_cap(monkeypatch, capsys):
@@ -308,8 +321,9 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
     kinds = ("pform", "sym2", "curvature_einstein", "weyl")
     for n_index, n in enumerate((3, 4, 5, 6)):
         for trial in range(trials):
-            op = random_bianchi_operator(reference_trial_rng(seed, sid, n_index * trials + trial), n)
-            rng = reference_trial_rng(seed, sid, 10_000_000 + n_index * trials + trial)
+            count = n_index * trials + trial + 1
+            rng = reference_trial_rng(seed, sid, count - 1)
+            op = random_bianchi_operator(rng, n)
             # lemma21_verdict reads only the eigenvalues
             spec = Spectrum(np.linalg.eigvalsh(op.mat), np.linalg.eigh(op.mat)[1])
             shared = decompose(random_bianchi_operator(rng, n))
@@ -333,22 +347,22 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
                 average = spec.lowest_sum(math.floor(c)) / math.floor(c)
                 kappa = min(0.0, average) - margin
                 verdict = lemma21_verdict(spec, c, kappa)
-                _require(failures, ("holds", n, trial, kind_name), verdict.holds)
+                _require(failures, (("holds", kind_name), n, count), verdict.holds)
                 # the direct checks allow direct_term_check's 1e-10, or t
                 # when that is tighter
                 slack = min(t, 1e-10)
                 lhs, rhs, _ = direct_term_check(op, tt, kappa)
                 ok = lhs >= rhs - slack * max(1.0, abs(lhs), abs(rhs))
-                _require(failures, ("direct", n, trial, kind_name), ok, lhs, rhs, slack)
+                _require(failures, (("direct", kind_name), n, count), ok, lhs, rhs, slack)
                 lhs2, rhs2, _ = direct_term_check(op, tt, min(0.0, verdict.bound))
                 ok2 = lhs2 >= rhs2 - slack * max(1.0, abs(lhs2), abs(rhs2))
-                _require(failures, ("direct-tight", n, trial, kind_name), ok2, lhs2, rhs2, slack)
+                _require(failures, (("direct-tight", kind_name), n, count), ok2, lhs2, rhs2, slack)
                 if verdict.vanishing:
                     hat_sq = hat_norm_sq(tt)
                     floor_bound = verdict.lowest_sum / verdict.C_used * hat_sq
                     _at_most(
                         failures,
-                        ("positive", n, trial, kind_name),
+                        (("positive", kind_name), n, count),
                         floor_bound,
                         lhs,
                         t,
@@ -423,18 +437,19 @@ def reference_prop_1_7(seed, trials, tol):
     sid = _SUITE_IDS["prop-1.7"]
     for n_index, n in enumerate(range(3, 8)):
         for trial in range(trials):
-            rng = reference_trial_rng(seed, sid, n_index * trials + trial)
+            count = n_index * trials + trial + 1
+            rng = reference_trial_rng(seed, sid, count - 1)
             h, lam = random_sym2(rng, n), random_so(rng, n)
             lhs = so_act(lam, h).norm_sq()
             vals, vecs = np.linalg.eigh(h.mat)
             gram = vecs.T @ lam.matrix() @ vecs
             rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
-            _close(failures, ("eigen-norm", n, trial), lhs, rhs, t)
+            _close(failures, ("eigen-norm", n, count), lhs, rhs, t)
             spread = float(vals[-1] - vals[0])
-            _at_most(failures, ("spread-bound", n, trial), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
+            _at_most(failures, ("spread-bound", n, count), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
             hat_sq = hat_norm_sq(h)
-            _close(failures, ("hat-norm", n, trial), hat_sq, 2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2, t)
-            _close(failures, ("hat-traceless", n, trial), hat_sq, 2.0 * n * h.traceless().norm_sq(), t)
+            _close(failures, ("hat-norm", n, count), hat_sq, 2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2, t)
+            _close(failures, ("hat-traceless", n, count), hat_sq, 2.0 * n * h.traceless().norm_sq(), t)
     return failures
 
 
@@ -463,7 +478,7 @@ def reference_prop_1_9(seed, trials, tol):
                 u = tensor_from_op(random_sym_operator(rng, n))
             lhs = inner(ric_of(r, s), u)
             rhs = curvature_term(r, s, u)
-            _close(failures, ("adjoint", n, count, which), lhs, rhs, t)
+            _close(failures, ("adjoint", n, count), lhs, rhs, t)
     return failures
 
 
@@ -740,9 +755,9 @@ def test_direct_checks_follow_the_tolerance():
     # fails them like every other comparison
     report = run_suite("lemma-2.1-soundness", trials=3, seed=42, tol=-1.0)
     tags = {
-        verify._digest(name, n, trial, kind): name
+        verify._digest((name, kind), n, n_index * 3 + trial + 1): name
         for name in ("direct", "direct-tight")
-        for n in (3, 4, 5, 6)
+        for n_index, n in enumerate((3, 4, 5, 6))
         for trial in range(3)
         for kind in ("pform", "sym2", "curvature_einstein", "weyl")
     }
@@ -790,7 +805,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "db9526b059b9150ace8a8f10dfe4c86938f38d9f1eb08eeb9ea11a61958e6549"
+FAILING_HASH = "fbf345b9c894e93def695a0288fd501dfc47ea9b887a10e7a325651fcaea9b71"
 
 
 def test_reports_are_pinned():
