@@ -24,9 +24,8 @@ _PUBLIC = {
         "lemma21_verdict", "normal_h_term", "tachibana_verdict",
     ),
     "catalog": (
-        "ExtremalPair", "cp2_op", "extremal_pform", "negative_2form_term_op", "negative_sym2_term_op",
-        "product_of_spheres_op", "singer_thorpe_basis", "singer_thorpe_op", "small_extremals",
-        "sphere_product_op",
+        "cp2_op", "extremal_pform", "negative_2form_term_op", "negative_sym2_term_op",
+        "product_of_spheres_op", "singer_thorpe_basis", "singer_thorpe_op", "sphere_product_op",
     ),
     "operators": (
         "CurvatureOperator", "CurvDecomposition", "Spectrum", "alternation", "bianchi_split",

@@ -7,19 +7,18 @@ suites; nothing is hard-coded as a return value.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .action import SoElement, so_act, wedge_element
+from .action import SoElement
 from .operators import CurvatureOperator, wedge_count
 from .tensors import (
     PForm,
     Sym2,
     _tuple_index_map,
     check_dimension,
-    increasing_tuples,
     wedge_index,
     wedge_pairs,
 )
@@ -148,10 +147,11 @@ def negative_2form_term_op(n, lam):
 def extremal_pform(p):
     """The sharp p-form pair on R^{2p} for the rotation sum L.
 
-    Builds the first form by propagating the wedge-basis groups reached from
-    e^1^e^3^...^e^{2p-1} under L, alternating group signs, then defines the
-    partner so that so_act(L, w1) = -p w2 holds exactly (and then
-    so_act(L, w2) = p w1 follows).  Returns (w1, w2, L).
+    L = e_0^e_1 + e_2^e_3 + ... and w1 - i w2 = (e^0 + i e^1)^(e^2 + i e^3)^...,
+    written out: the term that takes e^{2j+1} in k of the p factors has
+    coefficient i^k.  In the library's sign convention so_act(L, w1) = -p w2
+    and so_act(L, w2) = p w1; the extremal-pform suite checks both against the
+    action.  Returns (w1, w2, L).
     """
     p = int(p)
     if p < 1:
@@ -162,61 +162,16 @@ def extremal_pform(p):
         comps_l[wedge_index(n, 2 * i, 2 * i + 1)] = 1.0
     lam = SoElement(n, comps_l)
 
-    start = tuple(range(0, n, 2))
-    groups = [{start: 1.0}]
-    seen = {start}
     index_map = _tuple_index_map(n, p)
-    tuples = increasing_tuples(n, p)
-    while True:
-        comps = np.zeros(len(tuples))
-        for idx, sign in groups[-1].items():
-            comps[index_map[idx]] = sign
-        image = so_act(lam, PForm(n, p, comps))
-        fresh = {}
-        for pos, value in enumerate(image.comps):
-            if value == 0.0 or tuples[pos] in seen:
-                continue
-            fresh[tuples[pos]] = 1.0 if value > 0 else -1.0
-        if not fresh:
-            break
-        seen.update(fresh)
-        groups.append(fresh)
-
-    w1 = np.zeros(len(tuples))
-    for k in range(0, len(groups), 2):
-        group_sign = (-1.0) ** (k // 2)
-        for idx, sign in groups[k].items():
-            w1[index_map[idx]] = group_sign * sign
-    omega1 = PForm(n, p, w1)
-    omega2 = PForm(n, p, -so_act(lam, omega1).comps / p)
-    return omega1, omega2, lam
-
-
-@dataclass(frozen=True)
-class ExtremalPair:
-    """A tensor and rotation achieving equality in its action estimate."""
-
-    name: str
-    tensor: object
-    element: SoElement
-
-
-def small_extremals():
-    """The sharp symmetric-tensor and 2-form pairs on R^4."""
-    n = 4
-    h = np.zeros((n, n))
-    h[0, 0] = 1.0
-    h[1, 1] = -1.0
-    sym_pair = ExtremalPair("sym2", Sym2(h), wedge_element(n, 0, 1))
-    comps = np.zeros(wedge_count(n))
-    comps[wedge_index(n, 0, 2)] = 1.0
-    comps[wedge_index(n, 1, 3)] = -1.0
-    form = PForm(n, 2, comps)
-    l_comps = np.zeros(wedge_count(n))
-    l_comps[wedge_index(n, 0, 1)] = 1.0
-    l_comps[wedge_index(n, 2, 3)] = 1.0
-    form_pair = ExtremalPair("two-form", form, SoElement(n, l_comps))
-    return (sym_pair, form_pair)
+    real = np.zeros(len(index_map))
+    imag = np.zeros(len(index_map))
+    for second in itertools.product((0, 1), repeat=p):
+        k = sum(second)
+        part = imag if k % 2 else real
+        part[index_map[tuple(2 * j + s for j, s in enumerate(second))]] = (-1.0) ** (k // 2)
+    # negated rather than stored with flipped signs, so that every zero of w2
+    # is -0.0 as in the catalog's pinned output
+    return PForm(n, p, real), PForm(n, p, -imag), lam
 
 
 def negative_sym2_term_op(n, K, K1n):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .operators import CurvatureOperator
-from .tensors import wedge_count
+from .tensors import check_dimension, wedge_count
 
 BASIS_LITERAL = "lex-wedge"
 
@@ -70,11 +70,9 @@ def dump_operator(path, op: CurvatureOperator, metadata=None, companions=None):
         fh.write(dumps_operator(op, metadata, companions))
 
 
-def _entries(value):
-    """The matrix field's nested lists with each entry as a float;
-    ValueError unless every entry is a JSON number that a float holds."""
-    if isinstance(value, list):
-        return [_entries(item) for item in value]
+def _entry(value) -> float:
+    """A matrix entry as a float; ValueError unless it is a JSON number that
+    a float holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"the 'matrix' field must hold JSON numbers, got {json.dumps(value)}")
     try:
@@ -86,9 +84,9 @@ def _entries(value):
 def loads_operator(text: str):
     """Parse an operator file; returns (operator, full document).
 
-    n must be a JSON integer and every matrix entry a JSON number; the
-    matrix must be square of the wedge dimension and symmetric to 1e-9, and
-    it is symmetrized on load.
+    n must be a JSON integer and the matrix a list of N lists of N JSON
+    numbers, N the wedge dimension; it must be symmetric to 1e-9, and it is
+    symmetrized on load.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -101,13 +99,18 @@ def loads_operator(text: str):
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"the 'n' field must be a JSON integer, got {json.dumps(n)}")
-    mat = np.array(_entries(doc["matrix"]), dtype=float)
-    want = wedge_count(n)
-    if mat.shape != (want, want):
+    size = wedge_count(check_dimension(n))
+    rows = doc["matrix"]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == size
+        and all(isinstance(row, list) and len(row) == size for row in rows)
+    ):
         raise ValueError(
-            f"matrix shape {mat.shape} does not match the wedge dimension {want} for n={n}"
+            f"the 'matrix' field must be {size}x{size} for n={n}: "
+            f"a list of {size} lists of {size} numbers"
         )
-    op = CurvatureOperator(n, mat)
+    op = CurvatureOperator(n, np.array([[_entry(x) for x in row] for row in rows]))
     return op, doc
 
 

@@ -78,6 +78,7 @@ from .action import (
     ric_identity_closed_form,
     ric_of,
     so_act,
+    wedge_element,
     _KINDS,
     _action_matrices,
     _hat_norms_consuming,
@@ -106,7 +107,6 @@ from .catalog import (
     product_of_spheres_op,
     singer_thorpe_basis,
     singer_thorpe_op,
-    small_extremals,
     sphere_product_op,
 )
 from .opfile import dumps_operator, loads_operator
@@ -1096,10 +1096,10 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
 
 
 def suite_lemma_2_2_sharpness(seed, trials, t):
-    """The catalog extremals achieve equality in their estimates."""
+    """The catalog extremals achieve equality in their estimates, and at
+    each sharp pair the library's constant gives |L T|^2 C = |hat T|^2 |L|^2."""
     failures = []
-    sym_pair, form_pair = small_extremals()
-    h, lam = sym_pair.tensor, sym_pair.element
+    h, lam = Sym2(np.diag([1.0, -1.0, 0.0, 0.0])), wedge_element(4, 0, 1)
     _close(
         failures,
         ("sym2-equality",),
@@ -1108,14 +1108,14 @@ def suite_lemma_2_2_sharpness(seed, trials, t):
         t,
     )
     _close(failures, ("sym2-value",), so_act(lam, h).norm_sq(), 8.0, t)
-    w, lam2 = form_pair.tensor, form_pair.element
+    w, _, lam2 = extremal_pform(2)
     lw = so_act(lam2, w)
     _close(failures, ("form-norm",), lw.norm_sq(), 8.0, t)
     _close(failures, ("form-equality",), lw.norm_sq(), 2.0 * w.norm_sq() * lam2.norm_sq(), t)
     scaled = PForm(w.n, w.p, 3.0 * w.comps)
     _close(failures, ("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
-    for p in (1, 2, 3, 4):
-        w1, w2, lamp = extremal_pform(p)
+    pforms = [(p, extremal_pform(p)) for p in (1, 2, 3, 4)]
+    for p, (w1, _, lamp) in pforms:
         n = 2 * p
         lw1 = so_act(lamp, w1)
         _close(
@@ -1131,6 +1131,24 @@ def suite_lemma_2_2_sharpness(seed, trials, t):
     r0 = op.traceless().norm_sq()
     _close(failures, ("curv-equality",), lr, 8.0 * r0, t)
     _close(failures, ("curv-value",), lr, 64.0, t)
+    # the Weyl pair R = a(x)a - b(x)b on operator coordinates, a = e02 - e13
+    # and b = e03 + e12, with the 2-form pair's L = e01 + e23
+    a, b = np.zeros(6), np.zeros(6)
+    a[[wedge_index(4, 0, 2), wedge_index(4, 1, 3)]] = 1.0, -1.0
+    b[[wedge_index(4, 0, 3), wedge_index(4, 1, 2)]] = 1.0, 1.0
+    weyl = CurvatureOperator(4, np.outer(a, a) - np.outer(b, b))
+    sharp = [(("sym2",), TensorKind.sym2(), h, lam)]
+    sharp += [(("pform", p), TensorKind.pform(p), w1, lamp) for p, (w1, _, lamp) in pforms]
+    sharp += [((kind.name,), kind, weyl, lam2) for kind in (TensorKind.weyl(), TensorKind.curvature_einstein())]
+    for name, kind, tensor, rotation in sharp:
+        c = estimate_constant(kind, rotation.n)
+        _close(
+            failures,
+            ("constant", *name),
+            so_act(rotation, tensor).norm_sq() * c,
+            hat_norm_sq(tensor) * rotation.norm_sq(),
+            t,
+        )
     return failures
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from curvop import (
     CurvatureOperator,
+    Sym2,
     act_on_operator,
+    action,
     ad_matrix,
     alternation,
     cp2_op,
@@ -21,11 +23,11 @@ from curvop import (
     product_of_spheres_op,
     singer_thorpe_basis,
     singer_thorpe_op,
-    small_extremals,
     so_act,
     spectrum,
     sphere_product_op,
     tensor_from_op,
+    wedge_element,
     wedge_index,
     wedge_pairs,
 )
@@ -202,6 +204,19 @@ class TestExtremalPForms:
             (1, 3, 5): 1.0,
         }
 
+    def test_built_without_the_action(self, monkeypatch):
+        # the pair is written in closed form, so the action it is checked
+        # against plays no part in building it
+        def refused(*args):
+            raise AssertionError("extremal_pform called the action")
+
+        monkeypatch.setattr(action, "_act", refused)
+        monkeypatch.setattr(action, "_block_rows", refused)
+        for p in (1, 2, 3, 4):
+            w1, w2, lam = extremal_pform(p)
+            assert np.count_nonzero(w1.comps) + np.count_nonzero(w2.comps) == 2 ** p
+            assert lam.norm_sq() == p
+
     def test_rotation_identities_and_sharpness(self):
         for p in (1, 2, 3, 4):
             w1, w2, lam = extremal_pform(p)
@@ -215,22 +230,20 @@ class TestExtremalPForms:
 
 
 class TestSmallExtremals:
+    """The sharp symmetric-tensor and 2-form pairs on R^4."""
+
     def test_equalities(self):
-        sym_pair, form_pair = small_extremals()
-        h, lam = sym_pair.tensor, sym_pair.element
+        h, lam = Sym2(np.diag([1.0, -1.0, 0.0, 0.0])), wedge_element(4, 0, 1)
         assert so_act(lam, h).norm_sq() == pytest.approx(4.0 * h.norm_sq() * lam.norm_sq())
         assert so_act(lam, h).norm_sq() == pytest.approx(8.0)
-        w, lam2 = form_pair.tensor, form_pair.element
+        w, _, lam2 = extremal_pform(2)
         assert so_act(lam2, w).norm_sq() == pytest.approx(8.0)
         assert w.norm_sq() == 2.0
         assert lam2.norm_sq() == 2.0
 
     def test_bilinear_scaling(self):
-        sym_pair, _ = small_extremals()
-        from curvop import Sym2
-
-        h3 = Sym2(3.0 * sym_pair.tensor.mat)
-        assert so_act(sym_pair.element, h3).norm_sq() == pytest.approx(9.0 * 8.0)
+        h3 = Sym2(np.diag([3.0, -3.0, 0.0, 0.0]))
+        assert so_act(wedge_element(4, 0, 1), h3).norm_sq() == pytest.approx(9.0 * 8.0)
 
 
 class TestNegativeSym2Term:

@@ -72,6 +72,17 @@ class TestOperatorFiles:
             loads_operator(json.dumps(doc3))
 
     @pytest.mark.parametrize(
+        "matrix",
+        ["[[1.0], [2.0, 3.0]]", "[[1.0, 2.0, 3.0], [2.0, 3.0], [3.0]]", "[[1.0, 0.0, 0.0]]",
+         "[1.0, 0.0, 0.0]", "1.0", "[[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]]]"],
+        ids=["ragged-short", "ragged-triangle", "one-row", "flat", "scalar", "nested"],
+    )
+    def test_rejects_matrices_that_are_not_n_by_n_lists(self, matrix):
+        text = f'{{"n": 3, "basis": "lex-wedge", "matrix": {matrix}}}'
+        with pytest.raises(ValueError, match=r"the 'matrix' field must (be 3x3 for n=3|hold JSON numbers, got \[1.0\])"):
+            loads_operator(text)
+
+    @pytest.mark.parametrize(
         "entry, message",
         [('"1.5"', 'got "1.5"'), ("true", "got true"), ("1" + "0" * 400, "an integer too large for a float")],
         ids=["string", "bool", "huge-integer"],
@@ -259,6 +270,15 @@ class TestSpectrumCommand:
         assert code == 1
         assert out == ""
         assert err == f"error: the 'matrix' field {message}\n"
+
+    @pytest.mark.parametrize("command", [("spectrum",), ("bochner", "--kind", "weyl")])
+    def test_ragged_matrix_exits_one(self, capsys, tmp_path, command):
+        path = tmp_path / "ragged.json"
+        path.write_text('{"n": 3, "basis": "lex-wedge", "matrix": [[1.0], [2.0, 3.0]]}\n', encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == "error: the 'matrix' field must be 3x3 for n=3: a list of 3 lists of 3 numbers\n"
 
     @pytest.mark.parametrize("command", [("spectrum",), ("bochner", "--kind", "weyl")])
     def test_entries_too_large_to_symmetrize_exit_one(self, capsys, tmp_path, command):

@@ -13,7 +13,7 @@ import curvop
 
 PUBLIC = [
     "BettiVerdict", "BochnerVerdict", "CurvDecomposition", "CurvTensor", "CurvatureOperator",
-    "ExtremalPair", "HatTensor", "PForm", "PerturbedProfile", "ShootResult", "SoElement",
+    "HatTensor", "PForm", "PerturbedProfile", "ShootResult", "SoElement",
     "Spectrum", "Sym2", "TachibanaVerdict", "Tensor0k", "TensorKind", "WarpJet", "act_on_operator", "action", "ad_matrix", "alternation",
     "betti_bound", "betti_verdict", "bianchi_split", "bochner", "catalog", "complex_sectional",
     "cp2_op", "curvature_term", "decompose", "direct_term_check",
@@ -24,7 +24,7 @@ PUBLIC = [
     "negative_sym2_term_op", "normal_h_term", "ode_rhs", "ode_shoot",
     "op_from_tensor", "operators", "permute", "perturbed_profile", "product_of_spheres_op",
     "ric_identity_closed_form", "ric_of", "round_jet", "scal_single_warped",
-    "singer_thorpe_basis", "singer_thorpe_op", "small_extremals", "so_act", "spectrum",
+    "singer_thorpe_basis", "singer_thorpe_op", "so_act", "spectrum",
     "sphere_product_op", "tachibana_verdict", "tensor_from_op", "tensors", "trajectory_scal",
     "warped", "wedge_basis_form", "wedge_count", "wedge_element", "wedge_index", "wedge_pairs",
 ]

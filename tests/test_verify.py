@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvop import verify
+from curvop import action, verify
 from curvop.action import act_on_operator, curvature_term, hat_norm_sq, ric_of, so_act
 from curvop.bochner import TensorKind, direct_term_check, estimate_constant, lemma21_verdict
 from curvop.operators import (
@@ -767,6 +767,26 @@ def test_direct_checks_follow_the_tolerance():
     assert run_suite("lemma-2.1-soundness", trials=3, seed=42).passed
 
 
+def test_extremal_pform_catches_a_sign_flipped_action(monkeypatch):
+    # the pairs are written for the library's sign convention, not built
+    # through the action, so an action of the opposite sign fails L w1 = -p w2
+    act = action._act
+    monkeypatch.setattr(action, "_act", lambda *args: -act(*args))
+    failed = {f.digest for f in run_suite("extremal-pform").failures}
+    assert {verify._digest("first", p) for p in (1, 2, 3, 4)} <= failed
+
+
+@pytest.mark.parametrize("factor", [1.2, 1 / 1.2, 1.05])
+def test_sharpness_reads_the_library_constants(monkeypatch, factor):
+    # every sharp pair meets its kind's constant with equality, so a constant
+    # that is off by any factor fails that pair's check
+    constant = verify.estimate_constant
+    monkeypatch.setattr(verify, "estimate_constant", lambda kind, n: factor * constant(kind, n))
+    tags = [("sym2",), *(("pform", p) for p in (1, 2, 3, 4)), ("weyl",), ("curvature_einstein",)]
+    failed = {f.digest for f in run_suite("lemma-2.2-sharpness").failures}
+    assert failed == {verify._digest("constant", *tag) for tag in tags}
+
+
 # the tolerance each suite runs at when none is given
 DEFAULT_TOLERANCES = {
     "exact-values": 1e-12, "prop-1.1": 1e-10, "tensor-core": 1e-12, "prop-1.2": 1e-12,
@@ -805,7 +825,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "fbf345b9c894e93def695a0288fd501dfc47ea9b887a10e7a325651fcaea9b71"
+FAILING_HASH = "b3c925f28771aa1886abc5124ec2ec3e33ad48c181979dc7df5adc1391e32746"
 
 
 def test_reports_are_pinned():
