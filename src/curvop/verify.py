@@ -31,11 +31,10 @@ group through the stacked kernels of the kind table action._KINDS.  Groups
 are sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
 names as its item_bytes the largest array its check builds for the whole
 group, and a check builds the larger arrays of a trial a slice of the group
-at a time through _in_budget: prop-2.8 its (0,4)-tensors' block rows, and
-lemma-2.1-soundness the block rows of its curvature kinds' operator
-matrices, N^3 entries a trial.  The failures come back ordered by trial index,
-then by the position of the check within the trial: as if each trial had
-been checked alone.
+at a time through _in_budget: lemma-2.1-soundness the block rows of its
+curvature kinds' operator matrices, N^3 entries a trial.  The failures
+come back ordered by trial index, then by the position of the check within
+the trial: as if each trial had been checked alone.
 
 Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
 curvature tensors, and their suites check them on operator coordinates:
@@ -45,10 +44,11 @@ contracts and splits operator matrices, and the Kulkarni-Nomizu product
 _kn returns operator coordinates, so neither suite builds a (0,4)-array
 but lemma-2.2 in its case 3, whose tensor-factor and tensor checks are
 claims about them.  prop-1.2 checks the Leibniz rule for Kulkarni-Nomizu
-products on operator coordinates too, and estimate-constants its curvature
-kinds.  The suites whose claims are about (0,4)-tensors themselves spread
-operator matrices with _tensors_from_ops: prop-1.1, prop-1.9, prop-2.8,
-tensor-core and decompose.
+products on operator coordinates too, estimate-constants its curvature
+kinds, and prop-2.8 the identity operator's Ricci curvature and hat norm
+on curvature tensors, since Ric_I commutes with A -> A_op.  The suites
+whose claims are about (0,4)-tensors themselves spread operator matrices
+with _tensors_from_ops: prop-1.1, prop-1.9, tensor-core and decompose.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -339,13 +339,12 @@ def _trials(seed, suite, trials):
 # size their groups of trials by it, which keeps their memory flat in the
 # trial count.  A draw's item_bytes is the largest array its check builds for
 # the whole group; a larger array of one trial, such as the block rows of
-# prop-2.8's (0,4)-tensors (403 kB at n = 7) or those of
 # lemma-2.1-soundness's curvature operators (27 kB at n = 6), is built
 # through _in_budget a slice of the group at a time, each slice within the
-# budget, so that it does not shrink the group.  prop-2.8 is the only suite
-# that builds (0,4) block rows this way; prop-1.9 sizes its curvature-tensor
-# groups by them, and the inequality suites take theirs on operator
-# coordinates, N^2 entries a block row.
+# budget, so that it does not shrink the group.  No suite builds them
+# that way for (0,4)-tensors, n^4 entries a block row: prop-1.9 sizes its
+# curvature-tensor groups by them, and prop-2.8 and the inequality suites
+# take theirs on operator coordinates, N^2 entries a block row.
 # A check holds a few such arrays at once, 1-2 MB in all; larger groups
 # raise the peak resident memory and gain little speed.  At 2 MB, a process
 # running the five identity suites (prop-1.7, prop-2.8, prop-1.9, prop-1.2,
@@ -422,16 +421,10 @@ def _in_budget(item_bytes, fn, *stacks):
     items a slice as fit in _CHUNK_BYTES at item_bytes each (one at least),
     and each of its results concatenated over the slices.  A check builds
     through it the arrays that are too large to build for its whole group:
-    prop-2.8 the block rows of its (0,4)-tensors, and lemma-2.1-soundness
-    the block rows of its curvature operators."""
+    lemma-2.1-soundness the block rows of its curvature operators."""
     size = max(1, _CHUNK_BYTES // item_bytes)
     parts = [fn(*(stack[start:start + size] for stack in stacks)) for start in range(0, len(stacks[0]), size)]
     return [np.concatenate(side) for side in zip(*parts)]
-
-
-def _curvature_row_bytes(n):
-    """Bytes of the block rows of one (0,4)-tensor: 403 kB at n = 7."""
-    return 8 * wedge_count(n) * n ** 4
 
 
 def _closes(name, lhs, rhs, tol):
@@ -821,22 +814,13 @@ def _draw_prop_2_8(rng, n, trial, index):
     h = rng.normal(size=(n, n))
     p = int(rng.integers(1, n))
     w = _padded(rng.normal(size=math.comb(n, p)), n)
-    # the largest array built for the whole group is the operator's block
-    # rows, N^3 entries for N = wedge_count(n), or at n = 3 and 4 the
-    # curvature tensor, n^4; the tensor's block rows, N n^4, come a budget
-    # at a time
+    # the largest array is the operator's block rows, N^3 entries for
+    # N = wedge_count(n)
     size = wedge_count(n)
-    return None, 8 * max(size ** 3, n ** 4), (h, p, w, rng.normal(size=(size, size)))
+    return None, 8 * size ** 3, (h, p, w, rng.normal(size=(size, size)))
 
 
 def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
-    def curvature(rm, ric):
-        # the gap of ric_of(identity, Rm) from 4(n-1) Rm - 2 KN(g, ric), and
-        # the squared hat norm of Rm
-        ric_rm, rows_rm = _KINDS[CurvTensor].rics(None, rm, n)
-        want_rm = 4.0 * (n - 1) * rm - 2.0 * _tensors_from_ops(_kn(np.eye(n), ric), n)
-        return _max_abs(ric_rm - want_rm), _hat_norms_consuming(rows_rm)
-
     h = _symmetrized(raw_h)
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
     form_gap, form_hat, form_want = np.empty((3, len(h)))
@@ -846,17 +830,20 @@ def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
         form_hat[picked] = _hat_norms_consuming(rows_w)
         form_want[picked] = p * (n - p) * _compact_norms(w)
     rb, (scal, ric, ric0, *_) = _bianchi_decompose(raw, n)
-    rm = _tensors_from_ops(rb, n)
-    curv_gap, hat_rm = _in_budget(_curvature_row_bytes(n), curvature, rm, ric)
-    rm0_sq = _dense_norms(rm) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
+    # the curvature tensors on operator coordinates: the identity operator's
+    # Ricci curvature commutes with Rm -> Rm_op, and for pair-skew tensors
+    # |A|^2 = 4 |A_op|^2, so |hat Rm|^2 = 4 |hat R_op|^2 and |Rm|^2 = 4 |R_op|^2
+    ric_rb, rows_rb = _KINDS[CurvatureOperator].rics(None, rb, n)
+    curv_gap = _max_abs(ric_rb - (4.0 * (n - 1) * rb - 2.0 * _kn(np.eye(n), ric)))
+    hat_op = _hat_norms_consuming(rows_rb)
+    rm0_sq = 4.0 * _dense_norms(rb) - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
     ric0_sq = _dense_norms(ric0)
-    hat_op = _hat_norms_consuming(_KINDS[CurvatureOperator].rows(rb, n))
     return [
         _closes("sym2", _max_abs(ric_h - 2.0 * n * _traceless(h)), 0.0, t),
         _closes("pform", form_gap, 0.0, t),
         _closes("pform-hat", form_hat, form_want, t),
         _closes("curv", curv_gap, 0.0, t),
-        _closes("hat-rm", hat_rm, 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
+        _closes("hat-rm", 4.0 * hat_op, 4.0 * (n - 1) * rm0_sq - 8.0 * ric0_sq, t),
         _closes("hat-op", hat_op, 4.0 * (n - 1) * _dense_norms(_traceless(rb)) - 2.0 * ric0_sq, t),
     ]
 

@@ -356,6 +356,28 @@ class TestRic:
         want = 4 * (n - 1) * rm.array - 2 * kulkarni_nomizu(identity_sym2(n), ric).array
         assert np.allclose(got.array, want, atol=1e-11)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_identity_on_curvature_on_both_coordinates(self, n):
+        # Prop. 2.8: Ric_I(Rm) = 4(n-1) Rm - 2 KN(g, ric) on the dense
+        # (0,4)-tensor and on operator coordinates, and the two routes agree,
+        # as do the hat norms, |hat Rm|^2 = 4 |hat R_op|^2
+        rng = np.random.default_rng(200 + n)
+        rb = random_bianchi_operator(rng, n)
+        rm = tensor_from_op(rb)
+        ric = Sym2(np.einsum("iaja->ij", rm.array))
+        kn = kulkarni_nomizu(identity_sym2(n), ric)
+        dense = ric_of(identity_operator(n), rm).array
+        want = 4.0 * (n - 1) * rm.array - 2.0 * kn.array
+        scale = max(1.0, np.abs(dense).max(), np.abs(want).max())
+        assert np.abs(dense - want).max() <= 1e-12 * scale
+        op = ric_of(identity_operator(n), rb).mat
+        want = 4.0 * (n - 1) * rb.mat - 2.0 * op_from_tensor(kn).mat
+        scale = max(1.0, np.abs(op).max(), np.abs(want).max())
+        assert np.abs(op - want).max() <= 1e-12 * scale
+        gathered = op_from_tensor(CurvTensor(dense)).mat
+        assert np.abs(gathered - op).max() <= 1e-12 * scale
+        assert hat_norm_sq(rm) == pytest.approx(4.0 * hat_norm_sq(rb), rel=1e-12, abs=0.0)
+
     def test_metric_in_kernel(self):
         got = ric_of(identity_operator(4), identity_sym2(4))
         assert got.norm_sq() == pytest.approx(0.0, abs=1e-14)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvop import (
+    Spectrum,
     Tensor0k,
     TensorKind,
     betti_bound,
@@ -26,6 +27,7 @@ from curvop import (
     sphere_product_op,
     tachibana_verdict,
     tensor_from_op,
+    wedge_count,
 )
 from curvop.verify import random_normal_matrix, random_orthogonal, random_sym_operator
 
@@ -216,6 +218,36 @@ class TestTachibana:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             tachibana_verdict(spectrum(identity_operator(3)), 3)
+
+    @staticmethod
+    def designed(n, lowest):
+        """A spectrum on Lambda^2 R^n whose lowest eigenvalues are lowest and
+        whose others repeat the last of them; dyadic values keep every
+        lowest-k sum exact."""
+        size = wedge_count(n)
+        return Spectrum(lowest + [lowest[-1]] * (size - len(lowest)), np.eye(size))
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_counts_no_more_than_floor_half_n_minus_one(self, n):
+        # the lowest floor((n-1)/2) sum is negative and one more eigenvalue
+        # makes it positive, so a count one too large reads a nonnegative sum
+        count = (n - 1) // 2
+        s = self.designed(n, [-0.5] * count + [0.5 * count + 0.25])
+        assert s.lowest_sum(count) < 0.0 < s.lowest_sum((n + 1) // 2)
+        v = tachibana_verdict(s, n)
+        assert not v.parallel and not v.constant_curvature
+
+    @pytest.mark.parametrize("margin", [0.0, 0.25])
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_counts_no_fewer_than_floor_half_n_minus_one(self, n, margin):
+        # one eigenvalue fewer than floor((n-1)/2) sums to a negative, so a
+        # count one too small reads a negative sum; at margin 0 the sum is
+        # exactly zero, which forces parallel but not constant curvature
+        count = (n - 1) // 2
+        s = self.designed(n, [-0.5] * (count - 1) + [0.5 * (count - 1) + margin])
+        assert s.lowest_sum((n - 3) // 2) < 0.0 <= s.lowest_sum(count) == margin
+        v = tachibana_verdict(s, n)
+        assert v.parallel and v.constant_curvature == (margin > 0.0)
 
 
 class TestFourdimEinsteinTerm:

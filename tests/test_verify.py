@@ -483,7 +483,9 @@ def reference_prop_1_9(seed, trials, tol):
 
 
 def reference_prop_2_8(seed, trials, tol):
-    """prop-2.8 one trial at a time through the single-object calls."""
+    """prop-2.8 one trial at a time through the single-object calls, the
+    curvature tensor's identities on its operator as the suite checks them:
+    Ric_I commutes with Rm -> Rm_op, and |hat Rm|^2 = 4 |hat R_op|^2."""
     failures = []
     t = tol if tol is not None else 1e-9
     sid = _SUITE_IDS["prop-2.8"]
@@ -510,18 +512,18 @@ def reference_prop_2_8(seed, trials, tol):
             )
             _close(failures, ("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
             rb = random_bianchi_operator(rng, n)
-            rm = tensor_from_op(rb)
-            ric = Sym2(np.einsum("iaja->ij", rm.array))
+            ric = Sym2(np.einsum("iaja->ij", tensor_from_op(rb).array))
             scal = float(np.trace(ric.mat))
-            got_rm = ric_of(ident, rm)
-            want_rm = 4.0 * (n - 1) * rm.array - 2.0 * kulkarni_nomizu(g, ric).array
-            _close(failures, ("curv", n, count), float(np.abs(got_rm.array - want_rm).max()), 0.0, t)
+            got_rb = ric_of(ident, rb)
+            want_rb = 4.0 * (n - 1) * rb.mat - 2.0 * op_from_tensor(kulkarni_nomizu(g, ric)).mat
+            _close(failures, ("curv", n, count), float(np.abs(got_rb.mat - want_rb).max()), 0.0, t)
             ric0 = ric.traceless()
-            rm0_sq = rm.norm_sq() - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
+            hat_rb = hat_norm_sq(rb)
+            rm0_sq = 4.0 * rb.norm_sq() - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
             _close(
                 failures,
                 ("hat-rm", n, count),
-                hat_norm_sq(rm),
+                4.0 * hat_rb,
                 4.0 * (n - 1) * rm0_sq - 8.0 * ric0.norm_sq(),
                 t,
             )
@@ -529,7 +531,7 @@ def reference_prop_2_8(seed, trials, tol):
             _close(
                 failures,
                 ("hat-op", n, count),
-                hat_norm_sq(rb),
+                hat_rb,
                 4.0 * (n - 1) * r0_sq - 2.0 * ric0.norm_sq(),
                 t,
             )
@@ -638,9 +640,9 @@ def test_groups_are_keyed_by_shape(monkeypatch):
 
 @pytest.mark.parametrize("name", ["prop-2.8", "lemma-2.1-soundness"])
 def test_block_rows_stay_within_the_budget(name, monkeypatch):
-    # prop-2.8 builds a (0,4)-tensor's block rows, 403 kB at n = 7, a budget
-    # at a time however many trials share a group; lemma-2.1-soundness takes
-    # its curvature kinds on operator coordinates and builds none
+    # prop-2.8 and lemma-2.1-soundness take their curvature kinds on
+    # operator coordinates, N^3 entries a trial, and build no (0,4)-tensor's
+    # block rows (403 kB at n = 7)
     from curvop import action
 
     block_rows, built = action._block_rows, []
@@ -653,11 +655,8 @@ def test_block_rows_stay_within_the_budget(name, monkeypatch):
     monkeypatch.setattr(action, "_block_rows", recorded)
     assert run_suite(name, trials=20, seed=42).passed
     shapes = {(n, p, k) for n, p, k, _ in built}
-    if name == "prop-2.8":
-        assert shapes >= {(6, 1, 4)}
-    else:
-        assert not any(p == 1 and k == 4 for _, p, k in shapes), shapes
-        assert shapes >= {(6, 2, 2)}
+    assert not any(p == 1 and k == 4 for _, p, k in shapes), shapes
+    assert shapes >= {(6, 2, 2)}
     assert max(size for *_, size in built) <= verify._CHUNK_BYTES, max(built, key=lambda row: row[-1])
 
 
@@ -729,9 +728,9 @@ def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
     assert 3 in cases and 4 in cases
     refusing[0] = True
     assert run_suite("lemma-2.1-soundness", trials=5).passed
-    # the guard is live: prop-2.8's curvature checks spread their operators
+    # the guard is live: prop-1.9's curvature-tensor kind spreads its operators
     with pytest.raises(AssertionError, match="spread"):
-        run_suite("prop-2.8", trials=1)
+        run_suite("prop-1.9", trials=4)
 
 
 def test_prop_1_2_checks_leibniz_on_operator_coordinates(monkeypatch):
@@ -742,6 +741,16 @@ def test_prop_1_2_checks_leibniz_on_operator_coordinates(monkeypatch):
 
     monkeypatch.setattr(verify, "_tensors_from_ops", refused)
     assert run_suite("prop-1.2", trials=5).passed
+
+
+def test_prop_2_8_checks_curvature_tensors_on_operator_coordinates(monkeypatch):
+    # Ric_I and the hat norm of a curvature tensor are read off its operator
+    # matrix, so prop-2.8 runs with the spread to (0,4)-arrays refusing
+    def refused(mats, n):
+        raise AssertionError("an operator matrix was spread to a (0,4)-array")
+
+    monkeypatch.setattr(verify, "_tensors_from_ops", refused)
+    assert run_suite("prop-2.8", trials=5).passed
 
 
 def test_hat_structure_gaps_carry_no_cancellation_residue():
