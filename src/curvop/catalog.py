@@ -125,6 +125,10 @@ def negative_2form_term_op(n, lam):
         raise ValueError(f"dimension must be at least 4, got {n}")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"the scale must be positive and finite, got {lam}")
+    # 2n lam, the largest eigenvalue, bounds every entry; keeping it below
+    # the bound CurvatureOperator takes means no product below overflows
+    if 2.0 * n * lam >= 2.0 ** 1023:
+        raise ValueError(f"the scale must keep 2n*lam below 2**1023, got lam={lam} at n={n}")
     count = wedge_count(n)
     basis4 = singer_thorpe_basis()
     embedded = []

@@ -45,10 +45,11 @@ _kn returns operator coordinates, so neither suite builds a (0,4)-array
 but lemma-2.2 in its case 3, whose tensor-factor and tensor checks are
 claims about them.  prop-1.2 checks the Leibniz rule for Kulkarni-Nomizu
 products on operator coordinates too, estimate-constants its curvature
-kinds, and prop-2.8 the identity operator's Ricci curvature and hat norm
-on curvature tensors, since Ric_I commutes with A -> A_op.  The suites
+kinds, prop-2.8 the identity operator's Ricci curvature and hat norm on
+curvature tensors, and prop-1.9 the Ricci pairing of curvature tensors,
+since Ric_R commutes with A -> A_op for every operator R.  The suites
 whose claims are about (0,4)-tensors themselves spread operator matrices
-with _tensors_from_ops: prop-1.1, prop-1.9, tensor-core and decompose.
+with _tensors_from_ops: prop-1.1, tensor-core and decompose.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -341,10 +342,10 @@ def _trials(seed, suite, trials):
 # the whole group; a larger array of one trial, such as the block rows of
 # lemma-2.1-soundness's curvature operators (27 kB at n = 6), is built
 # through _in_budget a slice of the group at a time, each slice within the
-# budget, so that it does not shrink the group.  No suite builds them
-# that way for (0,4)-tensors, n^4 entries a block row: prop-1.9 sizes its
-# curvature-tensor groups by them, and prop-2.8 and the inequality suites
-# take theirs on operator coordinates, N^2 entries a block row.
+# budget, so that it does not shrink the group.  No suite builds the
+# block rows of (0,4)-tensors, n^4 entries a block row: prop-1.9, prop-2.8
+# and the inequality suites take their curvature tensors on operator
+# coordinates, N^2 entries a block row.
 # A check holds a few such arrays at once, 1-2 MB in all; larger groups
 # raise the peak resident memory and gain little speed.  At 2 MB, a process
 # running the five identity suites (prop-1.7, prop-2.8, prop-1.9, prop-1.2,
@@ -773,9 +774,9 @@ def _draw_prop_1_9(rng, n, trial, index):
         degree = 0
         shape = (n if which == 1 else size,) * 2
     s, u = rng.normal(size=shape), rng.normal(size=shape)
-    # the largest array is the block rows of s, those of a (0,4)-tensor for
-    # the curvature kind
-    item_bytes = 8 * size * (n ** 4 if which == 3 else s.size)
+    # the largest array is the block rows of s, N^3 entries for the
+    # curvature kind's operator matrices
+    item_bytes = 8 * size * s.size
     if which == 2:
         # forms of every degree share a group, their degrees alongside
         s, u = _padded(s, n), _padded(u, n)
@@ -788,9 +789,11 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
     r = _symmetrized(r)
     if which in (1, 3):
         s, u = _symmetrized(s), _symmetrized(u)
-    if which == 3:
-        s, u = _tensors_from_ops(s, n), _tensors_from_ops(u, n)
-    kind = _KINDS[(Tensor0k, Sym2, PForm, CurvTensor)[which]]
+    # the curvature tensors on operator coordinates: Ric_R commutes with
+    # A -> A_op, and for pair-skew tensors <A, B> = 4 <A_op, B_op>, so both
+    # sides are 4 times their values on the operator matrices
+    kind = _KINDS[(Tensor0k, Sym2, PForm, CurvatureOperator)[which]]
+    scale = 4.0 if which == 3 else 1.0
     parts = _by_degree(n, degrees, s, u) if which == 2 else [(k, slice(None), (s, u))]
     lhs, rhs = np.empty((2, len(r)))
     for degree, picked, (values_s, values_u) in parts:
@@ -801,7 +804,7 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
         # trial gives
         lhs[picked] = kind.inners(ric, values_u)
         rhs[picked] = _terms(mats, rows_s, rows_u)
-    return [_closes("adjoint", lhs, rhs, t)]
+    return [_closes("adjoint", scale * lhs, scale * rhs, t)]
 
 
 def suite_prop_2_8(seed, trials, t):

@@ -378,6 +378,23 @@ class TestRic:
         assert np.abs(gathered - op).max() <= 1e-12 * scale
         assert hat_norm_sq(rm) == pytest.approx(4.0 * hat_norm_sq(rb), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_general_operator_on_curvature_on_both_coordinates(self, n):
+        # Ric_R commutes with A -> A_op for a general symmetric R, and for
+        # pair-skew tensors <A, B> = 4 <A_op, B_op>: the dense inner product
+        # and curvature term are 4 times those on operator coordinates
+        rng = np.random.default_rng(300 + n)
+        r = random_sym_operator(rng, n)
+        s, u = random_bianchi_operator(rng, n), random_bianchi_operator(rng, n)
+        rm_s, rm_u = tensor_from_op(s), tensor_from_op(u)
+        op = ric_of(r, s).mat
+        gathered = op_from_tensor(ric_of(r, rm_s)).mat
+        assert np.abs(gathered - op).max() <= 1e-12 * max(1.0, np.abs(op).max())
+        on_ops = float(np.sum(op * u.mat))
+        assert inner(ric_of(r, rm_s), rm_u) == pytest.approx(4.0 * on_ops, rel=1e-12, abs=0.0)
+        term = curvature_term(r, rm_s, rm_u)
+        assert term == pytest.approx(4.0 * curvature_term(r, s, u), rel=1e-12, abs=0.0)
+
     def test_metric_in_kernel(self):
         got = ric_of(identity_operator(4), identity_sym2(4))
         assert got.norm_sq() == pytest.approx(0.0, abs=1e-14)

@@ -179,6 +179,19 @@ class TestNegativeTwoFormTerm:
             with pytest.raises(ValueError):
                 negative_2form_term_op(5, lam)
 
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_rejects_scales_whose_largest_entry_overflows(self, n):
+        # the largest eigenvalue is 2n lam; a scale that puts it at 2**1023
+        # or above is named in the error, before any product overflows
+        bound = 2.0 ** 1023 / (2 * n)
+        for lam in (1e308, 1.000001 * bound):
+            with pytest.raises(ValueError, match=r"scale must keep 2n\*lam below 2\*\*1023"):
+                negative_2form_term_op(n, lam)
+        lam = 0.999999 * bound
+        op, w = negative_2form_term_op(n, lam)
+        assert spectrum(op).eigenvalues[-1] == pytest.approx(2.0 * n * lam, rel=1e-12)
+        assert curvature_term(op, w, w) == pytest.approx(-4.0 * lam * w.norm_sq(), rel=1e-12)
+
 
 class TestExtremalPForms:
     def test_degree_one(self):

@@ -615,6 +615,8 @@ class TestUsage:
              "usage error: catalog entry 'singer-thorpe' needs --lambdas l1,..,l6"),
             ({}, ("bochner", "cp2.json", "--kind", "sym2", "--kappa=-1", "--diameter", "1", "--c-const", "1"), 2,
              "usage error: the bound needs --p"),
+            ({}, ("catalog", "--name", "example-4.7", "--n", "5", "--lambda", "1e308"), 2,
+             "usage error: the scale must keep 2n*lam below 2**1023, got lam=1e+308 at n=5"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

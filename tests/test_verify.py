@@ -454,7 +454,9 @@ def reference_prop_1_7(seed, trials, tol):
 
 
 def reference_prop_1_9(seed, trials, tol):
-    """prop-1.9 one trial at a time through the single-object calls."""
+    """prop-1.9 one trial at a time through the single-object calls, the
+    curvature tensors on their operators as the suite checks them: Ric_R
+    commutes with A -> A_op, and <A, B> = 4 <A_op, B_op>."""
     failures = []
     t = tol if tol is not None else 1e-10
     sid = _SUITE_IDS["prop-1.9"]
@@ -474,8 +476,10 @@ def reference_prop_1_9(seed, trials, tol):
                 p = int(rng.integers(1, n))
                 s, u = random_pform(rng, n, p), random_pform(rng, n, p)
             else:
-                s = tensor_from_op(random_sym_operator(rng, n))
-                u = tensor_from_op(random_sym_operator(rng, n))
+                s, u = random_sym_operator(rng, n), random_sym_operator(rng, n)
+                lhs = 4.0 * float(np.sum(ric_of(r, s).mat * u.mat))
+                _close(failures, ("adjoint", n, count), lhs, 4.0 * curvature_term(r, s, u), t)
+                continue
             lhs = inner(ric_of(r, s), u)
             rhs = curvature_term(r, s, u)
             _close(failures, ("adjoint", n, count), lhs, rhs, t)
@@ -636,13 +640,17 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     sizes = {n: [size for m, _, size in calls if m == n] for n in (6, 7)}
     assert max(sizes[6]) > 1 and len(sizes[6]) <= 2, sizes
     assert max(sizes[7]) > 1 and len(sizes[7]) <= 4, sizes
+    # prop-1.9's curvature kind too: its 10 trials at n = 7 take two groups
+    calls = counted_checks(monkeypatch, "_check_prop_1_9")
+    assert run_suite("prop-1.9", trials=40, seed=42).passed
+    assert [size for n, (which, _), size in calls if n == 7 and which == 3] == [7, 3]
 
 
-@pytest.mark.parametrize("name", ["prop-2.8", "lemma-2.1-soundness"])
+@pytest.mark.parametrize("name", ["prop-2.8", "prop-1.9", "lemma-2.1-soundness"])
 def test_block_rows_stay_within_the_budget(name, monkeypatch):
-    # prop-2.8 and lemma-2.1-soundness take their curvature kinds on
-    # operator coordinates, N^3 entries a trial, and build no (0,4)-tensor's
-    # block rows (403 kB at n = 7)
+    # prop-2.8, prop-1.9 and lemma-2.1-soundness take their curvature kinds
+    # on operator coordinates, N^3 entries a trial, and build no
+    # (0,4)-tensor's block rows (403 kB at n = 7)
     from curvop import action
 
     block_rows, built = action._block_rows, []
@@ -728,29 +736,26 @@ def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
     assert 3 in cases and 4 in cases
     refusing[0] = True
     assert run_suite("lemma-2.1-soundness", trials=5).passed
-    # the guard is live: prop-1.9's curvature-tensor kind spreads its operators
+    # the guard is live: prop-1.1's claim is about the (0,4)-tensor
+    # KN(g, h), so it spreads its operators
     with pytest.raises(AssertionError, match="spread"):
-        run_suite("prop-1.9", trials=4)
+        run_suite("prop-1.1", trials=1)
 
 
-def test_prop_1_2_checks_leibniz_on_operator_coordinates(monkeypatch):
-    # the Leibniz half acts on Kulkarni-Nomizu products as operator
-    # matrices, so prop-1.2 runs with the spread to (0,4)-arrays refusing
+@pytest.mark.parametrize("name", ["prop-1.7", "prop-2.8", "prop-1.9", "prop-1.2", "prop-1.3"])
+def test_identity_suites_spread_no_operator_to_a_tensor(name, monkeypatch):
+    # the identity suites check their curvature tensors on operator
+    # matrices: prop-1.2 the Leibniz rule for Kulkarni-Nomizu products,
+    # prop-2.8 Ric_I and the hat norm, prop-1.9 the Ricci pairing (its
+    # fourth trial per n).  So each runs with every binding of the spread
+    # to (0,4)-arrays refusing
     def refused(mats, n):
         raise AssertionError("an operator matrix was spread to a (0,4)-array")
 
-    monkeypatch.setattr(verify, "_tensors_from_ops", refused)
-    assert run_suite("prop-1.2", trials=5).passed
-
-
-def test_prop_2_8_checks_curvature_tensors_on_operator_coordinates(monkeypatch):
-    # Ric_I and the hat norm of a curvature tensor are read off its operator
-    # matrix, so prop-2.8 runs with the spread to (0,4)-arrays refusing
-    def refused(mats, n):
-        raise AssertionError("an operator matrix was spread to a (0,4)-array")
-
-    monkeypatch.setattr(verify, "_tensors_from_ops", refused)
-    assert run_suite("prop-2.8", trials=5).passed
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("curvop") and hasattr(module, "_tensors_from_ops"):
+            monkeypatch.setattr(module, "_tensors_from_ops", refused)
+    assert run_suite(name, trials=5).passed
 
 
 def test_hat_structure_gaps_carry_no_cancellation_residue():
