@@ -64,10 +64,11 @@ def estimate_constant(kind: TensorKind, n, hat_ratio=None) -> float:
 
     p-forms give max(p, n-p) (degrees above the middle reduce through their
     complementary degree); symmetric tensors give n/2; Einstein curvature
-    tensors and Weyl tensors give (n-1)/2.  The generic kind only has the
-    order-squared bound, so it needs the caller's value of the ratio
-    |hat T|^2 / |T|^2; plain non-Einstein curvature has no uniform constant
-    and is rejected.
+    tensors and Weyl tensors give (n-1)/2 and are rejected below n = 3,
+    where that is below 1 and no verdict takes it.  The generic kind only
+    has the order-squared bound, so it needs the caller's value of the
+    ratio |hat T|^2 / |T|^2; plain non-Einstein curvature has no uniform
+    constant and is rejected.
     """
     n = int(n)
     if n < 2:
@@ -79,6 +80,8 @@ def estimate_constant(kind: TensorKind, n, hat_ratio=None) -> float:
     if kind.name == "sym2":
         return n / 2.0
     if kind.name in ("curvature_einstein", "weyl"):
+        if n < 3:
+            raise ValueError(f"{kind.name} tensors need dimension at least 3, got {n}")
         return (n - 1) / 2.0
     if kind.name == "generic":
         if hat_ratio is None:
@@ -194,6 +197,14 @@ def _direct_check(lhs, hat_sq, kappa, slack):
     return rhs, lhs >= rhs - slack * scale
 
 
+def _check_spectrum_size(s, n):
+    """Raise ValueError unless s has the n(n-1)/2 eigenvalues of an
+    operator on the 2-vectors of R^n."""
+    size = n * (n - 1) // 2
+    if s.size != size:
+        raise ValueError(f"a spectrum in dimension {n} has {size} eigenvalues, got {s.size}")
+
+
 @dataclass(frozen=True)
 class BettiVerdict:
     vanishing: bool
@@ -210,6 +221,7 @@ def betti_verdict(s: Spectrum, n, p) -> BettiVerdict:
     p = int(p)
     if not 1 <= p <= n // 2:
         raise ValueError(f"p must be in 1..{n // 2}, got {p}")
+    _check_spectrum_size(s, n)
     low = s.lowest_sum(n - p)
     return BettiVerdict(vanishing=low > 0.0, parallel_only=low >= 0.0)
 
@@ -254,6 +266,7 @@ def tachibana_verdict(s: Spectrum, n) -> TachibanaVerdict:
     n = int(n)
     if n < 4:
         raise ValueError(f"dimension must be at least 4, got {n}")
+    _check_spectrum_size(s, n)
     count = 2 if n == 4 else (n - 1) // 2
     low = s.lowest_sum(count)
     return TachibanaVerdict(parallel=low >= 0.0, constant_curvature=low > 0.0)

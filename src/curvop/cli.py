@@ -48,22 +48,19 @@ def _output(path, text):
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .verify import SUITES, _trial_count, run_suite
+    from .verify import SUITES, check_selection, run_suite
 
     if args.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
     if args.tol is not None and not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, got {args.tol}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # every suite's name and trial limit, before the first suite runs
-    for name in names:
-        if name not in SUITES:
-            raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)} or all")
-        if args.trials is not None:
-            try:
-                _trial_count(args.trials, name)
-            except ValueError as exc:
-                raise UsageError(f"--{exc}") from None
+    try:
+        check_selection(names, args.trials)
+    except KeyError:
+        raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(SUITES)} or all") from None
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
     reports = [
         run_suite(name, trials=args.trials, seed=args.seed, tol=args.tol) for name in names
     ]

@@ -309,8 +309,9 @@ class PForm:
 
         The tensor is alternating when |to_tensor() - t| stays within
         _IDENTITY_TOL times max(1, its largest entry), read off without a
-        second dense array: at the scatter positions from the gathered
-        entries, off them from the largest and smallest entry of t there.
+        second array as large as t: at the scatter positions from the
+        gathered entries, off them from the largest and smallest entry of t
+        there, one leading index at a time.
         """
         if t.k > t.n:  # before _dense_scatter, which has k! rows
             raise ValueError(f"form degree must be in 1..{t.n}, got {t.k}")
@@ -319,13 +320,18 @@ class PForm:
         gathered = entries[flat]
         # the identity permutation is the first row of the scatter
         form = cls(t.n, t.k, gathered[0])
-        off = np.ones(entries.size, dtype=bool)
-        off[flat.reshape(-1)] = False
-        deviation = max(
-            float(np.abs(signs[:, None] * gathered[0] - gathered).max()),
-            float(np.max(entries, where=off, initial=0.0)),
-            -float(np.min(entries, where=off, initial=0.0)),
-        )
+        deviation = float(np.abs(signs[:, None] * gathered[0] - gathered).max())
+        stride = entries.size // t.n
+        lead, rest = np.divmod(flat.reshape(-1), stride)
+        off = np.empty(stride, dtype=bool)
+        for i, block in enumerate(entries.reshape(t.n, stride)):
+            off.fill(True)
+            off[rest[lead == i]] = False
+            deviation = max(
+                deviation,
+                float(np.max(block, where=off, initial=0.0)),
+                -float(np.min(block, where=off, initial=0.0)),
+            )
         scale = max(1.0, float(entries.max()), -float(entries.min()))
         if deviation > _IDENTITY_TOL * scale:
             raise ValueError("tensor is not alternating")

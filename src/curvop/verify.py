@@ -8,33 +8,38 @@ default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
 index))); _trial_rng takes the pool of numpy's own SeedSequence(entropy=seed,
 spawn_key=(suite index,)), mixes the indices of a block of consecutive
 trials into it at once with numpy's hash and caches the blocks of seed
-words, and _trials walks a suite's trials in order with their generators.
-A suite returns the list of failures; a failure records a digest of its
-check tag (the check's name with the dimension and the trial or case that
-failed, not the inputs themselves) together with both sides of the
-violated comparison and the tolerance used.
+words.  A suite returns the list of failures; a failure records a digest
+of its check tag (the check's name with the dimension and the trial or
+case that failed, not the inputs themselves) together with both sides of
+the violated comparison and the tolerance used.
 
-Each row of _SUITE_TABLE holds a suite's default trial count and default
-tolerance t; run_suite replaces tol=None by that default, and an explicit
-tol governs every comparison the suite makes at t.  Comparisons with a
-fixed slack of their own keep it, and the direct checks of
-lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the slack of
-bochner.direct_term_check.
+_SUITE_TABLE is the registry of the suites.  A suite's row says how it
+runs and holds its default trial count and default tolerance t, and its
+position is the suite index.  run_suite alone turns (name, seed, trials)
+into the suite's stream of (trial index, generator) pairs and derives the
+trial limit from the row: a suite takes one of the 2**32 trial indices a
+trial, a batched suite one a trial and n.  run_suite replaces tol=None by
+the default, and an explicit tol governs every comparison the suite makes
+at t.  Comparisons with a fixed slack of their own keep it, and the direct
+checks of lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the
+slack of bochner.direct_term_check.
 
-Eight suites batch across trials through one driver, _batched: prop-1.1,
-prop-1.2, prop-1.3, prop-1.7, prop-1.9, prop-2.8, lemma-2.2 and
-lemma-2.1-soundness.  Each is a draw function, which draws one trial from
-its generator, keeps only what the generator produced and names the shapes
-of its arrays, and a check function, which symmetrizes the stacked draws
-that stand for symmetric matrices and runs the suite's comparisons on the
-group through the stacked kernels of the kind table action._KINDS.  Groups
-are sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
-names as its item_bytes the largest array its check builds for the whole
-group, and a check builds the larger arrays of a trial a slice of the group
-at a time through _in_budget: lemma-2.1-soundness the block rows of its
-curvature kinds' operator matrices, N^3 entries a trial.  The failures
-come back ordered by trial index, then by the position of the check within
-the trial: as if each trial had been checked alone.
+A row names either a body, which walks the stream, or the (dims, draw,
+check) of a suite that one driver, _batched, checks in batches at each n
+of dims.  Such a suite's trial i at the j-th n is trial index
+j * trials + i, drawn from that index's generator alone, and each of its
+failures is tagged (check name, n, index + 1).  The draw function draws
+one trial from its generator, keeps only what the generator produced and
+names the shapes of its arrays; the check function symmetrizes the stacked
+draws that stand for symmetric matrices and runs the suite's comparisons
+on the group through the stacked kernels of the kind table action._KINDS.
+Groups are sized by _CHUNK_BYTES, so memory stays flat in the trial count:
+a draw names as its item_bytes the largest array its check builds for the
+whole group, and a check builds the larger arrays of a trial a slice of
+the group at a time through _in_budget: lemma-2.1-soundness the block rows
+of its curvature kinds' operator matrices, N^3 entries a trial.  The
+failures come back ordered by trial index, then by the position of the
+check within the trial: as if each trial had been checked alone.
 
 Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
 curvature tensors, and their suites check them on operator coordinates:
@@ -327,13 +332,6 @@ def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
         failures.append(_failure(tag, lhs, rhs, tol))
 
 
-def _trials(seed, suite, trials):
-    """(trial index, its generator) for each of a suite's trials in order."""
-    sid = _SUITE_IDS[suite]
-    for trial in range(trials):
-        yield trial, _trial_rng(seed, sid, trial)
-
-
 # -- suites batched across trials ---------------------------------------------
 
 # Bytes of the largest array a batched check may build.  The batched suites
@@ -354,19 +352,12 @@ def _trials(seed, suite, trials):
 # host).
 _CHUNK_BYTES = 1 << 19
 
-# The dimensions the batched suites run their trials at.  _batched gives
-# trial i at the j-th of k dimensions the trial index j * trials + i, so such
-# a suite takes at most 2**32 // k trials; its row of _SUITE_TABLE says so.
-_DIMS_3_TO_8 = range(3, 9)
-_DIMS_3_TO_7 = range(3, 8)
-_DIMS_3_TO_6 = (3, 4, 5, 6)
-
-
-def _batched(seed, suite, trials, t, dims, draw, check):
+def _batched(stream, trials, t, dims, draw, check):
     """The failures of a suite whose trials are checked in batches.
 
-    Trial i at the j-th n of dims is the suite's trial index j * trials + i;
-    draw(its generator, n, i, index) returns its (key, item_bytes, arrays).
+    Trial i at the j-th n of dims is the suite's trial index j * trials + i,
+    and stream yields (index, its generator) for every index in order;
+    draw(the generator, n, i, index) returns its (key, item_bytes, arrays).
     The arrays hold what the generator produced, a normal matrix as
     rng.normal gave it: the check takes the symmetric parts of a stack
     with _symmetrized once, which has the bits of each trial's
@@ -402,7 +393,7 @@ def _batched(seed, suite, trials, t, dims, draw, check):
                 found.append(((index, position), _failure((name, n, index + 1), lhs[i], rhs[i], tol)))
 
     groups = {}
-    for index, rng in _trials(seed, suite, len(dims) * trials):
+    for index, rng in stream:
         n_index, trial = divmod(index, trials)
         n = dims[n_index]
         key, item_bytes, item = draw(rng, n, trial, index)
@@ -481,16 +472,8 @@ def _bianchi_decompose(raw, n):
 
 # -- random draws -------------------------------------------------------------
 
-def _sym_draw(rng, m):
-    """Symmetric m x m matrix (a + a^T) / 2 of a standard normal a, for the
-    suites checked one trial at a time; a batched suite draws a and
-    symmetrizes its whole group at once."""
-    a = rng.normal(size=(m, m))
-    return (a + a.T) / 2.0
-
-
 def random_sym2(rng, n) -> Sym2:
-    return Sym2(_sym_draw(rng, n))
+    return Sym2(_symmetrized(rng.normal(size=(n, n))))
 
 
 def random_tensor(rng, n, k) -> Tensor0k:
@@ -506,7 +489,8 @@ def random_so(rng, n) -> SoElement:
 
 
 def random_sym_operator(rng, n) -> CurvatureOperator:
-    return CurvatureOperator(n, _sym_draw(rng, wedge_count(n)))
+    size = wedge_count(n)
+    return CurvatureOperator(n, _symmetrized(rng.normal(size=(size, size))))
 
 
 def random_bianchi_operator(rng, n) -> CurvatureOperator:
@@ -571,9 +555,9 @@ def hat_wedge_closed_form(n, idx) -> np.ndarray:
 
 # -- suites -------------------------------------------------------------------
 
-def suite_exact_values(seed, trials, t):
+def suite_exact_values(stream, t):
     """Exact catalog norms: metric KN square, sphere products, 2-sphere
-    products, and the overlap case.  Deterministic; trials are ignored."""
+    products, and the overlap case.  Deterministic; the stream is ignored."""
     failures = []
     for n in range(3, 9):
         g = identity_sym2(n)
@@ -601,27 +585,23 @@ def suite_exact_values(seed, trials, t):
     return failures
 
 
-def suite_prop_1_1(seed, trials, t):
-    """Kulkarni-Nomizu norm identity on random symmetric tensors."""
-    return _batched(seed, "prop-1.1", trials, t, _DIMS_3_TO_8, _draw_prop_1_1, _check_prop_1_1)
-
-
 def _draw_prop_1_1(rng, n, trial, index):
     # the product with the metric is the largest array
     return None, 8 * n ** 4, (rng.normal(size=(n, n)),)
 
 
 def _check_prop_1_1(t, n, key, raw):
+    """Kulkarni-Nomizu norm identity on random symmetric tensors."""
     h = _symmetrized(raw)
     lhs = _dense_norms(_tensors_from_ops(_kn(np.eye(n), h), n))
     trace = np.trace(h, axis1=1, axis2=2)
     return [_closes("kn-norm", lhs, 4.0 * (n - 2) * _dense_norms(h) + 4.0 * trace ** 2, t)]
 
 
-def suite_tensor_core(seed, trials, t):
+def suite_tensor_core(stream, t):
     """Trace-free parts, compact/dense form round trips, KN bilinearity."""
     failures = []
-    for trial, rng in _trials(seed, "tensor-core", trials):
+    for trial, rng in stream:
         n = int(rng.integers(2, 9))
         h = random_sym2(rng, n)
         h0 = h.traceless()
@@ -655,11 +635,6 @@ def suite_tensor_core(seed, trials, t):
     return failures
 
 
-def suite_prop_1_2(seed, trials, t):
-    """The action commutes with slot permutations; Leibniz rule for KN."""
-    return _batched(seed, "prop-1.2", trials, t, _DIMS_3_TO_7, _draw_prop_1_2, _check_prop_1_2)
-
-
 def _draw_prop_1_2(rng, n, trial, index):
     k = int(rng.integers(2, 5))
     lam = rng.normal(size=wedge_count(n))
@@ -675,6 +650,7 @@ def _transposed(values, axes):
 
 
 def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
+    """The action commutes with slot permutations; Leibniz rule for KN."""
     s, u = _symmetrized(s), _symmetrized(u)
     left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
     right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
@@ -690,18 +666,14 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
     ]
 
 
-def suite_prop_1_3(seed, trials, t):
-    """The action of so(n) on symmetric tensors is trace free; the metric is
-    killed outright."""
-    return _batched(seed, "prop-1.3", trials, t, _DIMS_3_TO_7, _draw_prop_1_3, _check_prop_1_3)
-
-
 def _draw_prop_1_3(rng, n, trial, index):
     lam = rng.normal(size=wedge_count(n))
     return None, 8 * n * n, (lam, rng.normal(size=(n, n)))
 
 
 def _check_prop_1_3(t, n, key, lam, raw):
+    """The action of so(n) on symmetric tensors is trace free; the metric is
+    killed outright."""
     h = _symmetrized(raw)
     metric = np.broadcast_to(np.eye(n), h.shape)
     return [
@@ -710,10 +682,10 @@ def _check_prop_1_3(t, n, key, lam, raw):
     ]
 
 
-def suite_prop_1_6(seed, trials, t):
+def suite_prop_1_6(stream, t):
     """Norm of the action on a symmetric wedge operator through its spectrum."""
     failures = []
-    for trial, rng in _trials(seed, "prop-1.6", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
         lam = random_so(rng, n)
@@ -725,18 +697,14 @@ def suite_prop_1_6(seed, trials, t):
     return failures
 
 
-def suite_prop_1_7(seed, trials, t):
-    """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
-    and the hat norm identity."""
-    return _batched(seed, "prop-1.7", trials, t, _DIMS_3_TO_7, _draw_prop_1_7, _check_prop_1_7)
-
-
 def _draw_prop_1_7(rng, n, trial, index):
     h = rng.normal(size=(n, n))
     return None, 8 * wedge_count(n) * n * n, (h, rng.normal(size=wedge_count(n)))
 
 
 def _check_prop_1_7(t, n, key, raw, lam):
+    """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
+    and the hat norm identity."""
     h = _symmetrized(raw)
     vals, vecs = np.linalg.eigh(h)
     lhs = _dense_norms(_KINDS[Sym2].acted(lam, h, n))
@@ -751,12 +719,6 @@ def _check_prop_1_7(t, n, key, raw, lam):
         _closes("hat-norm", hat_sq, 2.0 * n * _dense_norms(h) - 2.0 * trace ** 2, t),
         _closes("hat-traceless", hat_sq, 2.0 * n * _dense_norms(_traceless(h)), t),
     ]
-
-
-def suite_prop_1_9(seed, trials, t):
-    """Self-adjointness: the Ricci pairing equals the curvature term for
-    every supported tensor kind."""
-    return _batched(seed, "prop-1.9", trials, t, _DIMS_3_TO_7, _draw_prop_1_9, _check_prop_1_9)
 
 
 def _draw_prop_1_9(rng, n, trial, index):
@@ -785,6 +747,8 @@ def _draw_prop_1_9(rng, n, trial, index):
 
 
 def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
+    """Self-adjointness: the Ricci pairing equals the curvature term for
+    every supported tensor kind."""
     which, k = key
     r = _symmetrized(r)
     if which in (1, 3):
@@ -807,12 +771,6 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
     return [_closes("adjoint", scale * lhs, scale * rhs, t)]
 
 
-def suite_prop_2_8(seed, trials, t):
-    """Identity-operator Ricci curvature on symmetric tensors, forms, and
-    curvature tensors, with the hat-norm consequences."""
-    return _batched(seed, "prop-2.8", trials, t, _DIMS_3_TO_7, _draw_prop_2_8, _check_prop_2_8)
-
-
 def _draw_prop_2_8(rng, n, trial, index):
     h = rng.normal(size=(n, n))
     p = int(rng.integers(1, n))
@@ -824,6 +782,8 @@ def _draw_prop_2_8(rng, n, trial, index):
 
 
 def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
+    """Identity-operator Ricci curvature on symmetric tensors, forms, and
+    curvature tensors, with the hat-norm consequences."""
     h = _symmetrized(raw_h)
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
     form_gap, form_hat, form_want = np.empty((3, len(h)))
@@ -851,11 +811,11 @@ def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
     ]
 
 
-def suite_ric_closed_form(seed, trials, t):
+def suite_ric_closed_form(stream, t):
     """The combinatorial closed form of the identity-operator Ricci curvature
     against the definitional double sum."""
     failures = []
-    for trial, rng in _trials(seed, "ric-closed-form", trials):
+    for trial, rng in stream:
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, 5))
         tt = random_tensor(rng, n, k)
@@ -871,10 +831,10 @@ def suite_ric_closed_form(seed, trials, t):
     return failures
 
 
-def suite_hat_closed_form(seed, trials, t):
+def suite_hat_closed_form(stream, t):
     """Hats of wedge basis forms against the combinatorial expansion, exactly."""
     failures = []
-    for trial, rng in _trials(seed, "hat-closed-form", trials):
+    for trial, rng in stream:
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
@@ -884,11 +844,11 @@ def suite_hat_closed_form(seed, trials, t):
     return failures
 
 
-def suite_hat_structure(seed, trials, t):
+def suite_hat_structure(stream, t):
     """Hat blocks agree with direct actions and pairing against any element
     reproduces that element's action."""
     failures = []
-    for trial, rng in _trials(seed, "hat-structure", trials):
+    for trial, rng in stream:
         n = int(rng.integers(2, 6))
         which = trial % 3
         if which == 0:
@@ -916,11 +876,11 @@ def _gap_sq(a, b):
     return inner(d, d)
 
 
-def suite_basis_independence(seed, trials, t):
+def suite_basis_independence(stream, t):
     """The curvature term is unchanged under a random orthogonal re-basis of
     wedge space."""
     failures = []
-    for trial, rng in _trials(seed, "basis-independence", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
         s = random_sym2(rng, n)
@@ -939,11 +899,11 @@ def suite_basis_independence(seed, trials, t):
     return failures
 
 
-def suite_bianchi_split(seed, trials, t):
+def suite_bianchi_split(stream, t):
     """The alternation split is an orthogonal projection onto the Bianchi
     subspace."""
     failures = []
-    for trial, rng in _trials(seed, "bianchi-split", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         rb, lam4 = bianchi_split(r)
@@ -959,11 +919,11 @@ def suite_bianchi_split(seed, trials, t):
     return failures
 
 
-def suite_decompose(seed, trials, t):
+def suite_decompose(stream, t):
     """Reassembly, orthogonality, total trace-freeness, the Schouten relation,
     and the hat-norm consequence of the decomposition."""
     failures = []
-    for trial, rng in _trials(seed, "decompose", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 8))
         rb = random_bianchi_operator(rng, n)
         rm = tensor_from_op(rb)
@@ -986,12 +946,12 @@ def suite_decompose(seed, trials, t):
     return failures
 
 
-def suite_spectrum(seed, trials, t):
+def suite_spectrum(stream, t):
     """The Jacobi solver behind spectrum, the one suite that runs it:
     residuals, orthogonality, invariance under orthogonal conjugation, and
     batch/single agreement."""
     failures = []
-    for trial, rng in _trials(seed, "spectrum", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 8))
         r = random_sym_operator(rng, n)
         s = spectrum(r)
@@ -1019,12 +979,6 @@ def suite_spectrum(seed, trials, t):
     return failures
 
 
-def suite_lemma_2_2(seed, trials, t):
-    """Action-norm inequalities for every tensor kind, including both KN
-    corollary forms.  Trials are grouped by case and by order or degree."""
-    return _batched(seed, "lemma-2.2", trials, t, _DIMS_3_TO_6, _draw_lemma_2_2, _check_lemma_2_2)
-
-
 def _draw_lemma_2_2(rng, n, trial, index):
     size = wedge_count(n)
     lam = rng.normal(size=size)
@@ -1050,6 +1004,8 @@ def _draw_lemma_2_2(rng, n, trial, index):
 
 
 def _check_lemma_2_2(t, n, key, lam, values, raw=None):
+    """Action-norm inequalities for every tensor kind, including both KN
+    corollary forms.  Trials are grouped by case and by order or degree."""
     case, degree = key
     lam_sq = _compact_norms(lam)
     g = np.eye(n)
@@ -1085,7 +1041,7 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
     ]
 
 
-def suite_lemma_2_2_sharpness(seed, trials, t):
+def suite_lemma_2_2_sharpness(stream, t):
     """The catalog extremals achieve equality in their estimates, and at
     each sharp pair the library's constant gives |L T|^2 C = |hat T|^2 |L|^2."""
     failures = []
@@ -1142,11 +1098,11 @@ def suite_lemma_2_2_sharpness(seed, trials, t):
     return failures
 
 
-def suite_estimate_constants(seed, trials, t):
+def suite_estimate_constants(stream, t):
     """The defining property of each kind's constant: the action norm is at
     most the hat norm times the rotation norm over C."""
     failures = []
-    for trial, rng in _trials(seed, "estimate-constants", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 7))
         lam = random_so(rng, n)
         p = int(rng.integers(1, n))
@@ -1174,13 +1130,6 @@ def suite_estimate_constants(seed, trials, t):
     return failures
 
 
-def suite_lemma_2_1_soundness(seed, trials, t):
-    """Whenever the eigenvalue-average verdict holds at the kind's constant,
-    the direct curvature-term bound holds too, including the quantitative
-    positive case."""
-    return _batched(seed, "lemma-2.1-soundness", trials, t, _DIMS_3_TO_6, _draw_lemma_2_1, _check_lemma_2_1)
-
-
 def _draw_lemma_2_1(rng, n, trial, index):
     size = wedge_count(n)
     op = rng.normal(size=(size, size))
@@ -1201,6 +1150,9 @@ def _draw_lemma_2_1(rng, n, trial, index):
 
 
 def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, raw_syms, margins):
+    """Whenever the eigenvalue-average verdict holds at the kind's constant,
+    the direct curvature-term bound holds too, including the quantitative
+    positive case."""
     sym_ops, syms = _symmetrized(raw), _symmetrized(raw_syms)
     ops = sym_ops - _alternating_parts(sym_ops, n)
     vals = np.linalg.eigvalsh(ops)
@@ -1261,7 +1213,7 @@ def _margin(rng):
     return abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
 
 
-def suite_boundary_cases(seed, trials, t):
+def suite_boundary_cases(stream, t):
     """The deterministic boundary examples: the flat-term form, the negative
     2-form term family, and the indefinite Einstein operator."""
     failures = []
@@ -1303,7 +1255,7 @@ def suite_boundary_cases(seed, trials, t):
     return failures
 
 
-def suite_singer_thorpe(seed, trials, t):
+def suite_singer_thorpe(stream, t):
     """Multiplication table of the split basis, the Bianchi criterion over
     random eigenvalue sextuples, and the basis-diagonal norm formula."""
     failures = []
@@ -1342,7 +1294,7 @@ def suite_singer_thorpe(seed, trials, t):
     for i in range(6):
         want = basis[i].comps if i < 3 else -basis[i].comps
         _close(failures, ("duality", i), float(np.abs(star @ basis[i].comps - want).max()), 0.0, t)
-    for trial, rng in _trials(seed, "singer-thorpe", trials):
+    for trial, rng in stream:
         lams = rng.normal(size=6)
         if trial % 2 == 0:
             lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
@@ -1371,14 +1323,14 @@ def suite_singer_thorpe(seed, trials, t):
     return failures
 
 
-def suite_fourdim_einstein(seed, trials, t):
+def suite_fourdim_einstein(stream, t):
     """The six-eigenvalue expansion of the curvature term on the operator's
     own curvature tensor."""
     failures = []
     _close(failures, ("equal",), fourdim_einstein_term((3.0,) * 6), 0.0, 0.0)
     _close(failures, ("remark",), fourdim_einstein_term((-1, -1, 8, 2, 2, 2)), -2592.0, 0.0)
     _close(failures, ("cp2",), fourdim_einstein_term((0, 0, 6, 2, 2, 2)), 0.0, 0.0)
-    for trial, rng in _trials(seed, "fourdim-einstein", trials):
+    for trial, rng in stream:
         lams = rng.normal(size=6)
         lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
         op, _ = singer_thorpe_op(lams)
@@ -1393,7 +1345,7 @@ def suite_fourdim_einstein(seed, trials, t):
     return failures
 
 
-def suite_normal_h(seed, trials, t):
+def suite_normal_h(stream, t):
     """The complex-eigenbasis expansion of the curvature term on normal
     endomorphisms against the real computation."""
     failures = []
@@ -1402,7 +1354,7 @@ def suite_normal_h(seed, trials, t):
     op6, h6 = negative_sym2_term_op(6, 1.0, -3.0)
     _close(failures, ("negative",), normal_h_term(op6, np.diag([-1.0, 0, 0, 0, 0, 1.0])), -8.0, t)
     _close(failures, ("metric",), normal_h_term(op6, np.eye(6)), 0.0, t)
-    for trial, rng in _trials(seed, "normal-h", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         hmat = random_normal_matrix(rng, n)
@@ -1413,7 +1365,7 @@ def suite_normal_h(seed, trials, t):
     return failures
 
 
-def suite_extremal_pform(seed, trials, t):
+def suite_extremal_pform(stream, t):
     """Rotation-pair identities, support sizes, and the group tally of the
     sharp p-form family."""
     failures = []
@@ -1440,7 +1392,7 @@ def suite_extremal_pform(seed, trials, t):
     return failures
 
 
-def suite_complex_sectional(seed, trials, t):
+def suite_complex_sectional(stream, t):
     """Complex sectional curvatures: real pairs, the eigen-expansion, and
     the isotropic plane value of the symmetric example operator."""
     failures = []
@@ -1448,7 +1400,7 @@ def suite_complex_sectional(seed, trials, t):
     z = np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2.0)
     w = np.array([0.0, 0.0, 1.0, 1.0j]) / math.sqrt(2.0)
     _close(failures, ("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, 1e-12)
-    for trial, rng in _trials(seed, "complex-sectional", trials):
+    for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -1478,7 +1430,7 @@ def suite_complex_sectional(seed, trials, t):
     return failures
 
 
-def suite_warped_round(seed, trials, t):
+def suite_warped_round(stream, t):
     """Round jets give the all-ones spectrum with the right multiplicities,
     and assembled operators are Bianchi."""
     failures = []
@@ -1502,7 +1454,7 @@ def suite_warped_round(seed, trials, t):
                     0.0,
                     t,
                 )
-    for trial, rng in _trials(seed, "warped-round", trials):
+    for trial, rng in stream:
         prof = perturbed_profile(2, 2, float(rng.uniform(0.2, 1.5)), 0.8, 0.1)
         r = float(rng.uniform(0.2, 1.3))
         op = dwp_operator(2, 2, prof(r))
@@ -1510,7 +1462,7 @@ def suite_warped_round(seed, trials, t):
     return failures
 
 
-def suite_warped_perturbed(seed, trials, t):
+def suite_warped_perturbed(stream, t):
     """The bump profile: exact round limit, the deep radial dip with the
     other families pinned near one, and the positivity transition."""
     failures = []
@@ -1551,7 +1503,7 @@ def suite_warped_perturbed(seed, trials, t):
     return failures
 
 
-def suite_ode(seed, trials, t):
+def suite_ode(stream, t):
     """Fixed point, axis crossings with the radius growth, exact scalar
     curvature along trajectories, time reversal, and the convergence order."""
     failures = []
@@ -1607,10 +1559,10 @@ def suite_ode(seed, trials, t):
     return failures
 
 
-def suite_serialization(seed, trials, t):
+def suite_serialization(stream, t):
     """Operator files: write/read reproduces every matrix entry bit-exactly."""
     failures = []
-    for trial, rng in _trials(seed, "serialization", trials):
+    for trial, rng in stream:
         n = int(rng.integers(2, 7))
         op = random_sym_operator(rng, n)
         text = dumps_operator(op, metadata={"label": "round-trip", "value": float(rng.normal())})
@@ -1633,82 +1585,97 @@ def suite_serialization(seed, trials, t):
     return failures
 
 
-# name, suite, default trial count, default tolerance (None where no
-# comparison takes one), and the most trials its trial indices hold: 2**32
-# where trial i takes index i; a suite's index here seeds its trial streams
+# name, how the suite runs, its default trial count and its default
+# tolerance (None where no comparison takes one).  A suite runs as a body,
+# body(stream, t), or as the (dims, draw, check) of a suite that _batched
+# checks in batches at each n of dims; a suite's index here seeds its trial
+# stream
 _SUITE_TABLE = (
-    ("exact-values", suite_exact_values, 1, 1e-12, _TRIAL_LIMIT),
-    ("prop-1.1", suite_prop_1_1, 1000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_8)),
-    ("tensor-core", suite_tensor_core, 300, 1e-12, _TRIAL_LIMIT),
-    ("prop-1.2", suite_prop_1_2, 400, 1e-12, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
-    ("prop-1.3", suite_prop_1_3, 400, 1e-12, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
-    ("prop-1.6", suite_prop_1_6, 200, 1e-9, _TRIAL_LIMIT),
-    ("prop-1.7", suite_prop_1_7, 1000, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
-    ("prop-1.9", suite_prop_1_9, 1000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
-    ("prop-2.8", suite_prop_2_8, 1000, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_7)),
-    ("ric-closed-form", suite_ric_closed_form, 200, 1e-12, _TRIAL_LIMIT),
-    ("hat-closed-form", suite_hat_closed_form, 150, 0.0, _TRIAL_LIMIT),
-    ("hat-structure", suite_hat_structure, 60, 1e-12, _TRIAL_LIMIT),
-    ("basis-independence", suite_basis_independence, 60, 1e-9, _TRIAL_LIMIT),
-    ("bianchi-split", suite_bianchi_split, 200, 1e-12, _TRIAL_LIMIT),
-    ("decompose", suite_decompose, 200, 1e-12, _TRIAL_LIMIT),
-    ("spectrum", suite_spectrum, 80, 1e-10, _TRIAL_LIMIT),
-    ("lemma-2.2", suite_lemma_2_2, 10000, 1e-10, _TRIAL_LIMIT // len(_DIMS_3_TO_6)),
-    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12, _TRIAL_LIMIT),
-    ("estimate-constants", suite_estimate_constants, 400, 1e-10, _TRIAL_LIMIT),
-    ("lemma-2.1-soundness", suite_lemma_2_1_soundness, 2500, 1e-9, _TRIAL_LIMIT // len(_DIMS_3_TO_6)),
-    ("boundary-cases", suite_boundary_cases, 1, 1e-12, _TRIAL_LIMIT),
-    ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15, _TRIAL_LIMIT),
-    ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9, _TRIAL_LIMIT),
-    ("normal-h", suite_normal_h, 150, 1e-9, _TRIAL_LIMIT),
-    ("extremal-pform", suite_extremal_pform, 1, 0.0, _TRIAL_LIMIT),
-    ("complex-sectional", suite_complex_sectional, 150, 1e-9, _TRIAL_LIMIT),
-    ("warped-round", suite_warped_round, 20, 1e-12, _TRIAL_LIMIT),
-    ("warped-perturbed", suite_warped_perturbed, 1, 1e-12, _TRIAL_LIMIT),
-    ("ode", suite_ode, 1, 1e-6, _TRIAL_LIMIT),
-    ("serialization", suite_serialization, 100, None, _TRIAL_LIMIT),
+    ("exact-values", suite_exact_values, 1, 1e-12),
+    ("prop-1.1", (range(3, 9), _draw_prop_1_1, _check_prop_1_1), 1000, 1e-10),
+    ("tensor-core", suite_tensor_core, 300, 1e-12),
+    ("prop-1.2", (range(3, 8), _draw_prop_1_2, _check_prop_1_2), 400, 1e-12),
+    ("prop-1.3", (range(3, 8), _draw_prop_1_3, _check_prop_1_3), 400, 1e-12),
+    ("prop-1.6", suite_prop_1_6, 200, 1e-9),
+    ("prop-1.7", (range(3, 8), _draw_prop_1_7, _check_prop_1_7), 1000, 1e-9),
+    ("prop-1.9", (range(3, 8), _draw_prop_1_9, _check_prop_1_9), 1000, 1e-10),
+    ("prop-2.8", (range(3, 8), _draw_prop_2_8, _check_prop_2_8), 1000, 1e-9),
+    ("ric-closed-form", suite_ric_closed_form, 200, 1e-12),
+    ("hat-closed-form", suite_hat_closed_form, 150, 0.0),
+    ("hat-structure", suite_hat_structure, 60, 1e-12),
+    ("basis-independence", suite_basis_independence, 60, 1e-9),
+    ("bianchi-split", suite_bianchi_split, 200, 1e-12),
+    ("decompose", suite_decompose, 200, 1e-12),
+    ("spectrum", suite_spectrum, 80, 1e-10),
+    ("lemma-2.2", (range(3, 7), _draw_lemma_2_2, _check_lemma_2_2), 10000, 1e-10),
+    ("lemma-2.2-sharpness", suite_lemma_2_2_sharpness, 1, 1e-12),
+    ("estimate-constants", suite_estimate_constants, 400, 1e-10),
+    ("lemma-2.1-soundness", (range(3, 7), _draw_lemma_2_1, _check_lemma_2_1), 2500, 1e-9),
+    ("boundary-cases", suite_boundary_cases, 1, 1e-12),
+    ("singer-thorpe", suite_singer_thorpe, 1000, 1e-15),
+    ("fourdim-einstein", suite_fourdim_einstein, 1000, 1e-9),
+    ("normal-h", suite_normal_h, 150, 1e-9),
+    ("extremal-pform", suite_extremal_pform, 1, 0.0),
+    ("complex-sectional", suite_complex_sectional, 150, 1e-9),
+    ("warped-round", suite_warped_round, 20, 1e-12),
+    ("warped-perturbed", suite_warped_perturbed, 1, 1e-12),
+    ("ode", suite_ode, 1, 1e-6),
+    ("serialization", suite_serialization, 100, None),
 )
 
-SUITES = {name: (fn, trials, tol) for name, fn, trials, tol, _ in _SUITE_TABLE}
+SUITES = {name: (runs, trials, tol) for name, runs, trials, tol in _SUITE_TABLE}
 _SUITE_IDS = {name: idx for idx, (name, *_) in enumerate(_SUITE_TABLE)}
-_TRIAL_LIMITS = {name: limit for name, *_, limit in _SUITE_TABLE}
 
 
-def _trial_count(trials, name):
-    """trials as an int; ValueError unless it is an integer from 1 to
-    2**32, the limits of the command line's --trials, and at most the trial
-    limit of the suite name."""
-    try:
-        count = operator.index(trials)
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
-    if count < 1:
-        raise ValueError(f"trials must be at least 1, got {count}")
-    if count > _TRIAL_LIMIT:
-        raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {count}")
-    if count > _TRIAL_LIMITS[name]:
-        raise ValueError(f"trials: {name} takes at most {_TRIAL_LIMITS[name]} trials, "
-                         f"the most its trial indices hold; got {count}")
-    return count
+def check_selection(names, trials=None):
+    """Raise for the first of names that cannot run at trials, so before
+    any suite runs: KeyError when it names no suite, ValueError unless
+    trials is None or an integer from 1 to 2**32, the limits of the command
+    line's --trials, and at most the suite's trial limit.  A suite takes
+    one trial index a trial, and a batched suite one a trial and n of its
+    dims, so its trial limit is 2**32 // len(dims)."""
+    for name in names:
+        if name not in SUITES:
+            raise KeyError(f"unknown suite {name!r}")
+        if trials is None:
+            continue
+        try:
+            count = operator.index(trials)
+        except TypeError:
+            raise ValueError(f"trials must be an integer, got {trials!r}") from None
+        if count < 1:
+            raise ValueError(f"trials must be at least 1, got {count}")
+        if count > _TRIAL_LIMIT:
+            raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {count}")
+        runs = SUITES[name][0]
+        limit = _TRIAL_LIMIT if callable(runs) else _TRIAL_LIMIT // len(runs[0])
+        if count > limit:
+            raise ValueError(f"trials: {name} takes at most {limit} trials, "
+                             f"the most its trial indices hold; got {count}")
 
 
 def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     """Run one suite and wrap the outcome in a report; trials and tol
-    default to the suite's own values in _SUITE_TABLE."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    fn, default_trials, default_tol = SUITES[name]
-    used = default_trials if trials is None else _trial_count(trials, name)
+    default to the suite's own values in _SUITE_TABLE.  The suite's stream
+    yields (index, _trial_rng(seed, its suite index, index)) for each of its
+    trial indices in order."""
+    check_selection([name], trials)
+    runs, count, default_tol = SUITES[name]
+    if trials is not None:
+        count = operator.index(trials)
+    t = default_tol if tol is None else tol
+    batched = not callable(runs)
+    sid = _SUITE_IDS[name]
+    indices = range(len(runs[0]) * count if batched else count)
+    stream = ((index, _trial_rng(seed, sid, index)) for index in indices)
     start = time.perf_counter()
-    failures = fn(seed, used, default_tol if tol is None else tol)
+    failures = _batched(stream, count, t, *runs) if batched else runs(stream, t)
     elapsed = time.perf_counter() - start
-    return Report(suite=name, trials=used, failures=failures, seed=seed, wall_time=elapsed)
+    return Report(suite=name, trials=count, failures=failures, seed=seed, wall_time=elapsed)
 
 
 def run_all(trials=None, seed=42, tol=None):
     """Run every suite in registry order; trials past any suite's trial
     limit raise ValueError before the first suite runs."""
-    if trials is not None:
-        for name in SUITES:
-            _trial_count(trials, name)
+    check_selection(SUITES, trials)
     return [run_suite(name, trials=trials, seed=seed, tol=tol) for name in SUITES]

@@ -62,6 +62,13 @@ class TestEstimateConstant:
         with pytest.raises(ValueError):
             estimate_constant(TensorKind.pform(4), 4)
 
+    @pytest.mark.parametrize("kind", [TensorKind.weyl(), TensorKind.curvature_einstein()], ids=["weyl", "einstein"])
+    def test_curvature_kinds_need_dimension_three(self, kind):
+        # (n-1)/2 = 0.5 at n = 2, below the C >= 1 every verdict takes
+        with pytest.raises(ValueError, match=f"{kind.name} tensors need dimension at least 3, got 2"):
+            estimate_constant(kind, 2)
+        assert estimate_constant(kind, 3) == 1.0
+
 
 class TestLemma21Verdict:
     def test_identity_spectrum(self):
@@ -172,6 +179,11 @@ class TestBettiVerdict:
         with pytest.raises(ValueError):
             betti_verdict(s, 4, 3)
 
+    def test_rejects_a_spectrum_of_another_dimension(self):
+        # cp2's spectrum has 6 eigenvalues, an operator in dimension 5 has 10
+        with pytest.raises(ValueError, match="a spectrum in dimension 5 has 10 eigenvalues, got 6"):
+            betti_verdict(spectrum(cp2_op()), 5, 1)
+
 
 class TestBettiBound:
     def test_zero_kappa_gives_binomial(self):
@@ -218,6 +230,10 @@ class TestTachibana:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             tachibana_verdict(spectrum(identity_operator(3)), 3)
+
+    def test_rejects_a_spectrum_of_another_dimension(self):
+        with pytest.raises(ValueError, match="a spectrum in dimension 8 has 28 eigenvalues, got 6"):
+            tachibana_verdict(spectrum(cp2_op()), 8)
 
     @staticmethod
     def designed(n, lowest):

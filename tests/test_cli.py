@@ -361,6 +361,14 @@ class TestBochnerCommand:
             doc = json.loads(out)
             assert (doc["kind"], doc["C"], doc["floor_C"]) == (kind, constant, math.floor(constant))
 
+    def test_curvature_kinds_need_dimension_three(self, capsys, tmp_path):
+        path = tmp_path / "s2.json"
+        run(capsys, "catalog", "--name", "sphere-product", "--p", "2", "--n", "2", "--out", str(path))
+        for kind, name in (("weyl", "weyl"), ("curvature-einstein", "curvature_einstein")):
+            code, out, err = run(capsys, "bochner", str(path), "--kind", kind)
+            assert (code, out) == (2, ""), kind
+            assert err == f"usage error: {name} tensors need dimension at least 3, got 2\n"
+
 
 class TestWarpedCommand:
     def test_round_scan_all_ones(self, capsys, tmp_path):

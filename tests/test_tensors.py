@@ -227,6 +227,30 @@ class TestPForm:
         assert back.comps.tolist() == [3.0]
         assert peak - base <= 0.25 * dense.array.nbytes
 
+    def test_from_tensor_reads_the_8_form_a_leading_index_at_a_time(self):
+        # the entries off the scatter are read one leading index at a time,
+        # so at n = p = 8 the check adds a few MB to the 134 MB dense form,
+        # where a mask as large as the form took 17.7 MB
+        dense = PForm(8, 8, [3.0]).to_tensor()
+        PForm.from_tensor(dense)  # fill the scatter cache outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = PForm.from_tensor(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.comps.tolist() == [3.0]
+        assert peak - base <= 5 * 10 ** 6
+        del dense
+        # an entry off the scatter, with a repeated index, in the first, a
+        # middle and the last leading slice
+        for idx in ((0,) * 8, (3, 0, 1, 2, 4, 5, 6, 3), (7,) * 8):
+            values = np.zeros((8,) * 8)
+            values[idx] = 1e-9
+            with pytest.raises(ValueError, match="not alternating"):
+                PForm.from_tensor(Tensor0k._owning(values))
+
     def test_dense_round_trip_stays_near_the_dense_array(self):
         # to_tensor hands its fresh array to Tensor0k uncopied, and norm_sq
         # and the alternation check build nothing as large again

@@ -27,6 +27,7 @@ from curvop.verify import (
     _close,
     _require,
     _trial_rng,
+    check_selection,
     hat_wedge_closed_form,
     random_bianchi_operator,
     random_normal_matrix,
@@ -171,11 +172,11 @@ def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
 
 def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
     # a batched suite at k dimensions takes at most 2**32 // k trials,
-    # whatever dims its suite function hands _batched
+    # whatever dims its row hands _batched
     dims = {}
 
-    def recorded(seed, suite, trials, t, suite_dims, *rest, **kwargs):
-        dims[suite] = tuple(suite_dims)
+    def recorded(stream, trials, t, suite_dims, *rest):
+        dims[name] = tuple(suite_dims)
         return []
 
     monkeypatch.setattr(verify, "_batched", recorded)
@@ -183,7 +184,10 @@ def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
         run_suite(name, trials=1)
     assert len(dims) == 8, sorted(dims)
     for name, suite_dims in dims.items():
-        assert verify._TRIAL_LIMITS[name] == 2 ** 32 // len(suite_dims), name
+        limit = 2 ** 32 // len(suite_dims)
+        check_selection([name], limit)
+        with pytest.raises(ValueError, match=f"{name} takes at most {limit} trials"):
+            check_selection([name], limit + 1)
 
 
 def test_each_batched_trial_draws_from_one_generator(monkeypatch):
@@ -192,9 +196,9 @@ def test_each_batched_trial_draws_from_one_generator(monkeypatch):
     batched, trial_rng = verify._batched, verify._trial_rng
     dims, asked = {}, []
 
-    def recorded_batched(seed, suite, trials, t, suite_dims, *rest):
-        dims[suite] = len(suite_dims)
-        return batched(seed, suite, trials, t, suite_dims, *rest)
+    def recorded_batched(stream, trials, t, suite_dims, *rest):
+        dims[name] = len(suite_dims)
+        return batched(stream, trials, t, suite_dims, *rest)
 
     def recorded_rng(seed, suite_id, trial):
         asked.append(trial)
@@ -216,7 +220,8 @@ def test_batched_suites_reject_dims_past_the_cap(monkeypatch, capsys):
     from curvop.cli import main
 
     monkeypatch.setattr(verify, "_trial_rng", None)
-    monkeypatch.setattr(verify, "_DIMS_3_TO_6", (9,))
+    (_, draw, check), trials, tol = SUITES["lemma-2.2"]
+    monkeypatch.setitem(SUITES, "lemma-2.2", (((9,), draw, check), trials, tol))
     with pytest.raises(ValueError, match="dimension 9 exceeds the cap 8"):
         run_suite("lemma-2.2", trials=5)
     assert main(["verify", "--suite", "lemma-2.2", "--trials", "5"]) == 1
@@ -611,15 +616,23 @@ def test_suite_memory_flat_in_trials(name, trials, monkeypatch):
     assert peaks[1] <= 1.5 * peaks[0] + 2 ** 20, peaks
 
 
+def patch_check(monkeypatch, name, replacement):
+    """Run the batched suite name with replacement as the check of its row;
+    returns the check it replaces."""
+    (dims, draw, check), trials, tol = SUITES[name]
+    monkeypatch.setitem(SUITES, name, ((dims, draw, replacement), trials, tol))
+    return check
+
+
 def counted_checks(monkeypatch, name):
-    """(n, key, group size) of every call of verify's check function name."""
-    check, calls = getattr(verify, name), []
+    """(n, key, group size) of every call of the batched suite name's check."""
+    calls = []
 
     def counted(t, n, key, *arrays):
         calls.append((n, key, len(arrays[0])))
         return check(t, n, key, *arrays)
 
-    monkeypatch.setattr(verify, name, counted)
+    check = patch_check(monkeypatch, name, counted)
     return calls
 
 
@@ -627,11 +640,11 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     # at 20 trials per n everything of one shape fits the default budget:
     # prop-1.2 checks each (n, k) in one group, whatever the permutations,
     # and prop-2.8 the forms of every degree together at n = 3 and 4
-    calls = counted_checks(monkeypatch, "_check_prop_1_2")
+    calls = counted_checks(monkeypatch, "prop-1.2")
     assert run_suite("prop-1.2", trials=20, seed=42).passed
     assert len({(n, k) for n, k, _ in calls}) == len(calls)
     assert sum(size for *_, size in calls) == 5 * 20
-    calls = counted_checks(monkeypatch, "_check_prop_2_8")
+    calls = counted_checks(monkeypatch, "prop-2.8")
     assert run_suite("prop-2.8", trials=20, seed=42).passed
     assert [size for n, _, size in calls if n in (3, 4)] == [20, 20]
     assert sum(size for *_, size in calls) == 5 * 20
@@ -641,7 +654,7 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     assert max(sizes[6]) > 1 and len(sizes[6]) <= 2, sizes
     assert max(sizes[7]) > 1 and len(sizes[7]) <= 4, sizes
     # prop-1.9's curvature kind too: its 10 trials at n = 7 take two groups
-    calls = counted_checks(monkeypatch, "_check_prop_1_9")
+    calls = counted_checks(monkeypatch, "prop-1.9")
     assert run_suite("prop-1.9", trials=40, seed=42).passed
     assert [size for n, (which, _), size in calls if n == 7 and which == 3] == [7, 3]
 
@@ -681,7 +694,7 @@ def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
         acted.append((p, k))
         return act(comps, values, n, p, k)
 
-    check, groups = verify._check_lemma_2_2, []
+    groups = []
 
     def counted(t, n, key, *arrays):
         start = len(acted)
@@ -690,7 +703,7 @@ def test_lemma_2_2_acts_on_no_decomposed_tensor(monkeypatch):
         return checks
 
     monkeypatch.setattr(action, "_act", recorded)
-    monkeypatch.setattr(verify, "_check_lemma_2_2", counted)
+    check = patch_check(monkeypatch, "lemma-2.2", counted)
     assert run_suite("lemma-2.2", trials=20, seed=42).passed
     want = {
         0: lambda k: [(1, k)],
@@ -721,7 +734,7 @@ def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("curvop") and hasattr(module, "_tensors_from_ops"):
             monkeypatch.setattr(module, "_tensors_from_ops", guarded)
-    check, cases = verify._check_lemma_2_2, []
+    cases = []
 
     def refused_in_case_4(t, n, key, *arrays):
         cases.append(key[0])
@@ -731,7 +744,7 @@ def test_inequality_checks_spread_no_operator_to_a_tensor(monkeypatch):
         finally:
             refusing[0] = False
 
-    monkeypatch.setattr(verify, "_check_lemma_2_2", refused_in_case_4)
+    check = patch_check(monkeypatch, "lemma-2.2", refused_in_case_4)
     assert run_suite("lemma-2.2", trials=20, seed=42).passed
     assert 3 in cases and 4 in cases
     refusing[0] = True
@@ -823,7 +836,7 @@ def test_suite_default_tolerances():
 def test_run_suite_hands_the_default_or_the_given_tolerance(name, monkeypatch):
     fn, trials, default = SUITES[name]
     seen = []
-    monkeypatch.setitem(SUITES, name, (lambda seed, count, t: seen.append(t) or [], trials, default))
+    monkeypatch.setitem(SUITES, name, (lambda stream, t: seen.append(t) or [], trials, default))
     run_suite(name, trials=1)
     run_suite(name, trials=1, tol=-1.0)
     run_suite(name, trials=1, tol=0.0)
