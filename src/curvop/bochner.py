@@ -4,9 +4,10 @@ The central estimate: if |L T|^2 <= |hat T|^2 |L|^2 / C for every L in so(n),
 then an operator whose lowest floor(C) eigenvalues average at least kappa
 (for kappa <= 0) has curvature term at least kappa |hat T|^2 on T, and a
 positive lowest sum forces the term positive unless hat T vanishes.  The
-module supplies the constants C per tensor kind, the verdict logic, the
-derived vanishing/rigidity thresholds, and two exact four-dimensional and
-normal-endomorphism expansions of the term.
+module supplies the constants C per tensor kind, each worked out from n and
+the kind's highest weight with no ratio taken from the caller, the verdict
+logic, the derived vanishing/rigidity thresholds, and two exact
+four-dimensional and normal-endomorphism expansions of the term.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class TensorKind:
         return cls("pform", p=p)
 
     @classmethod
-    def curvature(cls):
-        return cls("curvature")
-
-    @classmethod
     def curvature_einstein(cls):
         return cls("curvature_einstein")
 
@@ -59,16 +56,16 @@ class TensorKind:
         return cls("weyl")
 
 
-def estimate_constant(kind: TensorKind, n, hat_ratio=None) -> float:
+def estimate_constant(kind: TensorKind, n) -> float:
     """The constant C with |L T|^2 <= |hat T|^2 |L|^2 / C for the kind.
 
-    p-forms give max(p, n-p) (degrees above the middle reduce through their
+    C is Cas(lam) / |lam|^2 at the kind's highest weight lam, met with
+    equality at the real part of a highest-weight tensor.  p-forms give
+    max(p, n-p) (degrees above the middle reduce through their
     complementary degree); symmetric tensors give n/2; Einstein curvature
     tensors and Weyl tensors give (n-1)/2 and are rejected below n = 3,
-    where that is below 1 and no verdict takes it.  The generic kind only
-    has the order-squared bound, so it needs the caller's value of the
-    ratio |hat T|^2 / |T|^2; plain non-Einstein curvature has no uniform
-    constant and is rejected.
+    where that is below 1 and no verdict takes it; generic (0,k)-tensors,
+    whose largest Casimir is at lam = k e_1, give (n+k-2)/k.
     """
     n = int(n)
     if n < 2:
@@ -84,16 +81,7 @@ def estimate_constant(kind: TensorKind, n, hat_ratio=None) -> float:
             raise ValueError(f"{kind.name} tensors need dimension at least 3, got {n}")
         return (n - 1) / 2.0
     if kind.name == "generic":
-        if hat_ratio is None:
-            raise ValueError("generic tensors need the caller's |hat T|^2 / |T|^2 ratio")
-        if not 0.0 < hat_ratio < math.inf:
-            raise ValueError("the hat ratio must be positive and finite")
-        return float(hat_ratio) / (kind.k ** 2)
-    if kind.name == "curvature":
-        raise ValueError(
-            "no uniform constant for general curvature tensors; "
-            "use curvature_einstein or weyl"
-        )
+        return (n + kind.k - 2) / kind.k
     raise ValueError(f"unknown tensor kind {kind.name!r}")
 
 

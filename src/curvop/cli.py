@@ -254,7 +254,7 @@ def _write_rows(path, header, rows):
 
 
 def cmd_warped(args) -> int:
-    from .warped import dwp_eigenvalue_list, dwp_eigenvalues, perturbed_profile
+    from .warped import dwp_eigenvalues, perturbed_profile
 
     try:
         profile = perturbed_profile(args.p, args.q, args.amp, args.center, args.width)
@@ -271,9 +271,9 @@ def cmd_warped(args) -> int:
         for r in rs:
             jet = profile(float(r))
             fams = dwp_eigenvalues(args.p, args.q, jet)
-            evs = dwp_eigenvalue_list(args.p, args.q, jet)
-            sums = np.cumsum(evs)[:5]
-            rows.append([r] + [v for v, _, _ in fams] + list(sums))
+            # at most five copies of a family, so the work does not grow with p or q
+            lowest = sorted(v for v, mult, _ in fams for _ in range(min(mult, 5)))[:5]
+            rows.append([r] + [v for v, _, _ in fams] + list(np.cumsum(lowest)))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _write_rows(args.out, header, rows)

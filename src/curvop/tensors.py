@@ -438,7 +438,9 @@ def inner(a, b) -> float:
         if a.k != b.k:
             raise ValueError(f"order mismatch: {a.k} vs {b.k}")
         return float(a.array.reshape(-1) @ b.array.reshape(-1))
-    if isinstance(a, Sym2):
+    from .operators import CurvatureOperator  # operators imports this module
+
+    if isinstance(a, (Sym2, CurvatureOperator)):
         return float(np.sum(a.mat * b.mat))
     if isinstance(a, PForm):
         if a.p != b.p:

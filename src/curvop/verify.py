@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import time
@@ -1086,6 +1087,12 @@ def suite_lemma_2_2_sharpness(stream, t):
     sharp = [(("sym2",), TensorKind.sym2(), h, lam)]
     sharp += [(("pform", p), TensorKind.pform(p), w1, lamp) for p, (w1, _, lamp) in pforms]
     sharp += [((kind.name,), kind, weyl, lam2) for kind in (TensorKind.weyl(), TensorKind.curvature_einstein())]
+    # the generic pair T = Re v^(x)k, v = e0 + i e1, at the highest weight
+    # k e1, with L = e01
+    for k, n in itertools.product((1, 2, 3, 4), range(3, 9)):
+        v = np.eye(n)[0] + 1j * np.eye(n)[1]
+        tensor = Tensor0k(functools.reduce(np.multiply.outer, [v] * k).real)
+        sharp.append((("generic", k, n), TensorKind.generic(k), tensor, wedge_element(n, 0, 1)))
     for name, kind, tensor, rotation in sharp:
         c = estimate_constant(kind, rotation.n)
         _close(
@@ -1115,16 +1122,14 @@ def suite_estimate_constants(stream, t):
         # norms are a quarter of their (0,4)-tensors' (see _ops_from_tensors)
         einstein = CurvatureOperator(n, _einstein_part(scal, weyl, n))
         cases = [
-            ("pform", w, TensorKind.pform(p), None, 1.0),
-            ("sym2", h, TensorKind.sym2(), None, 1.0),
-            ("einstein", einstein, TensorKind.curvature_einstein(), None, 4.0),
-            ("weyl", CurvatureOperator(n, weyl), TensorKind.weyl(), None, 4.0),
+            ("pform", w, TensorKind.pform(p), 1.0),
+            ("sym2", h, TensorKind.sym2(), 1.0),
+            ("einstein", einstein, TensorKind.curvature_einstein(), 4.0),
+            ("weyl", CurvatureOperator(n, weyl), TensorKind.weyl(), 4.0),
+            ("generic", tt, TensorKind.generic(k), 1.0),
         ]
-        hat_tt = hat_norm_sq(tt)
-        if hat_tt > 1e-9:
-            cases.append(("generic", tt, TensorKind.generic(k), hat_tt / tt.norm_sq(), 1.0))
-        for name, tensor, kind, hat_ratio, scale in cases:
-            c = estimate_constant(kind, n, hat_ratio=hat_ratio)
+        for name, tensor, kind, scale in cases:
+            c = estimate_constant(kind, n)
             lhs, hat_sq = scale * so_act(lam, tensor).norm_sq(), scale * hat_norm_sq(tensor)
             _at_most(failures, (name, trial), lhs, hat_sq * lam.norm_sq() / c, t)
     return failures

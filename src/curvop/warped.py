@@ -214,11 +214,21 @@ def perturbed_profile(p, q, amp, center, width) -> PerturbedProfile:
     return PerturbedProfile(p=p, q=q, amp=amp, center=center, width=width, c1_bound=bound)
 
 
-def scal_single_warped(n, rho, drho, d2rho) -> float:
-    """Scalar curvature of dr^2 + rho^2 ds_{n-1}^2 from the 2-jet of rho."""
+def _warp_dimension(n):
+    """n as an int; ValueError unless n >= 3 and (n-2)/2 is a finite float."""
     n = int(n)
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
+    try:
+        float(n - 2)
+    except OverflowError:
+        raise ValueError(f"dimension must keep (n-2)/2 a finite float, got {n}") from None
+    return n
+
+
+def scal_single_warped(n, rho, drho, d2rho) -> float:
+    """Scalar curvature of dr^2 + rho^2 ds_{n-1}^2 from the 2-jet of rho."""
+    n = _warp_dimension(n)
     if not rho > 0:
         raise ValueError(f"the warping function must be positive, got {rho}")
     return -2.0 * (n - 1) * d2rho / rho + (n - 2.0) * (n - 1) * (1.0 - drho ** 2) / rho ** 2
@@ -313,9 +323,7 @@ def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
     Status "ok" when it reaches t_max, or "blow-down" when it stops early
     because x left the positive half plane; crossing is always None.
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
+    n = _warp_dimension(n)
     steps = _step_count(step, t_max)
     if not (0.0 < x0 < math.inf and math.isfinite(y0)):
         raise ValueError(f"x must start positive and y finite, got {x0} and {y0}")
@@ -355,9 +363,7 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     orbit circles the center and returns with a larger radius, which is
     asserted.  Starting at the center itself simply never crosses.
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
+    n = _warp_dimension(n)
     if not x0 > 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     limit = 0.5 * (n - 2)
@@ -385,9 +391,7 @@ def trajectory_scal(n, xs, ys) -> list:
     scal_single_warped at each point, with the curvature of the profile
     taken from the field: the expressions of both, in their order.
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
+    n = _warp_dimension(n)
     if xs and min(xs) <= 0.0:
         raise ValueError("the warping function must be positive along the trajectory")
     c = 0.5 * (n - 2)

@@ -46,17 +46,13 @@ class TestEstimateConstant:
         assert estimate_constant(TensorKind.weyl(), 5) == 2.0
         assert estimate_constant(TensorKind.curvature_einstein(), 4) == 1.5
 
-    def test_generic_needs_ratio(self):
-        assert estimate_constant(TensorKind.generic(2), 4, hat_ratio=8.0) == 2.0
-        with pytest.raises(ValueError):
-            estimate_constant(TensorKind.generic(2), 4)
-        for ratio in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                estimate_constant(TensorKind.generic(2), 4, hat_ratio=ratio)
-
-    def test_plain_curvature_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_constant(TensorKind.curvature(), 5)
+    def test_generic_from_highest_weight(self):
+        # (n+k-2)/k from the highest weight k e_1; no caller ratio is taken
+        assert estimate_constant(TensorKind.generic(1), 5) == 4.0
+        assert estimate_constant(TensorKind.generic(2), 4) == 2.0
+        assert estimate_constant(TensorKind.generic(3), 5) == 2.0
+        with pytest.raises(TypeError):
+            estimate_constant(TensorKind.generic(2), 4, hat_ratio=8.0)
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):

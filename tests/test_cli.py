@@ -399,6 +399,26 @@ class TestWarpedCommand:
         ]
         assert min(radial) < 0.0
 
+    def test_lowest_sums_at_a_huge_factor(self, capsys, tmp_path):
+        # the multiplicities grow with p^2, and no more than five of them
+        # are expanded
+        p, q = 10 ** 6, 2
+        path = tmp_path / "huge.csv"
+        code, _, err = run(capsys, "warped", "--p", str(p), "--q", str(q), "--samples", "3", "--out", str(path))
+        assert code == 0, err
+        mults = (p, q, p * (p - 1) // 2, q * (q - 1) // 2, p * q)
+        for line in path.read_text().strip().splitlines()[1:]:
+            vals = [float(v) for v in line.split(",")]
+            lowest = sorted(v for v, m in zip(vals[1:6], mults) for _ in range(min(m, 5)))[:5]
+            assert vals[6:] == list(np.cumsum(lowest))
+
+    def test_huge_digit_count_factor_exits_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "digits.csv"
+        code, _, err = run(capsys, "warped", "--p", "9" * 400, "--q", "2", "--samples", "3", "--out", str(path))
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert len(path.read_text().strip().splitlines()) == 4
+
     def test_bad_support_exits_two(self, capsys):
         code, _, _ = run(
             capsys, "warped", "--p", "2", "--q", "2", "--amp", "1",
@@ -625,6 +645,8 @@ class TestUsage:
              "usage error: the bound needs --p"),
             ({}, ("catalog", "--name", "example-4.7", "--n", "5", "--lambda", "1e308"), 2,
              "usage error: the scale must keep 2n*lam below 2**1023, got lam=1e+308 at n=5"),
+            ({}, ("ode", "--n", "9" * 400, "--x0", "0.5"), 2,
+             "usage error: dimension must keep (n-2)/2 a finite float, got 999"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

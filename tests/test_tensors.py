@@ -89,6 +89,20 @@ class TestNorms:
                 want = 4 * (n - 2) * h.norm_sq() + 4 * h.trace() ** 2
                 assert kulkarni_nomizu(g, h).norm_sq() == pytest.approx(want, rel=1e-10)
 
+    def test_inner_with_itself_is_norm_sq(self):
+        rng = np.random.default_rng(12)
+        n = 5
+        a, b = rng.normal(size=(n, n)), rng.normal(size=(wedge_count(n),) * 2)
+        kinds = [
+            Tensor0k(rng.normal(size=(n,) * 3)),
+            Sym2(a + a.T),
+            PForm(n, 2, rng.normal(size=wedge_count(n))),
+            CurvTensor(rng.normal(size=(n,) * 4)),
+            CurvatureOperator(n, b + b.T),
+        ]
+        for t in kinds:
+            assert inner(t, t) == t.norm_sq(), type(t).__name__
+
 
 class TestPermute:
     def test_identity(self):

@@ -810,6 +810,7 @@ def test_sharpness_reads_the_library_constants(monkeypatch, factor):
     constant = verify.estimate_constant
     monkeypatch.setattr(verify, "estimate_constant", lambda kind, n: factor * constant(kind, n))
     tags = [("sym2",), *(("pform", p) for p in (1, 2, 3, 4)), ("weyl",), ("curvature_einstein",)]
+    tags += [("generic", k, n) for k in (1, 2, 3, 4) for n in range(3, 9)]
     failed = {f.digest for f in run_suite("lemma-2.2-sharpness").failures}
     assert failed == {verify._digest("constant", *tag) for tag in tags}
 
@@ -852,7 +853,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "b3c925f28771aa1886abc5124ec2ec3e33ad48c181979dc7df5adc1391e32746"
+FAILING_HASH = "2a8d849dcb6616a3482ebe162a490257dc081077d061b36ecc5e51bb528da3b1"
 
 
 def test_reports_are_pinned():
