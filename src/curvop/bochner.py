@@ -3,10 +3,10 @@
 The central estimate: if |L T|^2 <= |hat T|^2 |L|^2 / C for every L in so(n),
 then an operator whose lowest floor(C) eigenvalues average at least kappa
 (for kappa <= 0) has curvature term at least kappa |hat T|^2 on T, and a
-positive lowest sum forces the term positive unless hat T vanishes.  The
-module supplies the constants C per tensor kind, each worked out from n and
-the kind's highest weight with no ratio taken from the caller, the verdict
-logic, the derived vanishing/rigidity thresholds, and two exact
+positive lowest sum forces the term positive unless hat T vanishes.  Each
+tensor kind names its highest weight lam, which gives Lemma 2.2's factor
+|lam|^2 and C = Cas(lam) / |lam|^2; _RULES is the one table of the verdicts,
+read by _apply_rule.  The module also holds the Betti bound and two exact
 four-dimensional and normal-endomorphism expansions of the term.
 """
 
@@ -56,33 +56,44 @@ class TensorKind:
         return cls("weyl")
 
 
-def estimate_constant(kind: TensorKind, n) -> float:
-    """The constant C with |L T|^2 <= |hat T|^2 |L|^2 / C for the kind.
-
-    C is Cas(lam) / |lam|^2 at the kind's highest weight lam, met with
-    equality at the real part of a highest-weight tensor.  p-forms give
-    max(p, n-p) (degrees above the middle reduce through their
-    complementary degree); symmetric tensors give n/2; Einstein curvature
-    tensors and Weyl tensors give (n-1)/2 and are rejected below n = 3,
-    where that is below 1 and no verdict takes it; generic (0,k)-tensors,
-    whose largest Casimir is at lam = k e_1, give (n+k-2)/k.
-    """
+def _weight_norms(kind: TensorKind, n):
+    """(Cas(lam), |lam|^2) at the kind's highest weight lam, an integer tuple:
+    min(p, n-p) ones for p-forms, (2) for symmetric tensors, (2, 2) for the
+    curvature kinds, (k) for generic (0,k)-tensors.  Cas(lam) = sum lam_i^2 +
+    sum lam_i (n - 2i).  The curvature kinds are rejected below n = 3, where
+    Cas(lam) / |lam|^2 is below 1 and no verdict takes it."""
     n = int(n)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if kind.name == "pform":
         if not 1 <= kind.p <= n - 1:
             raise ValueError(f"form degree must be in 1..{n - 1}, got {kind.p}")
-        return float(max(kind.p, n - kind.p))
-    if kind.name == "sym2":
-        return n / 2.0
-    if kind.name in ("curvature_einstein", "weyl"):
+        lam = (1,) * min(kind.p, n - kind.p)
+    elif kind.name in ("curvature_einstein", "weyl"):
         if n < 3:
             raise ValueError(f"{kind.name} tensors need dimension at least 3, got {n}")
-        return (n - 1) / 2.0
-    if kind.name == "generic":
-        return (n + kind.k - 2) / kind.k
-    raise ValueError(f"unknown tensor kind {kind.name!r}")
+        lam = (2, 2)
+    elif kind.name == "sym2":
+        lam = (2,)
+    elif kind.name == "generic":
+        lam = (kind.k,)
+    else:
+        raise ValueError(f"unknown tensor kind {kind.name!r}")
+    norm_sq = sum(x * x for x in lam)
+    return norm_sq + sum(x * (n - 2 * i) for i, x in enumerate(lam, 1)), norm_sq
+
+
+def estimate_constant(kind: TensorKind, n) -> float:
+    """The constant C with |L T|^2 <= |hat T|^2 |L|^2 / C for the kind.
+
+    C is Cas(lam) / |lam|^2 at the kind's highest weight lam, met with
+    equality at the real part of a highest-weight tensor: max(p, n-p) for
+    p-forms, n/2 for symmetric tensors, (n-1)/2 for Einstein curvature and
+    Weyl tensors, (n+k-2)/k for generic (0,k)-tensors.  Only the division of
+    the two integers rounds.
+    """
+    cas, norm_sq = _weight_norms(kind, n)
+    return cas / norm_sq
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,26 @@ class BochnerVerdict:
     vanishing: bool
 
 
+# A row per verdict: its count of lowest eigenvalues, from n and p or C, and
+# whether its weak test is the lowest average at least kappa (Lemma 2.1) or
+# the lowest sum at least 0 (an average can round a negative sum to -0.0)
+_RULES = {
+    "betti": (lambda n, p: n - p, False),
+    "tachibana": (lambda n, _: 2 if n == 4 else (n - 1) // 2, False),
+    "lemma-2.1": (lambda n, c: math.floor(c), True),
+}
+
+
+def _apply_rule(rule, vals, n, arg=None, kappa=0.0):
+    """(count, lowest sum, average, weak test, strict test: a positive sum) of
+    a row of _RULES on stacked ascending spectra (..., N), unchecked."""
+    count_of, on_average = _RULES[rule]
+    count = count_of(n, arg)
+    low = np.sum(vals[..., :count], axis=-1)
+    average = low / count
+    return count, low, average, average >= kappa if on_average else low >= 0.0, low > 0.0
+
+
 def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
     """Test whether the lowest floor(C) eigenvalues average at least kappa.
 
@@ -113,13 +144,12 @@ def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
     if not 1.0 <= C < math.inf:
         raise ValueError(f"C must be finite and at least 1, got {C}")
     _check_kappa(kappa)
-    floor_c = math.floor(C)
-    if floor_c > s.size:
-        raise ValueError(f"floor(C) = {floor_c} exceeds the spectrum size {s.size}")
-    low, bound, holds, vanishing = _lemma21(s.eigenvalues, C, kappa)
+    count, low, bound, holds, vanishing = _apply_rule("lemma-2.1", s.eigenvalues, None, C, kappa)
+    if count > s.size:
+        raise ValueError(f"floor(C) = {count} exceeds the spectrum size {s.size}")
     return BochnerVerdict(
         C_used=C,
-        floorC=floor_c,
+        floorC=count,
         lowest_sum=float(low),
         bound=float(bound),
         holds=bool(holds),
@@ -131,15 +161,6 @@ def _check_kappa(kappa):
     """Raise ValueError unless kappa is finite and nonpositive."""
     if not -math.inf < kappa <= 0.0:
         raise ValueError(f"kappa must be finite and nonpositive, got {kappa}")
-
-
-def _lemma21(vals, C, kappa):
-    """(lowest sum, bound, holds, vanishing) of lemma21_verdict for stacked
-    ascending spectra (..., N), unchecked."""
-    floor_c = math.floor(C)
-    low = np.sum(vals[..., :floor_c], axis=-1)
-    bound = low / floor_c
-    return low, bound, bound >= kappa, low > 0.0
 
 
 def direct_term_check(r: CurvatureOperator, t, kappa):
@@ -210,8 +231,8 @@ def betti_verdict(s: Spectrum, n, p) -> BettiVerdict:
     if not 1 <= p <= n // 2:
         raise ValueError(f"p must be in 1..{n // 2}, got {p}")
     _check_spectrum_size(s, n)
-    low = s.lowest_sum(n - p)
-    return BettiVerdict(vanishing=low > 0.0, parallel_only=low >= 0.0)
+    _, _, _, weak, strict = _apply_rule("betti", s.eigenvalues, n, p)
+    return BettiVerdict(vanishing=bool(strict), parallel_only=bool(weak))
 
 
 def betti_bound(n, p, kappa, diameter, c_const) -> float:
@@ -255,9 +276,8 @@ def tachibana_verdict(s: Spectrum, n) -> TachibanaVerdict:
     if n < 4:
         raise ValueError(f"dimension must be at least 4, got {n}")
     _check_spectrum_size(s, n)
-    count = 2 if n == 4 else (n - 1) // 2
-    low = s.lowest_sum(count)
-    return TachibanaVerdict(parallel=low >= 0.0, constant_curvature=low > 0.0)
+    _, _, _, weak, strict = _apply_rule("tachibana", s.eigenvalues, n)
+    return TachibanaVerdict(parallel=bool(weak), constant_curvature=bool(strict))
 
 
 def fourdim_einstein_term(lams) -> float:

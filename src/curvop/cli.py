@@ -197,7 +197,7 @@ _BOCHNER_KINDS = {"pform": ("p",), "sym2": (), "curvature-einstein": (), "weyl":
 
 
 def cmd_bochner(args) -> int:
-    from .bochner import TensorKind, betti_bound, betti_verdict, estimate_constant, lemma21_verdict
+    from .bochner import TensorKind, _apply_rule, betti_bound, betti_verdict, estimate_constant, lemma21_verdict
     from .operators import spectrum
     from .opfile import load_operator
 
@@ -212,18 +212,19 @@ def cmd_bochner(args) -> int:
         make = getattr(TensorKind, args.kind.replace("-", "_"))
         kind = make(*(getattr(args, flag) for flag in flags))
         constant = estimate_constant(kind, n)
+        floor_c, low, *_ = _apply_rule("lemma-2.1", s.eigenvalues, n, constant)
         doc = {
             "file": args.file,
             "n": n,
             "kind": args.kind,
             "C": constant,
-            "floor_C": math.floor(constant),
-            "lowest_sum": s.lowest_sum(math.floor(constant)),
+            "floor_C": floor_c,
+            "lowest_sum": float(low),
         }
         if args.p is not None:
             verdict = betti_verdict(s, n, args.p)
             doc["p"] = args.p
-            doc["lowest_sum_n_minus_p"] = s.lowest_sum(n - args.p)
+            doc["lowest_sum_n_minus_p"] = float(_apply_rule("betti", s.eigenvalues, n, args.p)[1])
             doc["vanishing"] = verdict.vanishing
             doc["parallel_only"] = verdict.parallel_only
         if args.kappa is not None:

@@ -102,7 +102,12 @@ def tensor_from_op(r: CurvatureOperator) -> CurvTensor:
 
 
 def alternation(arr: np.ndarray) -> np.ndarray:
-    """Full signed average over the 24 slot permutations of a (0,4)-array."""
+    """Full signed average over the 24 slot permutations of a (0,4)-array.
+
+    The library's own paths take the Bianchi part on operator coordinates;
+    this direct average stays as the independent oracle the tests compare
+    them with and as the reference kernel the benchmark times.
+    """
     out = np.zeros_like(arr)
     for perm, sign in zip(*_perm_signs(4)):
         out += sign * np.transpose(arr, perm)
@@ -404,6 +409,10 @@ class Spectrum:
         vecs = np.array(eigenvectors, dtype=float)
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
+        # a NaN would pass the order check below, as every comparison with
+        # it is False
+        _require_finite(vals, "eigenvalues")
+        _require_finite(vecs, "eigenvectors")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = _freeze(vals)

@@ -54,7 +54,10 @@ kinds, prop-2.8 the identity operator's Ricci curvature and hat norm on
 curvature tensors, and prop-1.9 the Ricci pairing of curvature tensors,
 since Ric_R commutes with A -> A_op for every operator R.  The suites
 whose claims are about (0,4)-tensors themselves spread operator matrices
-with _tensors_from_ops: prop-1.1, tensor-core and decompose.
+with _tensors_from_ops: prop-1.1, tensor-core and decompose.  lemma-2.2
+reads each kind's factor |lam|^2 at its highest weight lam from bochner,
+and lemma-2.1-soundness its counts and averages from bochner's rule table,
+so neither writes a Bochner rule of its own.
 
 Only the spectrum suite runs the Jacobi solver behind operators.spectrum,
 since it tests that solver.  The suites whose identities only consume an
@@ -97,9 +100,10 @@ from .action import (
 from .bochner import (
     TensorKind,
     _DIRECT_SLACK,
+    _apply_rule,
     _direct_check,
     _direct_terms,
-    _lemma21,
+    _weight_norms,
     betti_verdict,
     estimate_constant,
     fourdim_einstein_term,
@@ -119,6 +123,7 @@ from .catalog import (
 from .opfile import dumps_operator, loads_operator
 from .operators import (
     CurvatureOperator,
+    Spectrum,
     bianchi_split,
     complex_sectional,
     decompose,
@@ -1012,23 +1017,28 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
     g = np.eye(n)
     if case in (1, 3, 4):
         values = _symmetrized(values)
+    # each factor is |lam|^2 at the kind's highest weight lam
     if case == 0:
         lhs = _tensor_norms(_KINDS[Tensor0k].acted(lam, values, n, degree))
-        return [_at_mosts("generic", lhs, degree * degree * _tensor_norms(values) * lam_sq, t)]
+        factor = _weight_norms(TensorKind.generic(degree), n)[1]
+        return [_at_mosts("generic", lhs, factor * _tensor_norms(values) * lam_sq, t)]
     if case == 1:
         lhs = _dense_norms(_KINDS[Sym2].acted(lam, values, n))
-        return [_at_mosts("sym2", lhs, 4.0 * _dense_norms(_traceless(values)) * lam_sq, t)]
+        factor = _weight_norms(TensorKind.sym2(), n)[1]
+        return [_at_mosts("sym2", lhs, factor * _dense_norms(_traceless(values)) * lam_sq, t)]
     if case == 2:
         lhs = _compact_norms(_KINDS[PForm].acted(lam, values, n, degree))
-        return [_at_mosts("pform", lhs, min(degree, n - degree) * _compact_norms(values) * lam_sq, t)]
+        factor = _weight_norms(TensorKind.pform(degree), n)[1]
+        return [_at_mosts("pform", lhs, factor * _compact_norms(values) * lam_sq, t)]
     if case == 3:
         lr = _dense_norms(_KINDS[CurvatureOperator].acted(lam, values, n))
         lrm = _dense_norms(_KINDS[CurvTensor].acted(lam, _tensors_from_ops(values, n), n))
         r0 = _traceless(values)
+        factor = _weight_norms(TensorKind.weyl(), n)[1]
         return [
-            _at_mosts("operator", lr, 8.0 * _dense_norms(r0) * lam_sq, t),
+            _at_mosts("operator", lr, factor * _dense_norms(r0) * lam_sq, t),
             _closes("tensor-factor", lrm, 4.0 * lr, t),
-            _at_mosts("tensor", lrm, 8.0 * _dense_norms(_tensors_from_ops(r0, n)) * lam_sq, t),
+            _at_mosts("tensor", lrm, factor * _dense_norms(_tensors_from_ops(r0, n)) * lam_sq, t),
         ]
     # the curvature tensors act and take their norms on operator
     # coordinates: |L A|^2 = 4 |L A_op|^2 and |A|^2 = 4 |A_op|^2
@@ -1043,22 +1053,24 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
 
 
 def suite_lemma_2_2_sharpness(stream, t):
-    """The catalog extremals achieve equality in their estimates, and at
-    each sharp pair the library's constant gives |L T|^2 C = |hat T|^2 |L|^2."""
+    """The catalog extremals achieve equality in their estimates, with the
+    factors |lam|^2 of Lemma 2.2, and at each sharp pair the library's
+    constant gives |L T|^2 C = |hat T|^2 |L|^2."""
     failures = []
     h, lam = Sym2(np.diag([1.0, -1.0, 0.0, 0.0])), wedge_element(4, 0, 1)
     _close(
         failures,
         ("sym2-equality",),
         so_act(lam, h).norm_sq(),
-        4.0 * h.norm_sq() * lam.norm_sq(),
+        _weight_norms(TensorKind.sym2(), 4)[1] * h.norm_sq() * lam.norm_sq(),
         t,
     )
     _close(failures, ("sym2-value",), so_act(lam, h).norm_sq(), 8.0, t)
     w, _, lam2 = extremal_pform(2)
     lw = so_act(lam2, w)
     _close(failures, ("form-norm",), lw.norm_sq(), 8.0, t)
-    _close(failures, ("form-equality",), lw.norm_sq(), 2.0 * w.norm_sq() * lam2.norm_sq(), t)
+    form_factor = _weight_norms(TensorKind.pform(2), 4)[1]
+    _close(failures, ("form-equality",), lw.norm_sq(), form_factor * w.norm_sq() * lam2.norm_sq(), t)
     scaled = PForm(w.n, w.p, 3.0 * w.comps)
     _close(failures, ("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
     pforms = [(p, extremal_pform(p)) for p in (1, 2, 3, 4)]
@@ -1069,14 +1081,14 @@ def suite_lemma_2_2_sharpness(stream, t):
             failures,
             ("pform-equality", p),
             lw1.norm_sq(),
-            min(p, n - p) * w1.norm_sq() * lamp.norm_sq(),
+            _weight_norms(TensorKind.pform(p), n)[1] * w1.norm_sq() * lamp.norm_sq(),
             t,
         )
     op, _ = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
     basis = singer_thorpe_basis()
     lr = act_on_operator(basis[1], op).norm_sq()
     r0 = op.traceless().norm_sq()
-    _close(failures, ("curv-equality",), lr, 8.0 * r0, t)
+    _close(failures, ("curv-equality",), lr, _weight_norms(TensorKind.weyl(), 4)[1] * r0, t)
     _close(failures, ("curv-value",), lr, 64.0, t)
     # the Weyl pair R = a(x)a - b(x)b on operator coordinates, a = e02 - e13
     # and b = e03 + e12, with the 2-form pair's L = e01 + e23
@@ -1093,6 +1105,24 @@ def suite_lemma_2_2_sharpness(stream, t):
         v = np.eye(n)[0] + 1j * np.eye(n)[1]
         tensor = Tensor0k(functools.reduce(np.multiply.outer, [v] * k).real)
         sharp.append((("generic", k, n), TensorKind.generic(k), tensor, wedge_element(n, 0, 1)))
+    # the pairs above embedded in every n = 3..8: h with L = e01; for p < n/2,
+    # where C = n - p, Re (e0 + i e1)^...^(e_{2p-2} + i e_{2p-1}) with
+    # L = e01 + e23 + ... (p terms); from n = 4, the Weyl pair with e01 + e23
+    for n in range(3, 9):
+        h_n = Sym2(np.diag([1.0, -1.0] + [0.0] * (n - 2)))
+        sharp.append((("sym2", n), TensorKind.sym2(), h_n, wedge_element(n, 0, 1)))
+        for p, (w1, _, _) in (pair for pair in pforms if 2 * pair[0] < n):
+            comps, index = np.zeros(math.comb(n, p)), _tuple_index_map(n, p)
+            for tup, pos in _tuple_index_map(2 * p, p).items():
+                comps[index[tup]] = w1.comps[pos]
+            sharp.append((("pform", p, n), TensorKind.pform(p), PForm(n, p, comps), _rotation_sum(n, p)))
+        if n >= 4:
+            a_n, b_n = np.zeros(wedge_count(n)), np.zeros(wedge_count(n))
+            a_n[[wedge_index(n, 0, 2), wedge_index(n, 1, 3)]] = 1.0, -1.0
+            b_n[[wedge_index(n, 0, 3), wedge_index(n, 1, 2)]] = 1.0, 1.0
+            weyl_n = CurvatureOperator(n, np.outer(a_n, a_n) - np.outer(b_n, b_n))
+            for kind in (TensorKind.weyl(), TensorKind.curvature_einstein()):
+                sharp.append(((kind.name, n), kind, weyl_n, _rotation_sum(n, 2)))
     for name, kind, tensor, rotation in sharp:
         c = estimate_constant(kind, rotation.n)
         _close(
@@ -1103,6 +1133,13 @@ def suite_lemma_2_2_sharpness(stream, t):
             t,
         )
     return failures
+
+
+def _rotation_sum(n, terms):
+    """L = e01 + e23 + ... with the given number of terms, in so(n)."""
+    comps = np.zeros(wedge_count(n))
+    comps[[wedge_index(n, 2 * i, 2 * i + 1) for i in range(terms)]] = 1.0
+    return SoElement(n, comps)
 
 
 def suite_estimate_constants(stream, t):
@@ -1172,11 +1209,11 @@ def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, raw_syms, margins):
     slack = min(t, _DIRECT_SLACK)
     checks = []
     for (kind, picked), (lhs, hat_sq) in zip(kinds, terms):
-        c = estimate_constant(kind, n)
-        floor_c = math.floor(c)
+        c, picked_vals = estimate_constant(kind, n), vals[picked]
         margin = margins[picked, ("pform", "sym2", "curvature_einstein", "weyl").index(kind.name)]
-        kappa = np.minimum(0.0, np.sum(vals[picked, :floor_c], axis=-1) / floor_c) - margin
-        low, bound, holds, vanishing = _lemma21(vals[picked], c, kappa)
+        # kappa sits the margin below the certified average, or below 0
+        kappa = np.minimum(0.0, _apply_rule("lemma-2.1", picked_vals, n, c)[2]) - margin
+        _, low, bound, holds, vanishing = _apply_rule("lemma-2.1", picked_vals, n, c, kappa)
         rhs, ok = _direct_check(lhs, hat_sq, kappa, slack)
         # the tightest certified coefficient also works
         rhs2, ok2 = _direct_check(lhs, hat_sq, np.minimum(0.0, bound), slack)
@@ -1241,8 +1278,9 @@ def suite_boundary_cases(stream, t):
             op, form = negative_2form_term_op(n, lam_scale)
             term = curvature_term(op, form, form)
             _close(failures, ("neg-term", n, lam_scale), term, -4.0 * lam_scale * form.norm_sq(), max(t, 1e-12))
-            sn = spectrum(op)
-            _close(failures, ("neg-lowest", n, lam_scale), sn.lowest_sum(n - 1), 0.0, 1e-9)
+            # (n-1)-nonnegative: the lowest sum of the Betti rule at p = 1 is 0
+            low = _apply_rule("betti", spectrum(op).eigenvalues, n, 1)[1]
+            _close(failures, ("neg-lowest", n, lam_scale), float(low), 0.0, 1e-9)
             _require(failures, ("neg-bianchi", n, lam_scale), op.bianchi_certified is True)
     remark = (-1.0, -1.0, 8.0, 2.0, 2.0, 2.0)
     op, _ = singer_thorpe_op(remark)
@@ -1257,6 +1295,18 @@ def suite_boundary_cases(stream, t):
     dec = decompose(cp2)
     _close(failures, ("cp2-einstein",), dec.ric0.norm_sq(), 0.0, t)
     _require(failures, ("cp2-weyl",), dec.weyl.norm_sq() > 1.0)
+    # designed spectra on which the Betti count m = n - p alone is right:
+    # m - 1 copies of -1 then m sum to 1 over the lowest m and stay negative
+    # over fewer; m copies of -1 then a large value sum to -m over the lowest
+    # m and turn positive over more
+    for n in range(4, 9):
+        size = wedge_count(n)
+        for p in range(1, n // 2 + 1):
+            m = n - p
+            edge = betti_verdict(Spectrum([-1.0] * (m - 1) + [float(m)] * (size - m + 1), np.eye(size)), n, p)
+            _require(failures, ("betti-count-vanishing", n, p), edge.vanishing)
+            low = betti_verdict(Spectrum([-1.0] * m + [float(size)] * (size - m), np.eye(size)), n, p)
+            _require(failures, ("betti-count-negative", n, p), not low.vanishing and not low.parallel_only)
     return failures
 
 

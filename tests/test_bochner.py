@@ -29,6 +29,7 @@ from curvop import (
     tensor_from_op,
     wedge_count,
 )
+from curvop.bochner import _weight_norms
 from curvop.verify import random_normal_matrix, random_orthogonal, random_sym_operator
 
 
@@ -53,6 +54,25 @@ class TestEstimateConstant:
         assert estimate_constant(TensorKind.generic(3), 5) == 2.0
         with pytest.raises(TypeError):
             estimate_constant(TensorKind.generic(2), 4, hat_ratio=8.0)
+
+    def test_highest_weights_give_the_closed_forms(self):
+        # Cas(lam) / |lam|^2 equals each kind's closed form exactly
+        cases = [(TensorKind.sym2(), n, n / 2) for n in range(2, 9)]
+        cases += [(TensorKind.pform(p), n, float(max(p, n - p))) for n in range(2, 9) for p in range(1, n)]
+        for kind in (TensorKind.weyl(), TensorKind.curvature_einstein()):
+            cases += [(kind, n, (n - 1) / 2) for n in range(3, 9)]
+        cases += [(TensorKind.generic(k), n, (n + k - 2) / k) for n in range(2, 9) for k in range(1, 13)]
+        assert len(cases) == 131
+        for kind, n, want in cases:
+            assert estimate_constant(kind, n) == want, (kind, n)
+
+    def test_lemma_2_2_factors_are_the_weight_norms(self):
+        # |lam|^2: 4 for symmetric tensors, min(p, n-p) for p-forms, 8 for
+        # the curvature kinds, k^2 for generic (0,k)-tensors
+        assert _weight_norms(TensorKind.sym2(), 5)[1] == 4
+        assert [_weight_norms(TensorKind.pform(p), 7)[1] for p in range(1, 7)] == [1, 2, 3, 3, 2, 1]
+        assert _weight_norms(TensorKind.weyl(), 6)[1] == _weight_norms(TensorKind.curvature_einstein(), 4)[1] == 8
+        assert [_weight_norms(TensorKind.generic(k), 3)[1] for k in (1, 2, 5)] == [1, 4, 25]
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):

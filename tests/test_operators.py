@@ -7,6 +7,7 @@ from curvop import (
     CurvatureOperator,
     CurvTensor,
     SoElement,
+    Spectrum,
     Sym2,
     act_on_operator,
     alternation,
@@ -376,6 +377,21 @@ class TestSpectrum:
     def test_cp2_eigenvalues(self):
         s = spectrum(cp2_op())
         assert np.allclose(s.eigenvalues, [0, 0, 2, 2, 2, 6], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "vals, vecs",
+        [
+            # a NaN hides the 0 below it from the order check
+            ([1.0, 2.0, np.nan, 0.0, 3.0, 4.0], np.eye(6)),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, np.inf], np.eye(6)),
+            ([-np.inf, 0.0, 1.0, 2.0, 3.0, 4.0], np.eye(6)),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], np.where(np.eye(6) == 1.0, np.nan, 0.0)),
+        ],
+        ids=["nan-unsorted", "inf", "minus-inf", "nan-eigenvectors"],
+    )
+    def test_rejects_non_finite_input(self, vals, vecs):
+        with pytest.raises(ValueError, match="must be finite"):
+            Spectrum(vals, vecs)
 
     def test_sphere_product_multiplicities(self):
         s = spectrum(sphere_product_op(2, 5))

@@ -2,7 +2,6 @@
 batched suites against their one-trial-at-a-time definitions."""
 
 import hashlib
-import math
 import sys
 import tracemalloc
 
@@ -11,9 +10,8 @@ import pytest
 
 from curvop import action, verify
 from curvop.action import act_on_operator, curvature_term, hat_norm_sq, ric_of, so_act
-from curvop.bochner import TensorKind, direct_term_check, estimate_constant, lemma21_verdict
+from curvop.bochner import TensorKind, _apply_rule, direct_term_check, estimate_constant
 from curvop.operators import (
-    Spectrum,
     decompose,
     identity_operator,
     op_from_tensor,
@@ -329,8 +327,7 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
             count = n_index * trials + trial + 1
             rng = reference_trial_rng(seed, sid, count - 1)
             op = random_bianchi_operator(rng, n)
-            # lemma21_verdict reads only the eigenvalues
-            spec = Spectrum(np.linalg.eigvalsh(op.mat), np.linalg.eigh(op.mat)[1])
+            vals = np.linalg.eigvalsh(op.mat)
             shared = decompose(random_bianchi_operator(rng, n))
             for kind_name in kinds:
                 if kind_name == "pform":
@@ -349,22 +346,21 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
                     tt = shared.weyl
                 c = estimate_constant(kind, n)
                 margin = abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
-                average = spec.lowest_sum(math.floor(c)) / math.floor(c)
-                kappa = min(0.0, average) - margin
-                verdict = lemma21_verdict(spec, c, kappa)
-                _require(failures, (("holds", kind_name), n, count), verdict.holds)
+                kappa = min(0.0, float(_apply_rule("lemma-2.1", vals, n, c)[2])) - margin
+                _, low, bound, holds, vanishing = _apply_rule("lemma-2.1", vals, n, c, kappa)
+                _require(failures, (("holds", kind_name), n, count), bool(holds))
                 # the direct checks allow direct_term_check's 1e-10, or t
                 # when that is tighter
                 slack = min(t, 1e-10)
                 lhs, rhs, _ = direct_term_check(op, tt, kappa)
                 ok = lhs >= rhs - slack * max(1.0, abs(lhs), abs(rhs))
                 _require(failures, (("direct", kind_name), n, count), ok, lhs, rhs, slack)
-                lhs2, rhs2, _ = direct_term_check(op, tt, min(0.0, verdict.bound))
+                lhs2, rhs2, _ = direct_term_check(op, tt, min(0.0, float(bound)))
                 ok2 = lhs2 >= rhs2 - slack * max(1.0, abs(lhs2), abs(rhs2))
                 _require(failures, (("direct-tight", kind_name), n, count), ok2, lhs2, rhs2, slack)
-                if verdict.vanishing:
+                if vanishing:
                     hat_sq = hat_norm_sq(tt)
-                    floor_bound = verdict.lowest_sum / verdict.C_used * hat_sq
+                    floor_bound = float(low) / c * hat_sq
                     _at_most(
                         failures,
                         (("positive", kind_name), n, count),
@@ -811,6 +807,9 @@ def test_sharpness_reads_the_library_constants(monkeypatch, factor):
     monkeypatch.setattr(verify, "estimate_constant", lambda kind, n: factor * constant(kind, n))
     tags = [("sym2",), *(("pform", p) for p in (1, 2, 3, 4)), ("weyl",), ("curvature_einstein",)]
     tags += [("generic", k, n) for k in (1, 2, 3, 4) for n in range(3, 9)]
+    tags += [("sym2", n) for n in range(3, 9)]
+    tags += [("pform", p, n) for n in range(3, 9) for p in range(1, (n + 1) // 2)]
+    tags += [(name, n) for n in range(4, 9) for name in ("weyl", "curvature_einstein")]
     failed = {f.digest for f in run_suite("lemma-2.2-sharpness").failures}
     assert failed == {verify._digest("constant", *tag) for tag in tags}
 
@@ -853,7 +852,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "2a8d849dcb6616a3482ebe162a490257dc081077d061b36ecc5e51bb528da3b1"
+FAILING_HASH = "78673177b24591e46358d78131a6c9fd70aa11eda844a6d4ac459fcbd73f0900"
 
 
 def test_reports_are_pinned():
