@@ -8,10 +8,12 @@ default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
 index))); _trial_rng takes the pool of numpy's own SeedSequence(entropy=seed,
 spawn_key=(suite index,)), mixes the indices of a block of consecutive
 trials into it at once with numpy's hash and caches the blocks of seed
-words.  A suite returns the list of failures; a failure records a digest
-of its check tag (the check's name with the dimension and the trial or
-case that failed, not the inputs themselves) together with both sides of
-the violated comparison and the tolerance used.
+words.  A suite is a stream of comparisons (tag, failing, lhs, rhs, tol),
+as _closes, _at_mosts and _requires make them, and _record alone turns
+the failing ones into failures: a failure records a digest of its check
+tag (the check's name with the dimension and the trial or case that
+failed, not the inputs themselves) together with both sides of the
+violated comparison and the tolerance used.
 
 _SUITE_TABLE is the registry of the suites.  A suite's row says how it
 runs and holds its default trial count and default tolerance t, and its
@@ -24,21 +26,22 @@ at t.  Comparisons with a fixed slack of their own keep it, and the direct
 checks of lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the
 slack of bochner.direct_term_check.
 
-A row names either a body, which walks the stream, or the (dims, draw,
-check) of a suite that one driver, _batched, checks in batches at each n
-of dims.  Such a suite's trial i at the j-th n is trial index
-j * trials + i, drawn from that index's generator alone, and each of its
-failures is tagged (check name, n, index + 1).  The draw function draws
-one trial from its generator, keeps only what the generator produced and
-names the shapes of its arrays; the check function symmetrizes the stacked
-draws that stand for symmetric matrices and runs the suite's comparisons
-on the group through the stacked kernels of the kind table action._KINDS.
-Groups are sized by _CHUNK_BYTES, so memory stays flat in the trial count:
-a draw names as its item_bytes the largest array its check builds for the
-whole group, and a check builds the larger arrays of a trial a slice of
-the group at a time through _in_budget: lemma-2.1-soundness the block rows
-of its curvature kinds' operator matrices, N^3 entries a trial.  The
-failures come back ordered by trial index, then by the position of the
+A row names either a body, a generator that walks the stream and yields
+its comparisons, or the (dims, draw, check) of a suite that one driver,
+_batched, checks in batches at each n of dims.  Such a suite's trial i at
+the j-th n is trial index j * trials + i, drawn from that index's
+generator alone, and each of its failing comparisons is tagged (check
+name, n, index + 1).  The draw function draws one trial from its
+generator, keeps only what the generator produced and names the shapes of
+its arrays; the check function symmetrizes the stacked draws that stand
+for symmetric matrices and runs the suite's comparisons on the group
+through the stacked kernels of the kind table action._KINDS.  Groups are
+sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
+names as its item_bytes the largest array its check builds for the whole
+group, and a check builds the larger arrays of a trial a slice of the
+group at a time through _in_budget: lemma-2.1-soundness the block rows of
+its curvature kinds' operator matrices, N^3 entries a trial.  The failing
+comparisons come back ordered by trial index, then by the position of the
 check within the trial: as if each trial had been checked alone.
 
 Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
@@ -104,9 +107,11 @@ from .bochner import (
     _direct_check,
     _direct_terms,
     _weight_norms,
+    betti_bound,
     betti_verdict,
     estimate_constant,
     fourdim_einstein_term,
+    lemma21_verdict,
     normal_h_term,
     tachibana_verdict,
 )
@@ -321,21 +326,28 @@ def _at_most_fails(lhs, rhs, tol):
     return ~(lhs <= rhs + tol * scale)
 
 
-def _failure(tag, lhs, rhs, tol):
-    return Failure(_digest(*tag), float(lhs), float(rhs), tol)
+def _closes(tag, lhs, rhs, tol):
+    """The comparison lhs == rhs up to tol, of scalars or elementwise of
+    stacks, as (tag, failing, lhs, rhs, tol)."""
+    return tag, _close_fails(lhs, rhs, tol), lhs, rhs, tol
 
 
-def _close(failures, tag, lhs, rhs, tol):
-    _require(failures, tag, not _close_fails(lhs, rhs, tol), lhs, rhs, tol)
+def _at_mosts(tag, lhs, rhs, tol):
+    """The comparison lhs <= rhs up to tol, as _closes gives it."""
+    return tag, _at_most_fails(lhs, rhs, tol), lhs, rhs, tol
 
 
-def _at_most(failures, tag, lhs, rhs, tol):
-    _require(failures, tag, not _at_most_fails(lhs, rhs, tol), lhs, rhs, tol)
+def _requires(tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
+    """An exact check, failing unless condition holds, as _closes gives it;
+    lhs and rhs are what a failure reports."""
+    return tag, not condition, lhs, rhs, tol
 
 
-def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
-    if not condition:
-        failures.append(_failure(tag, lhs, rhs, tol))
+def _record(comparisons):
+    """The failures among comparisons, in order: each failing (tag, failing,
+    lhs, rhs, tol) as a Failure that digests its tag."""
+    return [Failure(_digest(*tag), float(lhs), float(rhs), tol)
+            for tag, failing, lhs, rhs, tol in comparisons if failing]
 
 
 # -- suites batched across trials ---------------------------------------------
@@ -359,7 +371,8 @@ def _require(failures, tag, condition, lhs=0.0, rhs=0.0, tol=0.0):
 _CHUNK_BYTES = 1 << 19
 
 def _batched(stream, trials, t, dims, draw, check):
-    """The failures of a suite whose trials are checked in batches.
+    """The failing comparisons of a suite whose trials are checked in
+    batches, one per failing trial of a check.
 
     Trial i at the j-th n of dims is the suite's trial index j * trials + i,
     and stream yields (index, its generator) for every index in order;
@@ -376,12 +389,12 @@ def _batched(stream, trials, t, dims, draw, check):
     _in_budget.  The trials of a key gather in a group while one more fits
     in _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n,
     key, *arrays stacked over the group) returns the group's comparisons in
-    check order, as (name, failing, lhs, rhs, tol).  Failures, tagged
-    (name, n, index + 1), come back by trial index, then by check
-    position, as if each trial had been checked alone: each one names the
-    suite's trial index whose generator alone drew it.  Raises ValueError
-    before the first draw when an n of dims is outside check_dimension's
-    range.
+    check order, as (name, failing, lhs, rhs, tol) of stacks.  The failing
+    trials' comparisons, tagged (name, n, index + 1), come back by trial
+    index, then by check position, as if each trial had been checked
+    alone: each one names the suite's trial index whose generator alone
+    drew it.  Raises ValueError before the first draw when an n of dims is
+    outside check_dimension's range.
     """
     for n in dims:
         check_dimension(n)
@@ -396,7 +409,7 @@ def _batched(stream, trials, t, dims, draw, check):
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
             for i in np.flatnonzero(failing):
                 index = indices[i]
-                found.append(((index, position), _failure((name, n, index + 1), lhs[i], rhs[i], tol)))
+                found.append(((index, position), ((name, n, index + 1), True, lhs[i], rhs[i], tol)))
 
     groups = {}
     for index, rng in stream:
@@ -411,7 +424,7 @@ def _batched(stream, trials, t, dims, draw, check):
             for key, group in groups.items():
                 run(n, key, group)
             groups = {}
-    return [failure for _, failure in sorted(found, key=lambda entry: entry[0])]
+    return [comparison for _, comparison in sorted(found, key=lambda entry: entry[0])]
 
 
 def _in_budget(item_bytes, fn, *stacks):
@@ -423,16 +436,6 @@ def _in_budget(item_bytes, fn, *stacks):
     size = max(1, _CHUNK_BYTES // item_bytes)
     parts = [fn(*(stack[start:start + size] for stack in stacks)) for start in range(0, len(stacks[0]), size)]
     return [np.concatenate(side) for side in zip(*parts)]
-
-
-def _closes(name, lhs, rhs, tol):
-    """A batched _close, as a check of _batched returns it."""
-    return name, _close_fails(lhs, rhs, tol), lhs, rhs, tol
-
-
-def _at_mosts(name, lhs, rhs, tol):
-    """A batched _at_most, as a check of _batched returns it."""
-    return name, _at_most_fails(lhs, rhs, tol), lhs, rhs, tol
 
 
 # squared norms of stacked arrays summed entrywise, as Sym2, CurvTensor and
@@ -563,32 +566,29 @@ def hat_wedge_closed_form(n, idx) -> np.ndarray:
 
 def suite_exact_values(stream, t):
     """Exact catalog norms: metric KN square, sphere products, 2-sphere
-    products, and the overlap case.  Deterministic; the stream is ignored."""
-    failures = []
+    products, and the overlap case; and an exact Betti bound.
+    Deterministic; the stream is ignored."""
     for n in range(3, 9):
         g = identity_sym2(n)
-        _close(failures, ("gg", n), kulkarni_nomizu(g, g).norm_sq(), 8.0 * (n - 1) * n, t)
+        yield _closes(("gg", n), kulkarni_nomizu(g, g).norm_sq(), 8.0 * (n - 1) * n, t)
     for n in range(2, 9):
         for p in range(2, n + 1):
             got = hat_norm_sq(sphere_product_op(p, n))
-            _close(failures, ("sphere", p, n), got, 2.0 * (p - 1) * p * (n - p), t)
+            yield _closes(("sphere", p, n), got, 2.0 * (p - 1) * p * (n - p), t)
     for n in range(2, 9):
         for k in range(1, n // 2 + 1):
             got = hat_norm_sq(product_of_spheres_op(k, n))
-            _close(failures, ("s2prod", k, n), got, 4.0 * k * (n - 2), t)
+            yield _closes(("s2prod", k, n), got, 4.0 * k * (n - 2), t)
     a = sphere_product_op(2, 4)
     b = product_of_spheres_op(1, 4)
-    _require(
-        failures,
-        ("overlap",),
-        bool(np.array_equal(a.mat, b.mat)),
-        hat_norm_sq(a),
-        hat_norm_sq(b),
-    )
-    _close(failures, ("overlap-value",), hat_norm_sq(a), hat_norm_sq(b), t)
+    yield _requires(("overlap",), bool(np.array_equal(a.mat, b.mat)), hat_norm_sq(a), hat_norm_sq(b))
+    yield _closes(("overlap-value",), hat_norm_sq(a), hat_norm_sq(b), t)
     s = spectrum(sphere_product_op(5, 5))
-    _close(failures, ("round-sphere",), float(np.abs(s.eigenvalues - 1.0).max()), 0.0, t)
-    return failures
+    yield _closes(("round-sphere",), float(np.abs(s.eigenvalues - 1.0).max()), 0.0, t)
+    # binom(4, 2) exp(sqrt(p (n - p))) at kappa = -1, D = c = 1 is 6 e^2,
+    # bit for bit
+    bound = betti_bound(4, 2, -1.0, 1.0, 1.0)
+    yield _requires(("betti-bound",), bound == 6.0 * math.exp(2.0), bound, 6.0 * math.exp(2.0))
 
 
 def _draw_prop_1_1(rng, n, trial, index):
@@ -606,39 +606,30 @@ def _check_prop_1_1(t, n, key, raw):
 
 def suite_tensor_core(stream, t):
     """Trace-free parts, compact/dense form round trips, KN bilinearity."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(2, 9))
         h = random_sym2(rng, n)
         h0 = h.traceless()
-        _close(failures, ("traceless-norm", trial), h0.norm_sq(), h.norm_sq() - h.trace() ** 2 / n, t)
-        _close(failures, ("traceless-trace", trial), h0.trace(), 0.0, t)
+        yield _closes(("traceless-norm", trial), h0.norm_sq(), h.norm_sq() - h.trace() ** 2 / n, t)
+        yield _closes(("traceless-trace", trial), h0.trace(), 0.0, t)
         p = int(rng.integers(1, n + 1))
         w = random_pform(rng, n, p)
         dense = w.to_tensor()
-        _close(failures, ("pform-dense-norm", trial), dense.norm_sq(), math.factorial(p) * w.norm_sq(), t)
+        yield _closes(("pform-dense-norm", trial), dense.norm_sq(), math.factorial(p) * w.norm_sq(), t)
         back = PForm.from_tensor(dense)
-        _close(failures, ("pform-roundtrip", trial), float(np.abs(back.comps - w.comps).max()), 0.0, t)
+        yield _closes(("pform-roundtrip", trial), float(np.abs(back.comps - w.comps).max()), 0.0, t)
         if n >= 3:
             a, b, c = (random_sym2(rng, n) for _ in range(3))
             x, y = rng.normal(size=2)
             left = kulkarni_nomizu(a, b).array
-            _close(
-                failures,
-                ("kn-symmetric", trial),
-                float(np.abs(left - kulkarni_nomizu(b, a).array).max()),
-                0.0,
-                t,
-            )
+            yield _closes(("kn-symmetric", trial), float(np.abs(left - kulkarni_nomizu(b, a).array).max()), 0.0, t)
             lin = kulkarni_nomizu(Sym2(x * a.mat + y * c.mat), b).array
-            _close(
-                failures,
+            yield _closes(
                 ("kn-bilinear", trial),
                 float(np.abs(lin - x * left - y * kulkarni_nomizu(c, b).array).max()),
                 0.0,
                 t,
             )
-    return failures
 
 
 def _draw_prop_1_2(rng, n, trial, index):
@@ -690,7 +681,6 @@ def _check_prop_1_3(t, n, key, lam, raw):
 
 def suite_prop_1_6(stream, t):
     """Norm of the action on a symmetric wedge operator through its spectrum."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
@@ -699,8 +689,7 @@ def suite_prop_1_6(stream, t):
         vals, vecs = np.linalg.eigh(r.mat)
         gram = vecs.T @ ad_matrix(lam) @ vecs
         rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
-        _close(failures, ("eigen-norm", trial), lhs, rhs, t)
-    return failures
+        yield _closes(("eigen-norm", trial), lhs, rhs, t)
 
 
 def _draw_prop_1_7(rng, n, trial, index):
@@ -820,40 +809,29 @@ def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
 def suite_ric_closed_form(stream, t):
     """The combinatorial closed form of the identity-operator Ricci curvature
     against the definitional double sum."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, 5))
         tt = random_tensor(rng, n, k)
         via_def = ric_of(identity_operator(n), tt)
         via_form = ric_identity_closed_form(tt)
-        _close(
-            failures,
-            ("closed-form", trial),
-            float(np.abs(via_def.array - via_form.array).max()),
-            0.0,
-            t,
-        )
-    return failures
+        yield _closes(("closed-form", trial), float(np.abs(via_def.array - via_form.array).max()), 0.0, t)
 
 
 def suite_hat_closed_form(stream, t):
     """Hats of wedge basis forms against the combinatorial expansion, exactly."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, n + 1))
         idx = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
         got = _hat_rows(wedge_basis_form(n, idx))
         want = hat_wedge_closed_form(n, idx)
-        _close(failures, ("hat-expansion", trial, n, idx), float(np.abs(got - want).max()), 0.0, t)
-    return failures
+        yield _closes(("hat-expansion", trial, n, idx), float(np.abs(got - want).max()), 0.0, t)
 
 
 def suite_hat_structure(stream, t):
     """Hat blocks agree with direct actions and pairing against any element
     reproduces that element's action."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(2, 6))
         which = trial % 3
@@ -867,11 +845,10 @@ def suite_hat_structure(stream, t):
         pairs = wedge_pairs(n)
         for a in range(len(pairs)):
             lam = SoElement(n, np.eye(len(pairs))[a])
-            _close(failures, ("block", trial, a), _gap_sq(ht.blocks[a], so_act(lam, tt)), 0.0, t)
+            yield _closes(("block", trial, a), _gap_sq(ht.blocks[a], so_act(lam, tt)), 0.0, t)
         lam = random_so(rng, n)
-        _close(failures, ("pairing", trial), _gap_sq(ht.pair_with(lam), so_act(lam, tt)), 0.0, t)
-        _close(failures, ("norm", trial), ht.norm_sq(), hat_norm_sq(tt), t)
-    return failures
+        yield _closes(("pairing", trial), _gap_sq(ht.pair_with(lam), so_act(lam, tt)), 0.0, t)
+        yield _closes(("norm", trial), ht.norm_sq(), hat_norm_sq(tt), t)
 
 
 def _gap_sq(a, b):
@@ -885,7 +862,6 @@ def _gap_sq(a, b):
 def suite_basis_independence(stream, t):
     """The curvature term is unchanged under a random orthogonal re-basis of
     wedge space."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 6))
         r = random_sym_operator(rng, n)
@@ -901,34 +877,30 @@ def suite_basis_independence(stream, t):
         for bi in range(big_n):
             for ci in range(big_n):
                 total += rp[bi, ci] * inner(blocks_s[bi], blocks_u[ci])
-        _close(failures, ("rebasis", trial), base, total, t)
-    return failures
+        yield _closes(("rebasis", trial), base, total, t)
 
 
 def suite_bianchi_split(stream, t):
     """The alternation split is an orthogonal projection onto the Bianchi
     subspace."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         rb, lam4 = bianchi_split(r)
         rm = tensor_from_op(r)
         recomposed = tensor_from_op(rb).array + lam4.array
-        _close(failures, ("sum", trial), float(np.abs(recomposed - rm.array).max()), 0.0, t)
-        _close(failures, ("orthogonal", trial), inner(tensor_from_op(rb), lam4), 0.0, t)
+        yield _closes(("sum", trial), float(np.abs(recomposed - rm.array).max()), 0.0, t)
+        yield _closes(("orthogonal", trial), inner(tensor_from_op(rb), lam4), 0.0, t)
         rb2, lam4b = bianchi_split(rb)
-        _close(failures, ("idempotent", trial), float(np.abs(lam4b.array).max()), 0.0, t)
-        _require(failures, ("certified", trial), rb.bianchi_certified is True)
+        yield _closes(("idempotent", trial), float(np.abs(lam4b.array).max()), 0.0, t)
+        yield _requires(("certified", trial), rb.bianchi_certified is True)
         ric = np.einsum("iaja->ij", lam4.array)
-        _close(failures, ("lam4-ricci", trial), float(np.abs(ric).max()), 0.0, t)
-    return failures
+        yield _closes(("lam4-ricci", trial), float(np.abs(ric).max()), 0.0, t)
 
 
 def suite_decompose(stream, t):
     """Reassembly, orthogonality, total trace-freeness, the Schouten relation,
     and the hat-norm consequence of the decomposition."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 8))
         rb = random_bianchi_operator(rng, n)
@@ -938,51 +910,46 @@ def suite_decompose(stream, t):
         scal_part = CurvTensor(dec.scal / (2.0 * (n - 1) * n) * kulkarni_nomizu(g, g).array)
         ric_part = CurvTensor(kulkarni_nomizu(g, dec.ric0).array / (n - 2.0))
         back = scal_part.array + ric_part.array + dec.weyl.array
-        _close(failures, ("reassembly", trial), float(np.abs(back - rm.array).max()), 0.0, t)
-        _close(failures, ("orth-sw", trial), inner(scal_part, dec.weyl), 0.0, t * max(1.0, rm.norm_sq()))
-        _close(failures, ("orth-sr", trial), inner(scal_part, ric_part), 0.0, t * max(1.0, rm.norm_sq()))
-        _close(failures, ("orth-rw", trial), inner(ric_part, dec.weyl), 0.0, t * max(1.0, rm.norm_sq()))
+        yield _closes(("reassembly", trial), float(np.abs(back - rm.array).max()), 0.0, t)
+        yield _closes(("orth-sw", trial), inner(scal_part, dec.weyl), 0.0, t * max(1.0, rm.norm_sq()))
+        yield _closes(("orth-sr", trial), inner(scal_part, ric_part), 0.0, t * max(1.0, rm.norm_sq()))
+        yield _closes(("orth-rw", trial), inner(ric_part, dec.weyl), 0.0, t * max(1.0, rm.norm_sq()))
         wric = np.einsum("iaja->ij", dec.weyl.array)
-        _close(failures, ("weyl-tracefree", trial), float(np.abs(wric).max()), 0.0, t)
+        yield _closes(("weyl-tracefree", trial), float(np.abs(wric).max()), 0.0, t)
         schouten_back = kulkarni_nomizu(dec.schouten, g).array + dec.weyl.array
-        _close(failures, ("schouten", trial), float(np.abs(schouten_back - rm.array).max()), 0.0, t)
+        yield _closes(("schouten", trial), float(np.abs(schouten_back - rm.array).max()), 0.0, t)
         lhs = hat_norm_sq(rm)
         rhs = (16.0 * (n - 1) / (n - 2) - 8.0) * dec.ric0.norm_sq() + 4.0 * (n - 1) * dec.weyl.norm_sq()
-        _close(failures, ("hat-identity", trial), lhs, rhs, max(t, 1e-9))
-    return failures
+        yield _closes(("hat-identity", trial), lhs, rhs, max(t, 1e-9))
 
 
 def suite_spectrum(stream, t):
     """The Jacobi solver behind spectrum, the one suite that runs it:
     residuals, orthogonality, invariance under orthogonal conjugation, and
     batch/single agreement."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 8))
         r = random_sym_operator(rng, n)
         s = spectrum(r)
         norm = math.sqrt(r.norm_sq())
         res = float(np.abs(r.mat @ s.eigenvectors - s.eigenvectors * s.eigenvalues[None, :]).max())
-        _at_most(failures, ("residual", trial), res, t * max(1.0, norm), 0.0)
+        yield _at_mosts(("residual", trial), res, t * max(1.0, norm), 0.0)
         orth = float(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(r.N)).max())
-        _at_most(failures, ("orthogonal", trial), orth, t, 0.0)
+        yield _at_mosts(("orthogonal", trial), orth, t, 0.0)
         q = random_orthogonal(rng, r.N)
         s2 = spectrum(CurvatureOperator(r.n, q.T @ r.mat @ q))
-        _close(
-            failures,
+        yield _closes(
             ("conjugation", trial),
             float(np.abs(s.eigenvalues - s2.eigenvalues).max()),
             0.0,
             max(t, 1e-9) * max(1.0, norm),
         )
         batch_vals, batch_vecs = jacobi_eigh_batch(np.array([r.mat, q.T @ r.mat @ q]))
-        _require(
-            failures,
+        yield _requires(
             ("batch", trial),
             bool(np.array_equal(batch_vals[0], s.eigenvalues))
             and bool(np.array_equal(batch_vecs[0], s.eigenvectors)),
         )
-    return failures
 
 
 def _draw_lemma_2_2(rng, n, trial, index):
@@ -1056,29 +1023,26 @@ def suite_lemma_2_2_sharpness(stream, t):
     """The catalog extremals achieve equality in their estimates, with the
     factors |lam|^2 of Lemma 2.2, and at each sharp pair the library's
     constant gives |L T|^2 C = |hat T|^2 |L|^2."""
-    failures = []
     h, lam = Sym2(np.diag([1.0, -1.0, 0.0, 0.0])), wedge_element(4, 0, 1)
-    _close(
-        failures,
+    yield _closes(
         ("sym2-equality",),
         so_act(lam, h).norm_sq(),
         _weight_norms(TensorKind.sym2(), 4)[1] * h.norm_sq() * lam.norm_sq(),
         t,
     )
-    _close(failures, ("sym2-value",), so_act(lam, h).norm_sq(), 8.0, t)
+    yield _closes(("sym2-value",), so_act(lam, h).norm_sq(), 8.0, t)
     w, _, lam2 = extremal_pform(2)
     lw = so_act(lam2, w)
-    _close(failures, ("form-norm",), lw.norm_sq(), 8.0, t)
+    yield _closes(("form-norm",), lw.norm_sq(), 8.0, t)
     form_factor = _weight_norms(TensorKind.pform(2), 4)[1]
-    _close(failures, ("form-equality",), lw.norm_sq(), form_factor * w.norm_sq() * lam2.norm_sq(), t)
+    yield _closes(("form-equality",), lw.norm_sq(), form_factor * w.norm_sq() * lam2.norm_sq(), t)
     scaled = PForm(w.n, w.p, 3.0 * w.comps)
-    _close(failures, ("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
+    yield _closes(("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
     pforms = [(p, extremal_pform(p)) for p in (1, 2, 3, 4)]
     for p, (w1, _, lamp) in pforms:
         n = 2 * p
         lw1 = so_act(lamp, w1)
-        _close(
-            failures,
+        yield _closes(
             ("pform-equality", p),
             lw1.norm_sq(),
             _weight_norms(TensorKind.pform(p), n)[1] * w1.norm_sq() * lamp.norm_sq(),
@@ -1088,14 +1052,10 @@ def suite_lemma_2_2_sharpness(stream, t):
     basis = singer_thorpe_basis()
     lr = act_on_operator(basis[1], op).norm_sq()
     r0 = op.traceless().norm_sq()
-    _close(failures, ("curv-equality",), lr, _weight_norms(TensorKind.weyl(), 4)[1] * r0, t)
-    _close(failures, ("curv-value",), lr, 64.0, t)
-    # the Weyl pair R = a(x)a - b(x)b on operator coordinates, a = e02 - e13
-    # and b = e03 + e12, with the 2-form pair's L = e01 + e23
-    a, b = np.zeros(6), np.zeros(6)
-    a[[wedge_index(4, 0, 2), wedge_index(4, 1, 3)]] = 1.0, -1.0
-    b[[wedge_index(4, 0, 3), wedge_index(4, 1, 2)]] = 1.0, 1.0
-    weyl = CurvatureOperator(4, np.outer(a, a) - np.outer(b, b))
+    yield _closes(("curv-equality",), lr, _weight_norms(TensorKind.weyl(), 4)[1] * r0, t)
+    yield _closes(("curv-value",), lr, 64.0, t)
+    # the Weyl pair with the 2-form pair's L = e01 + e23
+    weyl = _weyl_pair(4)
     sharp = [(("sym2",), TensorKind.sym2(), h, lam)]
     sharp += [(("pform", p), TensorKind.pform(p), w1, lamp) for p, (w1, _, lamp) in pforms]
     sharp += [((kind.name,), kind, weyl, lam2) for kind in (TensorKind.weyl(), TensorKind.curvature_einstein())]
@@ -1117,22 +1077,26 @@ def suite_lemma_2_2_sharpness(stream, t):
                 comps[index[tup]] = w1.comps[pos]
             sharp.append((("pform", p, n), TensorKind.pform(p), PForm(n, p, comps), _rotation_sum(n, p)))
         if n >= 4:
-            a_n, b_n = np.zeros(wedge_count(n)), np.zeros(wedge_count(n))
-            a_n[[wedge_index(n, 0, 2), wedge_index(n, 1, 3)]] = 1.0, -1.0
-            b_n[[wedge_index(n, 0, 3), wedge_index(n, 1, 2)]] = 1.0, 1.0
-            weyl_n = CurvatureOperator(n, np.outer(a_n, a_n) - np.outer(b_n, b_n))
+            weyl_n = _weyl_pair(n)
             for kind in (TensorKind.weyl(), TensorKind.curvature_einstein()):
                 sharp.append(((kind.name, n), kind, weyl_n, _rotation_sum(n, 2)))
     for name, kind, tensor, rotation in sharp:
         c = estimate_constant(kind, rotation.n)
-        _close(
-            failures,
+        yield _closes(
             ("constant", *name),
             so_act(rotation, tensor).norm_sq() * c,
             hat_norm_sq(tensor) * rotation.norm_sq(),
             t,
         )
-    return failures
+
+
+def _weyl_pair(n):
+    """The Weyl pair R = a(x)a - b(x)b in dimension n >= 4 on operator
+    coordinates, a = e02 - e13 and b = e03 + e12."""
+    a, b = np.zeros(wedge_count(n)), np.zeros(wedge_count(n))
+    a[[wedge_index(n, 0, 2), wedge_index(n, 1, 3)]] = 1.0, -1.0
+    b[[wedge_index(n, 0, 3), wedge_index(n, 1, 2)]] = 1.0, 1.0
+    return CurvatureOperator(n, np.outer(a, a) - np.outer(b, b))
 
 
 def _rotation_sum(n, terms):
@@ -1145,7 +1109,6 @@ def _rotation_sum(n, terms):
 def suite_estimate_constants(stream, t):
     """The defining property of each kind's constant: the action norm is at
     most the hat norm times the rotation norm over C."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(3, 7))
         lam = random_so(rng, n)
@@ -1168,8 +1131,7 @@ def suite_estimate_constants(stream, t):
         for name, tensor, kind, scale in cases:
             c = estimate_constant(kind, n)
             lhs, hat_sq = scale * so_act(lam, tensor).norm_sq(), scale * hat_norm_sq(tensor)
-            _at_most(failures, (name, trial), lhs, hat_sq * lam.norm_sq() / c, t)
-    return failures
+            yield _at_mosts((name, trial), lhs, hat_sq * lam.norm_sq() / c, t)
 
 
 def _draw_lemma_2_1(rng, n, trial, index):
@@ -1257,44 +1219,45 @@ def _margin(rng):
 
 def suite_boundary_cases(stream, t):
     """The deterministic boundary examples: the flat-term form, the negative
-    2-form term family, and the indefinite Einstein operator."""
-    failures = []
+    2-form term family, the indefinite Einstein operator, designed spectra
+    at the edge of the Betti and Lemma 2.1 counts, and an operator just off
+    the Bianchi identity."""
     cp2 = cp2_op()
     kaehler = PForm(4, 2, np.zeros(6))
     comps = np.array(kaehler.comps)
     comps[wedge_index(4, 0, 3)] = 1.0
     comps[wedge_index(4, 1, 2)] = 1.0
     kaehler = PForm(4, 2, comps)
-    _close(failures, ("cp2-term",), curvature_term(cp2, kaehler, kaehler), 0.0, t)
+    yield _closes(("cp2-term",), curvature_term(cp2, kaehler, kaehler), 0.0, t)
     s = spectrum(cp2)
-    _close(failures, ("cp2-spectrum",), float(np.abs(s.eigenvalues - np.array([0, 0, 2, 2, 2, 6.0])).max()), 0.0, t)
+    yield _closes(("cp2-spectrum",), float(np.abs(s.eigenvalues - np.array([0, 0, 2, 2, 2, 6.0])).max()), 0.0, t)
     bv = betti_verdict(s, 4, 2)
-    _require(failures, ("cp2-not-vanishing",), not bv.vanishing)
-    _require(failures, ("cp2-parallel",), bv.parallel_only)
+    yield _requires(("cp2-not-vanishing",), not bv.vanishing)
+    yield _requires(("cp2-parallel",), bv.parallel_only)
     tv = tachibana_verdict(s, 4)
-    _require(failures, ("cp2-tachibana",), tv.parallel and not tv.constant_curvature)
+    yield _requires(("cp2-tachibana",), tv.parallel and not tv.constant_curvature)
     for n in (4, 5, 6):
         for lam_scale in (1.0, 2.5):
             op, form = negative_2form_term_op(n, lam_scale)
             term = curvature_term(op, form, form)
-            _close(failures, ("neg-term", n, lam_scale), term, -4.0 * lam_scale * form.norm_sq(), max(t, 1e-12))
+            yield _closes(("neg-term", n, lam_scale), term, -4.0 * lam_scale * form.norm_sq(), max(t, 1e-12))
             # (n-1)-nonnegative: the lowest sum of the Betti rule at p = 1 is 0
             low = _apply_rule("betti", spectrum(op).eigenvalues, n, 1)[1]
-            _close(failures, ("neg-lowest", n, lam_scale), float(low), 0.0, 1e-9)
-            _require(failures, ("neg-bianchi", n, lam_scale), op.bianchi_certified is True)
+            yield _closes(("neg-lowest", n, lam_scale), float(low), 0.0, 1e-9)
+            yield _requires(("neg-bianchi", n, lam_scale), op.bianchi_certified is True)
     remark = (-1.0, -1.0, 8.0, 2.0, 2.0, 2.0)
     op, _ = singer_thorpe_op(remark)
     rm = tensor_from_op(op)
     four = fourdim_einstein_term(remark)
-    _close(failures, ("remark-value",), four, -2592.0, t)
-    _close(failures, ("remark-term",), four, curvature_term(op, rm, rm), 1e-9)
-    _require(failures, ("remark-negative",), four < 0.0)
+    yield _closes(("remark-value",), four, -2592.0, t)
+    yield _closes(("remark-term",), four, curvature_term(op, rm, rm), 1e-9)
+    yield _requires(("remark-negative",), four < 0.0)
     sr = spectrum(op)
     tvr = tachibana_verdict(sr, 4)
-    _require(failures, ("remark-tachibana",), not tvr.parallel and not tvr.constant_curvature)
+    yield _requires(("remark-tachibana",), not tvr.parallel and not tvr.constant_curvature)
     dec = decompose(cp2)
-    _close(failures, ("cp2-einstein",), dec.ric0.norm_sq(), 0.0, t)
-    _require(failures, ("cp2-weyl",), dec.weyl.norm_sq() > 1.0)
+    yield _closes(("cp2-einstein",), dec.ric0.norm_sq(), 0.0, t)
+    yield _requires(("cp2-weyl",), dec.weyl.norm_sq() > 1.0)
     # designed spectra on which the Betti count m = n - p alone is right:
     # m - 1 copies of -1 then m sum to 1 over the lowest m and stay negative
     # over fewer; m copies of -1 then a large value sum to -m over the lowest
@@ -1304,16 +1267,29 @@ def suite_boundary_cases(stream, t):
         for p in range(1, n // 2 + 1):
             m = n - p
             edge = betti_verdict(Spectrum([-1.0] * (m - 1) + [float(m)] * (size - m + 1), np.eye(size)), n, p)
-            _require(failures, ("betti-count-vanishing", n, p), edge.vanishing)
+            yield _requires(("betti-count-vanishing", n, p), edge.vanishing)
             low = betti_verdict(Spectrum([-1.0] * m + [float(size)] * (size - m), np.eye(size)), n, p)
-            _require(failures, ("betti-count-negative", n, p), not low.vanishing and not low.parallel_only)
-    return failures
+            yield _requires(("betti-count-negative", n, p), not low.vanishing and not low.parallel_only)
+        # and on which the Lemma 2.1 count m = floor(C) alone is right, for
+        # every kind with m >= 2: m - 1 copies of -2 then m - 2 average
+        # exactly -1 over the lowest m and -2 over fewer
+        kinds = [TensorKind.pform(p) for p in range(1, n // 2 + 1)] + [TensorKind.sym2()]
+        kinds += [TensorKind.weyl()] if n >= 5 else []
+        for kind in kinds:
+            c = estimate_constant(kind, n)
+            m = math.floor(c)
+            edge = Spectrum([-2.0] * (m - 1) + [m - 2.0] + [float(size)] * (size - m), np.eye(size))
+            yield _requires(("lemma21-count", kind.name, kind.p, n), lemma21_verdict(edge, c, -1.0).holds)
+    # a Singer-Thorpe operator off the Bianchi identity by 1e-10, whose
+    # largest Bianchi sum of 5e-11 lies between the certificate's 1e-12 and
+    # 1e-9
+    near, _ = singer_thorpe_op((1.0, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10))
+    yield _requires(("near-bianchi",), near.bianchi_certified is False)
 
 
 def suite_singer_thorpe(stream, t):
     """Multiplication table of the split basis, the Bianchi criterion over
     random eigenvalue sextuples, and the basis-diagonal norm formula."""
-    failures = []
     basis = singer_thorpe_basis()
     root2 = math.sqrt(2.0)
     for i in range(6):
@@ -1323,22 +1299,16 @@ def suite_singer_thorpe(stream, t):
             out = ad_matrix(basis[i]) @ basis[j].comps
             same_triple = (i < 3) == (j < 3)
             if not same_triple:
-                _close(failures, ("table-zero", i, j), float(np.abs(out).max()), 0.0, 0.0)
+                yield _closes(("table-zero", i, j), float(np.abs(out).max()), 0.0, 0.0)
                 continue
             k = ({0, 1, 2} if i < 3 else {3, 4, 5}).difference({i, j}).pop()
             coeff = float(out @ basis[k].comps)
-            _close(failures, ("table-coeff", i, j), abs(coeff), root2, t)
-            _close(
-                failures,
-                ("table-direction", i, j),
-                float(np.abs(out - coeff * basis[k].comps).max()),
-                0.0,
-                t,
-            )
+            yield _closes(("table-coeff", i, j), abs(coeff), root2, t)
+            yield _closes(("table-direction", i, j), float(np.abs(out - coeff * basis[k].comps).max()), 0.0, t)
     for i in range(6):
         for j in range(6):
             gram = float(basis[i].comps @ basis[j].comps)
-            _close(failures, ("orthonormal", i, j), gram, 1.0 if i == j else 0.0, t)
+            yield _closes(("orthonormal", i, j), gram, 1.0 if i == j else 0.0, t)
     star = np.zeros((6, 6))
     star[wedge_index(4, 0, 1), wedge_index(4, 2, 3)] = 1.0
     star[wedge_index(4, 2, 3), wedge_index(4, 0, 1)] = 1.0
@@ -1348,7 +1318,7 @@ def suite_singer_thorpe(stream, t):
     star[wedge_index(4, 1, 2), wedge_index(4, 0, 3)] = 1.0
     for i in range(6):
         want = basis[i].comps if i < 3 else -basis[i].comps
-        _close(failures, ("duality", i), float(np.abs(star @ basis[i].comps - want).max()), 0.0, t)
+        yield _closes(("duality", i), float(np.abs(star @ basis[i].comps - want).max()), 0.0, t)
     for trial, rng in stream:
         lams = rng.normal(size=6)
         if trial % 2 == 0:
@@ -1360,7 +1330,7 @@ def suite_singer_thorpe(stream, t):
                 lams[5] -= 0.5 if gap >= 0 else -0.5
             expect = False
         op, _ = singer_thorpe_op(lams)
-        _require(failures, ("bianchi-iff", trial), op.bianchi_certified is expect)
+        yield _requires(("bianchi-iff", trial), op.bianchi_certified is expect)
         a = rng.normal(size=6)
         lam_el = SoElement(4, sum(a[g] * basis[g].comps for g in range(6)))
         lhs = act_on_operator(lam_el, op).norm_sq()
@@ -1368,47 +1338,37 @@ def suite_singer_thorpe(stream, t):
         rhs = 4.0 * sum(
             a[g] ** 2 * (lams[x] - lams[y]) ** 2 for g, (x, y) in enumerate(triples)
         )
-        _close(failures, ("diagonal-norm", trial), lhs, rhs, 1e-9)
+        yield _closes(("diagonal-norm", trial), lhs, rhs, 1e-9)
         spread = max(lams) - min(lams)
-        _at_most(failures, ("diagonal-bound", trial), lhs, 4.0 * spread ** 2 * lam_el.norm_sq(), 1e-9)
+        yield _at_mosts(("diagonal-bound", trial), lhs, 4.0 * spread ** 2 * lam_el.norm_sq(), 1e-9)
     cp2 = cp2_op()
     for idx, want in ((0, 144.0), (1, 144.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0)):
         got = act_on_operator(basis[idx], cp2).norm_sq()
-        _close(failures, ("cp2-maximal", idx), got, want, 1e-12)
-    return failures
+        yield _closes(("cp2-maximal", idx), got, want, 1e-12)
 
 
 def suite_fourdim_einstein(stream, t):
     """The six-eigenvalue expansion of the curvature term on the operator's
     own curvature tensor."""
-    failures = []
-    _close(failures, ("equal",), fourdim_einstein_term((3.0,) * 6), 0.0, 0.0)
-    _close(failures, ("remark",), fourdim_einstein_term((-1, -1, 8, 2, 2, 2)), -2592.0, 0.0)
-    _close(failures, ("cp2",), fourdim_einstein_term((0, 0, 6, 2, 2, 2)), 0.0, 0.0)
+    yield _closes(("equal",), fourdim_einstein_term((3.0,) * 6), 0.0, 0.0)
+    yield _closes(("remark",), fourdim_einstein_term((-1, -1, 8, 2, 2, 2)), -2592.0, 0.0)
+    yield _closes(("cp2",), fourdim_einstein_term((0, 0, 6, 2, 2, 2)), 0.0, 0.0)
     for trial, rng in stream:
         lams = rng.normal(size=6)
         lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
         op, _ = singer_thorpe_op(lams)
         rm = tensor_from_op(op)
-        _close(
-            failures,
-            ("identity", trial),
-            fourdim_einstein_term(lams),
-            curvature_term(op, rm, rm),
-            t,
-        )
-    return failures
+        yield _closes(("identity", trial), fourdim_einstein_term(lams), curvature_term(op, rm, rm), t)
 
 
 def suite_normal_h(stream, t):
     """The complex-eigenbasis expansion of the curvature term on normal
     endomorphisms against the real computation."""
-    failures = []
     op4, _ = negative_sym2_term_op(4, 1.0, -1.0)
-    _close(failures, ("flat",), normal_h_term(op4, np.diag([-1.0, 0.0, 0.0, 1.0])), 0.0, t)
+    yield _closes(("flat",), normal_h_term(op4, np.diag([-1.0, 0.0, 0.0, 1.0])), 0.0, t)
     op6, h6 = negative_sym2_term_op(6, 1.0, -3.0)
-    _close(failures, ("negative",), normal_h_term(op6, np.diag([-1.0, 0, 0, 0, 0, 1.0])), -8.0, t)
-    _close(failures, ("metric",), normal_h_term(op6, np.eye(6)), 0.0, t)
+    yield _closes(("negative",), normal_h_term(op6, np.diag([-1.0, 0, 0, 0, 0, 1.0])), -8.0, t)
+    yield _closes(("metric",), normal_h_term(op6, np.eye(6)), 0.0, t)
     for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
@@ -1416,53 +1376,43 @@ def suite_normal_h(stream, t):
         lhs = normal_h_term(r, hmat)
         ht = Tensor0k(hmat)
         rhs = curvature_term(r, ht, ht)
-        _close(failures, ("expansion", trial), lhs, rhs, t)
-    return failures
+        yield _closes(("expansion", trial), lhs, rhs, t)
 
 
 def suite_extremal_pform(stream, t):
     """Rotation-pair identities, support sizes, and the group tally of the
     sharp p-form family."""
-    failures = []
     for p in (1, 2, 3, 4):
         w1, w2, lam = extremal_pform(p)
         lw1 = so_act(lam, w1)
         lw2 = so_act(lam, w2)
-        _close(failures, ("first", p), float(np.abs(lw1.comps + p * w2.comps).max()), 0.0, t)
-        _close(failures, ("second", p), float(np.abs(lw2.comps - p * w1.comps).max()), 0.0, t)
+        yield _closes(("first", p), float(np.abs(lw1.comps + p * w2.comps).max()), 0.0, t)
+        yield _closes(("second", p), float(np.abs(lw2.comps - p * w1.comps).max()), 0.0, t)
         sup1 = int(np.count_nonzero(w1.comps))
         sup2 = int(np.count_nonzero(w2.comps))
-        _require(failures, ("support", p), sup1 + sup2 == 2 ** p, sup1 + sup2, 2 ** p)
-        _require(
-            failures,
-            ("disjoint", p),
-            not np.any((w1.comps != 0) & (w2.comps != 0)),
-        )
-        _require(
-            failures,
+        yield _requires(("support", p), sup1 + sup2 == 2 ** p, sup1 + sup2, 2 ** p)
+        yield _requires(("disjoint", p), not np.any((w1.comps != 0) & (w2.comps != 0)))
+        yield _requires(
             ("unit-coeffs", p),
             bool(np.all(np.isin(w1.comps, (-1.0, 0.0, 1.0))))
             and bool(np.all(np.isin(w2.comps, (-1.0, 0.0, 1.0)))),
         )
-    return failures
 
 
 def suite_complex_sectional(stream, t):
     """Complex sectional curvatures: real pairs, the eigen-expansion, and
     the isotropic plane value of the symmetric example operator."""
-    failures = []
     cp2 = cp2_op()
     z = np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2.0)
     w = np.array([0.0, 0.0, 1.0, 1.0j]) / math.sqrt(2.0)
-    _close(failures, ("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, 1e-12)
+    yield _closes(("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, 1e-12)
     for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         e = np.eye(n)
         real_pair = complex_sectional(r, e[:, i], e[:, j])
-        _close(
-            failures,
+        yield _closes(
             ("real-pair", trial),
             real_pair,
             float(r.mat[wedge_index(n, i, j), wedge_index(n, i, j)]),
@@ -1475,58 +1425,44 @@ def suite_complex_sectional(stream, t):
         zeta = wedge_coordinates(zc, wc, n)
         coeffs = vecs.T @ zeta
         want = float(np.sum(vals * np.abs(coeffs) ** 2))
-        _close(failures, ("eigen-expansion", trial), got, want, t)
+        yield _closes(("eigen-expansion", trial), got, want, t)
         ident = identity_operator(n)
-        _require(
-            failures,
-            ("identity-positive", trial),
-            complex_sectional(ident, zc, wc) > 0.0,
-        )
-    return failures
+        yield _requires(("identity-positive", trial), complex_sectional(ident, zc, wc) > 0.0)
 
 
 def suite_warped_round(stream, t):
     """Round jets give the all-ones spectrum with the right multiplicities,
     and assembled operators are Bianchi."""
-    failures = []
     for p in (2, 3, 4):
         for q in (2, 3, 4):
             for ridx, r in enumerate((0.3, 0.7, 1.1, 1.4)):
                 evs = dwp_eigenvalue_list(p, q, round_jet(r))
-                _close(failures, ("ones", p, q, ridx), float(np.abs(evs - 1.0).max()), 0.0, t)
+                yield _closes(("ones", p, q, ridx), float(np.abs(evs - 1.0).max()), 0.0, t)
                 want = math.comb(p + q + 1, 2)
-                _require(failures, ("count", p, q, ridx), evs.size == want, evs.size, want)
+                yield _requires(("count", p, q, ridx), evs.size == want, evs.size, want)
             fams = dwp_eigenvalues(p, q, round_jet(0.5))
             tally = sum(m for _, m, _ in fams)
-            _require(failures, ("tally", p, q), tally == math.comb(p + q + 1, 2))
+            yield _requires(("tally", p, q), tally == math.comb(p + q + 1, 2))
             if p + q + 1 <= 8:
                 op = dwp_operator(p, q, round_jet(0.8))
-                _require(failures, ("bianchi", p, q), op.bianchi_certified is True)
-                _close(
-                    failures,
-                    ("identity", p, q),
-                    float(np.abs(op.mat - np.eye(op.N)).max()),
-                    0.0,
-                    t,
-                )
+                yield _requires(("bianchi", p, q), op.bianchi_certified is True)
+                yield _closes(("identity", p, q), float(np.abs(op.mat - np.eye(op.N)).max()), 0.0, t)
     for trial, rng in stream:
         prof = perturbed_profile(2, 2, float(rng.uniform(0.2, 1.5)), 0.8, 0.1)
         r = float(rng.uniform(0.2, 1.3))
         op = dwp_operator(2, 2, prof(r))
-        _require(failures, ("perturbed-bianchi", trial), op.bianchi_certified is True)
-    return failures
+        yield _requires(("perturbed-bianchi", trial), op.bianchi_certified is True)
 
 
 def suite_warped_perturbed(stream, t):
     """The bump profile: exact round limit, the deep radial dip with the
     other families pinned near one, and the positivity transition."""
-    failures = []
     prof0 = perturbed_profile(2, 2, 0.0, 0.8, 0.2)
     for r in (0.3, 0.8, 1.2):
         jet = prof0(r)
         base = round_jet(r)
-        _close(failures, ("round-limit", r), abs(jet.phi - base.phi) + abs(jet.dphi - base.dphi) + abs(jet.d2phi - base.d2phi), 0.0, t)
-    _close(failures, ("round-bound",), prof0.c1_bound, 0.0, t)
+        yield _closes(("round-limit", r), abs(jet.phi - base.phi) + abs(jet.dphi - base.dphi) + abs(jet.d2phi - base.d2phi), 0.0, t)
+    yield _closes(("round-bound",), prof0.c1_bound, 0.0, t)
     # deep dip, everything else near one on an interior window
     prof = perturbed_profile(2, 2, 2.0, 0.8, 0.01)
     rs = np.linspace(0.1, 1.2, 400)
@@ -1536,14 +1472,8 @@ def suite_warped_perturbed(stream, t):
         fams = dwp_eigenvalues(2, 2, prof(r))
         radial.append(fams[0][0])
         others.extend(v for v, _, _ in fams[1:])
-    _require(failures, ("dip",), min(radial) <= -1.0, min(radial), -1.0)
-    _require(
-        failures,
-        ("others-near-one",),
-        0.9 <= min(others) and max(others) <= 1.1,
-        min(others),
-        max(others),
-    )
+    yield _requires(("dip",), min(radial) <= -1.0, min(radial), -1.0)
+    yield _requires(("others-near-one",), 0.9 <= min(others) and max(others) <= 1.1, min(others), max(others))
     # 3-positive everywhere but not 2-positive somewhere
     prof2 = perturbed_profile(2, 2, 0.9, 0.8, 0.05)
     rs = np.linspace(0.02, math.pi / 2 - 0.02, 500)
@@ -1553,34 +1483,31 @@ def suite_warped_perturbed(stream, t):
         evs = dwp_eigenvalue_list(2, 2, prof2(r))
         low2.append(float(evs[:2].sum()))
         low3.append(float(evs[:3].sum()))
-    _require(failures, ("not-2-positive",), min(low2) <= 0.0, min(low2), 0.0)
-    _require(failures, ("3-positive",), min(low3) > 0.0, min(low3), 0.0)
-    return failures
+    yield _requires(("not-2-positive",), min(low2) <= 0.0, min(low2), 0.0)
+    yield _requires(("3-positive",), min(low3) > 0.0, min(low3), 0.0)
 
 
 def suite_ode(stream, t):
     """Fixed point, axis crossings with the radius growth, exact scalar
     curvature along trajectories, time reversal, and the convergence order."""
-    failures = []
     for n in (4, 5, 6, 7, 8):
         center = math.sqrt((n - 2) / 2.0)
         fixed = integrate_warp_ode(n, center, 0.0, 1e-3, 3.0)
         drift = max(max(abs(x - center), abs(y)) for x, y in zip(fixed.x, fixed.y))
-        _at_most(failures, ("fixed-point", n), drift, 1e-8, 0.0)
-        _require(failures, ("fixed-status", n), fixed.status == "ok")
+        yield _at_mosts(("fixed-point", n), drift, 1e-8, 0.0)
+        yield _requires(("fixed-status", n), fixed.status == "ok")
         x0 = math.sqrt((n - 2) / 4.0)
         res = ode_shoot(n, x0, step=1e-3, t_max=30.0)
-        _require(failures, ("crossed", n), res.status == "crossed")
+        yield _requires(("crossed", n), res.status == "crossed")
         if res.crossing is not None:
-            _require(
-                failures,
+            yield _requires(
                 ("radius-growth", n),
                 res.crossing[1] ** 2 > (n - 2) / 2.0,
                 res.crossing[1] ** 2,
                 (n - 2) / 2.0,
             )
         worst = max(abs(s - 2.0 * (n - 1)) for s in trajectory_scal(n, res.x, res.y))
-        _at_most(failures, ("scal", n), worst, t, 0.0)
+        yield _at_mosts(("scal", n), worst, t, 0.0)
     # time reversal: reflecting a segment solves the system again
     n = 4
     fwd = integrate_warp_ode(n, 0.6, 0.0, 1e-3, 2.0)
@@ -1588,7 +1515,7 @@ def suite_ode(stream, t):
     worst = 0.0
     for bx, by, fx, fy in zip(back.x, back.y, reversed(fwd.x), reversed(fwd.y)):
         worst = max(worst, abs(bx - fx), abs(by + fy))
-    _at_most(failures, ("time-reversal",), worst, 1e-6, 0.0)
+    yield _at_mosts(("time-reversal",), worst, 1e-6, 0.0)
     # fourth order convergence measured through the crossing radius
     def crossing_radius(h):
         return ode_shoot(4, math.sqrt(0.5), step=h, t_max=30.0).crossing[1]
@@ -1602,49 +1529,37 @@ def suite_ode(stream, t):
     err_coarse = abs(coarse - reference)
     err_mid = abs(mid - reference)
     err_fine = abs(fine - reference)
-    _require(
-        failures,
+    yield _requires(
         ("halving-factor",),
         err_coarse >= 8.0 * err_mid and err_mid >= 8.0 * err_fine,
         err_coarse / max(err_mid, 1e-300),
         8.0,
     )
     order = math.log2(abs(coarse - mid) / max(abs(mid - fine), 1e-300))
-    _require(failures, ("order",), order >= 3.8, order, 3.8)
-    return failures
+    yield _requires(("order",), order >= 3.8, order, 3.8)
 
 
 def suite_serialization(stream, t):
     """Operator files: write/read reproduces every matrix entry bit-exactly."""
-    failures = []
     for trial, rng in stream:
         n = int(rng.integers(2, 7))
         op = random_sym_operator(rng, n)
         text = dumps_operator(op, metadata={"label": "round-trip", "value": float(rng.normal())})
         back, doc = loads_operator(text)
-        _require(
-            failures,
-            ("bit-exact", trial),
-            bool(np.array_equal(back.mat, op.mat)),
-        )
+        yield _requires(("bit-exact", trial), bool(np.array_equal(back.mat, op.mat)))
         again = dumps_operator(back, metadata=doc.get("metadata"))
-        _require(failures, ("stable", trial), again == text)
+        yield _requires(("stable", trial), again == text)
     special = CurvatureOperator(2, np.array([[-0.0]]))
     text = dumps_operator(special)
     back, _ = loads_operator(text)
-    _require(
-        failures,
-        ("negative-zero",),
-        bool(np.array_equal(back.mat, special.mat)),
-    )
-    return failures
+    yield _requires(("negative-zero",), bool(np.array_equal(back.mat, special.mat)))
 
 
 # name, how the suite runs, its default trial count and its default
 # tolerance (None where no comparison takes one).  A suite runs as a body,
-# body(stream, t), or as the (dims, draw, check) of a suite that _batched
-# checks in batches at each n of dims; a suite's index here seeds its trial
-# stream
+# a generator body(stream, t) of comparisons, or as the (dims, draw, check)
+# of a suite that _batched checks in batches at each n of dims; a suite's
+# index here seeds its trial stream
 _SUITE_TABLE = (
     ("exact-values", suite_exact_values, 1, 1e-12),
     ("prop-1.1", (range(3, 9), _draw_prop_1_1, _check_prop_1_1), 1000, 1e-10),
@@ -1724,7 +1639,8 @@ def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     indices = range(len(runs[0]) * count if batched else count)
     stream = ((index, _trial_rng(seed, sid, index)) for index in indices)
     start = time.perf_counter()
-    failures = _batched(stream, count, t, *runs) if batched else runs(stream, t)
+    # a body is a generator, which compares as _record consumes it
+    failures = _record(_batched(stream, count, t, *runs) if batched else runs(stream, t))
     elapsed = time.perf_counter() - start
     return Report(suite=name, trials=count, failures=failures, seed=seed, wall_time=elapsed)
 

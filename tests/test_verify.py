@@ -2,13 +2,14 @@
 batched suites against their one-trial-at-a-time definitions."""
 
 import hashlib
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvop import action, verify
+from curvop import action, bochner, operators, verify
 from curvop.action import act_on_operator, curvature_term, hat_norm_sq, ric_of, so_act
 from curvop.bochner import TensorKind, _apply_rule, direct_term_check, estimate_constant
 from curvop.operators import (
@@ -21,9 +22,10 @@ from curvop.tensors import CurvTensor, Sym2, identity_sym2, inner, kulkarni_nomi
 from curvop.verify import (
     SUITES,
     _SUITE_IDS,
-    _at_most,
-    _close,
-    _require,
+    _at_mosts,
+    _closes,
+    _record,
+    _requires,
     _trial_rng,
     check_selection,
     hat_wedge_closed_form,
@@ -238,7 +240,6 @@ def test_suite_draws_match_numpy_streams(name, monkeypatch):
 
 def reference_lemma_2_2(seed, trials, tol):
     """lemma-2.2 one trial at a time through the single-object calls."""
-    failures = []
     t = tol if tol is not None else 1e-10
     sid = _SUITE_IDS["lemma-2.2"]
     count = 0
@@ -253,17 +254,10 @@ def reference_lemma_2_2(seed, trials, tol):
             if case == 0:
                 k = int(rng.integers(1, 5))
                 tt = random_tensor(rng, n, k)
-                _at_most(
-                    failures,
-                    ("generic", n, count),
-                    so_act(lam, tt).norm_sq(),
-                    k * k * tt.norm_sq() * lam_sq,
-                    t,
-                )
+                yield _at_mosts(("generic", n, count), so_act(lam, tt).norm_sq(), k * k * tt.norm_sq() * lam_sq, t)
             elif case == 1:
                 h = random_sym2(rng, n)
-                _at_most(
-                    failures,
+                yield _at_mosts(
                     ("sym2", n, count),
                     so_act(lam, h).norm_sq(),
                     4.0 * h.traceless().norm_sq() * lam_sq,
@@ -272,8 +266,7 @@ def reference_lemma_2_2(seed, trials, tol):
             elif case == 2:
                 p = int(rng.integers(1, n))
                 w = random_pform(rng, n, p)
-                _at_most(
-                    failures,
+                yield _at_mosts(
                     ("pform", n, count),
                     so_act(lam, w).norm_sq(),
                     min(p, n - p) * w.norm_sq() * lam_sq,
@@ -282,23 +275,16 @@ def reference_lemma_2_2(seed, trials, tol):
             elif case == 3:
                 r = random_sym_operator(rng, n)
                 lr = act_on_operator(lam, r).norm_sq()
-                _at_most(
-                    failures,
-                    ("operator", n, count),
-                    lr,
-                    8.0 * r.traceless().norm_sq() * lam_sq,
-                    t,
-                )
+                yield _at_mosts(("operator", n, count), lr, 8.0 * r.traceless().norm_sq() * lam_sq, t)
                 rm = tensor_from_op(r)
                 lrm = so_act(lam, rm).norm_sq()
-                _close(failures, ("tensor-factor", n, count), lrm, 4.0 * lr, t)
+                yield _closes(("tensor-factor", n, count), lrm, 4.0 * lr, t)
                 rm0 = tensor_from_op(r.traceless())
-                _at_most(failures, ("tensor", n, count), lrm, 8.0 * rm0.norm_sq() * lam_sq, t)
+                yield _at_mosts(("tensor", n, count), lrm, 8.0 * rm0.norm_sq() * lam_sq, t)
             else:
                 h = random_sym2(rng, n)
                 lhs = so_act(lam, kulkarni_nomizu(g, h)).norm_sq()
-                _at_most(
-                    failures,
+                yield _at_mosts(
                     ("kn", n, count),
                     lhs,
                     4.0 * kulkarni_nomizu(g, h.traceless()).norm_sq() * lam_sq,
@@ -311,14 +297,12 @@ def reference_lemma_2_2(seed, trials, tol):
                     4.0 * kulkarni_nomizu(g, dec.ric0).norm_sq() / (n - 2.0) ** 2
                     + 8.0 * dec.weyl.norm_sq()
                 ) * lam_sq
-                _at_most(failures, ("kn-curv", n, count), so_act(lam, rm).norm_sq(), bound, t)
-    return failures
+                yield _at_mosts(("kn-curv", n, count), so_act(lam, rm).norm_sq(), bound, t)
 
 
 def reference_lemma_2_1_soundness(seed, trials, tol):
     """lemma-2.1-soundness one trial at a time through the single-object
     calls, each operator's eigenvalues from the suite's LAPACK call."""
-    failures = []
     t = tol if tol is not None else 1e-9
     sid = _SUITE_IDS["lemma-2.1-soundness"]
     kinds = ("pform", "sym2", "curvature_einstein", "weyl")
@@ -348,32 +332,24 @@ def reference_lemma_2_1_soundness(seed, trials, tol):
                 margin = abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
                 kappa = min(0.0, float(_apply_rule("lemma-2.1", vals, n, c)[2])) - margin
                 _, low, bound, holds, vanishing = _apply_rule("lemma-2.1", vals, n, c, kappa)
-                _require(failures, (("holds", kind_name), n, count), bool(holds))
+                yield _requires((("holds", kind_name), n, count), bool(holds))
                 # the direct checks allow direct_term_check's 1e-10, or t
                 # when that is tighter
                 slack = min(t, 1e-10)
                 lhs, rhs, _ = direct_term_check(op, tt, kappa)
                 ok = lhs >= rhs - slack * max(1.0, abs(lhs), abs(rhs))
-                _require(failures, (("direct", kind_name), n, count), ok, lhs, rhs, slack)
+                yield _requires((("direct", kind_name), n, count), ok, lhs, rhs, slack)
                 lhs2, rhs2, _ = direct_term_check(op, tt, min(0.0, float(bound)))
                 ok2 = lhs2 >= rhs2 - slack * max(1.0, abs(lhs2), abs(rhs2))
-                _require(failures, (("direct-tight", kind_name), n, count), ok2, lhs2, rhs2, slack)
+                yield _requires((("direct-tight", kind_name), n, count), ok2, lhs2, rhs2, slack)
                 if vanishing:
                     hat_sq = hat_norm_sq(tt)
                     floor_bound = float(low) / c * hat_sq
-                    _at_most(
-                        failures,
-                        (("positive", kind_name), n, count),
-                        floor_bound,
-                        lhs,
-                        t,
-                    )
-    return failures
+                    yield _at_mosts((("positive", kind_name), n, count), floor_bound, lhs, t)
 
 
 def reference_prop_1_1(seed, trials, tol):
     """prop-1.1 one trial at a time through the single-object calls."""
-    failures = []
     t = tol if tol is not None else 1e-10
     sid = _SUITE_IDS["prop-1.1"]
     for index in range(6 * trials):
@@ -382,13 +358,11 @@ def reference_prop_1_1(seed, trials, tol):
         h = random_sym2(rng, n)
         lhs = kulkarni_nomizu(identity_sym2(n), h).norm_sq()
         rhs = 4.0 * (n - 2) * h.norm_sq() + 4.0 * h.trace() ** 2
-        _close(failures, ("kn-norm", n, index + 1), lhs, rhs, t)
-    return failures
+        yield _closes(("kn-norm", n, index + 1), lhs, rhs, t)
 
 
 def reference_prop_1_2(seed, trials, tol):
     """prop-1.2 one trial at a time through the single-object calls."""
-    failures = []
     t = tol if tol is not None else 1e-12
     sid = _SUITE_IDS["prop-1.2"]
     count = 0
@@ -402,20 +376,18 @@ def reference_prop_1_2(seed, trials, tol):
             sigma = tuple(rng.permutation(k))
             left = so_act(lam, permute(tt, sigma))
             right = permute(so_act(lam, tt), sigma)
-            _close(failures, ("permute", n, count), float(np.abs(left.array - right.array).max()), 0.0, t)
+            yield _closes(("permute", n, count), float(np.abs(left.array - right.array).max()), 0.0, t)
             s, u = random_sym2(rng, n), random_sym2(rng, n)
             lhs = so_act(lam, op_from_tensor(kulkarni_nomizu(s, u)))
             rhs = (
                 op_from_tensor(kulkarni_nomizu(so_act(lam, s), u)).mat
                 + op_from_tensor(kulkarni_nomizu(s, so_act(lam, u))).mat
             )
-            _close(failures, ("leibniz", n, count), float(np.abs(lhs.mat - rhs).max()), 0.0, t)
-    return failures
+            yield _closes(("leibniz", n, count), float(np.abs(lhs.mat - rhs).max()), 0.0, t)
 
 
 def reference_prop_1_3(seed, trials, tol):
     """prop-1.3 one trial at a time through the single-object calls."""
-    failures = []
     t = tol if tol is not None else 1e-12
     sid = _SUITE_IDS["prop-1.3"]
     count = 0
@@ -425,15 +397,13 @@ def reference_prop_1_3(seed, trials, tol):
             count += 1
             lam = random_so(rng, n)
             h = random_sym2(rng, n)
-            _close(failures, ("trace", n, count), so_act(lam, h).trace(), 0.0, t)
-            _close(failures, ("metric", n, count), so_act(lam, identity_sym2(n)).norm_sq(), 0.0, t)
-    return failures
+            yield _closes(("trace", n, count), so_act(lam, h).trace(), 0.0, t)
+            yield _closes(("metric", n, count), so_act(lam, identity_sym2(n)).norm_sq(), 0.0, t)
 
 
 def reference_prop_1_7(seed, trials, tol):
     """prop-1.7 one trial at a time through the single-object calls, each
     matrix decomposed by the suite's LAPACK call."""
-    failures = []
     t = tol if tol is not None else 1e-9
     sid = _SUITE_IDS["prop-1.7"]
     for n_index, n in enumerate(range(3, 8)):
@@ -445,20 +415,18 @@ def reference_prop_1_7(seed, trials, tol):
             vals, vecs = np.linalg.eigh(h.mat)
             gram = vecs.T @ lam.matrix() @ vecs
             rhs = float(np.sum((vals[:, None] - vals[None, :]) ** 2 * gram * gram))
-            _close(failures, ("eigen-norm", n, count), lhs, rhs, t)
+            yield _closes(("eigen-norm", n, count), lhs, rhs, t)
             spread = float(vals[-1] - vals[0])
-            _at_most(failures, ("spread-bound", n, count), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
+            yield _at_mosts(("spread-bound", n, count), lhs, 2.0 * spread ** 2 * lam.norm_sq(), t)
             hat_sq = hat_norm_sq(h)
-            _close(failures, ("hat-norm", n, count), hat_sq, 2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2, t)
-            _close(failures, ("hat-traceless", n, count), hat_sq, 2.0 * n * h.traceless().norm_sq(), t)
-    return failures
+            yield _closes(("hat-norm", n, count), hat_sq, 2.0 * n * h.norm_sq() - 2.0 * h.trace() ** 2, t)
+            yield _closes(("hat-traceless", n, count), hat_sq, 2.0 * n * h.traceless().norm_sq(), t)
 
 
 def reference_prop_1_9(seed, trials, tol):
     """prop-1.9 one trial at a time through the single-object calls, the
     curvature tensors on their operators as the suite checks them: Ric_R
     commutes with A -> A_op, and <A, B> = 4 <A_op, B_op>."""
-    failures = []
     t = tol if tol is not None else 1e-10
     sid = _SUITE_IDS["prop-1.9"]
     count = 0
@@ -479,19 +447,17 @@ def reference_prop_1_9(seed, trials, tol):
             else:
                 s, u = random_sym_operator(rng, n), random_sym_operator(rng, n)
                 lhs = 4.0 * float(np.sum(ric_of(r, s).mat * u.mat))
-                _close(failures, ("adjoint", n, count), lhs, 4.0 * curvature_term(r, s, u), t)
+                yield _closes(("adjoint", n, count), lhs, 4.0 * curvature_term(r, s, u), t)
                 continue
             lhs = inner(ric_of(r, s), u)
             rhs = curvature_term(r, s, u)
-            _close(failures, ("adjoint", n, count), lhs, rhs, t)
-    return failures
+            yield _closes(("adjoint", n, count), lhs, rhs, t)
 
 
 def reference_prop_2_8(seed, trials, tol):
     """prop-2.8 one trial at a time through the single-object calls, the
     curvature tensor's identities on its operator as the suite checks them:
     Ric_I commutes with Rm -> Rm_op, and |hat Rm|^2 = 4 |hat R_op|^2."""
-    failures = []
     t = tol if tol is not None else 1e-9
     sid = _SUITE_IDS["prop-2.8"]
     count = 0
@@ -504,43 +470,24 @@ def reference_prop_2_8(seed, trials, tol):
             h = random_sym2(rng, n)
             got = ric_of(ident, h)
             want = 2.0 * n * h.traceless().mat
-            _close(failures, ("sym2", n, count), float(np.abs(got.mat - want).max()), 0.0, t)
+            yield _closes(("sym2", n, count), float(np.abs(got.mat - want).max()), 0.0, t)
             p = int(rng.integers(1, n))
             w = random_pform(rng, n, p)
             got_w = ric_of(ident, w)
-            _close(
-                failures,
-                ("pform", n, count),
-                float(np.abs(got_w.comps - p * (n - p) * w.comps).max()),
-                0.0,
-                t,
-            )
-            _close(failures, ("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
+            yield _closes(("pform", n, count), float(np.abs(got_w.comps - p * (n - p) * w.comps).max()), 0.0, t)
+            yield _closes(("pform-hat", n, count), hat_norm_sq(w), p * (n - p) * w.norm_sq(), t)
             rb = random_bianchi_operator(rng, n)
             ric = Sym2(np.einsum("iaja->ij", tensor_from_op(rb).array))
             scal = float(np.trace(ric.mat))
             got_rb = ric_of(ident, rb)
             want_rb = 4.0 * (n - 1) * rb.mat - 2.0 * op_from_tensor(kulkarni_nomizu(g, ric)).mat
-            _close(failures, ("curv", n, count), float(np.abs(got_rb.mat - want_rb).max()), 0.0, t)
+            yield _closes(("curv", n, count), float(np.abs(got_rb.mat - want_rb).max()), 0.0, t)
             ric0 = ric.traceless()
             hat_rb = hat_norm_sq(rb)
             rm0_sq = 4.0 * rb.norm_sq() - scal ** 2 / (2.0 * (n - 1) * n) * 4.0
-            _close(
-                failures,
-                ("hat-rm", n, count),
-                4.0 * hat_rb,
-                4.0 * (n - 1) * rm0_sq - 8.0 * ric0.norm_sq(),
-                t,
-            )
+            yield _closes(("hat-rm", n, count), 4.0 * hat_rb, 4.0 * (n - 1) * rm0_sq - 8.0 * ric0.norm_sq(), t)
             r0_sq = rb.traceless().norm_sq()
-            _close(
-                failures,
-                ("hat-op", n, count),
-                hat_rb,
-                4.0 * (n - 1) * r0_sq - 2.0 * ric0.norm_sq(),
-                t,
-            )
-    return failures
+            yield _closes(("hat-op", n, count), hat_rb, 4.0 * (n - 1) * r0_sq - 2.0 * ric0.norm_sq(), t)
 
 
 def assert_same_failures(got, want):
@@ -582,14 +529,14 @@ def test_batched_suite_matches_per_trial_reference(name, tol, seed, monkeypatch)
     mixed = tol == "mixed"
     if mixed:
         tol = MIXED_TOLERANCES[name]
-    want = reference(seed, trials, tol)
+    want = _record(reference(seed, trials, tol))
     assert_same_failures(run_suite(name, trials=trials, seed=seed, tol=tol).failures, want)
     monkeypatch.setattr(verify, "_CHUNK_BYTES", 1 << 13)
     assert_same_failures(run_suite(name, trials=trials, seed=seed, tol=tol).failures, want)
     if tol is not None:
         assert want
     if mixed:
-        assert len(want) < len(reference(seed, trials, -1.0))
+        assert len(want) < len(_record(reference(seed, trials, -1.0)))
 
 
 @pytest.mark.parametrize(
@@ -812,6 +759,36 @@ def test_sharpness_reads_the_library_constants(monkeypatch, factor):
     tags += [(name, n) for n in range(4, 9) for name in ("weyl", "curvature_einstein")]
     failed = {f.digest for f in run_suite("lemma-2.2-sharpness").failures}
     assert failed == {verify._digest("constant", *tag) for tag in tags}
+
+
+def test_boundary_cases_read_the_lemma_2_1_count(monkeypatch):
+    # each designed spectrum averages exactly -1 over its lowest floor(C)
+    # eigenvalues and -2 over fewer, so a count of floor(C) - 1 fails it
+    count_of, on_average = bochner._RULES["lemma-2.1"]
+    monkeypatch.setitem(bochner._RULES, "lemma-2.1", (lambda n, c: count_of(n, c) - 1, on_average))
+    tags = [("pform", p, n) for n in range(4, 9) for p in range(1, n // 2 + 1)]
+    tags += [("sym2", None, n) for n in range(4, 9)] + [("weyl", None, n) for n in range(5, 9)]
+    failed = {f.digest for f in run_suite("boundary-cases").failures}
+    assert failed == {verify._digest("lemma21-count", *tag) for tag in tags}
+    assert len(tags) == 23
+
+
+def test_boundary_cases_catch_a_loose_bianchi_certificate(monkeypatch):
+    # the near-Bianchi operator's largest sum, 5e-11, certifies at 1e-9
+    monkeypatch.setattr(operators, "_IDENTITY_TOL", 1e-9)
+    failed = {f.digest for f in run_suite("boundary-cases").failures}
+    assert failed == {verify._digest("near-bianchi")}
+
+
+def test_exact_values_pin_the_betti_bound(monkeypatch):
+    # p (n - p + 1) in the exponent in place of p (n - p) moves the bound
+    # off 6 e^2
+    def bound(n, p, kappa, diameter, c_const):
+        return math.comb(n, p) * math.exp(c_const * math.sqrt(-kappa * diameter ** 2 * p * (n - p + 1)))
+
+    monkeypatch.setattr(verify, "betti_bound", bound)
+    failed = {f.digest for f in run_suite("exact-values").failures}
+    assert failed == {verify._digest("betti-bound")}
 
 
 # the tolerance each suite runs at when none is given
