@@ -456,12 +456,16 @@ def curvature_term(r: CurvatureOperator, s, t) -> float:
     """The bilinear curvature term <R(hat S), hat T>.
 
     Equals sum over pairs of R_{ab} <Xi_a S, Xi_b T> in any orthonormal
-    wedge basis; S and T must be tensors of the same kind and dimension.
+    wedge basis; S and T must be tensors of the same kind, dimension and
+    degree (a form's p, a (0,k)-tensor's k).
     """
     if type(s) is not type(t):
         raise TypeError(f"kind mismatch: {type(s).__name__} vs {type(t).__name__}")
     if r.n != s.n or s.n != t.n:
         raise ValueError("dimension mismatch")
+    degree_s, degree_t = _layout(s)[2], _layout(t)[2]
+    if degree_s != degree_t:
+        raise ValueError(f"degree mismatch: {degree_s} vs {degree_t}")
     rows_s = _hat_rows(s)
     rows_t = rows_s if s is t else _hat_rows(t)
     return float(_terms(r.mat, rows_s, rows_t))

@@ -115,9 +115,10 @@ def negative_2form_term_op(n, lam):
     """An (n-1)-nonnegative operator paired with a 2-form on which its
     curvature term is negative.
 
-    The Singer-Thorpe triple of the first four coordinates takes eigenvalues
-    (-(n-3) lam, -(n-3) lam, 2n lam); every remaining direction takes 2 lam.
-    The returned form is e^1^e^4 + e^2^e^3 and the term is -4 lam |w|^2.
+    The self-dual triple (L, Re w, Im w) / sqrt(2), L = e_0^e_1 + e_2^e_3 and
+    w = (e^0 + i e^1)^(e^2 + i e^3), takes eigenvalues (-(n-3) lam, -(n-3) lam,
+    2n lam); every remaining direction takes 2 lam.  The returned form is the
+    Kaehler form Im w = e^0^e^3 + e^1^e^2, and the term is -4 lam |Im w|^2.
     """
     n = check_dimension(n)
     lam = float(lam)
@@ -129,43 +130,36 @@ def negative_2form_term_op(n, lam):
     # the bound CurvatureOperator takes means no product below overflows
     if 2.0 * n * lam >= 2.0 ** 1023:
         raise ValueError(f"the scale must keep 2n*lam below 2**1023, got lam={lam} at n={n}")
-    count = wedge_count(n)
-    basis4 = singer_thorpe_basis()
-    embedded = []
-    for xi in basis4[:3]:
-        comps = np.zeros(count)
-        for c, (i, j) in zip(xi.comps, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))):
-            comps[wedge_index(n, i, j)] = c
-        embedded.append(comps)
-    mat = 2.0 * lam * np.eye(count)
-    for weight, comps in zip((-(n - 3.0), -(n - 3.0), 2.0 * n), embedded):
+    real, imag = _highest_weight_form(n, 2)
+    mat = 2.0 * lam * np.eye(wedge_count(n))
+    for weight, comps in zip((-(n - 3.0), -(n - 3.0), 2.0 * n), (_rotation_sum(n, 2).comps, real, imag)):
+        comps = comps / math.sqrt(2.0)
         mat += (weight * lam - 2.0 * lam) * np.outer(comps, comps)
-    op = CurvatureOperator(n, mat)
-    form = PForm.zero(n, 2)
-    comps = np.array(form.comps)
-    comps[wedge_index(n, 0, 3)] = 1.0
-    comps[wedge_index(n, 1, 2)] = 1.0
-    return op, PForm(n, 2, comps)
+    return CurvatureOperator(n, mat), PForm(n, 2, imag)
 
 
 def extremal_pform(p):
     """The sharp p-form pair on R^{2p} for the rotation sum L.
 
     L = e_0^e_1 + e_2^e_3 + ... and w1 - i w2 = (e^0 + i e^1)^(e^2 + i e^3)^...,
-    written out: the term that takes e^{2j+1} in k of the p factors has
-    coefficient i^k.  In the library's sign convention so_act(L, w1) = -p w2
-    and so_act(L, w2) = p w1; the extremal-pform suite checks both against the
-    action.  Returns (w1, w2, L).
+    as _rotation_sum and _highest_weight_form write them.  In the library's
+    sign convention so_act(L, w1) = -p w2 and so_act(L, w2) = p w1; the
+    extremal-pform suite checks both against the action.  Returns (w1, w2, L).
     """
     p = int(p)
     if p < 1:
         raise ValueError(f"form degree must be at least 1, got {p}")
     n = check_dimension(2 * p)
-    comps_l = np.zeros(wedge_count(n))
-    for i in range(p):
-        comps_l[wedge_index(n, 2 * i, 2 * i + 1)] = 1.0
-    lam = SoElement(n, comps_l)
+    real, imag = _highest_weight_form(n, p)
+    # negated rather than stored with flipped signs, so that every zero of w2
+    # is -0.0 as in the catalog's pinned output
+    return PForm(n, p, real), PForm(n, p, -imag), _rotation_sum(n, p)
 
+
+def _highest_weight_form(n, p):
+    """The real and imaginary compact coordinates on R^n, 2p <= n, of the
+    highest-weight form (e^0 + i e^1)^(e^2 + i e^3)^...^(e^{2p-2} + i e^{2p-1}):
+    the term that takes e^{2j+1} in k of the p factors has coefficient i^k."""
     index_map = _tuple_index_map(n, p)
     real = np.zeros(len(index_map))
     imag = np.zeros(len(index_map))
@@ -173,9 +167,14 @@ def extremal_pform(p):
         k = sum(second)
         part = imag if k % 2 else real
         part[index_map[tuple(2 * j + s for j, s in enumerate(second))]] = (-1.0) ** (k // 2)
-    # negated rather than stored with flipped signs, so that every zero of w2
-    # is -0.0 as in the catalog's pinned output
-    return PForm(n, p, real), PForm(n, p, -imag), lam
+    return real, imag
+
+
+def _rotation_sum(n, terms):
+    """L = e_0^e_1 + e_2^e_3 + ... with the given number of terms, in so(n)."""
+    comps = np.zeros(wedge_count(n))
+    comps[[wedge_index(n, 2 * i, 2 * i + 1) for i in range(terms)]] = 1.0
+    return SoElement(n, comps)
 
 
 def negative_sym2_term_op(n, K, K1n):

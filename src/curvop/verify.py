@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import operator
 import time
@@ -109,6 +108,7 @@ from .bochner import (
     _weight_norms,
     betti_bound,
     betti_verdict,
+    direct_term_check,
     estimate_constant,
     fourdim_einstein_term,
     lemma21_verdict,
@@ -124,6 +124,8 @@ from .catalog import (
     singer_thorpe_basis,
     singer_thorpe_op,
     sphere_product_op,
+    _highest_weight_form,
+    _rotation_sum,
 )
 from .opfile import dumps_operator, loads_operator
 from .operators import (
@@ -179,12 +181,18 @@ class Failure:
     tolerance: float
 
     def to_document(self):
+        """The failure as JSON values; a non-finite lhs or rhs, which JSON
+        has no number for, as the string "nan", "inf" or "-inf"."""
         return {
             "inputs-digest": self.digest,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
+            "lhs": _json_float(self.lhs),
+            "rhs": _json_float(self.rhs),
             "tolerance": self.tolerance,
         }
+
+
+def _json_float(x):
+    return x if math.isfinite(x) else repr(x)
 
 
 @dataclass
@@ -1020,90 +1028,48 @@ def _check_lemma_2_2(t, n, key, lam, values, raw=None):
 
 
 def suite_lemma_2_2_sharpness(stream, t):
-    """The catalog extremals achieve equality in their estimates, with the
-    factors |lam|^2 of Lemma 2.2, and at each sharp pair the library's
-    constant gives |L T|^2 C = |hat T|^2 |L|^2."""
+    """The catalog extremals take their stated values, and each sharp pair
+    meets Lemma 2.2's factor |lam|^2, |L T|^2 = |lam|^2 |T|^2 |L|^2, and the
+    library's constant C, |L T|^2 C = |hat T|^2 |L|^2, with equality."""
     h, lam = Sym2(np.diag([1.0, -1.0, 0.0, 0.0])), wedge_element(4, 0, 1)
-    yield _closes(
-        ("sym2-equality",),
-        so_act(lam, h).norm_sq(),
-        _weight_norms(TensorKind.sym2(), 4)[1] * h.norm_sq() * lam.norm_sq(),
-        t,
-    )
     yield _closes(("sym2-value",), so_act(lam, h).norm_sq(), 8.0, t)
     w, _, lam2 = extremal_pform(2)
     lw = so_act(lam2, w)
     yield _closes(("form-norm",), lw.norm_sq(), 8.0, t)
-    form_factor = _weight_norms(TensorKind.pform(2), 4)[1]
-    yield _closes(("form-equality",), lw.norm_sq(), form_factor * w.norm_sq() * lam2.norm_sq(), t)
     scaled = PForm(w.n, w.p, 3.0 * w.comps)
     yield _closes(("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
-    pforms = [(p, extremal_pform(p)) for p in (1, 2, 3, 4)]
-    for p, (w1, _, lamp) in pforms:
-        n = 2 * p
-        lw1 = so_act(lamp, w1)
-        yield _closes(
-            ("pform-equality", p),
-            lw1.norm_sq(),
-            _weight_norms(TensorKind.pform(p), n)[1] * w1.norm_sq() * lamp.norm_sq(),
-            t,
-        )
     op, _ = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
     basis = singer_thorpe_basis()
     lr = act_on_operator(basis[1], op).norm_sq()
     r0 = op.traceless().norm_sq()
     yield _closes(("curv-equality",), lr, _weight_norms(TensorKind.weyl(), 4)[1] * r0, t)
     yield _closes(("curv-value",), lr, 64.0, t)
-    # the Weyl pair with the 2-form pair's L = e01 + e23
-    weyl = _weyl_pair(4)
-    sharp = [(("sym2",), TensorKind.sym2(), h, lam)]
-    sharp += [(("pform", p), TensorKind.pform(p), w1, lamp) for p, (w1, _, lamp) in pforms]
-    sharp += [((kind.name,), kind, weyl, lam2) for kind in (TensorKind.weyl(), TensorKind.curvature_einstein())]
-    # the generic pair T = Re v^(x)k, v = e0 + i e1, at the highest weight
-    # k e1, with L = e01
-    for k, n in itertools.product((1, 2, 3, 4), range(3, 9)):
-        v = np.eye(n)[0] + 1j * np.eye(n)[1]
-        tensor = Tensor0k(functools.reduce(np.multiply.outer, [v] * k).real)
-        sharp.append((("generic", k, n), TensorKind.generic(k), tensor, wedge_element(n, 0, 1)))
-    # the pairs above embedded in every n = 3..8: h with L = e01; for p < n/2,
-    # where C = n - p, Re (e0 + i e1)^...^(e_{2p-2} + i e_{2p-1}) with
-    # L = e01 + e23 + ... (p terms); from n = 4, the Weyl pair with e01 + e23
-    for n in range(3, 9):
-        h_n = Sym2(np.diag([1.0, -1.0] + [0.0] * (n - 2)))
-        sharp.append((("sym2", n), TensorKind.sym2(), h_n, wedge_element(n, 0, 1)))
-        for p, (w1, _, _) in (pair for pair in pforms if 2 * pair[0] < n):
-            comps, index = np.zeros(math.comb(n, p)), _tuple_index_map(n, p)
-            for tup, pos in _tuple_index_map(2 * p, p).items():
-                comps[index[tup]] = w1.comps[pos]
-            sharp.append((("pform", p, n), TensorKind.pform(p), PForm(n, p, comps), _rotation_sum(n, p)))
+    for name, kind, tensor, factors in _sharp_pairs():
+        n = tensor.n
+        rotation = _rotation_sum(n, factors)
+        lt, l_sq = so_act(rotation, tensor).norm_sq(), rotation.norm_sq()
+        yield _closes(("factor", *name), lt, _weight_norms(kind, n)[1] * tensor.norm_sq() * l_sq, t)
+        yield _closes(("constant", *name), lt * estimate_constant(kind, n), hat_norm_sq(tensor) * l_sq, t)
+
+
+def _sharp_pairs():
+    """Lemma 2.2's sharp pairs at n = 2..8 as (tag, kind, T, factors): T is
+    the real part of a highest-weight tensor built from the vectors
+    e_{2j} + i e_{2j+1}, j < factors, and its L is _rotation_sum(n, factors)."""
+    for n in range(2, 9):
+        yield ("sym2", n), TensorKind.sym2(), Sym2(np.diag([1.0, -1.0] + [0.0] * (n - 2))), 1
+        for p in range(1, n // 2 + 1):
+            yield ("pform", p, n), TensorKind.pform(p), PForm(n, p, _highest_weight_form(n, p)[0]), p
+        if n >= 3:
+            v = np.eye(n)[0] + 1j * np.eye(n)[1]
+            for k in range(1, 5):
+                tensor = Tensor0k(functools.reduce(np.multiply.outer, [v] * k).real)
+                yield ("generic", k, n), TensorKind.generic(k), tensor, 1
         if n >= 4:
-            weyl_n = _weyl_pair(n)
+            real, imag = _highest_weight_form(n, 2)
+            weyl = CurvatureOperator(n, np.outer(real, real) - np.outer(imag, imag))
             for kind in (TensorKind.weyl(), TensorKind.curvature_einstein()):
-                sharp.append(((kind.name, n), kind, weyl_n, _rotation_sum(n, 2)))
-    for name, kind, tensor, rotation in sharp:
-        c = estimate_constant(kind, rotation.n)
-        yield _closes(
-            ("constant", *name),
-            so_act(rotation, tensor).norm_sq() * c,
-            hat_norm_sq(tensor) * rotation.norm_sq(),
-            t,
-        )
-
-
-def _weyl_pair(n):
-    """The Weyl pair R = a(x)a - b(x)b in dimension n >= 4 on operator
-    coordinates, a = e02 - e13 and b = e03 + e12."""
-    a, b = np.zeros(wedge_count(n)), np.zeros(wedge_count(n))
-    a[[wedge_index(n, 0, 2), wedge_index(n, 1, 3)]] = 1.0, -1.0
-    b[[wedge_index(n, 0, 3), wedge_index(n, 1, 2)]] = 1.0, 1.0
-    return CurvatureOperator(n, np.outer(a, a) - np.outer(b, b))
-
-
-def _rotation_sum(n, terms):
-    """L = e01 + e23 + ... with the given number of terms, in so(n)."""
-    comps = np.zeros(wedge_count(n))
-    comps[[wedge_index(n, 2 * i, 2 * i + 1) for i in range(terms)]] = 1.0
-    return SoElement(n, comps)
+                yield (kind.name, n), kind, weyl, 2
 
 
 def suite_estimate_constants(stream, t):
@@ -1220,14 +1186,11 @@ def _margin(rng):
 def suite_boundary_cases(stream, t):
     """The deterministic boundary examples: the flat-term form, the negative
     2-form term family, the indefinite Einstein operator, designed spectra
-    at the edge of the Betti and Lemma 2.1 counts, and an operator just off
-    the Bianchi identity."""
+    at the edge of the Betti and Lemma 2.1 counts, an operator just off the
+    Bianchi identity, and Lemma 2.1's equality case at the edge of the direct
+    check's slack."""
     cp2 = cp2_op()
-    kaehler = PForm(4, 2, np.zeros(6))
-    comps = np.array(kaehler.comps)
-    comps[wedge_index(4, 0, 3)] = 1.0
-    comps[wedge_index(4, 1, 2)] = 1.0
-    kaehler = PForm(4, 2, comps)
+    kaehler = PForm(4, 2, _highest_weight_form(4, 2)[1])
     yield _closes(("cp2-term",), curvature_term(cp2, kaehler, kaehler), 0.0, t)
     s = spectrum(cp2)
     yield _closes(("cp2-spectrum",), float(np.abs(s.eigenvalues - np.array([0, 0, 2, 2, 2, 6.0])).max()), 0.0, t)
@@ -1285,6 +1248,13 @@ def suite_boundary_cases(stream, t):
     # 1e-9
     near, _ = singer_thorpe_op((1.0, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10))
     yield _requires(("near-bianchi",), near.bianchi_certified is False)
+    # Lemma 2.1's equality case: R = -I gives T = e0^e1 the term -|hat T|^2
+    # = -4 exactly, which meets kappa = -1 and misses kappa = -1 + 1e-8 by
+    # 4e-8, more than the direct check's slack allows
+    minus, e01 = CurvatureOperator(4, -np.eye(6)), wedge_basis_form(4, (0, 1))
+    lhs, _, sharp = direct_term_check(minus, e01, -1.0)
+    _, rhs, off = direct_term_check(minus, e01, -1.0 + 1e-8)
+    yield _requires(("direct-slack",), sharp and not off, lhs, rhs)
 
 
 def suite_singer_thorpe(stream, t):

@@ -329,6 +329,12 @@ class TestCurvatureTerm:
             curvature_term(identity_operator(3), rand_sym2(rng, 3), wedge_basis_form(3, (0,)))
         with pytest.raises(ValueError):
             curvature_term(identity_operator(3), rand_sym2(rng, 4), rand_sym2(rng, 4))
+        # forms or (0,k)-tensors of different degree, before any product of
+        # their hat rows
+        with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+            curvature_term(identity_operator(4), wedge_basis_form(4, (0,)), wedge_basis_form(4, (0, 1)))
+        with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+            curvature_term(identity_operator(4), Tensor0k(np.ones((4, 4))), Tensor0k(np.ones((4, 4, 4))))
 
 
 class TestRic:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import curvop
-from curvop import CurvatureOperator, identity_operator
+from curvop import CurvatureOperator, identity_operator, verify
 from curvop.cli import _write_rows, main
 from curvop.opfile import dump_operator, dumps_operator, load_operator, loads_operator
 from curvop.verify import random_sym_operator
@@ -128,6 +128,18 @@ class TestVerifyCommand:
         for failure in failures:
             assert set(failure) == {"inputs-digest", "lhs", "rhs", "tolerance"}
             assert failure["tolerance"] == -1.0
+
+    def test_a_nan_failure_prints_every_report(self, capsys, monkeypatch):
+        # JSON has no number for NaN, so a failure writes a non-finite side
+        # as a string rather than ending the run with no report
+        def nan_suite(stream, t):
+            yield verify._closes(("nan",), math.nan, 0.0, t)
+
+        monkeypatch.setitem(verify.SUITES, "exact-values", (nan_suite, 1, 0.0))
+        code, out, _ = run(capsys, "verify", "--suite", "exact-values")
+        assert code == 1
+        [failure] = json.loads(out)[0]["failures"]
+        assert (failure["lhs"], failure["rhs"]) == ("nan", 0.0)
 
     @pytest.mark.parametrize(
         "suite, trials, named, limit",
