@@ -19,6 +19,7 @@ import numpy as np
 
 from .action import _hat_norms_consuming, _layout, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
+from .tensors import _integer, _require_finite
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,7 @@ class TensorKind:
 
     @classmethod
     def generic(cls, k):
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"tensor order must be at least 1, got {k}")
-        return cls("generic", k=k)
+        return cls("generic", k=_integer(k, "tensor order", 1))
 
     @classmethod
     def sym2(cls):
@@ -42,10 +40,7 @@ class TensorKind:
 
     @classmethod
     def pform(cls, p):
-        p = int(p)
-        if p < 1:
-            raise ValueError(f"form degree must be at least 1, got {p}")
-        return cls("pform", p=p)
+        return cls("pform", p=_integer(p, "form degree", 1))
 
     @classmethod
     def curvature_einstein(cls):
@@ -62,13 +57,10 @@ def _weight_norms(kind: TensorKind, n):
     curvature kinds, (k) for generic (0,k)-tensors.  Cas(lam) = sum lam_i^2 +
     sum lam_i (n - 2i).  The curvature kinds are rejected below n = 3, where
     Cas(lam) / |lam|^2 is below 1 and no verdict takes it."""
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    n = _integer(n, "dimension", 2)
     if kind.name == "pform":
-        if not 1 <= kind.p <= n - 1:
-            raise ValueError(f"form degree must be in 1..{n - 1}, got {kind.p}")
-        lam = (1,) * min(kind.p, n - kind.p)
+        p = _integer(kind.p, "form degree", 1, n - 1)
+        lam = (1,) * min(p, n - p)
     elif kind.name in ("curvature_einstein", "weyl"):
         if n < 3:
             raise ValueError(f"{kind.name} tensors need dimension at least 3, got {n}")
@@ -226,10 +218,8 @@ def betti_verdict(s: Spectrum, n, p) -> BettiVerdict:
     A positive lowest sum kills harmonic p-forms; a nonnegative one only
     forces them parallel.
     """
-    n = int(n)
-    p = int(p)
-    if not 1 <= p <= n // 2:
-        raise ValueError(f"p must be in 1..{n // 2}, got {p}")
+    n = _integer(n, "dimension")
+    p = _integer(p, "p", 1, n // 2)
     _check_spectrum_size(s, n)
     _, _, _, weak, strict = _apply_rule("betti", s.eigenvalues, n, p)
     return BettiVerdict(vanishing=bool(strict), parallel_only=bool(weak))
@@ -242,10 +232,8 @@ def betti_bound(n, p, kappa, diameter, c_const) -> float:
     ValueError when an input is not finite or the bound exceeds the float
     range.
     """
-    n = int(n)
-    p = int(p)
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"p must be in 1..{n - 1}, got {p}")
+    n = _integer(n, "dimension")
+    p = _integer(p, "p", 1, n - 1)
     _check_kappa(kappa)
     if not 0.0 < diameter < math.inf:
         raise ValueError(f"diameter must be positive and finite, got {diameter}")
@@ -272,9 +260,7 @@ def tachibana_verdict(s: Spectrum, n) -> TachibanaVerdict:
     """Einstein rigidity thresholds: lowest-2 sum in dimension 4, lowest
     floor((n-1)/2) sum above; nonnegative forces parallel curvature, strict
     positivity forces constant sectional curvature."""
-    n = int(n)
-    if n < 4:
-        raise ValueError(f"dimension must be at least 4, got {n}")
+    n = _integer(n, "dimension", 4)
     _check_spectrum_size(s, n)
     _, _, _, weak, strict = _apply_rule("tachibana", s.eigenvalues, n)
     return TachibanaVerdict(parallel=bool(weak), constant_curvature=bool(strict))
@@ -314,8 +300,7 @@ def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
     h = np.asarray(h_matrix, dtype=float)
     if h.shape != (r.n, r.n):
         raise ValueError(f"expected a {r.n}x{r.n} matrix, got {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("matrix entries must be finite")
+    _require_finite(h, "matrix entries")
     scale = max(1.0, float(np.abs(h).max()) ** 2)
     if float(np.abs(h @ h.T - h.T @ h).max()) > _NORMAL_TOL * scale:
         raise ValueError("matrix is not normal")

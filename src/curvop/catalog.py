@@ -17,6 +17,7 @@ from .operators import CurvatureOperator, wedge_count
 from .tensors import (
     PForm,
     Sym2,
+    _integer,
     _tuple_index_map,
     check_dimension,
     wedge_index,
@@ -86,9 +87,7 @@ def sphere_product_op(p, n) -> CurvatureOperator:
     Wedges inside the sphere block are fixed, everything else is killed.
     """
     n = check_dimension(n)
-    p = int(p)
-    if not 2 <= p <= n:
-        raise ValueError(f"sphere dimension must be in 2..{n}, got {p}")
+    p = _integer(p, "sphere dimension", 2, n)
     diag = np.zeros(wedge_count(n))
     for which, (i, j) in enumerate(wedge_pairs(n)):
         if j < p:
@@ -102,9 +101,7 @@ def product_of_spheres_op(k, n) -> CurvatureOperator:
     Eigenvectors e_{2i}^e_{2i+1} with eigenvalue one, kernel otherwise.
     """
     n = check_dimension(n)
-    k = int(k)
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 1 <= k and 2k <= n, got k={k}, n={n}")
+    k = _integer(k, "k", 1, n // 2)
     diag = np.zeros(wedge_count(n))
     for i in range(k):
         diag[wedge_index(n, 2 * i, 2 * i + 1)] = 1.0
@@ -120,10 +117,8 @@ def negative_2form_term_op(n, lam):
     2n lam); every remaining direction takes 2 lam.  The returned form is the
     Kaehler form Im w = e^0^e^3 + e^1^e^2, and the term is -4 lam |Im w|^2.
     """
-    n = check_dimension(n)
+    n = check_dimension(n, 4)
     lam = float(lam)
-    if n < 4:
-        raise ValueError(f"dimension must be at least 4, got {n}")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"the scale must be positive and finite, got {lam}")
     # 2n lam, the largest eigenvalue, bounds every entry; keeping it below
@@ -146,9 +141,7 @@ def extremal_pform(p):
     sign convention so_act(L, w1) = -p w2 and so_act(L, w2) = p w1; the
     extremal-pform suite checks both against the action.  Returns (w1, w2, L).
     """
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"form degree must be at least 1, got {p}")
+    p = _integer(p, "form degree", 1)
     n = check_dimension(2 * p)
     real, imag = _highest_weight_form(n, p)
     # negated rather than stored with flipped signs, so that every zero of w2
@@ -186,11 +179,9 @@ def negative_sym2_term_op(n, K, K1n):
     also carry K (their value never reaches the term).  Decomposable
     eigenbases satisfy the first Bianchi identity automatically.
     """
-    n = check_dimension(n)
+    n = check_dimension(n, 3)
     K = float(K)
     K1n = float(K1n)
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     if not -math.inf < K1n < 0.0:

@@ -86,7 +86,7 @@ _CATALOG = {
     "extremal-pform": ("p",),
 }
 # How a usage message names a flag whose argument name differs.
-_FLAG_OF = {"lam": "lambda", "lambdas": "lambdas l1,..,l6"}
+_FLAG_OF = {"lam": "lambda", "lambdas": "lambdas l1,..,l6", "c_const": "c-const"}
 
 
 def _need(what, args, names):
@@ -208,6 +208,9 @@ def cmd_bochner(args) -> int:
         raise UsageError(f"unknown kind {args.kind!r}; known: {', '.join(_BOCHNER_KINDS)}")
     flags = _BOCHNER_KINDS[args.kind]
     _need(f"kind {args.kind!r}", args, flags)
+    bound = args.diameter is not None or args.c_const is not None
+    if bound:
+        _need("the bound", args, ("p", "kappa", "diameter", "c_const"))
     try:
         make = getattr(TensorKind, args.kind.replace("-", "_"))
         kind = make(*(getattr(args, flag) for flag in flags))
@@ -232,9 +235,7 @@ def cmd_bochner(args) -> int:
             doc["kappa"] = args.kappa
             doc["holds"] = lemma.holds
             doc["term_vanishing"] = lemma.vanishing
-        if args.kappa is not None and args.diameter is not None and args.c_const is not None:
-            if args.p is None:
-                raise ValueError("the bound needs --p")
+        if bound:
             doc["bound"] = betti_bound(n, args.p, args.kappa, args.diameter, args.c_const)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -28,6 +28,7 @@ from .tensors import (
     Sym2,
     _IDENTITY_TOL,
     _freeze,
+    _integer,
     _kn,
     _ops_from_tensors,
     _pair_index,
@@ -423,9 +424,7 @@ class Spectrum:
         return self.eigenvalues.size
 
     def lowest_sum(self, k) -> float:
-        k = int(k)
-        if not 1 <= k <= self.size:
-            raise ValueError(f"k must be in 1..{self.size}, got {k}")
+        k = _integer(k, "k", 1, self.size)
         return float(np.sum(self.eigenvalues[:k]))
 
     def __repr__(self):
@@ -454,6 +453,7 @@ def complex_sectional(r: CurvatureOperator, z, w) -> float:
     w = np.asarray(w, dtype=complex).reshape(-1)
     if z.size != r.n or w.size != r.n:
         raise ValueError(f"expected vectors of length {r.n}")
+    _require_finite((z, w), "vector entries")
     zeta = wedge_coordinates(z, w, r.n)
     if not np.any(zeta):
         raise ValueError("z and w have zero wedge")

@@ -40,7 +40,7 @@ def _emit(obj) -> str:
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return str(obj)
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if isinstance(obj, str):

@@ -16,6 +16,7 @@ product _kn returns operator coordinates, and kulkarni_nomizu spreads them.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -32,10 +33,22 @@ _SYMMETRY_TOL = 1e-9
 _IDENTITY_TOL = 1e-12
 
 
-def check_dimension(n) -> int:
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+def _integer(value, what, lo=None, hi=None) -> int:
+    """value as an int, for a Python or numpy integer that is not a bool;
+    ValueError naming what for anything else, or when value is below lo or,
+    given hi, outside lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bounds = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+def check_dimension(n, lo=2) -> int:
+    """n as an int in lo.._MAX_N; lo raises the library's floor of 2."""
+    n = _integer(n, "dimension", lo)
     if n > _MAX_N:
         raise ValueError(f"dimension {n} exceeds the cap {_MAX_N}")
     return n
@@ -263,9 +276,7 @@ class PForm:
 
     def __init__(self, n, p, comps):
         n = check_dimension(n)
-        p = int(p)
-        if not 1 <= p <= n:
-            raise ValueError(f"form degree must be in 1..{n}, got {p}")
+        p = _integer(p, "form degree", 1, n)
         comps = np.array(comps, dtype=float).reshape(-1)
         want = math.comb(n, p)
         if comps.size != want:
@@ -274,10 +285,6 @@ class PForm:
         self.n = n
         self.p = p
         self.comps = _freeze(comps)
-
-    @classmethod
-    def zero(cls, n, p):
-        return cls(n, p, np.zeros(math.comb(n, p)))
 
     def value(self, indices) -> float:
         """Evaluate at an arbitrary index tuple, with the sign of the
@@ -343,9 +350,8 @@ class PForm:
 
 def wedge_basis_form(n, indices) -> PForm:
     """Unit basis form e^{i_1}^...^e^{i_p} for strictly increasing indices."""
-    idx = tuple(int(i) for i in indices)
-    if any(not 0 <= i < n for i in idx):
-        raise ValueError(f"indices must lie in 0..{n - 1}, got {idx}")
+    n = check_dimension(n)
+    idx = tuple(_integer(i, "index", 0, n - 1) for i in indices)
     if any(a >= b for a, b in zip(idx, idx[1:])) or len(idx) == 0:
         raise ValueError(f"indices must be strictly increasing, got {idx}")
     comps = np.zeros(math.comb(n, len(idx)))
@@ -458,7 +464,7 @@ def permute(t: Tensor0k, sigma) -> Tensor0k:
     slot d of the source to slot axes^-1(d), so the inverse permutation makes
     component [i_1, ..., i_k] read the source at [i_sigma(1), ..., i_sigma(k)].
     """
-    sigma = tuple(int(s) for s in sigma)
+    sigma = tuple(_integer(s, "slot") for s in sigma)
     if sorted(sigma) != list(range(t.k)):
         raise ValueError(f"not a permutation of 0..{t.k - 1}: {sigma}")
     inverse = np.argsort(sigma)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CurvatureOperator
-from .tensors import check_dimension, wedge_count, wedge_pairs
+from .tensors import _integer, check_dimension, wedge_count, wedge_pairs
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def round_jet(r) -> WarpJet:
 def _check_factors(p, q):
     """(p, q) as ints; ValueError unless both sphere factors have dimension
     at least 2."""
-    p = int(p)
-    q = int(q)
+    p, q = _integer(p, "p"), _integer(q, "q")
     if p < 2 or q < 2:
         raise ValueError(f"both sphere factors need dimension >= 2, got {p}, {q}")
     return p, q
@@ -216,9 +215,7 @@ def perturbed_profile(p, q, amp, center, width) -> PerturbedProfile:
 
 def _warp_dimension(n):
     """n as an int; ValueError unless n >= 3 and (n-2)/2 is a finite float."""
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
+    n = _integer(n, "dimension", 3)
     try:
         float(n - 2)
     except OverflowError:

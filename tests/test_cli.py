@@ -659,6 +659,10 @@ class TestUsage:
              "usage error: the scale must keep 2n*lam below 2**1023, got lam=1e+308 at n=5"),
             ({}, ("ode", "--n", "9" * 400, "--x0", "0.5"), 2,
              "usage error: dimension must keep (n-2)/2 a finite float, got 999"),
+            ({}, ("bochner", "cp2.json", "--kind", "sym2", "--p", "2", "--kappa", "0", "--diameter", "1"), 2,
+             "usage error: the bound needs --c-const"),
+            ({}, ("bochner", "cp2.json", "--kind", "sym2", "--c-const", "1"), 2,
+             "usage error: the bound needs --p, --kappa, --diameter"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

@@ -641,3 +641,12 @@ class TestComplexSectional:
     def test_zero_wedge_rejected(self):
         with pytest.raises(ValueError):
             complex_sectional(identity_operator(3), np.ones(3), 2.0 * np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("which", ["z", "w"])
+    def test_non_finite_vectors_rejected(self, bad, which):
+        # a NaN or inf entry would otherwise make the value NaN
+        vectors = {"z": np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), "w": np.array([0.0, 0.0, 1.0, 1.0j])}
+        vectors[which][0] = bad
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            complex_sectional(cp2_op(), vectors["z"], vectors["w"])

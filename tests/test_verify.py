@@ -860,7 +860,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "caba006c574e6794e04ac233843f3b528f0b8417bdacbedb047559d86c283c88"
+FAILING_HASH = "e0f6d447adfeb6c78e579ca4e9363296a660b58201fb11fd4d36e3b199d768de"
 
 
 def test_reports_are_pinned():
