@@ -40,6 +40,7 @@ from .tensors import (
     _SYMMETRY_TOL,
     _bianchi_holds,
     _freeze,
+    _integer,
     _require_finite,
     _symmetric_part,
     _tuple_index_map,
@@ -72,6 +73,7 @@ class SoElement:
         m = np.asarray(mat, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        _require_finite(m, "matrix entries")
         scale = max(1.0, float(np.abs(m).max()))
         # halved entries: halving is exact above the subnormal range, so the
         # test and the coordinates keep the bits of (m + m^T) / 2 and
@@ -106,13 +108,11 @@ class SoElement:
 
 def wedge_element(n, i, j) -> SoElement:
     """Basis element e_i^e_j; order of i and j fixes the sign."""
+    i, j = _integer(i, "index"), _integer(j, "index")
     if i == j:
         raise ValueError("wedge of equal indices vanishes")
     comps = np.zeros(wedge_count(n))
-    if i < j:
-        comps[wedge_index(n, i, j)] = 1.0
-    else:
-        comps[wedge_index(n, j, i)] = -1.0
+    comps[wedge_index(n, min(i, j), max(i, j))] = 1.0 if i < j else -1.0
     return SoElement(n, comps)
 
 

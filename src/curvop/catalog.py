@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .action import SoElement
-from .operators import CurvatureOperator, wedge_count
+from .operators import CurvatureOperator, _plane_op, wedge_count
 from .tensors import (
     PForm,
     Sym2,
@@ -26,32 +26,15 @@ from .tensors import (
 
 
 def singer_thorpe_basis() -> tuple:
-    """Orthonormal basis of wedge space over R^4 as six SoElements: a
-    self-dual triple, then an anti-self-dual one, built from 1/sqrt(2)
-    combinations."""
-    n = 4
-    s = 1.0 / np.sqrt(2.0)
-    e12 = wedge_index(n, 0, 1)
-    e13 = wedge_index(n, 0, 2)
-    e14 = wedge_index(n, 0, 3)
-    e23 = wedge_index(n, 1, 2)
-    e24 = wedge_index(n, 1, 3)
-    e34 = wedge_index(n, 2, 3)
-    recipes = (
-        ((e12, 1.0), (e34, 1.0)),
-        ((e13, 1.0), (e24, -1.0)),
-        ((e14, 1.0), (e23, 1.0)),
-        ((e12, 1.0), (e34, -1.0)),
-        ((e13, 1.0), (e24, 1.0)),
-        ((e14, 1.0), (e23, -1.0)),
-    )
-    elements = []
-    for recipe in recipes:
-        comps = np.zeros(wedge_count(n))
-        for idx, sign in recipe:
-            comps[idx] = sign * s
-        elements.append(SoElement(n, comps))
-    return tuple(elements)
+    """Orthonormal basis of wedge space over R^4 as six SoElements: the
+    self-dual triple (L, Re w, Im w) / sqrt(2) of negative_2form_term_op,
+    then its mirror image under e_3 -> -e_3 with the third element negated,
+    an anti-self-dual triple."""
+    self_dual = np.array((_rotation_sum(4, 2).comps, *_highest_weight_form(4, 2))) / math.sqrt(2.0)
+    mirror = [-1.0 if 3 in pair else 1.0 for pair in wedge_pairs(4)]
+    anti_self_dual = self_dual * mirror * np.array([[1.0], [1.0], [-1.0]])
+    # + 0.0 turns the mirror's -0.0 into the +0.0 that a printed basis shows
+    return tuple(SoElement(4, comps + 0.0) for comps in (*self_dual, *anti_self_dual))
 
 
 def singer_thorpe_op(lams):
@@ -88,11 +71,7 @@ def sphere_product_op(p, n) -> CurvatureOperator:
     """
     n = check_dimension(n)
     p = _integer(p, "sphere dimension", 2, n)
-    diag = np.zeros(wedge_count(n))
-    for which, (i, j) in enumerate(wedge_pairs(n)):
-        if j < p:
-            diag[which] = 1.0
-    return CurvatureOperator(n, np.diag(diag))
+    return _plane_op(n, lambda i, j: float(j < p))
 
 
 def product_of_spheres_op(k, n) -> CurvatureOperator:
@@ -102,10 +81,7 @@ def product_of_spheres_op(k, n) -> CurvatureOperator:
     """
     n = check_dimension(n)
     k = _integer(k, "k", 1, n // 2)
-    diag = np.zeros(wedge_count(n))
-    for i in range(k):
-        diag[wedge_index(n, 2 * i, 2 * i + 1)] = 1.0
-    return CurvatureOperator(n, np.diag(diag))
+    return _plane_op(n, lambda i, j: float(i % 2 == 0 and j == i + 1 < 2 * k))
 
 
 def negative_2form_term_op(n, lam):
@@ -186,9 +162,7 @@ def negative_sym2_term_op(n, K, K1n):
         raise ValueError(f"K must be positive and finite, got {K}")
     if not -math.inf < K1n < 0.0:
         raise ValueError(f"K1n must be negative and finite, got {K1n}")
-    diag = np.full(wedge_count(n), K)
-    diag[wedge_index(n, 0, n - 1)] = K1n
-    op = CurvatureOperator(n, np.diag(diag))
+    op = _plane_op(n, lambda i, j: K1n if (i, j) == (0, n - 1) else K)
     h = np.zeros((n, n))
     h[0, 0] = -1.0
     h[n - 1, n - 1] = 1.0

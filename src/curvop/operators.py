@@ -42,6 +42,7 @@ from .tensors import (
     check_dimension,
     increasing_tuples,
     wedge_count,
+    wedge_pairs,
 )
 
 
@@ -88,6 +89,12 @@ class CurvatureOperator:
 def identity_operator(n) -> CurvatureOperator:
     """The unit-sphere curvature operator (half the metric KN square)."""
     return CurvatureOperator(n, np.eye(wedge_count(n)))
+
+
+def _plane_op(n, value) -> CurvatureOperator:
+    """The operator diagonal in the wedge basis with entry value(i, j) on
+    e_i^e_j; a decomposable eigenbasis satisfies the first Bianchi identity."""
+    return CurvatureOperator(n, np.diag([value(i, j) for i, j in wedge_pairs(n)]))
 
 
 def op_from_tensor(rm: CurvTensor) -> CurvatureOperator:

@@ -67,15 +67,18 @@ def _tuple_index_map(n, p):
 
 def wedge_pairs(n):
     """Index pairs (i, j) with i < j in lexicographic order."""
-    return increasing_tuples(n, 2)
+    return increasing_tuples(check_dimension(n), 2)
 
 
 def wedge_count(n) -> int:
+    n = check_dimension(n)
     return n * (n - 1) // 2
 
 
 def wedge_index(n, i, j) -> int:
     """Position of e_i^e_j (i < j, 0-based) in the lexicographic wedge basis."""
+    n = check_dimension(n)
+    i, j = _integer(i, "index"), _integer(j, "index")
     try:
         return _tuple_index_map(n, 2)[(i, j)]
     except KeyError:
@@ -293,7 +296,8 @@ class PForm:
         idx = tuple(indices)
         if len(idx) != self.p:
             raise ValueError(f"expected {self.p} indices, got {len(idx)}")
-        if not all(i in range(self.n) for i in idx):
+        idx = tuple(_integer(i, "index") for i in idx)
+        if not all(0 <= i < self.n for i in idx):
             raise ValueError(f"indices must be integers in 0..{self.n - 1}, got {idx}")
         if len(set(idx)) < self.p:
             return 0.0

@@ -1209,7 +1209,6 @@ def suite_boundary_cases(stream, t):
     op, _ = singer_thorpe_op(remark)
     rm = tensor_from_op(op)
     four = fourdim_einstein_term(remark)
-    yield _closes(("remark-value",), four, -2592.0, t)
     yield _closes(("remark-term",), four, curvature_term(op, rm, rm), 1e-9)
     yield _requires(("remark-negative",), four < 0.0)
     sr = spectrum(op)

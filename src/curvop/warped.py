@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import CurvatureOperator
-from .tensors import _integer, check_dimension, wedge_count, wedge_pairs
+from .operators import CurvatureOperator, _plane_op
+from .tensors import _integer, check_dimension
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,9 @@ def dwp_operator(p, q, jet: WarpJet) -> CurvatureOperator:
     """
     n = check_dimension(1 + p + q)
     radial_p, radial_q, plane_p, plane_q, mixed = dwp_eigenvalues(p, q, jet)
-    diag = np.zeros(wedge_count(n))
-    for which, (i, j) in enumerate(wedge_pairs(n)):
-        i_block = 0 if i == 0 else (1 if i <= p else 2)
-        j_block = 0 if j == 0 else (1 if j <= p else 2)
-        if i_block == 0:
-            diag[which] = radial_p[0] if j_block == 1 else radial_q[0]
-        elif i_block == 1:
-            diag[which] = plane_p[0] if j_block == 1 else mixed[0]
-        else:
-            diag[which] = plane_q[0]
-    return CurvatureOperator(n, np.diag(diag))
+    block = [0] + [1] * p + [2] * q
+    table = {(0, 1): radial_p, (0, 2): radial_q, (1, 1): plane_p, (2, 2): plane_q, (1, 2): mixed}
+    return _plane_op(n, lambda i, j: table[block[i], block[j]][0])
 
 
 def _smoothstep5(t):

@@ -98,6 +98,14 @@ class TestSoElement:
         with pytest.raises(ValueError, match="not skew-symmetric"):
             SoElement.from_matrix(m)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_from_matrix_rejects_non_finite_entries_first(self, bad):
+        # checked before the skewness test, whose inf + -inf would warn
+        m = np.array([[0.0, bad], [-bad, 0.0]])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SoElement.from_matrix(m)
+
     def test_from_matrix_keeps_the_bits_of_ordinary_inputs(self):
         # halving is exact, so (m_ji - m_ij) / 2 is unchanged bit for bit
         rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ import pytest
 
 import curvop
 from curvop import verify
+from curvop.action import wedge_element
 from curvop.bochner import TensorKind, _weight_norms, betti_bound, betti_verdict, tachibana_verdict
 from curvop.catalog import (
     cp2_op,
@@ -19,7 +20,17 @@ from curvop.catalog import (
     sphere_product_op,
 )
 from curvop.operators import CurvatureOperator, spectrum
-from curvop.tensors import PForm, Tensor0k, _integer, check_dimension, permute, wedge_basis_form
+from curvop.tensors import (
+    PForm,
+    Tensor0k,
+    _integer,
+    check_dimension,
+    permute,
+    wedge_basis_form,
+    wedge_count,
+    wedge_index,
+    wedge_pairs,
+)
 from curvop.warped import dwp_eigenvalues, round_jet, scal_single_warped
 
 CP2 = spectrum(cp2_op())
@@ -29,6 +40,13 @@ SITES = {
     "check_dimension": ("dimension", check_dimension, 3),
     "CurvatureOperator": ("dimension", lambda v: CurvatureOperator(v, np.eye(3)), 3),
     "PForm": ("form degree", lambda v: PForm(4, v, np.ones(6)), 2),
+    "PForm.value": ("index", lambda v: PForm(4, 2, np.ones(6)).value((0, v)), 2),
+    "wedge_count": ("dimension", wedge_count, 4),
+    "wedge_pairs": ("dimension", wedge_pairs, 3),
+    "wedge_index-n": ("dimension", lambda v: wedge_index(v, 0, 1), 4),
+    "wedge_index-i": ("index", lambda v: wedge_index(4, v, 3), 2),
+    "wedge_element-n": ("dimension", lambda v: wedge_element(v, 0, 1), 4),
+    "wedge_element-j": ("index", lambda v: wedge_element(4, 0, v), 2),
     "wedge_basis_form-n": ("dimension", lambda v: wedge_basis_form(v, (0, 1)), 4),
     "wedge_basis_form-index": ("index", lambda v: wedge_basis_form(4, (0, v)), 2),
     "permute": ("slot", lambda v: permute(Tensor0k(np.zeros((2, 2))), (v, 0)), 1),
@@ -101,6 +119,16 @@ def test_check_dimension_takes_a_floor():
         check_dimension(3, 4)
     with pytest.raises(ValueError, match="^dimension 9 exceeds the cap 8$"):
         check_dimension(9, 4)
+
+
+def test_wedge_helpers_check_their_dimension():
+    # 3.0 hashes like 3, so the pairs cached for n = 3 must not answer it,
+    # and the cap on n holds for an index as for a constructor
+    wedge_pairs(3)
+    with pytest.raises(ValueError, match=r"^dimension must be an integer, got 3\.0$"):
+        wedge_pairs(3.0)
+    with pytest.raises(ValueError, match="^dimension 9 exceeds the cap 8$"):
+        wedge_index(9, 0, 1)
 
 
 def test_no_parameter_is_converted_with_int():

@@ -860,7 +860,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "e0f6d447adfeb6c78e579ca4e9363296a660b58201fb11fd4d36e3b199d768de"
+FAILING_HASH = "7513d5b0008b734780562db6a88e6e92d440aae60d15a2a93a67d40bcdc945b2"
 
 
 def test_reports_are_pinned():
