@@ -26,15 +26,9 @@ from .tensors import (
 
 
 def singer_thorpe_basis() -> tuple:
-    """Orthonormal basis of wedge space over R^4 as six SoElements: the
-    self-dual triple (L, Re w, Im w) / sqrt(2) of negative_2form_term_op,
-    then its mirror image under e_3 -> -e_3 with the third element negated,
-    an anti-self-dual triple."""
-    self_dual = np.array((_rotation_sum(4, 2).comps, *_highest_weight_form(4, 2))) / math.sqrt(2.0)
-    mirror = [-1.0 if 3 in pair else 1.0 for pair in wedge_pairs(4)]
-    anti_self_dual = self_dual * mirror * np.array([[1.0], [1.0], [-1.0]])
-    # + 0.0 turns the mirror's -0.0 into the +0.0 that a printed basis shows
-    return tuple(SoElement(4, comps + 0.0) for comps in (*self_dual, *anti_self_dual))
+    """Orthonormal basis of wedge space over R^4 as six SoElements: the split
+    vectors u / sqrt(2), a self-dual then an anti-self-dual triple."""
+    return tuple(SoElement(4, comps) for comps in _split_vectors(4) / math.sqrt(2.0))
 
 
 def singer_thorpe_op(lams):
@@ -50,11 +44,10 @@ def singer_thorpe_op(lams):
         raise ValueError(f"expected six eigenvalues, got {len(lams)}")
     if not all(map(math.isfinite, lams)):
         raise ValueError(f"eigenvalues must be finite, got {lams}")
-    basis = singer_thorpe_basis()
-    mat = np.zeros((6, 6))
-    for lam, xi in zip(lams, basis):
-        mat += lam * np.outer(xi.comps, xi.comps)
-    return CurvatureOperator(4, mat), basis
+    # xi xi^T = (1/2) u u^T for xi = u / sqrt(2); halving each eigenvalue
+    # before the sum keeps it finite
+    u = _split_vectors(4)
+    return CurvatureOperator(4, np.einsum("a,ai,aj->ij", 0.5 * np.array(lams), u, u)), singer_thorpe_basis()
 
 
 def cp2_op() -> CurvatureOperator:
@@ -88,10 +81,11 @@ def negative_2form_term_op(n, lam):
     """An (n-1)-nonnegative operator paired with a 2-form on which its
     curvature term is negative.
 
-    The self-dual triple (L, Re w, Im w) / sqrt(2), L = e_0^e_1 + e_2^e_3 and
-    w = (e^0 + i e^1)^(e^2 + i e^3), takes eigenvalues (-(n-3) lam, -(n-3) lam,
-    2n lam); every remaining direction takes 2 lam.  The returned form is the
-    Kaehler form Im w = e^0^e^3 + e^1^e^2, and the term is -4 lam |Im w|^2.
+    The self-dual triple (L, Re w, Im w) / sqrt(2) of _split_vectors takes
+    eigenvalues w_a = (-(n-3) lam, -(n-3) lam, 2n lam); every remaining
+    direction takes 2 lam.  The matrix is 2 lam I + (1/2) sum (w_a - 2 lam)
+    u_a u_a^T, dyadic when lam is.  The returned form is the Kaehler form
+    Im w = e^0^e^3 + e^1^e^2, and the term is -4 lam |Im w|^2.
     """
     n = check_dimension(n, 4)
     lam = float(lam)
@@ -101,12 +95,10 @@ def negative_2form_term_op(n, lam):
     # the bound CurvatureOperator takes means no product below overflows
     if 2.0 * n * lam >= 2.0 ** 1023:
         raise ValueError(f"the scale must keep 2n*lam below 2**1023, got lam={lam} at n={n}")
-    real, imag = _highest_weight_form(n, 2)
-    mat = 2.0 * lam * np.eye(wedge_count(n))
-    for weight, comps in zip((-(n - 3.0), -(n - 3.0), 2.0 * n), (_rotation_sum(n, 2).comps, real, imag)):
-        comps = comps / math.sqrt(2.0)
-        mat += (weight * lam - 2.0 * lam) * np.outer(comps, comps)
-    return CurvatureOperator(n, mat), PForm(n, 2, imag)
+    u = _split_vectors(n)[:3]
+    halves = 0.5 * (np.array([-(n - 3.0), -(n - 3.0), 2.0 * n]) * lam - 2.0 * lam)
+    mat = 2.0 * lam * np.eye(wedge_count(n)) + np.einsum("a,ai,aj->ij", halves, u, u)
+    return CurvatureOperator(n, mat), PForm(n, 2, u[2])
 
 
 def extremal_pform(p):
@@ -144,6 +136,18 @@ def _rotation_sum(n, terms):
     comps = np.zeros(wedge_count(n))
     comps[[wedge_index(n, 2 * i, 2 * i + 1) for i in range(terms)]] = 1.0
     return SoElement(n, comps)
+
+
+def _split_vectors(n):
+    """The split vectors u, entries 0 and +-1, |u|^2 = 2: the self-dual triple
+    (L, Re w, Im w) on R^n, n >= 4, and on R^4 then its mirror image under
+    e_3 -> -e_3 with the third vector negated, an anti-self-dual triple."""
+    self_dual = np.array((_rotation_sum(n, 2).comps, *_highest_weight_form(n, 2)))
+    if n > 4:
+        return self_dual
+    mirror = [-1.0 if 3 in pair else 1.0 for pair in wedge_pairs(4)]
+    # + 0.0 turns the mirror's -0.0 into the +0.0 that a printed basis shows
+    return np.concatenate((self_dual, self_dual * mirror * np.array([[1.0], [1.0], [-1.0]]) + 0.0))
 
 
 def negative_sym2_term_op(n, K, K1n):

@@ -74,17 +74,6 @@ def cmd_verify(args) -> int:
 
 # -- catalog ------------------------------------------------------------------
 
-# Each catalog entry and the flags it needs, by argument name; extremal-pform
-# writes a pair of forms, every other entry an operator file.
-_CATALOG = {
-    "sphere-product": ("p", "n"),
-    "s2-products": ("k", "n"),
-    "cp2": (),
-    "singer-thorpe": ("lambdas",),
-    "example-4.7": ("n", "lam"),
-    "remark-3.6": ("n", "K", "K1n"),
-    "extremal-pform": ("p",),
-}
 # How a usage message names a flag whose argument name differs.
 _FLAG_OF = {"lam": "lambda", "lambdas": "lambdas l1,..,l6", "c_const": "c-const"}
 
@@ -99,44 +88,56 @@ def _form_document(form) -> dict:
     return {"n": form.n, "p": form.p, "comps": list(form.comps)}
 
 
-def _sym2_document(h) -> dict:
-    return {"n": h.n, "matrix": [list(row) for row in h.mat]}
+# Each catalog writer takes the catalog module and the parsed flags, and
+# returns the entry's operator, or None for a form-only entry, its metadata
+# fields (a form-only entry's whole document) and its companion documents.
+
+def _with_hat_norm(op, **fields):
+    from .action import hat_norm_sq
+
+    return op, {**fields, "hat_norm_sq": hat_norm_sq(op)}, None
 
 
-def _build_catalog_entry(args):
-    """The operator of a catalog entry, the metadata fields of its own and
-    its companion documents."""
-    from . import catalog as cat
-    from .action import curvature_term, hat_norm_sq
+def _singer_thorpe(cat, args):
+    lams = [float(x) for x in args.lambdas.split(",")]
+    op, basis = cat.singer_thorpe_op(lams)
+    fields = {"lambdas": lams, "bianchi": op.bianchi_certified}
+    return op, fields, {"basis": [{"comps": list(xi.comps)} for xi in basis]}
 
-    name = args.name
-    if name == "sphere-product":
-        op = cat.sphere_product_op(args.p, args.n)
-        return op, {"p": args.p, "hat_norm_sq": hat_norm_sq(op)}, None
-    if name == "s2-products":
-        op = cat.product_of_spheres_op(args.k, args.n)
-        return op, {"k": args.k, "hat_norm_sq": hat_norm_sq(op)}, None
-    if name == "cp2":
-        return cat.cp2_op(), {}, None
-    if name == "singer-thorpe":
-        lams = [float(x) for x in args.lambdas.split(",")]
-        op, basis = cat.singer_thorpe_op(lams)
-        fields = {"lambdas": lams, "bianchi": op.bianchi_certified}
-        return op, fields, {"basis": [{"comps": list(xi.comps)} for xi in basis]}
-    if name == "example-4.7":
-        op, form = cat.negative_2form_term_op(args.n, args.lam)
-        fields = {
-            "lambda": args.lam,
-            "curvature_term": curvature_term(op, form, form),
-            "form_norm_sq": form.norm_sq(),
-        }
-        return op, fields, {"two_form": _form_document(form)}
-    # remark-3.6, the entry left
+
+def _example_4_7(cat, args):
+    from .action import curvature_term
+
+    op, form = cat.negative_2form_term_op(args.n, args.lam)
+    fields = {"lambda": args.lam, "curvature_term": curvature_term(op, form, form), "form_norm_sq": form.norm_sq()}
+    return op, fields, {"two_form": _form_document(form)}
+
+
+def _remark_3_6(cat, args):
+    # the one entry that loads bochner
     from .bochner import normal_h_term
 
     op, h = cat.negative_sym2_term_op(args.n, args.K, args.K1n)
     fields = {"K": args.K, "K1n": args.K1n, "curvature_term": normal_h_term(op, h.mat)}
-    return op, fields, {"sym2": _sym2_document(h)}
+    return op, fields, {"sym2": {"n": h.n, "matrix": [list(row) for row in h.mat]}}
+
+
+def _extremal_pform(cat, args):
+    w1, w2, rotation = cat.extremal_pform(args.p)
+    return None, {"p": args.p, "n": w1.n, "omega1": _form_document(w1), "omega2": _form_document(w2),
+                  "rotation": {"comps": list(rotation.comps)}}, None
+
+
+# Each catalog entry: the flags it takes, by argument name, and its writer.
+_CATALOG = {
+    "sphere-product": (("p", "n"), lambda cat, args: _with_hat_norm(cat.sphere_product_op(args.p, args.n), p=args.p)),
+    "s2-products": (("k", "n"), lambda cat, args: _with_hat_norm(cat.product_of_spheres_op(args.k, args.n), k=args.k)),
+    "cp2": ((), lambda cat, args: (cat.cp2_op(), {}, None)),
+    "singer-thorpe": (("lambdas",), _singer_thorpe),
+    "example-4.7": (("n", "lam"), _example_4_7),
+    "remark-3.6": (("n", "K", "K1n"), _remark_3_6),
+    "extremal-pform": (("p",), _extremal_pform),
+}
 
 
 def cmd_catalog(args) -> int:
@@ -146,29 +147,20 @@ def cmd_catalog(args) -> int:
 
     if args.name not in _CATALOG:
         raise UsageError(f"unknown catalog entry {args.name!r}; known: {', '.join(_CATALOG)}")
-    _need(f"catalog entry {args.name!r}", args, _CATALOG[args.name])
-    if args.name == "extremal-pform":
-        # form-only entry: no operator file, write the pair document directly
-        try:
-            w1, w2, lam = cat.extremal_pform(args.p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        doc = {
-            "entry": args.name,
-            "p": args.p,
-            "n": w1.n,
-            "omega1": _form_document(w1),
-            "omega2": _form_document(w2),
-            "rotation": {"comps": list(lam.comps)},
-        }
-        _output(args.out, _emit(doc) + "\n")
-        return 0
+    flags, writer = _CATALOG[args.name]
+    _need(f"catalog entry {args.name!r}", args, flags)
+    every_flag = dict.fromkeys(flag for row, _ in _CATALOG.values() for flag in row)
+    extra = [_FLAG_OF.get(f, f) for f in every_flag if f not in flags and getattr(args, f) is not None]
+    if extra:
+        raise UsageError(f"catalog entry {args.name!r} takes no --" + ", --".join(extra))
     try:
-        op, fields, companions = _build_catalog_entry(args)
-        meta = {"entry": args.name, **fields, "eigenvalues": list(spectrum(op).eigenvalues)}
+        op, fields, companions = writer(cat, args)
+        if op is not None:
+            fields = {**fields, "eigenvalues": list(spectrum(op).eigenvalues)}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _output(args.out, dumps_operator(op, metadata=meta, companions=companions))
+    meta = {"entry": args.name, **fields}
+    _output(args.out, _emit(meta) + "\n" if op is None else dumps_operator(op, metadata=meta, companions=companions))
     return 0
 
 

@@ -589,7 +589,6 @@ def suite_exact_values(stream, t):
     a = sphere_product_op(2, 4)
     b = product_of_spheres_op(1, 4)
     yield _requires(("overlap",), bool(np.array_equal(a.mat, b.mat)), hat_norm_sq(a), hat_norm_sq(b))
-    yield _closes(("overlap-value",), hat_norm_sq(a), hat_norm_sq(b), t)
     s = spectrum(sphere_product_op(5, 5))
     yield _closes(("round-sphere",), float(np.abs(s.eigenvalues - 1.0).max()), 0.0, t)
     # binom(4, 2) exp(sqrt(p (n - p))) at kappa = -1, D = c = 1 is 6 e^2,
@@ -1200,7 +1199,9 @@ def suite_boundary_cases(stream, t):
         for lam_scale in (1.0, 2.5):
             op, form = negative_2form_term_op(n, lam_scale)
             term = curvature_term(op, form, form)
-            yield _closes(("neg-term", n, lam_scale), term, -4.0 * lam_scale * form.norm_sq(), max(t, 1e-12))
+            # dyadic entries and +-1 hat rows make every product exact
+            want = -4.0 * lam_scale * form.norm_sq()
+            yield _requires(("neg-term", n, lam_scale), term == want, term, want)
             # (n-1)-nonnegative: the lowest sum of the Betti rule at p = 1 is 0
             low = _apply_rule("betti", spectrum(op).eigenvalues, n, 1)[1]
             yield _closes(("neg-lowest", n, lam_scale), float(low), 0.0, 1e-9)

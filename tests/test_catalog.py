@@ -1,6 +1,7 @@
 """The example catalog: every advertised value re-derived from scratch."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,62 @@ class TestNegativeTwoFormTerm:
         op, w = negative_2form_term_op(n, lam)
         assert spectrum(op).eigenvalues[-1] == pytest.approx(2.0 * n * lam, rel=1e-12)
         assert curvature_term(op, w, w) == pytest.approx(-4.0 * lam * w.norm_sq(), rel=1e-12)
+
+
+def split_vectors(n):
+    """The integer split vectors on R^n, written out plane by plane:
+    L = e01 + e23, Re w = e02 - e13 and Im w = e03 + e12 for
+    w = (e^0 + i e^1)^(e^2 + i e^3), then on R^4 their mirror images under
+    e_3 -> -e_3, the third one negated."""
+    planes = [{(0, 1): 1, (2, 3): 1}, {(0, 2): 1, (1, 3): -1}, {(0, 3): 1, (1, 2): 1}]
+    if n == 4:
+        planes += [{(0, 1): 1, (2, 3): -1}, {(0, 2): 1, (1, 3): 1}, {(0, 3): 1, (1, 2): -1}]
+    u = [[0] * len(wedge_pairs(n)) for _ in planes]
+    for row, plane in zip(u, planes):
+        for (i, j), sign in plane.items():
+            row[wedge_index(n, i, j)] = sign
+    return u
+
+
+def exact_split_sum(n, weights, diagonal=0):
+    """diagonal I + (1/2) sum_a weights[a] u_a u_a^T in Fractions."""
+    u = split_vectors(n)
+    size = len(u[0])
+    return [[diagonal * (i == j) + sum(Fraction(w) * a[i] * a[j] for w, a in zip(weights, u)) / 2
+             for j in range(size)] for i in range(size)]
+
+
+def assert_exact(mat, want):
+    assert [[Fraction(float(x)) for x in row] for row in mat] == want
+
+
+class TestExactSplitWriters:
+    """The split-basis operators are dyadic: no entry is rounded."""
+
+    def test_basis_bits(self):
+        basis = np.array([xi.comps for xi in singer_thorpe_basis()])
+        want = np.array(split_vectors(4), dtype=float) / math.sqrt(2.0)
+        assert basis.tobytes() == want.tobytes()
+        assert not np.signbit(basis[basis == 0.0]).any()
+
+    def test_cp2(self):
+        assert_exact(cp2_op().mat, exact_split_sum(4, (0, 0, 6, 2, 2, 2)))
+
+    @pytest.mark.parametrize("lams", [(0, 0, 6, 2, 2, 2), (1, 2, 3, 3, 2, 1), (1, 2, 3, 4, 5, 6),
+                                      (-1, -1, 8, 2, 2, 2), (-7, 0, 3, -2, 5, 11)])
+    def test_singer_thorpe_integer_sextuples(self, lams):
+        op, _ = singer_thorpe_op(lams)
+        assert_exact(op.mat, exact_split_sum(4, lams))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+    def test_negative_2form_term(self, n, lam):
+        op, form = negative_2form_term_op(n, lam)
+        lam_q = Fraction(lam)
+        weights = [w - 2 * lam_q for w in (-(n - 3) * lam_q, -(n - 3) * lam_q, 2 * n * lam_q)]
+        assert_exact(op.mat, exact_split_sum(n, weights, 2 * lam_q))
+        # the term is -4 lam |Im w|^2 bit for bit
+        assert curvature_term(op, form, form) == -4.0 * lam * form.norm_sq()
 
 
 class TestExtremalPForms:

@@ -13,7 +13,7 @@ import pytest
 
 import curvop
 from curvop import CurvatureOperator, identity_operator, verify
-from curvop.cli import _write_rows, main
+from curvop.cli import _CATALOG, _FLAG_OF, _write_rows, main
 from curvop.opfile import dump_operator, dumps_operator, load_operator, loads_operator
 from curvop.verify import random_sym_operator
 
@@ -243,6 +243,60 @@ class TestCatalogCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["basis"] == "lex-wedge"
+
+    def test_exact_entries_print_exactly(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--name", "cp2")
+        assert code == 0
+        assert {v for row in json.loads(out)["matrix"] for v in row} == {-1.0, 0.0, 1.0, 2.0, 4.0}
+        code, out, _ = run(capsys, "catalog", "--name", "example-4.7", "--n", "6", "--lambda", "2.5")
+        assert code == 0
+        assert '"curvature_term": -20.0,' in out
+
+
+# a value of each catalog flag, by argument name, that every entry taking
+# the flag accepts, as the command line spells it
+CATALOG_FLAG_VALUES = {
+    "n": ("--n", "4"), "p": ("--p", "2"), "k": ("--k", "1"), "lam": ("--lambda", "1"),
+    "lambdas": ("--lambdas", "0,0,6,2,2,2"), "K": ("--K", "1"), "K1n": ("--K1n", "-1"),
+}
+
+
+class TestCatalogTable:
+    def test_every_flag_has_a_value(self):
+        assert {flag for flags, _ in _CATALOG.values() for flag in flags} == set(CATALOG_FLAG_VALUES)
+
+    @pytest.mark.parametrize("name", list(_CATALOG))
+    def test_row_takes_exactly_its_flags(self, capsys, name):
+        flags = _CATALOG[name][0]
+
+        def catalog(*names):
+            return run(capsys, "catalog", "--name", name, *(x for f in names for x in CATALOG_FLAG_VALUES[f]))
+
+        code, out, err = catalog(*flags)
+        assert (code, err) == (0, "")
+        json.loads(out)
+        for dropped in flags:
+            kept = [f for f in flags if f != dropped]
+            assert catalog(*kept) == (
+                2, "", f"usage error: catalog entry {name!r} needs --{_FLAG_OF.get(dropped, dropped)}\n")
+        for other in CATALOG_FLAG_VALUES.keys() - set(flags):
+            assert catalog(*flags, other) == (
+                2, "", f"usage error: catalog entry {name!r} takes no --{_FLAG_OF.get(other, other)}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--name", "extremal-pform", "--p", "2", "--n", "8"), "catalog entry 'extremal-pform' takes no --n"),
+            (("--name", "cp2", "--n", "9"), "catalog entry 'cp2' takes no --n"),
+            (("--name", "cp2", "--K", "1", "--lambda", "2"), "catalog entry 'cp2' takes no --lambda, --K"),
+            # the missing-flag check comes first
+            (("--name", "sphere-product", "--p", "2", "--k", "1"), "catalog entry 'sphere-product' needs --n"),
+        ],
+    )
+    def test_refused_flags(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "unused.json"
+        assert run(capsys, "catalog", *argv, "--out", str(path)) == (2, "", f"usage error: {message}\n")
+        assert not path.exists()
 
 
 class TestSpectrumCommand:
@@ -506,8 +560,8 @@ class TestPinnedBytes:
         + [("--name", "example-4.7", "--n", str(n), "--lambda", lam) for n in (4, 6, 8) for lam in ("0.5", "1")]
         + [("--name", "extremal-pform", "--p", str(p)) for p in (1, 2, 3, 4)]
     )
-    CATALOG_SHA256 = "dcb5546379ac026e114be851009d3d7b2e478223757e4d0c18325cfbd448ed85"
-    SPECTRUM_SHA256 = "a9b7b865ee7355ee942e7f92aacd4770d16247dea37466b42dc39e19f5762616"
+    CATALOG_SHA256 = "5e12e5fe47f3dce42340ee1e24adc8ac9659449801db680ae188d6b8249a7612"
+    SPECTRUM_SHA256 = "5224e0cfd8c64f1a831fa4c6362e08f5c9920c01ea271334bc269f12b2109331"
     # every kind on four operator files, with and without --p and --kappa
     BOCHNER_FILES = (
         ("--name", "cp2"),
@@ -521,7 +575,7 @@ class TestPinnedBytes:
         ("--kind", "curvature-einstein", "--p", "1"),
         ("--kind", "weyl"),
     )
-    BOCHNER_SHA256 = "211c0027c06f93b8d217d515071b68f6d90e6237375201d645f8bfd92d0987a6"
+    BOCHNER_SHA256 = "7f37811932a0b6ce8fe827ab94391937a30b86fae178cb9c1b90832dfd8d3bf6"
     # the round profile: sines and cosines, no bump
     WARPED_SHA256 = "c9ba7ce4899783e1ec15abd95b0cfd5e9801da228dfe172e65d4e9032c6ba083"
 
