@@ -1,6 +1,8 @@
 """The failure path of `curvop verify`: at a negative tolerance, which fails
 comparisons across the suites, the run must exit 1 and still print one report
-per suite, in the order of curvop.verify.SUITES, as one JSON array.
+per suite, in the order of curvop.verify.SUITES, as one JSON array.  Every
+suite whose row has a tolerance must list a failure, so that each one's
+comparisons read --tol.
 
 Run from the repository root: PYTHONPATH=src python .github/scripts/verify_failure_path.py
 """
@@ -16,9 +18,16 @@ done = subprocess.run(argv, capture_output=True, text=True)
 if done.returncode != 1:
     sys.exit(f"expected exit code 1, got {done.returncode}\n{done.stderr}")
 try:
-    suites = [report["suite"] for report in json.loads(done.stdout)]
+    reports = json.loads(done.stdout)
+    suites = [report["suite"] for report in reports]
+    failures = {report["suite"]: len(report["failures"]) for report in reports}
 except (ValueError, TypeError, KeyError) as exc:
     sys.exit(f"stdout is not a JSON array of reports: {exc!r}")
 if suites != list(SUITES):
     sys.exit(f"the reports name the suites {suites}, not {list(SUITES)}")
-print(f"exit code 1 and {len(suites)} reports, one per suite in order")
+with_tol = [name for name, (_, _, tol) in SUITES.items() if tol is not None]
+unread = [name for name in with_tol if not failures[name]]
+if unread:
+    sys.exit(f"{unread} list no failure at --tol -1: none of their comparisons reads --tol")
+print(f"exit code 1 and {len(suites)} reports, one per suite in order; "
+      f"each of the {len(with_tol)} suites with a tolerance lists a failure")

@@ -16,7 +16,7 @@ import importlib
 _PUBLIC = {
     "action": (
         "HatTensor", "SoElement", "act_on_operator", "ad_matrix", "curvature_term", "hat",
-        "hat_norm_sq", "ric_identity_closed_form", "ric_of", "so_act", "wedge_element",
+        "hat_norm_sq", "inner", "ric_identity_closed_form", "ric_of", "so_act", "wedge_element",
     ),
     "bochner": (
         "BettiVerdict", "BochnerVerdict", "TachibanaVerdict", "TensorKind", "betti_bound",
@@ -33,9 +33,8 @@ _PUBLIC = {
         "op_from_tensor", "spectrum", "tensor_from_op",
     ),
     "tensors": (
-        "CurvTensor", "PForm", "Sym2", "Tensor0k", "identity_sym2", "inner",
-        "kulkarni_nomizu", "permute", "wedge_basis_form", "wedge_count",
-        "wedge_index", "wedge_pairs",
+        "CurvTensor", "PForm", "Sym2", "Tensor0k", "identity_sym2", "kulkarni_nomizu",
+        "permute", "wedge_basis_form", "wedge_count", "wedge_index", "wedge_pairs",
     ),
     "warped": (
         "PerturbedProfile", "ShootResult", "WarpJet", "dwp_eigenvalue_list", "dwp_eigenvalues",

@@ -17,10 +17,10 @@ those permutations span.  The hat tensor collects the action of the whole
 wedge basis; curvature terms and the Ricci curvature of a tensor are
 bilinear expressions in those blocks.
 
-The kind table _KINDS owns the action, the hat rows and the Ricci
-curvature, on values of one kind stacked along a first axis; the calls on
-a single tensor are a batch of one, so a batch goes through the same code
-as a single tensor.
+The kind table _KINDS owns the inner product, the action, the hat rows and
+the Ricci curvature, on values of one kind stacked along a first axis; the
+calls on a single tensor are a batch of one, so a batch goes through the
+same code as a single tensor.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .tensors import (
     _tuple_index_map,
     check_dimension,
     increasing_tuples,
+    same_dimension,
     wedge_count,
     wedge_index,
     wedge_pairs,
@@ -195,8 +196,8 @@ class _Kind:
         return self.p or degree, self.k or degree
 
     def inners(self, a, b):
-        """Inner products of coordinates stacked along the first axis, as
-        tensors.inner takes them."""
+        """Inner products of coordinates stacked along the first axis: inner
+        of a batch of one."""
         if self.dot:
             return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
         return np.sum(a * b, axis=tuple(range(1, a.ndim)))
@@ -269,6 +270,24 @@ def _layout(t):
         raise TypeError(f"unsupported kind {type(t).__name__}")
     degree = t.p if kind.p is None else t.k if kind.k is None else None
     return kind, getattr(t, kind.values), degree
+
+
+def _paired_layout(s, t):
+    """(kind, values of s, values of t, degree) of two tensors of one kind,
+    dimension and degree (a form's p, a (0,k)-tensor's k)."""
+    if type(s) is not type(t):
+        raise TypeError(f"kind mismatch: {type(s).__name__} vs {type(t).__name__}")
+    same_dimension(s, t)
+    (kind, values_s, degree_s), (_, values_t, degree_t) = _layout(s), _layout(t)
+    if degree_s != degree_t:
+        raise ValueError(f"degree mismatch: {degree_s} vs {degree_t}")
+    return kind, values_s, values_t, degree_s
+
+
+def inner(a, b) -> float:
+    """Inner product of two tensors of the same kind, dimension and degree."""
+    kind, values_a, values_b, _ = _paired_layout(a, b)
+    return float(kind.inners(values_a[None], values_b[None])[0])
 
 
 def _rebuild(t, values):
@@ -459,13 +478,8 @@ def curvature_term(r: CurvatureOperator, s, t) -> float:
     wedge basis; S and T must be tensors of the same kind, dimension and
     degree (a form's p, a (0,k)-tensor's k).
     """
-    if type(s) is not type(t):
-        raise TypeError(f"kind mismatch: {type(s).__name__} vs {type(t).__name__}")
-    if r.n != s.n or s.n != t.n:
-        raise ValueError("dimension mismatch")
-    degree_s, degree_t = _layout(s)[2], _layout(t)[2]
-    if degree_s != degree_t:
-        raise ValueError(f"degree mismatch: {degree_s} vs {degree_t}")
+    _paired_layout(s, t)
+    same_dimension(r, s)
     rows_s = _hat_rows(s)
     rows_t = rows_s if s is t else _hat_rows(t)
     return float(_terms(r.mat, rows_s, rows_t))

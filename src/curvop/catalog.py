@@ -31,9 +31,9 @@ def singer_thorpe_basis() -> tuple:
     return tuple(SoElement(4, comps) for comps in _split_vectors(4) / math.sqrt(2.0))
 
 
-def singer_thorpe_op(lams):
-    """Operator diagonal in the Singer-Thorpe basis with the given six
-    eigenvalues (first three on the self-dual triple).
+def singer_thorpe_op(lams) -> CurvatureOperator:
+    """Operator diagonal in the Singer-Thorpe basis, singer_thorpe_basis(),
+    with the given six eigenvalues (first three on the self-dual triple).
 
     Satisfies the first Bianchi identity exactly when the self-dual
     eigenvalues and the anti-self-dual eigenvalues have equal sums; the
@@ -47,14 +47,13 @@ def singer_thorpe_op(lams):
     # xi xi^T = (1/2) u u^T for xi = u / sqrt(2); halving each eigenvalue
     # before the sum keeps it finite
     u = _split_vectors(4)
-    return CurvatureOperator(4, np.einsum("a,ai,aj->ij", 0.5 * np.array(lams), u, u)), singer_thorpe_basis()
+    return CurvatureOperator(4, np.einsum("a,ai,aj->ij", 0.5 * np.array(lams), u, u))
 
 
 def cp2_op() -> CurvatureOperator:
     """Curvature operator of the complex projective plane (Fubini-Study
     normalization): Singer-Thorpe eigenvalues (0, 0, 6, 2, 2, 2)."""
-    op, _ = singer_thorpe_op((0.0, 0.0, 6.0, 2.0, 2.0, 2.0))
-    return op
+    return singer_thorpe_op((0.0, 0.0, 6.0, 2.0, 2.0, 2.0))
 
 
 def sphere_product_op(p, n) -> CurvatureOperator:

@@ -100,9 +100,9 @@ def _with_hat_norm(op, **fields):
 
 def _singer_thorpe(cat, args):
     lams = [float(x) for x in args.lambdas.split(",")]
-    op, basis = cat.singer_thorpe_op(lams)
+    op = cat.singer_thorpe_op(lams)
     fields = {"lambdas": lams, "bianchi": op.bianchi_certified}
-    return op, fields, {"basis": [{"comps": list(xi.comps)} for xi in basis]}
+    return op, fields, {"basis": [{"comps": list(xi.comps)} for xi in cat.singer_thorpe_basis()]}
 
 
 def _example_4_7(cat, args):

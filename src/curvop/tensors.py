@@ -439,28 +439,6 @@ def _bianchi_holds(arr):
     return _bianchi_residual(arr) <= _IDENTITY_TOL * scale
 
 
-def inner(a, b) -> float:
-    """Inner product of two tensors of the same kind and dimension."""
-    if type(a) is not type(b):
-        raise TypeError(f"kind mismatch: {type(a).__name__} vs {type(b).__name__}")
-    same_dimension(a, b)
-    if isinstance(a, Tensor0k):
-        if a.k != b.k:
-            raise ValueError(f"order mismatch: {a.k} vs {b.k}")
-        return float(a.array.reshape(-1) @ b.array.reshape(-1))
-    from .operators import CurvatureOperator  # operators imports this module
-
-    if isinstance(a, (Sym2, CurvatureOperator)):
-        return float(np.sum(a.mat * b.mat))
-    if isinstance(a, PForm):
-        if a.p != b.p:
-            raise ValueError(f"degree mismatch: {a.p} vs {b.p}")
-        return float(a.comps @ b.comps)
-    if isinstance(a, CurvTensor):
-        return float(np.sum(a.array * b.array))
-    raise TypeError(f"unsupported kind {type(a).__name__}")
-
-
 def permute(t: Tensor0k, sigma) -> Tensor0k:
     """Slot permutation (T o sigma)(X_1, ..., X_k) = T(X_sigma(1), ..., X_sigma(k)).
 

@@ -22,9 +22,13 @@ into the suite's stream of (trial index, generator) pairs and derives the
 trial limit from the row: a suite takes one of the 2**32 trial indices a
 trial, a batched suite one a trial and n.  run_suite replaces tol=None by
 the default, and an explicit tol governs every comparison the suite makes
-at t.  Comparisons with a fixed slack of their own keep it, and the direct
-checks of lemma-2.1-soundness compare at min(t, 1e-10), 1e-10 being the
-slack of bochner.direct_term_check.
+at t: a suite has this one tolerance, and a claim that holds bit for bit
+is checked exactly, through _requires.  Two checks compare at min(t, s):
+the direct checks of lemma-2.1-soundness at s = 1e-10, the slack of
+bochner.direct_term_check, and complex-sectional's cp2-isotropic at
+s = 1e-12.  Three checks keep a fixed slack: singer-thorpe's
+diagonal-norm, and ode's fixed-point and time-reversal, whose literal
+bounds (1e-8, 1e-6) are their rhs at tolerance 0.
 
 A row names either a body, a generator that walks the stream and yields
 its comparisons, or the (dims, draw, check) of a suite that one driver,
@@ -86,6 +90,7 @@ from .action import (
     curvature_term,
     hat,
     hat_norm_sq,
+    inner,
     ric_identity_closed_form,
     ric_of,
     so_act,
@@ -124,6 +129,7 @@ from .catalog import (
     sphere_product_op,
     _highest_weight_form,
     _rotation_sum,
+    _split_vectors,
 )
 from .opfile import dumps_operator, loads_operator
 from .operators import (
@@ -147,7 +153,6 @@ from .tensors import (
     Tensor0k,
     check_dimension,
     identity_sym2,
-    inner,
     kulkarni_nomizu,
     wedge_basis_form,
     wedge_count,
@@ -926,7 +931,7 @@ def suite_decompose(stream, t):
         yield _closes(("schouten", trial), float(np.abs(schouten_back - rm.array).max()), 0.0, t)
         lhs = hat_norm_sq(rm)
         rhs = (16.0 * (n - 1) / (n - 2) - 8.0) * dec.ric0.norm_sq() + 4.0 * (n - 1) * dec.weyl.norm_sq()
-        yield _closes(("hat-identity", trial), lhs, rhs, max(t, 1e-9))
+        yield _closes(("hat-identity", trial), lhs, rhs, t)
 
 
 def suite_spectrum(stream, t):
@@ -944,12 +949,8 @@ def suite_spectrum(stream, t):
         yield _at_mosts(("orthogonal", trial), orth, t, 0.0)
         q = random_orthogonal(rng, r.N)
         s2 = spectrum(CurvatureOperator(r.n, q.T @ r.mat @ q))
-        yield _closes(
-            ("conjugation", trial),
-            float(np.abs(s.eigenvalues - s2.eigenvalues).max()),
-            0.0,
-            max(t, 1e-9) * max(1.0, norm),
-        )
+        conjugation = float(np.abs(s.eigenvalues - s2.eigenvalues).max())
+        yield _closes(("conjugation", trial), conjugation, 0.0, t * max(1.0, norm))
         batch_vals, batch_vecs = jacobi_eigh_batch(np.array([r.mat, q.T @ r.mat @ q]))
         yield _requires(
             ("batch", trial),
@@ -1034,7 +1035,7 @@ def suite_lemma_2_2_sharpness(stream, t):
     lw = so_act(lam2, w)
     scaled = PForm(w.n, w.p, 3.0 * w.comps)
     yield _closes(("form-rescale",), so_act(lam2, scaled).norm_sq(), 3.0 ** 2 * lw.norm_sq(), t)
-    op, _ = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
+    op = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
     basis = singer_thorpe_basis()
     lr = act_on_operator(basis[1], op).norm_sq()
     r0 = op.traceless().norm_sq()
@@ -1204,13 +1205,15 @@ def suite_boundary_cases(stream, t):
             yield _requires(("neg-term", n, lam_scale), term == want, term, want)
             # (n-1)-nonnegative: the lowest sum of the Betti rule at p = 1 is 0
             low = _apply_rule("betti", spectrum(op).eigenvalues, n, 1)[1]
-            yield _closes(("neg-lowest", n, lam_scale), float(low), 0.0, 1e-9)
+            yield _closes(("neg-lowest", n, lam_scale), float(low), 0.0, t)
             yield _requires(("neg-bianchi", n, lam_scale), op.bianchi_certified is True)
     remark = (-1.0, -1.0, 8.0, 2.0, 2.0, 2.0)
-    op, _ = singer_thorpe_op(remark)
+    op = singer_thorpe_op(remark)
     rm = tensor_from_op(op)
     four = fourdim_einstein_term(remark)
-    yield _closes(("remark-term",), four, curvature_term(op, rm, rm), 1e-9)
+    # dyadic entries make both sides exact, -2592 bit for bit
+    term = curvature_term(op, rm, rm)
+    yield _requires(("remark-term",), four == term, four, term)
     yield _requires(("remark-negative",), four < 0.0)
     sr = spectrum(op)
     tvr = tachibana_verdict(sr, 4)
@@ -1243,7 +1246,7 @@ def suite_boundary_cases(stream, t):
     # a Singer-Thorpe operator off the Bianchi identity by 1e-10, whose
     # largest Bianchi sum of 5e-11 lies between the certificate's 1e-12 and
     # 1e-9
-    near, _ = singer_thorpe_op((1.0, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10))
+    near = singer_thorpe_op((1.0, 1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10))
     yield _requires(("near-bianchi",), near.bianchi_certified is False)
     # Lemma 2.1's equality case: R = -I gives T = e0^e1 the term -|hat T|^2
     # = -4 exactly, which meets kappa = -1 and misses kappa = -1 + 1e-8 by
@@ -1296,7 +1299,7 @@ def suite_singer_thorpe(stream, t):
             if abs(gap) < 0.1:
                 lams[5] -= 0.5 if gap >= 0 else -0.5
             expect = False
-        op, _ = singer_thorpe_op(lams)
+        op = singer_thorpe_op(lams)
         yield _requires(("bianchi-iff", trial), op.bianchi_certified is expect)
         a = rng.normal(size=6)
         lam_el = SoElement(4, sum(a[g] * basis[g].comps for g in range(6)))
@@ -1305,13 +1308,18 @@ def suite_singer_thorpe(stream, t):
         rhs = 4.0 * sum(
             a[g] ** 2 * (lams[x] - lams[y]) ** 2 for g, (x, y) in enumerate(triples)
         )
+        # the one comparison that keeps a slack of its own: its two sides
+        # differ by up to 9.9e-16 relative, too close to the suite's 1e-15
         yield _closes(("diagonal-norm", trial), lhs, rhs, 1e-9)
         spread = max(lams) - min(lams)
-        yield _at_mosts(("diagonal-bound", trial), lhs, 4.0 * spread ** 2 * lam_el.norm_sq(), 1e-9)
+        yield _at_mosts(("diagonal-bound", trial), lhs, 4.0 * spread ** 2 * lam_el.norm_sq(), t)
     cp2 = cp2_op()
+    # the integer split vectors u = sqrt(2) basis keep every product exact,
+    # so no rounding of 1/sqrt(2) or summation order enters the norm
+    split = _split_vectors(4)
     for idx, want in ((0, 144.0), (1, 144.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0)):
-        got = act_on_operator(basis[idx], cp2).norm_sq()
-        yield _closes(("cp2-maximal", idx), got, want, 1e-12)
+        got = act_on_operator(SoElement(4, split[idx]), cp2).norm_sq() / 2.0
+        yield _closes(("cp2-maximal", idx), got, want, t)
 
 
 def suite_fourdim_einstein(stream, t):
@@ -1323,7 +1331,7 @@ def suite_fourdim_einstein(stream, t):
     for trial, rng in stream:
         lams = rng.normal(size=6)
         lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
-        op, _ = singer_thorpe_op(lams)
+        op = singer_thorpe_op(lams)
         rm = tensor_from_op(op)
         yield _closes(("identity", trial), fourdim_einstein_term(lams), curvature_term(op, rm, rm), t)
 
@@ -1372,19 +1380,17 @@ def suite_complex_sectional(stream, t):
     cp2 = cp2_op()
     z = np.array([1.0, 1.0j, 0.0, 0.0]) / math.sqrt(2.0)
     w = np.array([0.0, 0.0, 1.0, 1.0j]) / math.sqrt(2.0)
-    yield _closes(("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, 1e-12)
+    # the value is 3 up to rounding: compared at t, or 1e-12 when t is looser
+    yield _closes(("cp2-isotropic",), complex_sectional(cp2, z, w), 3.0, min(t, 1e-12))
     for trial, rng in stream:
         n = int(rng.integers(3, 7))
         r = random_sym_operator(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         e = np.eye(n)
+        # e_i ^ e_j has one wedge coordinate, 1, so the value is the entry
         real_pair = complex_sectional(r, e[:, i], e[:, j])
-        yield _closes(
-            ("real-pair", trial),
-            real_pair,
-            float(r.mat[wedge_index(n, i, j), wedge_index(n, i, j)]),
-            1e-12,
-        )
+        entry = float(r.mat[wedge_index(n, i, j), wedge_index(n, i, j)])
+        yield _requires(("real-pair", trial), real_pair == entry, real_pair, entry)
         zc = rng.normal(size=n) + 1j * rng.normal(size=n)
         wc = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = complex_sectional(r, zc, wc)

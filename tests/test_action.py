@@ -7,6 +7,7 @@ import pytest
 
 from curvop import (
     CurvTensor,
+    CurvatureOperator,
     PForm,
     SoElement,
     Sym2,
@@ -344,6 +345,21 @@ class TestCurvatureTerm:
         with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
             curvature_term(identity_operator(4), Tensor0k(np.ones((4, 4))), Tensor0k(np.ones((4, 4, 4))))
 
+    def test_mismatch_messages(self):
+        # inner and curvature_term share one kind, dimension and degree check
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            curvature_term(identity_operator(4), identity_sym2(5), identity_sym2(5))
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            curvature_term(identity_operator(4), identity_sym2(4), identity_sym2(5))
+        with pytest.raises(TypeError, match="kind mismatch: Sym2 vs PForm"):
+            inner(identity_sym2(4), wedge_basis_form(4, (0,)))
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            inner(identity_sym2(4), identity_sym2(5))
+        with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+            inner(Tensor0k(np.ones((4, 4))), Tensor0k(np.ones((4, 4, 4))))
+        with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+            inner(wedge_basis_form(4, (0,)), wedge_basis_form(4, (0, 1)))
+
 
 class TestRic:
     def test_identity_on_forms(self):
@@ -663,6 +679,26 @@ class TestActionGuards:
                 so_act(lam, t)
             with pytest.raises(ValueError, match="finite"):
                 kind.acted(np.stack([lam.comps] * 2), np.stack([getattr(t, kind.values)] * 2), 4, degree(t))
+
+    # the action kills 2I and the metric's curvature tensor, so near them a
+    # result is small while its rounding scales with the input: the guards'
+    # unit floor keeps these results, which a symmetry or Bianchi bound
+    # relative to the result alone would refuse
+    def test_operator_results_near_an_invariant_return(self):
+        rng = np.random.default_rng(25)
+        size = wedge_count(8)
+        for _ in range(20):
+            m = rng.normal(size=(size, size))
+            so_act(rand_so(rng, 8), CurvatureOperator(8, 2.0 * np.eye(size) + 1e-8 * (m + m.T) / 2))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_curvature_results_near_an_invariant_return(self, n):
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            near = 2.0 * np.eye(wedge_count(n)) + 1e-8 * random_bianchi_operator(rng, n).mat
+            rm = tensor_from_op(CurvatureOperator(n, near))
+            assert rm.bianchi
+            so_act(rand_so(rng, n), rm)
 
     def test_results_too_large_to_symmetrize_raise(self):
         from curvop.action import _KINDS

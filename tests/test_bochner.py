@@ -234,7 +234,7 @@ class TestTachibana:
         assert v.parallel and v.constant_curvature
 
     def test_remark_operator(self):
-        op, _ = singer_thorpe_op((-1.0, -1.0, 8.0, 2.0, 2.0, 2.0))
+        op = singer_thorpe_op((-1.0, -1.0, 8.0, 2.0, 2.0, 2.0))
         v = tachibana_verdict(spectrum(op), 4)
         assert not v.parallel and not v.constant_curvature
 
@@ -297,7 +297,7 @@ class TestFourdimEinsteinTerm:
         for _ in range(25):
             lams = rng.normal(size=6)
             lams[5] = lams[0] + lams[1] + lams[2] - lams[3] - lams[4]
-            op, _ = singer_thorpe_op(lams)
+            op = singer_thorpe_op(lams)
             rm = tensor_from_op(op)
             got = curvature_term(op, rm, rm)
             assert fourdim_einstein_term(lams) == pytest.approx(got, rel=1e-9, abs=1e-9)

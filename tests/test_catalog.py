@@ -106,17 +106,17 @@ class TestSingerThorpe:
                 assert np.abs(out - coeff * basis[k].comps).max() < 1e-15
 
     def test_bianchi_iff_triple_sums(self):
-        op, _ = singer_thorpe_op((1.0, 2.0, 3.0, 0.0, 2.0, 4.0))
+        op = singer_thorpe_op((1.0, 2.0, 3.0, 0.0, 2.0, 4.0))
         assert op.bianchi_certified is True
-        op2, _ = singer_thorpe_op((1.0, 2.0, 3.0, 0.0, 2.0, 3.0))
+        op2 = singer_thorpe_op((1.0, 2.0, 3.0, 0.0, 2.0, 3.0))
         assert op2.bianchi_certified is False
 
     def test_identity_eigenvalues(self):
-        op, _ = singer_thorpe_op((1.0,) * 6)
+        op = singer_thorpe_op((1.0,) * 6)
         assert np.allclose(op.mat, np.eye(6), atol=1e-15)
 
     def test_sharp_curvature_pair(self):
-        op, _ = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
+        op = singer_thorpe_op((-1.0, 1.0, 3.0, 1.0, 1.0, 1.0))
         basis = singer_thorpe_basis()
         r0_sq = op.traceless().norm_sq()
         assert r0_sq == pytest.approx(8.0, abs=1e-12)
@@ -236,7 +236,7 @@ class TestExactSplitWriters:
     @pytest.mark.parametrize("lams", [(0, 0, 6, 2, 2, 2), (1, 2, 3, 3, 2, 1), (1, 2, 3, 4, 5, 6),
                                       (-1, -1, 8, 2, 2, 2), (-7, 0, 3, -2, 5, 11)])
     def test_singer_thorpe_integer_sextuples(self, lams):
-        op, _ = singer_thorpe_op(lams)
+        op = singer_thorpe_op(lams)
         assert_exact(op.mat, exact_split_sum(4, lams))
 
     @pytest.mark.parametrize("n", range(4, 9))

@@ -94,7 +94,7 @@ class TestConversions:
         assert op.bianchi_certified is True
 
     def test_certificate_of_pair_symmetric_non_bianchi_tensor_is_false(self):
-        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        op = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
         rm = tensor_from_op(op)
         assert rm.pair_skew and rm.pair_symmetric and not rm.bianchi
         assert op_from_tensor(rm).bianchi_certified is False
@@ -112,7 +112,7 @@ class TestConversions:
             r = random_sym_operator(rng, n)
             back = op_from_tensor(tensor_from_op(r))
             assert np.allclose(back.mat, r.mat, atol=1e-13)
-        op, _ = singer_thorpe_op((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        op = singer_thorpe_op((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         again = op_from_tensor(tensor_from_op(op))
         assert np.allclose(again.mat, op.mat, atol=1e-13)
 
@@ -141,7 +141,7 @@ class TestBianchiSplit:
         assert lam4.norm_sq() == pytest.approx(0.0, abs=1e-24)
 
     def test_split_st_ones_and_zeros(self):
-        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        op = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
         assert op.bianchi_certified is False
         rb, lam4 = bianchi_split(op)
         assert lam4.norm_sq() > 0.1
@@ -225,7 +225,7 @@ class TestBianchiSplit:
     def test_action_certificate_is_read_from_the_result(self):
         # so(4) kills the volume form, the whole alternating part at n = 4,
         # so every L.R is Bianchi even when R is not
-        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        op = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
         out = act_on_operator(SoElement(4, np.arange(1.0, 7.0)), op)
         assert op.bianchi_certified is False
         assert out.bianchi_certified is True
@@ -363,7 +363,7 @@ class TestDecompose:
     def test_rejects_small_dimension_and_non_bianchi(self):
         with pytest.raises(ValueError):
             decompose(identity_operator(2))
-        op, _ = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
+        op = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             decompose(op)
 
@@ -486,7 +486,7 @@ class TestSpectrum:
         # bit for bit
         rng = np.random.default_rng(14)
         mats = [random_sym_operator(rng, n).mat for n in (4, 4, 4)]
-        mats += [cp2_op().mat, singer_thorpe_op((-1.0, -1.0, 8.0, 2.0, 2.0, 2.0))[0].mat]
+        mats += [cp2_op().mat, singer_thorpe_op((-1.0, -1.0, 8.0, 2.0, 2.0, 2.0)).mat]
         mats = np.array(mats)
         vals, vecs = jacobi_eigh_batch(mats)
         for scale in (2.0 ** 540, 2.0 ** -540):

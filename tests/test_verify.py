@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from curvop import action, bochner, operators, verify
-from curvop.action import act_on_operator, curvature_term, hat_norm_sq, ric_of, so_act
+from curvop.action import act_on_operator, curvature_term, hat_norm_sq, inner, ric_of, so_act
 from curvop.bochner import TensorKind, _apply_rule, direct_term_check, estimate_constant
 from curvop.operators import (
     decompose,
@@ -18,7 +18,7 @@ from curvop.operators import (
     op_from_tensor,
     tensor_from_op,
 )
-from curvop.tensors import CurvTensor, Sym2, identity_sym2, inner, kulkarni_nomizu, permute
+from curvop.tensors import CurvTensor, Sym2, identity_sym2, kulkarni_nomizu, permute
 from curvop.verify import (
     SUITES,
     _SUITE_IDS,
@@ -737,6 +737,43 @@ def test_direct_checks_follow_the_tolerance():
     assert run_suite("lemma-2.1-soundness", trials=3, seed=42).passed
 
 
+def test_former_fixed_slacks_follow_the_tolerance():
+    # each of these compares at its suite's tolerance, which --tol sets, so
+    # a negative one fails them all
+    tags = {
+        "decompose": [("hat-identity", trial) for trial in range(3)],
+        "spectrum": [("conjugation", trial) for trial in range(3)],
+        "boundary-cases": [("neg-lowest", n, scale) for n in (4, 5, 6) for scale in (1.0, 2.5)],
+        "singer-thorpe": [("cp2-maximal", idx) for idx in range(6)]
+        + [("diagonal-bound", trial) for trial in range(3)],
+        "complex-sectional": [("cp2-isotropic",)],
+    }
+    assert sum(map(len, tags.values())) == 22
+    for name, suite_tags in tags.items():
+        failed = {f.digest for f in run_suite(name, trials=3, seed=42, tol=-1.0).failures}
+        assert {verify._digest(*tag) for tag in suite_tags} <= failed, name
+
+
+def _nudged(fn):
+    """fn with its result moved one ulp up."""
+    return lambda *args: float(np.nextafter(fn(*args), math.inf))
+
+
+def test_remark_term_is_exact(monkeypatch):
+    # both sides are -2592 bit for bit, so a term one ulp off fails
+    monkeypatch.setattr(verify, "curvature_term", _nudged(curvature_term))
+    failed = {f.digest for f in run_suite("boundary-cases").failures}
+    assert verify._digest("remark-term") in failed
+
+
+def test_real_pairs_are_exact(monkeypatch):
+    # e_i ^ e_j has one wedge coordinate, 1, so the complex sectional
+    # curvature of a real pair is the operator entry bit for bit
+    monkeypatch.setattr(verify, "complex_sectional", _nudged(verify.complex_sectional))
+    failed = {f.digest for f in run_suite("complex-sectional", trials=3, seed=42).failures}
+    assert {verify._digest("real-pair", trial) for trial in range(3)} <= failed
+
+
 def test_extremal_pform_catches_a_sign_flipped_action(monkeypatch):
     # the pairs are written for the library's sign convention, not built
     # through the action, so an action of the opposite sign fails L w1 = -p w2
@@ -860,7 +897,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "4995be423e43369447c39d0aeca2f00d1a7c651b27f2780770f9097c3833825b"
+FAILING_HASH = "a13304d4e72ad4527e1d716bdabfef516459618489fe665895ab8221705c92b8"
 
 
 def test_reports_are_pinned():
