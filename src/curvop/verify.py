@@ -5,10 +5,12 @@ per-trial generator is seeded by (seed, suite index, trial index), so runs
 are reproducible, order-independent, and identical whether trials run
 serially or in parallel.  The stream is that of numpy's
 default_rng(SeedSequence(entropy=seed, spawn_key=(suite index, trial
-index))); _trial_rng takes the pool of numpy's own SeedSequence(entropy=seed,
-spawn_key=(suite index,)), mixes the indices of a block of consecutive
-trials into it at once with numpy's hash and caches the blocks of seed
-words.  A suite is a stream of comparisons (tag, failing, lhs, rhs, tol),
+index))).  _seed_words takes the pool of numpy's own
+SeedSequence(entropy=seed, spawn_key=(suite index,)), mixes the indices of a
+block of consecutive trials into it at once with numpy's hash and caches the
+blocks of seed words; _trial_stream reads a run's generators straight off
+those blocks, one generator a row, and _trial_rng is its one-index case.
+A suite is a stream of comparisons (tag, failing, lhs, rhs, tol),
 as _closes, _at_mosts and _requires make them, and _record alone turns
 the failing ones into failures: a failure records a digest of its check
 tag (the check's name with the dimension and the trial or case that
@@ -17,18 +19,18 @@ violated comparison and the tolerance used.
 
 _SUITE_TABLE is the registry of the suites.  A suite's row says how it
 runs and holds its default trial count and default tolerance t, and its
-position is the suite index.  run_suite alone turns (name, seed, trials)
-into the suite's stream of (trial index, generator) pairs and derives the
-trial limit from the row: a suite takes one of the 2**32 trial indices a
-trial, a batched suite one a trial and n.  run_suite replaces tol=None by
-the default, and an explicit tol governs every comparison the suite makes
-at t: a suite has this one tolerance, and a claim that holds bit for bit
-is checked exactly, through _requires.  Two checks compare at min(t, s):
-the direct checks of lemma-2.1-soundness at s = 1e-10, the slack of
-bochner.direct_term_check, and complex-sectional's cp2-isotropic at
-s = 1e-12.  Three checks keep a fixed slack: singer-thorpe's
-diagonal-norm, and ode's fixed-point and time-reversal, whose literal
-bounds (1e-8, 1e-6) are their rhs at tolerance 0.
+position is the suite index.  run_suite alone checks (name, seed, trials)
+once, before the suite runs, turns them into the suite's stream of (trial
+index, generator) pairs and derives the trial limit from the row: a suite
+takes one of the 2**32 trial indices a trial, a batched suite one a trial
+and n.  run_suite replaces tol=None by the default, and an explicit tol
+governs every comparison the suite makes at t: a suite has this one
+tolerance, and a claim that holds bit for bit is checked exactly, through
+_requires.  Three checks compare at min(t, s): the direct checks of
+lemma-2.1-soundness at s = 1e-10, the slack of
+bochner.direct_term_check, complex-sectional's cp2-isotropic at
+s = 1e-12, and ode's fixed-point at s = 1e-8.  One check keeps a fixed
+slack: singer-thorpe's diagonal-norm.
 
 A row names either a body, a generator that walks the stream and yields
 its comparisons, or the (dims, draw, check) of a suite that one driver,
@@ -37,14 +39,16 @@ the j-th n is trial index j * trials + i, drawn from that index's
 generator alone, and each of its failing comparisons is tagged (check
 name, n, index + 1).  The draw function draws one trial from its
 generator, keeps only what the generator produced and names the shapes of
-its arrays; the check function symmetrizes the stacked draws that stand
+its arrays; it takes n as _batched checked it and checks nothing per
+trial.  The check function symmetrizes the stacked draws that stand
 for symmetric matrices and runs the suite's comparisons on the group
 through the stacked kernels of the kind table action._KINDS.  Groups are
 sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
-names as its item_bytes the largest array its check builds for the whole
-group, and a check builds the larger arrays of a trial a slice of the
-group at a time through _in_budget: lemma-2.1-soundness the block rows of
-its curvature kinds' operator matrices, N^3 entries a trial.  The failing
+names as its item_bytes what a trial adds to the arrays its check builds
+for the whole group, sized by the trial's own shapes, and a check builds
+the larger arrays of a trial a slice of the group at a time through
+_in_budget: lemma-2.1-soundness the block rows of its curvature kinds'
+operator matrices, N^3 entries a trial.  The failing
 comparisons come back ordered by trial index, then by the position of the
 check within the trial: as if each trial had been checked alone.
 
@@ -312,13 +316,37 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
+def _checked_seed(seed):
+    """seed as an int, or ValueError unless it is a non-negative integer."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _trial_stream(seed, suite_id, start, stop):
+    """(index, a generator drawing the stream of default_rng(SeedSequence(
+    entropy=seed, spawn_key=(suite_id, index)))) for each trial index
+    start <= index < stop in order, one generator a row of the cached
+    blocks of seed words.  Checks none of its arguments: run_suite and
+    _trial_rng check them first."""
+    generator = _generator_from_words()
+    for block in range(start // _BLOCK, -(-stop // _BLOCK)):
+        base = block * _BLOCK
+        lo, hi = max(start, base), min(stop, base + _BLOCK)
+        for index, words in zip(range(lo, hi), _seed_words(seed, suite_id, block)[lo - base:hi - base]):
+            yield index, generator(words)
+
+
 def _trial_rng(seed, suite_id, trial):
     """The generator of default_rng(SeedSequence(entropy=seed,
-    spawn_key=(suite_id, trial))), drawing the same stream."""
-    seed, suite_id, trial = _integer(seed, "seed"), _integer(suite_id, "suite id"), _integer(trial, "trial index")
+    spawn_key=(suite_id, trial))), drawing the same stream: the one-index
+    case of _trial_stream, its arguments checked."""
+    seed, suite_id, trial = _checked_seed(seed), _integer(suite_id, "suite id"), _integer(trial, "trial index")
     if not 0 <= trial < _TRIAL_LIMIT:
         raise ValueError(f"trial index {trial} is outside 0 <= index < 2**32")
-    return _generator_from_words()(_seed_words(seed, suite_id, trial // _BLOCK)[trial % _BLOCK])
+    ((_, rng),) = _trial_stream(seed, suite_id, trial, trial + 1)
+    return rng
 
 
 def _digest(*parts) -> str:
@@ -366,11 +394,14 @@ def _record(comparisons):
 
 # Bytes of the largest array a batched check may build.  The batched suites
 # size their groups of trials by it, which keeps their memory flat in the
-# trial count.  A draw's item_bytes is the largest array its check builds for
-# the whole group; a larger array of one trial, such as the block rows of
-# lemma-2.1-soundness's curvature operators (27 kB at n = 6), is built
-# through _in_budget a slice of the group at a time, each slice within the
-# budget, so that it does not shrink the group.  No suite builds the
+# trial count.  A draw's item_bytes is what one trial adds to the arrays its
+# check builds for the whole group, counted at that trial's own shapes, so a
+# group of small tensors holds more trials than one of (0,4)-tensors, not
+# more bytes (lemma-2.2 names each of its five cases' sizes).  A larger
+# array of one trial, such as the block rows of lemma-2.1-soundness's
+# curvature operators (27 kB at n = 6), is built through _in_budget a slice
+# of the group at a time, each slice within the budget, so that it does not
+# shrink the group.  No suite builds the
 # block rows of (0,4)-tensors, n^4 entries a block row: prop-1.9, prop-2.8
 # and the inequality suites take their curvature tensors on operator
 # coordinates, N^2 entries a block row.
@@ -423,19 +454,18 @@ def _batched(stream, trials, t, dims, draw, check):
                 index = indices[i]
                 found.append(((index, position), ((name, n, index + 1), True, lhs[i], rhs[i], tol)))
 
-    groups = {}
-    for index, rng in stream:
-        n_index, trial = divmod(index, trials)
-        n = dims[n_index]
-        key, item_bytes, item = draw(rng, n, trial, index)
-        group = groups.setdefault(key, [])
-        group.append((index, item))
-        if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
-            run(n, key, groups.pop(key))
-        if trial == trials - 1:
-            for key, group in groups.items():
-                run(n, key, group)
-            groups = {}
+    stream = iter(stream)
+    for n in dims:
+        groups = {}
+        # zip asks range first, so it takes no index of the next n
+        for trial, (index, rng) in zip(range(trials), stream):
+            key, item_bytes, item = draw(rng, n, trial, index)
+            group = groups.setdefault(key, [])
+            group.append((index, item))
+            if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
+                run(n, key, groups.pop(key))
+        for key, group in groups.items():
+            run(n, key, group)
     return [comparison for _, comparison in sorted(found, key=lambda entry: entry[0])]
 
 
@@ -461,6 +491,12 @@ _compact_norms = _KINDS[PForm].norm_sqs
 def _max_abs(values):
     """Largest absolute entry of each of stacked arrays."""
     return np.abs(values).max(axis=tuple(range(1, values.ndim)))
+
+
+def _pair_count(n):
+    """wedge_count(n) of an n that _batched has checked: the draws run once
+    a trial and check nothing."""
+    return n * (n - 1) // 2
 
 
 def _padded(comps, n):
@@ -645,7 +681,7 @@ def suite_tensor_core(stream, t):
 
 def _draw_prop_1_2(rng, n, trial, index):
     k = int(rng.integers(2, 5))
-    lam = rng.normal(size=wedge_count(n))
+    lam = rng.normal(size=_pair_count(n))
     tt = rng.normal(size=(n,) * k)
     # permuting the slots by sigma transposes by its inverse
     inverse = np.argsort(rng.permutation(k))
@@ -675,7 +711,7 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
 
 
 def _draw_prop_1_3(rng, n, trial, index):
-    lam = rng.normal(size=wedge_count(n))
+    lam = rng.normal(size=_pair_count(n))
     return None, 8 * n * n, (lam, rng.normal(size=(n, n)))
 
 
@@ -705,7 +741,8 @@ def suite_prop_1_6(stream, t):
 
 def _draw_prop_1_7(rng, n, trial, index):
     h = rng.normal(size=(n, n))
-    return None, 8 * wedge_count(n) * n * n, (h, rng.normal(size=wedge_count(n)))
+    size = _pair_count(n)
+    return None, 8 * size * n * n, (h, rng.normal(size=size))
 
 
 def _check_prop_1_7(t, n, key, raw, lam):
@@ -732,7 +769,7 @@ def _draw_prop_1_9(rng, n, trial, index):
     # p-forms and the curvature tensors of operator matrices; the operator
     # r, the symmetric tensors and the operators of the curvature tensors
     # are drawn as raw matrices, which the check symmetrizes
-    size = wedge_count(n)
+    size = _pair_count(n)
     r = rng.normal(size=(size, size))
     which = trial % 4
     if which in (0, 2):
@@ -783,7 +820,7 @@ def _draw_prop_2_8(rng, n, trial, index):
     w = _padded(rng.normal(size=math.comb(n, p)), n)
     # the largest array is the operator's block rows, N^3 entries for
     # N = wedge_count(n)
-    size = wedge_count(n)
+    size = _pair_count(n)
     return None, 8 * size ** 3, (h, p, w, rng.normal(size=(size, size)))
 
 
@@ -960,27 +997,31 @@ def suite_spectrum(stream, t):
 
 
 def _draw_lemma_2_2(rng, n, trial, index):
-    size = wedge_count(n)
+    size = _pair_count(n)
     lam = rng.normal(size=size)
     case = (index + 1) % 5
+    # the draws hold raw generator output, which the check symmetrizes.
+    # Each case names about the bytes a trial adds to its check's traced
+    # peak at n = 3..6, as a count of its trial's largest array: five
+    # (0,k)-tensors or n x n action matrices for case 0, six n x n tensors
+    # for case 1, four C(n, p) x C(n, p) action matrices for case 2, four
+    # (0,4)-tensors for case 3, whose tensor checks act on them, and sixteen
+    # operator matrices and n x n tensors for case 4.  So a full group of
+    # any case peaks no higher than one of case 3
     if case == 0:
         k = int(rng.integers(1, 5))
-        key, draw = (0, k), (rng.normal(size=(n,) * k),)
+        key, item_bytes, draw = (0, k), 5 * 8 * max(n ** k, n * n), (rng.normal(size=(n,) * k),)
     elif case == 1:
-        key, draw = (1, 0), (rng.normal(size=(n, n)),)
+        key, item_bytes, draw = (1, 0), 6 * 8 * n * n, (rng.normal(size=(n, n)),)
     elif case == 2:
         p = int(rng.integers(1, n))
-        key, draw = (2, p), (rng.normal(size=math.comb(n, p)),)
+        key, item_bytes, draw = (2, p), 4 * 8 * math.comb(n, p) ** 2, (rng.normal(size=math.comb(n, p)),)
     elif case == 3:
-        key, draw = (3, 0), (rng.normal(size=(size, size)),)
+        key, item_bytes, draw = (3, 0), 4 * 8 * n ** 4, (rng.normal(size=(size, size)),)
     else:
-        key, draw = (4, 0), (rng.normal(size=(n, n)), rng.normal(size=(size, size)))
-    # the draws hold raw generator output, which the check symmetrizes.  No
-    # array of a trial is larger than a (0,4)-tensor, and the check holds
-    # about four at once: case 3's action's values and results and the
-    # Bianchi residual of its values.  Case 4 holds only operator matrices,
-    # about a dozen N x N arrays a trial, which fit in the same size
-    return key, 4 * 8 * n ** 4, (lam,) + draw
+        raw = (rng.normal(size=(n, n)), rng.normal(size=(size, size)))
+        key, item_bytes, draw = (4, 0), 16 * 8 * (size * size + n * n), raw
+    return key, item_bytes, (lam,) + draw
 
 
 def _check_lemma_2_2(t, n, key, lam, values, raw=None):
@@ -1098,7 +1139,7 @@ def suite_estimate_constants(stream, t):
 
 
 def _draw_lemma_2_1(rng, n, trial, index):
-    size = wedge_count(n)
+    size = _pair_count(n)
     op = rng.normal(size=(size, size))
     # then the operator the two curvature kinds share, decomposed, and the
     # kinds in turn: a form and its margin, a symmetric tensor and its
@@ -1467,7 +1508,9 @@ def suite_ode(stream, t):
         center = math.sqrt((n - 2) / 2.0)
         fixed = integrate_warp_ode(n, center, 0.0, 1e-3, 3.0)
         drift = max(max(abs(x - center), abs(y)) for x, y in zip(fixed.x, fixed.y))
-        yield _at_mosts(("fixed-point", n), drift, 1e-8, 0.0)
+        # the fixed point stays put up to the RK4 step's rounding: compared
+        # with 0 at t, or 1e-8 when t is looser
+        yield _at_mosts(("fixed-point", n), drift, 0.0, min(t, 1e-8))
         yield _requires(("fixed-status", n), fixed.status == "ok")
         x0 = math.sqrt((n - 2) / 4.0)
         res = ode_shoot(n, x0, step=1e-3, t_max=30.0)
@@ -1488,7 +1531,7 @@ def suite_ode(stream, t):
     worst = 0.0
     for bx, by, fx, fy in zip(back.x, back.y, reversed(fwd.x), reversed(fwd.y)):
         worst = max(worst, abs(bx - fx), abs(by + fy))
-    yield _at_mosts(("time-reversal",), worst, 1e-6, 0.0)
+    yield _at_mosts(("time-reversal",), worst, 0.0, t)
     # fourth order convergence measured through the crossing radius
     def crossing_radius(h):
         return ode_shoot(4, math.sqrt(0.5), step=h, t_max=30.0).crossing[1]
@@ -1594,18 +1637,18 @@ def check_selection(names, trials=None):
 
 def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     """Run one suite and wrap the outcome in a report; trials and tol
-    default to the suite's own values in _SUITE_TABLE.  The suite's stream
-    yields (index, _trial_rng(seed, its suite index, index)) for each of its
-    trial indices in order."""
+    default to the suite's own values in _SUITE_TABLE.  The name, the trial
+    count and the seed, a non-negative integer, are checked before the
+    suite runs, whether it draws or not; the suite's stream is
+    _trial_stream(seed, its suite index, 0, its number of trial indices)."""
     check_selection([name], trials)
+    seed = _checked_seed(seed)
     runs, count, default_tol = SUITES[name]
     if trials is not None:
         count = _integer(trials, "trials")
     t = default_tol if tol is None else tol
     batched = not callable(runs)
-    sid = _SUITE_IDS[name]
-    indices = range(len(runs[0]) * count if batched else count)
-    stream = ((index, _trial_rng(seed, sid, index)) for index in indices)
+    stream = _trial_stream(seed, _SUITE_IDS[name], 0, len(runs[0]) * count if batched else count)
     start = time.perf_counter()
     # a body is a generator, which compares as _record consumes it
     failures = _record(_batched(stream, count, t, *runs) if batched else runs(stream, t))
@@ -1615,6 +1658,8 @@ def run_suite(name, trials=None, seed=42, tol=None) -> Report:
 
 def run_all(trials=None, seed=42, tol=None):
     """Run every suite in registry order; trials past any suite's trial
-    limit raise ValueError before the first suite runs."""
+    limit, and a seed that is not a non-negative integer, raise ValueError
+    before the first suite runs."""
     check_selection(SUITES, trials)
+    seed = _checked_seed(seed)
     return [run_suite(name, trials=trials, seed=seed, tol=tol) for name in SUITES]

@@ -74,6 +74,7 @@ SITES = {
     "_trial_rng-suite": ("suite id", lambda v: verify._trial_rng(42, v, 0), 3),
     "_trial_rng-trial": ("trial index", lambda v: verify._trial_rng(42, 0, v), 5),
     "check_selection": ("trials", lambda v: verify.check_selection(["prop-1.1"], v), 3),
+    "run_suite-seed": ("seed", lambda v: verify.run_suite("exact-values", seed=v), 42),
 }
 
 

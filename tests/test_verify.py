@@ -121,6 +121,42 @@ def assert_same_stream(seed, suite_id, trial):
     assert np.array_equal(a.normal(size=3), b.normal(size=3))
 
 
+def same_generator(a, b):
+    """Whether two generators stand at one state, compared without a draw."""
+    return a.bit_generator.state == b.bit_generator.state
+
+
+def reference_stream(seed, suite_id, start, stop):
+    """_trial_stream as numpy defines it, one index at a time."""
+    return ((index, reference_trial_rng(seed, suite_id, index)) for index in range(start, stop))
+
+
+def recorded_streams(monkeypatch):
+    """The trial indices that run_suite's streams hand out, in order, each
+    generator checked against numpy's for its index as it is handed out."""
+    stream, asked = verify._trial_stream, []
+
+    def recorded(seed, suite_id, start, stop):
+        for index, rng in stream(seed, suite_id, start, stop):
+            assert same_generator(rng, reference_trial_rng(seed, suite_id, index)), (suite_id, index)
+            asked.append(index)
+            yield index, rng
+
+    monkeypatch.setattr(verify, "_trial_stream", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("start, stop", [(0, 1), (0, 255), (0, 256), (0, 257), (0, 600), (255, 513)])
+def test_trial_stream_matches_seed_sequence(start, stop):
+    # one block of 256 seed words, one index short of it, exactly one, one
+    # index into the next, several, and a run that starts inside a block
+    sid = _SUITE_IDS["lemma-2.2"]
+    got = list(verify._trial_stream(7, sid, start, stop))
+    assert [index for index, _ in got] == list(range(start, stop))
+    for (index, rng), (_, want) in zip(got, reference_stream(7, sid, start, stop)):
+        assert same_generator(rng, want), index
+
+
 # block edges, both sides of index ten million, and the last index
 PINNED_TRIALS = (0, 1, 255, 256, 257, 9_999_999, 10_000_000, 10_000_256, 2 ** 32 - 1)
 
@@ -159,11 +195,18 @@ def test_trial_rng_rejects_bad_seeds_and_indices():
 
 
 def test_batched_suites_reject_trials_past_their_trial_indices(monkeypatch):
-    # a batched suite at k dimensions gives each trial k trial indices;
-    # run_all checks every suite before the first one runs
-    monkeypatch.setattr(verify, "_trial_rng", None)
+    # a batched suite at k dimensions gives each trial k trial indices, so
+    # at its trial limit its last index is below 2**32 and numpy's; run_all
+    # checks every suite before the first one runs, and no stream starts
+    limits = (("prop-1.1", 6), ("prop-2.8", 5), ("lemma-2.2", 4), ("lemma-2.1-soundness", 4))
+    for name, k in limits:
+        last, sid = k * (2 ** 32 // k) - 1, _SUITE_IDS[name]
+        ((index, rng),) = verify._trial_stream(42, sid, last, last + 1)
+        assert index == last < 2 ** 32
+        assert same_generator(rng, reference_trial_rng(42, sid, last)), name
+    monkeypatch.setattr(verify, "_trial_stream", None)
     monkeypatch.setattr(verify, "run_suite", None)
-    for name, k in (("prop-1.1", 6), ("prop-2.8", 5), ("lemma-2.2", 4), ("lemma-2.1-soundness", 4)):
+    for name, k in limits:
         with pytest.raises(ValueError, match=f"{name} takes at most {2 ** 32 // k} trials"):
             run_suite(name, trials=2 ** 32 // k + 1)
     with pytest.raises(ValueError, match="prop-1.1 takes at most"):
@@ -193,19 +236,14 @@ def test_trial_limits_follow_the_dims_of_each_batched_suite(monkeypatch):
 def test_each_batched_trial_draws_from_one_generator(monkeypatch):
     # trial index i of a batched suite draws from its own generator alone,
     # so each failure can be drawn again from the suite and its index
-    batched, trial_rng = verify._batched, verify._trial_rng
-    dims, asked = {}, []
+    batched, dims = verify._batched, {}
 
     def recorded_batched(stream, trials, t, suite_dims, *rest):
         dims[name] = len(suite_dims)
         return batched(stream, trials, t, suite_dims, *rest)
 
-    def recorded_rng(seed, suite_id, trial):
-        asked.append(trial)
-        return trial_rng(seed, suite_id, trial)
-
     monkeypatch.setattr(verify, "_batched", recorded_batched)
-    monkeypatch.setattr(verify, "_trial_rng", recorded_rng)
+    asked = recorded_streams(monkeypatch)
     for name in SUITES:
         asked.clear()
         run_suite(name, trials=3, seed=42)
@@ -216,24 +254,45 @@ def test_each_batched_trial_draws_from_one_generator(monkeypatch):
 
 def test_batched_suites_reject_dims_past_the_cap(monkeypatch, capsys):
     # the dims are checked before the first draw, and the command line
-    # prints the reason on one error line
+    # prints the reason on one error line; at the cap the suite draws
     from curvop.cli import main
 
-    monkeypatch.setattr(verify, "_trial_rng", None)
+    asked = recorded_streams(monkeypatch)
     (_, draw, check), trials, tol = SUITES["lemma-2.2"]
     monkeypatch.setitem(SUITES, "lemma-2.2", (((9,), draw, check), trials, tol))
     with pytest.raises(ValueError, match="dimension 9 exceeds the cap 8"):
         run_suite("lemma-2.2", trials=5)
     assert main(["verify", "--suite", "lemma-2.2", "--trials", "5"]) == 1
     assert capsys.readouterr().err == "error: dimension 9 exceeds the cap 8\n"
+    assert asked == []
+    monkeypatch.setitem(SUITES, "lemma-2.2", (((8,), draw, check), trials, tol))
+    assert run_suite("lemma-2.2", trials=5).passed
+    assert asked == list(range(5))
 
 
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suite_draws_match_numpy_streams(name, monkeypatch):
     # a negative tolerance records both sides of every comparison it governs
     got = run_suite(name, trials=3, seed=42, tol=-1.0).failures
-    monkeypatch.setattr(verify, "_trial_rng", reference_trial_rng)
+    monkeypatch.setattr(verify, "_trial_stream", reference_stream)
     assert got == run_suite(name, trials=3, seed=42, tol=-1.0).failures
+
+
+@pytest.mark.parametrize("name", ["exact-values", "ode", "boundary-cases"])
+def test_suites_that_never_draw_check_the_seed(name):
+    # the seed is checked once a run, before the suite runs, whether the
+    # suite draws or not, so a bad one is neither run nor echoed
+    for seed in (1.5, -3, True, "7"):
+        with pytest.raises(ValueError, match="^seed must be (an|a non-negative) integer, got "):
+            run_suite(name, seed=seed)
+
+
+def test_run_all_checks_the_seed_before_any_suite(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda name, **options: ran.append(name))
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        run_all(seed=-3)
+    assert ran == []
 
 
 # -- the batched suites against per-trial references ---------------------------
@@ -600,6 +659,50 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     calls = counted_checks(monkeypatch, "prop-1.9")
     assert run_suite("prop-1.9", trials=40, seed=42).passed
     assert [size for n, (which, _), size in calls if n == 7 and which == 3] == [7, 3]
+    # lemma-2.2 sizes each case by its own shapes: at 400 trials per n its
+    # symmetric tensors, and its forms of each degree, take one group per n
+    calls = counted_checks(monkeypatch, "lemma-2.2")
+    assert run_suite("lemma-2.2", trials=400, seed=42).passed
+    assert sum(size for *_, size in calls) == 4 * 400
+    for case in (1, 2):
+        keys = [(n, key) for n, key, _ in calls if key[0] == case]
+        assert len(keys) == len(set(keys)), case
+
+
+def traced_peak(fn, *args):
+    """The traced peak of fn(*args), after one untraced call that fills the
+    caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lemma_2_2_groups_peak_no_higher_than_case_3():
+    # every key's full group at n = 6, as many trials as _batched gathers at
+    # the key's item_bytes, peaks within 10 % of a full group of case 3, the
+    # largest trials: a group of small tensors holds more trials, not more bytes
+    (_, draw, check), _, tol = SUITES["lemma-2.2"]
+    n, items, full = 6, {}, {}
+    for index, rng in verify._trial_stream(1, _SUITE_IDS["lemma-2.2"], 0, 20_000):
+        key, item_bytes, item = draw(rng, n, index, index)
+        full[key] = verify._CHUNK_BYTES // item_bytes
+        group = items.setdefault(key, [])
+        if len(group) < full[key]:
+            group.append(item)
+
+    def run(key, group):
+        return check(tol, n, key, *map(np.array, zip(*group)))
+
+    assert len(items[(3, 0)]) == 12
+    ceiling = 1.1 * traced_peak(run, (3, 0), items[(3, 0)])
+    assert len(items) == 4 + 1 + (n - 1) + 1 + 1
+    for key, group in items.items():
+        assert len(group) == full[key], key
+        assert traced_peak(run, key, group) <= ceiling, key
 
 
 @pytest.mark.parametrize("name", ["prop-2.8", "prop-1.9", "lemma-2.1-soundness"])
@@ -738,8 +841,8 @@ def test_direct_checks_follow_the_tolerance():
 
 
 def test_former_fixed_slacks_follow_the_tolerance():
-    # each of these compares at its suite's tolerance, which --tol sets, so
-    # a negative one fails them all
+    # each of these compares at its suite's tolerance, which --tol sets (ode's
+    # fixed-point at min(t, 1e-8)), so a negative one fails them all
     tags = {
         "decompose": [("hat-identity", trial) for trial in range(3)],
         "spectrum": [("conjugation", trial) for trial in range(3)],
@@ -747,8 +850,9 @@ def test_former_fixed_slacks_follow_the_tolerance():
         "singer-thorpe": [("cp2-maximal", idx) for idx in range(6)]
         + [("diagonal-bound", trial) for trial in range(3)],
         "complex-sectional": [("cp2-isotropic",)],
+        "ode": [("fixed-point", n) for n in range(4, 9)] + [("time-reversal",)],
     }
-    assert sum(map(len, tags.values())) == 22
+    assert sum(map(len, tags.values())) == 28
     for name, suite_tags in tags.items():
         failed = {f.digest for f in run_suite(name, trials=3, seed=42, tol=-1.0).failures}
         assert {verify._digest(*tag) for tag in suite_tags} <= failed, name
@@ -897,7 +1001,7 @@ def reports_hash(reports):
 
 # reports_hash of run_all(trials=3, seed=42), with and without tol=-1.0
 DEFAULT_HASH = "190b4388ce16c6f7936fabc1a63ee42fc5a8901ab788da37e2d66f4459e8dac5"
-FAILING_HASH = "a13304d4e72ad4527e1d716bdabfef516459618489fe665895ab8221705c92b8"
+FAILING_HASH = "60f746395afc7cd3cb6902529321c43e356433581cdaded9e8050f4d4ead8dff"
 
 
 def test_reports_are_pinned():
