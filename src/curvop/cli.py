@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -293,8 +294,20 @@ def cmd_ode(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form, such
+    as -1e-3, as a value: argparse (Python 3.10 to 3.13) takes only forms
+    like -1 and -0.5 for numbers, and -1e-3 for an unknown option.  Its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus, an optional point and a digit start a number
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvop",
         description="Curvature operator algebra: verification suites, example "
         "catalog, spectra, eigenvalue-sum verdicts, warped profiles.",

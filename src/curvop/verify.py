@@ -38,10 +38,20 @@ _batched, checks in batches at each n of dims.  Such a suite's trial i at
 the j-th n is trial index j * trials + i, drawn from that index's
 generator alone, and each of its failing comparisons is tagged (check
 name, n, index + 1).  The draw function draws one trial from its
-generator, keeps only what the generator produced and names the shapes of
-its arrays; it takes n as _batched checked it and checks nothing per
-trial.  The check function symmetrizes the stacked draws that stand
-for symmetric matrices and runs the suite's comparisons on the group
+generator into one float row, allocated once (zeroed where a form is
+padded) and filled with the fewest generator calls the stream allows:
+consecutive normal draws as one standard_normal call into a slice of the
+row, a margin's coin as random(), and the trial's few integers (an
+order, a degree, a permutation) as exact floats in the row.  The values
+are those of the field-by-field calls normal and uniform: joining
+consecutive normal calls keeps the stream, random() is uniform() bit for
+bit, and standard_normal is normal(0, 1) but for an exact -0.0, which
+normal's 0.0 + 1.0 * z turns into +0.0 (about once in 2**53 draws).  The
+draw takes n as _batched checked it, checks nothing per trial and names
+the key of the row's shapes.  The check function takes the group's rows
+as one stacked array, slices and reshapes them once into its fields
+(_fields, views with no copy), symmetrizes the draws that stand for
+symmetric matrices and runs the suite's comparisons on the group
 through the stacked kernels of the kind table action._KINDS.  Groups are
 sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
 names as its item_bytes what a trial adds to the arrays its check builds
@@ -419,34 +429,33 @@ def _batched(stream, trials, t, dims, draw, check):
 
     Trial i at the j-th n of dims is the suite's trial index j * trials + i,
     and stream yields (index, its generator) for every index in order;
-    draw(the generator, n, i, index) returns its (key, item_bytes, arrays).
-    The arrays hold what the generator produced, a normal matrix as
-    rng.normal gave it: the check takes the symmetric parts of a stack
-    with _symmetrized once, which has the bits of each trial's
-    (a + a^T) / 2.  The key names the shapes of the arrays, and nothing
-    else: what varies from trial to trial but keeps the shapes, a
-    permutation or a form's degree in zero-padded coordinates, travels as
-    one more array.
+    draw(the generator, n, i, index) returns its (key, item_bytes, row).
+    The row is one 1-D float array holding what the generator produced,
+    field after field, a normal matrix as standard_normal gave it: the
+    check takes the symmetric parts of a stack with _symmetrized once,
+    which has the bits of each trial's (a + a^T) / 2.  The key names the
+    row's layout, and nothing else: what varies from trial to trial but
+    keeps the layout, a permutation or a form's degree, travels in the
+    row as exact floats, and a form of any degree ends a zeroed slot.
     item_bytes is the size per trial of the largest array the check builds
     for the whole group, and the check builds a larger one through
     _in_budget.  The trials of a key gather in a group while one more fits
     in _CHUNK_BYTES at item_bytes each, and until n changes; check(t, n,
-    key, *arrays stacked over the group) returns the group's comparisons in
-    check order, as (name, failing, lhs, rhs, tol) of stacks.  The failing
-    trials' comparisons, tagged (name, n, index + 1), come back by trial
-    index, then by check position, as if each trial had been checked
-    alone: each one names the suite's trial index whose generator alone
-    drew it.  Raises ValueError before the first draw when an n of dims is
-    outside check_dimension's range.
+    key, the group's rows stacked into one array) returns the group's
+    comparisons in check order, as (name, failing, lhs, rhs, tol) of
+    stacks.  The failing trials' comparisons, tagged (name, n, index + 1),
+    come back by trial index, then by check position, as if each trial
+    had been checked alone: each one names the suite's trial index whose
+    generator alone drew it.  Raises ValueError before the first draw when
+    an n of dims is outside check_dimension's range.
     """
     for n in dims:
         check_dimension(n)
     found = []
 
     def run(n, key, group):
-        indices, items = zip(*group)
-        stacks = map(np.array, zip(*items))
-        for position, (name, failing, lhs, rhs, tol) in enumerate(check(t, n, key, *stacks)):
+        indices, rows = zip(*group)
+        for position, (name, failing, lhs, rhs, tol) in enumerate(check(t, n, key, np.array(rows))):
             if not failing.any():
                 continue
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
@@ -459,9 +468,9 @@ def _batched(stream, trials, t, dims, draw, check):
         groups = {}
         # zip asks range first, so it takes no index of the next n
         for trial, (index, rng) in zip(range(trials), stream):
-            key, item_bytes, item = draw(rng, n, trial, index)
+            key, item_bytes, row = draw(rng, n, trial, index)
             group = groups.setdefault(key, [])
-            group.append((index, item))
+            group.append((index, row))
             if (len(group) + 1) * item_bytes > _CHUNK_BYTES:
                 run(n, key, groups.pop(key))
         for key, group in groups.items():
@@ -499,23 +508,37 @@ def _pair_count(n):
     return n * (n - 1) // 2
 
 
-def _padded(comps, n):
-    """A p-form's coordinates zero-padded to C(n, n // 2), the most any
-    degree has, so that forms of every degree stack together."""
-    out = np.zeros(math.comb(n, n // 2))
-    out[:len(comps)] = comps
-    return out
+def _fields(rows, *shapes):
+    """The fields of stacked draw rows, consecutive from the start of each
+    row, each of the given shape per row and stacked over the rows: a view
+    of the rows, no copy.  A shape of () is a number a row."""
+    fields, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        fields.append(rows[:, start:start + size].reshape((len(rows),) + shape))
+        start += size
+    return fields
 
 
-def _by_degree(n, degrees, *forms):
-    """For each degree p among stacked zero-padded forms: p, the positions
-    of the forms of degree p, and each of forms at those positions cut to
-    their C(n, p) coordinates."""
+def _slot(n, count=1):
+    """The row entries of a slot for count forms of one degree below n:
+    count times C(n, n // 2), the most coordinates any degree has, so that
+    the rows of forms of every degree have one length."""
+    return count * math.comb(n, n // 2)
+
+
+def _by_degree(n, degrees, slots, count=1):
+    """For each degree p among stacked form slots: p, the positions of the
+    slots of degree p, and the count forms each of those slots ends with,
+    cut to their C(n, p) coordinates.  The degrees are a row's exact
+    floats; a slot is zero before its forms."""
     # not np.unique, whose first call imports numpy.ma: 1.7 MB of resident
     # memory for a handful of small integers
+    degrees = degrees.astype(np.intp)
     for p in sorted(set(degrees.tolist())):
-        picked = np.flatnonzero(degrees == p)
-        yield p, picked, [values[picked, :math.comb(n, p)] for values in forms]
+        picked, size = np.flatnonzero(degrees == p), math.comb(n, p)
+        forms = slots[picked, slots.shape[1] - count * size:]
+        yield p, picked, [forms[:, i * size:(i + 1) * size] for i in range(count)]
 
 
 def _bianchi_decompose(raw, n):
@@ -640,11 +663,12 @@ def suite_exact_values(stream, t):
 
 def _draw_prop_1_1(rng, n, trial, index):
     # the product with the metric is the largest array
-    return None, 8 * n ** 4, (rng.normal(size=(n, n)),)
+    return None, 8 * n ** 4, rng.standard_normal(n * n)
 
 
-def _check_prop_1_1(t, n, key, raw):
+def _check_prop_1_1(t, n, key, rows):
     """Kulkarni-Nomizu norm identity on random symmetric tensors."""
+    (raw,) = _fields(rows, (n, n))
     h = _symmetrized(raw)
     lhs = _dense_norms(_tensors_from_ops(_kn(np.eye(n), h), n))
     trace = np.trace(h, axis1=1, axis2=2)
@@ -680,12 +704,15 @@ def suite_tensor_core(stream, t):
 
 
 def _draw_prop_1_2(rng, n, trial, index):
+    # the row: lam, the (0,k)-tensor, the two symmetric draws, then the
+    # slot permutation sigma, drawn between the tensor and the symmetric ones
     k = int(rng.integers(2, 5))
-    lam = rng.normal(size=_pair_count(n))
-    tt = rng.normal(size=(n,) * k)
-    # permuting the slots by sigma transposes by its inverse
-    inverse = np.argsort(rng.permutation(k))
-    return k, 8 * n ** 4, (lam, tt, inverse, rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+    head = _pair_count(n) + n ** k
+    row = np.empty(head + 2 * n * n + k)
+    rng.standard_normal(out=row[:head])
+    row[-k:] = rng.permutation(k)
+    rng.standard_normal(out=row[head:-k])
+    return k, 8 * n ** 4, row
 
 
 def _transposed(values, axes):
@@ -693,9 +720,12 @@ def _transposed(values, axes):
     return np.stack([value.transpose(order) for value, order in zip(values, axes)])
 
 
-def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
+def _check_prop_1_2(t, n, k, rows):
     """The action commutes with slot permutations; Leibniz rule for KN."""
+    lam, tt, s, u, sigma = _fields(rows, (_pair_count(n),), (n,) * k, (n, n), (n, n), (k,))
     s, u = _symmetrized(s), _symmetrized(u)
+    # permuting the slots by sigma transposes by its inverse
+    inverse = np.argsort(sigma, axis=1)
     left = _KINDS[Tensor0k].acted(lam, _transposed(tt, inverse), n, k)
     right = _transposed(_KINDS[Tensor0k].acted(lam, tt, n, k), inverse)
     # the products on operator coordinates, where the action commutes with
@@ -711,13 +741,14 @@ def _check_prop_1_2(t, n, k, lam, tt, inverse, s, u):
 
 
 def _draw_prop_1_3(rng, n, trial, index):
-    lam = rng.normal(size=_pair_count(n))
-    return None, 8 * n * n, (lam, rng.normal(size=(n, n)))
+    # the row: lam, then the symmetric draw
+    return None, 8 * n * n, rng.standard_normal(_pair_count(n) + n * n)
 
 
-def _check_prop_1_3(t, n, key, lam, raw):
+def _check_prop_1_3(t, n, key, rows):
     """The action of so(n) on symmetric tensors is trace free; the metric is
     killed outright."""
+    lam, raw = _fields(rows, (_pair_count(n),), (n, n))
     h = _symmetrized(raw)
     metric = np.broadcast_to(np.eye(n), h.shape)
     return [
@@ -740,14 +771,15 @@ def suite_prop_1_6(stream, t):
 
 
 def _draw_prop_1_7(rng, n, trial, index):
-    h = rng.normal(size=(n, n))
+    # the row: the symmetric draw, then lam
     size = _pair_count(n)
-    return None, 8 * size * n * n, (h, rng.normal(size=size))
+    return None, 8 * size * n * n, rng.standard_normal(n * n + size)
 
 
-def _check_prop_1_7(t, n, key, raw, lam):
+def _check_prop_1_7(t, n, key, rows):
     """Action norm on symmetric tensors in an eigenbasis, its sharp bound,
     and the hat norm identity."""
+    raw, lam = _fields(rows, (n, n), (_pair_count(n),))
     h = _symmetrized(raw)
     vals, vecs = np.linalg.eigh(h)
     lhs = _dense_norms(_KINDS[Sym2].acted(lam, h, n))
@@ -768,32 +800,40 @@ def _draw_prop_1_9(rng, n, trial, index):
     # trials take the kinds in turn: (0,k)-tensors, symmetric tensors,
     # p-forms and the curvature tensors of operator matrices; the operator
     # r, the symmetric tensors and the operators of the curvature tensors
-    # are drawn as raw matrices, which the check symmetrizes
+    # are drawn as raw matrices, which the check symmetrizes.  The row: r,
+    # then s and u, m entries each; the largest array is the block rows of
+    # s, N^3 entries for the curvature kind's operator matrices
     size = _pair_count(n)
-    r = rng.normal(size=(size, size))
     which = trial % 4
-    if which in (0, 2):
-        degree = int(rng.integers(1, 4 if which == 0 else n))
-        shape = (n,) * degree if which == 0 else math.comb(n, degree)
-    else:
-        degree = 0
-        shape = (n if which == 1 else size,) * 2
-    s, u = rng.normal(size=shape), rng.normal(size=shape)
-    # the largest array is the block rows of s, N^3 entries for the
-    # curvature kind's operator matrices
-    item_bytes = 8 * size * s.size
-    if which == 2:
-        # forms of every degree share a group, their degrees alongside
-        s, u = _padded(s, n), _padded(u, n)
-        return (which, 0), item_bytes, (r, s, u, degree)
-    return (which, degree), item_bytes, (r, s, u)
+    if which in (1, 3):
+        m = (n if which == 1 else size) ** 2
+        return (which, 0), 8 * size * m, rng.standard_normal(size * size + 2 * m)
+    if which == 0:
+        r = rng.standard_normal(size * size)
+        k = int(rng.integers(1, 4))
+        return (0, k), 8 * size * n ** k, np.concatenate((r, rng.standard_normal(2 * n ** k)))
+    # forms of every degree share a group: s and u end a slot, and the
+    # degree ends the row
+    row = np.zeros(size * size + _slot(n, 2) + 1)
+    rng.standard_normal(out=row[:size * size])
+    p = int(rng.integers(1, n))
+    m = math.comb(n, p)
+    rng.standard_normal(out=row[-1 - 2 * m:-1])
+    row[-1] = p
+    return (2, 0), 8 * size * m, row
 
 
-def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
+def _check_prop_1_9(t, n, key, rows):
     """Self-adjointness: the Ricci pairing equals the curvature term for
     every supported tensor kind."""
     which, k = key
-    r = _symmetrized(r)
+    size = _pair_count(n)
+    if which == 2:
+        raw, slots, degrees = _fields(rows, (size, size), (_slot(n, 2),), ())
+    else:
+        shape = ((n,) * k, (n, n), None, (size, size))[which]
+        raw, s, u = _fields(rows, (size, size), shape, shape)
+    r = _symmetrized(raw)
     if which in (1, 3):
         s, u = _symmetrized(s), _symmetrized(u)
     # the curvature tensors on operator coordinates: Ric_R commutes with
@@ -801,7 +841,7 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
     # sides are 4 times their values on the operator matrices
     kind = _KINDS[(Tensor0k, Sym2, PForm, CurvatureOperator)[which]]
     scale = 4.0 if which == 3 else 1.0
-    parts = _by_degree(n, degrees, s, u) if which == 2 else [(k, slice(None), (s, u))]
+    parts = _by_degree(n, degrees, slots, 2) if which == 2 else [(k, slice(None), (s, u))]
     lhs, rhs = np.empty((2, len(r)))
     for degree, picked, (values_s, values_u) in parts:
         mats = r[picked]
@@ -815,22 +855,29 @@ def _check_prop_1_9(t, n, key, r, s, u, degrees=None):
 
 
 def _draw_prop_2_8(rng, n, trial, index):
-    h = rng.normal(size=(n, n))
+    # the row: the symmetric draw, the form's slot, the operator's draw and
+    # the form's degree.  The form ends its slot, so that it and the
+    # operator, drawn next, are one call
+    size, head = _pair_count(n), n * n + _slot(n)
+    row = np.zeros(head + size * size + 1)
+    rng.standard_normal(out=row[:n * n])
     p = int(rng.integers(1, n))
-    w = _padded(rng.normal(size=math.comb(n, p)), n)
+    rng.standard_normal(out=row[head - math.comb(n, p):-1])
+    row[-1] = p
     # the largest array is the operator's block rows, N^3 entries for
     # N = wedge_count(n)
-    size = _pair_count(n)
-    return None, 8 * size ** 3, (h, p, w, rng.normal(size=(size, size)))
+    return None, 8 * size ** 3, row
 
 
-def _check_prop_2_8(t, n, key, raw_h, degrees, forms, raw):
+def _check_prop_2_8(t, n, key, rows):
     """Identity-operator Ricci curvature on symmetric tensors, forms, and
     curvature tensors, with the hat-norm consequences."""
+    size = _pair_count(n)
+    raw_h, slots, raw, degrees = _fields(rows, (n, n), (_slot(n),), (size, size), ())
     h = _symmetrized(raw_h)
     ric_h, _ = _KINDS[Sym2].rics(None, h, n)
     form_gap, form_hat, form_want = np.empty((3, len(h)))
-    for p, picked, (w,) in _by_degree(n, degrees, forms):
+    for p, picked, (w,) in _by_degree(n, degrees, slots):
         ric_w, rows_w = _KINDS[PForm].rics(None, w, n, p)
         form_gap[picked] = _max_abs(ric_w - p * (n - p) * w)
         form_hat[picked] = _hat_norms_consuming(rows_w)
@@ -998,36 +1045,45 @@ def suite_spectrum(stream, t):
 
 def _draw_lemma_2_2(rng, n, trial, index):
     size = _pair_count(n)
-    lam = rng.normal(size=size)
     case = (index + 1) % 5
-    # the draws hold raw generator output, which the check symmetrizes.
-    # Each case names about the bytes a trial adds to its check's traced
-    # peak at n = 3..6, as a count of its trial's largest array: five
-    # (0,k)-tensors or n x n action matrices for case 0, six n x n tensors
-    # for case 1, four C(n, p) x C(n, p) action matrices for case 2, four
-    # (0,4)-tensors for case 3, whose tensor checks act on them, and sixteen
-    # operator matrices and n x n tensors for case 4.  So a full group of
-    # any case peaks no higher than one of case 3
+    # the row: lam, then the case's draws, raw generator output, which the
+    # check symmetrizes; cases 0 and 2 draw an order or degree between.
+    # Each case names at least the bytes a trial adds to its check's traced
+    # peak at n = 3..6, stacking included, as a count of its trial's
+    # largest arrays: six (0,k)-tensors or n x n action matrices for case
+    # 0, seven n x n tensors for case 1, four C(n, p) x C(n, p) action
+    # matrices and n-vectors for case 2, 4.375 (0,4)-tensors and 2 kB for
+    # case 3, whose tensor checks act on them, and sixteen operator
+    # matrices and n x n tensors for case 4.  So a full group of any case
+    # peaks at most _CHUNK_BYTES above a group of one trial; case 3's 2 kB
+    # covers what its first few trials add beyond that (43 n^4 bytes a
+    # trial up to 5 trials at n = 6, 34 n^4 at 80)
     if case == 0:
+        lam = rng.standard_normal(size)
         k = int(rng.integers(1, 5))
-        key, item_bytes, draw = (0, k), 5 * 8 * max(n ** k, n * n), (rng.normal(size=(n,) * k),)
-    elif case == 1:
-        key, item_bytes, draw = (1, 0), 6 * 8 * n * n, (rng.normal(size=(n, n)),)
-    elif case == 2:
+        return (0, k), 6 * 8 * max(n ** k, n * n), np.concatenate((lam, rng.standard_normal(n ** k)))
+    if case == 2:
+        lam = rng.standard_normal(size)
         p = int(rng.integers(1, n))
-        key, item_bytes, draw = (2, p), 4 * 8 * math.comb(n, p) ** 2, (rng.normal(size=math.comb(n, p)),)
-    elif case == 3:
-        key, item_bytes, draw = (3, 0), 4 * 8 * n ** 4, (rng.normal(size=(size, size)),)
-    else:
-        raw = (rng.normal(size=(n, n)), rng.normal(size=(size, size)))
-        key, item_bytes, draw = (4, 0), 16 * 8 * (size * size + n * n), raw
-    return key, item_bytes, (lam,) + draw
+        m = math.comb(n, p)
+        return (2, p), 4 * 8 * (m * m + n), np.concatenate((lam, rng.standard_normal(m)))
+    if case == 1:
+        return (1, 0), 7 * 8 * n * n, rng.standard_normal(size + n * n)
+    if case == 3:
+        return (3, 0), 35 * n ** 4 + 2048, rng.standard_normal(size + size * size)
+    return (4, 0), 16 * 8 * (size * size + n * n), rng.standard_normal(size + n * n + size * size)
 
 
-def _check_lemma_2_2(t, n, key, lam, values, raw=None):
+def _check_lemma_2_2(t, n, key, rows):
     """Action-norm inequalities for every tensor kind, including both KN
     corollary forms.  Trials are grouped by case and by order or degree."""
     case, degree = key
+    size = _pair_count(n)
+    if case == 4:
+        lam, values, raw = _fields(rows, (size,), (n, n), (size, size))
+    else:
+        shape = ((n,) * degree, (n, n), (math.comb(n, degree),), (size, size))[case]
+        lam, values = _fields(rows, (size,), shape)
     lam_sq = _compact_norms(lam)
     g = np.eye(n)
     if case in (1, 3, 4):
@@ -1139,34 +1195,40 @@ def suite_estimate_constants(stream, t):
 
 
 def _draw_lemma_2_1(rng, n, trial, index):
+    # the row: the operator, then the operator the two curvature kinds
+    # share, decomposed, and the kinds in turn: a form, ending its slot, and
+    # its margin, a symmetric tensor and its margin, then the margins of
+    # the two curvature kinds; the form's degree ends the row
     size = _pair_count(n)
-    op = rng.normal(size=(size, size))
-    # then the operator the two curvature kinds share, decomposed, and the
-    # kinds in turn: a form and its margin, a symmetric tensor and its
-    # margin, then the margins of the two curvature kinds
-    shared = rng.normal(size=(size, size))
+    ops, form_end = 2 * size * size, 2 * size * size + _slot(n)
+    row = np.zeros(form_end + n * n + 5)
+    rng.standard_normal(out=row[:ops])
     p = int(rng.integers(1, n))
-    form = _padded(rng.normal(size=math.comb(n, p)), n)
-    margins = [_margin(rng)]
-    sym = rng.normal(size=(n, n))
-    margins += [_margin(rng), _margin(rng), _margin(rng)]
+    rng.standard_normal(out=row[form_end - math.comb(n, p):form_end])
+    row[-5] = _margin(rng)
+    rng.standard_normal(out=row[form_end:-5])
+    row[-4:-1] = _margin(rng), _margin(rng), _margin(rng)
+    row[-1] = p
     # a symmetric tensor's block rows outgrow the operator matrix and its
     # eigenvalues, and every other array built for the whole group; the
     # curvature kinds' block rows on operator coordinates come through
     # _in_budget in _curvature_terms
-    return None, 8 * size * n * n, (op, shared, p, form, sym, np.array(margins))
+    return None, 8 * size * n * n, row
 
 
-def _check_lemma_2_1(t, n, key, raw, shared, degrees, forms, raw_syms, margins):
+def _check_lemma_2_1(t, n, key, rows):
     """Whenever the eigenvalue-average verdict holds at the kind's constant,
     the direct curvature-term bound holds too, including the quantitative
     positive case."""
+    size = _pair_count(n)
+    raw, shared, slots, raw_syms, margins, degrees = _fields(
+        rows, (size, size), (size, size), (_slot(n),), (n, n), (4,), ())
     sym_ops, syms = _symmetrized(raw), _symmetrized(raw_syms)
     ops = sym_ops - _alternating_parts(sym_ops, n)
     vals = np.linalg.eigvalsh(ops)
     every = slice(None)
     kinds, terms = [], []
-    for p, picked, (form,) in _by_degree(n, degrees, forms):
+    for p, picked, (form,) in _by_degree(n, degrees, slots):
         kinds.append((TensorKind.pform(p), picked))
         terms.append(_direct_terms(ops[picked], form, n, _KINDS[PForm], p))
     kinds += [(TensorKind.sym2(), every), (TensorKind.curvature_einstein(), every), (TensorKind.weyl(), every)]
@@ -1218,7 +1280,7 @@ def _curvature_terms(ops, shared, n):
 
 def _margin(rng):
     """The slack below the certified average: |normal| half of the time."""
-    return abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
+    return abs(rng.standard_normal()) if rng.random() < 0.5 else 0.0
 
 
 def suite_boundary_cases(stream, t):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -729,6 +730,47 @@ class TestUsage:
         assert message in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1, err
+
+    # every float flag, in a command that reads it
+    FLOAT_FLAGS = {
+        "--tol": ("verify", "--suite", "exact-values"),
+        "--lambda": ("catalog", "--name", "example-4.7", "--n", "6"),
+        "--K": ("catalog", "--name", "remark-3.6", "--n", "4", "--K1n", "1"),
+        "--K1n": ("catalog", "--name", "remark-3.6", "--n", "4", "--K", "1"),
+        "--kappa": ("bochner", "cp2.json", "--kind", "pform", "--p", "2"),
+        "--diameter": ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--c-const", "1"),
+        "--c-const": ("bochner", "cp2.json", "--kind", "pform", "--p", "2", "--kappa=-1", "--diameter", "1"),
+        "--amp": ("warped", "--p", "2", "--q", "2", "--samples", "3"),
+        "--center": ("warped", "--p", "2", "--q", "2", "--samples", "3"),
+        "--width": ("warped", "--p", "2", "--q", "2", "--samples", "3"),
+        "--x0": ("ode", "--n", "4", "--step", "1e-2", "--tmax", "1"),
+        "--step": ("ode", "--n", "4", "--x0", "0.5", "--tmax", "1"),
+        "--tmax": ("ode", "--n", "4", "--x0", "0.5", "--step", "1e-2"),
+    }
+
+    def test_float_flags_are_listed(self):
+        from curvop.cli import build_parser
+
+        (commands,) = [action.choices for action in build_parser()._actions if action.choices]
+        flags = {flag for parser in commands.values() for action in parser._actions
+                 if action.type is float for flag in action.option_strings}
+        assert flags == set(self.FLOAT_FLAGS)
+
+    @pytest.mark.parametrize("flag", list(FLOAT_FLAGS))
+    def test_negative_exponent_values_reach_every_float_flag(self, capsys, monkeypatch, tmp_path, flag):
+        # argparse (Python 3.10 to 3.13) takes -1e-3 for an option, where
+        # --flag=-1e-3 and --flag -0.001 pass
+        dump_operator(tmp_path / "cp2.json", curvop.cp2_op())
+        monkeypatch.chdir(tmp_path)
+
+        def outcome(*value):
+            code, out, err = run(capsys, *self.FLOAT_FLAGS[flag], *value)
+            return code, re.sub(r'"wall-time": [^,}]*', "", out), err
+
+        want = outcome(f"{flag}=-1e-3")
+        assert "expected one argument" not in want[2]
+        assert outcome(flag, "-1e-3") == want
+        assert outcome(flag, "-2E+0") == outcome(f"{flag}=-2E+0")
 
     @pytest.mark.parametrize(
         "statement, unloaded",

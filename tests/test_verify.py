@@ -278,6 +278,113 @@ def test_suite_draws_match_numpy_streams(name, monkeypatch):
     assert got == run_suite(name, trials=3, seed=42, tol=-1.0).failures
 
 
+# -- the batched draws' rows against numpy's calls ------------------------------
+
+def laid_out(*fields):
+    """One draw row: the fields flattened, in order, as floats."""
+    return np.concatenate([np.ravel(np.asarray(field, dtype=float)) for field in fields])
+
+
+def margin(rng):
+    return abs(rng.normal()) if rng.uniform() < 0.5 else 0.0
+
+
+def reference_row_prop_1_1(rng, n, trial, index):
+    return laid_out(rng.normal(size=(n, n)))
+
+
+def reference_row_prop_1_2(rng, n, trial, index):
+    k = int(rng.integers(2, 5))
+    lam, tt = rng.normal(size=math.comb(n, 2)), rng.normal(size=(n,) * k)
+    sigma = rng.permutation(k)
+    return laid_out(lam, tt, rng.normal(size=(n, n)), rng.normal(size=(n, n)), sigma)
+
+
+def reference_row_prop_1_3(rng, n, trial, index):
+    lam = rng.normal(size=math.comb(n, 2))
+    return laid_out(lam, rng.normal(size=(n, n)))
+
+
+def reference_row_prop_1_7(rng, n, trial, index):
+    h = rng.normal(size=(n, n))
+    return laid_out(h, rng.normal(size=math.comb(n, 2)))
+
+
+def reference_row_prop_1_9(rng, n, trial, index):
+    size = math.comb(n, 2)
+    r = rng.normal(size=(size, size))
+    which = trial % 4
+    if which == 2:
+        p = int(rng.integers(1, n))
+        s, u = rng.normal(size=math.comb(n, p)), rng.normal(size=math.comb(n, p))
+        # s and u end a slot of twice C(n, n // 2) entries
+        return laid_out(r, np.zeros(2 * math.comb(n, n // 2) - 2 * s.size), s, u, p)
+    shape = (n,) * int(rng.integers(1, 4)) if which == 0 else (n if which == 1 else size,) * 2
+    return laid_out(r, rng.normal(size=shape), rng.normal(size=shape))
+
+
+def reference_row_prop_2_8(rng, n, trial, index):
+    h = rng.normal(size=(n, n))
+    p = int(rng.integers(1, n))
+    w = rng.normal(size=math.comb(n, p))
+    size = math.comb(n, 2)
+    return laid_out(h, np.zeros(math.comb(n, n // 2) - w.size), w, rng.normal(size=(size, size)), p)
+
+
+def reference_row_lemma_2_2(rng, n, trial, index):
+    size = math.comb(n, 2)
+    lam = rng.normal(size=size)
+    case = (index + 1) % 5
+    if case == 0:
+        return laid_out(lam, rng.normal(size=(n,) * int(rng.integers(1, 5))))
+    if case == 2:
+        return laid_out(lam, rng.normal(size=math.comb(n, int(rng.integers(1, n)))))
+    if case == 4:
+        return laid_out(lam, rng.normal(size=(n, n)), rng.normal(size=(size, size)))
+    return laid_out(lam, rng.normal(size=(n, n) if case == 1 else (size, size)))
+
+
+def reference_row_lemma_2_1(rng, n, trial, index):
+    size = math.comb(n, 2)
+    op, shared = rng.normal(size=(size, size)), rng.normal(size=(size, size))
+    p = int(rng.integers(1, n))
+    form = rng.normal(size=math.comb(n, p))
+    margins = [margin(rng)]
+    sym = rng.normal(size=(n, n))
+    margins += [margin(rng), margin(rng), margin(rng)]
+    return laid_out(op, shared, np.zeros(math.comb(n, n // 2) - form.size), form, sym, margins, p)
+
+
+REFERENCE_ROWS = {
+    "prop-1.1": reference_row_prop_1_1,
+    "prop-1.2": reference_row_prop_1_2,
+    "prop-1.3": reference_row_prop_1_3,
+    "prop-1.7": reference_row_prop_1_7,
+    "prop-1.9": reference_row_prop_1_9,
+    "prop-2.8": reference_row_prop_2_8,
+    "lemma-2.2": reference_row_lemma_2_2,
+    "lemma-2.1-soundness": reference_row_lemma_2_1,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROWS))
+def test_draw_rows_match_numpy_calls(name, seed):
+    # each batched draw fills its row with standard_normal and random where
+    # the numpy calls of one field at a time are normal and uniform: the
+    # same values bit for bit, for the first 200 trials at every n
+    (dims, draw, _), _, _ = SUITES[name]
+    sid, trials = _SUITE_IDS[name], 200
+    stream = verify._trial_stream(seed, sid, 0, len(dims) * trials)
+    assert sorted(REFERENCE_ROWS) == sorted(name for name, (runs, *_) in SUITES.items() if not callable(runs))
+    for n in dims:
+        for trial, (index, rng) in zip(range(trials), stream):
+            _, _, row = draw(rng, n, trial, index)
+            want = REFERENCE_ROWS[name](reference_trial_rng(seed, sid, index), n, trial, index)
+            assert row.dtype == np.float64 and row.ndim == 1, (n, index)
+            assert row.tobytes() == want.tobytes(), (n, index)
+
+
 @pytest.mark.parametrize("name", ["exact-values", "ode", "boundary-cases"])
 def test_suites_that_never_draw_check_the_seed(name):
     # the seed is checked once a run, before the suite runs, whether the
@@ -681,28 +788,33 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_lemma_2_2_groups_peak_no_higher_than_case_3():
-    # every key's full group at n = 6, as many trials as _batched gathers at
-    # the key's item_bytes, peaks within 10 % of a full group of case 3, the
-    # largest trials: a group of small tensors holds more trials, not more bytes
+def test_lemma_2_2_groups_peak_within_the_budget():
+    # every key's full group at n = 3..6, as many trials as _batched
+    # gathers at the key's item_bytes, stacking included, peaks at most
+    # _CHUNK_BYTES above a group of one trial: each case names at least what
+    # a trial adds to its check's traced peak, case 3 too (at 4 * 8 * n^4
+    # bytes a trial its full groups grew past the budget at every n)
     (_, draw, check), _, tol = SUITES["lemma-2.2"]
-    n, items, full = 6, {}, {}
-    for index, rng in verify._trial_stream(1, _SUITE_IDS["lemma-2.2"], 0, 20_000):
-        key, item_bytes, item = draw(rng, n, index, index)
-        full[key] = verify._CHUNK_BYTES // item_bytes
-        group = items.setdefault(key, [])
-        if len(group) < full[key]:
-            group.append(item)
+    for n in (3, 4, 5, 6):
+        keys = 4 + 1 + (n - 1) + 1 + 1
+        rows, full = {}, {}
+        for index, rng in verify._trial_stream(1, _SUITE_IDS["lemma-2.2"], 0, 40_000):
+            key, item_bytes, row = draw(rng, n, index, index)
+            full[key] = verify._CHUNK_BYTES // item_bytes
+            group = rows.setdefault(key, [])
+            if len(group) < full[key]:
+                group.append(row)
+            elif len(rows) == keys and all(len(rows[key]) == full[key] for key in rows):
+                break
 
-    def run(key, group):
-        return check(tol, n, key, *map(np.array, zip(*group)))
+        def run(key, group):
+            return check(tol, n, key, np.array(group))
 
-    assert len(items[(3, 0)]) == 12
-    ceiling = 1.1 * traced_peak(run, (3, 0), items[(3, 0)])
-    assert len(items) == 4 + 1 + (n - 1) + 1 + 1
-    for key, group in items.items():
-        assert len(group) == full[key], key
-        assert traced_peak(run, key, group) <= ceiling, key
+        assert len(rows) == keys, n
+        for key, group in rows.items():
+            assert len(group) == full[key], (n, key)
+            growth = traced_peak(run, key, group) - traced_peak(run, key, group[:1])
+            assert growth <= verify._CHUNK_BYTES, (n, key, growth)
 
 
 @pytest.mark.parametrize("name", ["prop-2.8", "prop-1.9", "lemma-2.1-soundness"])
