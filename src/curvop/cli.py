@@ -51,20 +51,14 @@ def _output(path, text):
 def cmd_verify(args) -> int:
     from .verify import SUITES, check_selection, run_suite
 
-    if args.seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
-    if args.tol is not None and not math.isfinite(args.tol):
-        raise UsageError(f"--tol must be finite, got {args.tol}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
-        check_selection(names, args.trials)
+        trials, seed, tol = check_selection(names, args.trials, args.seed, args.tol)
     except KeyError:
         raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(SUITES)} or all") from None
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
-    reports = [
-        run_suite(name, trials=args.trials, seed=args.seed, tol=args.tol) for name in names
-    ]
+    reports = [run_suite(name, trials=trials, seed=seed, tol=tol) for name in names]
     _print_json([r.to_document() for r in reports])
     bad = sum(len(r.failures) for r in reports)
     if bad:

@@ -9,7 +9,7 @@ index))).  _seed_words takes the pool of numpy's own
 SeedSequence(entropy=seed, spawn_key=(suite index,)), mixes the indices of a
 block of consecutive trials into it at once with numpy's hash and caches the
 blocks of seed words; _trial_stream reads a run's generators straight off
-those blocks, one generator a row, and _trial_rng is its one-index case.
+those blocks, one generator a row.
 A suite is a stream of comparisons (tag, failing, lhs, rhs, tol),
 as _closes, _at_mosts and _requires make them, and _record alone turns
 the failing ones into failures: a failure records a digest of its check
@@ -19,11 +19,12 @@ violated comparison and the tolerance used.
 
 _SUITE_TABLE is the registry of the suites.  A suite's row says how it
 runs and holds its default trial count and default tolerance t, and its
-position is the suite index.  run_suite alone checks (name, seed, trials)
-once, before the suite runs, turns them into the suite's stream of (trial
-index, generator) pairs and derives the trial limit from the row: a suite
-takes one of the 2**32 trial indices a trial, a batched suite one a trial
-and n.  run_suite replaces tol=None by the default, and an explicit tol
+position is the suite index.  check_selection alone checks a run's names,
+trials, seed and tolerance, once, before the first suite runs, and derives
+each suite's trial limit from its row: a suite takes one of the 2**32 trial
+indices a trial, a batched suite one a trial and n.  run_suite turns them
+into the suite's stream of (trial index, generator) pairs and replaces
+tol=None by the default, and an explicit tol
 governs every comparison the suite makes at t: a suite has this one
 tolerance, and a claim that holds bit for bit is checked exactly, through
 _requires.  Three checks compare at min(t, s): the direct checks of
@@ -54,11 +55,12 @@ as one stacked array, slices and reshapes them once into its fields
 symmetric matrices and runs the suite's comparisons on the group
 through the stacked kernels of the kind table action._KINDS.  Groups are
 sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
-names as its item_bytes what a trial adds to the arrays its check builds
-for the whole group, sized by the trial's own shapes, and a check builds
-the larger arrays of a trial a slice of the group at a time through
-_in_budget: lemma-2.1-soundness the block rows of its curvature kinds'
-operator matrices, N^3 entries a trial.  The failing
+names as its item_bytes the bytes a trial takes in the largest array its
+check builds for the whole group, one size for each n and key, but for
+lemma-2.2, whose draw names what a trial adds to its check's traced peak.
+A check builds the larger arrays of a trial a slice of the group at a
+time through _in_budget: lemma-2.1-soundness the block rows of its
+curvature kinds' operator matrices, N^3 entries a trial.  The failing
 comparisons come back ordered by trial index, then by the position of the
 check within the trial: as if each trial had been checked alone.
 
@@ -326,37 +328,18 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
-def _checked_seed(seed):
-    """seed as an int, or ValueError unless it is a non-negative integer."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _trial_stream(seed, suite_id, start, stop):
     """(index, a generator drawing the stream of default_rng(SeedSequence(
     entropy=seed, spawn_key=(suite_id, index)))) for each trial index
     start <= index < stop in order, one generator a row of the cached
-    blocks of seed words.  Checks none of its arguments: run_suite and
-    _trial_rng check them first."""
+    blocks of seed words.  Checks none of its arguments: run_suite checks
+    them first, through check_selection."""
     generator = _generator_from_words()
     for block in range(start // _BLOCK, -(-stop // _BLOCK)):
         base = block * _BLOCK
         lo, hi = max(start, base), min(stop, base + _BLOCK)
         for index, words in zip(range(lo, hi), _seed_words(seed, suite_id, block)[lo - base:hi - base]):
             yield index, generator(words)
-
-
-def _trial_rng(seed, suite_id, trial):
-    """The generator of default_rng(SeedSequence(entropy=seed,
-    spawn_key=(suite_id, trial))), drawing the same stream: the one-index
-    case of _trial_stream, its arguments checked."""
-    seed, suite_id, trial = _checked_seed(seed), _integer(suite_id, "suite id"), _integer(trial, "trial index")
-    if not 0 <= trial < _TRIAL_LIMIT:
-        raise ValueError(f"trial index {trial} is outside 0 <= index < 2**32")
-    ((_, rng),) = _trial_stream(seed, suite_id, trial, trial + 1)
-    return rng
 
 
 def _digest(*parts) -> str:
@@ -404,10 +387,14 @@ def _record(comparisons):
 
 # Bytes of the largest array a batched check may build.  The batched suites
 # size their groups of trials by it, which keeps their memory flat in the
-# trial count.  A draw's item_bytes is what one trial adds to the arrays its
-# check builds for the whole group, counted at that trial's own shapes, so a
-# group of small tensors holds more trials than one of (0,4)-tensors, not
-# more bytes (lemma-2.2 names each of its five cases' sizes).  A larger
+# trial count.  A draw's item_bytes is the bytes one trial takes in the
+# largest array its check builds for the whole group, one size for each n
+# and key, so a group of small tensors holds more trials than one of
+# (0,4)-tensors, not more bytes.  lemma-2.2's draw alone names what a trial
+# adds to its check's traced peak, each of its five cases at its own
+# shapes; the other suites' full groups, which build several arrays of the
+# largest size, grow the traced peak above a group of one trial by up to
+# 4 MB (prop-2.8 at n = 3; see ROADMAP item 2).  A larger
 # array of one trial, such as the block rows of lemma-2.1-soundness's
 # curvature operators (27 kB at n = 6), is built through _in_budget a slice
 # of the group at a time, each slice within the budget, so that it does not
@@ -801,26 +788,27 @@ def _draw_prop_1_9(rng, n, trial, index):
     # p-forms and the curvature tensors of operator matrices; the operator
     # r, the symmetric tensors and the operators of the curvature tensors
     # are drawn as raw matrices, which the check symmetrizes.  The row: r,
-    # then s and u, m entries each; the largest array is the block rows of
-    # s, N^3 entries for the curvature kind's operator matrices
+    # then s and u, m entries each.  The largest array is the block rows of
+    # s, N x m, or an N x N one: the symmetrized r, or the pairing of s's
+    # block rows with u's; a form counts at its slot, so that the forms of
+    # every degree, which share a group, name one size
     size = _pair_count(n)
     which = trial % 4
     if which in (1, 3):
         m = (n if which == 1 else size) ** 2
-        return (which, 0), 8 * size * m, rng.standard_normal(size * size + 2 * m)
+        return (which, 0), 8 * size * max(size, m), rng.standard_normal(size * size + 2 * m)
     if which == 0:
         r = rng.standard_normal(size * size)
         k = int(rng.integers(1, 4))
-        return (0, k), 8 * size * n ** k, np.concatenate((r, rng.standard_normal(2 * n ** k)))
-    # forms of every degree share a group: s and u end a slot, and the
-    # degree ends the row
+        return (0, k), 8 * size * max(size, n ** k), np.concatenate((r, rng.standard_normal(2 * n ** k)))
+    # s and u end a slot, and the degree ends the row
     row = np.zeros(size * size + _slot(n, 2) + 1)
     rng.standard_normal(out=row[:size * size])
     p = int(rng.integers(1, n))
     m = math.comb(n, p)
     rng.standard_normal(out=row[-1 - 2 * m:-1])
     row[-1] = p
-    return (2, 0), 8 * size * m, row
+    return (2, 0), 8 * size * max(size, _slot(n)), row
 
 
 def _check_prop_1_9(t, n, key, rows):
@@ -1675,53 +1663,69 @@ SUITES = {name: (runs, trials, tol) for name, runs, trials, tol in _SUITE_TABLE}
 _SUITE_IDS = {name: idx for idx, (name, *_) in enumerate(_SUITE_TABLE)}
 
 
-def check_selection(names, trials=None):
-    """Raise for the first of names that cannot run at trials, so before
-    any suite runs: KeyError when it names no suite, ValueError unless
-    trials is None or an integer from 1 to 2**32, the limits of the command
-    line's --trials, and at most the suite's trial limit.  A suite takes
-    one trial index a trial, and a batched suite one a trial and n of its
-    dims, so its trial limit is 2**32 // len(dims)."""
+def _indices_a_trial(runs):
+    """The trial indices one trial of a suite takes: one, or one for each n
+    of a batched suite's dims."""
+    return 1 if callable(runs) else len(runs[0])
+
+
+def check_selection(names, trials=None, seed=42, tol=None):
+    """The checked (trials, seed, tol) of a run of the suites names, or an
+    error for the first of its inputs that cannot run, so before any suite
+    runs: KeyError when a name names no suite, and ValueError unless
+    trials is None or an integer from 1 to 2**32, the limits of the
+    command line's --trials, and at most each suite's trial limit, unless
+    seed is a non-negative integer, and unless tol is None or a finite real
+    number.  A suite takes one trial index a trial, and a batched suite one
+    a trial and n of its dims, so its trial limit is 2**32 // len(dims)."""
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        if trials is None:
-            continue
-        count = _integer(trials, "trials", 1)
-        if count > _TRIAL_LIMIT:
-            raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {count}")
-        runs = SUITES[name][0]
-        limit = _TRIAL_LIMIT if callable(runs) else _TRIAL_LIMIT // len(runs[0])
-        if count > limit:
-            raise ValueError(f"trials: {name} takes at most {limit} trials, "
-                             f"the most its trial indices hold; got {count}")
+    if trials is not None:
+        trials = _integer(trials, "trials", 1)
+        if trials > _TRIAL_LIMIT:
+            raise ValueError(f"trials must be at most 2**32, the number of trial indices, got {trials}")
+        for name in names:
+            limit = _TRIAL_LIMIT // _indices_a_trial(SUITES[name][0])
+            if trials > limit:
+                raise ValueError(f"trials: {name} takes at most {limit} trials, "
+                                 f"the most its trial indices hold; got {trials}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if tol is not None:
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tol must be a real number, got {tol!r}")
+        try:
+            finite = math.isfinite(tol)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"tol must be finite, got {tol}")
+    return trials, seed, tol
 
 
 def run_suite(name, trials=None, seed=42, tol=None) -> Report:
     """Run one suite and wrap the outcome in a report; trials and tol
-    default to the suite's own values in _SUITE_TABLE.  The name, the trial
-    count and the seed, a non-negative integer, are checked before the
-    suite runs, whether it draws or not; the suite's stream is
-    _trial_stream(seed, its suite index, 0, its number of trial indices)."""
-    check_selection([name], trials)
-    seed = _checked_seed(seed)
+    default to the suite's own values in _SUITE_TABLE.  check_selection
+    checks the name, trials, seed and tol before the suite runs, whether it
+    draws or not; the suite's stream is _trial_stream(seed, its suite
+    index, 0, its number of trial indices)."""
+    trials, seed, tol = check_selection([name], trials, seed, tol)
     runs, count, default_tol = SUITES[name]
-    if trials is not None:
-        count = _integer(trials, "trials")
+    count = count if trials is None else trials
     t = default_tol if tol is None else tol
-    batched = not callable(runs)
-    stream = _trial_stream(seed, _SUITE_IDS[name], 0, len(runs[0]) * count if batched else count)
+    stream = _trial_stream(seed, _SUITE_IDS[name], 0, _indices_a_trial(runs) * count)
     start = time.perf_counter()
     # a body is a generator, which compares as _record consumes it
-    failures = _record(_batched(stream, count, t, *runs) if batched else runs(stream, t))
+    failures = _record(runs(stream, t) if callable(runs) else _batched(stream, count, t, *runs))
     elapsed = time.perf_counter() - start
     return Report(suite=name, trials=count, failures=failures, seed=seed, wall_time=elapsed)
 
 
 def run_all(trials=None, seed=42, tol=None):
-    """Run every suite in registry order; trials past any suite's trial
-    limit, and a seed that is not a non-negative integer, raise ValueError
-    before the first suite runs."""
-    check_selection(SUITES, trials)
-    seed = _checked_seed(seed)
+    """Run every suite in registry order; check_selection checks trials
+    against every suite's trial limit, the seed and the tolerance before
+    the first suite runs."""
+    trials, seed, tol = check_selection(SUITES, trials, seed, tol)
     return [run_suite(name, trials=trials, seed=seed, tol=tol) for name in SUITES]

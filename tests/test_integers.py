@@ -70,10 +70,8 @@ SITES = {
     "warped-p": ("p", lambda v: dwp_eigenvalues(v, 2, round_jet(1.0)), 2),
     "warped-q": ("q", lambda v: dwp_eigenvalues(2, v, round_jet(1.0)), 2),
     "warped-n": ("dimension", lambda v: scal_single_warped(v, 1.0, 0.0, 0.0), 4),
-    "_trial_rng-seed": ("seed", lambda v: verify._trial_rng(v, 0, 0), 42),
-    "_trial_rng-suite": ("suite id", lambda v: verify._trial_rng(42, v, 0), 3),
-    "_trial_rng-trial": ("trial index", lambda v: verify._trial_rng(42, 0, v), 5),
     "check_selection": ("trials", lambda v: verify.check_selection(["prop-1.1"], v), 3),
+    "check_selection-seed": ("seed", lambda v: verify.check_selection(["prop-1.1"], seed=v), 42),
     "run_suite-seed": ("seed", lambda v: verify.run_suite("exact-values", seed=v), 42),
 }
 

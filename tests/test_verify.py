@@ -26,7 +26,6 @@ from curvop.verify import (
     _closes,
     _record,
     _requires,
-    _trial_rng,
     check_selection,
     hat_wedge_closed_form,
     random_bianchi_operator,
@@ -56,11 +55,9 @@ def test_reports_are_deterministic():
 
 def test_seed_changes_draws():
     # same suite, different seeds, still passing but distinct rng streams
-    from curvop.verify import _trial_rng
-
-    x = _trial_rng(1, 0, 0).normal()
-    y = _trial_rng(2, 0, 0).normal()
-    assert x != y
+    ((_, x),) = verify._trial_stream(1, 0, 0, 1)
+    ((_, y),) = verify._trial_stream(2, 0, 0, 1)
+    assert x.normal() != y.normal()
 
 
 def test_unknown_suite_raises():
@@ -106,7 +103,8 @@ def test_closed_form_hat_zero_for_volume_form():
 # -- the per-trial generator against numpy's SeedSequence ----------------------
 
 def reference_trial_rng(seed, suite_id, trial):
-    """The per-trial generator as numpy defines it, the oracle of _trial_rng."""
+    """The per-trial generator as numpy defines it, the oracle of
+    _trial_stream."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(suite_id), int(trial)))
     )
@@ -116,7 +114,8 @@ def assert_same_stream(seed, suite_id, trial):
     words = np.random.SeedSequence(entropy=seed, spawn_key=(suite_id, trial)).generate_state(4, np.uint64)
     got = verify._seed_words(seed, suite_id, trial // verify._BLOCK)[trial % verify._BLOCK]
     assert np.array_equal(got, words), (seed, suite_id, trial)
-    a, b = _trial_rng(seed, suite_id, trial), reference_trial_rng(seed, suite_id, trial)
+    ((_, a),) = verify._trial_stream(seed, suite_id, trial, trial + 1)
+    b = reference_trial_rng(seed, suite_id, trial)
     assert np.array_equal(a.integers(0, 2 ** 63, size=3), b.integers(0, 2 ** 63, size=3))
     assert np.array_equal(a.normal(size=3), b.normal(size=3))
 
@@ -185,11 +184,13 @@ def test_trial_rng_out_of_order_and_after_eviction():
 
 
 def test_trial_rng_rejects_bad_seeds_and_indices():
-    for trial in (-1, 2 ** 32, 2 ** 40):
+    # a run's generators are drawn for a non-negative seed and trial
+    # indices below 2**32 only, as check_selection checks them
+    for trials in (2 ** 32 + 1, 2 ** 40):
         with pytest.raises(ValueError, match=r"2\*\*32"):
-            _trial_rng(42, 0, trial)
+            check_selection(["exact-values"], trials)
     with pytest.raises(ValueError, match="non-negative"):
-        _trial_rng(-1, 0, 0)
+        check_selection(["exact-values"], seed=-1)
     with pytest.raises(ValueError, match="non-negative"):
         run_suite("prop-1.1", trials=2, seed=-1)
 
@@ -400,6 +401,30 @@ def test_run_all_checks_the_seed_before_any_suite(monkeypatch):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
         run_all(seed=-3)
     assert ran == []
+
+
+BAD_TOLERANCES = [math.nan, math.inf, -math.inf, True, "1e-3"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=["nan", "inf", "-inf", "bool", "str"])
+def test_bad_tolerances_are_refused_before_any_suite(tol, monkeypatch):
+    # an infinite tolerance passed every comparison, True ran at 1.0, NaN
+    # failed them all, and a string raised inside the first comparison
+    message = "^tol must be (finite|a real number), got "
+    asked = recorded_streams(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_suite("prop-1.1", trials=5, seed=1, tol=tol)
+    assert asked == []
+    ran = []
+    monkeypatch.setattr(verify, "run_suite", lambda name, **options: ran.append(name))
+    with pytest.raises(ValueError, match=message):
+        run_all(tol=tol)
+    assert ran == []
+
+
+@pytest.mark.parametrize("tol", [None, 0, -2, np.int64(3), 0.0, -1e-3, np.float64(1e-9)])
+def test_finite_tolerances_are_taken_as_given(tol):
+    assert check_selection(["prop-1.1"], 4, 7, tol) == (4, 7, tol)
 
 
 # -- the batched suites against per-trial references ---------------------------
@@ -774,6 +799,21 @@ def test_groups_are_keyed_by_shape(monkeypatch):
     for case in (1, 2):
         keys = [(n, key) for n, key, _ in calls if key[0] == case]
         assert len(keys) == len(set(keys)), case
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROWS))
+def test_one_item_size_per_group_key(name):
+    # _batched closes a group when one more trial at the last trial's
+    # item_bytes would pass the budget, so every trial of an (n, key) must
+    # name the same size; prop-1.9's forms of every degree share a key
+    (dims, draw, _), _, _ = SUITES[name]
+    stream = verify._trial_stream(1, _SUITE_IDS[name], 0, len(dims) * 400)
+    for n in dims:
+        sizes = {}
+        for trial, (index, rng) in zip(range(400), stream):
+            key, item_bytes, _ = draw(rng, n, trial, index)
+            sizes.setdefault(key, set()).add(item_bytes)
+        assert all(len(named) == 1 for named in sizes.values()), (n, sizes)
 
 
 def traced_peak(fn, *args):
