@@ -12,7 +12,10 @@ here so that later lookups are plain attribute reads.
 
 import importlib
 
-# home module -> the public names it contributes to the package root
+# home module -> the public names it contributes to the package root.  No
+# module calls six of them: scal_single_warped, alternation, op_from_tensor,
+# permute and ode_rhs are the tests' oracles, and perfbench's tracer requires
+# alternation and dump_operator.
 _PUBLIC = {
     "action": (
         "HatTensor", "SoElement", "act_on_operator", "ad_matrix", "curvature_term", "hat",

@@ -2,7 +2,9 @@
 
 Every numeric that a constructor advertises (hat norms, curvature terms,
 spectra) is re-derived through the action and operator modules by the test
-suites; nothing is hard-coded as a return value.
+suites; nothing is hard-coded as a return value.  The split-basis operators
+are (1/2) sum lam u u^T over the integer split vectors u: dyadic, and exact,
+for dyadic eigenvalues (cp2's entries are -1, 0, 1, 2 and 4).
 """
 
 from __future__ import annotations

@@ -81,8 +81,9 @@ def test_ac6_singer_thorpe_structure():
 
 def test_ac7_warped_and_ode():
     # round jets all ones at 1e-12 for factors 2..4; crossings with radius
-    # growth for n in 4..8 with scalar curvature within 1e-6; measured
-    # integrator order at least 3.8; under thirty seconds
+    # growth for n in 4..8 with scalar curvature within 1e-6 (the ode suite
+    # runs at its default 1e-8, tighter than that); measured integrator
+    # order at least 3.8; under thirty seconds
     reports = [
         run_suite("warped-round", seed=42, tol=1e-12),
         run_suite("warped-perturbed", seed=42),
