@@ -20,7 +20,8 @@ bilinear expressions in those blocks.
 The kind table _KINDS owns the inner product, the action, the hat rows and
 the Ricci curvature, on values of one kind stacked along a first axis; the
 calls on a single tensor are a batch of one, so a batch goes through the
-same code as a single tensor.
+same code as a single tensor.  Their results are checked once, by
+_Kind.stored, and _rebuild builds each tensor over the stored values.
 """
 
 from __future__ import annotations
@@ -291,14 +292,14 @@ def inner(a, b) -> float:
 
 
 def _rebuild(t, values):
-    """A tensor of t's kind from values in the coordinates of _layout(t),
-    flattened or not."""
-    values = values.reshape(getattr(t, _KINDS[type(t)].values).shape)
-    if isinstance(t, PForm):
-        return PForm(t.n, t.p, values)
-    if isinstance(t, CurvatureOperator):
-        return CurvatureOperator(t.n, values)
-    return type(t)(values)
+    """A tensor of t's type, dimension and degree over values of t's shape,
+    as _Kind.stored returns them: no copy and no second check.  It takes
+    t's public slots; the underscored ones are caches and start unread."""
+    out = type(t).__new__(type(t))
+    for slot in type(t).__slots__:
+        setattr(out, slot, None if slot.startswith("_") else getattr(t, slot))
+    setattr(out, _KINDS[type(t)].values, _freeze(values))
+    return out
 
 
 # -- the action of a general element -----------------------------------------
@@ -453,13 +454,16 @@ class HatTensor:
         """g(L, hat(T)( . )) as a tensor of the source kind."""
         if lam.n != self.n:
             raise ValueError(f"dimension mismatch: {lam.n} vs {self.n}")
+        kind = _KINDS[type(self.blocks[0])]
         values = sum(c * _layout(b)[1] for c, b in zip(lam.comps, self.blocks))
-        return _rebuild(self.blocks[0], values)
+        return _rebuild(self.blocks[0], kind.stored(values[None], "pairing")[0])
 
 
 def hat(t) -> HatTensor:
     """Materialize every wedge-basis action block of t."""
-    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in _hat_rows(t)))
+    kind, values, _ = _layout(t)
+    rows = kind.stored(_hat_rows(t).reshape((-1,) + values.shape), "hat block")
+    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in rows))
 
 
 def hat_norm_sq(t) -> float:

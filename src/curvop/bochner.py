@@ -19,7 +19,7 @@ import numpy as np
 
 from .action import _hat_norms_consuming, _layout, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
-from .tensors import _integer, _require_finite
+from .tensors import _integer, _real, _require_finite
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
     stated for nonpositive lower bounds, so positive kappa is rejected rather
     than extrapolated.
     """
-    C = float(C)
+    C = float(_real(C, "C"))
     if not 1.0 <= C < math.inf:
         raise ValueError(f"C must be finite and at least 1, got {C}")
     _check_kappa(kappa)
@@ -150,8 +150,8 @@ def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
 
 
 def _check_kappa(kappa):
-    """Raise ValueError unless kappa is finite and nonpositive."""
-    if not -math.inf < kappa <= 0.0:
+    """Raise ValueError unless kappa is a finite and nonpositive real number."""
+    if not -math.inf < _real(kappa, "kappa") <= 0.0:
         raise ValueError(f"kappa must be finite and nonpositive, got {kappa}")
 
 
@@ -159,10 +159,13 @@ def direct_term_check(r: CurvatureOperator, t, kappa):
     """Evaluate the curvature term against kappa |hat T|^2 directly.
 
     Returns (lhs, rhs, ok) with ok allowing _DIRECT_SLACK of relative
-    slack: _direct_terms and _direct_check on a batch of one.
+    slack: _direct_terms and _direct_check on a batch of one.  kappa must
+    be a finite real number.
     """
     if r.n != t.n:
         raise ValueError("dimension mismatch")
+    if not math.isfinite(_real(kappa, "kappa")):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     kind, values, degree = _layout(t)
     lhs, hat_sq = _direct_terms(r.mat[None], values[None], t.n, kind, degree)
     rhs, ok = _direct_check(lhs, hat_sq, kappa, _DIRECT_SLACK)
@@ -235,9 +238,9 @@ def betti_bound(n, p, kappa, diameter, c_const) -> float:
     n = _integer(n, "dimension")
     p = _integer(p, "p", 1, n - 1)
     _check_kappa(kappa)
-    if not 0.0 < diameter < math.inf:
+    if not 0.0 < _real(diameter, "diameter") < math.inf:
         raise ValueError(f"diameter must be positive and finite, got {diameter}")
-    if not 0.0 < c_const < math.inf:
+    if not 0.0 < _real(c_const, "the constant") < math.inf:
         raise ValueError(f"the constant must be positive and finite, got {c_const}")
     try:
         bound = math.comb(n, p) * math.exp(
@@ -269,10 +272,11 @@ def tachibana_verdict(s: Spectrum, n) -> TachibanaVerdict:
 def fourdim_einstein_term(lams) -> float:
     """Curvature term of a four-dimensional Einstein operator on its own
     curvature tensor, from the six eigenvalues in a self-dual/anti-self-dual
-    eigenbasis (first three self-dual)."""
-    lams = [float(x) for x in lams]
+    eigenbasis (first three self-dual), six finite real numbers."""
+    lams = [float(_real(x, "eigenvalue")) for x in lams]
     if len(lams) != 6:
         raise ValueError(f"expected six eigenvalues, got {len(lams)}")
+    _require_finite(np.array(lams), "eigenvalues")
     l1, l2, l3, l4, l5, l6 = lams
     return 16.0 * (
         l1 * (l2 - l3) ** 2

@@ -188,9 +188,7 @@ def cmd_bochner(args) -> int:
     from .operators import spectrum
     from .opfile import load_operator
 
-    op, _ = load_operator(args.file)
-    n = op.n
-    s = spectrum(op)
+    # usage errors before the file is read
     if args.kind not in _BOCHNER_KINDS:
         raise UsageError(f"unknown kind {args.kind!r}; known: {', '.join(_BOCHNER_KINDS)}")
     flags = _BOCHNER_KINDS[args.kind]
@@ -198,6 +196,9 @@ def cmd_bochner(args) -> int:
     bound = args.diameter is not None or args.c_const is not None
     if bound:
         _need("the bound", args, ("p", "kappa", "diameter", "c_const"))
+    op, _ = load_operator(args.file)
+    n = op.n
+    s = spectrum(op)
     try:
         make = getattr(TensorKind, args.kind.replace("-", "_"))
         kind = make(*(getattr(args, flag) for flag in flags))

@@ -46,6 +46,14 @@ def _integer(value, what, lo=None, hi=None) -> int:
     return value
 
 
+def _real(value, what):
+    """value itself, for a Python or numpy integer or float that is not a
+    bool; ValueError naming what for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def check_dimension(n, lo=2) -> int:
     """n as an int in lo.._MAX_N; lo raises the library's floor of 2."""
     n = _integer(n, "dimension", lo)

@@ -111,7 +111,6 @@ from .action import (
     _hat_norms_consuming,
     _hat_rows,
     _layout,
-    _rebuild,
     _terms,
 )
 from .bochner import (
@@ -171,6 +170,7 @@ from .tensors import (
     wedge_pairs,
     _integer,
     _kn,
+    _real,
     _symmetrized,
     _tensors_from_ops,
     _traceless,
@@ -933,8 +933,8 @@ def _gap_sq(a, b):
     """|a - b|^2 of two tensors of one kind, from their difference: the
     expansion |a|^2 - 2<a, b> + |b|^2 leaves cancellation residues of 1e-12
     when a = b."""
-    d = _rebuild(a, _layout(a)[1] - _layout(b)[1])
-    return inner(d, d)
+    kind, values, _ = _layout(a)
+    return float(kind.norm_sqs((values - _layout(b)[1])[None])[0])
 
 
 def suite_basis_independence(stream, t):
@@ -1689,10 +1689,8 @@ def check_selection(names, trials=None, seed=42, tol=None):
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if tol is not None:
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-            raise ValueError(f"tol must be a real number, got {tol!r}")
         try:
-            finite = math.isfinite(tol)
+            finite = math.isfinite(_real(tol, "tol"))
         except OverflowError:  # an int past the float range
             finite = False
         if not finite:

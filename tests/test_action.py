@@ -712,6 +712,16 @@ class TestActionGuards:
         with pytest.raises(ValueError, match="action result entries must be below 2\\*\\*1023"):
             _KINDS[Sym2].acted(np.stack([lam.comps] * 2), np.stack([h.mat] * 2), 3)
 
+    def test_hat_blocks_too_large_to_symmetrize_raise(self):
+        # the e_0^e_1 block of diag(a, -a, 0) is 2a off the diagonal: past
+        # 2**1023 for a = 8e307, and below it for a = 4e307, whose pairing
+        # with 2 e_0^e_1 is past it again
+        with pytest.raises(ValueError, match="hat block entries must be below 2\\*\\*1023"):
+            hat(Sym2(np.diag([8e307, -8e307, 0.0])))
+        ht = hat(Sym2(np.diag([4e307, -4e307, 0.0])))
+        with pytest.raises(ValueError, match="pairing entries must be below 2\\*\\*1023"):
+            ht.pair_with(SoElement(3, np.array([2.0, 0.0, 0.0])))
+
     def test_batched_lemma_2_2_raises(self, monkeypatch):
         from curvop.verify import run_suite
 
@@ -723,3 +733,63 @@ class TestActionGuards:
         corrupted_act(monkeypatch, 1e-3, lambda p, k: k == 4)
         with pytest.raises(AssertionError, match="Bianchi"):
             run_suite("lemma-2.2", trials=5, seed=1)
+
+
+class TestResultsBuiltOnce:
+    """A single-tensor result is checked once, by _Kind.stored, and built
+    over the stored values without a public constructor."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        # tensors, operators and action each bind _symmetric_part
+        from curvop import action, operators, tensors
+
+        calls, original = [], tensors._symmetric_part
+        for module in (tensors, operators, action):
+            monkeypatch.setattr(module, "_symmetric_part", lambda mats, what: calls.append(what) or original(mats, what))
+        return calls
+
+    @pytest.mark.parametrize("make", [rand_sym2, random_sym_operator], ids=["Sym2", "CurvatureOperator"])
+    def test_each_symmetric_result_is_symmetrized_once(self, monkeypatch, make):
+        rng = np.random.default_rng(31)
+        t, lam, r = make(rng, 5), rand_so(rng, 5), random_sym_operator(rng, 5)
+        ht = hat(t)
+        calls = self.counted(monkeypatch)
+        for call in (lambda: so_act(lam, t), lambda: act_on_operator(lam, t), lambda: ric_of(r, t),
+                     lambda: hat(t), lambda: ht.pair_with(lam)):
+            calls.clear()
+            call()
+            assert len(calls) == 1, calls
+
+    def test_underscored_slots_are_caches_the_constructor_leaves_unread(self):
+        # _rebuild copies the public slots and starts every underscored one
+        # at None, so each must be a cache that a first read fills
+        from curvop.action import _KINDS
+
+        rng = np.random.default_rng(32)
+        samples = [PForm(4, 2, rng.normal(size=6)), rand_sym2(rng, 4), Tensor0k(rng.normal(size=(4, 4, 4))),
+                   tensor_from_op(random_sym_operator(rng, 4)), random_sym_operator(rng, 4)]
+        assert {type(t) for t in samples} == set(_KINDS)
+        for t in samples:
+            private = [slot for slot in type(t).__slots__ if slot.startswith("_")]
+            assert all(getattr(t, slot) is None for slot in private)
+            repr(t)  # reads every flag
+            assert all(getattr(t, slot) is not None for slot in private)
+
+    def test_results_are_frozen_tensors_of_the_template(self):
+        # the template's public slots other than its values, n and a degree
+        # or N, carry over
+        from curvop.action import _KINDS
+
+        rng = np.random.default_rng(33)
+        lam = rand_so(rng, 5)
+        for t in (PForm(5, 3, rng.normal(size=10)), Tensor0k(rng.normal(size=(5, 5))), rand_sym2(rng, 5),
+                  tensor_from_op(random_sym_operator(rng, 5)), random_sym_operator(rng, 5)):
+            values = _KINDS[type(t)].values
+            shape = [slot for slot in type(t).__slots__ if slot != values and not slot.startswith("_")]
+            ht = hat(t)
+            for out in (so_act(lam, t), ric_of(random_sym_operator(rng, 5), t), *ht.blocks, ht.pair_with(lam)):
+                assert type(out) is type(t)
+                assert [getattr(out, slot) for slot in shape] == [getattr(t, slot) for slot in shape]
+                assert getattr(out, values).shape == getattr(t, values).shape
+                assert not getattr(out, values).flags.writeable

@@ -1,6 +1,7 @@
 """Estimate constants, verdicts, bounds, and the exact term expansions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,48 @@ class TestLemma21Verdict:
         for c, kappa in ((math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (2.0, -math.inf)):
             with pytest.raises(ValueError):
                 lemma21_verdict(s, c, kappa)
+
+
+class TestRealParameters:
+    """The real parameters of the verdicts take one rule, tensors._real: a
+    bool, a string or another non-number is refused by name, where float()
+    read True as 1.0 and "2" as 2.0, and a comparison raised TypeError."""
+
+    # (parameter name in the message, call taking the value, a value it accepts)
+    SITES = {
+        "lemma21_verdict-C": ("C", lambda v: lemma21_verdict(spectrum(cp2_op()), v, -1.0), 2),
+        "lemma21_verdict-kappa": ("kappa", lambda v: lemma21_verdict(spectrum(cp2_op()), 2.0, v), -1),
+        "direct_term_check": ("kappa", lambda v: direct_term_check(cp2_op(), Tensor0k(np.ones(4)), v), -1),
+        "betti_bound-kappa": ("kappa", lambda v: betti_bound(4, 2, v, 1.0, 1.0), -1),
+        "betti_bound-diameter": ("diameter", lambda v: betti_bound(4, 2, -1.0, v, 1.0), 1),
+        "betti_bound-c": ("the constant", lambda v: betti_bound(4, 2, -1.0, 1.0, v), 1),
+        "fourdim_einstein_term": ("eigenvalue", lambda v: fourdim_einstein_term([v] + [2.0] * 5), 2),
+    }
+
+    @pytest.mark.parametrize("value", [True, False, "2", None], ids=["True", "False", "str", "None"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_non_numbers_are_refused_by_name(self, site, value):
+        what, call, _ = self.SITES[site]
+        with pytest.raises(ValueError, match=f"^{what} must be a real number, got {re.escape(repr(value))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_numpy_numbers_pass(self, site):
+        _, call, good = self.SITES[site]
+        call(np.int64(good))
+        call(np.float64(good))
+
+    def test_non_finite_kappa_and_eigenvalues_are_refused(self):
+        for kappa in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^kappa must be finite, got "):
+                direct_term_check(cp2_op(), Tensor0k(np.ones(4)), kappa)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^eigenvalues must be finite$"):
+                fourdim_einstein_term([bad] * 6)
+
+    def test_direct_term_check_keeps_a_positive_kappa(self):
+        _, rhs, ok = direct_term_check(identity_operator(4), Tensor0k(np.ones(4)), 1.0)
+        assert ok and rhs == hat_norm_sq(Tensor0k(np.ones(4)))
 
 
 class TestDirectTermCheck:

@@ -718,6 +718,9 @@ class TestUsage:
              "usage error: the bound needs --c-const"),
             ({}, ("bochner", "cp2.json", "--kind", "sym2", "--c-const", "1"), 2,
              "usage error: the bound needs --p, --kappa, --diameter"),
+            ({}, ("bochner", "missing.json", "--kind", "bogus"), 2, "usage error: unknown kind 'bogus'"),
+            ({}, ("bochner", "missing.json", "--kind", "sym2", "--diameter", "1"), 2,
+             "usage error: the bound needs --p, --kappa, --c-const"),
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, monkeypatch, tmp_path, env, argv, code, message):

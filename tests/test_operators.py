@@ -23,6 +23,7 @@ from curvop import (
     negative_2form_term_op,
     op_from_tensor,
     singer_thorpe_op,
+    so_act,
     spectrum,
     sphere_product_op,
     tensor_from_op,
@@ -224,12 +225,19 @@ class TestBianchiSplit:
 
     def test_action_certificate_is_read_from_the_result(self):
         # so(4) kills the volume form, the whole alternating part at n = 4,
-        # so every L.R is Bianchi even when R is not
+        # so every L.R is Bianchi even when R is not; the input's caches
+        # are filled first, so a result that took them over would read
+        # False
         op = singer_thorpe_op((1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
-        out = act_on_operator(SoElement(4, np.arange(1.0, 7.0)), op)
+        lam = SoElement(4, np.arange(1.0, 7.0))
         assert op.bianchi_certified is False
+        out = act_on_operator(lam, op)
         assert out.bianchi_certified is True
         assert decompose(out).weyl.n == 4
+        rm = tensor_from_op(op)
+        assert (rm.pair_skew, rm.pair_symmetric, rm.bianchi) == (True, True, False)
+        acted = so_act(lam, rm)
+        assert (acted.pair_skew, acted.pair_symmetric, acted.bianchi) == (True, True, True)
 
     def test_dimension_three_is_automatically_bianchi(self):
         # no alternating 4-tensors exist on three coordinates, so every
