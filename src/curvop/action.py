@@ -14,8 +14,10 @@ over Lambda^p and curvature operators two slots over Lambda^2.  Each basis
 wedge acts on Lambda^p as a signed partial permutation of the coordinates,
 tabulated once per (n, p); a general L acts slot by slot through the matrix
 those permutations span.  The hat tensor collects the action of the whole
-wedge basis; curvature terms and the Ricci curvature of a tensor are
-bilinear expressions in those blocks.
+wedge basis, through the same slot products over the basis matrices, cached
+per (n, p); the table read backwards serves only the Ricci sum.  Curvature
+terms and the Ricci curvature of a tensor are bilinear expressions in those
+blocks.
 
 The kind table _KINDS owns the inner product, the action, the hat rows and
 the Ricci curvature, on values of one kind stacked along a first axis; the
@@ -172,6 +174,12 @@ def _action_matrices(comps, n, p):
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_matrices(n, p):
+    """The action matrices of the wedge basis, (pairs, dim, dim)."""
+    return _freeze(_action_matrices(np.eye(wedge_count(n)), n, p))
+
+
 @dataclass(frozen=True)
 class _Kind:
     """How the tensors of one kind sit as k slots over Lambda^p.
@@ -306,28 +314,33 @@ def _rebuild(t, values):
 
 def _act(comps, values, n, p, k):
     """Elements with stacked coordinates comps (..., pairs) acting on every
-    slot of stacked k-slot values over Lambda^p, flattened to (..., dim**k).
+    slot of stacked k-slot values over Lambda^p, flattened to (..., dim**k)."""
+    return _slot_products(_action_matrices(comps, n, p), values, k)
+
+
+def _slot_products(mats, values, k):
+    """Action matrices (..., dim, dim) on every slot of stacked k-slot values
+    (..., dim**k), the leading axes of both broadcast against each other.
 
     Slot by slot through reshaped views, each slot one product per item:
     the last slot is the trailing axis, the first leads, and a middle slot
     is read through a swapped view.
     """
-    mats = _action_matrices(comps, n, p)
     dim = mats.shape[-1]
-    lead = values.shape[:-1]
-    out = np.zeros(values.shape)
+    lead, stack = np.broadcast_shapes(mats.shape[:-2], values.shape[:-1]), values.shape[:-1]
+    out = np.zeros(lead + values.shape[-1:])
     for slot in range(k):
         before, after = dim ** slot, dim ** (k - slot - 1)
         if after == 1:
             moved = out.reshape(lead + (before, dim))
-            moved -= values.reshape(lead + (before, dim)) @ mats
+            moved -= values.reshape(stack + (before, dim)) @ mats
         elif before == 1:
             moved = out.reshape(lead + (dim, after))
-            moved -= mats.swapaxes(-1, -2) @ values.reshape(lead + (dim, after))
+            moved -= mats.swapaxes(-1, -2) @ values.reshape(stack + (dim, after))
         else:
-            shape = lead + (before, dim, after)
-            moved = out.reshape(shape).swapaxes(-1, -2)
-            moved -= values.reshape(shape).swapaxes(-1, -2) @ mats[..., None, :, :]
+            shape = (before, dim, after)
+            moved = out.reshape(lead + shape).swapaxes(-1, -2)
+            moved -= values.reshape(stack + shape).swapaxes(-1, -2) @ mats[..., None, :, :]
     return out
 
 
@@ -367,35 +380,15 @@ def _slot_views(flat, dim, k):
         yield view.swapaxes(-3, -2)
 
 
-@lru_cache(maxsize=None)
-def _signed_source(n, p):
-    """The table's sources into the coordinates followed by their negatives:
-    src, shifted by dim = C(n, p) where the sign is -1."""
-    _, src, sgn = _wedge_table(n, p)
-    return _freeze(src + math.comb(n, p) * (sgn < 0))
-
-
 def _block_rows(values, n, p, k) -> np.ndarray:
     """Flattened wedge-basis action blocks of stacked k-slot values over
-    Lambda^p (..., dim**k), one row per pair (..., pairs, dim**k): per slot,
-    one signed gather through the table and one scatter into the rows."""
-    tgt = _wedge_table(n, p)[0]
-    signed = _signed_source(n, p)
-    pair = np.arange(tgt.shape[0])[:, None]
-    out = np.zeros(values.shape[:-1] + (tgt.shape[0], values.shape[-1]))
-    dim = math.comb(n, p)
-    views = zip(_slot_views(out, dim, k), _slot_views(values, dim, k))
-    for slot, (moved_out, moved_in) in enumerate(views):
-        # the signs are +-1, so gathering from the coordinates and their
-        # negatives gives the products with the signs exactly
-        image = np.concatenate((moved_in, -moved_in), axis=-3)[..., signed, :, :]
-        # a pair never sends two coordinates to one, so the first slot
-        # can be assigned instead of accumulated
-        if slot == 0:
-            moved_out[..., pair, tgt, :, :] = image
-        else:
-            moved_out[..., pair, tgt, :, :] += image
-    return out
+    Lambda^p (..., dim**k), one row per pair (..., pairs, dim**k).
+
+    Each basis matrix is a signed partial permutation, so every entry of a
+    slot product is one signed value plus exact zeros: the rows keep the
+    values' bits whatever kernel multiplies, and a zero comes out +0.0.
+    """
+    return _slot_products(_basis_matrices(n, p), values[..., None, :], k)
 
 
 def _sum_blocks(rows, n, p, k) -> np.ndarray:
@@ -455,7 +448,9 @@ class HatTensor:
         if lam.n != self.n:
             raise ValueError(f"dimension mismatch: {lam.n} vs {self.n}")
         kind = _KINDS[type(self.blocks[0])]
-        values = sum(c * _layout(b)[1] for c, b in zip(lam.comps, self.blocks))
+        # an overflow is refused by stored, as a pairing that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sum(c * _layout(b)[1] for c, b in zip(lam.comps, self.blocks))
         return _rebuild(self.blocks[0], kind.stored(values[None], "pairing")[0])
 
 

@@ -132,7 +132,7 @@ def lemma21_verdict(s: Spectrum, C, kappa) -> BochnerVerdict:
     stated for nonpositive lower bounds, so positive kappa is rejected rather
     than extrapolated.
     """
-    C = float(_real(C, "C"))
+    C = _real(C, "C")
     if not 1.0 <= C < math.inf:
         raise ValueError(f"C must be finite and at least 1, got {C}")
     _check_kappa(kappa)
@@ -273,7 +273,7 @@ def fourdim_einstein_term(lams) -> float:
     """Curvature term of a four-dimensional Einstein operator on its own
     curvature tensor, from the six eigenvalues in a self-dual/anti-self-dual
     eigenbasis (first three self-dual), six finite real numbers."""
-    lams = [float(_real(x, "eigenvalue")) for x in lams]
+    lams = [_real(x, "eigenvalue") for x in lams]
     if len(lams) != 6:
         raise ValueError(f"expected six eigenvalues, got {len(lams)}")
     _require_finite(np.array(lams), "eigenvalues")

@@ -20,6 +20,7 @@ from .tensors import (
     PForm,
     Sym2,
     _integer,
+    _real,
     _tuple_index_map,
     check_dimension,
     wedge_index,
@@ -41,7 +42,7 @@ def singer_thorpe_op(lams) -> CurvatureOperator:
     eigenvalues and the anti-self-dual eigenvalues have equal sums; the
     certificate is detected from the stored matrix, not assumed.
     """
-    lams = [float(x) for x in lams]
+    lams = [_real(x, "eigenvalue") for x in lams]
     if len(lams) != 6:
         raise ValueError(f"expected six eigenvalues, got {len(lams)}")
     if not all(map(math.isfinite, lams)):
@@ -89,7 +90,7 @@ def negative_2form_term_op(n, lam):
     Im w = e^0^e^3 + e^1^e^2, and the term is -4 lam |Im w|^2.
     """
     n = check_dimension(n, 4)
-    lam = float(lam)
+    lam = _real(lam, "the scale")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"the scale must be positive and finite, got {lam}")
     # 2n lam, the largest eigenvalue, bounds every entry; keeping it below
@@ -161,8 +162,8 @@ def negative_sym2_term_op(n, K, K1n):
     eigenbases satisfy the first Bianchi identity automatically.
     """
     n = check_dimension(n, 3)
-    K = float(K)
-    K1n = float(K1n)
+    K = _real(K, "K")
+    K1n = _real(K1n, "K1n")
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     if not -math.inf < K1n < 0.0:

@@ -46,12 +46,16 @@ def _integer(value, what, lo=None, hi=None) -> int:
     return value
 
 
-def _real(value, what):
-    """value itself, for a Python or numpy integer or float that is not a
-    bool; ValueError naming what for anything else."""
+def _real(value, what) -> float:
+    """value as a float, for a Python or numpy integer or float that is not
+    a bool; ValueError naming what for anything else, and for an integer
+    past the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer past the float range") from None
 
 
 def check_dimension(n, lo=2) -> int:

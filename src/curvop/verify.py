@@ -1688,13 +1688,8 @@ def check_selection(names, trials=None, seed=42, tol=None):
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if tol is not None:
-        try:
-            finite = math.isfinite(_real(tol, "tol"))
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"tol must be finite, got {tol}")
+    if tol is not None and not math.isfinite(_real(tol, "tol")):
+        raise ValueError(f"tol must be finite, got {tol}")
     return trials, seed, tol
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import CurvatureOperator, _plane_op
-from .tensors import _integer, check_dimension
+from .tensors import _integer, _real, check_dimension
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,17 @@ class WarpJet:
             raise ValueError("warping functions must be positive and finite")
 
 
+def _radius(r) -> float:
+    """r as a float; ValueError unless it is a finite real number."""
+    r = _real(r, "r")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+    return r
+
+
 def round_jet(r) -> WarpJet:
     """Jet of the unit round sphere profile phi = sin, psi = cos."""
+    r = _radius(r)
     return WarpJet(
         r=r,
         phi=math.sin(r),
@@ -168,6 +177,7 @@ class PerturbedProfile:
     c1_bound: float
 
     def __call__(self, r) -> WarpJet:
+        r = _radius(r)
         u = (r - self.center) / self.width
         d2phi = -math.sin(r) + self.amp * float(_bump(u))
         dphi = math.cos(r) + self.amp * self.width * float(_bump_i1(u))
@@ -191,9 +201,7 @@ def perturbed_profile(p, q, amp, center, width) -> PerturbedProfile:
     inside the open interval (0, pi/2).
     """
     p, q = _check_factors(p, q)
-    amp = float(amp)
-    center = float(center)
-    width = float(width)
+    amp, center, width = _real(amp, "amp"), _real(center, "center"), _real(width, "width")
     if not math.isfinite(amp):
         raise ValueError(f"amp must be finite, got {amp}")
     # NaN fails every comparison, so these also reject a NaN center or width
@@ -218,6 +226,7 @@ def _warp_dimension(n):
 def scal_single_warped(n, rho, drho, d2rho) -> float:
     """Scalar curvature of dr^2 + rho^2 ds_{n-1}^2 from the 2-jet of rho."""
     n = _warp_dimension(n)
+    rho, drho, d2rho = _real(rho, "rho"), _real(drho, "drho"), _real(d2rho, "d2rho")
     if not rho > 0:
         raise ValueError(f"the warping function must be positive, got {rho}")
     return -2.0 * (n - 1) * d2rho / rho + (n - 2.0) * (n - 1) * (1.0 - drho ** 2) / rho ** 2
@@ -297,13 +306,15 @@ _MAX_STEPS = 10 ** 6
 
 
 def _step_count(step, t_max):
-    """round(t_max / step); raises ValueError unless the step and the time
-    span are positive and finite and their ratio is at most _MAX_STEPS."""
+    """(step, round(t_max / step)), the step as a float; raises ValueError
+    unless the step and the time span are positive and finite real numbers
+    and their ratio is at most _MAX_STEPS."""
+    step, t_max = _real(step, "step"), _real(t_max, "t_max")
     if not (0.0 < step < math.inf and 0.0 < t_max < math.inf):
         raise ValueError(f"step and t_max must be positive and finite, got {step} and {t_max}")
     if t_max / step > _MAX_STEPS:
         raise ValueError(f"t_max / step must be finite and at most {_MAX_STEPS}, got {t_max} / {step}")
-    return int(round(t_max / step))
+    return step, int(round(t_max / step))
 
 
 def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
@@ -313,10 +324,11 @@ def integrate_warp_ode(n, x0, y0, step, t_max) -> ShootResult:
     because x left the positive half plane; crossing is always None.
     """
     n = _warp_dimension(n)
-    steps = _step_count(step, t_max)
+    step, steps = _step_count(step, t_max)
+    x0, y0 = _real(x0, "x0"), _real(y0, "y0")
     if not (0.0 < x0 < math.inf and math.isfinite(y0)):
         raise ValueError(f"x must start positive and y finite, got {x0} and {y0}")
-    xs, ys, status, _ = _rk4_columns(n, float(x0), float(y0), step, steps)
+    xs, ys, status, _ = _rk4_columns(n, x0, y0, step, steps)
     ts = tuple(i * step for i in range(len(xs)))
     return ShootResult(ts, tuple(xs), tuple(ys), None, status)
 
@@ -353,14 +365,15 @@ def ode_shoot(n, x0, step=1e-4, t_max=20.0) -> ShootResult:
     asserted.  Starting at the center itself simply never crosses.
     """
     n = _warp_dimension(n)
+    x0 = _real(x0, "x0")
     if not x0 > 0:
         raise ValueError(f"x0 must be positive, got {x0}")
     limit = 0.5 * (n - 2)
     if x0 * x0 > limit * (1.0 + 1e-12):
         raise ValueError(f"x0^2 must be at most (n-2)/2 = {limit}, got {x0 * x0}")
-    steps = _step_count(step, t_max)
+    step, steps = _step_count(step, t_max)
     # roundoff-level y (a start at the center) must not arm the detector
-    xs, ys, status, _ = _rk4_columns(n, float(x0), 0.0, step, steps, armed=1e-8)
+    xs, ys, status, _ = _rk4_columns(n, x0, 0.0, step, steps, armed=1e-8)
     ts = [i * step for i in range(len(xs))]
     if status != "crossed":
         status = "no-crossing" if status == "ok" else status

@@ -505,7 +505,7 @@ class TestRic:
 
 def reference_block_rows(values, n, p, k):
     """_block_rows as a gather through the table's sources followed by a
-    product with its signs, the oracle of the signed gather."""
+    product with its signs, the oracle of the basis products."""
     from curvop.action import _slot_views
 
     tgt, src, sgn = _wedge_table(n, p)
@@ -553,6 +553,8 @@ class TestStackedKernels:
                     assert summed[i].tobytes() == _sum_blocks(single_rows, n, p, k).tobytes()
 
     def test_block_rows_match_reference_bytes(self):
+        # the gather's products with -1 write -0.0 at a zero value; the basis
+        # products subtract from +0.0, so every zero of the rows is +0.0
         from curvop.action import _block_rows
 
         rng = np.random.default_rng(21)
@@ -560,11 +562,37 @@ class TestStackedKernels:
             for p, k in self.layouts(n):
                 size = math.comb(n, p) ** k
                 for shape in ((size,), (3, size)):
-                    # exact zeros too, whose sign the products with -1 flip
                     values = rng.normal(size=shape)
                     values[..., ::5] = 0.0
                     got = _block_rows(values, n, p, k)
-                    assert got.tobytes() == reference_block_rows(values, n, p, k).tobytes(), (n, p, k, shape)
+                    assert np.array_equal(got, reference_block_rows(values, n, p, k)), (n, p, k, shape)
+                    assert not np.signbit(got[got == 0.0]).any(), (n, p, k, shape)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rows_are_the_action_of_the_wedge_basis(self, n):
+        # row c of a kind's hat rows is so_act(e_c, T), bit for bit, on
+        # values with exact zeros
+        from curvop.action import _layout
+
+        rng = np.random.default_rng(22 + n)
+
+        def zeroed(shape):
+            values = rng.normal(size=shape)
+            values.reshape(-1)[::3] = 0.0
+            return values
+
+        h, op = zeroed((n, n)), zeroed((wedge_count(n),) * 2)
+        tensors = [Tensor0k(zeroed((n,) * k)) for k in (1, 2, 3, 4)]
+        tensors += [PForm(n, p, zeroed(math.comb(n, p))) for p in range(1, n + 1)]
+        tensors += [Sym2(h + h.T), CurvatureOperator(n, op + op.T)]
+        tensors.append(tensor_from_op(sphere_product_op(2, n) if n > 3 else random_bianchi_operator(rng, n)))
+        for t in tensors:
+            kind, values, degree = _layout(t)
+            assert np.count_nonzero(values == 0.0), type(t).__name__
+            rows = kind.rows(values[None], n, degree)[0]
+            for c, (i, j) in enumerate(wedge_pairs(n)):
+                want = _layout(so_act(wedge_element(n, i, j), t))[1]
+                assert rows[c].tobytes() == want.tobytes(), (type(t).__name__, degree, c)
 
     def test_stack_matches_public_calls(self):
         from curvop.action import _hat_norms_consuming, _layout, _terms
@@ -721,6 +749,13 @@ class TestActionGuards:
         ht = hat(Sym2(np.diag([4e307, -4e307, 0.0])))
         with pytest.raises(ValueError, match="pairing entries must be below 2\\*\\*1023"):
             ht.pair_with(SoElement(3, np.array([2.0, 0.0, 0.0])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pairings_past_the_float_range_raise_without_a_warning(self):
+        # 10 times the 8e307 of the e_0^e_1 block overflows in the pairing
+        ht = hat(Sym2(np.diag([4e307, -4e307, 0.0])))
+        with pytest.raises(ValueError, match="^pairings must be finite$"):
+            ht.pair_with(SoElement(3, np.array([10.0, 0.0, 0.0])))
 
     def test_batched_lemma_2_2_raises(self, monkeypatch):
         from curvop.verify import run_suite

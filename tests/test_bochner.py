@@ -19,10 +19,15 @@ from curvop import (
     fourdim_einstein_term,
     hat_norm_sq,
     identity_operator,
+    integrate_warp_ode,
     lemma21_verdict,
     negative_2form_term_op,
     negative_sym2_term_op,
     normal_h_term,
+    ode_shoot,
+    perturbed_profile,
+    round_jet,
+    scal_single_warped,
     singer_thorpe_op,
     spectrum,
     sphere_product_op,
@@ -124,9 +129,11 @@ class TestLemma21Verdict:
 
 
 class TestRealParameters:
-    """The real parameters of the verdicts take one rule, tensors._real: a
-    bool, a string or another non-number is refused by name, where float()
-    read True as 1.0 and "2" as 2.0, and a comparison raised TypeError."""
+    """The real parameters of the verdicts, the catalog and the warped
+    profiles and integrators take one rule, tensors._real: a bool, a string
+    or another non-number is refused by name, where float() read True as 1.0
+    and "2" as 2.0, and a comparison raised TypeError; so is an integer past
+    the float range, where float() raised OverflowError."""
 
     # (parameter name in the message, call taking the value, a value it accepts)
     SITES = {
@@ -137,6 +144,25 @@ class TestRealParameters:
         "betti_bound-diameter": ("diameter", lambda v: betti_bound(4, 2, -1.0, v, 1.0), 1),
         "betti_bound-c": ("the constant", lambda v: betti_bound(4, 2, -1.0, 1.0, v), 1),
         "fourdim_einstein_term": ("eigenvalue", lambda v: fourdim_einstein_term([v] + [2.0] * 5), 2),
+        "singer_thorpe_op": ("eigenvalue", lambda v: singer_thorpe_op([v] + [1.0] * 5), 1),
+        "negative_2form_term_op": ("the scale", lambda v: negative_2form_term_op(4, v), 2),
+        "negative_sym2_term_op-K": ("K", lambda v: negative_sym2_term_op(4, v, -1.0), 1),
+        "negative_sym2_term_op-K1n": ("K1n", lambda v: negative_sym2_term_op(4, 1.0, v), -1),
+        "round_jet": ("r", round_jet, 1),
+        "profile-r": ("r", lambda v: perturbed_profile(2, 2, 0.5, 0.8, 0.1)(v), 1),
+        "perturbed_profile-amp": ("amp", lambda v: perturbed_profile(2, 2, v, 0.8, 0.1), 1),
+        "perturbed_profile-center": ("center", lambda v: perturbed_profile(2, 2, 0.5, v, 0.1), 1),
+        "perturbed_profile-width": ("width", lambda v: perturbed_profile(2, 2, 0.5, 0.8, v), 0.25),
+        "scal_single_warped-rho": ("rho", lambda v: scal_single_warped(4, v, 0.5, -1.0), 1),
+        "scal_single_warped-drho": ("drho", lambda v: scal_single_warped(4, 0.5, v, -1.0), 1),
+        "scal_single_warped-d2rho": ("d2rho", lambda v: scal_single_warped(4, 0.5, 0.5, v), 1),
+        "integrate_warp_ode-x0": ("x0", lambda v: integrate_warp_ode(4, v, 0.0, 0.5, 1.0), 1),
+        "integrate_warp_ode-y0": ("y0", lambda v: integrate_warp_ode(4, 1.0, v, 0.5, 1.0), 0),
+        "integrate_warp_ode-step": ("step", lambda v: integrate_warp_ode(4, 1.0, 0.0, v, 2.0), 1),
+        "integrate_warp_ode-t_max": ("t_max", lambda v: integrate_warp_ode(4, 1.0, 0.0, 0.5, v), 1),
+        "ode_shoot-x0": ("x0", lambda v: ode_shoot(4, v, step=0.5, t_max=1.0), 1),
+        "ode_shoot-step": ("step", lambda v: ode_shoot(4, 0.5, step=v, t_max=2.0), 1),
+        "ode_shoot-t_max": ("t_max", lambda v: ode_shoot(4, 0.5, step=0.5, t_max=v), 1),
     }
 
     @pytest.mark.parametrize("value", [True, False, "2", None], ids=["True", "False", "str", "None"])
@@ -149,8 +175,15 @@ class TestRealParameters:
     @pytest.mark.parametrize("site", SITES)
     def test_numpy_numbers_pass(self, site):
         _, call, good = self.SITES[site]
-        call(np.int64(good))
+        call(np.array(good)[()])  # np.int64 for an int
         call(np.float64(good))
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_integers_past_the_float_range_are_refused(self, site, value):
+        what, call, _ = self.SITES[site]
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got an integer past the float range$"):
+            call(value)
 
     def test_non_finite_kappa_and_eigenvalues_are_refused(self):
         for kappa in (math.nan, math.inf, -math.inf):

@@ -368,3 +368,11 @@ class TestOde:
             x, y = 0.7, 0.3
             _, dy = ode_rhs(n, x, y)
             assert scal_single_warped(n, x, y, dy) == pytest.approx(2.0 * (n - 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [round_jet, perturbed_profile(2, 2, 0.5, 0.8, 0.1)], ids=["round_jet", "profile"])
+def test_non_finite_radii_are_refused(call):
+    # sin(inf) raised "math domain error"
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^r must be finite, got "):
+            call(r)
