@@ -23,7 +23,7 @@ The kind table _KINDS owns the inner product, the action, the hat rows and
 the Ricci curvature, on values of one kind stacked along a first axis; the
 calls on a single tensor are a batch of one, so a batch goes through the
 same code as a single tensor.  Their results are checked once, by
-_Kind.stored, and _rebuild builds each tensor over the stored values.
+_Kind.stored, and tensors._rebuild builds each tensor over the stored values.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ from .tensors import (
     _bianchi_holds,
     _freeze,
     _integer,
+    _pair_index,
+    _real_array,
+    _rebuild,
     _require_finite,
     _symmetric_part,
     _tuple_index_map,
@@ -63,21 +66,17 @@ class SoElement:
 
     def __init__(self, n, comps):
         n = check_dimension(n)
-        comps = np.array(comps, dtype=float).reshape(-1)
+        comps = _real_array(comps, "so(n) coordinates").reshape(-1)
         if comps.size != wedge_count(n):
-            raise ValueError(
-                f"expected {wedge_count(n)} coordinates for n={n}, got {comps.size}"
-            )
-        _require_finite(comps, "so(n) coordinates")
+            raise ValueError(f"expected {wedge_count(n)} coordinates for n={n}, got {comps.size}")
         self.n = n
         self.comps = _freeze(comps)
 
     @classmethod
     def from_matrix(cls, mat):
-        m = np.asarray(mat, dtype=float)
+        m = _real_array(mat, "matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        _require_finite(m, "matrix entries")
         scale = max(1.0, float(np.abs(m).max()))
         # halved entries: halving is exact above the subnormal range, so the
         # test and the coordinates keep the bits of (m + m^T) / 2 and
@@ -86,15 +85,13 @@ class SoElement:
         half = m / 2.0
         if float(np.abs(half + half.T).max()) > _SYMMETRY_TOL * scale / 2.0:
             raise ValueError("matrix is not skew-symmetric")
-        n = m.shape[0]
-        comps = [half[j, i] - half[i, j] for i, j in wedge_pairs(n)]
-        return cls(n, comps)
+        i, j = _pair_index(m.shape[0])
+        return cls(m.shape[0], half[j, i] - half[i, j])
 
     @classmethod
     def from_vectors(cls, x, y):
         """The wedge x^y; its matrix sends z to g(x,z)y - g(y,z)x."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
+        x, y = (_real_array(v, "vector entries").reshape(-1) for v in (x, y))
         if x.size != y.size:
             raise ValueError("vectors must have equal length")
         return cls(x.size, wedge_coordinates(x, y, x.size))
@@ -299,17 +296,6 @@ def inner(a, b) -> float:
     return float(kind.inners(values_a[None], values_b[None])[0])
 
 
-def _rebuild(t, values):
-    """A tensor of t's type, dimension and degree over values of t's shape,
-    as _Kind.stored returns them: no copy and no second check.  It takes
-    t's public slots; the underscored ones are caches and start unread."""
-    out = type(t).__new__(type(t))
-    for slot in type(t).__slots__:
-        setattr(out, slot, None if slot.startswith("_") else getattr(t, slot))
-    setattr(out, _KINDS[type(t)].values, _freeze(values))
-    return out
-
-
 # -- the action of a general element -----------------------------------------
 
 def _act(comps, values, n, p, k):
@@ -366,7 +352,7 @@ def so_act(lam: SoElement, t):
     if lam.n != t.n:
         raise ValueError(f"dimension mismatch: {lam.n} vs {t.n}")
     kind, values, degree = _layout(t)
-    return _rebuild(t, kind.acted(lam.comps[None], values[None], t.n, degree)[0])
+    return _rebuild(t, **{kind.values: kind.acted(lam.comps[None], values[None], t.n, degree)[0]})
 
 
 # -- hat tensors -------------------------------------------------------------
@@ -451,14 +437,14 @@ class HatTensor:
         # an overflow is refused by stored, as a pairing that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             values = sum(c * _layout(b)[1] for c, b in zip(lam.comps, self.blocks))
-        return _rebuild(self.blocks[0], kind.stored(values[None], "pairing")[0])
+        return _rebuild(self.blocks[0], **{kind.values: kind.stored(values[None], "pairing")[0]})
 
 
 def hat(t) -> HatTensor:
     """Materialize every wedge-basis action block of t."""
     kind, values, _ = _layout(t)
     rows = kind.stored(_hat_rows(t).reshape((-1,) + values.shape), "hat block")
-    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, row) for row in rows))
+    return HatTensor(n=t.n, blocks=tuple(_rebuild(t, **{kind.values: row}) for row in rows))
 
 
 def hat_norm_sq(t) -> float:
@@ -494,7 +480,7 @@ def ric_of(r: CurvatureOperator, t):
     if r.n != t.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {t.n}")
     kind, values, degree = _layout(t)
-    return _rebuild(t, kind.rics(r.mat[None], values[None], t.n, degree)[0][0])
+    return _rebuild(t, **{kind.values: kind.rics(r.mat[None], values[None], t.n, degree)[0][0]})
 
 
 def ric_identity_closed_form(t: Tensor0k) -> Tensor0k:

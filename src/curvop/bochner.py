@@ -19,7 +19,7 @@ import numpy as np
 
 from .action import _hat_norms_consuming, _layout, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
-from .tensors import _integer, _real, _require_finite
+from .tensors import _integer, _real, _real_array, _require_finite
 
 
 @dataclass(frozen=True)
@@ -301,10 +301,9 @@ def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
     Raises ValueError when H is not finite or not normal, or when that basis
     leaves a residual |HV - V diag(h)| above the normality tolerance.
     """
-    h = np.asarray(h_matrix, dtype=float)
+    h = _real_array(h_matrix, "matrix entries")
     if h.shape != (r.n, r.n):
         raise ValueError(f"expected a {r.n}x{r.n} matrix, got {h.shape}")
-    _require_finite(h, "matrix entries")
     scale = max(1.0, float(np.abs(h).max()) ** 2)
     if float(np.abs(h @ h.T - h.T @ h).max()) > _NORMAL_TOL * scale:
         raise ValueError("matrix is not normal")

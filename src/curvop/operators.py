@@ -33,6 +33,8 @@ from .tensors import (
     _ops_from_tensors,
     _pair_index,
     _perm_signs,
+    _real_array,
+    _rebuild,
     _require_finite,
     _symmetric_part,
     _symmetrized,
@@ -57,11 +59,10 @@ class CurvatureOperator:
 
     def __init__(self, n, mat):
         n = check_dimension(n)
-        m = np.array(mat, dtype=float)
+        m = _real_array(mat, "operator entries")
         want = wedge_count(n)
         if m.shape != (want, want):
             raise ValueError(f"expected a {want}x{want} matrix for n={n}, got {m.shape}")
-        _require_finite(m, "operator entries")
         m = _symmetric_part(m, "operator matrix")
         self.n = n
         self.N = want
@@ -80,7 +81,7 @@ class CurvatureOperator:
         return float(np.sum(self.mat * self.mat))
 
     def traceless(self) -> "CurvatureOperator":
-        return CurvatureOperator(self.n, _traceless(self.mat))
+        return _rebuild(self, mat=_require_finite(_traceless(self.mat), "operator entries"))
 
     def __repr__(self):
         return f"CurvatureOperator(n={self.n}, bianchi={self.bianchi_certified})"
@@ -186,10 +187,11 @@ def bianchi_split(r: CurvatureOperator):
 
     Returns (r_b, lam4) with r_b a Bianchi CurvatureOperator and lam4 the
     alternating (0,4)-tensor; as tensors, input = r_b + lam4 and the two are
-    orthogonal.
+    orthogonal.  Both are exactly symmetric, and lam4 is finite where r_b is.
     """
     alt = _alternating_parts(r.mat, r.n)
-    return CurvatureOperator(r.n, r.mat - alt), CurvTensor(_tensors_from_ops(alt, r.n))
+    r_b = _require_finite(r.mat - alt, "operator entries")
+    return _rebuild(r, mat=r_b), _rebuild(CurvTensor, n=r.n, array=_tensors_from_ops(alt, r.n))
 
 
 @dataclass(frozen=True)
@@ -203,14 +205,16 @@ class CurvDecomposition:
 
 
 def decompose(r: CurvatureOperator) -> CurvDecomposition:
-    """Orthogonal decomposition of a Bianchi operator, n >= 3 only."""
+    """Orthogonal decomposition of a Bianchi operator, n >= 3 only.  Every
+    piece is exactly symmetric; only arithmetic that can overflow is checked."""
     n = r.n
     if n < 3:
         raise ValueError("the curvature decomposition needs dimension at least 3")
     scal, ric, ric0, weyl, _ = _decompose(r.mat, n)
-    schouten = Sym2(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0))
-    weyl = CurvTensor(_tensors_from_ops(weyl, n))
-    return CurvDecomposition(scal=float(scal), ric0=Sym2(ric0), weyl=weyl, schouten=schouten)
+    schouten = _require_finite(-scal / (2.0 * (n - 1) * (n - 2)) * np.eye(n) + ric / (n - 2.0), "matrix entries")
+    weyl = _tensors_from_ops(_require_finite(weyl, "tensor components"), n)
+    return CurvDecomposition(scal=float(scal), ric0=_rebuild(Sym2, n=n, mat=_require_finite(ric0, "matrix entries")),
+                             weyl=_rebuild(CurvTensor, n=n, array=weyl), schouten=_rebuild(Sym2, n=n, mat=schouten))
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +318,7 @@ def jacobi_eigh_batch(mats):
     are aligned.  Raises ValueError when a matrix is not symmetric to
     thresh, an entry is not finite or a rotation leaves the float range.
     """
-    a = np.array(mats, dtype=float)
+    a = _real_array(mats, "matrix entries")
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected shape (batch, N, N), got {a.shape}")
     b, size, _ = a.shape
@@ -332,11 +336,8 @@ def jacobi_eigh_batch(mats):
     # rotations cannot remove a skew part, so a matrix with some
     # |a_pq - a_qp| above thresh would only run out of sweeps.  Compared
     # a / unit against thresh / unit: the scaled entries, below 2 in
-    # magnitude, cannot overflow their difference.  A non-finite entry
-    # makes the threshold non-finite, passes this test and is caught by
-    # the check after the sweeps
-    with np.errstate(invalid="ignore"):
-        skew = np.abs(scaled - scaled.swapaxes(1, 2)).max(axis=(1, 2))
+    # magnitude, cannot overflow their difference
+    skew = np.abs(scaled - scaled.swapaxes(1, 2)).max(axis=(1, 2))
     if np.any(skew > scaled_thresh):
         raise ValueError("matrix is not symmetric: some |a_pq - a_qp| exceeds the Jacobi stopping threshold")
     # work with the batch index last, so every gathered row or column is a
@@ -388,10 +389,8 @@ def jacobi_eigh_batch(mats):
                 cp, cq = cols[:, :k], cols[:, k:]
                 av[:, p] = c * cp - s * cq
                 av[:, q] = s * cp + c * cq
-    # a non-finite entry stops every rotation of its matrix and is caught
-    # here too
     if not np.isfinite(av).all():
-        raise ValueError("matrix entries or their Jacobi rotations left the float range")
+        raise ValueError("the Jacobi rotations left the float range")
     if _active().any():
         raise RuntimeError("Jacobi iteration did not converge")
     vals = a[diag, diag].T
@@ -403,7 +402,7 @@ def jacobi_eigh_batch(mats):
 
 def jacobi_eigh(mat):
     """Single-matrix front end for the round-robin Jacobi solver."""
-    vals, vecs = jacobi_eigh_batch(np.asarray(mat, dtype=float)[None, :, :])
+    vals, vecs = jacobi_eigh_batch([mat])
     return vals[0], vecs[0]
 
 
@@ -413,14 +412,11 @@ class Spectrum:
     __slots__ = ("eigenvalues", "eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
-        vals = np.array(eigenvalues, dtype=float).reshape(-1)
-        vecs = np.array(eigenvectors, dtype=float)
+        # finite first: a NaN passes the order test, as every comparison with it is False
+        vals = _real_array(eigenvalues, "eigenvalues").reshape(-1)
+        vecs = _real_array(eigenvectors, "eigenvectors")
         if vecs.shape != (vals.size, vals.size):
             raise ValueError("eigenvector matrix shape does not match eigenvalues")
-        # a NaN would pass the order check below, as every comparison with
-        # it is False
-        _require_finite(vals, "eigenvalues")
-        _require_finite(vecs, "eigenvectors")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = _freeze(vals)

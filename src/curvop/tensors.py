@@ -11,6 +11,11 @@ wedge pairs i < j, its operator coordinates.  The layout change between the
 two pictures lives here: _ops_from_tensors gathers a tensor at the wedge
 pairs and _tensors_from_ops spreads a matrix back.  The Kulkarni-Nomizu
 product _kn returns operator coordinates, and kulkarni_nomizu spreads them.
+
+Every value is checked exactly once.  A value from outside passes one of
+three input rules, _integer, _real or _real_array, which refuse by name what
+they do not take.  _rebuild builds a result over checked values with no copy
+and no second check; _require_finite checks arithmetic that can overflow.
 """
 
 from __future__ import annotations
@@ -56,6 +61,18 @@ def _real(value, what) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} must be finite, got an integer past the float range") from None
+
+
+def _real_array(value, what) -> np.ndarray:
+    """value as a fresh float64 array, for an array or nested list whose
+    every entry _real takes, refusing the first it does not as _real does:
+    a numeric array passes whole, a list is scanned for the bools and 0-d
+    arrays numpy reads as numbers; NaN or inf: "<what> must be finite"."""
+    arr = np.asarray(value)
+    entries = arr if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if arr.dtype.kind not in "iuf" or entries is not arr and not {bool, np.bool_, np.ndarray}.isdisjoint(map(type, entries.flat)):
+        arr = np.array([_real(entry, what) for entry in entries.flat]).reshape(entries.shape)
+    return _require_finite(np.array(arr, dtype=np.float64), what)
 
 
 def check_dimension(n, lo=2) -> int:
@@ -142,6 +159,19 @@ def _ops_from_tensors(arr, n):
 def _require_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _rebuild(t, **slots):
+    """A tensor over fresh arrays its constructor would accept, with no copy
+    or second check: t's type and other public slots, or the type t itself
+    with every public slot in slots; underscored slots are caches, unread."""
+    cls = t if isinstance(t, type) else type(t)
+    out = cls.__new__(cls)
+    for slot in cls.__slots__:
+        value = getattr(t, slot) if t is not cls and slot not in slots and slot[0] != "_" else slots.get(slot)
+        setattr(out, slot, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return out
 
 
 def same_dimension(a, b):
@@ -155,24 +185,13 @@ class Tensor0k:
     __slots__ = ("n", "k", "array")
 
     def __init__(self, array):
-        self._adopt(np.array(array, dtype=float))
-
-    @classmethod
-    def _owning(cls, arr):
-        """A tensor over arr itself, a fresh float array no one else holds:
-        the constructor without its copy, which at n = p = 8 is 128 MiB."""
-        t = cls.__new__(cls)
-        t._adopt(arr)
-        return t
-
-    def _adopt(self, arr):
+        arr = _real_array(array, "tensor components")
         if arr.ndim < 1:
             raise ValueError("tensor order must be at least 1")
         n = arr.shape[0]
         if any(s != n for s in arr.shape):
             raise ValueError(f"axes must have equal length, got shape {arr.shape}")
         check_dimension(n)
-        _require_finite(arr, "tensor components")
         self.n = n
         self.k = arr.ndim
         self.array = _freeze(arr)
@@ -192,11 +211,10 @@ class Sym2:
     __slots__ = ("n", "mat")
 
     def __init__(self, mat):
-        m = np.array(mat, dtype=float)
+        m = _real_array(mat, "matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         check_dimension(m.shape[0])
-        _require_finite(m, "matrix entries")
         m = _symmetric_part(m, "matrix")  # exact: float addition commutes entrywise
         self.n = m.shape[0]
         self.mat = _freeze(m)
@@ -205,8 +223,8 @@ class Sym2:
         return float(np.trace(self.mat))
 
     def traceless(self) -> "Sym2":
-        """Trace-free part h - (tr h / n) g."""
-        return Sym2(_traceless(self.mat))
+        """Trace-free part h - (tr h / n) g, exactly symmetric as h is."""
+        return _rebuild(self, mat=_require_finite(_traceless(self.mat), "matrix entries"))
 
     def norm_sq(self) -> float:
         return float(np.sum(self.mat * self.mat))
@@ -292,11 +310,10 @@ class PForm:
     def __init__(self, n, p, comps):
         n = check_dimension(n)
         p = _integer(p, "form degree", 1, n)
-        comps = np.array(comps, dtype=float).reshape(-1)
+        comps = _real_array(comps, "form components").reshape(-1)
         want = math.comb(n, p)
         if comps.size != want:
             raise ValueError(f"expected {want} components for (n={n}, p={p}), got {comps.size}")
-        _require_finite(comps, "form components")
         self.n = n
         self.p = p
         self.comps = _freeze(comps)
@@ -324,7 +341,7 @@ class PForm:
         arr = np.zeros(self.n ** self.p)
         flat, signs = _dense_scatter(self.n, self.p)
         arr[flat.reshape(-1)] = np.outer(signs, self.comps).reshape(-1)
-        return Tensor0k._owning(arr.reshape((self.n,) * self.p))
+        return _rebuild(Tensor0k, n=self.n, k=self.p, array=arr.reshape((self.n,) * self.p))
 
     @classmethod
     def from_tensor(cls, t: Tensor0k):
@@ -387,11 +404,10 @@ class CurvTensor:
     __slots__ = ("n", "array", "_pair_skew", "_pair_symmetric", "_bianchi")
 
     def __init__(self, array):
-        arr = np.array(array, dtype=float)
+        arr = _real_array(array, "tensor components")
         if arr.ndim != 4 or any(s != arr.shape[0] for s in arr.shape):
             raise ValueError(f"expected shape (n, n, n, n), got {arr.shape}")
         check_dimension(arr.shape[0])
-        _require_finite(arr, "tensor components")
         self.n = arr.shape[0]
         self.array = _freeze(arr)
         self._pair_skew = None

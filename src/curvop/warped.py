@@ -14,12 +14,12 @@ ShootResult, and trajectory_scal takes the x and y columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .operators import CurvatureOperator, _plane_op
-from .tensors import _integer, _real, check_dimension
+from .tensors import _integer, _real, _real_array, check_dimension
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class WarpJet:
     d2psi: float
 
     def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, _real(getattr(self, field.name), field.name))
         if not all(map(math.isfinite, (self.r, self.dphi, self.d2phi, self.dpsi, self.d2psi))):
             raise ValueError("jet values must be finite")
         if not (0.0 < self.phi < math.inf and 0.0 < self.psi < math.inf):
@@ -234,6 +236,7 @@ def scal_single_warped(n, rho, drho, d2rho) -> float:
 
 def ode_rhs(n, x, y):
     """Phase-plane field of the constant-scalar-curvature profile equation."""
+    n, x, y = _warp_dimension(n), _real(x, "x"), _real(y, "y")
     return y, -(x * x + 0.5 * (n - 2) * (y * y - 1.0)) / x
 
 
@@ -393,7 +396,7 @@ def trajectory_scal(n, xs, ys) -> list:
     scal_single_warped at each point, with the curvature of the profile
     taken from the field: the expressions of both, in their order.
     """
-    n = _warp_dimension(n)
+    n, xs, ys = _warp_dimension(n), _real_array(xs, "x").tolist(), _real_array(ys, "y").tolist()
     if xs and min(xs) <= 0.0:
         raise ValueError("the warping function must be positive along the trajectory")
     c = 0.5 * (n - 2)

@@ -1,5 +1,6 @@
 """The so(n) action, hat tensors, curvature terms, and Ricci curvature."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from curvop import (
     Sym2,
     Tensor0k,
     act_on_operator,
+    bianchi_split,
     curvature_term,
+    decompose,
     hat,
     hat_norm_sq,
     identity_operator,
@@ -772,7 +775,9 @@ class TestActionGuards:
 
 class TestResultsBuiltOnce:
     """A single-tensor result is checked once, by _Kind.stored, and built
-    over the stored values without a public constructor."""
+    over the stored values without a public constructor; so is a result
+    exact by construction, whose arithmetic is checked only where it can
+    overflow."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -796,8 +801,69 @@ class TestResultsBuiltOnce:
             call()
             assert len(calls) == 1, calls
 
+    @staticmethod
+    def drawn(rng, n, scale):
+        """A Sym2, a CurvatureOperator and a Bianchi one, drawn at n and
+        scaled."""
+        return (Sym2(scale * rand_sym2(rng, n).mat), CurvatureOperator(n, scale * random_sym_operator(rng, n).mat),
+                CurvatureOperator(n, scale * random_bianchi_operator(rng, n).mat))
+
+    @staticmethod
+    def derived(h, r, b):
+        """The values of Sym2.traceless, CurvatureOperator.traceless,
+        bianchi_split and decompose: each exactly symmetric by
+        construction."""
+        r_b, lam4 = bianchi_split(r)
+        dec = decompose(b)
+        return (h.traceless().mat, r.traceless().mat, r_b.mat, lam4.array,
+                np.float64(dec.scal), dec.ric0.mat, dec.weyl.array, dec.schouten.mat)
+
+    def test_derived_results_are_not_symmetrized_again(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        draws = [self.drawn(rng, n, 1.0) for n in (3, 5, 8)]
+        calls = self.counted(monkeypatch)
+        for draw in draws:
+            self.derived(*draw)
+        assert calls == []
+
+    def test_derived_results_keep_their_bytes(self):
+        # sha256 of these results as built through the public constructors,
+        # which symmetrized each again, at ordinary, subnormal and large scales
+        rng = np.random.default_rng(45)
+        digest = hashlib.sha256()
+        for n in range(3, 9):
+            for scale in (1.0, 2.0 ** -1060, 2.0 ** 1000):
+                for arr in self.derived(*self.drawn(rng, n, scale)):
+                    digest.update(arr.tobytes())
+        assert digest.hexdigest() == "24468209e8f6dd320f461f95655bb5e2ac5191a69b37fbedc9525f55277aac1d"
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_derived_results_that_overflow_are_refused(self, n):
+        # a trace, the Bianchi sums and the Ricci sum of entries below
+        # 2**1023 can overflow; each is refused as the constructors refused it
+        size, big = wedge_count(n), 8e307
+        cases = [
+            (lambda: Sym2(np.diag([big] * n)).traceless(), "^matrix entries must be finite$"),
+            (lambda: CurvatureOperator(n, np.diag([big] * size)).traceless(), "^operator entries must be finite$"),
+            (lambda: decompose(CurvatureOperator(n, big * np.eye(size))), "^matrix entries must be finite$"),
+        ]
+        if n >= 4:
+            quad = np.zeros((size, size))
+            for (x, y), value in zip((((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))), (big, -big, big)):
+                i, j = wedge_index(n, *x), wedge_index(n, *y)
+                quad[i, j] = quad[j, i] = value
+            cases.append((lambda: bianchi_split(CurvatureOperator(n, quad)), "^operator entries must be finite$"))
+        for call, message in cases:
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+                call()
+        # a finite traceless part past 2**1023 is kept: that bound guards
+        # the symmetrization of a constructor's input, which it skips
+        top = np.zeros(n)
+        top[:3] = [8.9e307, 8.9e307, -8.9e307]
+        assert Sym2(np.diag(top)).traceless().mat[2, 2] == -8.9e307 - 8.9e307 / n
+
     def test_underscored_slots_are_caches_the_constructor_leaves_unread(self):
-        # _rebuild copies the public slots and starts every underscored one
+        # tensors._rebuild copies the public slots and starts every underscored one
         # at None, so each must be a cache that a first read fills
         from curvop.action import _KINDS
 

@@ -10,6 +10,7 @@ from curvop import (
     Spectrum,
     Tensor0k,
     TensorKind,
+    WarpJet,
     betti_bound,
     betti_verdict,
     cp2_op,
@@ -24,6 +25,7 @@ from curvop import (
     negative_2form_term_op,
     negative_sym2_term_op,
     normal_h_term,
+    ode_rhs,
     ode_shoot,
     perturbed_profile,
     round_jet,
@@ -33,6 +35,7 @@ from curvop import (
     sphere_product_op,
     tachibana_verdict,
     tensor_from_op,
+    trajectory_scal,
     wedge_count,
 )
 from curvop.bochner import _weight_norms
@@ -163,6 +166,9 @@ class TestRealParameters:
         "ode_shoot-x0": ("x0", lambda v: ode_shoot(4, v, step=0.5, t_max=1.0), 1),
         "ode_shoot-step": ("step", lambda v: ode_shoot(4, 0.5, step=v, t_max=2.0), 1),
         "ode_shoot-t_max": ("t_max", lambda v: ode_shoot(4, 0.5, step=0.5, t_max=v), 1),
+        "WarpJet": ("r", lambda v: WarpJet(r=v, phi=0.5, dphi=0.5, d2phi=0.0, psi=0.5, dpsi=0.0, d2psi=0.0), 1),
+        "ode_rhs": ("x", lambda v: ode_rhs(4, v, 0.0), 1),
+        "trajectory_scal": ("x", lambda v: trajectory_scal(4, (v,), (0.0,)), 1),
     }
 
     @pytest.mark.parametrize("value", [True, False, "2", None], ids=["True", "False", "str", "None"])

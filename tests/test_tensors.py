@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +13,19 @@ import pytest
 from curvop import (
     CurvTensor,
     PForm,
+    SoElement,
+    Spectrum,
     Sym2,
     Tensor0k,
+    cp2_op,
     identity_sym2,
+    jacobi_eigh,
+    jacobi_eigh_batch,
     inner,
     kulkarni_nomizu,
+    normal_h_term,
     permute,
+    trajectory_scal,
     wedge_basis_form,
     wedge_count,
     wedge_index,
@@ -26,6 +36,7 @@ from curvop.tensors import (
     _dense_scatter,
     _kn,
     _ops_from_tensors,
+    _rebuild,
     _symmetric_part,
     _symmetrized,
     _tensors_from_ops,
@@ -263,7 +274,7 @@ class TestPForm:
             values = np.zeros((8,) * 8)
             values[idx] = 1e-9
             with pytest.raises(ValueError, match="not alternating"):
-                PForm.from_tensor(Tensor0k._owning(values))
+                PForm.from_tensor(_rebuild(Tensor0k, n=8, k=8, array=values))
 
     def test_dense_round_trip_stays_near_the_dense_array(self):
         # to_tensor hands its fresh array to Tensor0k uncopied, and norm_sq
@@ -426,3 +437,88 @@ class TestCurvTensorFlags:
             h0 = h.traceless()
             assert h0.trace() == pytest.approx(0.0, abs=1e-12)
             assert h0.norm_sq() == pytest.approx(h.norm_sq() - h.trace() ** 2 / n, rel=1e-12)
+
+
+def _with_first_leaf(nested, value):
+    """A nested list with its first leaf replaced by value."""
+    if isinstance(nested, list):
+        return [_with_first_leaf(nested[0], value)] + nested[1:]
+    return value
+
+
+class TestRealArrays:
+    """Every array parameter of the public API takes one rule,
+    tensors._real_array: _real's rule entry by entry.  A bool, str,
+    Fraction, complex or 0-d array entry is refused by name, where numpy
+    read True as 1.0 and "2" as 2.0 and dropped an imaginary part, and a
+    non-finite entry keeps its "must be finite" message."""
+
+    SYM = [[2, 1, 0], [1, 3, -1], [0, -1, 1]]
+
+    # (input name in the message, call taking the array and returning what
+    # it built, an integer-valued array it accepts)
+    SITES = {
+        "SoElement": ("so(n) coordinates", lambda v: SoElement(3, v).comps, [1, -2, 3]),
+        "SoElement.from_matrix": ("matrix entries", lambda v: SoElement.from_matrix(v).comps,
+                                  [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]),
+        "SoElement.from_vectors-x": ("vector entries", lambda v: SoElement.from_vectors(v, [0, 1, 0]).comps, [1, 0, 2]),
+        "SoElement.from_vectors-y": ("vector entries", lambda v: SoElement.from_vectors([1, 0, 2], v).comps, [0, 1, 0]),
+        "Tensor0k": ("tensor components", lambda v: Tensor0k(v).array, [[1, -2], [3, 4]]),
+        "Sym2": ("matrix entries", lambda v: Sym2(v).mat, SYM),
+        "PForm": ("form components", lambda v: PForm(3, 1, v).comps, [1, 2, 3]),
+        "CurvTensor": ("tensor components", lambda v: CurvTensor(v).array, np.arange(16).reshape(2, 2, 2, 2) - 8),
+        "CurvatureOperator": ("operator entries", lambda v: CurvatureOperator(3, v).mat, SYM),
+        "Spectrum-eigenvalues": ("eigenvalues", lambda v: Spectrum(v, np.eye(3)).eigenvalues, [1, 2, 3]),
+        "Spectrum-eigenvectors": ("eigenvectors", lambda v: Spectrum([1, 2, 3], v).eigenvectors, np.eye(3, dtype=int)),
+        "jacobi_eigh_batch": ("matrix entries", jacobi_eigh_batch, [SYM, np.diag([1, 0, -1])]),
+        "jacobi_eigh": ("matrix entries", jacobi_eigh, SYM),
+        "normal_h_term": ("matrix entries", lambda v: normal_h_term(cp2_op(), v), np.diag([-1, 0, 0, 1])),
+        "trajectory_scal-x": ("x", lambda v: trajectory_scal(4, v, [0, 1]), [1, 2]),
+        "trajectory_scal-y": ("y", lambda v: trajectory_scal(4, [1, 2], v), [0, 1]),
+    }
+
+    BAD = {
+        "bool": lambda good: good.astype(bool),
+        "str": lambda good: good.astype(str),
+        "Fraction": lambda good: np.array([Fraction(int(x)) for x in good.flat], dtype=object).reshape(good.shape),
+        "complex": lambda good: good.astype(complex),
+        "bool-in-list": lambda good: _with_first_leaf(good.tolist(), True),
+        "0-d-array-in-list": lambda good: _with_first_leaf(good.tolist(), np.array(True)),
+    }
+
+    @staticmethod
+    def called(call, value):
+        """call(value) with every warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call(value)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("site", SITES)
+    def test_non_numbers_are_refused_by_name(self, site, bad):
+        what, call, good = self.SITES[site]
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a real number, got "):
+            self.called(call, self.BAD[bad](np.array(good)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("site", SITES)
+    def test_non_finite_entries_are_refused(self, site, value):
+        what, call, good = self.SITES[site]
+        bad = np.array(good, dtype=float)
+        bad.flat[0] = value
+        for form in (bad, bad.tolist()):
+            with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite$"):
+                self.called(call, form)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_numbers_build_the_same_bytes(self, site):
+        # float arrays build what they always built; int and float lists
+        # and int arrays build it too
+        _, call, good = self.SITES[site]
+        good = np.array(good)
+        forms = [good.astype(float), good.astype(float).tolist(), good, good.tolist(), good.astype(np.int32)]
+        built = []
+        for form in forms:
+            out = self.called(call, form)
+            built.append(b"".join(np.asarray(part, dtype=float).tobytes() for part in (out if isinstance(out, tuple) else (out,))))
+        assert all(b == built[0] for b in built)
