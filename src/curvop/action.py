@@ -48,6 +48,7 @@ from .tensors import (
     _real_array,
     _rebuild,
     _require_finite,
+    _scale,
     _symmetric_part,
     _tuple_index_map,
     check_dimension,
@@ -77,13 +78,12 @@ class SoElement:
         m = _real_array(mat, "matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
         # halved entries: halving is exact above the subnormal range, so the
         # test and the coordinates keep the bits of (m + m^T) / 2 and
         # (m_ji - m_ij) / 2, and no sum or difference of finite entries
         # overflows
         half = m / 2.0
-        if float(np.abs(half + half.T).max()) > _SYMMETRY_TOL * scale / 2.0:
+        if float(np.abs(half + half.T).max()) > _SYMMETRY_TOL * _scale(np.abs(m).max()) / 2.0:
             raise ValueError("matrix is not skew-symmetric")
         i, j = _pair_index(m.shape[0])
         return cls(m.shape[0], half[j, i] - half[i, j])

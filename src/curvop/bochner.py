@@ -19,7 +19,7 @@ import numpy as np
 
 from .action import _hat_norms_consuming, _layout, _terms
 from .operators import CurvatureOperator, Spectrum, complex_sectional
-from .tensors import _integer, _real, _real_array, _require_finite
+from .tensors import _integer, _real, _real_array, _require_finite, _scale
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,8 @@ def _direct_terms(mats, values, n, kind, degree=None):
     return _terms(mats, rows, rows), _hat_norms_consuming(rows)
 
 
-# relative slack of direct_term_check, and of the normality and eigenbasis
-# residual checks of normal_h_term against max(1, the matrix's largest entry
-# squared)
+# relative slack of direct_term_check, and of normal_h_term's normality and
+# eigenbasis residuals against _scale of the matrix's largest entry squared
 _DIRECT_SLACK = 1e-10
 _NORMAL_TOL = 1e-10
 
@@ -195,10 +194,9 @@ _NORMAL_GAMMA = math.sqrt(2.0) - 1.0
 
 def _direct_check(lhs, hat_sq, kappa, slack):
     """(rhs, ok) of direct_term_check for stacked terms and hat norms, with
-    lhs allowed slack times max(1, |lhs|, |rhs|) below rhs."""
+    lhs allowed slack times _scale(lhs, rhs) below rhs."""
     rhs = kappa * hat_sq
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return rhs, lhs >= rhs - slack * scale
+    return rhs, lhs >= rhs - slack * _scale(lhs, rhs)
 
 
 def _check_spectrum_size(s, n):
@@ -304,7 +302,7 @@ def normal_h_term(r: CurvatureOperator, h_matrix) -> float:
     h = _real_array(h_matrix, "matrix entries")
     if h.shape != (r.n, r.n):
         raise ValueError(f"expected a {r.n}x{r.n} matrix, got {h.shape}")
-    scale = max(1.0, float(np.abs(h).max()) ** 2)
+    scale = _scale(float(np.abs(h).max()) ** 2)
     if float(np.abs(h @ h.T - h.T @ h).max()) > _NORMAL_TOL * scale:
         raise ValueError("matrix is not normal")
     sym = 0.5 * (h + h.T)

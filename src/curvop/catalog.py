@@ -19,6 +19,7 @@ from .operators import CurvatureOperator, _plane_op, wedge_count
 from .tensors import (
     PForm,
     Sym2,
+    _ENTRY_LIMIT,
     _integer,
     _real,
     _tuple_index_map,
@@ -94,8 +95,8 @@ def negative_2form_term_op(n, lam):
     if not 0.0 < lam < math.inf:
         raise ValueError(f"the scale must be positive and finite, got {lam}")
     # 2n lam, the largest eigenvalue, bounds every entry; keeping it below
-    # the bound CurvatureOperator takes means no product below overflows
-    if 2.0 * n * lam >= 2.0 ** 1023:
+    # the _ENTRY_LIMIT CurvatureOperator takes means no product below overflows
+    if 2.0 * n * lam >= _ENTRY_LIMIT:
         raise ValueError(f"the scale must keep 2n*lam below 2**1023, got lam={lam} at n={n}")
     u = _split_vectors(n)[:3]
     halves = 0.5 * (np.array([-(n - 3.0), -(n - 3.0), 2.0 * n]) * lam - 2.0 * lam)

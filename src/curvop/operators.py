@@ -36,6 +36,7 @@ from .tensors import (
     _real_array,
     _rebuild,
     _require_finite,
+    _scale,
     _symmetric_part,
     _symmetrized,
     _tensors_from_ops,
@@ -157,11 +158,10 @@ def _bianchi_sums(mats, n):
 
 
 def _bianchi_certified(mats, n):
-    """Bianchi certificates of stacked symmetric operator matrices: whether
-    each largest |_bianchi_sums| is at most _IDENTITY_TOL times max(1, the
-    matrix's largest entry), the bound tensors._bianchi_holds puts on the
-    (0,4)-tensor's residual."""
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    """Whether each largest |_bianchi_sums| of stacked symmetric operator
+    matrices is at most _IDENTITY_TOL times _scale of the matrix's largest
+    entry, as tensors._bianchi_holds bounds the (0,4)-tensor's residual."""
+    scale = _scale(np.abs(mats).max(axis=(-2, -1)))
     return np.abs(_bianchi_sums(mats, n)).max(axis=-1, initial=0.0) <= _IDENTITY_TOL * scale
 
 
@@ -313,12 +313,15 @@ def jacobi_eigh_batch(mats):
     entries back in, which made degenerate spectra converge only linearly.
     The stopping test is unchanged.  The rotation is elementwise across the
     batch, so a batch row is bit-identical to the single-matrix call.
-    Eigenvalues come back
-    ascending with ties kept in original column order; eigenvector columns
-    are aligned.  Raises ValueError when a matrix is not symmetric to
+    Eigenvalues come back ascending with ties kept in original column
+    order; eigenvector columns are aligned.  Raises ValueError when a matrix is not symmetric to
     thresh, an entry is not finite or a rotation leaves the float range.
     """
-    a = _real_array(mats, "matrix entries")
+    return _jacobi(_real_array(mats, "matrix entries"))
+
+
+def _jacobi(a):
+    """jacobi_eigh_batch of a checked float array, which it leaves as it is."""
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected shape (batch, N, N), got {a.shape}")
     b, size, _ = a.shape
@@ -402,7 +405,7 @@ def jacobi_eigh_batch(mats):
 
 def jacobi_eigh(mat):
     """Single-matrix front end for the round-robin Jacobi solver."""
-    vals, vecs = jacobi_eigh_batch([mat])
+    vals, vecs = _jacobi(_real_array(mat, "matrix entries")[None])
     return vals[0], vecs[0]
 
 
@@ -435,8 +438,8 @@ class Spectrum:
 
 
 def spectrum(r: CurvatureOperator) -> Spectrum:
-    vals, vecs = jacobi_eigh(r.mat)
-    return Spectrum(vals, vecs)
+    vals, vecs = _jacobi(r.mat[None])  # finite, ascending and aligned
+    return _rebuild(Spectrum, eigenvalues=vals[0], eigenvectors=vecs[0])
 
 
 def wedge_coordinates(vec_a, vec_b, n):

@@ -16,13 +16,14 @@ Every value is checked exactly once.  A value from outside passes one of
 three input rules, _integer, _real or _real_array, which refuse by name what
 they do not take.  _rebuild builds a result over checked values with no copy
 and no second check; _require_finite checks arithmetic that can overflow.
+Every relative tolerance scales by _scale, the one floor of a magnitude.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -30,12 +31,22 @@ import numpy as np
 # The library's scope: R^n for 2 <= n <= _MAX_N.
 _MAX_N = 8
 
-# Relative slack, against max(1, largest entry), of the symmetry and
-# skewness checks on matrices handed to a constructor, and of the exact
-# identities detected on tensors: the pair symmetries, the first Bianchi
-# identity and alternation.
+# Relative slack, against _scale of the largest entry, of the symmetry and
+# skewness checks on a constructor's matrix, and of the exact identities
+# detected on tensors: pair symmetries, first Bianchi identity, alternation.
 _SYMMETRY_TOL = 1e-9
 _IDENTITY_TOL = 1e-12
+
+# Bound on the entries a constructor takes: two of them sum and differ to finite floats.
+_ENTRY_LIMIT = 2.0 ** 1023
+
+
+def _scale(*magnitudes):
+    """max(1, the largest |value| among magnitudes), elementwise for stacks:
+    what each relative tolerance multiplies, so a tolerance is absolute
+    below unit scale (ROADMAP item 15).  The Jacobi stopping threshold is
+    relative to the Frobenius norm with no floor, homogeneous already."""
+    return np.maximum(1.0, reduce(np.maximum, map(np.abs, magnitudes)))
 
 
 def _integer(value, what, lo=None, hi=None) -> int:
@@ -243,17 +254,15 @@ def _symmetrized(mats):
 
 def _symmetric_part(mats, what):
     """_symmetrized of stacked square matrices, each of which must be
-    symmetric to _SYMMETRY_TOL relative to max(1, its largest entry) and
-    have its entries below 2**1023 in magnitude; raises ValueError naming
-    what otherwise.  The Sym2 and CurvatureOperator constructors check
-    their one matrix through it too.
-    """
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    # two entries below 2**1023 in magnitude sum, and differ, to at most the
-    # largest float, so neither m + m^T nor the symmetry test can overflow
-    if np.any(scale >= 2.0 ** 1023):
+    symmetric to _SYMMETRY_TOL relative to _scale of its largest entry and
+    have its entries below _ENTRY_LIMIT in magnitude; raises ValueError
+    naming what otherwise.  The Sym2 and CurvatureOperator constructors
+    check their one matrix through it too."""
+    largest = np.abs(mats).max(axis=(-2, -1))
+    # neither m + m^T nor the symmetry test can overflow below _ENTRY_LIMIT
+    if np.any(largest >= _ENTRY_LIMIT):
         raise ValueError(f"{what} entries must be below 2**1023 in magnitude, or their symmetric part overflows")
-    if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * scale):
+    if np.any(np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_TOL * _scale(largest)):
         raise ValueError(f"{what} is not symmetric")
     return _symmetrized(mats)
 
@@ -348,7 +357,7 @@ class PForm:
         """Read a dense alternating tensor back into compact storage.
 
         The tensor is alternating when |to_tensor() - t| stays within
-        _IDENTITY_TOL times max(1, its largest entry), read off without a
+        _IDENTITY_TOL times _scale of its largest entry, read off without a
         second array as large as t: at the scatter positions from the
         gathered entries, off them from the largest and smallest entry of t
         there, one leading index at a time.
@@ -372,8 +381,7 @@ class PForm:
                 float(np.max(block, where=off, initial=0.0)),
                 -float(np.min(block, where=off, initial=0.0)),
             )
-        scale = max(1.0, float(entries.max()), -float(entries.min()))
-        if deviation > _IDENTITY_TOL * scale:
+        if deviation > _IDENTITY_TOL * _scale(entries.max(), entries.min()):
             raise ValueError("tensor is not alternating")
         return form
 
@@ -418,7 +426,7 @@ class CurvTensor:
     def pair_skew(self) -> bool:
         if self._pair_skew is None:
             arr = self.array
-            bound = _IDENTITY_TOL * max(1.0, float(np.abs(arr).max()))
+            bound = _IDENTITY_TOL * _scale(np.abs(arr).max())
             self._pair_skew = bool(
                 float(np.abs(arr + arr.transpose(1, 0, 2, 3)).max()) <= bound
                 and float(np.abs(arr + arr.transpose(0, 1, 3, 2)).max()) <= bound
@@ -429,7 +437,7 @@ class CurvTensor:
     def pair_symmetric(self) -> bool:
         if self._pair_symmetric is None:
             arr = self.array
-            bound = _IDENTITY_TOL * max(1.0, float(np.abs(arr).max()))
+            bound = _IDENTITY_TOL * _scale(np.abs(arr).max())
             self._pair_symmetric = bool(
                 float(np.abs(arr - arr.transpose(2, 3, 0, 1)).max()) <= bound
             )
@@ -462,9 +470,8 @@ def _bianchi_residual(arr):
 
 def _bianchi_holds(arr):
     """Whether the Bianchi residual of each of stacked (0,4)-arrays is at
-    most _IDENTITY_TOL times max(1, its largest entry)."""
-    scale = np.maximum(1.0, np.abs(arr).max(axis=(-4, -3, -2, -1)))
-    return _bianchi_residual(arr) <= _IDENTITY_TOL * scale
+    most _IDENTITY_TOL times _scale of its largest entry."""
+    return _bianchi_residual(arr) <= _IDENTITY_TOL * _scale(np.abs(arr).max(axis=(-4, -3, -2, -1)))
 
 
 def permute(t: Tensor0k, sigma) -> Tensor0k:

@@ -25,7 +25,7 @@ each suite's trial limit from its row: a suite takes one of the 2**32 trial
 indices a trial, a batched suite one a trial and n.  run_suite turns them
 into the suite's stream of (trial index, generator) pairs and replaces
 tol=None by the default t.  Every comparison is exact, through _requires,
-or a _closes or _at_mosts at t relative to max(1, |lhs|, |rhs|), but
+or a _closes or _at_mosts at t relative to _scale(lhs, rhs), but
 singer-thorpe's diagonal-norm, the one fixed slack.
 
 A row names either a body, a generator that walks the stream and yields
@@ -49,15 +49,8 @@ as one stacked array, slices and reshapes them once into its fields
 (_fields, views with no copy), symmetrizes the draws that stand for
 symmetric matrices and runs the suite's comparisons on the group
 through the stacked kernels of the kind table action._KINDS.  Groups are
-sized by _CHUNK_BYTES, so memory stays flat in the trial count: a draw
-names as its item_bytes the bytes a trial takes in the largest array its
-check builds for the whole group, one size for each n and key, but for
-lemma-2.2, whose draw names what a trial adds to its check's traced peak.
-A check builds the larger arrays of a trial a slice of the group at a
-time through _in_budget: lemma-2.1-soundness the block rows of its
-curvature kinds' operator matrices, N^3 entries a trial.  The failing
-comparisons come back ordered by trial index, then by the position of the
-check within the trial: as if each trial had been checked alone.
+sized by _CHUNK_BYTES, so memory stays flat in the trial count, and the
+failing comparisons come back as if each trial had been checked alone.
 
 Lemmas 2.1 and 2.2 make claims about norms, actions and curvature terms of
 curvature tensors, and their suites check them on operator coordinates:
@@ -171,6 +164,7 @@ from .tensors import (
     _integer,
     _kn,
     _real,
+    _scale,
     _symmetrized,
     _tensors_from_ops,
     _traceless,
@@ -342,16 +336,13 @@ def _digest(*parts) -> str:
 
 
 def _close_fails(lhs, rhs, tol):
-    """Where |lhs - rhs| exceeds tol times max(1, |lhs|, |rhs|), elementwise."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return ~(np.abs(lhs - rhs) <= tol * scale)
+    """Where |lhs - rhs| exceeds tol times _scale(lhs, rhs), elementwise."""
+    return ~(np.abs(lhs - rhs) <= tol * _scale(lhs, rhs))
 
 
 def _at_most_fails(lhs, rhs, tol):
-    """Where lhs exceeds rhs by more than tol times max(1, |lhs|, |rhs|),
-    elementwise."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return ~(lhs <= rhs + tol * scale)
+    """Where lhs exceeds rhs by more than tol times _scale(lhs, rhs), elementwise."""
+    return ~(lhs <= rhs + tol * _scale(lhs, rhs))
 
 
 def _closes(tag, lhs, rhs, tol):
@@ -989,7 +980,7 @@ def suite_decompose(stream, t):
         ric_part = CurvTensor(kulkarni_nomizu(g, dec.ric0).array / (n - 2.0))
         back = scal_part.array + ric_part.array + dec.weyl.array
         yield _closes(("reassembly", trial), float(np.abs(back - rm.array).max()), 0.0, t)
-        scale = max(1.0, rm.norm_sq())
+        scale = _scale(rm.norm_sq())
         yield _closes(("orth-sw", trial), inner(scal_part, dec.weyl) / scale, 0.0, t)
         yield _closes(("orth-sr", trial), inner(scal_part, ric_part) / scale, 0.0, t)
         yield _closes(("orth-rw", trial), inner(ric_part, dec.weyl) / scale, 0.0, t)
@@ -1010,7 +1001,7 @@ def suite_spectrum(stream, t):
         n = int(rng.integers(3, 8))
         r = random_sym_operator(rng, n)
         s = spectrum(r)
-        scale = max(1.0, math.sqrt(r.norm_sq()))
+        scale = _scale(math.sqrt(r.norm_sq()))
         res = float(np.abs(r.mat @ s.eigenvectors - s.eigenvectors * s.eigenvalues[None, :]).max())
         yield _at_mosts(("residual", trial), res / scale, 0.0, t)
         orth = float(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(r.N)).max())

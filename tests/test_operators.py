@@ -1,5 +1,7 @@
 """Curvature operators: conversions, splits, decomposition, spectra."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -594,6 +596,41 @@ class TestSpectrum:
             vals, _ = jacobi_eigh(r.mat)
             scale = max(1.0, float(np.abs(vals).max()))
             assert np.abs(vals - np.linalg.eigvalsh(r.mat)).max() <= 1e-12 * scale
+
+
+class TestSpectrumAdoptedOnce:
+    """spectrum hands its operator's checked matrix to the solver and adopts
+    the eigenpairs it returns, with no second check."""
+
+    @staticmethod
+    def operators():
+        rng = np.random.default_rng(46)
+        return [random_sym_operator(rng, n) for n in range(2, 9)] + [cp2_op()]
+
+    def test_spectrum_checks_nothing_again(self, monkeypatch):
+        from curvop import tensors
+
+        ops, calls, original = self.operators(), [], tensors._real_array
+        for module in (tensors, operators):
+            monkeypatch.setattr(module, "_real_array", lambda value, what: calls.append(what) or original(value, what))
+        for op in ops:
+            spectrum(op)
+        assert calls == []
+        jacobi_eigh(ops[-1].mat)
+        assert calls == ["matrix entries"]
+
+    def test_eigenpairs_keep_their_bytes(self):
+        # sha256 of the eigenpairs as built through the public Spectrum
+        # constructor, which checked them again
+        digest = hashlib.sha256()
+        for op in self.operators():
+            s = spectrum(op)
+            vals, vecs = jacobi_eigh_batch(op.mat[None])
+            assert np.array_equal(s.eigenvalues, vals[0]) and np.array_equal(s.eigenvectors, vecs[0])
+            assert not (s.eigenvalues.flags.writeable or s.eigenvectors.flags.writeable)
+            digest.update(s.eigenvalues.tobytes())
+            digest.update(s.eigenvectors.tobytes())
+        assert digest.hexdigest() == "307ee43e649f1fc9890c17b46af76c2dabee3c38dec77065ae8289c0e4bcc046"
 
 
 class TestKPositivity:

@@ -1,11 +1,13 @@
 """Tensor layer: norms, permutations, contractions, KN products, forms."""
 
+import ast
 import itertools
 import math
 import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +33,14 @@ from curvop import (
     wedge_index,
     wedge_pairs,
 )
+from curvop import tensors
 from curvop.operators import CurvatureOperator
 from curvop.tensors import (
     _dense_scatter,
     _kn,
     _ops_from_tensors,
     _rebuild,
+    _scale,
     _symmetric_part,
     _symmetrized,
     _tensors_from_ops,
@@ -437,6 +441,40 @@ class TestCurvTensorFlags:
             h0 = h.traceless()
             assert h0.trace() == pytest.approx(0.0, abs=1e-12)
             assert h0.norm_sq() == pytest.approx(h.norm_sq() - h.trace() ** 2 / n, rel=1e-12)
+
+
+class TestScale:
+    """tensors._scale, the one floor under every relative tolerance:
+    max(1, the largest |value| among its arguments), elementwise."""
+
+    def test_below_unit_magnitudes_give_one(self):
+        for value in (0.0, -0.0, 5e-324, 1e-13, 0.5, -0.999, 1.0):
+            assert _scale(value) == 1.0
+        assert _scale(1e-13, -0.5, 0.25) == 1.0
+
+    def test_the_largest_magnitude_wins(self):
+        assert _scale(2.5) == 2.5
+        assert _scale(-3.0) == 3.0
+        assert _scale(0.5, -7.0, 4.0) == 7.0
+        assert _scale(-1e308, 5e307) == 1e308
+
+    def test_stacks_are_elementwise(self):
+        lhs = np.array([[0.25, -4.0], [3.0, 1e-20]])
+        rhs = np.array([[-2.0, 0.5], [-5.0, 0.0]])
+        assert _scale(lhs, rhs).tolist() == [[2.0, 4.0], [5.0, 1.0]]
+        assert _scale(np.array([0.5, -8.0, 2.0])).tolist() == [1.0, 8.0, 2.0]
+        assert _scale(np.array([0.5, -8.0]), 3.0).tolist() == [3.0, 8.0]
+
+    def test_no_module_floors_a_magnitude_outside_scale(self):
+        # a change to the floor (ROADMAP item 15) goes to _scale alone
+        floor = re.compile(r"max(imum)?\(1\.0,")
+        source = Path(tensors.__file__)
+        scale = next(node for node in ast.parse(source.read_text()).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_scale")
+        left = [(path.name, line.strip()) for path in sorted(source.parent.glob("*.py"))
+                for number, line in enumerate(path.read_text().splitlines(), 1)
+                if floor.search(line) and not (path == source and scale.lineno <= number <= scale.end_lineno)]
+        assert left == []
 
 
 def _with_first_leaf(nested, value):

@@ -30,10 +30,10 @@ def test_tracer_installs_and_traces_a_suite():
         assert report.passed, report.failures[:3]
     assert tracer.calls["verify.suite.prop-1.7"] == 1
     assert tracer.calls["verify.suite.spectrum"] == 1
-    # per spectrum trial: two spectrum calls, each a jacobi_eigh over a batch
-    # of one, and one batch of two through the wrapper in verify's namespace;
-    # prop-1.7 takes its eigenbasis from LAPACK
+    # per spectrum trial: two spectrum calls, each straight into the solver
+    # over a batch of one, and one batch of two through the wrapper in
+    # verify's namespace; prop-1.7 takes its eigenbasis from LAPACK
     assert tracer.calls["operators.spectrum"] == 4
-    assert tracer.calls["operators.jacobi_eigh"] == 4
-    assert tracer.calls["operators.jacobi_eigh_batch"] == 6
+    assert tracer.calls["operators.jacobi_eigh"] == 0
+    assert tracer.calls["operators.jacobi_eigh_batch"] == 2
     assert verify.run_suite is original
